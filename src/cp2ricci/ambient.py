@@ -4,6 +4,12 @@ Points and tangents of the unit 5-sphere live in C^3 viewed as R^6 with
 <v, w> = Re sum_k v_k conj(w_k).  Multiplication by the imaginary unit is
 the ambient complex structure: a real-linear isometry with i(i v) = -v.
 The fiber direction of the circle fibration at a point p is i p.
+
+``AmbientVector`` is the type of the chart interface (``SurfaceChart``
+evaluate and partials) and of the ``MovingFrame`` members.  The numerical
+pipeline does not compute with these objects: it reads each one as the real
+6-vector ``v.z.view(np.float64)``, which has the layout of
+``real_components()``, and works on small stacked matrices.
 """
 
 from __future__ import annotations
@@ -64,10 +70,7 @@ class AmbientVector:
 
     def real_components(self) -> np.ndarray:
         """The six real scalars (Re c1, Im c1, Re c2, Im c2, Re c3, Im c3)."""
-        out = np.empty(6)
-        out[0::2] = self.z.real
-        out[1::2] = self.z.imag
-        return out
+        return self.z.view(np.float64).copy()
 
     def __add__(self, other: "AmbientVector") -> "AmbientVector":
         return AmbientVector(self.z + other.z)

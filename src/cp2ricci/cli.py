@@ -329,9 +329,21 @@ def cmd_crosscheck(grid: int = 5, step: float = 1e-3, tol: float = 1e-4) -> list
     return reports
 
 
+def _given(value: Any, default: Any) -> Any:
+    """An explicit argument, or the command's default when it was omitted."""
+    return default if value is None else value
+
+
+def _positive_float(text: str) -> float:
+    value = float(text)
+    if not value > 0.0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {text!r}")
+    return value
+
+
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--grid", type=int, default=None, help="grid points per axis")
-    p.add_argument("--step", type=float, default=None, help="finite-difference step")
+    p.add_argument("--step", type=_positive_float, default=None, help="finite-difference step")
     p.add_argument("--tol", type=float, default=None, help="pass tolerance")
     p.add_argument("--strict", action="store_true", help="halve all tolerances")
     p.add_argument("--out", default=None, help="write the JSON report (or scan rows) here")
@@ -386,18 +398,18 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.command == "check" and args.target == "ruled":
             config = {
-                "grid": args.grid or 16,
-                "step": args.step or 1e-5,
-                "tol": (args.tol or 1e-6) * halve,
+                "grid": _given(args.grid, 16),
+                "step": _given(args.step, 1e-5),
+                "tol": _given(args.tol, 1e-6) * halve,
                 "strict": bool(args.strict),
             }
             reports = cmd_check_ruled(config["grid"], config["step"], config["tol"])
         elif args.command == "check" and args.target == "sphere":
             config = {
                 "radius": args.radius,
-                "grid": args.grid or 8,
-                "step": args.step or 1e-5,
-                "tol": (args.tol or 1e-6) * halve,
+                "grid": _given(args.grid, 8),
+                "step": _given(args.step, 1e-5),
+                "tol": _given(args.tol, 1e-6) * halve,
                 "eig_tol": 1e-7 * halve,
                 "strict": bool(args.strict),
             }
@@ -414,12 +426,12 @@ def main(argv: list[str] | None = None) -> int:
         elif args.command == "scan":
             config = {
                 "surface": args.surface,
-                "grid": args.grid or 12,
-                "step": args.step or 1e-5,
+                "grid": _given(args.grid, 12),
+                "step": _given(args.step, 1e-5),
                 "epsilon": args.epsilon,
                 "seed": args.seed,
                 "format": args.format,
-                "bound": -(args.tol or 1e-6) * halve,
+                "bound": -_given(args.tol, 1e-6) * halve,
                 "strict": bool(args.strict),
             }
             reports, rows = cmd_scan(
@@ -432,9 +444,9 @@ def main(argv: list[str] | None = None) -> int:
             )
         else:
             config = {
-                "grid": args.grid or 5,
-                "step": args.step or 1e-3,
-                "tol": (args.tol or 1e-4) * halve,
+                "grid": _given(args.grid, 5),
+                "step": _given(args.step, 1e-3),
+                "tol": _given(args.tol, 1e-4) * halve,
                 "strict": bool(args.strict),
             }
             reports = cmd_crosscheck(config["grid"], config["step"], config["tol"])

@@ -28,9 +28,6 @@ from .charts import ParamTriple, SurfaceChart
 from .frames import horizontalize
 from .shape import ShapeData, shape_operator
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-
-
 def riemann_gauss(shape: ShapeData, x: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
     """R(X, Y)Z in frame coordinates."""
     A, P = shape.A, shape.P
@@ -54,28 +51,36 @@ def ricci_quadratic(shape: ShapeData, x: np.ndarray) -> float:
     return float(2.0 * (x @ x) + 3.0 * (px @ px) + np.trace(shape.A) * (ax @ x) - ax @ ax)
 
 
+def _wedge(S: np.ndarray, T: np.ndarray) -> np.ndarray:
+    """[x, y, z, w] -> S[z, y] T[w, x] - S[z, x] T[w, y]."""
+    return np.einsum("zy,wx->xyzw", S, T) - np.einsum("zx,wy->xyzw", S, T)
+
+
+def _gauss_tensor(shape: ShapeData) -> np.ndarray:
+    """R[x, y, z, w] = <R(e_x, e_y) e_z, e_w>, all 81 frame components."""
+    A, P = shape.A, shape.P
+    return (
+        _wedge(np.eye(3), np.eye(3))
+        + _wedge(P, P)
+        - 2.0 * np.einsum("yx,wz->xyzw", P, P)
+        + _wedge(A, A)
+    )
+
+
 def ricci_matrix(shape: ShapeData, check_tol: float = 1e-12) -> np.ndarray:
     """The Ricci tensor in frame coordinates.
 
-    Both the direct double contraction of the curvature tensor and the closed
+    Both the direct contraction of the curvature tensor and the closed
     bilinear form are evaluated; they must agree to ``check_tol`` (scaled by
     the matrix magnitude), which guards the closed form on every run.
     """
     A, P = shape.A, shape.P
     closed = 2.0 * np.eye(3) + 3.0 * (P.T @ P) + np.trace(A) * A - A @ A
-
-    basis = np.eye(3)
-    direct = np.zeros((3, 3))
-    for j in range(3):
-        for k in range(j, 3):
-            s = 0.0
-            for i in range(3):
-                s += riemann_gauss(shape, basis[i], basis[j], basis[k]) @ basis[i]
-            direct[j, k] = direct[k, j] = s
+    direct = np.einsum("ijki->jk", _gauss_tensor(shape))
 
     scale = max(1.0, float(np.max(np.abs(direct))))
     gap = float(np.max(np.abs(direct - closed)))
-    if gap > check_tol * scale:
+    if not gap <= check_tol * scale:
         raise AssertionError(f"closed-form Ricci deviates from contraction by {gap:.3e}")
     return closed
 
@@ -105,86 +110,15 @@ def plane_curvature(shape: ShapeData, n: np.ndarray) -> float:
     return float(riemann_gauss(shape, x, y, y) @ x)
 
 
-def _plane_curvature_batch(shape: ShapeData, normals: np.ndarray) -> np.ndarray:
-    """Vectorized K over an (m, 3) array of unit normals."""
-    m = normals.shape[0]
-    k = np.argmin(np.abs(normals), axis=1)
-    u = np.zeros((m, 3))
-    u[np.arange(m), k] = 1.0
-    x = u - (np.sum(u * normals, axis=1))[:, None] * normals
-    x /= np.linalg.norm(x, axis=1)[:, None]
-    y = np.cross(normals, x)
-    A, P = shape.A, shape.P
-    px, py = x @ P.T, y @ P.T
-    ax, ay = x @ A.T, y @ A.T
-    pxy = np.sum(px * y, axis=1)
-    return (
-        1.0
-        + 3.0 * pxy**2
-        + np.sum(ax * x, axis=1) * np.sum(ay * y, axis=1)
-        - np.sum(ax * y, axis=1) ** 2
-    )
-
-
-def _golden_min(fn, lo: float, hi: float, tol: float) -> float:
-    a, b = lo, hi
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    fc, fd = fn(c), fn(d)
-    while abs(b - a) > tol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = fn(d)
-    return 0.5 * (a + b)
-
-
-def min_sectional(
-    shape: ShapeData,
-    grid: tuple[int, int] = (64, 128),
-    param_tol: float = 1e-8,
-) -> tuple[float, np.ndarray]:
+def min_sectional(shape: ShapeData) -> tuple[float, np.ndarray]:
     """Minimum sectional curvature over all tangent planes.
 
-    Planes are parametrized by their unit normal on the 2-sphere; a coarse
-    grid locates the basin and golden-section sweeps along both spherical
-    angles refine it.  Returns the minimum and the minimizing plane normal.
+    In dimension 3 the plane with unit normal n has K = tau/2 - Ric(n, n), so
+    the minimum is tau/2 - maxRic, attained on the plane normal to the top
+    Ricci eigenvector.  Returns the minimum and that plane normal.
     """
-    n_theta, n_phi = grid
-    thetas = np.linspace(0.0, math.pi, n_theta)
-    phis = np.linspace(0.0, 2.0 * math.pi, n_phi, endpoint=False)
-    tt, pp = np.meshgrid(thetas, phis, indexing="ij")
-    normals = np.stack(
-        [np.sin(tt) * np.cos(pp), np.sin(tt) * np.sin(pp), np.cos(tt)], axis=-1
-    ).reshape(-1, 3)
-    # The poles appear with degenerate phi rows; the axes are cheap to add.
-    normals = np.vstack([normals, np.eye(3)])
-    values = _plane_curvature_batch(shape, normals)
-    best = int(np.argmin(values))
-    nb = normals[best]
-    theta0 = float(np.arccos(np.clip(nb[2], -1.0, 1.0)))
-    phi0 = float(np.arctan2(nb[1], nb[0]))
-
-    def k_at(theta: float, phi: float) -> float:
-        n = np.array(
-            [math.sin(theta) * math.cos(phi), math.sin(theta) * math.sin(phi), math.cos(theta)]
-        )
-        return plane_curvature(shape, n)
-
-    dth = math.pi / (n_theta - 1)
-    dph = 2.0 * math.pi / n_phi
-    th, ph = theta0, phi0
-    for _ in range(6):
-        th = _golden_min(lambda t: k_at(t, ph), th - dth, th + dth, param_tol)
-        ph = _golden_min(lambda f: k_at(th, f), ph - dph, ph + dph, param_tol)
-        dth *= 0.25
-        dph *= 0.25
-    n_min = np.array([math.sin(th) * math.cos(ph), math.sin(th) * math.sin(ph), math.cos(th)])
-    return k_at(th, ph), n_min
+    eigs, vecs = np.linalg.eigh(ricci_matrix(shape))
+    return 0.5 * float(np.sum(eigs)) - float(eigs[-1]), vecs[:, -1]
 
 
 @dataclass(frozen=True)
@@ -201,16 +135,12 @@ class CurvatureReport:
     min_plane_normal: np.ndarray
 
 
-def curvature_report(
-    shape: ShapeData,
-    grid: tuple[int, int] = (64, 128),
-    param_tol: float = 1e-8,
-) -> CurvatureReport:
-    eigs = np.linalg.eigvalsh(ricci_matrix(shape))
+def curvature_report(shape: ShapeData) -> CurvatureReport:
+    eigs, vecs = np.linalg.eigh(ricci_matrix(shape))
     tau = float(np.sum(eigs))
     max_ric = float(eigs[-1])
     mean_sq = shape.mean_curvature**2
-    min_k, n_min = min_sectional(shape, grid=grid, param_tol=param_tol)
+    min_k = 0.5 * tau - max_ric  # as in min_sectional
     return CurvatureReport(
         ricci_eigenvalues=eigs,
         max_ricci=max_ric,
@@ -219,7 +149,7 @@ def curvature_report(
         deficit=2.25 * mean_sq + 5.0 - max_ric,
         min_sectional=min_k,
         delta2=0.5 * tau - min_k,
-        min_plane_normal=n_min,
+        min_plane_normal=vecs[:, -1],
     )
 
 
@@ -298,15 +228,9 @@ def gauss_riemann_coords(shape: ShapeData) -> np.ndarray:
     """
     if shape.frame is None:
         raise ValueError("shape data carries no frame; compute it via shape_operator")
-    basis = np.eye(3)
-    rf = np.zeros((3, 3, 3, 3))
-    for i in range(3):
-        for j in range(3):
-            for k in range(3):
-                rf[i, j, k] = riemann_gauss(shape, basis[i], basis[j], basis[k])
     # W_a = sum_i B[a, i] e_i inverts the frame bookkeeping e_i = sum_a C[i, a] W_a
     B = np.linalg.inv(shape.frame.coeffs)
-    return np.einsum("ai,bj,ck,dl,ijkl->abcd", B, B, B, B, rf)
+    return np.einsum("ai,bj,ck,dl,ijkl->abcd", B, B, B, B, _gauss_tensor(shape))
 
 
 def crosscheck_point(

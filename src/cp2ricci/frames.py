@@ -2,13 +2,18 @@
 
 At a chart point p the fiber direction is i p.  The three chart partials are
 projected onto the horizontal space (the orthogonal complement of p and i p),
-orthonormalized by modified Gram-Schmidt with change-of-basis bookkeeping,
-and completed by the unique horizontal unit normal, whose sign follows a
+orthonormalized by Gram-Schmidt with change-of-basis bookkeeping, and
+completed by the unique horizontal unit normal, whose sign follows a
 deterministic rule so that runs are reproducible.
+
+``AmbientVector`` is the chart-interface type: charts hand it in and
+``MovingFrame`` hands it out.  In between, the work is done on real
+6-vectors, ``v.z.view(np.float64)``, stacked into small matrices.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,10 +26,16 @@ class RankDeficient(RuntimeError):
     """The horizontalized partials do not span a 3-space at this point."""
 
 
+def _horizontal_rows(p: AmbientVector, ws) -> tuple[np.ndarray, np.ndarray]:
+    """The rows [p, i p] and the horizontalized vectors ws, all real."""
+    K = np.array([p.z, 1j * p.z]).view(np.float64)
+    W = np.array([w.z for w in ws]).view(np.float64)
+    return K, W - W.dot(K.T).dot(K)
+
+
 def horizontalize(w: AmbientVector, p: AmbientVector) -> AmbientVector:
     """Project w onto the horizontal space at p (orthogonal to p and i p)."""
-    ip = p.times_i()
-    return w - w.real_inner(ip) * ip - w.real_inner(p) * p
+    return AmbientVector(_horizontal_rows(p, [w])[1][0].view(np.complex128))
 
 
 @dataclass(frozen=True)
@@ -49,22 +60,6 @@ class MovingFrame:
         return (self.e1, self.e2, self.e3)
 
 
-_REAL_BASIS = [
-    AmbientVector.of(1, 0, 0),
-    AmbientVector.of(1j, 0, 0),
-    AmbientVector.of(0, 1, 0),
-    AmbientVector.of(0, 1j, 0),
-    AmbientVector.of(0, 0, 1),
-    AmbientVector.of(0, 0, 1j),
-]
-
-
-def _project_out(y: AmbientVector, basis: list[AmbientVector]) -> AmbientVector:
-    for b in basis:
-        y = y - y.real_inner(b) * b
-    return y
-
-
 def build_frame(
     chart: SurfaceChart,
     q: ParamTriple,
@@ -74,48 +69,53 @@ def build_frame(
     """Build the moving frame at a non-singular parameter point.
 
     Raises ``RankDeficient`` when the smallest Gram-Schmidt remainder norm
-    falls below ``rank_tol``, which signals a coordinate singularity or a
-    fiber-tangent direction.  ``orient`` (+1 or -1) multiplies the normal
-    after the deterministic sign rule, for sign-consistency experiments.
+    falls below ``rank_tol`` or is NaN, which signals a coordinate
+    singularity, a fiber-tangent direction or a non-finite chart value.
+    ``orient`` (+1 or -1) multiplies the normal after the deterministic sign
+    rule, for sign-consistency experiments.
     """
     p = chart.evaluate(*q)
-    vertical = p.times_i()
-    ws = [horizontalize(w, p) for w in chart.partials(*q)]
+    K = np.empty((5, 6))  # the known rows [p, i p, e_1, e_2, e_3]
+    K[:2], W = _horizontal_rows(p, chart.partials(*q))
 
-    es: list[AmbientVector] = []
+    # Two block Gram-Schmidt passes against the known rows give crisp
+    # orthogonality.  (ndarray.dot beats @ on arrays this small.)
     coeffs = np.zeros((3, 3))
     for a in range(3):
-        y = ws[a]
+        known = K[: 2 + a]
+        y = W[a]
         row = np.zeros(3)
         row[a] = 1.0
-        for _ in range(2):  # two Gram-Schmidt passes for crisp orthogonality
-            y = _project_out(y, [p, vertical])
-            for i, e in enumerate(es):
-                s = y.real_inner(e)
-                y = y - s * e
-                row -= s * coeffs[i]
-        norm = y.norm()
-        if norm < rank_tol:
+        for _ in range(2):
+            s = known.dot(y)
+            y = y - s.dot(known)
+            row -= s[2:].dot(coeffs[:a])
+        norm = math.sqrt(y.dot(y))
+        if not norm >= rank_tol:
             raise RankDeficient(
                 f"chart {chart.name!r} at {q}: Gram-Schmidt remainder {norm:.3e} < {rank_tol:.1e}"
             )
-        es.append((1.0 / norm) * y)
+        K[2 + a] = (1.0 / norm) * y
         coeffs[a] = row / norm
 
-    known = [p, vertical, *es]
+    # The real basis vector farthest from span K (first one on near-ties),
+    # projected onto the complement of K twice.
     best, best_norm2 = 0, -1.0
-    for k, cand in enumerate(_REAL_BASIS):
-        norm2 = 1.0 - sum(cand.real_inner(b) ** 2 for b in known)
+    for k, norm2 in enumerate((1.0 - (K * K).sum(axis=0)).tolist()):
         if norm2 > best_norm2 + 1e-15:
             best, best_norm2 = k, norm2
-    n = _project_out(_project_out(_REAL_BASIS[best], known), known).normalized()
+    n = -K[:, best].dot(K)
+    n[best] += 1.0
+    n -= K.dot(n).dot(K)
+    n /= math.sqrt(n.dot(n))
+    lead = int(abs(n).argmax())
+    n *= float(orient) * (1.0 if n[lead] >= 0 else -1.0)
 
-    comps = n.real_components()
-    lead = int(np.argmax(np.abs(comps)))
-    sign = float(orient) * (1.0 if comps[lead] >= 0 else -1.0)
-    n = sign * n
-
-    return MovingFrame(p=p, vertical=vertical, e1=es[0], e2=es[1], e3=es[2], normal=n, coeffs=coeffs)
+    vertical, e1, e2, e3 = (AmbientVector(r.view(np.complex128)) for r in K[1:])
+    return MovingFrame(
+        p=p, vertical=vertical, e1=e1, e2=e2, e3=e3,
+        normal=AmbientVector(n.view(np.complex128)), coeffs=coeffs,
+    )
 
 
 def frame_residuals(frame: MovingFrame) -> dict[str, float]:

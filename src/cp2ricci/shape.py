@@ -9,6 +9,11 @@ derivatives are corrected by the analytic fiber term before contraction into
 the frame.  The result is symmetrized; the pre-symmetrization asymmetry is
 recorded and guarded, since the true operator is symmetric and asymmetry
 measures numerical error.
+
+Frame vectors arrive as ``AmbientVector`` and are read as real 6-vectors
+(``v.z.view(np.float64)``): the six stencil normals form one (3, 6)
+difference block, and every contraction with the frame is a small matrix
+product.
 """
 
 from __future__ import annotations
@@ -95,46 +100,37 @@ def shape_operator(
 ) -> ShapeData:
     """Shape operator and companions at q by central differences of step h."""
     frame = build_frame(chart, q, rank_tol=rank_tol, orient=orient)
-    p, n = frame.p, frame.normal
-    es = frame.tangent
-    i_n = n.times_i()
+    Z = np.array([e.z for e in frame.tangent])
+    E, iE = Z.view(np.float64), (1j * Z).view(np.float64)
+    n, i_n = frame.normal.z.view(np.float64), (1j * frame.normal.z).view(np.float64)
 
     # Vertical components of the chart partials at the center (exact).
-    parts = chart.partials(*q)
-    vert = np.array([w.real_inner(frame.vertical) for w in parts])
+    W = np.array([w.z for w in chart.partials(*q)]).view(np.float64)
+    vert = W.dot(frame.vertical.z.view(np.float64))
 
-    # <i n, e_j> and the centered normal derivatives along coordinate axes.
-    in_e = np.array([i_n.real_inner(e) for e in es])
-    raw = np.zeros((3, 3))
+    # Centered normal derivatives along the coordinate axes, each stencil
+    # normal sign-aligned to the center.
+    FD = np.empty((3, 6))
     for a in range(3):
-        qp = list(q)
-        qp[a] += h
-        qm = list(q)
-        qm[a] -= h
-        np_ = build_frame(chart, tuple(qp), rank_tol=rank_tol).normal
-        nm = build_frame(chart, tuple(qm), rank_tol=rank_tol).normal
-        if np_.real_inner(n) < 0.0:
-            np_ = -np_
-        if nm.real_inner(n) < 0.0:
-            nm = -nm
-        fd = (1.0 / (2.0 * h)) * (np_ - nm)
-        for j, e in enumerate(es):
-            # D_{W_a} n = FD_a - vert_a * i n, and A e_i = -H(D_{e_i} n).
-            raw[a, j] = -(fd.real_inner(e) - vert[a] * in_e[j])
+        ends = []
+        for step in (h, -h):
+            qs = list(q)
+            qs[a] += step
+            m = build_frame(chart, tuple(qs), rank_tol=rank_tol).normal.z.view(np.float64)
+            ends.append(-m if m.dot(n) < 0.0 else m)
+        FD[a] = (1.0 / (2.0 * h)) * (ends[0] - ends[1])
+    # D_{W_a} n = FD_a - vert_a * i n, and A e_i = -H(D_{e_i} n).
+    in_e = E.dot(i_n)  # <i n, e_j>
+    raw = -(FD.dot(E.T) - np.outer(vert, in_e))
 
     A_raw = frame.coeffs @ raw
     asym = float(np.max(np.abs(A_raw - A_raw.T)))
-    if asym > asym_tol:
+    if not asym <= asym_tol:
         raise AsymmetryExceeded(
             f"chart {chart.name!r} at {q}: asymmetry {asym:.3e} > {asym_tol:.1e}"
         )
     A = 0.5 * (A_raw + A_raw.T)
-
-    P = np.zeros((3, 3))
-    for j, ej in enumerate(es):
-        iej = ej.times_i()
-        for i, ei in enumerate(es):
-            P[i, j] = iej.real_inner(ei)
+    P = E @ iE.T  # P[i, j] = <i e_j, e_i>
     xi = -in_e  # components of -i n in the frame
 
     return ShapeData.from_matrices(A, P, xi, asymmetry=asym, frame=frame)

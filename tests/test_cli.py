@@ -102,6 +102,29 @@ def test_cli_exit_codes(tmp_path):
     assert cli.main(["crosscheck", "--grid", "2", "--step", "0.1"]) == 1
 
 
+def test_non_finite_scan_flags_every_row_and_fails(tmp_path):
+    out = tmp_path / "rows.csv"
+    assert cli.main(["scan", "perturbed-ruled:nan,0", "--grid", "2", "--out", str(out)]) == 1
+    rows = list(csv.DictReader(io.StringIO(out.read_text())))
+    assert len(rows) == 8
+    assert all(r["flags"] == "RankDeficient" for r in rows)
+
+
+def test_explicit_grid_zero_is_a_usage_error():
+    assert cli.main(["check", "ruled", "--grid", "0"]) == 2
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["check", "ruled", "--step", "0"])
+    assert exc.value.code == 2
+
+
+def test_explicit_tol_zero_is_honoured(capsys):
+    assert cli.main(["check", "sphere", "--grid", "3", "--tol", "0"]) == 1
+    out = capsys.readouterr().out
+    payload = json.loads(out[out.index("{") :])
+    assert payload["config"]["tol"] == 0.0
+    assert "FAIL sphere_deficit" in out
+
+
 def test_cli_check_commands_pass_small_grids(tmp_path, capsys):
     assert cli.main(["check", "ruled", "--grid", "3"]) == 0
     out = capsys.readouterr().out

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cp2ricci import curvature as cv
-from cp2ricci.charts import ruled_chart, sphere_chart
+from cp2ricci.charts import perturbed_ruled_chart, ruled_chart, sphere_chart
 from cp2ricci.shape import ShapeData, shape_operator
 
 
@@ -106,28 +106,70 @@ def test_geodesic_sphere_deficit_closed_form():
 
 def test_min_sectional_constant_curvature():
     s = _flat_data()
-    k, _ = cv.min_sectional(s, grid=(16, 32))
+    k, _ = cv.min_sectional(s)
     assert abs(k - 1.0) < 1e-10
     # all planes tie at curvature 1
     rng = np.random.default_rng(7)
     normals = rng.normal(size=(40, 3))
     normals /= np.linalg.norm(normals, axis=1)[:, None]
-    assert np.max(np.abs(cv._plane_curvature_batch(s, normals) - 1.0)) < 1e-14
+    assert max(abs(cv.plane_curvature(s, n) - 1.0) for n in normals) < 1e-14
 
 
-def test_batched_plane_curvature_matches_direct_route():
+def test_plane_curvature_matches_ricci_identity():
+    # dimension 3: K(plane normal to n) = tau/2 - Ric(n, n)
     rng = np.random.default_rng(4)
     for _ in range(10):
         s = cv.random_shape_data(rng)
+        ric = cv.ricci_matrix(s)
         normals = rng.normal(size=(20, 3))
         normals /= np.linalg.norm(normals, axis=1)[:, None]
-        batch = cv._plane_curvature_batch(s, normals)
+        identity = np.array([0.5 * np.trace(ric) - n @ ric @ n for n in normals])
         direct = np.array([cv.plane_curvature(s, n) for n in normals])
-        assert np.max(np.abs(batch - direct)) < 1e-12
+        assert np.max(np.abs(identity - direct)) < 1e-12
+
+
+def test_min_sectional_is_attained_and_minimal():
+    rng = np.random.default_rng(8)
+    for _ in range(20):
+        s = cv.random_shape_data(rng)
+        k, n = cv.min_sectional(s)
+        assert abs(np.linalg.norm(n) - 1.0) < 1e-14
+        assert abs(k - cv.plane_curvature(s, n)) < 1e-12
+        normals = rng.normal(size=(200, 3))
+        normals /= np.linalg.norm(normals, axis=1)[:, None]
+        assert all(k <= cv.plane_curvature(s, m) + 1e-12 for m in normals)
+
+
+def test_delta2_at_nearly_tied_top_ricci_eigenvalues():
+    # regression: a plane search missed the minimum here by 2.5e-4, where the
+    # top two Ricci eigenvalues nearly coincide
+    s = shape_operator(perturbed_ruled_chart(0.05, 1950078598), (0.3, 6.1, 4.1))
+    rep = cv.curvature_report(s)
+    assert abs(rep.delta2 - rep.max_ricci) < 1e-5
+    assert cv.min_sectional(s)[0] == rep.min_sectional
+
+
+def test_gauss_tensor_matches_riemann_gauss():
+    rng = np.random.default_rng(9)
+    basis = np.eye(3)
+    for _ in range(50):
+        s = cv.random_shape_data(rng)
+        tensor = cv._gauss_tensor(s)
+        for i in range(3):
+            for j in range(3):
+                for k in range(3):
+                    direct = cv.riemann_gauss(s, basis[i], basis[j], basis[k])
+                    assert np.max(np.abs(tensor[i, j, k] - direct)) < 1e-14
+
+
+def test_ricci_guard_rejects_non_finite_data():
+    s = ShapeData.from_matrices(np.full((3, 3), np.nan), np.zeros((3, 3)), np.array([1.0, 0, 0]))
+    with pytest.raises(AssertionError):
+        cv.ricci_matrix(s)
 
 
 def test_delta2_equals_max_ricci_at_sampled_points():
-    # the dimension-3 identity, with min-K found by honest plane search
+    # the dimension-3 identity
     for chart in (ruled_chart(), sphere_chart(math.pi / 6)):
         for q in chart.sample_box.grid(2):
             rep = cv.curvature_report(shape_operator(chart, q))
@@ -150,8 +192,8 @@ def test_curvature_quantities_invariant_under_normal_flip():
     f = s.flip_normal()
     assert abs(cv.deficit(s) - cv.deficit(f)) < 1e-12
     assert abs(cv.max_ricci(s) - cv.max_ricci(f)) < 1e-12
-    k1, _ = cv.min_sectional(s, grid=(32, 64))
-    k2, _ = cv.min_sectional(f, grid=(32, 64))
+    k1, _ = cv.min_sectional(s)
+    k2, _ = cv.min_sectional(f)
     assert abs(k1 - k2) < 1e-12
 
 

@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cp2ricci.charts import ruled_chart, sphere_chart
+from cp2ricci.charts import perturbed_ruled_chart, ruled_chart, sphere_chart
 from cp2ricci.frames import RankDeficient, build_frame, frame_residuals, horizontalize
 
 
@@ -56,3 +58,34 @@ def test_frame_invariants_on_grids_of_both_charts():
             res = frame_residuals(build_frame(chart, q))
             assert res["orthonormality"] < 1e-12
             assert res["normal_horizontality"] < 1e-12
+
+
+def test_non_finite_chart_is_rank_deficient():
+    with pytest.raises(RankDeficient):
+        build_frame(perturbed_ruled_chart(float("nan"), 0), (0.6, 1.0, 2.0))
+
+
+_CHARTS = st.one_of(
+    st.just(ruled_chart()),
+    st.just(sphere_chart(math.pi / 6)),
+    st.integers(0, 2**32 - 1).map(lambda seed: perturbed_ruled_chart(0.05, seed)),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(chart=_CHARTS, frac=st.tuples(*[st.floats(0.0, 1.0)] * 3))
+def test_frame_invariants_and_bookkeeping_over_sample_boxes(chart, frac):
+    box = chart.sample_box
+    q = tuple(lo + f * (hi - lo) for lo, f, hi in zip(box.lo, frac, box.hi))
+    frame = build_frame(chart, q)
+    res = frame_residuals(frame)
+    assert res["orthonormality"] <= 1e-12
+    assert res["normal_horizontality"] <= 1e-12
+    p = chart.evaluate(*q)
+    ws = np.array([horizontalize(w, p).z for w in chart.partials(*q)])
+    for i, e in enumerate(frame.tangent):
+        assert np.max(np.abs(frame.coeffs[i] @ ws - e.z)) <= 1e-12
+    comps = frame.normal.real_components()
+    assert comps[np.argmax(np.abs(comps))] >= 0.0
+    flipped = build_frame(chart, q, orient=-1)
+    assert np.array_equal(flipped.normal.z, -frame.normal.z)

@@ -114,6 +114,12 @@ def test_asymmetry_guard_raises():
         shape_operator(ruled_chart(), (0.6, 1.0, 2.0), asym_tol=0.0)
 
 
+def test_asymmetry_guard_fails_on_nan():
+    # a comparison with NaN is false, so the guard must fail on it
+    with pytest.raises(AsymmetryExceeded):
+        shape_operator(ruled_chart(), (0.6, 1.0, 2.0), asym_tol=float("nan"))
+
+
 def test_from_matrices_derived_scalars():
     A = np.diag([0.0, 1.0, 1.0])
     xi = np.array([1.0, 0.0, 0.0])
