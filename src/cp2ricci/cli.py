@@ -50,7 +50,9 @@ def _report(name: str, ok: bool, residual: float | str, **details: Any) -> Check
 
 def cmd_check_ruled(grid: int = 16, step: float = 1e-5, tol: float = 1e-6) -> list[CheckReport]:
     """Grid maxima of deficit, trace, alpha, and the classification residuals
-    over the default ruled box, plus the grid minimum of the Hopf defect."""
+    over the default ruled box, plus the grid minimum of the Hopf defect over
+    every point with a shape operator (Hopf points included; ``inf`` when
+    there is none, which makes that residual ``inf`` too)."""
     chart = ruled_chart()
     max_deficit = max_trace = max_alpha = max_block = max_trace_res = max_ruled = 0.0
     min_defect = math.inf
@@ -58,6 +60,7 @@ def cmd_check_ruled(grid: int = 16, step: float = 1e-5, tol: float = 1e-6) -> li
     for q in chart.sample_box.grid(grid):
         try:
             s = shape_operator(chart, q, h=step)
+            min_defect = min(min_defect, s.hopf_defect)
             max_deficit = max(max_deficit, abs(cv.deficit(s)))
             max_trace = max(max_trace, abs(float(np.trace(s.A))))
             max_alpha = max(max_alpha, abs(s.alpha))
@@ -65,7 +68,6 @@ def cmd_check_ruled(grid: int = 16, step: float = 1e-5, tol: float = 1e-6) -> li
             max_block = max(max_block, eq.block_residual)
             max_trace_res = max(max_trace_res, eq.trace_residual)
             max_ruled = max(max_ruled, cl.ruled_check(s, tol=tol, minimal=True))
-            min_defect = min(min_defect, s.hopf_defect)
         except (RankDeficient, AsymmetryExceeded, cl.HopfPoint):
             errors += 1
     n_points = grid**3
@@ -86,7 +88,7 @@ def cmd_check_ruled(grid: int = 16, step: float = 1e-5, tol: float = 1e-6) -> li
         _report(
             "ruled_hopf_defect_positive",
             min_defect > tol and errors == 0,
-            0.0,
+            max(0.0, tol - min_defect) if math.isfinite(min_defect) else math.inf,
             grid_min_hopf_defect=min_defect,
             **common,
         ),
@@ -260,12 +262,12 @@ def cmd_scan(
     rows = scan_surface(chart, grid=grid, step=step)
     ok_rows = [r for r in rows if r.flags == "ok"]
     n_err = len(rows) - len(ok_rows)
-    min_deficit = min((r.deficit for r in ok_rows), default=math.inf)
-    max_deficit = max((r.deficit for r in ok_rows), default=-math.inf)
+    min_deficit = min((r.deficit for r in ok_rows), default=None)
+    max_deficit = max((r.deficit for r in ok_rows), default=None)
     report = _report(
         "scan_deficit_bound",
-        min_deficit >= bound and n_err == 0,
-        max(0.0, -min_deficit),
+        min_deficit is not None and min_deficit >= bound and n_err == 0,
+        math.inf if min_deficit is None else max(0.0, -min_deficit),
         surface=chart.name,
         grid=grid,
         rows=len(rows),

@@ -30,21 +30,14 @@ class CheckOutcome:
 
 def _peel_monomial_factor(q: MPoly) -> tuple[Fraction, int, int] | None:
     """Decompose q as c * beta^m * D^k; None when q has a different shape."""
-    k = 0
-    while True:
-        nxt = exact_divide(q, ids.D_DENOM)
-        if nxt is None:
-            break
-        q, k = nxt, k + 1
-    m = 0
-    beta = ids.BETA
-    while True:
-        nxt = exact_divide(q, beta)
-        if nxt is None:
-            break
-        q, m = nxt, m + 1
+    powers = []
+    for factor in (ids.D_DENOM, ids.BETA):
+        powers.append(0)
+        while (nxt := exact_divide(q, factor)) is not None:
+            q, powers[-1] = nxt, powers[-1] + 1
     if not q.is_constant():
         return None
+    k, m = powers
     return q.constant_value(), m, k
 
 
@@ -134,7 +127,7 @@ def check_f_derivative() -> CheckOutcome:
     if any(d < 0 for d in delta):
         diff_terms = ["leading terms incompatible"]
     else:
-        mono = MPoly(w.vars, {delta: c_w / c_g})
+        mono = MPoly(w.vars, {delta: Fraction(c_w, c_g)})
         diff = w - mono * ids.F_E3_DERIVED
         diff_terms = [
             f"{coeff} * {exps}" for exps, coeff in diff.sorted_terms()

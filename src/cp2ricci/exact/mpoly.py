@@ -1,9 +1,14 @@
 """Sparse multivariate polynomials and polynomial fractions over exact rationals.
 
-Coefficients are ``fractions.Fraction`` (arbitrary precision, always reduced,
-positive denominator), exponent vectors are tuples over a fixed ordered
-variable set.  Equality is structural: same ring, same term map.  The term
-order used for display and leading-term queries is graded lexicographic.
+Exponent vectors are tuples over a fixed ordered variable set.  Every stored
+coefficient is a Python ``int`` when it is integral and a reduced
+``fractions.Fraction`` with denominator > 1 otherwise (``_coeff`` is applied
+wherever a coefficient is created), so integer polynomials never pay for
+Fraction arithmetic.  Equality is structural: same ring, same term map; it is
+unaffected by the representation because ``Fraction(3) == 3`` and both print
+as ``3``.  ``constant_value`` and ``content`` still return ``Fraction``, so
+``1 / c`` stays exact.  The term order used for display and leading-term
+queries is graded lexicographic.
 """
 
 from __future__ import annotations
@@ -11,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from operator import add, sub
 from typing import Mapping, Sequence
 
 Exponents = tuple[int, ...]
@@ -21,31 +27,43 @@ class ZeroDenominator(ZeroDivisionError):
     """A polynomial fraction was constructed with a zero denominator."""
 
 
-def _as_fraction(c: Coeff) -> Fraction:
-    return c if isinstance(c, Fraction) else Fraction(c)
+def _coeff(c: Coeff) -> Coeff:
+    """The stored form of a coefficient: int when integral, else the Fraction."""
+    return c.numerator if c.denominator == 1 else c
+
+
+def _quo(a: Coeff, b: Coeff) -> Coeff:
+    """Exact quotient of two stored coefficients, in stored form."""
+    if type(a) is int and type(b) is int and a % b == 0:
+        return a // b
+    return _coeff(Fraction(a, b))
+
+
+def _grlex(exps: Exponents) -> tuple[int, Exponents]:
+    return sum(exps), exps
 
 
 class MPoly:
     """A polynomial in a fixed ordered set of variables.
 
-    ``terms`` maps exponent tuples to nonzero Fraction coefficients; zero
-    coefficients are never stored, so structural equality is semantic
-    equality.
+    ``terms`` maps exponent tuples to nonzero coefficients in stored form
+    (see the module docstring); zero coefficients are never stored, so
+    structural equality is semantic equality.
     """
 
     __slots__ = ("vars", "terms")
 
     def __init__(self, vars: Sequence[str], terms: Mapping[Exponents, Coeff] | None = None):
         self.vars = tuple(vars)
-        clean: dict[Exponents, Fraction] = {}
+        clean: dict[Exponents, Coeff] = {}
         if terms:
             n = len(self.vars)
             for exps, c in terms.items():
                 if len(exps) != n:
                     raise ValueError(f"exponent tuple {exps} does not match {n} variables")
-                fc = _as_fraction(c)
-                if fc != 0:
-                    clean[tuple(exps)] = fc
+                if c != 0:
+                    c = c if isinstance(c, (int, Fraction)) else Fraction(c)
+                    clean[tuple(exps)] = _coeff(c)
         self.terms = clean
 
     # -- constructors ------------------------------------------------------
@@ -76,23 +94,19 @@ class MPoly:
     def constant_value(self) -> Fraction:
         if not self.is_constant():
             raise ValueError("polynomial is not constant")
-        return next(iter(self.terms.values()), Fraction(0))
+        return Fraction(next(iter(self.terms.values()), 0))
 
     def total_degree(self) -> int:
-        if not self.terms:
-            return -1
-        return max(sum(e) for e in self.terms)
+        return max((sum(e) for e in self.terms), default=-1)
 
     def degree_in(self, name: str) -> int:
-        if not self.terms:
-            return -1
         i = self.vars.index(name)
-        return max(e[i] for e in self.terms)
+        return max((e[i] for e in self.terms), default=-1)
 
     def coeff_of(self, name: str, power: int) -> "MPoly":
         """Coefficient of ``name**power`` as a polynomial in the same ring."""
         i = self.vars.index(name)
-        out: dict[Exponents, Fraction] = {}
+        out: dict[Exponents, Coeff] = {}
         for exps, c in self.terms.items():
             if exps[i] == power:
                 reduced = list(exps)
@@ -100,25 +114,22 @@ class MPoly:
                 out[tuple(reduced)] = c
         return MPoly(self.vars, out)
 
-    def sorted_terms(self) -> list[tuple[Exponents, Fraction]]:
+    def sorted_terms(self) -> list[tuple[Exponents, Coeff]]:
         """Terms in descending graded-lexicographic order."""
-        return sorted(self.terms.items(), key=lambda kv: (sum(kv[0]), kv[0]), reverse=True)
+        return sorted(self.terms.items(), key=lambda kv: _grlex(kv[0]), reverse=True)
 
-    def leading_term(self) -> tuple[Exponents, Fraction]:
+    def leading_term(self) -> tuple[Exponents, Coeff]:
         if not self.terms:
             raise ValueError("zero polynomial has no leading term")
-        return self.sorted_terms()[0]
+        lead = max(self.terms, key=_grlex)
+        return lead, self.terms[lead]
 
     def content(self) -> Fraction:
         """Rational content: gcd of coefficients, signed by the leading term."""
         if not self.terms:
             return Fraction(0)
-        num = 0
-        den = 1
-        for c in self.terms.values():
-            num = gcd(num, abs(c.numerator))
-            den = lcm(den, c.denominator)
-        cont = Fraction(num, den)
+        cs = self.terms.values()
+        cont = Fraction(gcd(*(c.numerator for c in cs)), lcm(*(c.denominator for c in cs)))
         return cont if self.leading_term()[1] > 0 else -cont
 
     def primitive_part(self) -> "MPoly":
@@ -146,9 +157,9 @@ class MPoly:
             return NotImplemented
         out = dict(self.terms)
         for exps, c in o.terms.items():
-            s = out.get(exps, Fraction(0)) + c
+            s = out.get(exps, 0) + c
             if s:
-                out[exps] = s
+                out[exps] = _coeff(s)
             else:
                 out.pop(exps, None)
         p = MPoly.__new__(MPoly)
@@ -178,28 +189,23 @@ class MPoly:
 
     def __mul__(self, other) -> "MPoly":
         if isinstance(other, (int, Fraction)):
-            c = _as_fraction(other)
-            if c == 0:
+            if other == 0:
                 return MPoly.zero(self.vars)
             p = MPoly.__new__(MPoly)
             p.vars = self.vars
-            p.terms = {e: k * c for e, k in self.terms.items()}
+            p.terms = {e: _coeff(k * other) for e, k in self.terms.items()}
             return p
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        out: dict[Exponents, Fraction] = {}
+        out: dict[Exponents, Coeff] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in o.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = out.get(e, Fraction(0)) + c1 * c2
-                if s:
-                    out[e] = s
-                else:
-                    out.pop(e, None)
+                e = tuple(map(add, e1, e2))
+                out[e] = out.get(e, 0) + c1 * c2
         p = MPoly.__new__(MPoly)
         p.vars = self.vars
-        p.terms = out
+        p.terms = {e: _coeff(c) for e, c in out.items() if c}
         return p
 
     __rmul__ = __mul__
@@ -229,7 +235,7 @@ class MPoly:
 
     def derivative(self, name: str) -> "MPoly":
         i = self.vars.index(name)
-        out: dict[Exponents, Fraction] = {}
+        out: dict[Exponents, Coeff] = {}
         for exps, c in self.terms.items():
             k = exps[i]
             if k == 0:
@@ -273,7 +279,7 @@ class MPoly:
         missing = [v for v in self.vars if v not in point]
         if missing:
             raise ValueError(f"no value for variables {missing}")
-        vals = [_as_fraction(point[v]) for v in self.vars]
+        vals = [Fraction(point[v]) for v in self.vars]
         total = Fraction(0)
         for exps, c in self.terms.items():
             t = c
@@ -316,33 +322,42 @@ def variables(names: str | Sequence[str]) -> tuple[MPoly, ...]:
 
 
 def exact_divide(p: MPoly, q: MPoly) -> MPoly | None:
-    """Exact polynomial division: the quotient if q divides p, else None."""
+    """Exact polynomial division: the quotient if q divides p, else None.
+
+    Divides by leading terms in graded-lexicographic order.  A single
+    polynomial q is a Groebner basis of the ideal (q), so the remainder of
+    this division is zero exactly when q divides p (Cox-Little-O'Shea,
+    *Ideals, Varieties, and Algorithms*, sections 2.3-2.5); a leading
+    monomial of the remainder that q's does not divide is already a nonzero
+    remainder term, so the division stops there.
+    """
     if q.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
-    if p.is_zero():
-        return MPoly.zero(p.vars)
     p._check_ring(q)
-    if q.is_constant():
-        return p * (1 / q.constant_value())
-    name = next(v for v in q.vars if q.degree_in(v) > 0)
-    dq = q.degree_in(name)
-    lcq = q.coeff_of(name, dq)
-    i = p.vars.index(name)
-    quotient = MPoly.zero(p.vars)
-    r = p
-    while not r.is_zero():
-        dr = r.degree_in(name)
-        if dr < dq:
+    lead_q, c_q = q.leading_term()
+    deg_q = sum(lead_q)
+    tail = [(sum(e), e, c) for e, c in q.terms.items() if e != lead_q]
+    # The remainder is keyed by (degree, exponents), so max() is the leading term.
+    r = {_grlex(e): c for e, c in p.terms.items()}
+    quotient: dict[Exponents, Coeff] = {}
+    while r:
+        lead = max(r)
+        shift = tuple(map(sub, lead[1], lead_q))
+        if min(shift, default=0) < 0:
             return None
-        t = exact_divide(r.coeff_of(name, dr), lcq)
-        if t is None:
-            return None
-        shift = [0] * len(p.vars)
-        shift[i] = dr - dq
-        mono = MPoly(p.vars, {tuple(shift): 1})
-        quotient = quotient + t * mono
-        r = r - t * mono * q
-    return quotient
+        t = quotient[shift] = _quo(r.pop(lead), c_q)
+        d = lead[0] - deg_q
+        for deg, e, c in tail:
+            key = (deg + d, tuple(map(add, e, shift)))
+            s = r.get(key, 0) - t * c
+            if s:
+                r[key] = _coeff(s)
+            else:
+                r.pop(key, None)
+    out = MPoly.__new__(MPoly)
+    out.vars = p.vars
+    out.terms = quotient
+    return out
 
 
 @dataclass(frozen=True)

@@ -23,22 +23,12 @@ def sylvester_matrix(p: MPoly, q: MPoly, name: str) -> list[list[MPoly]]:
     dp, dq = p.degree_in(name), q.degree_in(name)
     if dp < 1 or dq < 1:
         raise DegenerateResultant(f"inputs must have positive degree in {name}")
-    n = dp + dq
     zero = MPoly.zero(p.vars)
     pc = [p.coeff_of(name, dp - k) for k in range(dp + 1)]
     qc = [q.coeff_of(name, dq - k) for k in range(dq + 1)]
-    rows = []
-    for i in range(dq):
-        row = [zero] * n
-        for k, c in enumerate(pc):
-            row[i + k] = c
-        rows.append(row)
-    for i in range(dp):
-        row = [zero] * n
-        for k, c in enumerate(qc):
-            row[i + k] = c
-        rows.append(row)
-    return rows
+    return [[zero] * i + pc + [zero] * (dq - 1 - i) for i in range(dq)] + [
+        [zero] * i + qc + [zero] * (dp - 1 - i) for i in range(dp)
+    ]
 
 
 def bareiss_det(matrix: list[list[MPoly]]) -> MPoly:
@@ -66,7 +56,6 @@ def bareiss_det(matrix: list[list[MPoly]]) -> MPoly:
                 q = exact_divide(num, prev)
                 assert q is not None, "Bareiss division must be exact"
                 m[i][j] = q
-            m[i][k] = MPoly.zero(vars_)
         prev = m[k][k]
     det = m[n - 1][n - 1]
     return det if sign == 1 else -det

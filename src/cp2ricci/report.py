@@ -3,7 +3,9 @@
 One JSON object per run: {command, config, reports[], summary}.  Exact
 symbolic results are reported with the distinct marker ``"exact-zero"``,
 never as the float 0.0, so regression diffs preserve the exact/approximate
-distinction.  Scan rows serialize to CSV with a fixed documented header; all
+distinction.  Non-finite floats, such as the infinite residual of a check
+with no usable point, are written as ``null``, so every JSON file is standard
+JSON.  Scan rows serialize to CSV with a fixed documented header; all
 floats are written with shortest round-trip formatting, so output is
 reproducible bit-for-bit for fixed inputs on one platform.
 """
@@ -77,8 +79,20 @@ def run_report(command: str, config: dict[str, Any], reports: list[CheckReport])
     }
 
 
+def _finite_or_none(v: Any) -> Any:
+    """A copy of v with every non-finite float, however nested, made None."""
+    if isinstance(v, float):
+        return v if math.isfinite(v) else None
+    if isinstance(v, dict):
+        return {k: _finite_or_none(x) for k, x in v.items()}
+    if isinstance(v, (list, tuple)):
+        return [_finite_or_none(x) for x in v]
+    return v
+
+
 def report_to_json(report: dict[str, Any]) -> str:
-    return json.dumps(report, indent=2, allow_nan=True)
+    """Standard JSON: non-finite residuals and details are written as null."""
+    return json.dumps(_finite_or_none(report), indent=2, allow_nan=False)
 
 
 def report_from_json(text: str) -> dict[str, Any]:
@@ -134,10 +148,4 @@ def scan_to_csv(rows: list[ScanRow]) -> str:
 
 
 def scan_to_json(rows: list[ScanRow]) -> str:
-    def clean(v: Any) -> Any:
-        if isinstance(v, float) and not math.isfinite(v):
-            return None
-        return v
-
-    payload = [{k: clean(v) for k, v in r.to_dict().items()} for r in rows]
-    return json.dumps(payload, indent=2)
+    return json.dumps(_finite_or_none([r.to_dict() for r in rows]), indent=2, allow_nan=False)

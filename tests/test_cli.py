@@ -173,3 +173,42 @@ def test_principal_deviation_sign_reporting():
     assert dev < 1e-15 and sign == -1
     dev2, sign2 = cli._principal_deviation(-eigs, model)
     assert dev2 < 1e-15 and sign2 == 1
+
+
+def _standard_json(text):
+    def reject(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+def test_scan_without_ok_rows_fails_with_infinite_residual():
+    reports, rows = cli.cmd_scan("perturbed-ruled:nan,0", grid=2)
+    (r,) = reports
+    assert r.status == "fail"
+    assert r.max_abs_residual == math.inf
+    assert r.details["min_deficit"] is None and r.details["max_deficit"] is None
+    doc = _standard_json(report_to_json(run_report("scan", {}, reports)))
+    assert doc["reports"][0]["maxAbsResidual"] is None
+
+
+def test_ruled_hopf_check_residual_is_the_shortfall_below_tol():
+    tol = 1e9
+    hopf = {r.name: r for r in cli.cmd_check_ruled(grid=2, tol=tol)}["ruled_hopf_defect_positive"]
+    assert hopf.status == "fail"
+    assert math.isfinite(hopf.details["grid_min_hopf_defect"])
+    assert hopf.max_abs_residual == tol - hopf.details["grid_min_hopf_defect"] > 0.0
+
+
+def test_ruled_hopf_check_without_any_shape_operator_is_infinite(monkeypatch):
+    from cp2ricci.charts import perturbed_ruled_chart
+
+    monkeypatch.setattr(cli, "ruled_chart", lambda: perturbed_ruled_chart(float("nan"), 0))
+    reports = cli.cmd_check_ruled(grid=2)
+    hopf = {r.name: r for r in reports}["ruled_hopf_defect_positive"]
+    assert hopf.status == "fail"
+    assert hopf.max_abs_residual == math.inf
+    doc = _standard_json(report_to_json(run_report("check", {}, reports)))
+    by_name = {r["checkName"]: r for r in doc["reports"]}
+    assert by_name["ruled_hopf_defect_positive"]["maxAbsResidual"] is None
+    assert by_name["ruled_hopf_defect_positive"]["details"]["grid_min_hopf_defect"] is None

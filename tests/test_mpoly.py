@@ -11,11 +11,11 @@ VARS = ("x", "y", "z")
 
 
 @st.composite
-def mpolys(draw):
+def mpolys(draw, integral=False):
     terms = {}
     for _ in range(draw(st.integers(0, 6))):
         exps = tuple(draw(st.integers(0, 3)) for _ in range(3))
-        c = Fraction(draw(st.integers(-9, 9)), draw(st.integers(1, 9)))
+        c = Fraction(draw(st.integers(-9, 9)), 1 if integral else draw(st.integers(1, 9)))
         terms[exps] = terms.get(exps, Fraction(0)) + c
     return MPoly(VARS, terms)
 
@@ -70,6 +70,48 @@ def test_exact_divide_recovers_factor(q, t):
         return
     got = exact_divide(q * t, q)
     assert got is not None and got == t
+
+
+def _stored_form(p):
+    return all(
+        type(c) is int or (type(c) is Fraction and c.denominator > 1) for c in p.terms.values()
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(mpolys(), mpolys(), mpolys(integral=True), st.integers(0, 3))
+def test_coefficients_are_int_when_integral(p, q, n, k):
+    results = [p + q, p - q, p * q, p * n, n * n, p**k, n**k]
+    results += [p.subs_poly("x", q), n.subs_poly("y", n)]
+    for divisor in (q, n):
+        if not divisor.is_zero():
+            results += [exact_divide(p * divisor, divisor), exact_divide(n * divisor, divisor)]
+    for r in results:
+        assert _stored_form(r), r.terms
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.booleans(), st.data())
+def test_exact_divide_rejects_a_constant_offset(integral, data):
+    q = data.draw(mpolys(integral))
+    t = data.draw(mpolys(integral))
+    c = data.draw(st.fractions(min_value=-9, max_value=9, max_denominator=1 if integral else 9))
+    if q.is_constant() or c == 0:
+        return
+    # q | q*t + c would force q | c, impossible for non-constant q.
+    assert exact_divide(q * t + c, q) is None
+    assert exact_divide(q * t, q) == t
+
+
+def test_constant_value_and_content_stay_fractions():
+    p = 6 * X - 4 * Y
+    assert all(type(c) is int for c in p.terms.values())
+    for value in (p.content(), (-p).content(), MPoly.zero(VARS).content(),
+                  MPoly.const(3, VARS).constant_value(), MPoly.zero(VARS).constant_value()):
+        assert type(value) is Fraction
+    half = exact_divide(X + 1, MPoly.const(2, VARS))
+    assert half == Fraction(1, 2) * X + Fraction(1, 2)
+    assert all(type(c) is Fraction and c == Fraction(1, 2) for c in half.terms.values())
 
 
 def test_exact_divide_rejects_nondivisible():

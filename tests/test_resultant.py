@@ -63,6 +63,25 @@ def test_bareiss_matches_cofactor_on_random_4x4():
         assert bareiss_det(m) == cofactor_det(m)
 
 
+def _random_entry(rng):
+    """An integer polynomial in x, a, b of total degree at most two."""
+    monomials = [(i, j, k) for i in range(3) for j in range(3) for k in range(3) if i + j + k <= 2]
+    return MPoly(VARS, {e: rng.randint(-4, 4) for e in rng.sample(monomials, rng.randint(0, 4))})
+
+
+def test_bareiss_matches_cofactor_on_random_5x5_degree_two():
+    rng = random.Random(5)
+    for trial in range(4):
+        m = [[_random_entry(rng) for _ in range(5)] for _ in range(5)]
+        if trial == 0:
+            m[0][0] = MPoly.zero(VARS)  # zero pivot at the first step
+        if trial == 1:
+            # rows 0 and 1 proportional in the first two columns: the second
+            # pivot is zero after one elimination step
+            m[1][0], m[1][1] = 2 * m[0][0], 2 * m[0][1]
+        assert bareiss_det(m) == cofactor_det(m)
+
+
 def test_bareiss_singular_matrix():
     row = [X, A, B, X + A]
     m = [row, row, [_ * 2 for _ in row], [B, B, B, B]]
