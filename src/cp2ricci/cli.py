@@ -17,7 +17,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 
@@ -48,28 +48,51 @@ def _report(name: str, ok: bool, residual: float | str, **details: Any) -> Check
     )
 
 
+def _grid_reduce(reduce: Callable[..., float], values: list[float]) -> float:
+    """``reduce`` (max or min) over per-point values: NaN when any value is
+    NaN, so a non-finite point fails its check, and ``inf`` over no point."""
+    if any(math.isnan(x) for x in values):
+        return math.nan
+    return reduce(values, default=math.inf)
+
+
+def _grid_max(values: list[float]) -> float:
+    return _grid_reduce(max, values)
+
+
 def cmd_check_ruled(grid: int = 16, step: float = 1e-5, tol: float = 1e-6) -> list[CheckReport]:
     """Grid maxima of deficit, trace, alpha, and the classification residuals
     over the default ruled box, plus the grid minimum of the Hopf defect over
     every point with a shape operator (Hopf points included; ``inf`` when
-    there is none, which makes that residual ``inf`` too)."""
+    there is none, which makes that residual ``inf`` too).  Every grid
+    maximum is ``inf`` over no computed point and NaN if any point is NaN."""
     chart = ruled_chart()
-    max_deficit = max_trace = max_alpha = max_block = max_trace_res = max_ruled = 0.0
-    min_defect = math.inf
+    defects: list[float] = []
+    deficits: list[float] = []
+    traces: list[float] = []
+    alphas: list[float] = []
+    blocks: list[float] = []
+    trace_residuals: list[float] = []
+    ruled: list[float] = []
     errors = 0
     for q in chart.sample_box.grid(grid):
         try:
             s = shape_operator(chart, q, h=step)
-            min_defect = min(min_defect, s.hopf_defect)
-            max_deficit = max(max_deficit, abs(cv.deficit(s)))
-            max_trace = max(max_trace, abs(float(np.trace(s.A))))
-            max_alpha = max(max_alpha, abs(s.alpha))
+            defects.append(s.hopf_defect)
+            deficits.append(abs(cv.deficit(s)))
+            traces.append(abs(float(np.trace(s.A))))
+            alphas.append(abs(s.alpha))
             eq = cl.equality_basis(s, tol=tol)
-            max_block = max(max_block, eq.block_residual)
-            max_trace_res = max(max_trace_res, eq.trace_residual)
-            max_ruled = max(max_ruled, cl.ruled_check(s, tol=tol, minimal=True))
+            blocks.append(eq.block_residual)
+            trace_residuals.append(eq.trace_residual)
+            ruled.append(cl.ruled_check(s, tol=tol, minimal=True))
         except (RankDeficient, AsymmetryExceeded, cl.HopfPoint):
             errors += 1
+    min_defect = _grid_reduce(min, defects)
+    max_deficit, max_trace, max_alpha, max_block, max_trace_res, max_ruled = map(
+        _grid_max, (deficits, traces, alphas, blocks, trace_residuals, ruled)
+    )
+    max_basis = _grid_max([max_block, max_trace_res])
     n_points = grid**3
     common = {"grid": grid, "points": n_points, "errors": errors}
     return [
@@ -78,8 +101,8 @@ def cmd_check_ruled(grid: int = 16, step: float = 1e-5, tol: float = 1e-6) -> li
         _report("ruled_alpha", max_alpha < tol and errors == 0, max_alpha, **common),
         _report(
             "ruled_equality_basis",
-            max(max_block, max_trace_res) < tol and errors == 0,
-            max(max_block, max_trace_res),
+            max_basis < tol and errors == 0,
+            max_basis,
             block_residual=max_block,
             trace_residual=max_trace_res,
             **common,
@@ -88,7 +111,7 @@ def cmd_check_ruled(grid: int = 16, step: float = 1e-5, tol: float = 1e-6) -> li
         _report(
             "ruled_hopf_defect_positive",
             min_defect > tol and errors == 0,
-            max(0.0, tol - min_defect) if math.isfinite(min_defect) else math.inf,
+            max(0.0, tol - min_defect) if math.isfinite(min_defect) else min_defect,
             grid_min_hopf_defect=min_defect,
             **common,
         ),
@@ -117,19 +140,22 @@ def cmd_check_sphere(
     chart = sphere_chart(radius)
     expected = cv.geodesic_sphere_deficit(radius)
     model = cv.geodesic_sphere_curvatures(radius)
-    max_gap = max_eig_dev = max_defect = 0.0
+    gaps: list[float] = []
+    eig_devs: list[float] = []
+    defects: list[float] = []
     signs: set[int] = set()
     errors = 0
     for q in chart.sample_box.grid(grid):
         try:
             s = shape_operator(chart, q, h=step)
-            max_gap = max(max_gap, abs(cv.deficit(s) - expected))
+            gaps.append(abs(cv.deficit(s) - expected))
             dev, sign = _principal_deviation(np.linalg.eigvalsh(s.A), model)
             signs.add(sign)
-            max_eig_dev = max(max_eig_dev, dev)
-            max_defect = max(max_defect, s.hopf_defect)
+            eig_devs.append(dev)
+            defects.append(s.hopf_defect)
         except (RankDeficient, AsymmetryExceeded):
             errors += 1
+    max_gap, max_eig_dev, max_defect = map(_grid_max, (gaps, eig_devs, defects))
     common = {"radius": radius, "grid": grid, "errors": errors}
     return [
         _report(
@@ -281,16 +307,19 @@ def cmd_scan(
 
 def cmd_crosscheck(grid: int = 5, step: float = 1e-3, tol: float = 1e-4) -> list[CheckReport]:
     """Compare intrinsic and shape-based curvature tensors on coarse grids of
-    both builtin charts, plus the holomorphic-plane curvature of the sphere."""
+    both builtin charts, plus the holomorphic-plane curvature of the sphere.
+    A point whose stencil meets a singular metric (``SingularMetric``, a
+    ``RankDeficient``) counts as an error and fails its check."""
     reports = []
     for chart in (ruled_chart(), sphere_chart(math.pi / 4)):
-        worst = 0.0
+        gaps: list[float] = []
         errors = 0
         for q in chart.sample_box.grid(grid):
             try:
-                worst = max(worst, cv.crosscheck_point(chart, q, h_metric=step))
+                gaps.append(cv.crosscheck_point(chart, q, h_metric=step))
             except (RankDeficient, AsymmetryExceeded):
                 errors += 1
+        worst = _grid_max(gaps)
         reports.append(
             _report(
                 f"crosscheck_{chart.name.split(':')[0]}",
@@ -303,6 +332,26 @@ def cmd_crosscheck(grid: int = 5, step: float = 1e-3, tol: float = 1e-4) -> list
         )
     # Sectional curvature of the holomorphic plane on the equality sphere,
     # evaluated from the intrinsic tensor alone.
+    try:
+        k_hol, error = _holomorphic_plane_curvature(step), {}
+    except (RankDeficient, AsymmetryExceeded) as exc:
+        k_hol, error = math.nan, {"error": f"{type(exc).__name__}: {exc}"}
+    reports.append(
+        _report(
+            "crosscheck_sphere_holomorphic_plane",
+            abs(k_hol - 5.0) < tol,
+            abs(k_hol - 5.0),
+            value=k_hol,
+            expected=5.0,
+            **error,
+        )
+    )
+    return reports
+
+
+def _holomorphic_plane_curvature(step: float) -> float:
+    """Intrinsic sectional curvature of the holomorphic plane at a fixed
+    point of the equality sphere (5 exactly)."""
     chart = sphere_chart(math.pi / 4)
     q = (0.3, 0.7, 0.4)
     s = shape_operator(chart, q)
@@ -318,17 +367,7 @@ def cmd_crosscheck(grid: int = 5, step: float = 1e-3, tol: float = 1e-4) -> list
     yc = s.frame.coeffs.T @ y
     num = float(np.einsum("abcd,a,b,c,d->", r_coord, xc, yc, yc, xc))
     den = float((xc @ g @ xc) * (yc @ g @ yc) - (xc @ g @ yc) ** 2)
-    k_hol = num / den
-    reports.append(
-        _report(
-            "crosscheck_sphere_holomorphic_plane",
-            abs(k_hol - 5.0) < tol,
-            abs(k_hol - 5.0),
-            value=k_hol,
-            expected=5.0,
-        )
-    )
-    return reports
+    return num / den
 
 
 def _given(value: Any, default: Any) -> Any:

@@ -13,8 +13,11 @@ derived contraction.  The deficit is (9/4) |H|^2 + 5 - maxRic, nonnegative
 for every hypersurface point and zero exactly on the classified models.
 
 ``intrinsic_riemann`` recomputes the same tensor from the induced metric
-alone (Christoffel symbols by central differences of exact metric values),
-giving an oracle that is independent of the shape-operator pipeline.
+alone, giving an oracle that is independent of the shape-operator pipeline:
+the metric is evaluated exactly on a 25-point stencil of step h, Christoffel
+symbols at the centre and its six neighbours come from central differences
+of those values, and the curvature from central differences of the
+Christoffel symbols, so its error is O(h^2).
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .charts import ParamTriple, SurfaceChart
-from .frames import horizontalize
+from .frames import RankDeficient, _horizontal_rows
 from .shape import ShapeData, shape_operator
 
 def riemann_gauss(shape: ShapeData, x: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -156,67 +159,61 @@ def curvature_report(shape: ShapeData) -> CurvatureReport:
 # -- intrinsic (metric-only) curvature --------------------------------------
 
 
+class SingularMetric(RankDeficient):
+    """The induced metric at a stencil centre is singular or non-finite."""
+
+
 def induced_metric(chart: SurfaceChart, q: ParamTriple) -> np.ndarray:
     """Induced metric g_ab = <H dz_a, H dz_b> from exact partials."""
-    p = chart.evaluate(*q)
-    ws = [horizontalize(w, p) for w in chart.partials(*q)]
-    g = np.zeros((3, 3))
-    for a in range(3):
-        for b in range(a, 3):
-            g[a, b] = g[b, a] = ws[a].real_inner(ws[b])
-    return g
+    W = _horizontal_rows(chart.evaluate(*q), chart.partials(*q))[1]
+    return W.dot(W.T)
 
 
-def christoffel(chart: SurfaceChart, q: ParamTriple, h: float) -> np.ndarray:
-    """Christoffel symbols Gamma^d_{ab} with metric derivatives by central
-    differences of exactly evaluated metric values."""
-    g = induced_metric(chart, q)
-    ginv = np.linalg.inv(g)
-    dg = np.zeros((3, 3, 3))  # dg[c, a, b] = d_c g_ab
-    for c in range(3):
-        qp = list(q)
-        qp[c] += h
-        qm = list(q)
-        qm[c] -= h
-        dg[c] = (induced_metric(chart, tuple(qp)) - induced_metric(chart, tuple(qm))) / (2.0 * h)
-    gamma = np.zeros((3, 3, 3))  # gamma[d, a, b] = Gamma^d_{ab}
-    for d in range(3):
-        for a in range(3):
-            for b in range(3):
-                s = 0.0
-                for c in range(3):
-                    s += ginv[d, c] * (dg[a, b, c] + dg[b, a, c] - dg[c, a, b])
-                gamma[d, a, b] = 0.5 * s
-    return gamma
+def christoffel(g: np.ndarray, dg: np.ndarray) -> np.ndarray:
+    """Gamma[..., d, a, b] = Gamma^d_{ab} = g^dc (d_a g_bc + d_b g_ac - d_c g_ab) / 2
+    from the metric and dg[..., c, a, b] = d_c g_ab; leading axes batch."""
+    t = dg + dg.swapaxes(-3, -2) - np.moveaxis(dg, -3, -1)
+    return 0.5 * np.einsum("...dc,...abc->...dab", np.linalg.inv(g), t)
+
+
+def riemann_lower(g: np.ndarray, gamma: np.ndarray, dgamma: np.ndarray) -> np.ndarray:
+    """R_{abcd} = g_ed R^e_{abc} from Gamma^d_{ab} and dgamma[a, d, b, c] =
+    d_a Gamma^d_{bc}, where R^d_{abc} = d_a Gamma^d_bc - d_b Gamma^d_ac
+    + Gamma^d_ae Gamma^e_bc - Gamma^d_be Gamma^e_ac."""
+    m = dgamma.transpose(1, 0, 2, 3) + np.einsum("dae,ebc->dabc", gamma, gamma)
+    return np.einsum("ed,eabc->abcd", g, m - m.transpose(0, 2, 1, 3))
 
 
 def intrinsic_riemann(chart: SurfaceChart, q: ParamTriple, h: float = 1e-3) -> np.ndarray:
     """All-lower coordinate curvature R_{abcd} = <R(d_a, d_b) d_c, d_d>.
 
-    Only derivatives of the metric are finite-differenced; metric values on
-    the stencil are exact, so the total error is O(h^2).
+    The metric is evaluated exactly at the 25 points q + h k of a stencil,
+    k in {0, +-e_a, +-e_a +- e_c (a < c), +-2 e_a}; central differences of
+    those values give Gamma at q and at q +- h e_a, and central differences
+    of Gamma give its derivatives at q.  Only derivatives are differenced,
+    so the total error is O(h^2).  Raises ``SingularMetric`` when a centre
+    metric is singular or a stencil value is non-finite.
     """
-    g = induced_metric(chart, q)
-    gamma0 = christoffel(chart, q, h)
-    dgamma = np.zeros((3, 3, 3, 3))  # dgamma[a, d, b, c] = d_a Gamma^d_{bc}
-    for a in range(3):
-        qp = list(q)
-        qp[a] += h
-        qm = list(q)
-        qm[a] -= h
-        dgamma[a] = (christoffel(chart, tuple(qp), h) - christoffel(chart, tuple(qm), h)) / (2.0 * h)
-    # R^d_{abc}: component d of R(d_a, d_b) d_c
-    r_up = np.zeros((3, 3, 3, 3))
-    for a in range(3):
-        for b in range(3):
-            for c in range(3):
-                for d in range(3):
-                    val = dgamma[a, d, b, c] - dgamma[b, d, a, c]
-                    for e in range(3):
-                        val += gamma0[d, a, e] * gamma0[e, b, c]
-                        val -= gamma0[d, b, e] * gamma0[e, a, c]
-                    r_up[d, a, b, c] = val
-    return np.einsum("ed,eabc->abcd", g, r_up)
+    metric: dict[tuple[int, ...], np.ndarray] = {}
+
+    def g_at(k: np.ndarray) -> np.ndarray:
+        key = tuple(k.tolist())
+        if key not in metric:
+            metric[key] = induced_metric(chart, tuple(x + h * i for x, i in zip(q, key)))
+        return metric[key]
+
+    E = np.eye(3, dtype=int)
+    centres = np.vstack([np.zeros(3, dtype=int), *(s * e for e in E for s in (1, -1))])
+    g = np.array([g_at(k) for k in centres])
+    dg = np.array([[(g_at(k + e) - g_at(k - e)) / (2.0 * h) for e in E] for k in centres])
+    if not (np.isfinite(g).all() and np.isfinite(dg).all()):
+        raise SingularMetric(f"chart {chart.name!r} at {q}: non-finite metric on the stencil")
+    try:
+        gamma = christoffel(g, dg)  # centres 0, +e_0, -e_0, +e_1, ...
+    except np.linalg.LinAlgError:
+        raise SingularMetric(f"chart {chart.name!r} at {q}: singular metric on the stencil") from None
+    dgamma = (gamma[1::2] - gamma[2::2]) / (2.0 * h)  # dgamma[a, d, b, c] = d_a Gamma^d_{bc}
+    return riemann_lower(g[0], gamma[0], dgamma)
 
 
 def gauss_riemann_coords(shape: ShapeData) -> np.ndarray:

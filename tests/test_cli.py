@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from cp2ricci import cli
+from cp2ricci.charts import perturbed_ruled_chart
 from cp2ricci.report import (
     EXACT_ZERO,
     CheckReport,
@@ -212,3 +213,71 @@ def test_ruled_hopf_check_without_any_shape_operator_is_infinite(monkeypatch):
     by_name = {r["checkName"]: r for r in doc["reports"]}
     assert by_name["ruled_hopf_defect_positive"]["maxAbsResidual"] is None
     assert by_name["ruled_hopf_defect_positive"]["details"]["grid_min_hopf_defect"] is None
+
+
+def _nan_at_second_call(value):
+    """A stand-in returning ``value``, except NaN on its second call, so the
+    NaN follows a finite value in every grid maximum."""
+    calls = []
+
+    def fake(*args, **kwargs):
+        calls.append(None)
+        return math.nan if len(calls) == 2 else value
+
+    return fake
+
+
+def test_nan_crosscheck_point_fails_its_grid(monkeypatch):
+    monkeypatch.setattr(cli.cv, "crosscheck_point", _nan_at_second_call(1e-9))
+    reports = {r.name: r for r in cli.cmd_crosscheck(grid=2)}
+    ruled = reports["crosscheck_ruled"]
+    assert ruled.status == "fail" and ruled.details["errors"] == 0
+    assert math.isnan(ruled.max_abs_residual)
+    assert reports["crosscheck_sphere"].status == "pass"
+
+
+def test_all_error_ruled_grid_reports_infinite_residuals(monkeypatch):
+    monkeypatch.setattr(cli, "ruled_chart", lambda: perturbed_ruled_chart(math.nan, 0))
+    reports = cli.cmd_check_ruled(grid=2)
+    assert len(reports) == 6
+    for r in reports:
+        assert r.status == "fail" and r.details["errors"] == 8
+        assert r.max_abs_residual == math.inf
+    doc = _standard_json(report_to_json(run_report("check", {}, reports)))
+    assert all(r["maxAbsResidual"] is None for r in doc["reports"])
+
+
+def test_all_error_sphere_grid_reports_infinite_residuals(monkeypatch):
+    monkeypatch.setattr(cli, "sphere_chart", lambda r: perturbed_ruled_chart(math.nan, 0))
+    for r in cli.cmd_check_sphere(grid=2):
+        assert r.status == "fail" and r.max_abs_residual == math.inf
+
+
+def test_nan_sphere_deficit_fails_the_check(monkeypatch):
+    expected = cli.cv.geodesic_sphere_deficit(math.pi / 4)
+    monkeypatch.setattr(cli.cv, "deficit", _nan_at_second_call(expected))
+    reports = {r.name: r for r in cli.cmd_check_sphere(grid=2)}
+    assert reports["sphere_deficit"].status == "fail"
+    assert math.isnan(reports["sphere_deficit"].max_abs_residual)
+    assert reports["sphere_hopf"].status == "pass"
+
+
+def test_singular_stencil_metric_is_a_flagged_point_not_a_usage_error(capsys):
+    # The ruled grid point u = 0.3 puts a Christoffel centre on u = 0.
+    assert cli.main(["crosscheck", "--grid", "2", "--step", "0.3"]) == 1
+    out = capsys.readouterr().out
+    payload = json.loads(out[out.index("{") :])
+    ruled = payload["reports"][0]
+    assert ruled["checkName"] == "crosscheck_ruled" and ruled["details"]["errors"] > 0
+
+
+def test_singular_holomorphic_plane_stencil_fails_its_check(monkeypatch):
+    def singular(*args, **kwargs):
+        raise cli.cv.SingularMetric("singular metric on the stencil")
+
+    monkeypatch.setattr(cli.cv, "intrinsic_riemann", singular)
+    monkeypatch.setattr(cli.cv, "crosscheck_point", lambda *args, **kwargs: 0.0)
+    hol = cli.cmd_crosscheck(grid=2)[-1]
+    assert hol.name == "crosscheck_sphere_holomorphic_plane" and hol.status == "fail"
+    assert math.isnan(hol.max_abs_residual)
+    assert hol.details["error"] == "SingularMetric: singular metric on the stencil"

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from cp2ricci import curvature as cv
 from cp2ricci.charts import perturbed_ruled_chart, ruled_chart, sphere_chart
+from cp2ricci.frames import RankDeficient
 from cp2ricci.shape import ShapeData, shape_operator
 
 
@@ -209,6 +211,114 @@ def test_intrinsic_matches_gauss_curvature():
 
 def test_coarse_step_breaks_the_crosscheck():
     assert cv.crosscheck_point(ruled_chart(), (0.6, 1.0, 2.0), h_metric=1e-1) > 1e-4
+
+
+def _christoffel_loops(g, dg):
+    """Gamma^d_{ab} = (1/2) g^dc (d_a g_bc + d_b g_ac - d_c g_ab), index by index."""
+    ginv = np.linalg.inv(g)
+    gamma = np.zeros((3, 3, 3))
+    for d in range(3):
+        for a in range(3):
+            for b in range(3):
+                s = 0.0
+                for c in range(3):
+                    s += ginv[d, c] * (dg[a, b, c] + dg[b, a, c] - dg[c, a, b])
+                gamma[d, a, b] = 0.5 * s
+    return gamma
+
+
+def _riemann_lower_loops(g, gamma, dgamma):
+    """R_{abcd} = g_ed R^e_{abc}, R^d_{abc} = d_a G^d_bc - d_b G^d_ac
+    + G^d_ae G^e_bc - G^d_be G^e_ac, index by index."""
+    r = np.zeros((3, 3, 3, 3))
+    for a in range(3):
+        for b in range(3):
+            for c in range(3):
+                for d in range(3):
+                    for f in range(3):
+                        up = dgamma[a, f, b, c] - dgamma[b, f, a, c]
+                        for e in range(3):
+                            up += gamma[f, a, e] * gamma[e, b, c] - gamma[f, b, e] * gamma[e, a, c]
+                        r[a, b, c, d] += g[f, d] * up
+    return r
+
+
+def _random_metric_data(rng):
+    m = rng.normal(size=(3, 3))
+    g = m @ m.T + 3.0 * np.eye(3)
+    dg = rng.normal(size=(3, 3, 3))
+    dg = dg + dg.transpose(0, 2, 1)  # each d_c g is symmetric
+    return g, dg
+
+
+def test_christoffel_matches_index_loops():
+    rng = np.random.default_rng(11)
+    for _ in range(20):
+        g, dg = _random_metric_data(rng)
+        gamma = cv.christoffel(g, dg)
+        assert np.max(np.abs(gamma - _christoffel_loops(g, dg))) < 1e-13
+        assert np.array_equal(gamma, gamma.transpose(0, 2, 1))
+
+
+def test_christoffel_batches_over_leading_axes():
+    rng = np.random.default_rng(12)
+    data = [_random_metric_data(rng) for _ in range(4)]
+    batched = cv.christoffel(np.array([g for g, _ in data]), np.array([dg for _, dg in data]))
+    for (g, dg), gamma in zip(data, batched):
+        assert np.max(np.abs(gamma - cv.christoffel(g, dg))) < 1e-15
+
+
+def test_riemann_lower_matches_index_loops():
+    rng = np.random.default_rng(13)
+    for _ in range(20):
+        g, _ = _random_metric_data(rng)
+        gamma = rng.normal(size=(3, 3, 3))
+        dgamma = rng.normal(size=(3, 3, 3, 3))
+        r = cv.riemann_lower(g, gamma, dgamma)
+        expected = _riemann_lower_loops(g, gamma, dgamma)
+        assert np.max(np.abs(r - expected)) < 1e-13 * max(1.0, np.max(np.abs(expected)))
+
+
+@pytest.mark.parametrize(
+    "chart", [ruled_chart(), sphere_chart(math.pi / 6), perturbed_ruled_chart(0.05, 3)],
+    ids=lambda c: c.name,
+)
+def test_intrinsic_riemann_symmetries(chart):
+    rng = np.random.default_rng(14)
+    lo, hi = np.array(chart.sample_box.lo), np.array(chart.sample_box.hi)
+    for _ in range(5):
+        q = tuple(float(x) for x in lo + (hi - lo) * rng.random(3))
+        r = cv.intrinsic_riemann(chart, q)
+        scale = np.max(np.abs(r))
+        assert np.array_equal(r, -r.transpose(1, 0, 2, 3))
+        bianchi = r + r.transpose(1, 2, 0, 3) + r.transpose(2, 0, 1, 3)  # R_abcd + R_bcad + R_cabd
+        assert np.max(np.abs(bianchi)) < 1e-12 * scale
+        assert np.max(np.abs(r + r.transpose(0, 1, 3, 2))) < 1e-4 * scale
+        assert np.max(np.abs(r - r.transpose(2, 3, 0, 1))) < 1e-4 * scale
+
+
+def test_intrinsic_riemann_evaluates_the_metric_at_25_points():
+    chart = ruled_chart()
+    points = []
+
+    def evaluate(*q):
+        points.append(q)
+        return chart.evaluate(*q)
+
+    counted = dataclasses.replace(chart, evaluate=evaluate)
+    r = cv.intrinsic_riemann(counted, (0.6, 1.0, 2.0))
+    assert len(points) == len(set(points)) == 25
+    assert np.array_equal(r, cv.intrinsic_riemann(chart, (0.6, 1.0, 2.0)))
+
+
+def test_singular_stencil_metric_raises_singular_metric():
+    # u = 0.3 with h = 0.3 puts a stencil centre on u = 0, where the
+    # t-partial vanishes and the metric is singular.
+    with pytest.raises(cv.SingularMetric):
+        cv.intrinsic_riemann(ruled_chart(), (0.3, 1.0, 2.0), h=0.3)
+    with pytest.raises(cv.SingularMetric):
+        cv.intrinsic_riemann(perturbed_ruled_chart(math.nan, 0), (0.6, 1.0, 2.0))
+    assert issubclass(cv.SingularMetric, RankDeficient)
 
 
 def test_ricci_selfcheck_runs():
