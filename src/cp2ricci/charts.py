@@ -14,7 +14,10 @@ Builtin families:
   the image of (1, 0, 0);
 * ``perturbed_ruled_chart``: the ruled chart displaced by a seeded smooth
   trigonometric field and renormalized to the sphere, for probing strict
-  inequality away from the classified cases.
+  inequality away from the classified cases.  The field's 18 modes are
+  arrays, cosines stored as sines with phase pi/2, so one ``jet`` call gives
+  the field and its three partials from one sin and one cos of the mode
+  arguments; point and partials are complex arrays until the return.
 
 User charts: construct a ``SurfaceChart`` directly with your own callables;
 the only contract is unit norm, exact partials, and an honest singular flag.
@@ -72,6 +75,20 @@ class SurfaceChart:
     is_singular: Callable[[float, float, float], bool]
 
 
+def _ruled_point(u: float, v: float, t: float) -> np.ndarray:
+    """(cos u cos v, cos u sin v, sin u e^{it}) as a complex 3-vector."""
+    cu, su = math.cos(u), math.sin(u)
+    return np.array([cu * math.cos(v), cu * math.sin(v), su * complex(math.cos(t), math.sin(t))])
+
+
+def _ruled_partials(u: float, v: float, t: float) -> np.ndarray:
+    """The (u, v, t) partials of ``_ruled_point``, one row per parameter."""
+    cu, su = math.cos(u), math.sin(u)
+    cv, sv = math.cos(v), math.sin(v)
+    eit = complex(math.cos(t), math.sin(t))
+    return np.array([[-su * cv, -su * sv, cu * eit], [-cu * sv, cu * cv, 0.0], [0.0, 0.0, 1j * su * eit]])
+
+
 def ruled_chart() -> SurfaceChart:
     """The ruled family (u, v, t) -> (cos u cos v, cos u sin v, sin u e^{it}).
 
@@ -81,17 +98,11 @@ def ruled_chart() -> SurfaceChart:
     """
 
     def evaluate(u: float, v: float, t: float) -> AmbientVector:
-        cu, su = math.cos(u), math.sin(u)
-        return AmbientVector.of(cu * math.cos(v), cu * math.sin(v), su * complex(math.cos(t), math.sin(t)))
+        return AmbientVector(_ruled_point(u, v, t))
 
     def partials(u: float, v: float, t: float):
-        cu, su = math.cos(u), math.sin(u)
-        cv, sv = math.cos(v), math.sin(v)
-        eit = complex(math.cos(t), math.sin(t))
-        du = AmbientVector.of(-su * cv, -su * sv, cu * eit)
-        dv = AmbientVector.of(-cu * sv, cu * cv, 0.0)
-        dt = AmbientVector.of(0.0, 0.0, 1j * su * eit)
-        return du, dv, dt
+        du, dv, dt = _ruled_partials(u, v, t)
+        return AmbientVector(du), AmbientVector(dv), AmbientVector(dt)
 
     def is_singular(u: float, v: float, t: float) -> bool:
         return min(abs(math.sin(u)), abs(math.cos(u))) < SINGULAR_MARGIN
@@ -149,85 +160,73 @@ def sphere_chart(r: float) -> SurfaceChart:
 
 
 class _TrigField:
-    """A smooth R^6-valued displacement built from seeded trigonometric modes.
+    """A smooth C^3-valued displacement built from seeded trigonometric modes.
 
-    Each of the six real components is a fixed sum of terms
-    c * sin/cos(m1 u + m2 v + m3 t) with integer frequencies, so partial
-    derivatives are available in closed form.
+    Each of the six real components (Re, Im of each complex one) is a sum of
+    three modes c * sin/cos(m . q) with integer frequencies m in [-2, 2]^3.
+    A cosine mode is stored as a sine with phase pi/2 (cos x = sin(x + pi/2)),
+    so with x = freq q + phase the field is ``weight sin(x)`` and its partials
+    are ``weight freq cos(x)``: ``jet`` gets value and all three partials from
+    one sin and one cos of the 18 mode arguments.  ``weight`` (3, 18) carries
+    each mode's coefficient, times 1 or i, into its complex component;
+    ``dweight[a] = weight * freq[:, a]`` (3, 3, 18).  The draws from the seeded
+    generator (coefficient, frequencies redrawn while zero, sine or cosine,
+    per mode) fix the surface for each seed.
     """
 
     def __init__(self, seed: int, modes_per_component: int = 3):
         rng = np.random.default_rng(seed)
-        self.terms: list[list[tuple[float, tuple[int, int, int], bool]]] = []
-        for _ in range(6):
-            comp = []
-            for _ in range(modes_per_component):
-                coef = float(rng.uniform(-1.0, 1.0))
-                freq = tuple(int(k) for k in rng.integers(-2, 3, size=3))
-                while freq == (0, 0, 0):
-                    freq = tuple(int(k) for k in rng.integers(-2, 3, size=3))
-                use_sin = bool(rng.integers(0, 2))
-                comp.append((coef, freq, use_sin))
-            self.terms.append(comp)
+        n = 6 * modes_per_component
+        coef, freq, use_sin = np.empty(n), np.empty((n, 3)), np.empty(n, dtype=bool)
+        for j in range(n):
+            coef[j] = rng.uniform(-1.0, 1.0)
+            freq[j] = rng.integers(-2, 3, size=3)
+            while not freq[j].any():
+                freq[j] = rng.integers(-2, 3, size=3)
+            use_sin[j] = rng.integers(0, 2)
+        real = np.arange(n) // modes_per_component  # real component: Re c1, Im c1, Re c2, ...
+        self.freq = freq
+        self.phase = np.where(use_sin, 0.0, math.pi / 2)
+        self.weight = np.zeros((3, n), dtype=np.complex128)
+        self.weight[real // 2, np.arange(n)] = np.where(real % 2, 1j, 1.0) * coef
+        self.dweight = self.weight * freq.T[:, None, :]
 
     def value(self, q: ParamTriple) -> np.ndarray:
-        out = np.zeros(6)
-        for k, comp in enumerate(self.terms):
-            acc = 0.0
-            for coef, (m1, m2, m3), use_sin in comp:
-                arg = m1 * q[0] + m2 * q[1] + m3 * q[2]
-                acc += coef * (math.sin(arg) if use_sin else math.cos(arg))
-            out[k] = acc
-        return out
+        """The complex 3-vector field at q."""
+        return self.weight.dot(np.sin(self.freq.dot(q) + self.phase))
 
-    def partial(self, q: ParamTriple, axis: int) -> np.ndarray:
-        out = np.zeros(6)
-        for k, comp in enumerate(self.terms):
-            acc = 0.0
-            for coef, freq, use_sin in comp:
-                m = freq[axis]
-                if m == 0:
-                    continue
-                arg = freq[0] * q[0] + freq[1] * q[1] + freq[2] * q[2]
-                acc += coef * m * (math.cos(arg) if use_sin else -math.sin(arg))
-            out[k] = acc
-        return out
-
-
-def _to_complex3(six: np.ndarray) -> np.ndarray:
-    return six[0::2] + 1j * six[1::2]
+    def jet(self, q: ParamTriple) -> tuple[np.ndarray, np.ndarray]:
+        """The value at q and its partials, one row per parameter (3, 3)."""
+        x = self.freq.dot(q) + self.phase
+        return self.weight.dot(np.sin(x)), self.dweight.dot(np.cos(x))
 
 
 def perturbed_ruled_chart(epsilon: float, seed: int = 0) -> SurfaceChart:
     """The ruled chart displaced by epsilon times a seeded smooth field.
 
-    The displaced point is renormalized to the unit sphere and the partials
-    follow by the chain rule, so the result is again an exact chart.  With
-    epsilon = 0 this is the ruled chart itself.
+    The displaced point y is renormalized to the unit sphere and the partials
+    follow by the chain rule, d(y/|y|) = (dy - <dy, n> n) / |y| with
+    n = y/|y|, so the result is again an exact chart; |y|^3 is never formed,
+    so |y| may reach about 1e154.  With epsilon = 0 this is the ruled chart
+    itself.
     """
     base = ruled_chart()
     field = _TrigField(seed)
     eps = float(epsilon)
 
-    def raw(q: ParamTriple) -> np.ndarray:
-        return base.evaluate(*q).z + eps * _to_complex3(field.value(q))
-
     def evaluate(u: float, v: float, t: float) -> AmbientVector:
-        y = raw((u, v, t))
-        return AmbientVector(y / np.linalg.norm(y))
+        y = _ruled_point(u, v, t) + eps * field.value((u, v, t))
+        return AmbientVector(y / math.sqrt(np.vdot(y, y).real))
 
     def partials(u: float, v: float, t: float):
-        q = (u, v, t)
-        y = raw(q)
-        ny = float(np.linalg.norm(y))
-        base_partials = base.partials(u, v, t)
-        out = []
-        for axis in range(3):
-            dy = base_partials[axis].z + eps * _to_complex3(field.partial(q, axis))
-            # d/da (y / |y|) with |y|^2 = <y, y> real
-            dot = float(np.vdot(y, dy).real)
-            out.append(AmbientVector(dy / ny - y * (dot / ny**3)))
-        return tuple(out)
+        f, df = field.jet((u, v, t))
+        y = _ruled_point(u, v, t) + eps * f
+        dy = _ruled_partials(u, v, t) + eps * df
+        ny = math.sqrt(np.vdot(y, y).real)
+        n = y / ny
+        # <dy_a, n> is the real inner product: a dot of the real 6-vector views
+        du, dv, dt = (dy - dy.view(np.float64).dot(n.view(np.float64))[:, None] * n) / ny
+        return AmbientVector(du), AmbientVector(dv), AmbientVector(dt)
 
     return SurfaceChart(
         name=f"perturbed-ruled:{epsilon:.12g},{seed}",

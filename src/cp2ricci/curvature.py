@@ -191,19 +191,25 @@ def intrinsic_riemann(chart: SurfaceChart, q: ParamTriple, h: float = 1e-3) -> n
     k in {0, +-e_a, +-e_a +- e_c (a < c), +-2 e_a}; central differences of
     those values give Gamma at q and at q +- h e_a, and central differences
     of Gamma give its derivatives at q.  Only derivatives are differenced,
-    so the total error is O(h^2).  Raises ``SingularMetric`` when a centre
-    metric is singular or a stencil value is non-finite.
+    so the total error is O(h^2).  Raises ``SingularMetric`` when one of the
+    7 centres q, q +- h e_a lies in the chart's declared singular locus, a
+    centre metric is singular or a stencil value is non-finite.
     """
     metric: dict[tuple[int, ...], np.ndarray] = {}
+
+    def at(k: np.ndarray) -> ParamTriple:
+        return tuple(x + h * i for x, i in zip(q, k.tolist()))
 
     def g_at(k: np.ndarray) -> np.ndarray:
         key = tuple(k.tolist())
         if key not in metric:
-            metric[key] = induced_metric(chart, tuple(x + h * i for x, i in zip(q, key)))
+            metric[key] = induced_metric(chart, at(k))
         return metric[key]
 
     E = np.eye(3, dtype=int)
     centres = np.vstack([np.zeros(3, dtype=int), *(s * e for e in E for s in (1, -1))])
+    if any(chart.is_singular(*at(k)) for k in centres):
+        raise SingularMetric(f"chart {chart.name!r} at {q}: stencil centre in the singular locus")
     g = np.array([g_at(k) for k in centres])
     dg = np.array([[(g_at(k + e) - g_at(k - e)) / (2.0 * h) for e in E] for k in centres])
     if not (np.isfinite(g).all() and np.isfinite(dg).all()):

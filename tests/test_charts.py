@@ -2,8 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cp2ricci.charts import perturbed_ruled_chart, ruled_chart, sphere_chart
+from cp2ricci.charts import (
+    _ruled_partials,
+    _ruled_point,
+    _TrigField,
+    perturbed_ruled_chart,
+    ruled_chart,
+    sphere_chart,
+)
 
 RULED_SAMPLES = [(0.6, 1.0, 2.0), (0.35, 5.9, 0.2), (1.1, 3.0, 4.5), (-0.8, 2.2, 1.3)]
 SPHERE_SAMPLES = [(0.3, 0.7, 0.4), (5.0, 1.1, 2.0), (2.0, 0.5, 5.5)]
@@ -114,9 +123,81 @@ def test_zero_perturbation_is_the_ruled_chart():
     base = ruled_chart()
     chart = perturbed_ruled_chart(0.0, seed=5)
     for q in RULED_SAMPLES:
-        assert np.max(np.abs(chart.evaluate(*q).z - base.evaluate(*q).z)) < 1e-15
-        for w, wb in zip(chart.partials(*q), base.partials(*q)):
-            assert np.max(np.abs(w.z - wb.z)) < 1e-14
+        assert np.array_equal(base.evaluate(*q).z, _ruled_point(*q))
+        assert np.array_equal([w.z for w in base.partials(*q)], _ruled_partials(*q))
+        assert np.max(np.abs(chart.evaluate(*q).z - _ruled_point(*q))) < 1e-15
+        for w, wb in zip(chart.partials(*q), _ruled_partials(*q)):
+            assert np.max(np.abs(w.z - wb)) < 1e-14
+
+
+class _LoopField:
+    """Reference for ``_TrigField``: the per-term loop it replaced, as six
+    real components (Re c1, Im c1, Re c2, ...) of c * sin/cos(m . q)."""
+
+    def __init__(self, seed: int, modes_per_component: int = 3):
+        rng = np.random.default_rng(seed)
+        self.terms = []
+        for _ in range(6):
+            comp = []
+            for _ in range(modes_per_component):
+                coef = float(rng.uniform(-1.0, 1.0))
+                freq = tuple(int(k) for k in rng.integers(-2, 3, size=3))
+                while freq == (0, 0, 0):
+                    freq = tuple(int(k) for k in rng.integers(-2, 3, size=3))
+                use_sin = bool(rng.integers(0, 2))
+                comp.append((coef, freq, use_sin))
+            self.terms.append(comp)
+
+    def value(self, q):
+        out = np.zeros(6)
+        for k, comp in enumerate(self.terms):
+            acc = 0.0
+            for coef, (m1, m2, m3), use_sin in comp:
+                arg = m1 * q[0] + m2 * q[1] + m3 * q[2]
+                acc += coef * (math.sin(arg) if use_sin else math.cos(arg))
+            out[k] = acc
+        return out[0::2] + 1j * out[1::2]
+
+    def partial(self, q, axis):
+        out = np.zeros(6)
+        for k, comp in enumerate(self.terms):
+            acc = 0.0
+            for coef, freq, use_sin in comp:
+                m = freq[axis]
+                if m == 0:
+                    continue
+                arg = freq[0] * q[0] + freq[1] * q[1] + freq[2] * q[2]
+                acc += coef * m * (math.cos(arg) if use_sin else -math.sin(arg))
+            out[k] = acc
+        return out[0::2] + 1j * out[1::2]
+
+
+@pytest.mark.parametrize("seed", [0, 3, 123, 1950078598])
+def test_trig_field_matches_the_per_term_loop(seed):
+    field, loop = _TrigField(seed), _LoopField(seed)
+    rng = np.random.default_rng(seed % 1000)
+    for q in map(tuple, rng.uniform(-7.0, 7.0, size=(50, 3))):
+        # A cosine mode is the sine of x + pi/2, and rounding that sum moves
+        # the argument by up to half an ulp of |x| + pi/2.
+        tol = 1e-15 * (1.0 + np.max(np.abs(field.freq @ q)))
+        value, jet = field.jet(q)
+        assert np.max(np.abs(value - loop.value(q))) <= tol
+        assert np.array_equal(field.value(q), value)
+        for a in range(3):
+            assert np.max(np.abs(jet[a] - loop.partial(q, a))) <= tol
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), frac=st.tuples(*[st.floats(0.0, 1.0)] * 3))
+def test_perturbed_partials_are_exact_over_seeds(seed, frac):
+    chart = perturbed_ruled_chart(0.05, seed)
+    box = chart.sample_box
+    _check_chart_basics(chart, [tuple(lo + f * (hi - lo) for lo, f, hi in zip(box.lo, frac, box.hi))])
+
+
+def test_huge_perturbation_partials_match_central_differences():
+    # |y| ~ 1e120, so |y|^3 would overflow a float: the chain rule must not form it.
+    _check_chart_basics(perturbed_ruled_chart(1e120, 0), RULED_SAMPLES)
 
 
 def test_grid_requires_two_points_per_axis():

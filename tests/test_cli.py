@@ -111,6 +111,14 @@ def test_non_finite_scan_flags_every_row_and_fails(tmp_path):
     assert all(r["flags"] == "RankDeficient" for r in rows)
 
 
+def test_huge_perturbation_scans_without_overflow(tmp_path):
+    out = tmp_path / "rows.csv"
+    assert cli.main(["scan", "perturbed-ruled:1e120,0", "--grid", "2", "--out", str(out)]) == 0
+    rows = list(csv.DictReader(io.StringIO(out.read_text())))
+    assert len(rows) == 8
+    assert all(r["flags"] == "ok" for r in rows)
+
+
 def test_explicit_grid_zero_is_a_usage_error():
     assert cli.main(["check", "ruled", "--grid", "0"]) == 2
     with pytest.raises(SystemExit) as exc:
@@ -269,6 +277,16 @@ def test_singular_stencil_metric_is_a_flagged_point_not_a_usage_error(capsys):
     payload = json.loads(out[out.index("{") :])
     ruled = payload["reports"][0]
     assert ruled["checkName"] == "crosscheck_ruled" and ruled["details"]["errors"] > 0
+
+
+def test_stencil_centre_in_the_singular_locus_is_a_flagged_point(capsys):
+    # The grid points u = 1.2 (ruled) and s = 1.2 (sphere) put a Christoffel
+    # centre at 1.57, inside both charts' singular margin about pi/2.
+    assert cli.main(["crosscheck", "--grid", "2", "--step", "0.37"]) == 1
+    out = capsys.readouterr().out
+    ruled, sphere, _ = json.loads(out[out.index("{") :])["reports"]
+    assert ruled["checkName"] == "crosscheck_ruled" and ruled["details"]["errors"] == 4
+    assert sphere["checkName"] == "crosscheck_sphere" and sphere["details"]["errors"] == 4
 
 
 def test_singular_holomorphic_plane_stencil_fails_its_check(monkeypatch):

@@ -321,5 +321,14 @@ def test_singular_stencil_metric_raises_singular_metric():
     assert issubclass(cv.SingularMetric, RankDeficient)
 
 
+def test_stencil_centre_in_the_singular_locus_raises_singular_metric():
+    # The centre (0.0005, 1, 2) is inside the ruled chart's declared singular
+    # margin although its metric is invertible.
+    chart = ruled_chart()
+    assert chart.is_singular(0.0005, 1.0, 2.0)
+    with pytest.raises(cv.SingularMetric):
+        cv.intrinsic_riemann(chart, (0.3005, 1.0, 2.0), h=0.3)
+
+
 def test_ricci_selfcheck_runs():
     cv.ricci_selfcheck(n=10)
