@@ -6,10 +6,11 @@ the ambient complex structure: a real-linear isometry with i(i v) = -v.
 The fiber direction of the circle fibration at a point p is i p.
 
 ``AmbientVector`` is the type of the chart interface (``SurfaceChart``
-evaluate and partials) and of the ``MovingFrame`` members.  The numerical
-pipeline does not compute with these objects: it reads each one as the real
-6-vector ``v.z.view(np.float64)``, which has the layout of
-``real_components()``, and works on small stacked matrices.
+evaluate and partials).  The numerical pipeline does not compute with these
+objects: it reads each one as the real 6-vector ``v.z.view(np.float64)``,
+which has the layout of ``real_components()``, and works on small stacked
+matrices.  A ``MovingFrame`` keeps its members as rows of one real array and
+builds an ``AmbientVector`` only when a member is read.
 """
 
 from __future__ import annotations

@@ -206,9 +206,9 @@ def perturbed_ruled_chart(epsilon: float, seed: int = 0) -> SurfaceChart:
 
     The displaced point y is renormalized to the unit sphere and the partials
     follow by the chain rule, d(y/|y|) = (dy - <dy, n> n) / |y| with
-    n = y/|y|, so the result is again an exact chart; |y|^3 is never formed,
-    so |y| may reach about 1e154.  With epsilon = 0 this is the ruled chart
-    itself.
+    n = y/|y|, so the result is again an exact chart.  |y| is a scaled norm
+    (``math.hypot``) and |y|^3 is never formed, so any finite y is
+    normalized.  With epsilon = 0 this is the ruled chart itself.
     """
     base = ruled_chart()
     field = _TrigField(seed)
@@ -216,13 +216,13 @@ def perturbed_ruled_chart(epsilon: float, seed: int = 0) -> SurfaceChart:
 
     def evaluate(u: float, v: float, t: float) -> AmbientVector:
         y = _ruled_point(u, v, t) + eps * field.value((u, v, t))
-        return AmbientVector(y / math.sqrt(np.vdot(y, y).real))
+        return AmbientVector(y / math.hypot(*y.view(np.float64).tolist()))
 
     def partials(u: float, v: float, t: float):
         f, df = field.jet((u, v, t))
         y = _ruled_point(u, v, t) + eps * f
         dy = _ruled_partials(u, v, t) + eps * df
-        ny = math.sqrt(np.vdot(y, y).real)
+        ny = math.hypot(*y.view(np.float64).tolist())
         n = y / ny
         # <dy_a, n> is the real inner product: a dot of the real 6-vector views
         du, dv, dt = (dy - dy.view(np.float64).dot(n.view(np.float64))[:, None] * n) / ny

@@ -59,11 +59,15 @@ def _wedge(S: np.ndarray, T: np.ndarray) -> np.ndarray:
     return np.einsum("zy,wx->xyzw", S, T) - np.einsum("zx,wy->xyzw", S, T)
 
 
+# The constant-curvature term of the Gauss equation, <Y,Z>X - <X,Z>Y.
+_WEDGE_EYE = _wedge(np.eye(3), np.eye(3))
+
+
 def _gauss_tensor(shape: ShapeData) -> np.ndarray:
     """R[x, y, z, w] = <R(e_x, e_y) e_z, e_w>, all 81 frame components."""
     A, P = shape.A, shape.P
     return (
-        _wedge(np.eye(3), np.eye(3))
+        _WEDGE_EYE
         + _wedge(P, P)
         - 2.0 * np.einsum("yx,wz->xyzw", P, P)
         + _wedge(A, A)
@@ -165,7 +169,7 @@ class SingularMetric(RankDeficient):
 
 def induced_metric(chart: SurfaceChart, q: ParamTriple) -> np.ndarray:
     """Induced metric g_ab = <H dz_a, H dz_b> from exact partials."""
-    W = _horizontal_rows(chart.evaluate(*q), chart.partials(*q))[1]
+    W = _horizontal_rows(chart.evaluate(*q), chart.partials(*q))
     return W.dot(W.T)
 
 

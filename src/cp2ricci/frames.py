@@ -1,14 +1,23 @@
 """Horizontal orthonormal frames and unit normals along chart lifts.
 
-At a chart point p the fiber direction is i p.  The three chart partials are
-projected onto the horizontal space (the orthogonal complement of p and i p),
-orthonormalized by Gram-Schmidt with change-of-basis bookkeeping, and
-completed by the unique horizontal unit normal, whose sign follows a
-deterministic rule so that runs are reproducible.
+At a chart point p the fiber direction is i p.  The three chart partials,
+read as a (3, 3) complex array D, are projected onto the horizontal space
+(the orthogonal complement of p and i p) by one complex projection,
+D - (D conj(p)) p, and viewed as three real rows W of R^6.  Those rows are
+orthonormalized by Cholesky-QR twice: with L1 the Cholesky factor of the
+Gram matrix W W^T, E1 = L1^-1 W, and with L2 that of E1 E1^T, E = L2^-1 E1.
+This is Gram-Schmidt with a positive diagonal, so row i of ``coeffs``
+= L2^-1 L1^-1 expresses e_i in the horizontalized partials.  Both 3x3
+factors and their inverses are closed forms on Python floats.  The rank
+guard reads the Gram-Schmidt remainders as diag(W E^T), which stays
+accurate where the Gram matrix is ill-conditioned.  The frame is completed
+by the unique horizontal unit normal n, read off the kernel of the skew
+matrix <i e_j, e_k>; its sign follows a deterministic rule so that runs are
+reproducible.
 
-``AmbientVector`` is the chart-interface type: charts hand it in and
-``MovingFrame`` hands it out.  In between, the work is done on real
-6-vectors, ``v.z.view(np.float64)``, stacked into small matrices.
+``MovingFrame`` stores the real rows [i p, e_1, e_2, e_3, n] as one
+read-only (5, 6) array; ``AmbientVector`` views of them are built only when
+a member is read.
 """
 
 from __future__ import annotations
@@ -26,34 +35,60 @@ class RankDeficient(RuntimeError):
     """The horizontalized partials do not span a 3-space at this point."""
 
 
-def _horizontal_rows(p: AmbientVector, ws) -> tuple[np.ndarray, np.ndarray]:
-    """The rows [p, i p] and the horizontalized vectors ws, all real."""
-    K = np.array([p.z, 1j * p.z]).view(np.float64)
-    W = np.array([w.z for w in ws]).view(np.float64)
-    return K, W - W.dot(K.T).dot(K)
+def _horizontal_rows(p: AmbientVector, ws) -> np.ndarray:
+    """The vectors ws projected off [p, i p], as real rows of R^6.
+
+    For unit p the real projection onto span{p, i p} is w -> (w . conj p) p,
+    so one complex outer product removes both directions."""
+    D = np.array([w.z for w in ws])
+    D -= D.dot(p.z.conj())[:, None] * p.z
+    return D.view(np.float64)
 
 
 def horizontalize(w: AmbientVector, p: AmbientVector) -> AmbientVector:
     """Project w onto the horizontal space at p (orthogonal to p and i p)."""
-    return AmbientVector(_horizontal_rows(p, [w])[1][0].view(np.complex128))
+    return AmbientVector(_horizontal_rows(p, [w])[0].view(np.complex128))
+
+
+def _inverse_cholesky(X: np.ndarray) -> np.ndarray:
+    """L^-1 for the lower Cholesky factor L of the Gram matrix X X^T of three
+    rows.  A pivot that is not positive (or NaN) becomes NaN, so every entry
+    it reaches is NaN and fails the rank guard."""
+    (g00, g01, g02), (_, g11, g12), (_, _, g22) = X.dot(X.T).tolist()
+    l00 = math.sqrt(g00) if g00 > 0.0 else math.nan
+    l10, l20 = g01 / l00, g02 / l00
+    d = g11 - l10 * l10
+    l11 = math.sqrt(d) if d > 0.0 else math.nan
+    l21 = (g12 - l20 * l10) / l11
+    d = g22 - l20 * l20 - l21 * l21
+    l22 = math.sqrt(d) if d > 0.0 else math.nan
+    m00, m11, m22 = 1.0 / l00, 1.0 / l11, 1.0 / l22
+    m10 = -l10 * m00 * m11
+    return np.array(
+        [[m00, 0.0, 0.0], [m10, m11, 0.0], [-(l20 * m00 + l21 * m10) * m22, -l21 * m11 * m22, m22]]
+    )
+
+
+def _row_view(k: int) -> property:
+    """A member built on access as the ``AmbientVector`` of row k of ``rows``."""
+    return property(lambda frame: AmbientVector(frame.rows[k].view(np.complex128)))
 
 
 @dataclass(frozen=True)
 class MovingFrame:
     """Horizontal orthonormal tangent frame, unit normal, and bookkeeping.
 
-    ``coeffs`` row i expresses e_i in the basis of horizontalized chart
-    partials, so derivatives along coordinate directions can be contracted
-    into frame directions.
+    ``rows`` holds the real 6-vectors [i p, e_1, e_2, e_3, n].  ``coeffs``
+    row i expresses e_i in the basis of horizontalized chart partials, so
+    derivatives along coordinate directions can be contracted into frame
+    directions.
     """
 
     p: AmbientVector
-    vertical: AmbientVector
-    e1: AmbientVector
-    e2: AmbientVector
-    e3: AmbientVector
-    normal: AmbientVector
+    rows: np.ndarray
     coeffs: np.ndarray
+
+    vertical, e1, e2, e3, normal = map(_row_view, range(5))
 
     @property
     def tangent(self) -> tuple[AmbientVector, AmbientVector, AmbientVector]:
@@ -68,65 +103,44 @@ def build_frame(
 ) -> MovingFrame:
     """Build the moving frame at a non-singular parameter point.
 
-    Raises ``RankDeficient`` when the smallest Gram-Schmidt remainder norm
-    falls below ``rank_tol`` or is NaN, which signals a coordinate
+    Raises ``RankDeficient`` when the smallest Gram-Schmidt remainder norm,
+    min diag(W E^T), falls below ``rank_tol`` or is NaN (a Cholesky pivot
+    that is not positive makes it NaN), which signals a coordinate
     singularity, a fiber-tangent direction or a non-finite chart value.
     ``orient`` (+1 or -1) multiplies the normal after the deterministic sign
     rule, for sign-consistency experiments.
     """
     p = chart.evaluate(*q)
-    K = np.empty((5, 6))  # the known rows [p, i p, e_1, e_2, e_3]
-    K[:2], W = _horizontal_rows(p, chart.partials(*q))
+    W = _horizontal_rows(p, chart.partials(*q))
+    C1 = _inverse_cholesky(W)
+    E1 = C1.dot(W)
+    C2 = _inverse_cholesky(E1)
+    R = np.empty((5, 6))  # the rows [i p, e_1, e_2, e_3, n]
+    R[0] = (1j * p.z).view(np.float64)
+    E = R[1:4]
+    C2.dot(E1, out=E)
+    norm = float((W * E).sum(axis=1).min())
+    if not norm >= rank_tol:
+        raise RankDeficient(
+            f"chart {chart.name!r} at {q}: Gram-Schmidt remainder {norm:.3e} < {rank_tol:.1e}"
+        )
 
-    # Two block Gram-Schmidt passes against the known rows give crisp
-    # orthogonality.  (ndarray.dot beats @ on arrays this small.)
-    coeffs = np.zeros((3, 3))
-    for a in range(3):
-        known = K[: 2 + a]
-        y = W[a]
-        row = np.zeros(3)
-        row[a] = 1.0
-        for _ in range(2):
-            s = known.dot(y)
-            y = y - s.dot(known)
-            row -= s[2:].dot(coeffs[:a])
-        norm = math.sqrt(y.dot(y))
-        if not norm >= rank_tol:
-            raise RankDeficient(
-                f"chart {chart.name!r} at {q}: Gram-Schmidt remainder {norm:.3e} < {rank_tol:.1e}"
-            )
-        K[2 + a] = (1.0 / norm) * y
-        coeffs[a] = row / norm
-
-    # The real basis vector farthest from span K (first one on near-ties),
-    # projected onto the complement of K twice.
-    best, best_norm2 = 0, -1.0
-    for k, norm2 in enumerate((1.0 - (K * K).sum(axis=0)).tolist()):
-        if norm2 > best_norm2 + 1e-15:
-            best, best_norm2 = k, norm2
-    n = -K[:, best].dot(K)
-    n[best] += 1.0
-    n -= K.dot(n).dot(K)
-    n /= math.sqrt(n.dot(n))
+    # i n is tangent, so xi_j = <-i n, e_j> spans the kernel of the skew
+    # matrix <i e_j, e_k>; its axial vector gives n = i sum_j xi_j e_j up to
+    # sign.  Sign rule: largest component >= 0, then times orient.
+    iE = (1j * E.view(np.complex128)).view(np.float64)
+    (_, g01, g02), (g10, _, g12), (g20, g21, _) = iE.dot(E.T).tolist()
+    n = np.dot((g12 - g21, g20 - g02, g01 - g10), iE)
     lead = int(abs(n).argmax())
-    n *= float(orient) * (1.0 if n[lead] >= 0 else -1.0)
-
-    vertical, e1, e2, e3 = (AmbientVector(r.view(np.complex128)) for r in K[1:])
-    return MovingFrame(
-        p=p, vertical=vertical, e1=e1, e2=e2, e3=e3,
-        normal=AmbientVector(n.view(np.complex128)), coeffs=coeffs,
-    )
+    R[4] = (float(orient) / math.copysign(math.sqrt(n.dot(n)), n[lead])) * n
+    R.setflags(write=False)
+    return MovingFrame(p=p, rows=R, coeffs=C2.dot(C1))
 
 
 def frame_residuals(frame: MovingFrame) -> dict[str, float]:
     """Worst-case deviations from the frame invariants, for testing."""
-    members = [frame.e1, frame.e2, frame.e3, frame.normal, frame.p, frame.vertical]
-    ortho = 0.0
-    for i, a in enumerate(members):
-        for j, b in enumerate(members):
-            target = 1.0 if i == j else 0.0
-            ortho = max(ortho, abs(a.real_inner(b) - target))
+    K = np.vstack([frame.p.z.view(np.float64), frame.rows])
     return {
-        "orthonormality": ortho,
-        "normal_horizontality": abs(frame.normal.real_inner(frame.vertical)),
+        "orthonormality": float(np.abs(K.dot(K.T) - np.eye(6)).max()),
+        "normal_horizontality": abs(float(frame.rows[4].dot(frame.rows[0]))),
     }

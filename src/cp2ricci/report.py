@@ -65,6 +65,8 @@ def passed(reports: list[CheckReport]) -> bool:
 
 
 def run_report(command: str, config: dict[str, Any], reports: list[CheckReport]) -> dict[str, Any]:
+    """The run's JSON object; ``summary.errors`` sums the point-level error
+    counts (``details["errors"]``) of its reports."""
     statuses = [r.status for r in reports]
     return {
         "command": command,
@@ -74,7 +76,7 @@ def run_report(command: str, config: dict[str, Any], reports: list[CheckReport])
             "total": len(reports),
             "passed": statuses.count("pass"),
             "failed": statuses.count("fail"),
-            "errors": statuses.count("error"),
+            "errors": sum(r.details.get("errors", 0) for r in reports),
         },
     }
 

@@ -10,10 +10,11 @@ the frame.  The result is symmetrized; the pre-symmetrization asymmetry is
 recorded and guarded, since the true operator is symmetric and asymmetry
 measures numerical error.
 
-Frame vectors arrive as ``AmbientVector`` and are read as real 6-vectors
-(``v.z.view(np.float64)``): the six stencil normals form one (3, 6)
-difference block, and every contraction with the frame is a small matrix
-product.
+The frame is read as its real rows ``frame.rows`` = [i p, e_1, e_2, e_3, n]
+and their images under i, one complex multiplication of the whole block; the
+six stencil normals are the last row of each stencil frame and form one
+(3, 6) difference block, and every contraction with the frame is a small
+matrix product.  No ``AmbientVector`` is built for frame members.
 """
 
 from __future__ import annotations
@@ -100,13 +101,13 @@ def shape_operator(
 ) -> ShapeData:
     """Shape operator and companions at q by central differences of step h."""
     frame = build_frame(chart, q, rank_tol=rank_tol, orient=orient)
-    Z = np.array([e.z for e in frame.tangent])
-    E, iE = Z.view(np.float64), (1j * Z).view(np.float64)
-    n, i_n = frame.normal.z.view(np.float64), (1j * frame.normal.z).view(np.float64)
+    R = frame.rows  # [i p, e_1, e_2, e_3, n]
+    iR = (1j * R.view(np.complex128)).view(np.float64)
+    E, iE, n, i_n = R[1:4], iR[1:4], R[4], iR[4]
 
     # Vertical components of the chart partials at the center (exact).
     W = np.array([w.z for w in chart.partials(*q)]).view(np.float64)
-    vert = W.dot(frame.vertical.z.view(np.float64))
+    vert = W.dot(R[0])
 
     # Centered normal derivatives along the coordinate axes, each stencil
     # normal sign-aligned to the center.
@@ -116,7 +117,7 @@ def shape_operator(
         for step in (h, -h):
             qs = list(q)
             qs[a] += step
-            m = build_frame(chart, tuple(qs), rank_tol=rank_tol).normal.z.view(np.float64)
+            m = build_frame(chart, tuple(qs), rank_tol=rank_tol).rows[4]
             ends.append(-m if m.dot(n) < 0.0 else m)
         FD[a] = (1.0 / (2.0 * h)) * (ends[0] - ends[1])
     # D_{W_a} n = FD_a - vert_a * i n, and A e_i = -H(D_{e_i} n).

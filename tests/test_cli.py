@@ -201,6 +201,15 @@ def test_scan_without_ok_rows_fails_with_infinite_residual():
     assert doc["reports"][0]["maxAbsResidual"] is None
 
 
+@pytest.mark.parametrize("epsilon, code", [("1e200", 0), ("1e300", 0), ("nan", 1)])
+def test_scan_normalizes_every_finite_displacement(epsilon, code, capsys):
+    # |y| above about 1e154 overflows an unscaled sum of squares.
+    assert cli.main(["scan", f"perturbed-ruled:{epsilon},0", "--grid", "2"]) == code
+    out = capsys.readouterr().out
+    flags = [row["flags"] for row in csv.DictReader(io.StringIO(out[out.index("u,v,") :]))]
+    assert flags == ["ok" if code == 0 else "RankDeficient"] * 8
+
+
 def test_ruled_hopf_check_residual_is_the_shortfall_below_tol():
     tol = 1e9
     hopf = {r.name: r for r in cli.cmd_check_ruled(grid=2, tol=tol)}["ruled_hopf_defect_positive"]
@@ -284,9 +293,11 @@ def test_stencil_centre_in_the_singular_locus_is_a_flagged_point(capsys):
     # centre at 1.57, inside both charts' singular margin about pi/2.
     assert cli.main(["crosscheck", "--grid", "2", "--step", "0.37"]) == 1
     out = capsys.readouterr().out
-    ruled, sphere, _ = json.loads(out[out.index("{") :])["reports"]
+    payload = json.loads(out[out.index("{") :])
+    ruled, sphere, _ = payload["reports"]
     assert ruled["checkName"] == "crosscheck_ruled" and ruled["details"]["errors"] == 4
     assert sphere["checkName"] == "crosscheck_sphere" and sphere["details"]["errors"] == 4
+    assert payload["summary"]["errors"] == 8
 
 
 def test_singular_holomorphic_plane_stencil_fails_its_check(monkeypatch):

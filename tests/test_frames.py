@@ -89,3 +89,87 @@ def test_frame_invariants_and_bookkeeping_over_sample_boxes(chart, frac):
     assert comps[np.argmax(np.abs(comps))] >= 0.0
     flipped = build_frame(chart, q, orient=-1)
     assert np.array_equal(flipped.normal.z, -frame.normal.z)
+
+
+def _gram_schmidt_frame(chart, q, rank_tol=1e-8, orient=1):
+    """Reference transcription of the per-vector Gram-Schmidt frame kernel:
+    the rows [e_1, e_2, e_3], ``coeffs`` and the normal, all real."""
+    p = chart.evaluate(*q)
+    K = np.empty((5, 6))  # the known rows [p, i p, e_1, e_2, e_3]
+    K[:2] = np.array([p.z, 1j * p.z]).view(np.float64)
+    W = np.array([w.z for w in chart.partials(*q)]).view(np.float64)
+    W = W - W.dot(K[:2].T).dot(K[:2])
+    coeffs = np.zeros((3, 3))
+    for a in range(3):
+        known = K[: 2 + a]
+        y = W[a]
+        row = np.zeros(3)
+        row[a] = 1.0
+        for _ in range(2):
+            s = known.dot(y)
+            y = y - s.dot(known)
+            row -= s[2:].dot(coeffs[:a])
+        norm = math.sqrt(y.dot(y))
+        if not norm >= rank_tol:
+            raise RankDeficient(f"Gram-Schmidt remainder {norm:.3e} < {rank_tol:.1e}")
+        K[2 + a] = (1.0 / norm) * y
+        coeffs[a] = row / norm
+    best, best_norm2 = 0, -1.0
+    for k, norm2 in enumerate((1.0 - (K * K).sum(axis=0)).tolist()):
+        if norm2 > best_norm2 + 1e-15:
+            best, best_norm2 = k, norm2
+    n = -K[:, best].dot(K)
+    n[best] += 1.0
+    n -= K.dot(n).dot(K)
+    n /= math.sqrt(n.dot(n))
+    lead = int(abs(n).argmax())
+    n *= float(orient) * (1.0 if n[lead] >= 0 else -1.0)
+    return K[2:], coeffs, n
+
+
+@pytest.mark.parametrize(
+    "chart",
+    [ruled_chart(), sphere_chart(math.pi / 6), perturbed_ruled_chart(0.05, 1950078598)],
+    ids=lambda c: c.name,
+)
+def test_cholesky_qr_frame_matches_gram_schmidt(chart):
+    rng = np.random.default_rng(20)
+    box = chart.sample_box
+    for _ in range(300):
+        q = tuple(rng.uniform(box.lo, box.hi).tolist())
+        E, coeffs, n = _gram_schmidt_frame(chart, q)
+        frame = build_frame(chart, q)
+        assert np.max(np.abs(frame.rows[1:4] - E)) <= 1e-14
+        assert np.max(np.abs(frame.coeffs - coeffs)) <= 1e-14
+        assert np.max(np.abs(frame.rows[4] - n)) <= 1e-14
+
+
+def _rank_verdict(build, chart, q):
+    try:
+        build(chart, q)
+    except RankDeficient:
+        return "RankDeficient"
+    return "ok"
+
+
+@pytest.mark.parametrize("d", [1e-6, 1e-7, 3e-8, 2e-8, 1.5e-8, 1.2e-8, 1.05e-8, 9e-9, 1e-9])
+def test_rank_guard_agrees_with_gram_schmidt_near_singularities(d):
+    # Ruled: the t-partial's horizontal part has norm sin u cos u at u = d.
+    # Sphere: the horizontal phi- and t-partials become parallel at s = pi/2.
+    for chart, q in (
+        (ruled_chart(), (d, 1.0, 2.0)),
+        (sphere_chart(math.pi / 6), (0.7, math.pi / 2 - d, 0.4)),
+    ):
+        expected = _rank_verdict(_gram_schmidt_frame, chart, q)
+        assert _rank_verdict(build_frame, chart, q) == expected, (chart.name, d)
+
+
+def test_frame_members_are_views_of_rows():
+    frame = build_frame(sphere_chart(math.pi / 6), (0.3, 0.7, 0.4))
+    members = (frame.vertical, frame.e1, frame.e2, frame.e3, frame.normal)
+    assert frame.rows.shape == (5, 6)
+    for k, member in enumerate(members):
+        assert np.array_equal(member.z, frame.rows[k].view(np.complex128))
+    for e, member in zip(frame.tangent, members[1:4]):
+        assert np.array_equal(e.z, member.z)
+    assert np.array_equal(frame.vertical.z, 1j * frame.p.z)
