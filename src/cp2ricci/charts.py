@@ -208,21 +208,28 @@ def perturbed_ruled_chart(epsilon: float, seed: int = 0) -> SurfaceChart:
     follow by the chain rule, d(y/|y|) = (dy - <dy, n> n) / |y| with
     n = y/|y|, so the result is again an exact chart.  |y| is a scaled norm
     (``math.hypot``) and |y|^3 is never formed, so any finite y is
-    normalized.  With epsilon = 0 this is the ruled chart itself.
+    normalized.  Where |y| is not a positive finite number (a non-finite
+    epsilon, say), point and partials are NaN vectors, found by one scalar
+    test instead of a division.  With epsilon = 0 this is the ruled chart
+    itself.
     """
     base = ruled_chart()
     field = _TrigField(seed)
     eps = float(epsilon)
+    nan_vector = AmbientVector(np.full(3, complex(math.nan, math.nan)))
 
     def evaluate(u: float, v: float, t: float) -> AmbientVector:
         y = _ruled_point(u, v, t) + eps * field.value((u, v, t))
-        return AmbientVector(y / math.hypot(*y.view(np.float64).tolist()))
+        ny = math.hypot(*y.view(np.float64).tolist())
+        return AmbientVector(y / ny) if 0.0 < ny < math.inf else nan_vector
 
     def partials(u: float, v: float, t: float):
         f, df = field.jet((u, v, t))
         y = _ruled_point(u, v, t) + eps * f
         dy = _ruled_partials(u, v, t) + eps * df
         ny = math.hypot(*y.view(np.float64).tolist())
+        if not 0.0 < ny < math.inf:
+            return nan_vector, nan_vector, nan_vector
         n = y / ny
         # <dy_a, n> is the real inner product: a dot of the real 6-vector views
         du, dv, dt = (dy - dy.view(np.float64).dot(n.view(np.float64))[:, None] * n) / ny

@@ -17,13 +17,13 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from typing import Any, Callable
+from typing import Any, Callable, Iterator
 
 import numpy as np
 
 from . import classify as cl
 from . import curvature as cv
-from .charts import SurfaceChart, perturbed_ruled_chart, ruled_chart, sphere_chart
+from .charts import ParamTriple, SurfaceChart, perturbed_ruled_chart, ruled_chart, sphere_chart
 from .exact.checks import ALL_CHECKS, run_checks
 from .frames import RankDeficient
 from .report import (
@@ -36,7 +36,7 @@ from .report import (
     scan_to_csv,
     scan_to_json,
 )
-from .shape import AsymmetryExceeded, shape_operator
+from .shape import AsymmetryExceeded, ShapeData, shape_operator
 
 
 def _report(name: str, ok: bool, residual: float | str, **details: Any) -> CheckReport:
@@ -60,12 +60,37 @@ def _grid_max(values: list[float]) -> float:
     return _grid_reduce(max, values)
 
 
+def _grid_shapes(
+    chart: SurfaceChart, grid: int, step: float
+) -> Iterator[tuple[ParamTriple, ShapeData | str]]:
+    """(q, shape data or flag) at each grid point.  The flag is ``singular``
+    in the chart's declared singular locus, where nothing is computed, and
+    otherwise the class name of a numerical failure of ``shape_operator``."""
+    for q in chart.sample_box.grid(grid):
+        if chart.is_singular(*q):
+            yield q, "singular"
+            continue
+        try:
+            yield q, shape_operator(chart, q, h=step)
+        except (RankDeficient, AsymmetryExceeded) as exc:
+            yield q, type(exc).__name__
+
+
+def _on_grid(chart: SurfaceChart, reports: list[CheckReport]) -> list[CheckReport]:
+    """``reports`` marked as computed on one grid of ``chart``, so that
+    ``run_report`` counts its flagged points once."""
+    for r in reports:
+        r.grid_key = chart.name
+    return reports
+
+
 def cmd_check_ruled(grid: int = 16, step: float = 1e-5, tol: float = 1e-6) -> list[CheckReport]:
     """Grid maxima of deficit, trace, alpha, and the classification residuals
     over the default ruled box, plus the grid minimum of the Hopf defect over
     every point with a shape operator (Hopf points included; ``inf`` when
     there is none, which makes that residual ``inf`` too).  Every grid
-    maximum is ``inf`` over no computed point and NaN if any point is NaN."""
+    maximum is ``inf`` over no computed point and NaN if any point is NaN.
+    A flagged point (see ``_grid_shapes``) or a Hopf point is an error."""
     chart = ruled_chart()
     defects: list[float] = []
     deficits: list[float] = []
@@ -75,18 +100,20 @@ def cmd_check_ruled(grid: int = 16, step: float = 1e-5, tol: float = 1e-6) -> li
     trace_residuals: list[float] = []
     ruled: list[float] = []
     errors = 0
-    for q in chart.sample_box.grid(grid):
+    for _, s in _grid_shapes(chart, grid, step):
+        if isinstance(s, str):
+            errors += 1
+            continue
+        defects.append(s.hopf_defect)
+        deficits.append(abs(cv.deficit(s)))
+        traces.append(abs(float(np.trace(s.A))))
+        alphas.append(abs(s.alpha))
         try:
-            s = shape_operator(chart, q, h=step)
-            defects.append(s.hopf_defect)
-            deficits.append(abs(cv.deficit(s)))
-            traces.append(abs(float(np.trace(s.A))))
-            alphas.append(abs(s.alpha))
             eq = cl.equality_basis(s, tol=tol)
             blocks.append(eq.block_residual)
             trace_residuals.append(eq.trace_residual)
             ruled.append(cl.ruled_check(s, tol=tol, minimal=True))
-        except (RankDeficient, AsymmetryExceeded, cl.HopfPoint):
+        except cl.HopfPoint:
             errors += 1
     min_defect = _grid_reduce(min, defects)
     max_deficit, max_trace, max_alpha, max_block, max_trace_res, max_ruled = map(
@@ -95,7 +122,7 @@ def cmd_check_ruled(grid: int = 16, step: float = 1e-5, tol: float = 1e-6) -> li
     max_basis = _grid_max([max_block, max_trace_res])
     n_points = grid**3
     common = {"grid": grid, "points": n_points, "errors": errors}
-    return [
+    return _on_grid(chart, [
         _report("ruled_deficit", max_deficit < tol and errors == 0, max_deficit, **common),
         _report("ruled_minimality", max_trace < tol and errors == 0, max_trace, **common),
         _report("ruled_alpha", max_alpha < tol and errors == 0, max_alpha, **common),
@@ -115,7 +142,7 @@ def cmd_check_ruled(grid: int = 16, step: float = 1e-5, tol: float = 1e-6) -> li
             grid_min_hopf_defect=min_defect,
             **common,
         ),
-    ]
+    ])
 
 
 def _principal_deviation(eigs: np.ndarray, model: np.ndarray) -> tuple[float, int]:
@@ -136,7 +163,8 @@ def cmd_check_sphere(
     eig_tol: float = 1e-7,
 ) -> list[CheckReport]:
     """Deficit against the closed-form sphere value, principal curvatures
-    against the classical model, and vanishing Hopf defect."""
+    against the classical model, and vanishing Hopf defect.  A flagged point
+    (see ``_grid_shapes``) is an error."""
     chart = sphere_chart(radius)
     expected = cv.geodesic_sphere_deficit(radius)
     model = cv.geodesic_sphere_curvatures(radius)
@@ -145,19 +173,18 @@ def cmd_check_sphere(
     defects: list[float] = []
     signs: set[int] = set()
     errors = 0
-    for q in chart.sample_box.grid(grid):
-        try:
-            s = shape_operator(chart, q, h=step)
-            gaps.append(abs(cv.deficit(s) - expected))
-            dev, sign = _principal_deviation(np.linalg.eigvalsh(s.A), model)
-            signs.add(sign)
-            eig_devs.append(dev)
-            defects.append(s.hopf_defect)
-        except (RankDeficient, AsymmetryExceeded):
+    for _, s in _grid_shapes(chart, grid, step):
+        if isinstance(s, str):
             errors += 1
+            continue
+        gaps.append(abs(cv.deficit(s) - expected))
+        dev, sign = _principal_deviation(np.linalg.eigvalsh(s.A), model)
+        signs.add(sign)
+        eig_devs.append(dev)
+        defects.append(s.hopf_defect)
     max_gap, max_eig_dev, max_defect = map(_grid_max, (gaps, eig_devs, defects))
     common = {"radius": radius, "grid": grid, "errors": errors}
-    return [
+    return _on_grid(chart, [
         _report(
             "sphere_deficit",
             max_gap < tol and errors == 0,
@@ -174,7 +201,7 @@ def cmd_check_sphere(
             **common,
         ),
         _report("sphere_hopf", max_defect < 1e-8 and errors == 0, max_defect, **common),
-    ]
+    ])
 
 
 def cmd_check_tube() -> list[CheckReport]:
@@ -246,32 +273,31 @@ def parse_surface(surface: str, epsilon: float, seed: int) -> SurfaceChart:
 
 
 def scan_surface(chart: SurfaceChart, grid: int = 12, step: float = 1e-5) -> list[ScanRow]:
+    """One row per grid point; a flagged point (see ``_grid_shapes``) is a
+    row of NaN fields carrying its flag."""
     rows = []
-    for q in chart.sample_box.grid(grid):
-        try:
-            s = shape_operator(chart, q, h=step)
-            ric = np.linalg.eigvalsh(cv.ricci_matrix(s))
-            max_ric = float(ric[-1])
-            mean_sq = s.mean_curvature**2
-            rows.append(
-                ScanRow(
-                    u=q[0],
-                    v=q[1],
-                    theta=q[2],
-                    max_ricci=max_ric,
-                    mean_curv_sq=mean_sq,
-                    deficit=2.25 * mean_sq + 5.0 - max_ric,
-                    alpha=s.alpha,
-                    hopf_defect=s.hopf_defect,
-                    trace_a=float(np.trace(s.A)),
-                    flags="ok",
-                )
-            )
-        except (RankDeficient, AsymmetryExceeded) as exc:
+    for q, s in _grid_shapes(chart, grid, step):
+        if isinstance(s, str):
             nan = float("nan")
-            rows.append(
-                ScanRow(q[0], q[1], q[2], nan, nan, nan, nan, nan, nan, flags=type(exc).__name__)
+            rows.append(ScanRow(q[0], q[1], q[2], nan, nan, nan, nan, nan, nan, flags=s))
+            continue
+        ric = np.linalg.eigvalsh(cv.ricci_matrix(s))
+        max_ric = float(ric[-1])
+        mean_sq = s.mean_curvature**2
+        rows.append(
+            ScanRow(
+                u=q[0],
+                v=q[1],
+                theta=q[2],
+                max_ricci=max_ric,
+                mean_curv_sq=mean_sq,
+                deficit=2.25 * mean_sq + 5.0 - max_ric,
+                alpha=s.alpha,
+                hopf_defect=s.hopf_defect,
+                trace_a=float(np.trace(s.A)),
+                flags="ok",
             )
+        )
     return rows
 
 

@@ -13,10 +13,13 @@ derived contraction.  The deficit is (9/4) |H|^2 + 5 - maxRic, nonnegative
 for every hypersurface point and zero exactly on the classified models.
 
 ``intrinsic_riemann`` recomputes the same tensor from the induced metric
-alone, giving an oracle that is independent of the shape-operator pipeline:
-the metric is evaluated exactly on a 25-point stencil of step h, Christoffel
-symbols at the centre and its six neighbours come from central differences
-of those values, and the curvature from central differences of the
+alone, giving an oracle that is independent of the shape-operator pipeline.
+The metric is evaluated exactly on a 25-point stencil q + h K of step h,
+held as one (25, 3, 3) array: the stacked points and partials are projected
+off p and i p by one complex contraction and their Gram matrices formed by
+one batched matmul.  Christoffel symbols at the centre and its six
+neighbours come from central differences read through the index tables
+``PLUS`` and ``MINUS``, and the curvature from central differences of the
 Christoffel symbols, so its error is O(h^2).
 """
 
@@ -169,7 +172,8 @@ class SingularMetric(RankDeficient):
 
 def induced_metric(chart: SurfaceChart, q: ParamTriple) -> np.ndarray:
     """Induced metric g_ab = <H dz_a, H dz_b> from exact partials."""
-    W = _horizontal_rows(chart.evaluate(*q), chart.partials(*q))
+    p = chart.evaluate(*q)
+    W = _horizontal_rows(p.z, np.array([w.z for w in chart.partials(*q)]))
     return W.dot(W.T)
 
 
@@ -188,35 +192,62 @@ def riemann_lower(g: np.ndarray, gamma: np.ndarray, dgamma: np.ndarray) -> np.nd
     return np.einsum("ed,eabc->abcd", g, m - m.transpose(0, 2, 1, 3))
 
 
+def _stencil() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The stencil offsets K (25, 3) and the index tables PLUS, MINUS (7, 3).
+
+    Rows 0-6 of K are the Christoffel centres 0, +e_0, -e_0, +e_1, -e_1,
+    +e_2, -e_2; the other 18 rows are their remaining neighbours
+    +-e_a +- e_c (a < c) and +-2 e_a.  Row PLUS[c, a] (MINUS[c, a]) of K is
+    centre c plus (minus) e_a."""
+    E = np.eye(3, dtype=int)
+    centres = [np.zeros(3, dtype=int), *(s * e for e in E for s in (1, -1))]
+    index: dict[tuple[int, ...], int] = {}
+    for k in [*centres, *(c + s * e for c in centres for e in E for s in (1, -1))]:
+        index.setdefault(tuple(k.tolist()), len(index))
+    PLUS, MINUS = (
+        np.array([[index[tuple((c + s * e).tolist())] for e in E] for c in centres])
+        for s in (1, -1)
+    )
+    return np.array(list(index)), PLUS, MINUS
+
+
+K, PLUS, MINUS = _stencil()
+
+
+def _stencil_metric(chart: SurfaceChart, q: ParamTriple, h: float) -> np.ndarray:
+    """The induced metric at the 25 stencil points q + h K, as one (25, 3, 3)
+    array: the points and partials are stacked, projected off p and i p by one
+    complex contraction, and their Gram matrices formed by one batched matmul.
+    Raises ``SingularMetric`` before evaluating anything when a centre lies in
+    the chart's declared singular locus."""
+    params = (np.asarray(q, dtype=np.float64) + h * K).tolist()
+    if any(chart.is_singular(*x) for x in params[:7]):
+        raise SingularMetric(
+            f"chart {chart.name!r} at {q}: stencil centre in the singular locus"
+        )
+    p = np.array([chart.evaluate(*x).z for x in params])
+    D = np.array([w.z for x in params for w in chart.partials(*x)]).reshape(25, 3, 3)
+    W = _horizontal_rows(p, D)
+    return W @ W.swapaxes(-1, -2)
+
+
 def intrinsic_riemann(chart: SurfaceChart, q: ParamTriple, h: float = 1e-3) -> np.ndarray:
     """All-lower coordinate curvature R_{abcd} = <R(d_a, d_b) d_c, d_d>.
 
-    The metric is evaluated exactly at the 25 points q + h k of a stencil,
-    k in {0, +-e_a, +-e_a +- e_c (a < c), +-2 e_a}; central differences of
-    those values give Gamma at q and at q +- h e_a, and central differences
-    of Gamma give its derivatives at q.  Only derivatives are differenced,
-    so the total error is O(h^2).  Raises ``SingularMetric`` when one of the
-    7 centres q, q +- h e_a lies in the chart's declared singular locus, a
-    centre metric is singular or a stencil value is non-finite.
+    The metric G is evaluated exactly at the 25 points q + h K of a stencil,
+    K in {0, +-e_a, +-e_a +- e_c (a < c), +-2 e_a}, as one (25, 3, 3) array.
+    Its first 7 rows are g at the Christoffel centres q, q +- h e_a, and
+    dg = (G[PLUS] - G[MINUS]) / 2h gives their central differences, so
+    Gamma follows at all 7 centres at once; central differences of Gamma
+    give its derivatives at q.  Only derivatives are differenced, so the
+    total error is O(h^2).  Raises ``SingularMetric`` when a centre lies in
+    the chart's declared singular locus, a stencil value is non-finite or a
+    centre metric is singular.
     """
-    metric: dict[tuple[int, ...], np.ndarray] = {}
-
-    def at(k: np.ndarray) -> ParamTriple:
-        return tuple(x + h * i for x, i in zip(q, k.tolist()))
-
-    def g_at(k: np.ndarray) -> np.ndarray:
-        key = tuple(k.tolist())
-        if key not in metric:
-            metric[key] = induced_metric(chart, at(k))
-        return metric[key]
-
-    E = np.eye(3, dtype=int)
-    centres = np.vstack([np.zeros(3, dtype=int), *(s * e for e in E for s in (1, -1))])
-    if any(chart.is_singular(*at(k)) for k in centres):
-        raise SingularMetric(f"chart {chart.name!r} at {q}: stencil centre in the singular locus")
-    g = np.array([g_at(k) for k in centres])
-    dg = np.array([[(g_at(k + e) - g_at(k - e)) / (2.0 * h) for e in E] for k in centres])
-    if not (np.isfinite(g).all() and np.isfinite(dg).all()):
+    G = _stencil_metric(chart, q, h)
+    g = G[:7]
+    dg = (G[PLUS] - G[MINUS]) / (2.0 * h)  # dg[centre, a] = d_a g
+    if not (np.isfinite(G).all() and np.isfinite(dg).all()):
         raise SingularMetric(f"chart {chart.name!r} at {q}: non-finite metric on the stencil")
     try:
         gamma = christoffel(g, dg)  # centres 0, +e_0, -e_0, +e_1, ...
@@ -231,13 +262,15 @@ def gauss_riemann_coords(shape: ShapeData) -> np.ndarray:
 
     Uses the frame bookkeeping: with W_a the horizontalized partials and
     B[a, i] = <W_a, e_i>, the coordinate components are the quadruple
-    contraction of the frame components with B.
+    contraction of the frame components with B, done one index pair at a
+    time: R[ab, cd] = (B x B)[ab, ij] T[ij, kl] (B x B)[cd, kl].
     """
     if shape.frame is None:
         raise ValueError("shape data carries no frame; compute it via shape_operator")
     # W_a = sum_i B[a, i] e_i inverts the frame bookkeeping e_i = sum_a C[i, a] W_a
     B = np.linalg.inv(shape.frame.coeffs)
-    return np.einsum("ai,bj,ck,dl,ijkl->abcd", B, B, B, B, _gauss_tensor(shape))
+    BB = (B[:, None, :, None] * B[None, :, None, :]).reshape(9, 9)
+    return (BB @ _gauss_tensor(shape).reshape(9, 9) @ BB.T).reshape(3, 3, 3, 3)
 
 
 def crosscheck_point(

@@ -3,17 +3,18 @@
 At a chart point p the fiber direction is i p.  The three chart partials,
 read as a (3, 3) complex array D, are projected onto the horizontal space
 (the orthogonal complement of p and i p) by one complex projection,
-D - (D conj(p)) p, and viewed as three real rows W of R^6.  Those rows are
-orthonormalized by Cholesky-QR twice: with L1 the Cholesky factor of the
-Gram matrix W W^T, E1 = L1^-1 W, and with L2 that of E1 E1^T, E = L2^-1 E1.
-This is Gram-Schmidt with a positive diagonal, so row i of ``coeffs``
-= L2^-1 L1^-1 expresses e_i in the horizontalized partials.  Both 3x3
-factors and their inverses are closed forms on Python floats.  The rank
-guard reads the Gram-Schmidt remainders as diag(W E^T), which stays
-accurate where the Gram matrix is ill-conditioned.  The frame is completed
-by the unique horizontal unit normal n, read off the kernel of the skew
-matrix <i e_j, e_k>; its sign follows a deterministic rule so that runs are
-reproducible.
+D - (D conj(p)) p, and viewed as three real rows W of R^6; the same helper
+projects a whole stack of points at once for the intrinsic curvature
+stencil.  Those rows are orthonormalized by Cholesky-QR twice: with L1 the
+Cholesky factor of the Gram matrix W W^T, E1 = L1^-1 W, and with L2 that of
+E1 E1^T, E = L2^-1 E1.  This is Gram-Schmidt with a positive diagonal, so
+row i of ``coeffs`` = L2^-1 L1^-1 expresses e_i in the horizontalized
+partials.  Both 3x3 factors and their inverses are closed forms on Python
+floats.  The rank guard reads the Gram-Schmidt remainders as diag(W E^T),
+which stays accurate where the Gram matrix is ill-conditioned.  The frame
+is completed by the unique horizontal unit normal n, read off the kernel of
+the skew matrix <i e_j, e_k>; its sign follows a deterministic rule so that
+runs are reproducible.
 
 ``MovingFrame`` stores the real rows [i p, e_1, e_2, e_3, n] as one
 read-only (5, 6) array; ``AmbientVector`` views of them are built only when
@@ -35,19 +36,19 @@ class RankDeficient(RuntimeError):
     """The horizontalized partials do not span a 3-space at this point."""
 
 
-def _horizontal_rows(p: AmbientVector, ws) -> np.ndarray:
-    """The vectors ws projected off [p, i p], as real rows of R^6.
+def _horizontal_rows(p: np.ndarray, D: np.ndarray) -> np.ndarray:
+    """The complex rows D (..., m, 3) projected off [p, i p] at the unit
+    points p (..., 3), as real rows of R^6 (..., m, 6); leading axes batch.
 
     For unit p the real projection onto span{p, i p} is w -> (w . conj p) p,
     so one complex outer product removes both directions."""
-    D = np.array([w.z for w in ws])
-    D -= D.dot(p.z.conj())[:, None] * p.z
+    D = D - np.matmul(D, p.conj()[..., None]) * p[..., None, :]
     return D.view(np.float64)
 
 
 def horizontalize(w: AmbientVector, p: AmbientVector) -> AmbientVector:
     """Project w onto the horizontal space at p (orthogonal to p and i p)."""
-    return AmbientVector(_horizontal_rows(p, [w])[0].view(np.complex128))
+    return AmbientVector(_horizontal_rows(p.z, w.z[None])[0].view(np.complex128))
 
 
 def _inverse_cholesky(X: np.ndarray) -> np.ndarray:
@@ -111,7 +112,7 @@ def build_frame(
     rule, for sign-consistency experiments.
     """
     p = chart.evaluate(*q)
-    W = _horizontal_rows(p, chart.partials(*q))
+    W = _horizontal_rows(p.z, np.array([w.z for w in chart.partials(*q)]))
     C1 = _inverse_cholesky(W)
     E1 = C1.dot(W)
     C2 = _inverse_cholesky(E1)

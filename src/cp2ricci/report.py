@@ -35,12 +35,16 @@ SCAN_COLUMNS = [
 
 @dataclass
 class CheckReport:
-    """Outcome of one named check: status plus residual and payload."""
+    """Outcome of one named check: status plus residual and payload.
+
+    Reports computed on one grid share a ``grid_key`` (not serialized), so
+    ``run_report`` counts each flagged point of that grid once."""
 
     name: str
     status: str  # "pass" | "fail" | "error"
     max_abs_residual: float | str
     details: dict[str, Any] = field(default_factory=dict)
+    grid_key: str | None = field(default=None, compare=False)
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -66,8 +70,13 @@ def passed(reports: list[CheckReport]) -> bool:
 
 def run_report(command: str, config: dict[str, Any], reports: list[CheckReport]) -> dict[str, Any]:
     """The run's JSON object; ``summary.errors`` sums the point-level error
-    counts (``details["errors"]``) of its reports."""
+    counts (``details["errors"]``) of its grids: once per ``grid_key``, and
+    once per report without one."""
     statuses = [r.status for r in reports]
+    errors: dict[Any, int] = {}
+    for k, r in enumerate(reports):
+        key = k if r.grid_key is None else r.grid_key
+        errors[key] = max(errors.get(key, 0), r.details.get("errors", 0))
     return {
         "command": command,
         "config": config,
@@ -76,7 +85,7 @@ def run_report(command: str, config: dict[str, Any], reports: list[CheckReport])
             "total": len(reports),
             "passed": statuses.count("pass"),
             "failed": statuses.count("fail"),
-            "errors": sum(r.details.get("errors", 0) for r in reports),
+            "errors": sum(errors.values()),
         },
     }
 

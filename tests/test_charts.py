@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -117,6 +118,15 @@ def test_perturbed_chart_is_exact_and_seeded():
     q = (0.6, 1.0, 2.0)
     assert np.array_equal(chart.evaluate(*q).z, again.evaluate(*q).z)
     assert not np.allclose(chart.evaluate(*q).z, other.evaluate(*q).z)
+
+
+@pytest.mark.parametrize("epsilon", [math.nan, math.inf])
+def test_non_finite_perturbation_gives_nan_vectors_without_warnings(epsilon):
+    chart = perturbed_ruled_chart(epsilon, seed=0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        vectors = [chart.evaluate(0.6, 1.0, 2.0), *chart.partials(0.6, 1.0, 2.0)]
+    assert all(np.isnan(w.z.view(np.float64)).all() for w in vectors)
 
 
 def test_zero_perturbation_is_the_ruled_chart():

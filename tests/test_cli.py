@@ -1,13 +1,16 @@
 import csv
+import dataclasses
 import io
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from cp2ricci import cli
-from cp2ricci.charts import perturbed_ruled_chart
+from cp2ricci.charts import Box, perturbed_ruled_chart, ruled_chart, sphere_chart
+from cp2ricci.frames import build_frame
 from cp2ricci.report import (
     EXACT_ZERO,
     CheckReport,
@@ -262,6 +265,63 @@ def test_all_error_ruled_grid_reports_infinite_residuals(monkeypatch):
         assert r.max_abs_residual == math.inf
     doc = _standard_json(report_to_json(run_report("check", {}, reports)))
     assert all(r["maxAbsResidual"] is None for r in doc["reports"])
+
+
+def test_summary_counts_each_failed_grid_point_once(monkeypatch):
+    # Six ruled reports and three sphere reports each share one grid of 8.
+    monkeypatch.setattr(cli, "ruled_chart", lambda: perturbed_ruled_chart(math.nan, 0))
+    monkeypatch.setattr(cli, "sphere_chart", lambda r: perturbed_ruled_chart(math.nan, 0))
+    for reports in (cli.cmd_check_ruled(grid=2), cli.cmd_check_sphere(grid=2)):
+        assert all(r.details["errors"] == 8 for r in reports)
+        assert run_report("check", {}, reports)["summary"]["errors"] == 8
+
+
+def test_non_finite_scan_emits_no_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        reports, rows = cli.cmd_scan("perturbed-ruled:nan,0", grid=2)
+    assert reports[0].status == "fail" and reports[0].details["errors"] == 8
+    assert [r.flags for r in rows] == ["RankDeficient"] * 8
+
+
+def _near_singular_box(chart):
+    """``chart`` sampled on a box whose lower edge in the second singular
+    coordinate (u of the ruled chart, s of the sphere) is 5e-4: inside
+    ``SINGULAR_MARGIN``, although the metric is invertible there."""
+    axis = 0 if chart.name == "ruled" else 1
+    lo = list(chart.sample_box.lo)
+    lo[axis] = 5e-4
+    assert chart.is_singular(*lo)
+    return dataclasses.replace(chart, sample_box=Box(tuple(lo), chart.sample_box.hi))
+
+
+def test_ruled_check_counts_declared_singular_points_as_errors(monkeypatch):
+    chart = _near_singular_box(ruled_chart())
+    build_frame(chart, chart.sample_box.lo)  # computable, but declared singular
+    monkeypatch.setattr(cli, "ruled_chart", lambda: chart)
+    reports = cli.cmd_check_ruled(grid=2)
+    for r in reports:
+        assert r.status == "fail" and r.details["errors"] == 4
+    assert run_report("check", {}, reports)["summary"]["errors"] == 4
+
+
+def test_sphere_check_counts_declared_singular_points_as_errors(monkeypatch):
+    chart = _near_singular_box(sphere_chart(math.pi / 4))
+    build_frame(chart, chart.sample_box.lo)
+    monkeypatch.setattr(cli, "sphere_chart", lambda r: chart)
+    for r in cli.cmd_check_sphere(grid=2):
+        assert r.status == "fail" and r.details["errors"] == 4
+
+
+def test_scan_flags_declared_singular_points(monkeypatch):
+    chart = _near_singular_box(ruled_chart())
+    monkeypatch.setattr(cli, "parse_surface", lambda *args: chart)
+    reports, rows = cli.cmd_scan("ruled", grid=2)
+    assert reports[0].status == "fail" and reports[0].details["errors"] == 4
+    for row in rows:
+        singular = row.u == 5e-4
+        assert row.flags == ("singular" if singular else "ok")
+        assert all(math.isnan(x) for x in row.values()[3:-1]) == singular
 
 
 def test_all_error_sphere_grid_reports_infinite_residuals(monkeypatch):

@@ -311,6 +311,71 @@ def test_intrinsic_riemann_evaluates_the_metric_at_25_points():
     assert np.array_equal(r, cv.intrinsic_riemann(chart, (0.6, 1.0, 2.0)))
 
 
+def _per_point_intrinsic_riemann(chart, q, h=1e-3):
+    """The stencil as it was written per point: one ``induced_metric`` call
+    per stencil point, memoized by offset, and the Christoffel stencil built
+    from lookups; kept as the reference for the stacked stencil array."""
+    metric = {}
+
+    def at(k):
+        return tuple(x + h * i for x, i in zip(q, k.tolist()))
+
+    def g_at(k):
+        key = tuple(k.tolist())
+        if key not in metric:
+            metric[key] = cv.induced_metric(chart, at(k))
+        return metric[key]
+
+    E = np.eye(3, dtype=int)
+    centres = np.vstack([np.zeros(3, dtype=int), *(s * e for e in E for s in (1, -1))])
+    if any(chart.is_singular(*at(k)) for k in centres):
+        raise cv.SingularMetric("stencil centre in the singular locus")
+    g = np.array([g_at(k) for k in centres])
+    dg = np.array([[(g_at(k + e) - g_at(k - e)) / (2.0 * h) for e in E] for k in centres])
+    if not (np.isfinite(g).all() and np.isfinite(dg).all()):
+        raise cv.SingularMetric("non-finite metric on the stencil")
+    gamma = cv.christoffel(g, dg)
+    dgamma = (gamma[1::2] - gamma[2::2]) / (2.0 * h)
+    return cv.riemann_lower(g[0], gamma[0], dgamma)
+
+
+_STENCIL_CHARTS = [ruled_chart(), sphere_chart(math.pi / 6), perturbed_ruled_chart(0.05, 3)]
+
+
+def _sample_points(chart, n, seed):
+    lo, hi = np.array(chart.sample_box.lo), np.array(chart.sample_box.hi)
+    rng = np.random.default_rng(seed)
+    return [tuple(float(x) for x in row) for row in lo + (hi - lo) * rng.random((n, 3))]
+
+
+@pytest.mark.parametrize("chart", _STENCIL_CHARTS, ids=lambda c: c.name)
+def test_stencil_array_matches_the_per_point_stencil(chart):
+    for q in _sample_points(chart, 100, 15):
+        r = cv.intrinsic_riemann(chart, q)
+        expected = _per_point_intrinsic_riemann(chart, q)
+        assert np.max(np.abs(r - expected)) <= 1e-9 * np.max(np.abs(expected))
+
+
+@pytest.mark.parametrize("chart", _STENCIL_CHARTS, ids=lambda c: c.name)
+def test_stacked_stencil_metrics_are_exactly_symmetric(chart):
+    for q in _sample_points(chart, 10, 16):
+        G = cv._stencil_metric(chart, q, 1e-3)
+        assert G.shape == (25, 3, 3)
+        assert np.array_equal(G, G.swapaxes(-1, -2))
+
+
+def test_stencil_tables():
+    E = np.eye(3, dtype=int)
+    assert cv.K.shape == (25, 3) and len({tuple(k) for k in cv.K.tolist()}) == 25
+    centres = cv.K[:7]
+    assert centres.tolist() == [
+        [0, 0, 0], [1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0], [0, 0, 1], [0, 0, -1]
+    ]
+    assert np.array_equal(cv.K[cv.PLUS], centres[:, None, :] + E)
+    assert np.array_equal(cv.K[cv.MINUS], centres[:, None, :] - E)
+    assert set(cv.PLUS.ravel()) | set(cv.MINUS.ravel()) == set(range(25))
+
+
 def test_singular_stencil_metric_raises_singular_metric():
     # u = 0.3 with h = 0.3 puts a stencil centre on u = 0, where the
     # t-partial vanishes and the metric is singular.

@@ -5,8 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cp2ricci.ambient import AmbientVector
 from cp2ricci.charts import perturbed_ruled_chart, ruled_chart, sphere_chart
-from cp2ricci.frames import RankDeficient, build_frame, frame_residuals, horizontalize
+from cp2ricci.frames import (
+    RankDeficient,
+    _horizontal_rows,
+    build_frame,
+    frame_residuals,
+    horizontalize,
+)
 
 
 def test_ruled_frame_invariants():
@@ -36,6 +43,19 @@ def test_coeffs_express_frame_in_horizontalized_partials():
     for i, e in enumerate(frame.tangent):
         rebuilt = sum((frame.coeffs[i, a] * ws[a].z for a in range(3)), np.zeros(3, complex))
         assert np.max(np.abs(rebuilt - e.z)) < 1e-12
+
+
+def test_batched_horizontal_rows_equal_the_per_point_projection():
+    rng = np.random.default_rng(21)
+    p = rng.normal(size=(25, 3)) + 1j * rng.normal(size=(25, 3))
+    p /= np.linalg.norm(p, axis=1)[:, None]
+    D = rng.normal(size=(25, 3, 3)) + 1j * rng.normal(size=(25, 3, 3))
+    W = _horizontal_rows(p, D)
+    assert W.shape == (25, 3, 6)
+    for k in range(25):
+        assert np.array_equal(W[k], _horizontal_rows(p[k], D[k]))
+        ws = [horizontalize(AmbientVector(w), AmbientVector(p[k])).z for w in D[k]]
+        assert np.max(np.abs(W[k] - np.array(ws).view(np.float64))) < 1e-15
 
 
 def test_frame_determinism():
