@@ -5,12 +5,10 @@ Points and tangents of the unit 5-sphere live in C^3 viewed as R^6 with
 the ambient complex structure: a real-linear isometry with i(i v) = -v.
 The fiber direction of the circle fibration at a point p is i p.
 
-``AmbientVector`` is the type of the chart interface (``SurfaceChart``
-evaluate and partials).  The numerical pipeline does not compute with these
-objects: it reads each one as the real 6-vector ``v.z.view(np.float64)``,
-which has the layout of ``real_components()``, and works on small stacked
-matrices.  A ``MovingFrame`` keeps its members as rows of one real array and
-builds an ``AmbientVector`` only when a member is read.
+Charts and the numerical pipeline compute with complex128 arrays and their
+real 6-vector views (the layout of ``real_components()``).  An
+``AmbientVector`` is built only for the point ``MovingFrame.p`` and when a
+member of a frame is read.
 """
 
 from __future__ import annotations
@@ -63,29 +61,9 @@ class AmbientVector:
     def norm(self) -> float:
         return float(np.linalg.norm(self.z))
 
-    def normalized(self) -> "AmbientVector":
-        n = self.norm()
-        if n == 0.0:
-            raise ZeroDivisionError("cannot normalize the zero vector")
-        return AmbientVector(self.z / n)
-
     def real_components(self) -> np.ndarray:
         """The six real scalars (Re c1, Im c1, Re c2, Im c2, Re c3, Im c3)."""
         return self.z.view(np.float64).copy()
-
-    def __add__(self, other: "AmbientVector") -> "AmbientVector":
-        return AmbientVector(self.z + other.z)
-
-    def __sub__(self, other: "AmbientVector") -> "AmbientVector":
-        return AmbientVector(self.z - other.z)
-
-    def __neg__(self) -> "AmbientVector":
-        return AmbientVector(-self.z)
-
-    def __mul__(self, s: float) -> "AmbientVector":
-        return AmbientVector(self.z * float(s))
-
-    __rmul__ = __mul__
 
     def __repr__(self) -> str:
         return f"AmbientVector({self.z[0]:.6g}, {self.z[1]:.6g}, {self.z[2]:.6g})"

@@ -17,10 +17,11 @@ Builtin families:
   inequality away from the classified cases.  The field's 18 modes are
   arrays, cosines stored as sines with phase pi/2, so one ``jet`` call gives
   the field and its three partials from one sin and one cos of the mode
-  arguments; point and partials are complex arrays until the return.
+  arguments.
 
 User charts: construct a ``SurfaceChart`` directly with your own callables;
-the only contract is unit norm, exact partials, and an honest singular flag.
+the only contract is fresh complex128 arrays (see ``SurfaceChart``), unit
+norm, exact partials, and an honest singular flag.
 """
 
 from __future__ import annotations
@@ -30,8 +31,6 @@ from dataclasses import dataclass
 from typing import Callable, Iterator
 
 import numpy as np
-
-from .ambient import AmbientVector
 
 # Parameter points closer than this (in min |sin|, |cos| of the degenerate
 # trig factor) to a coordinate singularity are flagged.
@@ -65,11 +64,16 @@ class Box:
 
 @dataclass(frozen=True)
 class SurfaceChart:
-    """A hypersurface lift: evaluation map, exact partials, domain, flags."""
+    """A hypersurface lift: evaluation map, exact partials, domain, flags.
+
+    ``evaluate(u, v, t)`` returns the unit point of C^3 as a fresh complex128
+    array of shape (3,); ``partials(u, v, t)`` returns the exact first
+    partials as a fresh complex128 array of shape (3, 3), row a being the
+    derivative along parameter a."""
 
     name: str
-    evaluate: Callable[[float, float, float], AmbientVector]
-    partials: Callable[[float, float, float], tuple[AmbientVector, AmbientVector, AmbientVector]]
+    evaluate: Callable[[float, float, float], np.ndarray]
+    partials: Callable[[float, float, float], np.ndarray]
     domain: Box
     sample_box: Box
     is_singular: Callable[[float, float, float], bool]
@@ -97,20 +101,13 @@ def ruled_chart() -> SurfaceChart:
     t-partial has vertical component sin^2 u.
     """
 
-    def evaluate(u: float, v: float, t: float) -> AmbientVector:
-        return AmbientVector(_ruled_point(u, v, t))
-
-    def partials(u: float, v: float, t: float):
-        du, dv, dt = _ruled_partials(u, v, t)
-        return AmbientVector(du), AmbientVector(dv), AmbientVector(dt)
-
     def is_singular(u: float, v: float, t: float) -> bool:
         return min(abs(math.sin(u)), abs(math.cos(u))) < SINGULAR_MARGIN
 
     return SurfaceChart(
         name="ruled",
-        evaluate=evaluate,
-        partials=partials,
+        evaluate=_ruled_point,
+        partials=_ruled_partials,
         domain=Box((-math.pi / 2, 0.0, 0.0), (math.pi / 2, 2 * math.pi, 2 * math.pi)),
         sample_box=Box((0.3, 0.1, 0.1), (1.2, 6.1, 6.1)),
         is_singular=is_singular,
@@ -130,21 +127,17 @@ def sphere_chart(r: float) -> SurfaceChart:
         raise ValueError(f"radius must lie in (0, pi/2), got {r}")
     cr, sr = math.cos(r), math.sin(r)
 
-    def evaluate(phi: float, s: float, t: float) -> AmbientVector:
-        return AmbientVector.of(
-            cr * complex(math.cos(phi), math.sin(phi)),
-            sr * math.cos(s),
-            sr * math.sin(s) * complex(math.cos(t), math.sin(t)),
-        )
+    def evaluate(phi: float, s: float, t: float) -> np.ndarray:
+        eiphi, eit = complex(math.cos(phi), math.sin(phi)), complex(math.cos(t), math.sin(t))
+        return np.array([cr * eiphi, sr * math.cos(s), sr * math.sin(s) * eit])
 
-    def partials(phi: float, s: float, t: float):
+    def partials(phi: float, s: float, t: float) -> np.ndarray:
         eiphi = complex(math.cos(phi), math.sin(phi))
         eit = complex(math.cos(t), math.sin(t))
         cs, ss = math.cos(s), math.sin(s)
-        dphi = AmbientVector.of(1j * cr * eiphi, 0.0, 0.0)
-        ds = AmbientVector.of(0.0, -sr * ss, sr * cs * eit)
-        dt = AmbientVector.of(0.0, 0.0, 1j * sr * ss * eit)
-        return dphi, ds, dt
+        return np.array(
+            [[1j * cr * eiphi, 0.0, 0.0], [0.0, -sr * ss, sr * cs * eit], [0.0, 0.0, 1j * sr * ss * eit]]
+        )
 
     def is_singular(phi: float, s: float, t: float) -> bool:
         return min(abs(math.sin(s)), abs(math.cos(s))) < SINGULAR_MARGIN
@@ -209,31 +202,30 @@ def perturbed_ruled_chart(epsilon: float, seed: int = 0) -> SurfaceChart:
     n = y/|y|, so the result is again an exact chart.  |y| is a scaled norm
     (``math.hypot``) and |y|^3 is never formed, so any finite y is
     normalized.  Where |y| is not a positive finite number (a non-finite
-    epsilon, say), point and partials are NaN vectors, found by one scalar
-    test instead of a division.  With epsilon = 0 this is the ruled chart
-    itself.
+    epsilon, say), point and partials are fresh NaN arrays, found by one
+    scalar test instead of a division.  With epsilon = 0 this is the ruled
+    chart itself.
     """
     base = ruled_chart()
     field = _TrigField(seed)
     eps = float(epsilon)
-    nan_vector = AmbientVector(np.full(3, complex(math.nan, math.nan)))
+    nan = complex(math.nan, math.nan)
 
-    def evaluate(u: float, v: float, t: float) -> AmbientVector:
+    def evaluate(u: float, v: float, t: float) -> np.ndarray:
         y = _ruled_point(u, v, t) + eps * field.value((u, v, t))
         ny = math.hypot(*y.view(np.float64).tolist())
-        return AmbientVector(y / ny) if 0.0 < ny < math.inf else nan_vector
+        return y / ny if 0.0 < ny < math.inf else np.full(3, nan)
 
-    def partials(u: float, v: float, t: float):
+    def partials(u: float, v: float, t: float) -> np.ndarray:
         f, df = field.jet((u, v, t))
         y = _ruled_point(u, v, t) + eps * f
         dy = _ruled_partials(u, v, t) + eps * df
         ny = math.hypot(*y.view(np.float64).tolist())
         if not 0.0 < ny < math.inf:
-            return nan_vector, nan_vector, nan_vector
+            return np.full((3, 3), nan)
         n = y / ny
         # <dy_a, n> is the real inner product: a dot of the real 6-vector views
-        du, dv, dt = (dy - dy.view(np.float64).dot(n.view(np.float64))[:, None] * n) / ny
-        return AmbientVector(du), AmbientVector(dv), AmbientVector(dt)
+        return (dy - dy.view(np.float64).dot(n.view(np.float64))[:, None] * n) / ny
 
     return SurfaceChart(
         name=f"perturbed-ruled:{epsilon:.12g},{seed}",

@@ -255,21 +255,37 @@ def cmd_symbolic(names: list[str] | None = None) -> list[CheckReport]:
     return reports
 
 
-def parse_surface(surface: str, epsilon: float, seed: int) -> SurfaceChart:
-    if surface == "ruled":
-        return ruled_chart()
-    if surface.startswith("sphere:"):
-        return sphere_chart(float(surface.split(":", 1)[1]))
-    if surface == "perturbed-ruled":
-        return perturbed_ruled_chart(epsilon, seed)
-    if surface.startswith("perturbed-ruled:"):
-        args = surface.split(":", 1)[1].split(",")
-        eps = float(args[0])
-        sd = int(args[1]) if len(args) > 1 else seed
-        return perturbed_ruled_chart(eps, sd)
-    raise ValueError(
-        f"unknown surface {surface!r}; use ruled, sphere:<r>, perturbed-ruled:<eps,seed>"
-    )
+def _unused(target: str, **options: Any) -> None:
+    """Raise ``ValueError`` naming every option given (not None) that
+    ``target`` does not use, so that none is silently ignored."""
+    given = [f"--{name}" for name, value in options.items() if value is not None]
+    if given:
+        raise ValueError(f"{target} does not use {', '.join(given)}")
+
+
+def parse_surface(surface: str, epsilon: float | None = None, seed: int | None = None) -> SurfaceChart:
+    """The chart named by ``surface``.  ``epsilon`` and ``seed`` (None when
+    not given, defaults 0.05 and 0) are options of
+    ``perturbed-ruled[:<eps>[,<seed>]]`` only; one given for another surface,
+    or differing from its inline value, is a ValueError."""
+    name, colon, inline = surface.partition(":")
+    if name == "perturbed-ruled":
+        args = inline.split(",") if colon else []
+        if len(args) > 2:
+            raise ValueError(f"perturbed-ruled takes <eps>,<seed>, got {inline!r}")
+        options = [epsilon, seed]
+        for k, text in enumerate(args):
+            value = (float, int)[k](text)
+            if options[k] not in (None, value):
+                raise ValueError(f"--{('epsilon', 'seed')[k]} {options[k]} conflicts with {surface!r}")
+            options[k] = value
+        return perturbed_ruled_chart(_given(options[0], 0.05), _given(options[1], 0))
+    if surface != "ruled" and not (name == "sphere" and colon):
+        raise ValueError(
+            f"unknown surface {surface!r}; use ruled, sphere:<r>, perturbed-ruled:<eps,seed>"
+        )
+    _unused(f"surface {surface!r}", epsilon=epsilon, seed=seed)
+    return ruled_chart() if surface == "ruled" else sphere_chart(float(inline))
 
 
 def scan_surface(chart: SurfaceChart, grid: int = 12, step: float = 1e-5) -> list[ScanRow]:
@@ -305,8 +321,8 @@ def cmd_scan(
     surface: str,
     grid: int = 12,
     step: float = 1e-5,
-    epsilon: float = 0.05,
-    seed: int = 0,
+    epsilon: float | None = None,
+    seed: int | None = None,
     bound: float = -1e-6,
 ) -> tuple[list[CheckReport], list[ScanRow]]:
     """Emit one row per grid point; every row must satisfy the deficit bound."""
@@ -425,7 +441,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_check = sub.add_parser("check", help="run a named verification suite")
     p_check.add_argument("target", choices=["ruled", "sphere", "tube"])
-    p_check.add_argument("--radius", type=float, default=math.pi / 4, help="sphere radius")
+    p_check.add_argument("--radius", type=float, default=None, help="sphere radius (pi/4)")
     _add_common(p_check)
 
     p_sym = sub.add_parser("symbolic", help="run exact polynomial checks")
@@ -439,8 +455,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_scan = sub.add_parser("scan", help="per-point curvature rows over a surface grid")
     p_scan.add_argument("surface", help="ruled | sphere:<r> | perturbed-ruled:<eps,seed>")
-    p_scan.add_argument("--epsilon", type=float, default=0.05)
-    p_scan.add_argument("--seed", type=int, default=0)
+    p_scan.add_argument("--epsilon", type=float, default=None, help="perturbed-ruled (0.05)")
+    p_scan.add_argument("--seed", type=int, default=None, help="perturbed-ruled (0)")
     p_scan.add_argument("--format", choices=["csv", "json"], default="csv")
     _add_common(p_scan)
 
@@ -464,6 +480,7 @@ def main(argv: list[str] | None = None) -> int:
     rows = None
     try:
         if args.command == "check" and args.target == "ruled":
+            _unused("check ruled", radius=args.radius)
             config = {
                 "grid": _given(args.grid, 16),
                 "step": _given(args.step, 1e-5),
@@ -473,7 +490,7 @@ def main(argv: list[str] | None = None) -> int:
             reports = cmd_check_ruled(config["grid"], config["step"], config["tol"])
         elif args.command == "check" and args.target == "sphere":
             config = {
-                "radius": args.radius,
+                "radius": _given(args.radius, math.pi / 4),
                 "grid": _given(args.grid, 8),
                 "step": _given(args.step, 1e-5),
                 "tol": _given(args.tol, 1e-6) * halve,
@@ -484,6 +501,7 @@ def main(argv: list[str] | None = None) -> int:
                 config["radius"], config["grid"], config["step"], config["tol"], config["eig_tol"]
             )
         elif args.command == "check":
+            _unused("check tube", radius=args.radius, grid=args.grid, step=args.step, tol=args.tol)
             config = {}
             reports = cmd_check_tube()
         elif args.command == "symbolic":

@@ -57,23 +57,26 @@ def ricci_quadratic(shape: ShapeData, x: np.ndarray) -> float:
     return float(2.0 * (x @ x) + 3.0 * (px @ px) + np.trace(shape.A) * (ax @ x) - ax @ ax)
 
 
-def _wedge(S: np.ndarray, T: np.ndarray) -> np.ndarray:
-    """[x, y, z, w] -> S[z, y] T[w, x] - S[z, x] T[w, y]."""
-    return np.einsum("zy,wx->xyzw", S, T) - np.einsum("zx,wy->xyzw", S, T)
+def _wedge(O: np.ndarray) -> np.ndarray:
+    """[x, y, z, w] -> S[z, y] T[w, x] - S[z, x] T[w, y] from the outer
+    product O[a, b, c, d] = S[a, b] T[c, d]."""
+    return O.transpose(3, 1, 0, 2) - O.transpose(1, 3, 0, 2)
 
 
 # The constant-curvature term of the Gauss equation, <Y,Z>X - <X,Z>Y.
-_WEDGE_EYE = _wedge(np.eye(3), np.eye(3))
+_WEDGE_EYE = _wedge(np.multiply.outer(np.eye(3), np.eye(3)))
 
 
 def _gauss_tensor(shape: ShapeData) -> np.ndarray:
-    """R[x, y, z, w] = <R(e_x, e_y) e_z, e_w>, all 81 frame components."""
+    """R[x, y, z, w] = <R(e_x, e_y) e_z, e_w>, all 81 frame components; the
+    P terms read one outer product P (x) P, the last as P[y, x] P[w, z]."""
     A, P = shape.A, shape.P
+    PP = np.multiply.outer(P, P)
     return (
         _WEDGE_EYE
-        + _wedge(P, P)
-        - 2.0 * np.einsum("yx,wz->xyzw", P, P)
-        + _wedge(A, A)
+        + _wedge(PP)
+        - 2.0 * PP.transpose(1, 0, 3, 2)
+        + _wedge(np.multiply.outer(A, A))
     )
 
 
@@ -172,8 +175,7 @@ class SingularMetric(RankDeficient):
 
 def induced_metric(chart: SurfaceChart, q: ParamTriple) -> np.ndarray:
     """Induced metric g_ab = <H dz_a, H dz_b> from exact partials."""
-    p = chart.evaluate(*q)
-    W = _horizontal_rows(p.z, np.array([w.z for w in chart.partials(*q)]))
+    W = _horizontal_rows(chart.evaluate(*q), chart.partials(*q))
     return W.dot(W.T)
 
 
@@ -225,8 +227,8 @@ def _stencil_metric(chart: SurfaceChart, q: ParamTriple, h: float) -> np.ndarray
         raise SingularMetric(
             f"chart {chart.name!r} at {q}: stencil centre in the singular locus"
         )
-    p = np.array([chart.evaluate(*x).z for x in params])
-    D = np.array([w.z for x in params for w in chart.partials(*x)]).reshape(25, 3, 3)
+    p = np.array([chart.evaluate(*x) for x in params])
+    D = np.array([chart.partials(*x) for x in params])
     W = _horizontal_rows(p, D)
     return W @ W.swapaxes(-1, -2)
 

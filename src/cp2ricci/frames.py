@@ -16,9 +16,9 @@ is completed by the unique horizontal unit normal n, read off the kernel of
 the skew matrix <i e_j, e_k>; its sign follows a deterministic rule so that
 runs are reproducible.
 
-``MovingFrame`` stores the real rows [i p, e_1, e_2, e_3, n] as one
-read-only (5, 6) array; ``AmbientVector`` views of them are built only when
-a member is read.
+``MovingFrame`` stores the point p as an ``AmbientVector`` and the real
+rows [i p, e_1, e_2, e_3, n] as one read-only (5, 6) array; ``AmbientVector``
+views of the rows are built only when a member is read.
 """
 
 from __future__ import annotations
@@ -46,9 +46,10 @@ def _horizontal_rows(p: np.ndarray, D: np.ndarray) -> np.ndarray:
     return D.view(np.float64)
 
 
-def horizontalize(w: AmbientVector, p: AmbientVector) -> AmbientVector:
-    """Project w onto the horizontal space at p (orthogonal to p and i p)."""
-    return AmbientVector(_horizontal_rows(p.z, w.z[None])[0].view(np.complex128))
+def horizontalize(w: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Project the complex 3-vector w onto the horizontal space at the unit
+    point p (orthogonal to p and i p), as a complex 3-vector."""
+    return _horizontal_rows(p, w[None])[0].view(np.complex128)
 
 
 def _inverse_cholesky(X: np.ndarray) -> np.ndarray:
@@ -112,12 +113,12 @@ def build_frame(
     rule, for sign-consistency experiments.
     """
     p = chart.evaluate(*q)
-    W = _horizontal_rows(p.z, np.array([w.z for w in chart.partials(*q)]))
+    W = _horizontal_rows(p, chart.partials(*q))
     C1 = _inverse_cholesky(W)
     E1 = C1.dot(W)
     C2 = _inverse_cholesky(E1)
     R = np.empty((5, 6))  # the rows [i p, e_1, e_2, e_3, n]
-    R[0] = (1j * p.z).view(np.float64)
+    R[0] = (1j * p).view(np.float64)
     E = R[1:4]
     C2.dot(E1, out=E)
     norm = float((W * E).sum(axis=1).min())
@@ -135,7 +136,7 @@ def build_frame(
     lead = int(abs(n).argmax())
     R[4] = (float(orient) / math.copysign(math.sqrt(n.dot(n)), n[lead])) * n
     R.setflags(write=False)
-    return MovingFrame(p=p, rows=R, coeffs=C2.dot(C1))
+    return MovingFrame(p=AmbientVector(p), rows=R, coeffs=C2.dot(C1))
 
 
 def frame_residuals(frame: MovingFrame) -> dict[str, float]:

@@ -106,7 +106,7 @@ def shape_operator(
     E, iE, n, i_n = R[1:4], iR[1:4], R[4], iR[4]
 
     # Vertical components of the chart partials at the center (exact).
-    W = np.array([w.z for w in chart.partials(*q)]).view(np.float64)
+    W = chart.partials(*q).view(np.float64)
     vert = W.dot(R[0])
 
     # Centered normal derivatives along the coordinate axes, each stencil

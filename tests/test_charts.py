@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cp2ricci.charts import (
+    SurfaceChart,
     _ruled_partials,
     _ruled_point,
     _TrigField,
@@ -14,6 +15,9 @@ from cp2ricci.charts import (
     ruled_chart,
     sphere_chart,
 )
+from cp2ricci.curvature import intrinsic_riemann
+from cp2ricci.frames import build_frame
+from cp2ricci.shape import shape_operator
 
 RULED_SAMPLES = [(0.6, 1.0, 2.0), (0.35, 5.9, 0.2), (1.1, 3.0, 4.5), (-0.8, 2.2, 1.3)]
 SPHERE_SAMPLES = [(0.3, 0.7, 0.4), (5.0, 1.1, 2.0), (2.0, 0.5, 5.5)]
@@ -26,24 +30,24 @@ def _fd_partials(chart, q, h=1e-5):
         qp[a] += h
         qm = list(q)
         qm[a] -= h
-        out.append((chart.evaluate(*qp).z - chart.evaluate(*qm).z) / (2 * h))
+        out.append((chart.evaluate(*qp) - chart.evaluate(*qm)) / (2 * h))
     return out
 
 
 def _check_chart_basics(chart, samples, tol_fd=1e-9):
     for q in samples:
         p = chart.evaluate(*q)
-        assert abs(p.norm() - 1.0) < 1e-14
+        assert abs(np.linalg.norm(p) - 1.0) < 1e-14
         parts = chart.partials(*q)
         for w in parts:
-            assert abs(w.real_inner(p)) < 1e-14  # derivative of unit norm
+            assert abs(np.vdot(p, w).real) < 1e-14  # derivative of unit norm
         for w, fd in zip(parts, _fd_partials(chart, q)):
-            assert np.max(np.abs(w.z - fd)) < tol_fd
+            assert np.max(np.abs(w - fd)) < tol_fd
 
 
 def test_ruled_chart_point_and_partials():
     chart = ruled_chart()
-    assert np.allclose(chart.evaluate(0.0, 0.0, 0.0).z, [1, 0, 0])
+    assert np.allclose(chart.evaluate(0.0, 0.0, 0.0), [1, 0, 0])
     _check_chart_basics(chart, RULED_SAMPLES)
 
 
@@ -53,16 +57,16 @@ def test_ruled_vertical_components():
     for u, v, t in RULED_SAMPLES:
         p = chart.evaluate(u, v, t)
         du, dv, dt = chart.partials(u, v, t)
-        ip = p.times_i()
-        assert abs(dt.real_inner(ip) - math.sin(u) ** 2) < 1e-14
-        assert abs(du.real_inner(ip)) < 1e-14
-        assert abs(dv.real_inner(ip)) < 1e-14
+        ip = 1j * p
+        assert abs(np.vdot(ip, dt).real - math.sin(u) ** 2) < 1e-14
+        assert abs(np.vdot(ip, du).real) < 1e-14
+        assert abs(np.vdot(ip, dv).real) < 1e-14
 
 
 def test_sphere_chart_point_and_partials():
     chart = sphere_chart(math.pi / 4)
     s2 = math.sqrt(2) / 2
-    assert np.allclose(chart.evaluate(0.0, math.pi / 4, 0.0).z, [s2, 0.5, 0.5])
+    assert np.allclose(chart.evaluate(0.0, math.pi / 4, 0.0), [s2, 0.5, 0.5])
     _check_chart_basics(chart, SPHERE_SAMPLES)
 
 
@@ -70,7 +74,7 @@ def test_sphere_first_component_modulus_is_cos_r():
     for r in (0.4, math.pi / 4, 1.2):
         chart = sphere_chart(r)
         for q in SPHERE_SAMPLES:
-            assert abs(abs(chart.evaluate(*q).c1) - math.cos(r)) < 1e-14
+            assert abs(abs(chart.evaluate(*q)[0]) - math.cos(r)) < 1e-14
 
 
 def test_sphere_phi_partial_vertical_component():
@@ -80,7 +84,7 @@ def test_sphere_phi_partial_vertical_component():
         for q in SPHERE_SAMPLES:
             p = chart.evaluate(*q)
             dphi = chart.partials(*q)[0]
-            assert abs(dphi.real_inner(p.times_i()) - math.cos(r) ** 2) < 1e-14
+            assert abs(np.vdot(1j * p, dphi).real - math.cos(r) ** 2) < 1e-14
 
 
 def test_sphere_radius_domain():
@@ -116,8 +120,8 @@ def test_perturbed_chart_is_exact_and_seeded():
     again = perturbed_ruled_chart(0.05, seed=123)
     other = perturbed_ruled_chart(0.05, seed=124)
     q = (0.6, 1.0, 2.0)
-    assert np.array_equal(chart.evaluate(*q).z, again.evaluate(*q).z)
-    assert not np.allclose(chart.evaluate(*q).z, other.evaluate(*q).z)
+    assert np.array_equal(chart.evaluate(*q), again.evaluate(*q))
+    assert not np.allclose(chart.evaluate(*q), other.evaluate(*q))
 
 
 @pytest.mark.parametrize("epsilon", [math.nan, math.inf])
@@ -126,18 +130,72 @@ def test_non_finite_perturbation_gives_nan_vectors_without_warnings(epsilon):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         vectors = [chart.evaluate(0.6, 1.0, 2.0), *chart.partials(0.6, 1.0, 2.0)]
-    assert all(np.isnan(w.z.view(np.float64)).all() for w in vectors)
+    assert all(np.isnan(w.view(np.float64)).all() for w in vectors)
+
+
+def test_builtin_charts_return_fresh_complex_arrays():
+    for chart, q in (
+        (ruled_chart(), RULED_SAMPLES[0]),
+        (sphere_chart(math.pi / 6), SPHERE_SAMPLES[0]),
+        (perturbed_ruled_chart(0.05, 3), RULED_SAMPLES[0]),
+        (perturbed_ruled_chart(math.nan, 0), RULED_SAMPLES[0]),
+    ):
+        for call, shape in ((chart.evaluate, (3,)), (chart.partials, (3, 3))):
+            first, second = call(*q), call(*q)
+            assert type(first) is np.ndarray, chart.name
+            assert first.dtype == np.complex128 and first.shape == shape, chart.name
+            assert not np.shares_memory(first, second), chart.name
+
+
+def test_nan_outputs_cannot_be_corrupted_through_a_returned_array():
+    chart = perturbed_ruled_chart(math.nan, 0)
+    q = RULED_SAMPLES[0]
+    for call in (chart.evaluate, chart.partials):
+        first = call(*q)
+        if first.flags.writeable:
+            first[...] = 0.0
+        assert np.isnan(call(*q).view(np.float64)).all()
 
 
 def test_zero_perturbation_is_the_ruled_chart():
     base = ruled_chart()
     chart = perturbed_ruled_chart(0.0, seed=5)
     for q in RULED_SAMPLES:
-        assert np.array_equal(base.evaluate(*q).z, _ruled_point(*q))
-        assert np.array_equal([w.z for w in base.partials(*q)], _ruled_partials(*q))
-        assert np.max(np.abs(chart.evaluate(*q).z - _ruled_point(*q))) < 1e-15
+        assert np.array_equal(base.evaluate(*q), _ruled_point(*q))
+        assert np.array_equal(base.partials(*q), _ruled_partials(*q))
+        assert np.max(np.abs(chart.evaluate(*q) - _ruled_point(*q))) < 1e-15
         for w, wb in zip(chart.partials(*q), _ruled_partials(*q)):
-            assert np.max(np.abs(w.z - wb)) < 1e-14
+            assert np.max(np.abs(w - wb)) < 1e-14
+
+
+def test_custom_array_chart_gives_the_builtin_results_exactly():
+    # The ruled map written as plain array lambdas, as a user chart would be.
+    base = ruled_chart()
+    cos, sin = math.cos, math.sin
+    custom = SurfaceChart(
+        name="custom-ruled",
+        evaluate=lambda u, v, t: np.array(
+            [cos(u) * cos(v), cos(u) * sin(v), sin(u) * complex(cos(t), sin(t))]
+        ),
+        partials=lambda u, v, t: np.array(
+            [
+                [-sin(u) * cos(v), -sin(u) * sin(v), cos(u) * complex(cos(t), sin(t))],
+                [-cos(u) * sin(v), cos(u) * cos(v), 0.0],
+                [0.0, 0.0, 1j * sin(u) * complex(cos(t), sin(t))],
+            ]
+        ),
+        domain=base.domain,
+        sample_box=base.sample_box,
+        is_singular=base.is_singular,
+    )
+    for q in RULED_SAMPLES:
+        a, b = build_frame(custom, q), build_frame(base, q)
+        assert np.array_equal(a.p.z, b.p.z)
+        assert np.array_equal(a.rows, b.rows) and np.array_equal(a.coeffs, b.coeffs)
+        sa, sb = shape_operator(custom, q), shape_operator(base, q)
+        assert np.array_equal(sa.A, sb.A) and np.array_equal(sa.P, sb.P)
+        assert np.array_equal(sa.xi, sb.xi)
+        assert np.array_equal(intrinsic_riemann(custom, q), intrinsic_riemann(base, q))
 
 
 class _LoopField:

@@ -168,14 +168,60 @@ def test_cli_strict_halves_tolerances(capsys):
 
 
 def test_parse_surface_variants():
-    assert cli.parse_surface("ruled", 0.05, 0).name == "ruled"
-    assert cli.parse_surface("sphere:0.5", 0.05, 0).name.startswith("sphere:0.5")
-    c = cli.parse_surface("perturbed-ruled:0.1,9", 0.05, 0)
-    assert c.name == "perturbed-ruled:0.1,9"
+    assert cli.parse_surface("ruled").name == "ruled"
+    assert cli.parse_surface("sphere:0.5").name.startswith("sphere:0.5")
+    assert cli.parse_surface("perturbed-ruled").name == "perturbed-ruled:0.05,0"
+    assert cli.parse_surface("perturbed-ruled:0.1,9").name == "perturbed-ruled:0.1,9"
+    assert cli.parse_surface("perturbed-ruled:0.1,9", 0.1, 9).name == "perturbed-ruled:0.1,9"
+    assert cli.parse_surface("perturbed-ruled:0.1", seed=9).name == "perturbed-ruled:0.1,9"
     c2 = cli.parse_surface("perturbed-ruled", 0.07, 3)
     assert c2.name == "perturbed-ruled:0.07,3"
     with pytest.raises(ValueError):
-        cli.parse_surface("torus", 0.05, 0)
+        cli.parse_surface("torus")
+
+
+@pytest.mark.parametrize(
+    "surface, epsilon, seed",
+    [
+        ("ruled", 0.05, None),
+        ("sphere:0.5", None, 0),
+        ("perturbed-ruled:0.05,3", 0.3, None),
+        ("perturbed-ruled:0.05,3", None, 9),
+        ("perturbed-ruled:0.05,3,4", None, None),
+    ],
+)
+def test_parse_surface_rejects_unused_or_conflicting_options(surface, epsilon, seed):
+    with pytest.raises(ValueError):
+        cli.parse_surface(surface, epsilon, seed)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["scan", "perturbed-ruled:0.05,3", "--epsilon", "0.3", "--seed", "9", "--grid", "2"],
+        ["scan", "perturbed-ruled:0.05,3", "--epsilon", "0.3", "--grid", "2"],
+        ["scan", "ruled", "--epsilon", "0.3", "--grid", "2"],
+        ["scan", "sphere:0.5", "--seed", "1", "--grid", "2"],
+        ["check", "tube", "--grid", "5", "--tol", "1e-30"],
+        ["check", "tube", "--step", "1e-4"],
+        ["check", "tube", "--radius", "0.5"],
+        ["check", "ruled", "--radius", "0.3"],
+    ],
+)
+def test_explicit_options_the_command_does_not_use_are_usage_errors(argv, capsys):
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+
+
+def test_explicit_perturbation_options_match_the_inline_form(tmp_path):
+    outs = [tmp_path / f"{k}.csv" for k in range(3)]
+    assert cli.main(["scan", "perturbed-ruled:0.05,3", "--grid", "2", "--out", str(outs[0])]) == 0
+    argv = ["scan", "perturbed-ruled", "--epsilon", "0.05", "--seed", "3", "--grid", "2"]
+    assert cli.main([*argv, "--out", str(outs[1])]) == 0
+    argv = ["scan", "perturbed-ruled:0.05", "--seed", "3", "--grid", "2"]
+    assert cli.main([*argv, "--out", str(outs[2])]) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes() == outs[2].read_bytes()
 
 
 def test_principal_deviation_sign_reporting():

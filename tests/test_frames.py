@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cp2ricci.ambient import AmbientVector
 from cp2ricci.charts import perturbed_ruled_chart, ruled_chart, sphere_chart
 from cp2ricci.frames import (
     RankDeficient,
@@ -41,7 +40,7 @@ def test_coeffs_express_frame_in_horizontalized_partials():
     p = chart.evaluate(*q)
     ws = [horizontalize(w, p) for w in chart.partials(*q)]
     for i, e in enumerate(frame.tangent):
-        rebuilt = sum((frame.coeffs[i, a] * ws[a].z for a in range(3)), np.zeros(3, complex))
+        rebuilt = sum((frame.coeffs[i, a] * ws[a] for a in range(3)), np.zeros(3, complex))
         assert np.max(np.abs(rebuilt - e.z)) < 1e-12
 
 
@@ -54,7 +53,7 @@ def test_batched_horizontal_rows_equal_the_per_point_projection():
     assert W.shape == (25, 3, 6)
     for k in range(25):
         assert np.array_equal(W[k], _horizontal_rows(p[k], D[k]))
-        ws = [horizontalize(AmbientVector(w), AmbientVector(p[k])).z for w in D[k]]
+        ws = [horizontalize(w, p[k]) for w in D[k]]
         assert np.max(np.abs(W[k] - np.array(ws).view(np.float64))) < 1e-15
 
 
@@ -102,7 +101,7 @@ def test_frame_invariants_and_bookkeeping_over_sample_boxes(chart, frac):
     assert res["orthonormality"] <= 1e-12
     assert res["normal_horizontality"] <= 1e-12
     p = chart.evaluate(*q)
-    ws = np.array([horizontalize(w, p).z for w in chart.partials(*q)])
+    ws = np.array([horizontalize(w, p) for w in chart.partials(*q)])
     for i, e in enumerate(frame.tangent):
         assert np.max(np.abs(frame.coeffs[i] @ ws - e.z)) <= 1e-12
     comps = frame.normal.real_components()
@@ -116,8 +115,8 @@ def _gram_schmidt_frame(chart, q, rank_tol=1e-8, orient=1):
     the rows [e_1, e_2, e_3], ``coeffs`` and the normal, all real."""
     p = chart.evaluate(*q)
     K = np.empty((5, 6))  # the known rows [p, i p, e_1, e_2, e_3]
-    K[:2] = np.array([p.z, 1j * p.z]).view(np.float64)
-    W = np.array([w.z for w in chart.partials(*q)]).view(np.float64)
+    K[:2] = np.array([p, 1j * p]).view(np.float64)
+    W = chart.partials(*q).view(np.float64)
     W = W - W.dot(K[:2].T).dot(K[:2])
     coeffs = np.zeros((3, 3))
     for a in range(3):
