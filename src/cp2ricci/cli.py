@@ -501,7 +501,10 @@ def main(argv: list[str] | None = None) -> int:
                 config["radius"], config["grid"], config["step"], config["tol"], config["eig_tol"]
             )
         elif args.command == "check":
-            _unused("check tube", radius=args.radius, grid=args.grid, step=args.step, tol=args.tol)
+            _unused(
+                "check tube", radius=args.radius, grid=args.grid, step=args.step, tol=args.tol,
+                strict=args.strict or None,
+            )
             config = {}
             reports = cmd_check_tube()
         elif args.command == "symbolic":

@@ -1,14 +1,19 @@
 """Sparse multivariate polynomials and polynomial fractions over exact rationals.
 
-Exponent vectors are tuples over a fixed ordered variable set.  Every stored
-coefficient is a Python ``int`` when it is integral and a reduced
-``fractions.Fraction`` with denominator > 1 otherwise (``_coeff`` is applied
-wherever a coefficient is created), so integer polynomials never pay for
-Fraction arithmetic.  Equality is structural: same ring, same term map; it is
-unaffected by the representation because ``Fraction(3) == 3`` and both print
-as ``3``.  ``constant_value`` and ``content`` still return ``Fraction``, so
-``1 / c`` stays exact.  The term order used for display and leading-term
-queries is graded lexicographic.
+A monomial is one packed ``int``: ``_WIDTH``-bit fields hold, most significant
+first, the total degree and the exponents of ``vars[0]``, ``vars[1]``, ...
+Each field's top bit is a guard bit, zero in a stored monomial, so an exponent
+or total degree is at most ``MAX_DEGREE = 2**(_WIDTH-1) - 1``; beyond it the
+constructor, ``*`` and ``**`` raise ``OverflowError`` instead of wrapping into
+the next field, and a negative exponent is a ``ValueError``.  Integer order is
+graded lexicographic order, a product of monomials is a sum, and one borrow
+test on the guard bits decides divisibility.  ``terms`` is keyed by packed
+monomials; the constructor takes, and every query returns, exponent tuples.
+Every stored coefficient is an ``int`` when integral and a reduced ``Fraction``
+with denominator > 1 otherwise (``_coeff`` is applied wherever a coefficient
+is created), so integer polynomials never pay for Fraction arithmetic, and
+since ``Fraction(3) == 3`` structural equality is unaffected.
+``constant_value`` and ``content`` still return ``Fraction``.
 """
 
 from __future__ import annotations
@@ -16,11 +21,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from operator import add, sub
 from typing import Mapping, Sequence
 
 Exponents = tuple[int, ...]
 Coeff = Fraction | int
+
+_WIDTH = 16
+MAX_DEGREE = (1 << (_WIDTH - 1)) - 1
+_FIELD = (1 << _WIDTH) - 1
 
 
 class ZeroDenominator(ZeroDivisionError):
@@ -39,15 +47,26 @@ def _quo(a: Coeff, b: Coeff) -> Coeff:
     return _coeff(Fraction(a, b))
 
 
-def _grlex(exps: Exponents) -> tuple[int, Exponents]:
-    return sum(exps), exps
+def _pack(exps: Exponents) -> int:
+    if min(exps, default=0) < 0:
+        raise ValueError(f"negative exponent in {exps}")
+    m = sum(exps)
+    if m > MAX_DEGREE:
+        raise OverflowError(f"total degree of {exps} exceeds {MAX_DEGREE}")
+    for e in exps:
+        m = (m << _WIDTH) | e
+    return m
+
+
+def _unpack(m: int, n: int) -> Exponents:
+    return tuple((m >> (_WIDTH * (n - 1 - i))) & _FIELD for i in range(n))
 
 
 class MPoly:
     """A polynomial in a fixed ordered set of variables.
 
-    ``terms`` maps exponent tuples to nonzero coefficients in stored form
-    (see the module docstring); zero coefficients are never stored, so
+    ``terms`` maps packed monomials (see the module docstring) to nonzero
+    coefficients in stored form; zero coefficients are never stored, so
     structural equality is semantic equality.
     """
 
@@ -55,16 +74,29 @@ class MPoly:
 
     def __init__(self, vars: Sequence[str], terms: Mapping[Exponents, Coeff] | None = None):
         self.vars = tuple(vars)
-        clean: dict[Exponents, Coeff] = {}
+        clean: dict[int, Coeff] = {}
         if terms:
             n = len(self.vars)
             for exps, c in terms.items():
                 if len(exps) != n:
                     raise ValueError(f"exponent tuple {exps} does not match {n} variables")
+                m = _pack(exps)
                 if c != 0:
                     c = c if isinstance(c, (int, Fraction)) else Fraction(c)
-                    clean[tuple(exps)] = _coeff(c)
+                    clean[m] = _coeff(c)
         self.terms = clean
+
+    @staticmethod
+    def _new(vars: tuple[str, ...], terms: dict[int, Coeff]) -> "MPoly":
+        """A polynomial on packed terms already in stored form."""
+        p = MPoly.__new__(MPoly)
+        p.vars = vars
+        p.terms = terms
+        return p
+
+    def _shift(self, name: str) -> int:
+        """Bit offset of the exponent field of ``name``."""
+        return _WIDTH * (len(self.vars) - 1 - self.vars.index(name))
 
     # -- constructors ------------------------------------------------------
 
@@ -89,7 +121,7 @@ class MPoly:
         return not self.terms
 
     def is_constant(self) -> bool:
-        return all(all(e == 0 for e in exps) for exps in self.terms)
+        return not any(self.terms)
 
     def constant_value(self) -> Fraction:
         if not self.is_constant():
@@ -97,32 +129,30 @@ class MPoly:
         return Fraction(next(iter(self.terms.values()), 0))
 
     def total_degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=-1)
+        return max(self.terms) >> (_WIDTH * len(self.vars)) if self.terms else -1
 
     def degree_in(self, name: str) -> int:
-        i = self.vars.index(name)
-        return max((e[i] for e in self.terms), default=-1)
+        s = self._shift(name)
+        return max(((m >> s) & _FIELD for m in self.terms), default=-1)
 
     def coeff_of(self, name: str, power: int) -> "MPoly":
         """Coefficient of ``name**power`` as a polynomial in the same ring."""
-        i = self.vars.index(name)
-        out: dict[Exponents, Coeff] = {}
-        for exps, c in self.terms.items():
-            if exps[i] == power:
-                reduced = list(exps)
-                reduced[i] = 0
-                out[tuple(reduced)] = c
-        return MPoly(self.vars, out)
+        s = self._shift(name)
+        drop = (power << s) + (power << (_WIDTH * len(self.vars)))
+        return MPoly._new(
+            self.vars, {m - drop: c for m, c in self.terms.items() if (m >> s) & _FIELD == power}
+        )
 
     def sorted_terms(self) -> list[tuple[Exponents, Coeff]]:
         """Terms in descending graded-lexicographic order."""
-        return sorted(self.terms.items(), key=lambda kv: _grlex(kv[0]), reverse=True)
+        n = len(self.vars)
+        return [(_unpack(m, n), c) for m, c in sorted(self.terms.items(), reverse=True)]
 
     def leading_term(self) -> tuple[Exponents, Coeff]:
         if not self.terms:
             raise ValueError("zero polynomial has no leading term")
-        lead = max(self.terms, key=_grlex)
-        return lead, self.terms[lead]
+        lead = max(self.terms)
+        return _unpack(lead, len(self.vars)), self.terms[lead]
 
     def content(self) -> Fraction:
         """Rational content: gcd of coefficients, signed by the leading term."""
@@ -130,7 +160,7 @@ class MPoly:
             return Fraction(0)
         cs = self.terms.values()
         cont = Fraction(gcd(*(c.numerator for c in cs)), lcm(*(c.denominator for c in cs)))
-        return cont if self.leading_term()[1] > 0 else -cont
+        return cont if self.terms[max(self.terms)] > 0 else -cont
 
     def primitive_part(self) -> "MPoly":
         if not self.terms:
@@ -156,24 +186,18 @@ class MPoly:
         if o is None:
             return NotImplemented
         out = dict(self.terms)
-        for exps, c in o.terms.items():
-            s = out.get(exps, 0) + c
+        for m, c in o.terms.items():
+            s = out.get(m, 0) + c
             if s:
-                out[exps] = _coeff(s)
+                out[m] = _coeff(s)
             else:
-                out.pop(exps, None)
-        p = MPoly.__new__(MPoly)
-        p.vars = self.vars
-        p.terms = out
-        return p
+                out.pop(m, None)
+        return MPoly._new(self.vars, out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "MPoly":
-        p = MPoly.__new__(MPoly)
-        p.vars = self.vars
-        p.terms = {e: -c for e, c in self.terms.items()}
-        return p
+        return MPoly._new(self.vars, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other) -> "MPoly":
         o = self._coerce(other)
@@ -191,35 +215,34 @@ class MPoly:
         if isinstance(other, (int, Fraction)):
             if other == 0:
                 return MPoly.zero(self.vars)
-            p = MPoly.__new__(MPoly)
-            p.vars = self.vars
-            p.terms = {e: _coeff(k * other) for e, k in self.terms.items()}
-            return p
+            return MPoly._new(self.vars, {m: _coeff(k * other) for m, k in self.terms.items()})
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        out: dict[Exponents, Coeff] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in o.terms.items():
-                e = tuple(map(add, e1, e2))
-                out[e] = out.get(e, 0) + c1 * c2
-        p = MPoly.__new__(MPoly)
-        p.vars = self.vars
-        p.terms = {e: _coeff(c) for e, c in out.items() if c}
-        return p
+        if self.total_degree() + o.total_degree() > MAX_DEGREE:
+            raise OverflowError(f"product degree exceeds {MAX_DEGREE}")
+        out: dict[int, Coeff] = {}
+        for m1, c1 in self.terms.items():
+            for m2, c2 in o.terms.items():
+                m = m1 + m2
+                out[m] = out.get(m, 0) + c1 * c2
+        return MPoly._new(self.vars, {m: _coeff(c) for m, c in out.items() if c})
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "MPoly":
         if not isinstance(n, int) or n < 0:
             raise ValueError("exponent must be a nonnegative integer")
+        if self.total_degree() * n > MAX_DEGREE:
+            raise OverflowError(f"power degree exceeds {MAX_DEGREE}")
         result = MPoly.const(1, self.vars)
         base = self
         while n:
             if n & 1:
                 result = result * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return result
 
     def __eq__(self, other) -> bool:
@@ -234,16 +257,14 @@ class MPoly:
     # -- calculus and substitution -------------------------------------------
 
     def derivative(self, name: str) -> "MPoly":
-        i = self.vars.index(name)
-        out: dict[Exponents, Coeff] = {}
-        for exps, c in self.terms.items():
-            k = exps[i]
-            if k == 0:
-                continue
-            e = list(exps)
-            e[i] = k - 1
-            out[tuple(e)] = c * k
-        return MPoly(self.vars, out)
+        s = self._shift(name)
+        unit = (1 << s) + (1 << (_WIDTH * len(self.vars)))
+        out: dict[int, Coeff] = {}
+        for m, c in self.terms.items():
+            k = (m >> s) & _FIELD
+            if k:
+                out[m - unit] = _coeff(c * k)
+        return MPoly._new(self.vars, out)
 
     def subs_poly(self, name: str, value: "MPoly | Coeff") -> "MPoly":
         """Substitute a polynomial (or constant) for a variable."""
@@ -281,9 +302,9 @@ class MPoly:
             raise ValueError(f"no value for variables {missing}")
         vals = [Fraction(point[v]) for v in self.vars]
         total = Fraction(0)
-        for exps, c in self.terms.items():
+        for m, c in self.terms.items():
             t = c
-            for x, k in zip(vals, exps):
+            for x, k in zip(vals, _unpack(m, len(vals))):
                 if k:
                     t *= x**k
             total += t
@@ -334,30 +355,28 @@ def exact_divide(p: MPoly, q: MPoly) -> MPoly | None:
     if q.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
     p._check_ring(q)
-    lead_q, c_q = q.leading_term()
-    deg_q = sum(lead_q)
-    tail = [(sum(e), e, c) for e, c in q.terms.items() if e != lead_q]
-    # The remainder is keyed by (degree, exponents), so max() is the leading term.
-    r = {_grlex(e): c for e, c in p.terms.items()}
-    quotient: dict[Exponents, Coeff] = {}
+    lead_q = max(q.terms)
+    c_q = q.terms[lead_q]
+    guards = ((1 << _WIDTH * (len(p.vars) + 1)) - 1) // _FIELD << (_WIDTH - 1)
+    tail = [(m, c) for m, c in q.terms.items() if m != lead_q]
+    r = dict(p.terms)
+    quotient: dict[int, Coeff] = {}
     while r:
         lead = max(r)
-        shift = tuple(map(sub, lead[1], lead_q))
-        if min(shift, default=0) < 0:
+        # Every field of lead_q fits under the matching field of lead exactly
+        # when no subtraction borrows its guard bit.
+        if ((lead | guards) - lead_q) & guards != guards:
             return None
+        shift = lead - lead_q
         t = quotient[shift] = _quo(r.pop(lead), c_q)
-        d = lead[0] - deg_q
-        for deg, e, c in tail:
-            key = (deg + d, tuple(map(add, e, shift)))
-            s = r.get(key, 0) - t * c
+        for m, c in tail:
+            m += shift
+            s = r.get(m, 0) - t * c
             if s:
-                r[key] = _coeff(s)
+                r[m] = _coeff(s)
             else:
-                r.pop(key, None)
-    out = MPoly.__new__(MPoly)
-    out.vars = p.vars
-    out.terms = quotient
-    return out
+                r.pop(m, None)
+    return MPoly._new(p.vars, quotient)
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,8 @@
 The Sylvester matrix is built with the first polynomial's coefficient rows on
 top; its determinant is computed by one-step Bareiss elimination, which keeps
 every intermediate entry inside the polynomial ring (all divisions are exact).
+Sylvester matrices are sparse, so an update skips each product with a zero
+factor, and skips the division when both products vanish.
 """
 
 from __future__ import annotations
@@ -40,8 +42,7 @@ def bareiss_det(matrix: list[list[MPoly]]) -> MPoly:
     if any(len(row) != n for row in matrix):
         raise ValueError("matrix is not square")
     m = [row[:] for row in matrix]
-    one = MPoly.const(1, vars_)
-    prev = one
+    prev = MPoly.const(1, vars_)
     sign = 1
     for k in range(n - 1):
         if m[k][k].is_zero():
@@ -50,13 +51,21 @@ def bareiss_det(matrix: list[list[MPoly]]) -> MPoly:
                 return MPoly.zero(vars_)
             m[k], m[pivot_row] = m[pivot_row], m[k]
             sign = -sign
+        pivot = m[k][k]
         for i in range(k + 1, n):
+            a = m[i][k]
             for j in range(k + 1, n):
-                num = m[i][j] * m[k][k] - m[i][k] * m[k][j]
+                b, c = m[i][j], m[k][j]
+                if a.terms and c.terms:
+                    num = b * pivot - a * c if b.terms else -(a * c)
+                elif b.terms:
+                    num = b * pivot
+                else:
+                    continue  # both products vanish: the entry stays zero
                 q = exact_divide(num, prev)
                 assert q is not None, "Bareiss division must be exact"
                 m[i][j] = q
-        prev = m[k][k]
+        prev = pivot
     det = m[n - 1][n - 1]
     return det if sign == 1 else -det
 

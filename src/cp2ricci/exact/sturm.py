@@ -33,26 +33,6 @@ def is_zero(p: UPoly) -> bool:
     return not p
 
 
-def neg(p: UPoly) -> UPoly:
-    return [-c for c in p]
-
-
-def scale(p: UPoly, k: Fraction) -> UPoly:
-    return _trim([c * k for c in p])
-
-
-def mul(p: UPoly, q: UPoly) -> UPoly:
-    if is_zero(p) or is_zero(q):
-        return []
-    out = [Fraction(0)] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a == 0:
-            continue
-        for j, b in enumerate(q):
-            out[i + j] += a * b
-    return _trim(out)
-
-
 def divmod_poly(p: UPoly, q: UPoly) -> tuple[UPoly, UPoly]:
     if is_zero(q):
         raise ZeroDivisionError("division by zero polynomial")
@@ -85,7 +65,7 @@ def eval_at(p: UPoly, x: Fraction) -> Fraction:
 def monic(p: UPoly) -> UPoly:
     if is_zero(p):
         return p
-    return scale(p, 1 / p[-1])
+    return [c / p[-1] for c in p]
 
 
 def gcd(p: UPoly, q: UPoly) -> UPoly:
@@ -113,7 +93,7 @@ def sturm_chain(p: UPoly) -> list[UPoly]:
         _, r = divmod_poly(chain[-2], chain[-1])
         if is_zero(r):
             break
-        chain.append(neg(r))
+        chain.append([-c for c in r])
     return [c for c in chain if not is_zero(c)]
 
 

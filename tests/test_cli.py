@@ -206,6 +206,7 @@ def test_parse_surface_rejects_unused_or_conflicting_options(surface, epsilon, s
         ["check", "tube", "--step", "1e-4"],
         ["check", "tube", "--radius", "0.5"],
         ["check", "ruled", "--radius", "0.3"],
+        ["check", "tube", "--strict"],
     ],
 )
 def test_explicit_options_the_command_does_not_use_are_usage_errors(argv, capsys):

@@ -4,7 +4,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cp2ricci.exact.mpoly import MPoly, RationalExpr, ZeroDenominator, exact_divide, variables
+from cp2ricci.exact.mpoly import (
+    MAX_DEGREE,
+    MPoly,
+    RationalExpr,
+    ZeroDenominator,
+    exact_divide,
+    variables,
+)
 
 X, Y, Z = variables("x y z")
 VARS = ("x", "y", "z")
@@ -82,7 +89,7 @@ def _stored_form(p):
 @given(mpolys(), mpolys(), mpolys(integral=True), st.integers(0, 3))
 def test_coefficients_are_int_when_integral(p, q, n, k):
     results = [p + q, p - q, p * q, p * n, n * n, p**k, n**k]
-    results += [p.subs_poly("x", q), n.subs_poly("y", n)]
+    results += [p.subs_poly("x", q), n.subs_poly("y", n), p.derivative("x"), n.derivative("z")]
     for divisor in (q, n):
         if not divisor.is_zero():
             results += [exact_divide(p * divisor, divisor), exact_divide(n * divisor, divisor)]
@@ -174,3 +181,82 @@ def test_mixed_ring_rejected():
     a, = variables("a")
     with pytest.raises(ValueError):
         _ = X + a
+
+
+@st.composite
+def exponents(draw, cap=MAX_DEGREE):
+    """An exponent tuple in x, y, z of total degree at most ``cap``."""
+    e = []
+    for _ in VARS:
+        e.append(draw(st.integers(0, cap - sum(e))))
+    return tuple(draw(st.permutations(e)))
+
+
+@st.composite
+def term_maps(draw, cap=MAX_DEGREE):
+    """A tuple-keyed term map whose exponents reach up to the field limit."""
+    keys = draw(st.lists(exponents(cap), max_size=6, unique=True))
+    return {e: Fraction(draw(st.integers(-9, 9)), draw(st.integers(1, 9))) for e in keys}
+
+
+def _grlex(exps):
+    return sum(exps), exps
+
+
+@settings(max_examples=100, deadline=None)
+@given(term_maps())
+def test_term_order_is_tuple_grlex(terms):
+    p = MPoly(VARS, terms)
+    expected = sorted(((e, c) for e, c in terms.items() if c), key=lambda t: _grlex(t[0]))[::-1]
+    assert p.sorted_terms() == expected
+    if expected:
+        assert p.leading_term() == expected[0]
+        assert p.total_degree() == sum(expected[0][0])
+    for i, v in enumerate(VARS):
+        assert p.degree_in(v) == max((e[i] for e, _ in expected), default=-1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(mpolys(), term_maps(cap=MAX_DEGREE - 9), st.fractions(-9, 9, max_denominator=9))
+def test_exact_divide_near_the_field_limit(q, t_terms, c):
+    # mpolys() has total degree at most 9, so q * t stays within the field.
+    t = MPoly(VARS, t_terms)
+    if q.is_zero():
+        return
+    assert exact_divide(q * t, q) == t
+    if not q.is_constant() and c != 0:
+        assert exact_divide(q * t + c, q) is None
+
+
+@settings(max_examples=100, deadline=None)
+@given(exponents(), exponents())
+def test_monomial_divisibility_is_fieldwise(a, b):
+    got = exact_divide(MPoly(VARS, {a: 3}), MPoly(VARS, {b: 2}))
+    if all(x >= y for x, y in zip(a, b)):
+        assert got == MPoly(VARS, {tuple(x - y for x, y in zip(a, b)): Fraction(3, 2)})
+    else:
+        assert got is None
+
+
+def test_negative_exponent_is_rejected():
+    with pytest.raises(ValueError):
+        MPoly(("x", "y"), {(-1, 2): 3})
+    with pytest.raises(ValueError):
+        MPoly(VARS, {(2, 0, -1): 0})
+
+
+def test_degrees_beyond_the_field_overflow_instead_of_wrapping():
+    top = MPoly(VARS, {(MAX_DEGREE, 0, 0): 1})
+    assert top.leading_term() == ((MAX_DEGREE, 0, 0), 1)
+    assert repr(X ** (MAX_DEGREE - 1) * Y) == f"x^{MAX_DEGREE - 1}*y"
+    for exps in [(MAX_DEGREE + 1, 0, 0), (0, 0, MAX_DEGREE + 1), (MAX_DEGREE, 1, 0), (1 << 40, 0, 0)]:
+        with pytest.raises(OverflowError):
+            MPoly(VARS, {exps: 1})
+    for a, b in [(top, X), (top, Z + 1), (Y ** (MAX_DEGREE - 2) * Z, Y * Z)]:
+        with pytest.raises(OverflowError):
+            a * b
+    for base, n in [(X, MAX_DEGREE + 1), (X * Y, MAX_DEGREE // 2 + 1), (Z**2 + 1, MAX_DEGREE)]:
+        with pytest.raises(OverflowError):
+            base**n
+    assert (X * Y) ** (MAX_DEGREE // 2) == MPoly(VARS, {(MAX_DEGREE // 2,) * 2 + (0,): 1})
+    assert MPoly.zero(VARS) ** (MAX_DEGREE + 1) == MPoly.zero(VARS)

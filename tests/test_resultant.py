@@ -124,3 +124,25 @@ def test_resultant_commutes_with_evaluation():
         evaluated = sylvester_resultant(specialize(p), specialize(q), "x").constant_value()
         assert full == evaluated
         done += 1
+
+
+def test_bareiss_matches_cofactor_on_random_sparse_matrices():
+    # Half the entries are zero, so every zero-product skip in bareiss_det is
+    # taken; some matrices start on a zero pivot and some are singular.
+    rng = random.Random(11)
+    zero = MPoly.zero(VARS)
+    swaps = singular = 0
+    for trial in range(40):
+        n = rng.randint(2, 5)
+        m = [[_random_entry(rng) if rng.random() < 0.5 else zero for _ in range(n)]
+             for _ in range(n)]
+        if trial % 4 == 1:
+            m[0][0] = zero
+            m[rng.randrange(1, n)][0] = X + 1
+        if trial % 4 == 2:
+            m[1] = [2 * e for e in m[0]]
+        det = bareiss_det(m)
+        assert det == cofactor_det(m)
+        swaps += m[0][0].is_zero()
+        singular += det.is_zero()
+    assert swaps >= 10 and singular >= 10
