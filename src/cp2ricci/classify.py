@@ -6,7 +6,7 @@ the point is certified when the shape operator in this basis has vanishing
 (1,3) and (2,3) entries and trace balance a11 + a22 = a33; those two residuals
 are what ``equality_basis`` reports.  ``ruled_check`` measures the distance of
 the shape operator from the ruled normal form A xi = alpha xi + beta U,
-A U = beta xi, A W = 0, optionally with minimality (alpha = tr A = 0).
+A U = beta xi, A W = 0, with minimality (alpha = tr A = 0).
 
 For Hopf models the equality condition is solved in closed form:
 ``hopf_equality_radii`` returns the geodesic-sphere radius (analytically
@@ -78,23 +78,21 @@ def equality_basis(shape: ShapeData, tol: float = 1e-6) -> EqualityBasisReport:
     )
 
 
-def ruled_check(shape: ShapeData, tol: float = 1e-6, minimal: bool = True) -> float:
-    """Residual of the ruled normal form at a non-Hopf point.
+def ruled_check(shape: ShapeData, tol: float = 1e-6) -> float:
+    """Residual of the minimal ruled normal form at a non-Hopf point.
 
     With U = (A xi - alpha xi)/beta and W = P U (a unit vector orthogonal to
-    xi and U), returns max(|A U - beta xi|, |A W|) and, in minimal mode, also
-    |alpha| and |tr A|.
+    xi and U), returns max(|A U - beta xi|, |A W|, |alpha|, |tr A|).
     """
     basis = _adapted_basis(shape, tol)
     _, u, w = basis
     beta = shape.hopf_defect
-    res = max(
+    return max(
         float(np.linalg.norm(shape.A @ u - beta * shape.xi)),
         float(np.linalg.norm(shape.A @ w)),
+        abs(shape.alpha),
+        abs(float(np.trace(shape.A))),
     )
-    if minimal:
-        res = max(res, abs(shape.alpha), abs(float(np.trace(shape.A))))
-    return res
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from typing import Any, Callable, Iterator
+from typing import Any, Callable
 
 import numpy as np
 
@@ -48,32 +48,42 @@ def _report(name: str, ok: bool, residual: float | str, **details: Any) -> Check
     )
 
 
-def _grid_reduce(reduce: Callable[..., float], values: list[float]) -> float:
-    """``reduce`` (max or min) over per-point values: NaN when any value is
-    NaN, so a non-finite point fails its check, and ``inf`` over no point."""
-    if any(math.isnan(x) for x in values):
-        return math.nan
-    return reduce(values, default=math.inf)
+def _worst(column: np.ndarray, reduce: Callable[[np.ndarray], Any] = np.max) -> float:
+    """``reduce`` (max or min) of a column over its computed points: NaN when
+    any value is NaN, so a non-finite point fails its check, and ``inf`` over
+    no point."""
+    return float(reduce(column)) if column.size else math.inf
 
 
-def _grid_max(values: list[float]) -> float:
-    return _grid_reduce(max, values)
+def _grid_table(
+    chart: SurfaceChart,
+    grid: int,
+    step: float,
+    row: Callable[[ParamTriple, ShapeData], list[float]],
+    width: int,
+) -> tuple[list[ParamTriple], np.ndarray, np.ndarray]:
+    """The one grid walk: (params, flags, values) over ``chart``'s sample box.
 
-
-def _grid_shapes(
-    chart: SurfaceChart, grid: int, step: float
-) -> Iterator[tuple[ParamTriple, ShapeData | str]]:
-    """(q, shape data or flag) at each grid point.  The flag is ``singular``
-    in the chart's declared singular locus, where nothing is computed, and
-    otherwise the class name of a numerical failure of ``shape_operator``."""
-    for q in chart.sample_box.grid(grid):
+    At each grid point ``row(q, shape)`` fills one row of the (N, width)
+    float array ``values`` and the flag is ``ok``.  At a point in the chart's
+    declared singular locus nothing is computed and the flag is
+    ``singular``; where ``shape_operator`` or ``row`` fails numerically it
+    is ``RankDeficient`` (a ``SingularMetric`` too) or ``AsymmetryExceeded``.
+    A flagged row is NaN."""
+    params = list(chart.sample_box.grid(grid))
+    flags = np.full(len(params), "ok", dtype=object)
+    values = np.full((len(params), width), math.nan)
+    for k, q in enumerate(params):
         if chart.is_singular(*q):
-            yield q, "singular"
+            flags[k] = "singular"
             continue
         try:
-            yield q, shape_operator(chart, q, h=step)
-        except (RankDeficient, AsymmetryExceeded) as exc:
-            yield q, type(exc).__name__
+            values[k] = row(q, shape_operator(chart, q, h=step))
+        except RankDeficient:
+            flags[k] = "RankDeficient"
+        except AsymmetryExceeded:
+            flags[k] = "AsymmetryExceeded"
+    return params, flags, values
 
 
 def _on_grid(chart: SurfaceChart, reports: list[CheckReport]) -> list[CheckReport]:
@@ -88,40 +98,30 @@ def cmd_check_ruled(grid: int = 16, step: float = 1e-5, tol: float = 1e-6) -> li
     """Grid maxima of deficit, trace, alpha, and the classification residuals
     over the default ruled box, plus the grid minimum of the Hopf defect over
     every point with a shape operator (Hopf points included; ``inf`` when
-    there is none, which makes that residual ``inf`` too).  Every grid
-    maximum is ``inf`` over no computed point and NaN if any point is NaN.
-    A flagged point (see ``_grid_shapes``) or a Hopf point is an error."""
+    there is none, which makes that residual ``inf`` too).  A Hopf point has
+    no classification residuals.  Every grid maximum is ``inf`` over no
+    computed point and NaN if any point is NaN.  A flagged point (see
+    ``_grid_table``) or a Hopf point is an error."""
     chart = ruled_chart()
-    defects: list[float] = []
-    deficits: list[float] = []
-    traces: list[float] = []
-    alphas: list[float] = []
-    blocks: list[float] = []
-    trace_residuals: list[float] = []
-    ruled: list[float] = []
-    errors = 0
-    for _, s in _grid_shapes(chart, grid, step):
-        if isinstance(s, str):
-            errors += 1
-            continue
-        defects.append(s.hopf_defect)
-        deficits.append(abs(cv.deficit(s)))
-        traces.append(abs(float(np.trace(s.A))))
-        alphas.append(abs(s.alpha))
+
+    def row(q: ParamTriple, s: ShapeData) -> list[float]:
+        # The last column is 1 where the classification residuals exist.
         try:
             eq = cl.equality_basis(s, tol=tol)
-            blocks.append(eq.block_residual)
-            trace_residuals.append(eq.trace_residual)
-            ruled.append(cl.ruled_check(s, tol=tol, minimal=True))
+            residuals = [eq.block_residual, eq.trace_residual, cl.ruled_check(s, tol=tol), 1.0]
         except cl.HopfPoint:
-            errors += 1
-    min_defect = _grid_reduce(min, defects)
-    max_deficit, max_trace, max_alpha, max_block, max_trace_res, max_ruled = map(
-        _grid_max, (deficits, traces, alphas, blocks, trace_residuals, ruled)
-    )
-    max_basis = _grid_max([max_block, max_trace_res])
-    n_points = grid**3
-    common = {"grid": grid, "points": n_points, "errors": errors}
+            residuals = [math.nan, math.nan, math.nan, 0.0]
+        trace = abs(float(np.trace(s.A)))
+        return [s.hopf_defect, abs(cv.deficit(s)), trace, abs(s.alpha), *residuals]
+
+    _, flags, t = _grid_table(chart, grid, step, row, 8)
+    shaped, classified = t[flags == "ok"], t[t[:, 7] == 1.0]
+    min_defect = _worst(shaped[:, 0], np.min)
+    max_deficit, max_trace, max_alpha = (_worst(shaped[:, k]) for k in (1, 2, 3))
+    max_block, max_trace_res, max_ruled = (_worst(classified[:, k]) for k in (4, 5, 6))
+    max_basis = _worst(classified[:, 4:6])
+    errors = len(t) - len(classified)
+    common = {"grid": grid, "points": len(t), "errors": errors}
     return _on_grid(chart, [
         _report("ruled_deficit", max_deficit < tol and errors == 0, max_deficit, **common),
         _report("ruled_minimality", max_trace < tol and errors == 0, max_trace, **common),
@@ -164,25 +164,20 @@ def cmd_check_sphere(
 ) -> list[CheckReport]:
     """Deficit against the closed-form sphere value, principal curvatures
     against the classical model, and vanishing Hopf defect.  A flagged point
-    (see ``_grid_shapes``) is an error."""
+    (see ``_grid_table``) is an error."""
     chart = sphere_chart(radius)
     expected = cv.geodesic_sphere_deficit(radius)
     model = cv.geodesic_sphere_curvatures(radius)
-    gaps: list[float] = []
-    eig_devs: list[float] = []
-    defects: list[float] = []
-    signs: set[int] = set()
-    errors = 0
-    for _, s in _grid_shapes(chart, grid, step):
-        if isinstance(s, str):
-            errors += 1
-            continue
-        gaps.append(abs(cv.deficit(s) - expected))
+
+    def row(q: ParamTriple, s: ShapeData) -> list[float]:
         dev, sign = _principal_deviation(np.linalg.eigvalsh(s.A), model)
-        signs.add(sign)
-        eig_devs.append(dev)
-        defects.append(s.hopf_defect)
-    max_gap, max_eig_dev, max_defect = map(_grid_max, (gaps, eig_devs, defects))
+        return [abs(cv.deficit(s) - expected), dev, s.hopf_defect, sign]
+
+    _, flags, t = _grid_table(chart, grid, step, row, 4)
+    shaped = t[flags == "ok"]
+    max_gap, max_eig_dev, max_defect = (_worst(shaped[:, k]) for k in range(3))
+    signs = np.unique(shaped[:, 3]).astype(int).tolist()
+    errors = len(t) - len(shaped)
     common = {"radius": radius, "grid": grid, "errors": errors}
     return _on_grid(chart, [
         _report(
@@ -197,7 +192,7 @@ def cmd_check_sphere(
             max_eig_dev < eig_tol and errors == 0,
             max_eig_dev,
             model=[float(x) for x in model],
-            normal_signs=sorted(signs),
+            normal_signs=signs,
             **common,
         ),
         _report("sphere_hopf", max_defect < 1e-8 and errors == 0, max_defect, **common),
@@ -288,33 +283,12 @@ def parse_surface(surface: str, epsilon: float | None = None, seed: int | None =
     return ruled_chart() if surface == "ruled" else sphere_chart(float(inline))
 
 
-def scan_surface(chart: SurfaceChart, grid: int = 12, step: float = 1e-5) -> list[ScanRow]:
-    """One row per grid point; a flagged point (see ``_grid_shapes``) is a
-    row of NaN fields carrying its flag."""
-    rows = []
-    for q, s in _grid_shapes(chart, grid, step):
-        if isinstance(s, str):
-            nan = float("nan")
-            rows.append(ScanRow(q[0], q[1], q[2], nan, nan, nan, nan, nan, nan, flags=s))
-            continue
-        ric = np.linalg.eigvalsh(cv.ricci_matrix(s))
-        max_ric = float(ric[-1])
-        mean_sq = s.mean_curvature**2
-        rows.append(
-            ScanRow(
-                u=q[0],
-                v=q[1],
-                theta=q[2],
-                max_ricci=max_ric,
-                mean_curv_sq=mean_sq,
-                deficit=2.25 * mean_sq + 5.0 - max_ric,
-                alpha=s.alpha,
-                hopf_defect=s.hopf_defect,
-                trace_a=float(np.trace(s.A)),
-                flags="ok",
-            )
-        )
-    return rows
+def _scan_row(q: ParamTriple, s: ShapeData) -> list[float]:
+    """maxRicci, meanCurvSq, deficit, alpha, hopfDefect and traceA at q."""
+    max_ric = cv.max_ricci(s)
+    mean_sq = s.mean_curvature**2
+    deficit = 2.25 * mean_sq + 5.0 - max_ric
+    return [max_ric, mean_sq, deficit, s.alpha, s.hopf_defect, float(np.trace(s.A))]
 
 
 def cmd_scan(
@@ -325,23 +299,25 @@ def cmd_scan(
     seed: int | None = None,
     bound: float = -1e-6,
 ) -> tuple[list[CheckReport], list[ScanRow]]:
-    """Emit one row per grid point; every row must satisfy the deficit bound."""
+    """Emit one row per grid point; every row must satisfy the deficit bound.
+    A flagged point (see ``_grid_table``) is a row of NaN fields carrying
+    its flag, and an error."""
     chart = parse_surface(surface, epsilon, seed)
-    rows = scan_surface(chart, grid=grid, step=step)
-    ok_rows = [r for r in rows if r.flags == "ok"]
-    n_err = len(rows) - len(ok_rows)
-    min_deficit = min((r.deficit for r in ok_rows), default=None)
-    max_deficit = max((r.deficit for r in ok_rows), default=None)
+    params, flags, values = _grid_table(chart, grid, step, _scan_row, 6)
+    rows = [ScanRow(*q, *v, flags=f) for q, f, v in zip(params, flags.tolist(), values.tolist())]
+    deficits = values[flags == "ok", 2]
+    errors = len(rows) - len(deficits)
+    low, high = (_worst(deficits, np.min), _worst(deficits)) if deficits.size else (None, None)
     report = _report(
         "scan_deficit_bound",
-        min_deficit is not None and min_deficit >= bound and n_err == 0,
-        math.inf if min_deficit is None else max(0.0, -min_deficit),
+        low is not None and low >= bound and errors == 0,
+        _worst(np.maximum(0.0, -deficits)),
         surface=chart.name,
         grid=grid,
         rows=len(rows),
-        errors=n_err,
-        min_deficit=min_deficit,
-        max_deficit=max_deficit,
+        errors=errors,
+        min_deficit=low,
+        max_deficit=high,
         bound=bound,
     )
     return [report], rows
@@ -350,18 +326,17 @@ def cmd_scan(
 def cmd_crosscheck(grid: int = 5, step: float = 1e-3, tol: float = 1e-4) -> list[CheckReport]:
     """Compare intrinsic and shape-based curvature tensors on coarse grids of
     both builtin charts, plus the holomorphic-plane curvature of the sphere.
-    A point whose stencil meets a singular metric (``SingularMetric``, a
-    ``RankDeficient``) counts as an error and fails its check."""
+    ``step`` is the metric stencil's; the shape operator keeps its default
+    step 1e-5.  A flagged point (see ``_grid_table``), including one whose
+    stencil meets a singular metric, counts as an error and fails its check."""
     reports = []
     for chart in (ruled_chart(), sphere_chart(math.pi / 4)):
-        gaps: list[float] = []
-        errors = 0
-        for q in chart.sample_box.grid(grid):
-            try:
-                gaps.append(cv.crosscheck_point(chart, q, h_metric=step))
-            except (RankDeficient, AsymmetryExceeded):
-                errors += 1
-        worst = _grid_max(gaps)
+        _, flags, gaps = _grid_table(
+            chart, grid, 1e-5, lambda q, s: [cv.crosscheck_point(chart, q, s, h_metric=step)], 1
+        )
+        computed = gaps[flags == "ok", 0]
+        errors = len(gaps) - len(computed)
+        worst = _worst(computed)
         reports.append(
             _report(
                 f"crosscheck_{chart.name.split(':')[0]}",
@@ -399,12 +374,7 @@ def _holomorphic_plane_curvature(step: float) -> float:
     s = shape_operator(chart, q)
     r_coord = cv.intrinsic_riemann(chart, q, h=step)
     g = cv.induced_metric(chart, q)
-    xi = s.xi
-    basis = np.eye(3)
-    x = basis[int(np.argmin(np.abs(xi)))]
-    x = x - (x @ xi) * xi
-    x /= np.linalg.norm(x)
-    y = np.cross(xi, x)
+    x, y = cv._plane_basis(s.xi)
     xc = s.frame.coeffs.T @ x
     yc = s.frame.coeffs.T @ y
     num = float(np.einsum("abcd,a,b,c,d->", r_coord, xc, yc, yc, xc))
@@ -450,7 +420,7 @@ def build_parser() -> argparse.ArgumentParser:
         nargs="*",
         help=f"subset to run (default all): {', '.join(ALL_CHECKS)}, or 'all'",
     )
-    p_sym.add_argument("--strict", action="store_true", help="accepted for symmetry; exact anyway")
+    p_sym.add_argument("--strict", action="store_true", help=argparse.SUPPRESS)
     p_sym.add_argument("--out", default=None)
 
     p_scan = sub.add_parser("scan", help="per-point curvature rows over a surface grid")
@@ -508,6 +478,7 @@ def main(argv: list[str] | None = None) -> int:
             config = {}
             reports = cmd_check_tube()
         elif args.command == "symbolic":
+            _unused("symbolic", strict=args.strict or None)
             names = [n for n in args.names if n != "all"] or None
             config = {"names": names or sorted(ALL_CHECKS)}
             reports = cmd_symbolic(names)

@@ -181,18 +181,21 @@ class MPoly:
             return MPoly.const(other, self.vars)
         return None
 
-    def __add__(self, other) -> "MPoly":
+    def _plus(self, other, negate: bool) -> "MPoly":
         o = self._coerce(other)
         if o is None:
             return NotImplemented
         out = dict(self.terms)
         for m, c in o.terms.items():
-            s = out.get(m, 0) + c
+            s = out.get(m, 0) + (-c if negate else c)
             if s:
                 out[m] = _coeff(s)
             else:
                 out.pop(m, None)
         return MPoly._new(self.vars, out)
+
+    def __add__(self, other) -> "MPoly":
+        return self._plus(other, False)
 
     __radd__ = __add__
 
@@ -200,10 +203,7 @@ class MPoly:
         return MPoly._new(self.vars, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other) -> "MPoly":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
+        return self._plus(other, True)
 
     def __rsub__(self, other) -> "MPoly":
         o = self._coerce(other)

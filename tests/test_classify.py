@@ -37,7 +37,7 @@ def test_equality_basis_rejects_hopf_points():
 def test_ruled_check_on_grid_minimal_mode():
     chart = ruled_chart()
     for q in chart.sample_box.grid(3):
-        assert cl.ruled_check(shape_operator(chart, q), minimal=True) < 1e-6
+        assert cl.ruled_check(shape_operator(chart, q)) < 1e-6
 
 
 def test_perturbed_points_break_equality_with_deficit_oracle():
@@ -67,7 +67,7 @@ def test_perturbed_ruled_residual_matches_direct_aw_norm():
     generic = 0
     for q in [(0.4, 1.0, 2.0), (0.8, 4.0, 0.5), (1.1, 2.5, 5.0)]:
         s = shape_operator(chart, q)
-        res = cl.ruled_check(s, minimal=True)
+        res = cl.ruled_check(s)
         rep = cl.equality_basis(s)
         w = rep.basis[2]
         direct = max(

@@ -207,6 +207,7 @@ def test_parse_surface_rejects_unused_or_conflicting_options(surface, epsilon, s
         ["check", "tube", "--radius", "0.5"],
         ["check", "ruled", "--radius", "0.3"],
         ["check", "tube", "--strict"],
+        ["symbolic", "--strict"],
     ],
 )
 def test_explicit_options_the_command_does_not_use_are_usage_errors(argv, capsys):
@@ -280,6 +281,19 @@ def test_ruled_hopf_check_without_any_shape_operator_is_infinite(monkeypatch):
     by_name = {r["checkName"]: r for r in doc["reports"]}
     assert by_name["ruled_hopf_defect_positive"]["maxAbsResidual"] is None
     assert by_name["ruled_hopf_defect_positive"]["details"]["grid_min_hopf_defect"] is None
+
+
+def test_ruled_check_counts_hopf_points_as_errors_without_classification(monkeypatch):
+    # Every point of a geodesic sphere is a Hopf point: it keeps its defect,
+    # deficit, trace and alpha but has no classification residuals.
+    monkeypatch.setattr(cli, "ruled_chart", lambda: sphere_chart(math.pi / 4))
+    reports = {r.name: r for r in cli.cmd_check_ruled(grid=2)}
+    assert all(r.status == "fail" and r.details["errors"] == 8 for r in reports.values())
+    for name in ("ruled_deficit", "ruled_minimality", "ruled_alpha", "ruled_hopf_defect_positive"):
+        assert math.isfinite(reports[name].max_abs_residual)
+    assert reports["ruled_minimality"].max_abs_residual > 1.0  # |tr A| = 2 at r = pi/4
+    for name in ("ruled_equality_basis", "ruled_form"):
+        assert reports[name].max_abs_residual == math.inf
 
 
 def _nan_at_second_call(value):
@@ -369,6 +383,18 @@ def test_scan_flags_declared_singular_points(monkeypatch):
         singular = row.u == 5e-4
         assert row.flags == ("singular" if singular else "ok")
         assert all(math.isnan(x) for x in row.values()[3:-1]) == singular
+
+
+@pytest.mark.parametrize("flagged", ["ruled", "sphere"])
+def test_crosscheck_counts_declared_singular_grid_points_as_errors(flagged, monkeypatch):
+    # Four of the eight grid points of one chart lie in its singular locus.
+    chart = _near_singular_box(ruled_chart() if flagged == "ruled" else sphere_chart(math.pi / 4))
+    monkeypatch.setattr(cli, f"{flagged}_chart", lambda *args: chart)
+    reports = cli.cmd_crosscheck(grid=2)
+    errors = {r.name: r.details.get("errors", 0) for r in reports}
+    assert errors.pop(f"crosscheck_{flagged}") == 4 and not any(errors.values())
+    assert [r.name for r in reports if r.status == "fail"] == [f"crosscheck_{flagged}"]
+    assert run_report("crosscheck", {}, reports)["summary"]["errors"] == 4
 
 
 def test_all_error_sphere_grid_reports_infinite_residuals(monkeypatch):
