@@ -3,68 +3,4 @@ projective plane: a numerical engine working through the circle-fibration
 lift to the unit 5-sphere, and an exact-rational symbolic engine for the
 equality-case elimination."""
 
-from .ambient import AmbientVector
-from .charts import Box, SurfaceChart, perturbed_ruled_chart, ruled_chart, sphere_chart
-from .classify import (
-    EqualityBasisReport,
-    HopfPoint,
-    HopfRadii,
-    NoRoot,
-    equality_basis,
-    hopf_equality_radii,
-    ruled_check,
-)
-from .curvature import (
-    CurvatureReport,
-    crosscheck_point,
-    curvature_report,
-    deficit,
-    geodesic_sphere_curvatures,
-    geodesic_sphere_deficit,
-    intrinsic_riemann,
-    max_ricci,
-    min_sectional,
-    ricci_matrix,
-    ricci_quadratic,
-    riemann_gauss,
-)
-from .frames import MovingFrame, RankDeficient, build_frame, horizontalize
-from .shape import AsymmetryExceeded, ShapeData, shape_operator
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "AmbientVector",
-    "AsymmetryExceeded",
-    "Box",
-    "CurvatureReport",
-    "EqualityBasisReport",
-    "HopfPoint",
-    "HopfRadii",
-    "MovingFrame",
-    "NoRoot",
-    "RankDeficient",
-    "ShapeData",
-    "SurfaceChart",
-    "build_frame",
-    "crosscheck_point",
-    "curvature_report",
-    "deficit",
-    "equality_basis",
-    "geodesic_sphere_curvatures",
-    "geodesic_sphere_deficit",
-    "hopf_equality_radii",
-    "horizontalize",
-    "intrinsic_riemann",
-    "max_ricci",
-    "min_sectional",
-    "perturbed_ruled_chart",
-    "ricci_matrix",
-    "ricci_quadratic",
-    "riemann_gauss",
-    "ruled_chart",
-    "ruled_check",
-    "shape_operator",
-    "sphere_chart",
-    "__version__",
-]

@@ -46,9 +46,6 @@ class Box:
     lo: tuple[float, float, float]
     hi: tuple[float, float, float]
 
-    def contains(self, q: ParamTriple) -> bool:
-        return all(l <= x <= h for l, x, h in zip(self.lo, q, self.hi))
-
     def axes(self, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         if n < 2:
             raise ValueError("grid size must be at least 2 per axis")

@@ -51,13 +51,6 @@ def riemann_gauss(shape: ShapeData, x: np.ndarray, y: np.ndarray, z: np.ndarray)
     )
 
 
-def ricci_quadratic(shape: ShapeData, x: np.ndarray) -> float:
-    """Closed-form S(X, X) = 2|X|^2 + 3|PX|^2 + tr(A)<AX,X> - |AX|^2."""
-    px = shape.P @ x
-    ax = shape.A @ x
-    return float(2.0 * (x @ x) + 3.0 * (px @ px) + np.trace(shape.A) * (ax @ x) - ax @ ax)
-
-
 def _wedge(O: np.ndarray) -> np.ndarray:
     """[x, y, z, w] -> S[z, y] T[w, x] - S[z, x] T[w, y] from the outer
     product O[a, b, c, d] = S[a, b] T[c, d]."""
@@ -124,17 +117,6 @@ def plane_curvature(shape: ShapeData, n: np.ndarray) -> float:
     return float(riemann_gauss(shape, x, y, y) @ x)
 
 
-def min_sectional(shape: ShapeData) -> tuple[float, np.ndarray]:
-    """Minimum sectional curvature over all tangent planes.
-
-    In dimension 3 the plane with unit normal n has K = tau/2 - Ric(n, n), so
-    the minimum is tau/2 - maxRic, attained on the plane normal to the top
-    Ricci eigenvector.  Returns the minimum and that plane normal.
-    """
-    eigs, vecs = np.linalg.eigh(ricci_matrix(shape))
-    return 0.5 * float(np.sum(eigs)) - float(eigs[-1]), vecs[:, -1]
-
-
 @dataclass(frozen=True)
 class CurvatureReport:
     """Pointwise curvature summary."""
@@ -150,11 +132,19 @@ class CurvatureReport:
 
 
 def curvature_report(shape: ShapeData) -> CurvatureReport:
+    """Ricci spectrum, deficit and delta(2) = tau/2 - min K at one point.
+
+    In dimension 3 the plane with unit normal n has K = tau/2 - Ric(n, n), so
+    the least sectional curvature lies on the plane normal to the top Ricci
+    eigenvector and delta(2) equals maxRic.  That K is evaluated through the
+    direct contraction of R (``plane_curvature``), not read off the Ricci
+    spectrum, so delta2 - max_ricci tests the Ricci tensor.
+    """
     eigs, vecs = np.linalg.eigh(ricci_matrix(shape))
     tau = float(np.sum(eigs))
     max_ric = float(eigs[-1])
     mean_sq = shape.mean_curvature**2
-    min_k = 0.5 * tau - max_ric  # as in min_sectional
+    min_k = plane_curvature(shape, vecs[:, -1])
     return CurvatureReport(
         ricci_eigenvalues=eigs,
         max_ricci=max_ric,

@@ -1,31 +1,2 @@
 """Exact-rational polynomial engine: arithmetic, resultants, root counts,
 and the symbolic verification suite."""
-
-from .mpoly import MPoly, RationalExpr, ZeroDenominator, exact_divide, variables
-from .resultant import (
-    DegenerateResultant,
-    bareiss_det,
-    cofactor_det,
-    sylvester_matrix,
-    sylvester_resultant,
-)
-from .sturm import sturm_count, upoly_from_mpoly
-from .checks import ALL_CHECKS, CheckOutcome, run_checks
-
-__all__ = [
-    "MPoly",
-    "RationalExpr",
-    "ZeroDenominator",
-    "exact_divide",
-    "variables",
-    "DegenerateResultant",
-    "bareiss_det",
-    "cofactor_det",
-    "sylvester_matrix",
-    "sylvester_resultant",
-    "sturm_count",
-    "upoly_from_mpoly",
-    "ALL_CHECKS",
-    "CheckOutcome",
-    "run_checks",
-]

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import identities as ids
-from .mpoly import MPoly, RationalExpr, exact_divide
+from .mpoly import MPoly, exact_divide
 from .resultant import sylvester_resultant
 from .sturm import sturm_count, upoly_from_mpoly
 
@@ -41,13 +41,32 @@ def _peel_monomial_factor(q: MPoly) -> tuple[Fraction, int, int] | None:
     return q.constant_value(), m, k
 
 
-def _kappa_residuals(k1: RationalExpr, k3: RationalExpr) -> tuple[MPoly, MPoly]:
-    res = []
-    for relation in (ids.KAPPA_RELATION_A, ids.KAPPA_RELATION_B):
-        r, _ = relation.subs_rational("kappa1", k1)
-        r = r.subs_rational("kappa3", k3)
-        res.append(r.num)
-    return res[0], res[1]
+def _cleared(relation: MPoly, k1: MPoly, k3: MPoly) -> MPoly:
+    """D^d * relation at kappa1 = k1 / D, kappa3 = k3 / D, with D = D_DENOM and
+    d the total degree of ``relation`` in (kappa1, kappa3): its term
+    c * kappa1^a * kappa3^b becomes c * k1^a * k3^b * D^(d - a - b), so the
+    result is a polynomial, and zero exactly when the relation holds, at any
+    degree."""
+    terms = []
+    for a in range(relation.degree_in("kappa1") + 1):
+        ca = relation.coeff_of("kappa1", a)
+        for b in range(ca.degree_in("kappa3") + 1):
+            c = ca.coeff_of("kappa3", b)
+            if not c.is_zero():
+                terms.append((c, a, b))
+    d = max((a + b for _, a, b in terms), default=0)
+    cleared = MPoly.zero(relation.vars)
+    for c, a, b in terms:
+        cleared = cleared + c * k1**a * k3**b * ids.D_DENOM ** (d - a - b)
+    return cleared
+
+
+def _kappa_residuals(k1: MPoly, k3: MPoly) -> tuple[MPoly, MPoly]:
+    """Both kappa relations cleared at the numerators k1, k3 over D_DENOM."""
+    return (
+        _cleared(ids.KAPPA_RELATION_A, k1, k3),
+        _cleared(ids.KAPPA_RELATION_B, k1, k3),
+    )
 
 
 def check_kappa() -> CheckOutcome:
@@ -62,8 +81,8 @@ def cleared_gauss_numerator() -> MPoly:
     """Numerator of the combined curvature relation after inserting the
     derivative rules (one power of the common denominator cleared)."""
     return (
-        ids.GAUSS_COEFF_DBETA * ids.E3_BETA.num
-        + ids.GAUSS_COEFF_DGAMMA * ids.E3_GAMMA.num
+        ids.GAUSS_COEFF_DBETA * ids.E3_BETA
+        + ids.GAUSS_COEFF_DGAMMA * ids.E3_GAMMA
         + ids.GAUSS_TAIL * ids.D_DENOM
     )
 
@@ -97,7 +116,7 @@ def derivative_along_e3_numerator() -> MPoly:
     """Cleared numerator of dF/de3 = F_beta * e3(beta) + F_gamma * e3(gamma)."""
     fb = ids.F_POLY.derivative("beta")
     fg = ids.F_POLY.derivative("gamma")
-    return fb * ids.E3_BETA.num + fg * ids.E3_GAMMA.num
+    return fb * ids.E3_BETA + fg * ids.E3_GAMMA
 
 
 def check_f_derivative() -> CheckOutcome:

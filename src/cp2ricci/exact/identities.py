@@ -10,12 +10,13 @@ caught by the derivative and resultant consistency checks.
 
 All polynomials live in the five-variable ring (beta, gamma, mu, kappa1,
 kappa3); the connection scalars simply have exponent zero where they do not
-occur.
+occur.  A closed form that is a fraction is stored as its numerator over the
+common denominator ``D_DENOM``.
 """
 
 from __future__ import annotations
 
-from .mpoly import RationalExpr, variables
+from .mpoly import variables
 
 RING_VARS = ("beta", "gamma", "mu", "kappa1", "kappa3")
 
@@ -30,14 +31,15 @@ _S = BETA**2 + GAMMA**2 - 1
 KAPPA_RELATION_A = BETA * KAPPA1 + (MU - GAMMA) * KAPPA3 - _S
 KAPPA_RELATION_B = (MU - GAMMA) * KAPPA1 - BETA * KAPPA3
 
-# Their closed-form solutions.
-KAPPA1_CLOSED = RationalExpr(BETA * _S, D_DENOM)
-KAPPA3_CLOSED = RationalExpr((MU - GAMMA) * _S, D_DENOM)
+# Their closed-form solutions, kappa1 = KAPPA1_CLOSED / D_DENOM and
+# kappa3 = KAPPA3_CLOSED / D_DENOM.
+KAPPA1_CLOSED = BETA * _S
+KAPPA3_CLOSED = (MU - GAMMA) * _S
 
 # Derivatives of beta and gamma along the third frame direction, after the
-# closed forms are inserted (numerators over the common denominator D).
-E3_BETA = RationalExpr(((MU - 2 * GAMMA) * MU + BETA**2 + 1) * D_DENOM - (MU - GAMMA) ** 2 * _S, D_DENOM)
-E3_GAMMA = RationalExpr(BETA * (GAMMA + 2 * MU) * D_DENOM + (GAMMA - MU) * BETA * _S, D_DENOM)
+# closed forms are inserted (numerators over D_DENOM).
+E3_BETA = ((MU - 2 * GAMMA) * MU + BETA**2 + 1) * D_DENOM - (MU - GAMMA) ** 2 * _S
+E3_GAMMA = BETA * (GAMMA + 2 * MU) * D_DENOM + (GAMMA - MU) * BETA * _S
 
 # The combined curvature relation with the connection scalars eliminated:
 # COEFF_DBETA * e3(beta) + COEFF_DGAMMA * e3(gamma) + TAIL = 0.

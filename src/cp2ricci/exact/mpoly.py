@@ -1,4 +1,4 @@
-"""Sparse multivariate polynomials and polynomial fractions over exact rationals.
+"""Sparse multivariate polynomials over exact rationals.
 
 A monomial is one packed ``int``: ``_WIDTH``-bit fields hold, most significant
 first, the total degree and the exponents of ``vars[0]``, ``vars[1]``, ...
@@ -13,14 +13,12 @@ Every stored coefficient is an ``int`` when integral and a reduced ``Fraction``
 with denominator > 1 otherwise (``_coeff`` is applied wherever a coefficient
 is created), so integer polynomials never pay for Fraction arithmetic, and
 since ``Fraction(3) == 3`` structural equality is unaffected.
-``constant_value`` and ``content`` still return ``Fraction``.
+``constant_value`` still returns a ``Fraction``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
 from typing import Mapping, Sequence
 
 Exponents = tuple[int, ...]
@@ -29,10 +27,6 @@ Coeff = Fraction | int
 _WIDTH = 16
 MAX_DEGREE = (1 << (_WIDTH - 1)) - 1
 _FIELD = (1 << _WIDTH) - 1
-
-
-class ZeroDenominator(ZeroDivisionError):
-    """A polynomial fraction was constructed with a zero denominator."""
 
 
 def _coeff(c: Coeff) -> Coeff:
@@ -154,19 +148,6 @@ class MPoly:
         lead = max(self.terms)
         return _unpack(lead, len(self.vars)), self.terms[lead]
 
-    def content(self) -> Fraction:
-        """Rational content: gcd of coefficients, signed by the leading term."""
-        if not self.terms:
-            return Fraction(0)
-        cs = self.terms.values()
-        cont = Fraction(gcd(*(c.numerator for c in cs)), lcm(*(c.denominator for c in cs)))
-        return cont if self.terms[max(self.terms)] > 0 else -cont
-
-    def primitive_part(self) -> "MPoly":
-        if not self.terms:
-            return self
-        return self * (1 / self.content())
-
     # -- arithmetic ----------------------------------------------------------
 
     def _check_ring(self, other: "MPoly") -> None:
@@ -280,22 +261,6 @@ class MPoly:
             result = result + ck * value**k
         return result
 
-    def subs_rational(self, name: str, value: "RationalExpr") -> tuple["RationalExpr", int]:
-        """Substitute a fraction for a variable, clearing denominators.
-
-        Returns the resulting fraction together with the cleared power, i.e.
-        the degree of the variable being eliminated (the denominator of the
-        result is ``value.den`` raised to that power).
-        """
-        d = max(self.degree_in(name), 0)
-        num = MPoly.zero(self.vars)
-        for k in range(d + 1):
-            ck = self.coeff_of(name, k)
-            if ck.is_zero():
-                continue
-            num = num + ck * value.num**k * value.den ** (d - k)
-        return RationalExpr(num, value.den**d), d
-
     def evaluate(self, point: Mapping[str, Coeff]) -> Fraction:
         missing = [v for v in self.vars if v not in point]
         if missing:
@@ -377,112 +342,3 @@ def exact_divide(p: MPoly, q: MPoly) -> MPoly | None:
             else:
                 r.pop(m, None)
     return MPoly._new(p.vars, quotient)
-
-
-@dataclass(frozen=True)
-class RationalExpr:
-    """A quotient of two polynomials with a nonzero denominator.
-
-    Normalized so that the denominator has content one and a positive
-    leading coefficient; reduced to a polynomial when the denominator
-    divides the numerator exactly.
-    """
-
-    num: MPoly
-    den: MPoly
-
-    def __post_init__(self):
-        num, den = self.num, self.den
-        if isinstance(den, (int, Fraction)):
-            den = MPoly.const(den, num.vars)
-        if isinstance(num, (int, Fraction)):
-            num = MPoly.const(num, den.vars)
-        if den.is_zero():
-            raise ZeroDenominator("zero denominator")
-        num._check_ring(den)
-        cont = den.content()
-        num = num * (1 / cont)
-        den = den * (1 / cont)
-        if not den.is_constant():
-            q = exact_divide(num, den)
-            if q is not None:
-                num, den = q, MPoly.const(1, den.vars)
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
-
-    @property
-    def vars(self) -> tuple[str, ...]:
-        return self.num.vars
-
-    def is_zero(self) -> bool:
-        return self.num.is_zero()
-
-    def is_polynomial(self) -> bool:
-        return self.den.is_constant()
-
-    def as_poly(self) -> MPoly:
-        if not self.is_polynomial():
-            raise ValueError("denominator is not constant")
-        return self.num * (1 / self.den.constant_value())
-
-    def _coerce(self, other) -> "RationalExpr | None":
-        if isinstance(other, RationalExpr):
-            return other
-        if isinstance(other, MPoly):
-            return RationalExpr(other, MPoly.const(1, other.vars))
-        if isinstance(other, (int, Fraction)):
-            return RationalExpr(MPoly.const(other, self.vars), MPoly.const(1, self.vars))
-        return None
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return RationalExpr(self.num * o.den + o.num * self.den, self.den * o.den)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return RationalExpr(-self.num, self.den)
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o - self
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return RationalExpr(self.num * o.num, self.den * o.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return RationalExpr(self.num * o.den, self.den * o.num)
-
-    def __eq__(self, other) -> bool:
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return (self.num * o.den) == (o.num * self.den)
-
-    def subs_rational(self, name: str, value: "RationalExpr") -> "RationalExpr":
-        n, _ = self.num.subs_rational(name, value)
-        d, _ = self.den.subs_rational(name, value)
-        return RationalExpr(n.num * d.den, n.den * d.num)
-
-    def __repr__(self) -> str:
-        if self.is_polynomial():
-            return repr(self.as_poly())
-        return f"({self.num!r}) / ({self.den!r})"

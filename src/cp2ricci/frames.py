@@ -17,8 +17,7 @@ the skew matrix <i e_j, e_k>; its sign follows a deterministic rule so that
 runs are reproducible.
 
 ``MovingFrame`` stores the point p as an ``AmbientVector`` and the real
-rows [i p, e_1, e_2, e_3, n] as one read-only (5, 6) array; ``AmbientVector``
-views of the rows are built only when a member is read.
+rows [i p, e_1, e_2, e_3, n] as one read-only (5, 6) array.
 """
 
 from __future__ import annotations
@@ -46,12 +45,6 @@ def _horizontal_rows(p: np.ndarray, D: np.ndarray) -> np.ndarray:
     return D.view(np.float64)
 
 
-def horizontalize(w: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """Project the complex 3-vector w onto the horizontal space at the unit
-    point p (orthogonal to p and i p), as a complex 3-vector."""
-    return _horizontal_rows(p, w[None])[0].view(np.complex128)
-
-
 def _inverse_cholesky(X: np.ndarray) -> np.ndarray:
     """L^-1 for the lower Cholesky factor L of the Gram matrix X X^T of three
     rows.  A pivot that is not positive (or NaN) becomes NaN, so every entry
@@ -71,11 +64,6 @@ def _inverse_cholesky(X: np.ndarray) -> np.ndarray:
     )
 
 
-def _row_view(k: int) -> property:
-    """A member built on access as the ``AmbientVector`` of row k of ``rows``."""
-    return property(lambda frame: AmbientVector(frame.rows[k].view(np.complex128)))
-
-
 @dataclass(frozen=True)
 class MovingFrame:
     """Horizontal orthonormal tangent frame, unit normal, and bookkeeping.
@@ -89,12 +77,6 @@ class MovingFrame:
     p: AmbientVector
     rows: np.ndarray
     coeffs: np.ndarray
-
-    vertical, e1, e2, e3, normal = map(_row_view, range(5))
-
-    @property
-    def tangent(self) -> tuple[AmbientVector, AmbientVector, AmbientVector]:
-        return (self.e1, self.e2, self.e3)
 
 
 def build_frame(
@@ -137,12 +119,3 @@ def build_frame(
     R[4] = (float(orient) / math.copysign(math.sqrt(n.dot(n)), n[lead])) * n
     R.setflags(write=False)
     return MovingFrame(p=AmbientVector(p), rows=R, coeffs=C2.dot(C1))
-
-
-def frame_residuals(frame: MovingFrame) -> dict[str, float]:
-    """Worst-case deviations from the frame invariants, for testing."""
-    K = np.vstack([frame.p.z.view(np.float64), frame.rows])
-    return {
-        "orthonormality": float(np.abs(K.dot(K.T) - np.eye(6)).max()),
-        "normal_horizontality": abs(float(frame.rows[4].dot(frame.rows[0]))),
-    }

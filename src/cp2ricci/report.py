@@ -54,15 +54,6 @@ class CheckReport:
             "details": self.details,
         }
 
-    @staticmethod
-    def from_dict(d: dict[str, Any]) -> "CheckReport":
-        return CheckReport(
-            name=d["checkName"],
-            status=d["status"],
-            max_abs_residual=d["maxAbsResidual"],
-            details=d["details"],
-        )
-
 
 def passed(reports: list[CheckReport]) -> bool:
     return all(r.status == "pass" for r in reports)
@@ -104,10 +95,6 @@ def _finite_or_none(v: Any) -> Any:
 def report_to_json(report: dict[str, Any]) -> str:
     """Standard JSON: non-finite residuals and details are written as null."""
     return json.dumps(_finite_or_none(report), indent=2, allow_nan=False)
-
-
-def report_from_json(text: str) -> dict[str, Any]:
-    return json.loads(text)
 
 
 @dataclass

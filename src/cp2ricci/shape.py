@@ -14,7 +14,7 @@ The frame is read as its real rows ``frame.rows`` = [i p, e_1, e_2, e_3, n]
 and their images under i, one complex multiplication of the whole block; the
 six stencil normals are the last row of each stencil frame and form one
 (3, 6) difference block, and every contraction with the frame is a small
-matrix product.  No ``AmbientVector`` is built for frame members.
+matrix product.
 """
 
 from __future__ import annotations
@@ -74,21 +74,6 @@ class ShapeData:
             asymmetry=asymmetry,
             frame=frame,
         )
-
-    def flip_normal(self) -> "ShapeData":
-        """The same point with the opposite normal orientation."""
-        return ShapeData.from_matrices(-self.A, self.P, -self.xi, self.asymmetry, self.frame)
-
-    def invariant_residuals(self) -> dict[str, float]:
-        """Deviations from the structural invariants, for testing."""
-        eye = np.eye(3)
-        return {
-            "P_skew": float(np.max(np.abs(self.P + self.P.T))),
-            "P_xi": float(np.linalg.norm(self.P @ self.xi)),
-            "P_squared": float(np.max(np.abs(self.P @ self.P + eye - np.outer(self.xi, self.xi)))),
-            "xi_unit": abs(float(np.linalg.norm(self.xi)) - 1.0),
-            "A_symmetric": float(np.max(np.abs(self.A - self.A.T))),
-        }
 
 
 def shape_operator(

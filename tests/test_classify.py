@@ -6,7 +6,8 @@ import pytest
 from cp2ricci import classify as cl
 from cp2ricci import curvature as cv
 from cp2ricci.charts import perturbed_ruled_chart, ruled_chart, sphere_chart
-from cp2ricci.shape import shape_operator
+from cp2ricci.shape import ShapeData, shape_operator
+from helpers import flip_normal
 
 
 def test_equality_basis_on_ruled_grid():
@@ -84,11 +85,21 @@ def test_perturbed_ruled_residual_matches_direct_aw_norm():
 
 def test_residuals_invariant_under_normal_flip():
     s = shape_operator(ruled_chart(), (0.6, 1.0, 2.0))
-    f = s.flip_normal()
+    f = flip_normal(s)
     a, b = cl.equality_basis(s), cl.equality_basis(f)
     assert abs(a.block_residual - b.block_residual) < 1e-12
     assert abs(a.trace_residual - b.trace_residual) < 1e-12
     assert abs(cl.ruled_check(s) - cl.ruled_check(f)) < 1e-12
+
+
+def test_ruled_check_reports_alpha_when_it_is_the_largest_term():
+    # Basis (xi, U, W) = (e1, e2, e3) with P U = W: |A U - beta xi| = 0.1,
+    # |A W| = 0.3, |tr A| = 0.3 and |alpha| = 0.5, so only alpha gives 0.5.
+    P = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, -1.0], [0.0, 1.0, 0.0]])
+    A = np.array([[0.5, 0.8, 0.0], [0.8, 0.1, 0.0], [0.0, 0.0, -0.3]])
+    s = ShapeData.from_matrices(A, P, np.array([1.0, 0.0, 0.0]))
+    assert s.alpha == 0.5 and s.hopf_defect == 0.8
+    assert cl.ruled_check(s) == 0.5
 
 
 def test_hopf_equality_radii():

@@ -8,6 +8,7 @@ from cp2ricci import curvature as cv
 from cp2ricci.charts import perturbed_ruled_chart, ruled_chart, sphere_chart
 from cp2ricci.frames import RankDeficient
 from cp2ricci.shape import ShapeData, shape_operator
+from helpers import flip_normal
 
 
 def _sphere_model_data(r):
@@ -16,6 +17,12 @@ def _sphere_model_data(r):
     xi = np.array([1.0, 0.0, 0.0])
     P = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, -1.0], [0.0, 1.0, 0.0]])
     return ShapeData.from_matrices(A, P, xi)
+
+
+def ricci_quadratic(s, x):
+    """Closed-form S(X, X) = 2|X|^2 + 3|PX|^2 + tr(A)<AX,X> - |AX|^2."""
+    px, ax = s.P @ x, s.A @ x
+    return float(2.0 * (x @ x) + 3.0 * (px @ px) + np.trace(s.A) * (ax @ x) - ax @ ax)
 
 
 def _flat_data():
@@ -75,7 +82,7 @@ def test_max_ricci_matches_one_parameter_maximization():
     s = _sphere_model_data(math.pi / 6)
     y = np.eye(3)[1]
     values = [
-        cv.ricci_quadratic(s, math.cos(phi) * s.xi + math.sin(phi) * y)
+        ricci_quadratic(s, math.cos(phi) * s.xi + math.sin(phi) * y)
         for phi in np.linspace(0.0, math.pi, 2001)
     ]
     assert abs(max(values) - cv.max_ricci(s)) < 1e-6
@@ -108,8 +115,7 @@ def test_geodesic_sphere_deficit_closed_form():
 
 def test_min_sectional_constant_curvature():
     s = _flat_data()
-    k, _ = cv.min_sectional(s)
-    assert abs(k - 1.0) < 1e-10
+    assert abs(cv.curvature_report(s).min_sectional - 1.0) < 1e-10
     # all planes tie at curvature 1
     rng = np.random.default_rng(7)
     normals = rng.normal(size=(40, 3))
@@ -134,9 +140,10 @@ def test_min_sectional_is_attained_and_minimal():
     rng = np.random.default_rng(8)
     for _ in range(20):
         s = cv.random_shape_data(rng)
-        k, n = cv.min_sectional(s)
+        rep = cv.curvature_report(s)
+        k, n = rep.min_sectional, rep.min_plane_normal
         assert abs(np.linalg.norm(n) - 1.0) < 1e-14
-        assert abs(k - cv.plane_curvature(s, n)) < 1e-12
+        assert k == cv.plane_curvature(s, n)
         normals = rng.normal(size=(200, 3))
         normals /= np.linalg.norm(normals, axis=1)[:, None]
         assert all(k <= cv.plane_curvature(s, m) + 1e-12 for m in normals)
@@ -148,7 +155,7 @@ def test_delta2_at_nearly_tied_top_ricci_eigenvalues():
     s = shape_operator(perturbed_ruled_chart(0.05, 1950078598), (0.3, 6.1, 4.1))
     rep = cv.curvature_report(s)
     assert abs(rep.delta2 - rep.max_ricci) < 1e-5
-    assert cv.min_sectional(s)[0] == rep.min_sectional
+    assert rep.min_sectional == cv.plane_curvature(s, rep.min_plane_normal)
 
 
 def test_gauss_tensor_matches_riemann_gauss():
@@ -182,20 +189,32 @@ def test_delta2_equals_max_ricci_at_sampled_points():
             ) < 1e-12
 
 
+def test_delta2_detects_an_error_in_the_ricci_tensor(monkeypatch):
+    # delta2 reads min K through the direct contraction of R, so an error E
+    # in ricci_matrix shows as delta2 - max_ricci = tr(E)/2 - E(n, n); for
+    # E = 1e-3 I that is 5e-4, far above the 1e-5 gate.
+    ricci = cv.ricci_matrix
+    monkeypatch.setattr(cv, "ricci_matrix", lambda s: ricci(s) + 1e-3 * np.eye(3))
+    for chart in (ruled_chart(), sphere_chart(math.pi / 6)):
+        for q in chart.sample_box.grid(2):
+            rep = cv.curvature_report(shape_operator(chart, q))
+            assert abs(rep.delta2 - rep.max_ricci) > 1e-5
+
+
 def test_min_sectional_of_ruled_point_matches_defect():
     # analytic oracle: min K = 1 - beta^2 on the plane spanned by xi and U
     s = shape_operator(ruled_chart(), (0.6, 1.0, 2.0))
-    k, _ = cv.min_sectional(s)
+    k = cv.curvature_report(s).min_sectional
     assert abs(k - (1.0 - s.hopf_defect**2)) < 1e-8
 
 
 def test_curvature_quantities_invariant_under_normal_flip():
     s = shape_operator(ruled_chart(), (0.7, 1.3, 0.9))
-    f = s.flip_normal()
+    f = flip_normal(s)
     assert abs(cv.deficit(s) - cv.deficit(f)) < 1e-12
     assert abs(cv.max_ricci(s) - cv.max_ricci(f)) < 1e-12
-    k1, _ = cv.min_sectional(s)
-    k2, _ = cv.min_sectional(f)
+    k1 = cv.curvature_report(s).min_sectional
+    k2 = cv.curvature_report(f).min_sectional
     assert abs(k1 - k2) < 1e-12
 
 

@@ -1,9 +1,14 @@
 from fractions import Fraction
+from pathlib import Path
 
+from cp2ricci import cli
 from cp2ricci.exact import checks
 from cp2ricci.exact import identities as ids
-from cp2ricci.exact.mpoly import RationalExpr, exact_divide
+from cp2ricci.exact.mpoly import exact_divide
 from cp2ricci.exact.resultant import sylvester_resultant
+from cp2ricci.report import report_to_json, run_report
+
+GOLDEN_SYMBOLIC = Path(__file__).parent / "data" / "symbolic_report.json"
 
 
 def test_kappa_closed_forms_satisfy_both_relations():
@@ -13,9 +18,27 @@ def test_kappa_closed_forms_satisfy_both_relations():
 
 
 def test_kappa_detects_mutated_numerator_sign():
-    bad_k1 = RationalExpr(-ids.KAPPA1_CLOSED.num, ids.D_DENOM)
-    ra, rb = checks._kappa_residuals(bad_k1, ids.KAPPA3_CLOSED)
+    ra, rb = checks._kappa_residuals(-ids.KAPPA1_CLOSED, ids.KAPPA3_CLOSED)
     assert not (ra.is_zero() and rb.is_zero())
+
+
+def test_kappa_clearing_is_exact_beyond_linear_relations():
+    # kappa1^2 + kappa3^2 = S^2 / D at the closed forms, so D (kappa1^2 +
+    # kappa3^2) - S^2 holds; times (1 + kappa1) its terms have kappa degrees
+    # 0 to 3, and each needs its own power of D when cleared.
+    s = ids.BETA**2 + ids.GAMMA**2 - 1
+    quadratic = ids.D_DENOM * (ids.KAPPA1**2 + ids.KAPPA3**2) - s**2
+    for relation in (quadratic, quadratic * (1 + ids.KAPPA1)):
+        assert checks._cleared(relation, ids.KAPPA1_CLOSED, ids.KAPPA3_CLOSED).is_zero()
+    assert not checks._cleared(
+        quadratic + ids.KAPPA1, ids.KAPPA1_CLOSED, ids.KAPPA3_CLOSED
+    ).is_zero()
+
+
+def test_symbolic_report_matches_the_golden_file():
+    reports = cli.cmd_symbolic(None)
+    text = report_to_json(run_report("symbolic", {"names": sorted(cli.ALL_CHECKS)}, reports))
+    assert text + "\n" == GOLDEN_SYMBOLIC.read_text()
 
 
 def test_emergence_factorization_and_constants():

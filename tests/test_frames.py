@@ -6,13 +6,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cp2ricci.charts import perturbed_ruled_chart, ruled_chart, sphere_chart
-from cp2ricci.frames import (
-    RankDeficient,
-    _horizontal_rows,
-    build_frame,
-    frame_residuals,
-    horizontalize,
-)
+from cp2ricci.frames import RankDeficient, _horizontal_rows, build_frame
+from helpers import horizontalize
+
+
+def frame_residuals(frame):
+    """Worst-case deviations from the frame invariants: orthonormality of
+    [p, i p, e_1, e_2, e_3, n] in R^6 and horizontality of n."""
+    K = np.vstack([frame.p.z.view(np.float64), frame.rows])
+    return {
+        "orthonormality": float(np.abs(K.dot(K.T) - np.eye(6)).max()),
+        "normal_horizontality": abs(float(frame.rows[4].dot(frame.rows[0]))),
+    }
 
 
 def test_ruled_frame_invariants():
@@ -29,8 +34,9 @@ def test_rank_deficient_at_coordinate_singularity():
 
 def test_sphere_normal_is_horizontal():
     frame = build_frame(sphere_chart(math.pi / 4), (0.3, 0.7, 0.4))
-    assert abs(frame.normal.real_inner(frame.p.times_i())) < 1e-12
-    assert abs(frame.normal.real_inner(frame.p)) < 1e-12
+    n = frame.rows[4]
+    assert abs(n.dot((1j * frame.p.z).view(np.float64))) < 1e-12
+    assert abs(n.dot(frame.p.z.view(np.float64))) < 1e-12
 
 
 def test_coeffs_express_frame_in_horizontalized_partials():
@@ -39,9 +45,9 @@ def test_coeffs_express_frame_in_horizontalized_partials():
     frame = build_frame(chart, q)
     p = chart.evaluate(*q)
     ws = [horizontalize(w, p) for w in chart.partials(*q)]
-    for i, e in enumerate(frame.tangent):
+    for i, e in enumerate(frame.rows[1:4].view(np.complex128)):
         rebuilt = sum((frame.coeffs[i, a] * ws[a] for a in range(3)), np.zeros(3, complex))
-        assert np.max(np.abs(rebuilt - e.z)) < 1e-12
+        assert np.max(np.abs(rebuilt - e)) < 1e-12
 
 
 def test_batched_horizontal_rows_equal_the_per_point_projection():
@@ -60,14 +66,15 @@ def test_batched_horizontal_rows_equal_the_per_point_projection():
 def test_frame_determinism():
     a = build_frame(ruled_chart(), (0.6, 1.0, 2.0))
     b = build_frame(ruled_chart(), (0.6, 1.0, 2.0))
-    assert np.array_equal(a.normal.z, b.normal.z)
+    assert np.array_equal(a.rows, b.rows)
     assert np.array_equal(a.coeffs, b.coeffs)
 
 
 def test_orient_flag_flips_normal_only():
     a = build_frame(ruled_chart(), (0.6, 1.0, 2.0))
     b = build_frame(ruled_chart(), (0.6, 1.0, 2.0), orient=-1)
-    assert np.array_equal(a.normal.z, -b.normal.z)
+    assert np.array_equal(a.rows[4], -b.rows[4])
+    assert np.array_equal(a.rows[:4], b.rows[:4])
     assert np.array_equal(a.coeffs, b.coeffs)
 
 
@@ -102,12 +109,12 @@ def test_frame_invariants_and_bookkeeping_over_sample_boxes(chart, frac):
     assert res["normal_horizontality"] <= 1e-12
     p = chart.evaluate(*q)
     ws = np.array([horizontalize(w, p) for w in chart.partials(*q)])
-    for i, e in enumerate(frame.tangent):
-        assert np.max(np.abs(frame.coeffs[i] @ ws - e.z)) <= 1e-12
-    comps = frame.normal.real_components()
-    assert comps[np.argmax(np.abs(comps))] >= 0.0
+    for i, e in enumerate(frame.rows[1:4].view(np.complex128)):
+        assert np.max(np.abs(frame.coeffs[i] @ ws - e)) <= 1e-12
+    n = frame.rows[4]
+    assert n[np.argmax(np.abs(n))] >= 0.0
     flipped = build_frame(chart, q, orient=-1)
-    assert np.array_equal(flipped.normal.z, -frame.normal.z)
+    assert np.array_equal(flipped.rows[4], -n)
 
 
 def _gram_schmidt_frame(chart, q, rank_tol=1e-8, orient=1):
@@ -183,12 +190,9 @@ def test_rank_guard_agrees_with_gram_schmidt_near_singularities(d):
         assert _rank_verdict(build_frame, chart, q) == expected, (chart.name, d)
 
 
-def test_frame_members_are_views_of_rows():
-    frame = build_frame(sphere_chart(math.pi / 6), (0.3, 0.7, 0.4))
-    members = (frame.vertical, frame.e1, frame.e2, frame.e3, frame.normal)
-    assert frame.rows.shape == (5, 6)
-    for k, member in enumerate(members):
-        assert np.array_equal(member.z, frame.rows[k].view(np.complex128))
-    for e, member in zip(frame.tangent, members[1:4]):
-        assert np.array_equal(e.z, member.z)
-    assert np.array_equal(frame.vertical.z, 1j * frame.p.z)
+def test_frame_rows_are_read_only_and_start_with_the_fiber_direction():
+    chart, q = sphere_chart(math.pi / 6), (0.3, 0.7, 0.4)
+    frame = build_frame(chart, q)
+    assert frame.rows.shape == (5, 6) and not frame.rows.flags.writeable
+    assert np.array_equal(frame.p.z, chart.evaluate(*q))
+    assert np.array_equal(frame.rows[0].view(np.complex128), 1j * frame.p.z)
