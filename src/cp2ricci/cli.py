@@ -161,10 +161,11 @@ def cmd_check_sphere(
     step: float = 1e-5,
     tol: float = 1e-6,
     eig_tol: float = 1e-7,
+    hopf_tol: float = 1e-8,
 ) -> list[CheckReport]:
     """Deficit against the closed-form sphere value, principal curvatures
-    against the classical model, and vanishing Hopf defect.  A flagged point
-    (see ``_grid_table``) is an error."""
+    against the classical model, and vanishing Hopf defect (below
+    ``hopf_tol``).  A flagged point (see ``_grid_table``) is an error."""
     chart = sphere_chart(radius)
     expected = cv.geodesic_sphere_deficit(radius)
     model = cv.geodesic_sphere_curvatures(radius)
@@ -195,7 +196,7 @@ def cmd_check_sphere(
             normal_signs=signs,
             **common,
         ),
-        _report("sphere_hopf", max_defect < 1e-8 and errors == 0, max_defect, **common),
+        _report("sphere_hopf", max_defect < hopf_tol and errors == 0, max_defect, **common),
     ])
 
 
@@ -465,10 +466,12 @@ def main(argv: list[str] | None = None) -> int:
                 "step": _given(args.step, 1e-5),
                 "tol": _given(args.tol, 1e-6) * halve,
                 "eig_tol": 1e-7 * halve,
+                "hopf_tol": 1e-8 * halve,
                 "strict": bool(args.strict),
             }
             reports = cmd_check_sphere(
-                config["radius"], config["grid"], config["step"], config["tol"], config["eig_tol"]
+                config["radius"], config["grid"], config["step"], config["tol"],
+                config["eig_tol"], config["hopf_tol"],
             )
         elif args.command == "check":
             _unused(
@@ -479,6 +482,11 @@ def main(argv: list[str] | None = None) -> int:
             reports = cmd_check_tube()
         elif args.command == "symbolic":
             _unused("symbolic", strict=args.strict or None)
+            repeated = sorted({n for n in args.names if args.names.count(n) > 1})
+            if repeated:
+                raise ValueError(f"symbolic checks named more than once: {', '.join(repeated)}")
+            if "all" in args.names and len(args.names) > 1:
+                raise ValueError("'all' runs every symbolic check; give it alone")
             names = [n for n in args.names if n != "all"] or None
             config = {"names": names or sorted(ALL_CHECKS)}
             reports = cmd_symbolic(names)

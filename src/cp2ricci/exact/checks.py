@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from . import identities as ids
 from .mpoly import MPoly, exact_divide
-from .resultant import sylvester_resultant
+from .resultant import prs_resultant
 from .sturm import sturm_count, upoly_from_mpoly
 
 
@@ -163,7 +163,7 @@ def check_resultant() -> CheckOutcome:
     The match is accepted up to overall sign (the determinant convention is
     ours); the sign actually found is reported.
     """
-    res = sylvester_resultant(ids.F_POLY, ids.F_E3_DERIVED, "gamma")
+    res = prs_resultant(ids.F_POLY, ids.F_E3_DERIVED, "gamma")
     if res == ids.RESULTANT_TARGET:
         sign = 1
     elif res == -ids.RESULTANT_TARGET:

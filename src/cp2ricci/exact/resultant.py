@@ -1,10 +1,23 @@
-"""Sylvester resultants of multivariate polynomials by fraction-free elimination.
+"""Resultants of multivariate polynomials with respect to one variable.
 
-The Sylvester matrix is built with the first polynomial's coefficient rows on
-top; its determinant is computed by one-step Bareiss elimination, which keeps
-every intermediate entry inside the polynomial ring (all divisions are exact).
-Sylvester matrices are sparse, so an update skips each product with a zero
-factor, and skips the division when both products vanish.
+Production route: ``prs_resultant``, the subresultant polynomial remainder
+sequence (G. E. Collins, "Subresultants and reduced polynomial remainder
+sequences", J. ACM 14 (1967); W. S. Brown and J. F. Traub, J. ACM 18 (1971);
+in the form of H. Cohen, *A Course in Computational Algebraic Number Theory*,
+Alg. 3.3.7).  Both inputs are coefficient lists in the eliminated variable,
+with ``MPoly`` coefficients.  Each step takes one pseudo-remainder and divides
+it by g * h^delta; by the subresultant theorem the quotients are the
+subresultants, so that division, and the ones updating h and forming the
+final value, are exact in the polynomial ring.  An inexact division would
+mean a broken invariant and raises ``ArithmeticError``.
+
+Reference route, which tests compare the production route against:
+``sylvester_resultant``, the determinant of the Sylvester matrix built with
+the first polynomial's coefficient rows on top, by one-step Bareiss
+elimination (``bareiss_det``: every intermediate entry stays in the ring, all
+divisions are exact; a product with a zero factor is skipped, and the
+division when both products vanish), itself checked against Laplace
+expansion (``cofactor_det``).  Both routes use that sign convention.
 """
 
 from __future__ import annotations
@@ -16,18 +29,27 @@ class DegenerateResultant(ValueError):
     """One of the inputs has no positive degree in the elimination variable."""
 
 
+def _coefficients(p: MPoly, q: MPoly, name: str) -> tuple[list[MPoly], list[MPoly]]:
+    """Coefficients of p and of q in ascending powers of ``name``; both
+    degrees must be positive."""
+    dp, dq = p.degree_in(name), q.degree_in(name)
+    if dp < 1 or dq < 1:
+        raise DegenerateResultant(f"inputs must have positive degree in {name}")
+    return (
+        [p.coeff_of(name, k) for k in range(dp + 1)],
+        [q.coeff_of(name, k) for k in range(dq + 1)],
+    )
+
+
 def sylvester_matrix(p: MPoly, q: MPoly, name: str) -> list[list[MPoly]]:
     """Sylvester matrix of p and q with respect to ``name``, p-rows first.
 
     Row i < deg(q) holds the coefficients of p (descending powers) shifted i
     columns; the following deg(p) rows hold the coefficients of q likewise.
     """
-    dp, dq = p.degree_in(name), q.degree_in(name)
-    if dp < 1 or dq < 1:
-        raise DegenerateResultant(f"inputs must have positive degree in {name}")
+    pc, qc = (c[::-1] for c in _coefficients(p, q, name))
+    dp, dq = len(pc) - 1, len(qc) - 1
     zero = MPoly.zero(p.vars)
-    pc = [p.coeff_of(name, dp - k) for k in range(dp + 1)]
-    qc = [q.coeff_of(name, dq - k) for k in range(dq + 1)]
     return [[zero] * i + pc + [zero] * (dq - 1 - i) for i in range(dq)] + [
         [zero] * i + qc + [zero] * (dp - 1 - i) for i in range(dp)
     ]
@@ -89,3 +111,60 @@ def cofactor_det(matrix: list[list[MPoly]]) -> MPoly:
 def sylvester_resultant(p: MPoly, q: MPoly, name: str) -> MPoly:
     """Resultant of p and q with respect to ``name``."""
     return bareiss_det(sylvester_matrix(p, q, name))
+
+
+def _exact(num: MPoly, den: MPoly) -> MPoly:
+    """num / den, a division the subresultant theorem makes exact."""
+    if den == 1:
+        return num
+    q = exact_divide(num, den)
+    if q is None:
+        raise ArithmeticError(f"subresultant division by {den!r} is not exact")
+    return q
+
+
+def _pseudo_remainder(a: list[MPoly], b: list[MPoly]) -> list[MPoly]:
+    """Remainder of lc(b)^(deg a - deg b + 1) * a by b, for ascending
+    coefficient lists with nonzero last entries, deg a >= deg b >= 1; the
+    result is trimmed the same way (empty for a zero remainder)."""
+    lead = b[-1]
+    r = a
+    e = len(a) - len(b) + 1
+    while len(r) >= len(b):
+        # lead * r - lc(r) * x^k * b: the top coefficient cancels.
+        k, top = len(r) - len(b), r[-1]
+        r = [lead * c - top * b[i - k] if i >= k else lead * c for i, c in enumerate(r[:-1])]
+        while r and r[-1].is_zero():
+            r.pop()
+        e -= 1
+    if e:
+        factor = lead**e
+        r = [factor * c for c in r]
+    return r
+
+
+def prs_resultant(p: MPoly, q: MPoly, name: str) -> MPoly:
+    """Resultant of p and q with respect to ``name`` by the subresultant PRS;
+    equal to ``sylvester_resultant(p, q, name)``, sign included."""
+    a, b = _coefficients(p, q, name)
+    sign = 1
+    if len(a) < len(b):
+        # Res(p, q) = (-1)^(deg p * deg q) Res(q, p)
+        a, b = b, a
+        sign = -1 if (len(a) - 1) * (len(b) - 1) % 2 else 1
+    g = h = MPoly.const(1, p.vars)
+    while len(b) > 1:
+        delta = len(a) - len(b)
+        if (len(a) - 1) * (len(b) - 1) % 2:
+            sign = -sign
+        r = _pseudo_remainder(a, b)
+        if not r:
+            return MPoly.zero(p.vars)
+        divisor = g * h**delta
+        a, b = b, [_exact(c, divisor) for c in r]
+        g = a[-1]
+        if delta:  # h = h^(1 - delta) * g^delta
+            h = _exact(g**delta, h ** (delta - 1))
+    # b is the constant last subresultant: Res = lc(b)^deg(a) / h^(deg(a) - 1)
+    res = _exact(b[0] ** (len(a) - 1), h ** (len(a) - 2))
+    return res if sign == 1 else -res

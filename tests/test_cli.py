@@ -446,3 +446,32 @@ def test_singular_holomorphic_plane_stencil_fails_its_check(monkeypatch):
     assert hol.name == "crosscheck_sphere_holomorphic_plane" and hol.status == "fail"
     assert math.isnan(hol.max_abs_residual)
     assert hol.details["error"] == "SingularMetric: singular metric on the stencil"
+
+
+@pytest.mark.parametrize(
+    "names",
+    [["kappa", "kappa"], ["mu0", "mu1", "mu0"], ["all", "kappa"], ["kappa", "all"], ["all", "all"]],
+    ids="-".join,
+)
+def test_symbolic_names_are_never_rewritten(names, capsys):
+    # Run as given, a repeated name would run its check twice and 'all'
+    # beside other names would be dropped; both are usage errors instead.
+    assert cli.main(["symbolic", *names]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_strict_halves_the_sphere_hopf_tolerance(capsys):
+    assert cli.main(["check", "sphere", "--grid", "2", "--strict"]) == 0
+    out = capsys.readouterr().out
+    payload = json.loads(out[out.index("{") :])
+    assert payload["config"]["hopf_tol"] == 5e-9
+
+
+def test_sphere_hopf_fails_below_the_grid_defect():
+    defect = {r.name: r for r in cli.cmd_check_sphere(grid=2)}["sphere_hopf"].max_abs_residual
+    assert 0.0 < defect < 5e-9
+    reports = {r.name: r for r in cli.cmd_check_sphere(grid=2, hopf_tol=defect / 2)}
+    assert reports["sphere_hopf"].status == "fail"
+    assert reports["sphere_deficit"].status == "pass"

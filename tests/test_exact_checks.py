@@ -5,7 +5,7 @@ from cp2ricci import cli
 from cp2ricci.exact import checks
 from cp2ricci.exact import identities as ids
 from cp2ricci.exact.mpoly import exact_divide
-from cp2ricci.exact.resultant import sylvester_resultant
+from cp2ricci.exact.resultant import prs_resultant, sylvester_resultant
 from cp2ricci.report import report_to_json, run_report
 
 GOLDEN_SYMBOLIC = Path(__file__).parent / "data" / "symbolic_report.json"
@@ -83,8 +83,8 @@ def test_resultant_matches_factored_target_exactly():
 
 
 def test_resultant_direct_equality():
-    res = sylvester_resultant(ids.F_POLY, ids.F_E3_DERIVED, "gamma")
-    assert res == ids.RESULTANT_TARGET
+    for route in (sylvester_resultant, prs_resultant):
+        assert route(ids.F_POLY, ids.F_E3_DERIVED, "gamma") == ids.RESULTANT_TARGET
 
 
 def test_resultant_specializes_consistently():

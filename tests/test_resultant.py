@@ -1,13 +1,16 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from cp2ricci.exact import resultant
 from cp2ricci.exact.mpoly import MPoly, variables
 from cp2ricci.exact.resultant import (
     DegenerateResultant,
     bareiss_det,
     cofactor_det,
+    prs_resultant,
     sylvester_matrix,
     sylvester_resultant,
 )
@@ -120,9 +123,10 @@ def test_resultant_commutes_with_evaluation():
                     terms[(k,)] = c
             return MPoly(uni, terms)
 
-        full = sylvester_resultant(p, q, "x").evaluate({**point, "x": 0})
-        evaluated = sylvester_resultant(specialize(p), specialize(q), "x").constant_value()
-        assert full == evaluated
+        for route in (sylvester_resultant, prs_resultant):
+            full = route(p, q, "x").evaluate({**point, "x": 0})
+            evaluated = route(specialize(p), specialize(q), "x").constant_value()
+            assert full == evaluated
         done += 1
 
 
@@ -146,3 +150,63 @@ def test_bareiss_matches_cofactor_on_random_sparse_matrices():
         swaps += m[0][0].is_zero()
         singular += det.is_zero()
     assert swaps >= 10 and singular >= 10
+
+
+def _random_in_x(rng, deg):
+    """A polynomial of degree ``deg`` in x whose coefficients are nonzero
+    combinations of 1, a, b; each lower power of x is missing half the time."""
+    terms = {}
+    for k in range(deg + 1):
+        if k == deg or rng.random() < 0.5:
+            for e in rng.sample([(0, 0), (1, 0), (0, 1)], rng.randint(1, 2)):
+                terms[(k, *e)] = rng.choice([-3, -2, -1, 1, 2, 3])
+    return MPoly(VARS, terms)
+
+
+def test_prs_matches_sylvester_sign_included(monkeypatch):
+    # Record how far each pseudo-remainder of the chain falls below its
+    # divisor's degree, so the test can show it met degree gaps.
+    drops = []
+
+    def recording(a, b):
+        r = real(a, b)
+        drops.append(len(b) - len(r) if r else 0)
+        return r
+
+    real = resultant._pseudo_remainder
+    monkeypatch.setattr(resultant, "_pseudo_remainder", recording)
+    rng = random.Random(2024)
+    seen = Counter()
+    for trial in range(150):
+        p, q = _random_in_x(rng, rng.randint(1, 5)), _random_in_x(rng, rng.randint(1, 5))
+        if trial % 3 == 0:
+            common = _random_in_x(rng, rng.randint(1, 2))
+            p, q = p * common, q * common
+        drops.clear()
+        res = prs_resultant(p, q, "x")
+        assert res == sylvester_resultant(p, q, "x")
+        dp, dq = p.degree_in("x"), q.degree_in("x")
+        seen["zero"] += res.is_zero()
+        seen["degree gap"] += max(drops) >= 2
+        seen["deg p < deg q, both odd"] += dp < dq and dp * dq % 2 == 1
+    assert len(seen) == 3 and min(seen.values()) >= 5, seen
+    for constant in (MPoly.const(3, VARS), A * B - 1):
+        with pytest.raises(DegenerateResultant):
+            prs_resultant(constant, X**2 - A, "x")
+        with pytest.raises(DegenerateResultant):
+            prs_resultant(X**2 - A, constant, "x")
+
+
+def test_prs_gap_chain_matches_sylvester():
+    # x^4 + a x + 1 by a x^3 + b leaves (a^3 - a b) x + a^2: the chain skips
+    # degree 2, so the next step divides by g h^2 and sets h = g^2 / h, both
+    # nontrivial since a x^3 + b is not monic.
+    p, q = X**4 + A * X + 1, A * X**3 + B
+    assert prs_resultant(p, q, "x") == sylvester_resultant(p, q, "x")
+    assert prs_resultant(q, p, "x") == sylvester_resultant(q, p, "x")
+
+
+def test_prs_inexact_division_raises(monkeypatch):
+    monkeypatch.setattr(resultant, "exact_divide", lambda p, q: None)
+    with pytest.raises(ArithmeticError):
+        prs_resultant(X**4 + A * X + 1, A * X**3 + B, "x")
