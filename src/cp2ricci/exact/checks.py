@@ -15,7 +15,7 @@ from fractions import Fraction
 from . import identities as ids
 from .mpoly import MPoly, exact_divide
 from .resultant import prs_resultant
-from .sturm import sturm_count, upoly_from_mpoly
+from .sturm import sturm_count
 
 
 @dataclass
@@ -47,13 +47,12 @@ def _cleared(relation: MPoly, k1: MPoly, k3: MPoly) -> MPoly:
     c * kappa1^a * kappa3^b becomes c * k1^a * k3^b * D^(d - a - b), so the
     result is a polynomial, and zero exactly when the relation holds, at any
     degree."""
-    terms = []
-    for a in range(relation.degree_in("kappa1") + 1):
-        ca = relation.coeff_of("kappa1", a)
-        for b in range(ca.degree_in("kappa3") + 1):
-            c = ca.coeff_of("kappa3", b)
-            if not c.is_zero():
-                terms.append((c, a, b))
+    terms = [
+        (c, a, b)
+        for a, ca in enumerate(relation.coefficients("kappa1"))
+        for b, c in enumerate(ca.coefficients("kappa3"))
+        if c.terms
+    ]
     d = max((a + b for _, a, b in terms), default=0)
     cleared = MPoly.zero(relation.vars)
     for c, a, b in terms:
@@ -210,11 +209,12 @@ def check_mu1() -> CheckOutcome:
     detail["quartic_at_root"] = str(ids.MU1_QUARTIC.evaluate(point))
     root_ok = ids.MU1_QUADRATIC.evaluate(point) == 0 and ids.MU1_QUARTIC.evaluate(point) == 0
 
-    disc_mid = Fraction(4**2 - 4 * 16 * 3)
-    disc_tail = Fraction(12**2 - 4 * 8 * 15)
-    detail["disc_middle"] = str(disc_mid)
-    detail["disc_tail"] = str(disc_tail)
-    positivity = disc_mid < 0 and disc_tail < 0
+    positivity = True
+    for key, quad in (("disc_middle", ids.MU1_MIDDLE_QUAD), ("disc_tail", ids.MU1_TAIL_QUAD)):
+        c, b, a = (k.constant_value() for k in quad.coefficients("gamma"))
+        disc = b * b - 4 * a * c
+        detail[key] = str(disc)
+        positivity = positivity and disc < 0 < a
     structural = ids.MU1_QUARTIC == (
         8 * ids.BETA**4
         + ids.MU1_MIDDLE_QUAD * ids.BETA**2
@@ -243,7 +243,7 @@ def check_mu0() -> CheckOutcome:
     counts = []
     for b in (Fraction(0), Fraction(1, 2), Fraction(3), Fraction(-7, 3)):
         fb = f0.subs_poly("beta", b)
-        counts.append(sturm_count(upoly_from_mpoly(fb, "gamma")))
+        counts.append(sturm_count(fb, "gamma"))
     detail["root_counts_at_samples"] = counts
     ok = ok and all(c == 1 for c in counts)
     return CheckOutcome("mu0", ok, exact=ok, detail=detail)

@@ -137,6 +137,18 @@ class MPoly:
             self.vars, {m - drop: c for m, c in self.terms.items() if (m >> s) & _FIELD == power}
         )
 
+    def coefficients(self, name: str) -> list["MPoly"]:
+        """Coefficients of ``name**0``, ``name**1``, ... up to the degree in
+        ``name``, as polynomials in the same ring (empty for the zero
+        polynomial); one pass over the terms."""
+        s = self._shift(name)
+        top = _WIDTH * len(self.vars)
+        parts: dict[int, dict[int, Coeff]] = {}
+        for m, c in self.terms.items():
+            k = (m >> s) & _FIELD
+            parts.setdefault(k, {})[m - (k << s) - (k << top)] = c
+        return [MPoly._new(self.vars, parts.get(k, {})) for k in range(max(parts, default=-1) + 1)]
+
     def sorted_terms(self) -> list[tuple[Exponents, Coeff]]:
         """Terms in descending graded-lexicographic order."""
         n = len(self.vars)
@@ -252,13 +264,10 @@ class MPoly:
         if isinstance(value, (int, Fraction)):
             value = MPoly.const(value, self.vars)
         self._check_ring(value)
-        d = self.degree_in(name)
         result = MPoly.zero(self.vars)
-        for k in range(max(d, 0) + 1):
-            ck = self.coeff_of(name, k)
-            if ck.is_zero():
-                continue
-            result = result + ck * value**k
+        for k, ck in enumerate(self.coefficients(name)):
+            if ck.terms:
+                result = result + ck * value**k
         return result
 
     def evaluate(self, point: Mapping[str, Coeff]) -> Fraction:

@@ -32,13 +32,10 @@ class DegenerateResultant(ValueError):
 def _coefficients(p: MPoly, q: MPoly, name: str) -> tuple[list[MPoly], list[MPoly]]:
     """Coefficients of p and of q in ascending powers of ``name``; both
     degrees must be positive."""
-    dp, dq = p.degree_in(name), q.degree_in(name)
-    if dp < 1 or dq < 1:
+    pc, qc = p.coefficients(name), q.coefficients(name)
+    if len(pc) < 2 or len(qc) < 2:
         raise DegenerateResultant(f"inputs must have positive degree in {name}")
-    return (
-        [p.coeff_of(name, k) for k in range(dp + 1)],
-        [q.coeff_of(name, k) for k in range(dq + 1)],
-    )
+    return pc, qc
 
 
 def sylvester_matrix(p: MPoly, q: MPoly, name: str) -> list[list[MPoly]]:

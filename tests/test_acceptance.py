@@ -12,7 +12,7 @@ from cp2ricci import cli
 from cp2ricci import curvature as cv
 from cp2ricci.charts import ruled_chart, sphere_chart
 from cp2ricci.exact.checks import run_checks
-from cp2ricci.exact.mpoly import MPoly
+from cp2ricci.exact.mpoly import MPoly, variables
 from cp2ricci.exact.resultant import bareiss_det, cofactor_det
 from cp2ricci.exact.sturm import sturm_count
 from cp2ricci.shape import shape_operator
@@ -145,19 +145,18 @@ def test_criterion_oracle_equivalences():
     ok_delta2 = worst_delta2 < 1e-5
 
     pyrng = random.Random(20240810)
+    (x,) = variables("x")
     sturm_ok = True
     for _ in range(100):
         roots = set()
         while len(roots) < pyrng.randint(1, 5):
             roots.add(Fraction(pyrng.randint(-10, 10), pyrng.randint(1, 5)))
-        coeffs = [Fraction(1)]
+        p = MPoly.const(1, ("x",))
         for r in roots:
-            coeffs = [Fraction(0)] + coeffs
-            for k in range(len(coeffs) - 1):
-                coeffs[k] -= r * coeffs[k + 1]
+            p = p * (x - r)
         lo = Fraction(pyrng.randint(-12, 0))
         hi = lo + Fraction(pyrng.randint(1, 25))
-        sturm_ok &= sturm_count(coeffs, lo, hi) == sum(1 for r in roots if lo < r < hi)
+        sturm_ok &= sturm_count(p, "x", lo, hi) == sum(1 for r in roots if lo < r < hi)
 
     vars_ = ("x", "y")
     det_ok = True

@@ -114,6 +114,16 @@ def test_mu1_branch():
     assert d["unique_real_solution"] is True
 
 
+def test_mu1_discriminants_come_from_the_quadratics(monkeypatch):
+    # 8 g^2 + 12 g - 15: discriminant 144 + 480, so the tail is no longer positive.
+    monkeypatch.setattr(ids, "MU1_TAIL_QUAD", 8 * ids.GAMMA**2 + 12 * ids.GAMMA - 15)
+    out = checks.check_mu1()
+    assert out.detail["disc_middle"] == "-176"
+    assert out.detail["disc_tail"] == "624"
+    assert out.detail["unique_real_solution"] is False
+    assert not out.ok and not out.exact
+
+
 def test_mu1_factorization_spelled_out():
     f1 = ids.F_POLY.subs_poly("mu", 1)
     product = ids.MU1_QUADRATIC * ((ids.GAMMA - 1) ** 2 + ids.BETA**2)

@@ -129,6 +129,19 @@ def test_degree_and_coeff_queries():
     assert p.coeff_of("x", 0) == MPoly.const(5, VARS)
 
 
+@settings(max_examples=100, deadline=None)
+@given(mpolys(), st.sampled_from(VARS))
+def test_coefficients_rebuild_the_polynomial(p, name):
+    cs = p.coefficients(name)
+    v = MPoly.var(name, VARS)
+    assert sum((c * v**k for k, c in enumerate(cs)), MPoly.zero(VARS)) == p
+    assert len(cs) == p.degree_in(name) + 1
+    assert not cs or not cs[-1].is_zero()
+    for k, c in enumerate(cs):
+        assert c == p.coeff_of(name, k)
+        assert c.degree_in(name) <= 0
+
+
 def test_subs_poly():
     p = X**2 - Y
     assert p.subs_poly("x", Y) == Y**2 - Y
