@@ -14,10 +14,10 @@ Builtin families:
   the image of (1, 0, 0);
 * ``perturbed_ruled_chart``: the ruled chart displaced by a seeded smooth
   trigonometric field and renormalized to the sphere, for probing strict
-  inequality away from the classified cases.  The field's 18 modes are
-  arrays, cosines stored as sines with phase pi/2, so one ``jet`` call gives
-  the field and its three partials from one sin and one cos of the mode
-  arguments.
+  inequality away from the classified cases.  The displaced map is one
+  26-mode trigonometric field, the ruled map's 8 modes and 18 seeded ones
+  scaled by epsilon, so one ``jet`` call gives the point and its three
+  partials from one sin and one cos of the mode arguments.
 
 User charts: construct a ``SurfaceChart`` directly with your own callables;
 the only contract is fresh complex128 arrays (see ``SurfaceChart``), unit
@@ -150,21 +150,23 @@ def sphere_chart(r: float) -> SurfaceChart:
 
 
 class _TrigField:
-    """A smooth C^3-valued displacement built from seeded trigonometric modes.
+    """A C^3-valued trigonometric polynomial, one array entry per mode.
 
-    Each of the six real components (Re, Im of each complex one) is a sum of
-    three modes c * sin/cos(m . q) with integer frequencies m in [-2, 2]^3.
-    A cosine mode is stored as a sine with phase pi/2 (cos x = sin(x + pi/2)),
-    so with x = freq q + phase the field is ``weight sin(x)`` and its partials
-    are ``weight freq cos(x)``: ``jet`` gets value and all three partials from
-    one sin and one cos of the 18 mode arguments.  ``weight`` (3, 18) carries
-    each mode's coefficient, times 1 or i, into its complex component;
-    ``dweight[a] = weight * freq[:, a]`` (3, 3, 18).  The draws from the seeded
-    generator (coefficient, frequencies redrawn while zero, sine or cosine,
-    per mode) fix the surface for each seed.
+    Mode k is ``weight[:, k] sin(freq[k] . q + phase[k])``, a cosine being a
+    sine with phase pi/2.  The rows of ``weight`` (6, n) are the real
+    components Re c1, Im c1, Re c2, ... and ``dweight[a] = weight * freq[:, a]``
+    (3, 6, n), so ``jet`` gets the value and its three partials as real
+    6-vectors from one sin and one cos of the mode arguments.
     """
 
-    def __init__(self, seed: int, modes_per_component: int = 3):
+    def __init__(self, freq: np.ndarray, phase: np.ndarray, weight: np.ndarray):
+        self.freq, self.phase, self.weight = freq, phase, weight
+        self.dweight = weight * freq.T[:, None, :]
+
+    @classmethod
+    def seeded(cls, seed: int, modes_per_component: int = 3) -> "_TrigField":
+        """Three modes c sin/cos(m . q) per real component with integer m in
+        [-2, 2]^3, drawn again while zero; the seed fixes the field."""
         rng = np.random.default_rng(seed)
         n = 6 * modes_per_component
         coef, freq, use_sin = np.empty(n), np.empty((n, 3)), np.empty(n, dtype=bool)
@@ -174,55 +176,64 @@ class _TrigField:
             while not freq[j].any():
                 freq[j] = rng.integers(-2, 3, size=3)
             use_sin[j] = rng.integers(0, 2)
-        real = np.arange(n) // modes_per_component  # real component: Re c1, Im c1, Re c2, ...
-        self.freq = freq
-        self.phase = np.where(use_sin, 0.0, math.pi / 2)
-        self.weight = np.zeros((3, n), dtype=np.complex128)
-        self.weight[real // 2, np.arange(n)] = np.where(real % 2, 1j, 1.0) * coef
-        self.dweight = self.weight * freq.T[:, None, :]
+        weight = np.zeros((6, n))
+        weight[np.arange(n) // modes_per_component, np.arange(n)] = coef
+        return cls(freq, np.where(use_sin, 0.0, math.pi / 2), weight)
 
     def value(self, q: ParamTriple) -> np.ndarray:
-        """The complex 3-vector field at q."""
         return self.weight.dot(np.sin(self.freq.dot(q) + self.phase))
 
     def jet(self, q: ParamTriple) -> tuple[np.ndarray, np.ndarray]:
-        """The value at q and its partials, one row per parameter (3, 3)."""
         x = self.freq.dot(q) + self.phase
         return self.weight.dot(np.sin(x)), self.dweight.dot(np.cos(x))
+
+
+# ``_ruled_point`` as 8 modes, of u - v, u + v twice and u - t, u + t twice:
+# cos u cos v = (cos(u - v) + cos(u + v)) / 2, cos u sin v = (sin(u + v) - sin(u - v)) / 2,
+# sin u cos t = (sin(u - t) + sin(u + t)) / 2, sin u sin t = (cos(u - t) - cos(u + t)) / 2.
+_RULED_MODES = _TrigField(
+    np.array([[1, -1, 0], [1, 1, 0]] * 2 + [[1, 0, -1], [1, 0, 1]] * 2, dtype=float),
+    (math.pi / 2) * np.array([1, 1, 0, 0, 0, 0, 1, 1]),
+    0.5 * np.array([[1, 1, 0, 0, 0, 0, 0, 0], [0] * 8, [0, 0, -1, 1, 0, 0, 0, 0], [0] * 8,
+                    [0, 0, 0, 0, 1, 1, 0, 0], [0, 0, 0, 0, 0, 0, 1, -1]]),
+)
 
 
 def perturbed_ruled_chart(epsilon: float, seed: int = 0) -> SurfaceChart:
     """The ruled chart displaced by epsilon times a seeded smooth field.
 
-    The displaced point y is renormalized to the unit sphere and the partials
-    follow by the chain rule, d(y/|y|) = (dy - <dy, n> n) / |y| with
-    n = y/|y|, so the result is again an exact chart.  |y| is a scaled norm
-    (``math.hypot``) and |y|^3 is never formed, so any finite y is
-    normalized.  Where |y| is not a positive finite number (a non-finite
-    epsilon, say), point and partials are fresh NaN arrays, found by one
-    scalar test instead of a division.  With epsilon = 0 this is the ruled
-    chart itself.
+    The displaced point y is one 26-mode field: the ruled map's 8 modes and
+    the 18 seeded ones scaled by epsilon, or by NaN where epsilon is not
+    finite (inf would put 0 * inf into the tables, with warnings).  y is
+    renormalized to the unit sphere, and the partials follow by the chain
+    rule, d(y/|y|) = (dy - <dy, n> n) / |y| with n = y/|y|, so the result is
+    again an exact chart.  |y| is a scaled norm (``math.hypot``), never
+    cubed, so any finite y is normalized; where |y| is not a positive finite
+    number, point and partials are fresh NaN arrays, found by one scalar test
+    instead of a division.
     """
     base = ruled_chart()
-    field = _TrigField(seed)
+    seeded = _TrigField.seeded(seed)
     eps = float(epsilon)
+    field = _TrigField(
+        np.vstack([_RULED_MODES.freq, seeded.freq]),
+        np.concatenate([_RULED_MODES.phase, seeded.phase]),
+        np.hstack([_RULED_MODES.weight, (eps if math.isfinite(eps) else math.nan) * seeded.weight]),
+    )
     nan = complex(math.nan, math.nan)
 
     def evaluate(u: float, v: float, t: float) -> np.ndarray:
-        y = _ruled_point(u, v, t) + eps * field.value((u, v, t))
-        ny = math.hypot(*y.view(np.float64).tolist())
-        return y / ny if 0.0 < ny < math.inf else np.full(3, nan)
+        y = field.value((u, v, t))
+        ny = math.hypot(*y.tolist())
+        return (y / ny).view(np.complex128) if 0.0 < ny < math.inf else np.full(3, nan)
 
     def partials(u: float, v: float, t: float) -> np.ndarray:
-        f, df = field.jet((u, v, t))
-        y = _ruled_point(u, v, t) + eps * f
-        dy = _ruled_partials(u, v, t) + eps * df
-        ny = math.hypot(*y.view(np.float64).tolist())
+        y, dy = field.jet((u, v, t))
+        ny = math.hypot(*y.tolist())
         if not 0.0 < ny < math.inf:
             return np.full((3, 3), nan)
         n = y / ny
-        # <dy_a, n> is the real inner product: a dot of the real 6-vector views
-        return (dy - dy.view(np.float64).dot(n.view(np.float64))[:, None] * n) / ny
+        return ((dy - dy.dot(n)[:, None] * n) / ny).view(np.complex128)
 
     return SurfaceChart(
         name=f"perturbed-ruled:{epsilon:.12g},{seed}",

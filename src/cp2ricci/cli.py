@@ -40,12 +40,7 @@ from .shape import AsymmetryExceeded, ShapeData, shape_operator
 
 
 def _report(name: str, ok: bool, residual: float | str, **details: Any) -> CheckReport:
-    return CheckReport(
-        name=name,
-        status="pass" if ok else "fail",
-        max_abs_residual=residual,
-        details=details,
-    )
+    return CheckReport(name, "pass" if ok else "fail", residual, details)
 
 
 def _worst(column: np.ndarray, reduce: Callable[[np.ndarray], Any] = np.max) -> float:
@@ -111,7 +106,7 @@ def cmd_check_ruled(grid: int = 16, step: float = 1e-5, tol: float = 1e-6) -> li
             residuals = [eq.block_residual, eq.trace_residual, cl.ruled_check(s, tol=tol), 1.0]
         except cl.HopfPoint:
             residuals = [math.nan, math.nan, math.nan, 0.0]
-        trace = abs(float(np.trace(s.A)))
+        trace = abs(float(s.A.trace()))
         return [s.hopf_defect, abs(cv.deficit(s)), trace, abs(s.alpha), *residuals]
 
     _, flags, t = _grid_table(chart, grid, step, row, 8)
@@ -236,19 +231,15 @@ def cmd_check_tube() -> list[CheckReport]:
 
 def cmd_symbolic(names: list[str] | None = None) -> list[CheckReport]:
     """Run the exact polynomial suite; every verdict must be exact."""
-    outcomes = run_checks(names or None)
-    reports = []
-    for out in outcomes:
-        residual: float | str = EXACT_ZERO if out.exact else math.inf
-        reports.append(
-            CheckReport(
-                name=f"symbolic_{out.name}",
-                status="pass" if out.ok else "fail",
-                max_abs_residual=residual,
-                details=out.detail,
-            )
+    return [
+        CheckReport(
+            f"symbolic_{out.name}",
+            "pass" if out.ok else "fail",
+            EXACT_ZERO if out.exact else math.inf,
+            out.detail,
         )
-    return reports
+        for out in run_checks(names or None)
+    ]
 
 
 def _unused(target: str, **options: Any) -> None:
@@ -289,7 +280,7 @@ def _scan_row(q: ParamTriple, s: ShapeData) -> list[float]:
     max_ric = cv.max_ricci(s)
     mean_sq = s.mean_curvature**2
     deficit = 2.25 * mean_sq + 5.0 - max_ric
-    return [max_ric, mean_sq, deficit, s.alpha, s.hopf_defect, float(np.trace(s.A))]
+    return [max_ric, mean_sq, deficit, s.alpha, s.hopf_defect, float(s.A.trace())]
 
 
 def cmd_scan(

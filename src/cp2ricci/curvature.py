@@ -59,6 +59,7 @@ def _wedge(O: np.ndarray) -> np.ndarray:
 
 # The constant-curvature term of the Gauss equation, <Y,Z>X - <X,Z>Y.
 _WEDGE_EYE = _wedge(np.multiply.outer(np.eye(3), np.eye(3)))
+_TWO_EYE = 2.0 * np.eye(3)  # the constant term of the closed-form Ricci tensor
 
 
 def _gauss_tensor(shape: ShapeData) -> np.ndarray:
@@ -82,11 +83,11 @@ def ricci_matrix(shape: ShapeData, check_tol: float = 1e-12) -> np.ndarray:
     the matrix magnitude), which guards the closed form on every run.
     """
     A, P = shape.A, shape.P
-    closed = 2.0 * np.eye(3) + 3.0 * (P.T @ P) + np.trace(A) * A - A @ A
+    closed = _TWO_EYE + 3.0 * (P.T @ P) + A.trace() * A - A @ A
     direct = np.einsum("ijki->jk", _gauss_tensor(shape))
 
-    scale = max(1.0, float(np.max(np.abs(direct))))
-    gap = float(np.max(np.abs(direct - closed)))
+    scale = max(1.0, float(np.abs(direct).max()))
+    gap = float(np.abs(direct - closed).max())
     if not gap <= check_tol * scale:
         raise AssertionError(f"closed-form Ricci deviates from contraction by {gap:.3e}")
     return closed

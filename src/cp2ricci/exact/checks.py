@@ -211,7 +211,12 @@ def check_mu1() -> CheckOutcome:
 
     positivity = True
     for key, quad in (("disc_middle", ids.MU1_MIDDLE_QUAD), ("disc_tail", ids.MU1_TAIL_QUAD)):
-        c, b, a = (k.constant_value() for k in quad.coefficients("gamma"))
+        coeffs = quad.coefficients("gamma")
+        if len(coeffs) != 3 or not all(k.is_constant() for k in coeffs):
+            detail[key] = f"not a quadratic in gamma with constant coefficients: {quad!r}"
+            positivity = False
+            continue
+        c, b, a = (k.constant_value() for k in coeffs)
         disc = b * b - 4 * a * c
         detail[key] = str(disc)
         positivity = positivity and disc < 0 < a

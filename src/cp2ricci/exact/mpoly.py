@@ -125,18 +125,6 @@ class MPoly:
     def total_degree(self) -> int:
         return max(self.terms) >> (_WIDTH * len(self.vars)) if self.terms else -1
 
-    def degree_in(self, name: str) -> int:
-        s = self._shift(name)
-        return max(((m >> s) & _FIELD for m in self.terms), default=-1)
-
-    def coeff_of(self, name: str, power: int) -> "MPoly":
-        """Coefficient of ``name**power`` as a polynomial in the same ring."""
-        s = self._shift(name)
-        drop = (power << s) + (power << (_WIDTH * len(self.vars)))
-        return MPoly._new(
-            self.vars, {m - drop: c for m, c in self.terms.items() if (m >> s) & _FIELD == power}
-        )
-
     def coefficients(self, name: str) -> list["MPoly"]:
         """Coefficients of ``name**0``, ``name**1``, ... up to the degree in
         ``name``, as polynomials in the same ring (empty for the zero

@@ -19,6 +19,7 @@ matrix product.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,15 +63,15 @@ class ShapeData:
         A = np.asarray(A, dtype=float)
         P = np.asarray(P, dtype=float)
         xi = np.asarray(xi, dtype=float)
-        alpha = float(xi @ A @ xi)
-        defect = float(np.linalg.norm(A @ xi - alpha * xi))
+        alpha = float(xi.dot(A).dot(xi))
+        r = A.dot(xi) - alpha * xi
         return ShapeData(
             A=A,
             P=P,
             xi=xi,
             alpha=alpha,
-            hopf_defect=defect,
-            mean_curvature=float(np.trace(A) / 3.0),
+            hopf_defect=math.sqrt(r.dot(r)),
+            mean_curvature=float(A.trace() / 3.0),
             asymmetry=asymmetry,
             frame=frame,
         )
@@ -110,7 +111,7 @@ def shape_operator(
     raw = -(FD.dot(E.T) - np.outer(vert, in_e))
 
     A_raw = frame.coeffs @ raw
-    asym = float(np.max(np.abs(A_raw - A_raw.T)))
+    asym = float(np.abs(A_raw - A_raw.T).max())
     if not asym <= asym_tol:
         raise AsymmetryExceeded(
             f"chart {chart.name!r} at {q}: asymmetry {asym:.3e} > {asym_tol:.1e}"

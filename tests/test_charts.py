@@ -10,6 +10,7 @@ from cp2ricci.charts import (
     SurfaceChart,
     _ruled_partials,
     _ruled_point,
+    _RULED_MODES,
     _TrigField,
     perturbed_ruled_chart,
     ruled_chart,
@@ -124,11 +125,12 @@ def test_perturbed_chart_is_exact_and_seeded():
     assert not np.allclose(chart.evaluate(*q), other.evaluate(*q))
 
 
-@pytest.mark.parametrize("epsilon", [math.nan, math.inf])
+@pytest.mark.parametrize("epsilon", [math.nan, math.inf, -math.inf])
 def test_non_finite_perturbation_gives_nan_vectors_without_warnings(epsilon):
-    chart = perturbed_ruled_chart(epsilon, seed=0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
+        # Scaling the weight table multiplies epsilon by zero weights.
+        chart = perturbed_ruled_chart(epsilon, seed=0)
         vectors = [chart.evaluate(0.6, 1.0, 2.0), *chart.partials(0.6, 1.0, 2.0)]
     assert all(np.isnan(w.view(np.float64)).all() for w in vectors)
 
@@ -242,17 +244,36 @@ class _LoopField:
 
 @pytest.mark.parametrize("seed", [0, 3, 123, 1950078598])
 def test_trig_field_matches_the_per_term_loop(seed):
-    field, loop = _TrigField(seed), _LoopField(seed)
+    field, loop = _TrigField.seeded(seed), _LoopField(seed)
     rng = np.random.default_rng(seed % 1000)
     for q in map(tuple, rng.uniform(-7.0, 7.0, size=(50, 3))):
         # A cosine mode is the sine of x + pi/2, and rounding that sum moves
         # the argument by up to half an ulp of |x| + pi/2.
         tol = 1e-15 * (1.0 + np.max(np.abs(field.freq @ q)))
         value, jet = field.jet(q)
-        assert np.max(np.abs(value - loop.value(q))) <= tol
+        assert np.max(np.abs(value.view(np.complex128) - loop.value(q))) <= tol
         assert np.array_equal(field.value(q), value)
         for a in range(3):
-            assert np.max(np.abs(jet[a] - loop.partial(q, a))) <= tol
+            assert np.max(np.abs(jet[a].view(np.complex128) - loop.partial(q, a))) <= tol
+
+
+def test_ruled_modes_reproduce_the_ruled_map():
+    rng = np.random.default_rng(0)
+    for q in map(tuple, rng.uniform(-7.0, 7.0, size=(200, 3))):
+        # The same argument rounding as in the seeded field.
+        tol = 1e-15 * (1.0 + np.max(np.abs(_RULED_MODES.freq @ q)))
+        value, jet = _RULED_MODES.jet(q)
+        assert np.max(np.abs(value.view(np.complex128) - _ruled_point(*q))) <= tol
+        assert np.max(np.abs(jet.view(np.complex128) - _ruled_partials(*q))) <= tol
+
+
+def test_perturbed_chart_is_one_field_over_the_ruled_modes():
+    # epsilon scales the seeded weights only; the first 8 modes are the ruled map's.
+    chart = perturbed_ruled_chart(0.05, seed=3)
+    field = _TrigField.seeded(3)
+    for q in RULED_SAMPLES:
+        y = _ruled_point(*q) + 0.05 * field.value(q).view(np.complex128)
+        assert np.max(np.abs(chart.evaluate(*q) - y / np.linalg.norm(y))) < 1e-15
 
 
 @settings(max_examples=40, deadline=None)

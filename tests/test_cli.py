@@ -4,6 +4,7 @@ import io
 import json
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +20,8 @@ from cp2ricci.report import (
     run_report,
     scan_to_csv,
 )
+
+DATA = Path(__file__).parent / "data"
 
 
 def test_check_report_round_trip():
@@ -57,6 +60,19 @@ def test_scan_rows_satisfy_definitional_identity():
     for row in rows:
         assert row.flags == "ok"
         assert abs(row.deficit - (2.25 * row.mean_curv_sq + 5.0 - row.max_ricci)) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "argv, golden",
+    [
+        (["scan", "ruled", "--grid", "4"], "scan_ruled_g4.csv"),
+        (["check", "sphere", "--grid", "4"], "check_sphere_g4.json"),
+    ],
+)
+def test_outputs_match_the_golden_files_byte_for_byte(tmp_path, argv, golden):
+    out = tmp_path / golden
+    assert cli.main([*argv, "--out", str(out)]) == 0
+    assert out.read_bytes() == (DATA / golden).read_bytes()
 
 
 def test_scan_zero_perturbation_coincides_with_ruled():

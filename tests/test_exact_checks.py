@@ -1,6 +1,8 @@
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
+
 from cp2ricci import cli
 from cp2ricci.exact import checks
 from cp2ricci.exact import identities as ids
@@ -120,6 +122,19 @@ def test_mu1_discriminants_come_from_the_quadratics(monkeypatch):
     out = checks.check_mu1()
     assert out.detail["disc_middle"] == "-176"
     assert out.detail["disc_tail"] == "624"
+    assert out.detail["unique_real_solution"] is False
+    assert not out.ok and not out.exact
+
+
+@pytest.mark.parametrize(
+    "tail",
+    [ids.GAMMA**3 + 8 * ids.GAMMA**2 + 12 * ids.GAMMA + 15, 8 * ids.GAMMA**2 + 12 * ids.GAMMA + 15 + ids.BETA],
+)
+def test_mu1_malformed_quadratic_is_a_failed_check(monkeypatch, tail):
+    monkeypatch.setattr(ids, "MU1_TAIL_QUAD", tail)
+    out = checks.check_mu1()
+    assert out.detail["disc_middle"] == "-176"
+    assert out.detail["disc_tail"].startswith("not a quadratic in gamma with constant coefficients")
     assert out.detail["unique_real_solution"] is False
     assert not out.ok and not out.exact
 
