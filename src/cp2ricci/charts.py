@@ -204,9 +204,12 @@ def perturbed_ruled_chart(epsilon: float, seed: int = 0) -> SurfaceChart:
 
     The displaced point y is one 26-mode field: the ruled map's 8 modes and
     the 18 seeded ones scaled by epsilon, or by NaN where epsilon is not
-    finite (inf would put 0 * inf into the tables, with warnings).  y is
-    renormalized to the unit sphere, and the partials follow by the chain
-    rule, d(y/|y|) = (dy - <dy, n> n) / |y| with n = y/|y|, so the result is
+    finite (inf would put 0 * inf into the tables, with warnings).  Every
+    weight is divided by max(1, |epsilon|), which leaves y/|y| and its
+    partials unchanged and keeps the tables finite for any finite epsilon
+    (for |epsilon| <= 1 it is the identity).  y is renormalized to the unit
+    sphere, and the partials follow by the chain rule,
+    d(y/|y|) = (dy - <dy, n> n) / |y| with n = y/|y|, so the result is
     again an exact chart.  |y| is a scaled norm (``math.hypot``), never
     cubed, so any finite y is normalized; where |y| is not a positive finite
     number, point and partials are fresh NaN arrays, found by one scalar test
@@ -214,11 +217,12 @@ def perturbed_ruled_chart(epsilon: float, seed: int = 0) -> SurfaceChart:
     """
     base = ruled_chart()
     seeded = _TrigField.seeded(seed)
-    eps = float(epsilon)
+    eps = float(epsilon) if math.isfinite(epsilon) else math.nan
+    scale = max(1.0, abs(eps))  # 1 for NaN
     field = _TrigField(
         np.vstack([_RULED_MODES.freq, seeded.freq]),
         np.concatenate([_RULED_MODES.phase, seeded.phase]),
-        np.hstack([_RULED_MODES.weight, (eps if math.isfinite(eps) else math.nan) * seeded.weight]),
+        np.hstack([_RULED_MODES.weight / scale, (eps / scale) * seeded.weight]),
     )
     nan = complex(math.nan, math.nan)
 

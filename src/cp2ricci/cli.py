@@ -1,6 +1,6 @@
 """Command-line orchestration: verification suites, scans, symbolic checks.
 
-Commands
+Commands, each run by its ``cmd_*`` function in ``COMMANDS``
 
 * ``check ruled``   -- equality, minimality, and ruled-form residuals on a grid
 * ``check sphere``  -- deficit against the closed-form model at a given radius
@@ -9,12 +9,18 @@ Commands
 * ``scan``          -- per-point curvature rows to CSV/JSON
 * ``crosscheck``    -- intrinsic vs shape-based curvature tensors
 
+A command takes the options its ``cmd_*`` function has parameters for, with
+the signature's defaults (scan's ``--tol t`` is ``bound = -t``), plus
+``--out`` and, for ``scan``, ``--format``.  ``--strict`` halves every
+tolerance the command takes.  Any other explicit option is a usage error.
+
 Exit codes: 0 all pass, 1 any fail, 2 usage or configuration error.
 """
 
 from __future__ import annotations
 
 import argparse
+import inspect
 import math
 import sys
 from typing import Any, Callable
@@ -40,6 +46,9 @@ from .shape import AsymmetryExceeded, ShapeData, shape_operator
 
 
 def _report(name: str, ok: bool, residual: float | str, **details: Any) -> CheckReport:
+    """A report that passes when ``ok`` and no grid point was flagged
+    (``details["errors"]``, 0 where absent)."""
+    ok = ok and not details.get("errors")
     return CheckReport(name, "pass" if ok else "fail", residual, details)
 
 
@@ -118,21 +127,21 @@ def cmd_check_ruled(grid: int = 16, step: float = 1e-5, tol: float = 1e-6) -> li
     errors = len(t) - len(classified)
     common = {"grid": grid, "points": len(t), "errors": errors}
     return _on_grid(chart, [
-        _report("ruled_deficit", max_deficit < tol and errors == 0, max_deficit, **common),
-        _report("ruled_minimality", max_trace < tol and errors == 0, max_trace, **common),
-        _report("ruled_alpha", max_alpha < tol and errors == 0, max_alpha, **common),
+        _report("ruled_deficit", max_deficit < tol, max_deficit, **common),
+        _report("ruled_minimality", max_trace < tol, max_trace, **common),
+        _report("ruled_alpha", max_alpha < tol, max_alpha, **common),
         _report(
             "ruled_equality_basis",
-            max_basis < tol and errors == 0,
+            max_basis < tol,
             max_basis,
             block_residual=max_block,
             trace_residual=max_trace_res,
             **common,
         ),
-        _report("ruled_form", max_ruled < tol and errors == 0, max_ruled, **common),
+        _report("ruled_form", max_ruled < tol, max_ruled, **common),
         _report(
             "ruled_hopf_defect_positive",
-            min_defect > tol and errors == 0,
+            min_defect > tol,
             max(0.0, tol - min_defect) if math.isfinite(min_defect) else min_defect,
             grid_min_hopf_defect=min_defect,
             **common,
@@ -176,22 +185,16 @@ def cmd_check_sphere(
     errors = len(t) - len(shaped)
     common = {"radius": radius, "grid": grid, "errors": errors}
     return _on_grid(chart, [
-        _report(
-            "sphere_deficit",
-            max_gap < tol and errors == 0,
-            max_gap,
-            expected_deficit=expected,
-            **common,
-        ),
+        _report("sphere_deficit", max_gap < tol, max_gap, expected_deficit=expected, **common),
         _report(
             "sphere_principal_curvatures",
-            max_eig_dev < eig_tol and errors == 0,
+            max_eig_dev < eig_tol,
             max_eig_dev,
             model=[float(x) for x in model],
             normal_signs=signs,
             **common,
         ),
-        _report("sphere_hopf", max_defect < hopf_tol and errors == 0, max_defect, **common),
+        _report("sphere_hopf", max_defect < hopf_tol, max_defect, **common),
     ])
 
 
@@ -230,7 +233,16 @@ def cmd_check_tube() -> list[CheckReport]:
 
 
 def cmd_symbolic(names: list[str] | None = None) -> list[CheckReport]:
-    """Run the exact polynomial suite; every verdict must be exact."""
+    """Run the exact polynomial suite: the checks ``names`` in the order
+    given, or every check when none or only 'all' is named.  A repeated
+    name, or 'all' beside another, is a ValueError.  Every verdict must be
+    exact."""
+    names = names or []
+    repeated = sorted({n for n in names if names.count(n) > 1})
+    if repeated:
+        raise ValueError(f"symbolic checks named more than once: {', '.join(repeated)}")
+    if "all" in names and len(names) > 1:
+        raise ValueError("'all' runs every symbolic check; give it alone")
     return [
         CheckReport(
             f"symbolic_{out.name}",
@@ -238,7 +250,7 @@ def cmd_symbolic(names: list[str] | None = None) -> list[CheckReport]:
             EXACT_ZERO if out.exact else math.inf,
             out.detail,
         )
-        for out in run_checks(names or None)
+        for out in run_checks([n for n in names if n != "all"])
     ]
 
 
@@ -266,7 +278,8 @@ def parse_surface(surface: str, epsilon: float | None = None, seed: int | None =
             if options[k] not in (None, value):
                 raise ValueError(f"--{('epsilon', 'seed')[k]} {options[k]} conflicts with {surface!r}")
             options[k] = value
-        return perturbed_ruled_chart(_given(options[0], 0.05), _given(options[1], 0))
+        epsilon, seed = options
+        return perturbed_ruled_chart(0.05 if epsilon is None else epsilon, 0 if seed is None else seed)
     if surface != "ruled" and not (name == "sphere" and colon):
         raise ValueError(
             f"unknown surface {surface!r}; use ruled, sphere:<r>, perturbed-ruled:<eps,seed>"
@@ -302,7 +315,7 @@ def cmd_scan(
     low, high = (_worst(deficits, np.min), _worst(deficits)) if deficits.size else (None, None)
     report = _report(
         "scan_deficit_bound",
-        low is not None and low >= bound and errors == 0,
+        low is not None and low >= bound,
         _worst(np.maximum(0.0, -deficits)),
         surface=chart.name,
         grid=grid,
@@ -327,18 +340,9 @@ def cmd_crosscheck(grid: int = 5, step: float = 1e-3, tol: float = 1e-4) -> list
             chart, grid, 1e-5, lambda q, s: [cv.crosscheck_point(chart, q, s, h_metric=step)], 1
         )
         computed = gaps[flags == "ok", 0]
-        errors = len(gaps) - len(computed)
-        worst = _worst(computed)
-        reports.append(
-            _report(
-                f"crosscheck_{chart.name.split(':')[0]}",
-                worst < tol and errors == 0,
-                worst,
-                grid=grid,
-                step=step,
-                errors=errors,
-            )
-        )
+        worst, errors = _worst(computed), len(gaps) - len(computed)
+        name = f"crosscheck_{chart.name.split(':')[0]}"
+        reports.append(_report(name, worst < tol, worst, grid=grid, step=step, errors=errors))
     # Sectional curvature of the holomorphic plane on the equality sphere,
     # evaluated from the intrinsic tensor alone.
     try:
@@ -374,63 +378,85 @@ def _holomorphic_plane_curvature(step: float) -> float:
     return num / den
 
 
-def _given(value: Any, default: Any) -> Any:
-    """An explicit argument, or the command's default when it was omitted."""
-    return default if value is None else value
+def _finite(positive: bool) -> Callable[[str], float]:
+    """The argparse type of ``--tol`` and ``--step``: a finite float that is
+    positive, or non-negative unless ``positive``."""
 
+    def finite_float(text: str) -> float:
+        value = float(text)
+        if not (math.isfinite(value) and (value > 0.0 if positive else value >= 0.0)):
+            sign = "positive" if positive else "non-negative"
+            raise argparse.ArgumentTypeError(f"must be finite and {sign}, got {text!r}")
+        return value
 
-def _positive_float(text: str) -> float:
-    value = float(text)
-    if not value > 0.0:
-        raise argparse.ArgumentTypeError(f"must be positive, got {text!r}")
-    return value
-
-
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--grid", type=int, default=None, help="grid points per axis")
-    p.add_argument("--step", type=_positive_float, default=None, help="finite-difference step")
-    p.add_argument("--tol", type=float, default=None, help="pass tolerance")
-    p.add_argument("--strict", action="store_true", help="halve all tolerances")
-    p.add_argument("--out", default=None, help="write the JSON report (or scan rows) here")
+    return finite_float
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """Every subcommand takes every option; ``_config`` rejects the ones its
+    command has no parameter for."""
     parser = argparse.ArgumentParser(
         prog="cp2ricci",
         description="Curvature verification lab for hypersurface models of the projective plane",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_check = sub.add_parser("check", help="run a named verification suite")
-    p_check.add_argument("target", choices=["ruled", "sphere", "tube"])
-    p_check.add_argument("--radius", type=float, default=None, help="sphere radius (pi/4)")
-    _add_common(p_check)
-
-    p_sym = sub.add_parser("symbolic", help="run exact polynomial checks")
-    p_sym.add_argument(
-        "names",
-        nargs="*",
-        help=f"subset to run (default all): {', '.join(ALL_CHECKS)}, or 'all'",
+    sub.add_parser("check", help="run a named verification suite").add_argument(
+        "target", choices=["ruled", "sphere", "tube"]
     )
-    p_sym.add_argument("--strict", action="store_true", help=argparse.SUPPRESS)
-    p_sym.add_argument("--out", default=None)
-
-    p_scan = sub.add_parser("scan", help="per-point curvature rows over a surface grid")
-    p_scan.add_argument("surface", help="ruled | sphere:<r> | perturbed-ruled:<eps,seed>")
-    p_scan.add_argument("--epsilon", type=float, default=None, help="perturbed-ruled (0.05)")
-    p_scan.add_argument("--seed", type=int, default=None, help="perturbed-ruled (0)")
-    p_scan.add_argument("--format", choices=["csv", "json"], default="csv")
-    _add_common(p_scan)
-
-    p_cross = sub.add_parser("crosscheck", help="intrinsic vs shape-based curvature")
-    _add_common(p_cross)
-
+    sub.add_parser("symbolic", help="run exact polynomial checks").add_argument(
+        "names", nargs="*", help=f"subset to run (default all): {', '.join(ALL_CHECKS)}, or 'all'"
+    )
+    sub.add_parser("scan", help="per-point curvature rows over a surface grid").add_argument(
+        "surface", help="ruled | sphere:<r> | perturbed-ruled:<eps,seed>"
+    )
+    sub.add_parser("crosscheck", help="intrinsic vs shape-based curvature")
+    for p in sub.choices.values():
+        p.add_argument("--radius", type=float, help="check sphere: sphere radius")
+        p.add_argument("--grid", type=int, help="grid points per axis")
+        p.add_argument("--step", type=_finite(positive=True), help="finite-difference step")
+        p.add_argument("--tol", type=_finite(positive=False), help="pass tolerance (scan: bound -tol)")
+        p.add_argument("--strict", action="store_true", default=None, help="halve every tolerance")
+        p.add_argument("--epsilon", type=float, help="scan perturbed-ruled: displacement scale")
+        p.add_argument("--seed", type=int, help="scan perturbed-ruled: field seed")
+        p.add_argument("--format", choices=["csv", "json"], help="scan: row format (csv)")
+        p.add_argument("--out", help="write the JSON report (or scan rows) here")
     return parser
 
 
+COMMANDS: dict[str, Callable[..., Any]] = {
+    "check ruled": cmd_check_ruled,
+    "check sphere": cmd_check_sphere,
+    "check tube": cmd_check_tube,
+    "symbolic": cmd_symbolic,
+    "scan": cmd_scan,
+    "crosscheck": cmd_crosscheck,
+}
+
+
+def _config(name: str, args: argparse.Namespace) -> dict[str, Any]:
+    """The run's configuration: the parameters of ``COMMANDS[name]`` in
+    signature order, each its explicit option (scan's ``--tol t`` is
+    ``bound = -t``) or else its default; then ``strict`` where the command
+    has a tolerance, ``--strict`` halving every ``*tol`` and ``bound``; then
+    scan's ``format``.  Any other explicit option is a ValueError."""
+    skip = ("command", "target", "out")
+    given = {k: v for k, v in vars(args).items() if v is not None and k not in skip}
+    if name == "scan" and "tol" in given:
+        given["bound"] = -given.pop("tol")
+    params = inspect.signature(COMMANDS[name]).parameters
+    config = {k: given.pop(k, p.default) for k, p in params.items()}
+    tols = [k for k in config if k.endswith("tol") or k == "bound"]
+    if tols:
+        strict = config["strict"] = given.pop("strict", False)
+        config.update((k, config[k] * 0.5) for k in tols if strict)
+    if name == "scan":
+        config["format"] = given.pop("format", "csv")
+    _unused(name, **given)
+    return config
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
 
     try:
         cv.ricci_selfcheck()
@@ -438,101 +464,35 @@ def main(argv: list[str] | None = None) -> int:
         print(f"self-check failed: {exc}", file=sys.stderr)
         return 1
 
-    halve = 0.5 if getattr(args, "strict", False) else 1.0
-    rows = None
+    name = f"check {args.target}" if args.command == "check" else args.command
     try:
-        if args.command == "check" and args.target == "ruled":
-            _unused("check ruled", radius=args.radius)
-            config = {
-                "grid": _given(args.grid, 16),
-                "step": _given(args.step, 1e-5),
-                "tol": _given(args.tol, 1e-6) * halve,
-                "strict": bool(args.strict),
-            }
-            reports = cmd_check_ruled(config["grid"], config["step"], config["tol"])
-        elif args.command == "check" and args.target == "sphere":
-            config = {
-                "radius": _given(args.radius, math.pi / 4),
-                "grid": _given(args.grid, 8),
-                "step": _given(args.step, 1e-5),
-                "tol": _given(args.tol, 1e-6) * halve,
-                "eig_tol": 1e-7 * halve,
-                "hopf_tol": 1e-8 * halve,
-                "strict": bool(args.strict),
-            }
-            reports = cmd_check_sphere(
-                config["radius"], config["grid"], config["step"], config["tol"],
-                config["eig_tol"], config["hopf_tol"],
-            )
-        elif args.command == "check":
-            _unused(
-                "check tube", radius=args.radius, grid=args.grid, step=args.step, tol=args.tol,
-                strict=args.strict or None,
-            )
-            config = {}
-            reports = cmd_check_tube()
-        elif args.command == "symbolic":
-            _unused("symbolic", strict=args.strict or None)
-            repeated = sorted({n for n in args.names if args.names.count(n) > 1})
-            if repeated:
-                raise ValueError(f"symbolic checks named more than once: {', '.join(repeated)}")
-            if "all" in args.names and len(args.names) > 1:
-                raise ValueError("'all' runs every symbolic check; give it alone")
-            names = [n for n in args.names if n != "all"] or None
-            config = {"names": names or sorted(ALL_CHECKS)}
-            reports = cmd_symbolic(names)
-        elif args.command == "scan":
-            config = {
-                "surface": args.surface,
-                "grid": _given(args.grid, 12),
-                "step": _given(args.step, 1e-5),
-                "epsilon": args.epsilon,
-                "seed": args.seed,
-                "format": args.format,
-                "bound": -_given(args.tol, 1e-6) * halve,
-                "strict": bool(args.strict),
-            }
-            reports, rows = cmd_scan(
-                args.surface,
-                grid=config["grid"],
-                step=config["step"],
-                epsilon=args.epsilon,
-                seed=args.seed,
-                bound=config["bound"],
-            )
-        else:
-            config = {
-                "grid": _given(args.grid, 5),
-                "step": _given(args.step, 1e-3),
-                "tol": _given(args.tol, 1e-4) * halve,
-                "strict": bool(args.strict),
-            }
-            reports = cmd_crosscheck(config["grid"], config["step"], config["tol"])
+        config = _config(name, args)
+        result = COMMANDS[name](**{k: v for k, v in config.items() if k not in ("strict", "format")})
     except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    reports, rows = result if isinstance(result, tuple) else (result, None)
 
     for r in reports:
         residual = r.max_abs_residual
         shown = residual if isinstance(residual, str) else f"{residual:.3e}"
         print(f"{r.status.upper():4s} {r.name} (max residual {shown})")
 
-    report = run_report(args.command, config, reports)
+    if rows is not None:
+        payload = (scan_to_csv if config["format"] == "csv" else scan_to_json)(rows)
+        written = f"{len(rows)} rows"
+    else:
+        if name == "symbolic":  # every check, sorted, when none or 'all' is named
+            config["names"] = [n for n in config["names"] if n != "all"] or sorted(ALL_CHECKS)
+        payload = report_to_json(run_report(args.command, config, reports)) + "\n"
+        written = "report"
     try:
-        if rows is not None:
-            payload = scan_to_csv(rows) if args.format == "csv" else scan_to_json(rows)
-            if args.out:
-                with open(args.out, "w") as fh:
-                    fh.write(payload)
-                print(f"wrote {len(rows)} rows to {args.out}")
-            else:
-                print(payload, end="")
-        elif getattr(args, "out", None):
+        if args.out:
             with open(args.out, "w") as fh:
-                fh.write(report_to_json(report) + "\n")
-            print(f"wrote report to {args.out}")
+                fh.write(payload)
+            print(f"wrote {written} to {args.out}")
         else:
-            print(report_to_json(report))
+            print(payload, end="")
     except OSError as exc:
         print(f"error: cannot write output: {exc}", file=sys.stderr)
         return 2

@@ -67,6 +67,8 @@ def test_scan_rows_satisfy_definitional_identity():
     [
         (["scan", "ruled", "--grid", "4"], "scan_ruled_g4.csv"),
         (["check", "sphere", "--grid", "4"], "check_sphere_g4.json"),
+        (["symbolic"], "symbolic_report.json"),
+        (["symbolic", "all"], "symbolic_report.json"),
     ],
 )
 def test_outputs_match_the_golden_files_byte_for_byte(tmp_path, argv, golden):
@@ -148,6 +150,34 @@ def test_explicit_grid_zero_is_a_usage_error():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "option, value",
+    [("--tol", "nan"), ("--tol", "inf"), ("--tol", "-0.5"), ("--step", "inf"), ("--step", "nan")],
+)
+def test_non_finite_or_negative_tol_and_step_are_usage_errors(option, value, capsys):
+    # Taken as given, a NaN tolerance fails every check and an infinite one
+    # passes every check whatever the geometry; an infinite step fails
+    # inside a chart.
+    for argv in (["check", "ruled"], ["crosscheck"], ["scan", "ruled"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([*argv, "--grid", "2", option, value])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+
+
+def test_config_is_the_signature_with_explicit_options():
+    parse = cli.build_parser().parse_args
+    assert cli._config("scan", parse(["scan", "ruled", "--tol", "2e-6", "--strict"])) == {
+        "surface": "ruled", "grid": 12, "step": 1e-5, "epsilon": None, "seed": None,
+        "bound": -1e-6, "strict": True, "format": "csv",
+    }
+    assert cli._config("check tube", parse(["check", "tube"])) == {}
+    assert cli._config("symbolic", parse(["symbolic", "mu0"])) == {"names": ["mu0"]}
+    config = cli._config("check sphere", parse(["check", "sphere", "--grid", "0", "--tol", "0"]))
+    assert list(config) == ["radius", "grid", "step", "tol", "eig_tol", "hopf_tol", "strict"]
+    assert config["grid"] == 0 and config["tol"] == 0.0 and config["strict"] is False
+
+
 def test_explicit_tol_zero_is_honoured(capsys):
     assert cli.main(["check", "sphere", "--grid", "3", "--tol", "0"]) == 1
     out = capsys.readouterr().out
@@ -184,6 +214,10 @@ def test_cli_strict_halves_tolerances(capsys):
     out = capsys.readouterr().out
     payload = json.loads(out[out.index("{") :])
     assert payload["config"]["tol"] == 5e-7
+    assert cli.main(["crosscheck", "--grid", "2", "--strict"]) == 0
+    out = capsys.readouterr().out
+    payload = json.loads(out[out.index("{") :])
+    assert payload["config"] == {"grid": 2, "step": 1e-3, "tol": 5e-5, "strict": True}
 
 
 def test_parse_surface_variants():
@@ -227,6 +261,10 @@ def test_parse_surface_rejects_unused_or_conflicting_options(surface, epsilon, s
         ["check", "ruled", "--radius", "0.3"],
         ["check", "tube", "--strict"],
         ["symbolic", "--strict"],
+        ["crosscheck", "--radius", "1"],
+        ["check", "ruled", "--format", "json"],
+        ["symbolic", "--grid", "2"],
+        ["check", "sphere", "--seed", "1"],
     ],
 )
 def test_explicit_options_the_command_does_not_use_are_usage_errors(argv, capsys):
@@ -271,10 +309,16 @@ def test_scan_without_ok_rows_fails_with_infinite_residual():
     assert doc["reports"][0]["maxAbsResidual"] is None
 
 
-@pytest.mark.parametrize("epsilon, code", [("1e200", 0), ("1e300", 0), ("nan", 1)])
+@pytest.mark.parametrize(
+    "epsilon, code",
+    [("1e200", 0), ("1e300", 0), ("nan", 1), ("1e308", 0), ("-1e308", 0), ("1.7976931348623157e308", 0)],
+)
 def test_scan_normalizes_every_finite_displacement(epsilon, code, capsys):
-    # |y| above about 1e154 overflows an unscaled sum of squares.
-    assert cli.main(["scan", f"perturbed-ruled:{epsilon},0", "--grid", "2"]) == code
+    # |y| above about 1e154 overflows an unscaled sum of squares, and epsilon
+    # near the float maximum overflows unscaled weight tables.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["scan", f"perturbed-ruled:{epsilon},0", "--grid", "2"]) == code
     out = capsys.readouterr().out
     flags = [row["flags"] for row in csv.DictReader(io.StringIO(out[out.index("u,v,") :]))]
     assert flags == ["ok" if code == 0 else "RankDeficient"] * 8
