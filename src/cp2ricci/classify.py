@@ -8,11 +8,10 @@ are what ``equality_basis`` reports.  ``ruled_check`` measures the distance of
 the shape operator from the ruled normal form A xi = alpha xi + beta U,
 A U = beta xi, A W = 0, with minimality (alpha = tr A = 0).
 
-For Hopf models the equality condition is solved in closed form:
-``hopf_equality_radii`` returns the geodesic-sphere radius (analytically
-pi/4) and the radius of the tube over a complex quadric curve (by bisection
-on the classical type-B principal curvature model, cross-checked against the
-arctangent closed form).
+The equality radii of the Hopf models are closed forms, pi/4 for the
+geodesic sphere and ``tube_radius_closed_form`` for the tube over a complex
+quadric curve, which ``hopf_equality_radii`` certifies exactly on the
+principal curvatures as rational functions of t = tan r.
 """
 
 from __future__ import annotations
@@ -22,16 +21,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .exact.mpoly import MPoly, exact_divide, variables
+from .exact.sturm import sturm_count
 from .shape import ShapeData
 
 
 class HopfPoint(RuntimeError):
     """The structure vector is principal here (beta below tolerance), so the
     non-Hopf basis construction does not apply."""
-
-
-class NoRoot(RuntimeError):
-    """Bisection bracket carries no sign change (wrong curvature model)."""
 
 
 @dataclass(frozen=True)
@@ -95,76 +92,88 @@ def ruled_check(shape: ShapeData, tol: float = 1e-6) -> float:
     )
 
 
+Ratio = tuple[MPoly, MPoly]  # (numerator, denominator)
+
+
 @dataclass(frozen=True)
 class HopfRadii:
-    """Equality radii of the two Hopf models, with provenance strings."""
+    """Equality radii of the two Hopf models, the cleared balances behind
+    them, and the exact facts certifying them (name -> holds)."""
 
     r_sphere: float
     r_tube: float
-    r_tube_closed_form: float
-    bisection_residual: float
-    sphere_model: str
-    tube_model: str
-
-    @property
-    def agreement(self) -> float:
-        return abs(self.r_tube - self.r_tube_closed_form)
+    balances: dict[str, str]
+    facts: dict[str, bool]
 
 
-def tube_balance(r: float) -> float:
-    """Trace balance 2 cot 2r + cot(r - pi/4) - cot(r + pi/4) for the tube
-    model; its root in (0, pi/4) is the equality radius."""
-    return (
-        2.0 / math.tan(2.0 * r)
-        + 1.0 / math.tan(r - math.pi / 4)
-        - 1.0 / math.tan(r + math.pi / 4)
-    )
+def sphere_model(t: MPoly) -> tuple[Ratio, Ratio, Ratio]:
+    """(alpha, lambda, mu) = (2 cot 2r, cot r, cot r) of the geodesic sphere
+    of radius r, in t = tan r."""
+    return (1 - t**2, t), (t**0, t), (t**0, t)
 
 
-def _bisect(fn, lo: float, hi: float, tol: float = 1e-12) -> float:
-    flo, fhi = fn(lo), fn(hi)
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if flo * fhi > 0.0:
-        raise NoRoot(f"no sign change on [{lo}, {hi}]: f(lo)={flo:.3e}, f(hi)={fhi:.3e}")
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        fm = fn(mid)
-        if fm == 0.0:
-            return mid
-        if flo * fm < 0.0:
-            hi = mid
-        else:
-            lo, flo = mid, fm
-    return 0.5 * (lo + hi)
+def tube_model(t: MPoly) -> tuple[Ratio, Ratio, Ratio]:
+    """(alpha, lambda, mu) = (2 cot 2r, cot(r - pi/4), cot(r + pi/4)) of the
+    tube of radius r over a complex quadric curve, in t = tan r."""
+    return (1 - t**2, t), (1 + t, t - 1), (1 - t, 1 + t)
+
+
+def _balance(x: Ratio, y: Ratio, z: Ratio) -> MPoly:
+    """x - y - z cleared by the product of their distinct denominators."""
+    clear = math.prod({repr(d): d for _, d in (x, y, z)}.values())
+    return sum(k * n * exact_divide(clear, d) for k, (n, d) in zip((1, -1, -1), (x, y, z)))
+
+
+def _hopf_lemma(alpha: Ratio, lam: Ratio, mu: Ratio) -> bool:
+    """lambda mu = (lambda + mu) alpha / 2 + 1, cleared of denominators."""
+    (an, ad), (ln, ld), (mn, md) = alpha, lam, mu
+    return 2 * ln * mn * ad == (ln * md + mn * ld) * an + 2 * ld * md * ad
 
 
 def tube_radius_closed_form() -> float:
-    """arctan((1 + sqrt 5 - sqrt(2 + 2 sqrt 5)) / 2), the exact root of the
-    tube trace balance (substituting t = tan r turns the balance into the
-    palindromic quartic t^4 - 2 t^3 - 2 t^2 - 2 t + 1)."""
+    """arctan((1 + sqrt 5 - sqrt(2 + 2 sqrt 5)) / 2), the root in (0, pi/4) of
+    the tube balance, a palindromic quartic in t = tan r."""
     s5 = math.sqrt(5.0)
     return math.atan((1.0 + s5 - math.sqrt(2.0 + 2.0 * s5)) / 2.0)
 
 
 def hopf_equality_radii() -> HopfRadii:
-    """Radii at which the two Hopf model families attain equality.
+    """Radii at which the two Hopf models attain equality, certified exactly.
 
-    Geodesic sphere, principal curvatures (2 cot 2r, cot r, cot r): the trace
-    balance forces 2 cot 2r = 0, i.e. r = pi/4 analytically.  Tube over a
-    complex quadric curve, principal curvatures (2 cot 2r, cot(r - pi/4),
-    cot(r + pi/4)): the balance is solved by bisection on (0.01, pi/4 - 0.01)
-    to 1e-12 and cross-checked against the closed form.
+    Equality needs mu = alpha + lambda or lambda = alpha + mu.  Cleared in
+    t = tan r, the tube's first balance Q has one root in (0, 1), i.e. r in
+    (0, pi/4), and the second none; the sphere's has its one root in
+    (0, inf) at t = 1, r = pi/4.  Modulo s^2 - 5, Q is (t^2 - (1+s)t + 1)
+    (t^2 - (1-s)t + 1), the discriminants 2 + 2s and 2 - 2s < 0 (s = sqrt 5
+    > 1), so the real roots of Q are (1 + s -+ sqrt(2 + 2s)) / 2, of product
+    1, and the one in (0, 1) is tan of the closed form.  Both models satisfy
+    the Hopf lemma.
     """
-    r_tube = _bisect(tube_balance, 0.01, math.pi / 4 - 0.01, tol=1e-12)
-    return HopfRadii(
-        r_sphere=math.pi / 4,
-        r_tube=r_tube,
-        r_tube_closed_form=tube_radius_closed_form(),
-        bisection_residual=abs(tube_balance(r_tube)),
-        sphere_model="geodesic sphere: principal curvatures (2cot2r, cot r, cot r)",
-        tube_model="tube over complex quadric curve: principal curvatures "
-        "(2cot2r, cot(r-pi/4), cot(r+pi/4))",
-    )
+    s, t = variables("s t")
+    alpha, lam, mu = tube_model(t)
+    sphere_alpha, sphere_lam, sphere_mu = sphere_model(t)
+    tube, other = _balance(mu, alpha, lam), _balance(lam, alpha, mu)
+    sphere = _balance(sphere_mu, sphere_alpha, sphere_lam)
+    near, far = t**2 - (1 + s) * t + 1, t**2 - (1 - s) * t + 1
+
+    def congruent(x: MPoly, y: MPoly) -> bool:  # modulo s^2 - 5
+        return exact_divide(x - y, s**2 - 5) is not None
+
+    def discriminant(f: MPoly) -> MPoly:
+        c, b, a = f.coefficients("t")
+        return b**2 - 4 * a * c
+
+    facts = {
+        "tube_quartic_one_root_in_(0,1)": sturm_count(tube, "t", 0, 1) == 1,
+        "other_tube_quartic_no_root_in_(0,1)": sturm_count(other, "t", 0, 1) == 0,
+        "sphere_root_in_(0,inf)_only_at_1": sturm_count(sphere, "t", 0) == 1
+        and sphere.evaluate({"s": 0, "t": 1}) == 0,
+        "tube_root_is_the_closed_form": congruent(tube, near * far)
+        and congruent(discriminant(near), 2 + 2 * s)
+        and congruent(discriminant(far), 2 - 2 * s)
+        and sturm_count(s**2 - 5, "s", 1) == 1,
+        "hopf_lemma": _hopf_lemma(alpha, lam, mu)
+        and _hopf_lemma(sphere_alpha, sphere_lam, sphere_mu),
+    }
+    balances = {"tube": repr(tube), "other_tube": repr(other), "sphere": repr(sphere)}
+    return HopfRadii(math.pi / 4, tube_radius_closed_form(), balances, facts)

@@ -4,7 +4,7 @@ Commands, each run by its ``cmd_*`` function in ``COMMANDS``
 
 * ``check ruled``   -- equality, minimality, and ruled-form residuals on a grid
 * ``check sphere``  -- deficit against the closed-form model at a given radius
-* ``check tube``    -- equality radii of the Hopf models
+* ``check tube``    -- exact certificate of the Hopf models' equality radii
 * ``symbolic``      -- the exact polynomial suite (all checks or a subset)
 * ``scan``          -- per-point curvature rows to CSV/JSON
 * ``crosscheck``    -- intrinsic vs shape-based curvature tensors
@@ -72,7 +72,8 @@ def _grid_table(
     float array ``values`` and the flag is ``ok``.  At a point in the chart's
     declared singular locus nothing is computed and the flag is
     ``singular``; where ``shape_operator`` or ``row`` fails numerically it
-    is ``RankDeficient`` (a ``SingularMetric`` too) or ``AsymmetryExceeded``.
+    is ``RankDeficient`` (a ``SingularMetric`` too) or ``AsymmetryExceeded``,
+    and where the Ricci guard trips it is ``RicciMismatch``.
     A flagged row is NaN."""
     params = list(chart.sample_box.grid(grid))
     flags = np.full(len(params), "ok", dtype=object)
@@ -87,6 +88,8 @@ def _grid_table(
             flags[k] = "RankDeficient"
         except AsymmetryExceeded:
             flags[k] = "AsymmetryExceeded"
+        except cv.RicciMismatch:
+            flags[k] = "RicciMismatch"
     return params, flags, values
 
 
@@ -199,37 +202,12 @@ def cmd_check_sphere(
 
 
 def cmd_check_tube() -> list[CheckReport]:
-    """Equality radii: analytic pi/4 for the sphere and the tube root, which
-    must match both the closed form (1e-12) and its decimal expansion."""
-    try:
-        radii = cl.hopf_equality_radii()
-    except cl.NoRoot as exc:
-        return [CheckReport("tube_radius", "fail", math.inf, {"error": str(exc)})]
-    scan = np.linspace(0.01, math.pi / 4 - 0.01, 10_000)
-    balance = np.sign([cl.tube_balance(r) for r in scan])
-    sign_changes = int(np.sum(balance[:-1] * balance[1:] < 0))
-    decimal_gap = abs(radii.r_tube - 0.33311971)
-    ok = (
-        radii.agreement <= 1e-12
-        and decimal_gap <= 1e-7
-        and radii.r_sphere == math.pi / 4
-        and sign_changes == 1
-    )
-    return [
-        _report(
-            "tube_radius",
-            ok,
-            radii.agreement,
-            r_sphere=radii.r_sphere,
-            r_tube=radii.r_tube,
-            r_tube_closed_form=radii.r_tube_closed_form,
-            decimal_gap=decimal_gap,
-            bisection_residual=radii.bisection_residual,
-            bracket_sign_changes=sign_changes,
-            sphere_model=radii.sphere_model,
-            tube_model=radii.tube_model,
-        )
-    ]
+    """Equality radii of the Hopf models, pi/4 for the geodesic sphere and
+    the arctangent closed form for the tube: exact-zero when every fact of
+    ``classify.hopf_equality_radii`` holds."""
+    radii = cl.hopf_equality_radii()
+    ok = all(radii.facts.values())
+    return [_report("tube_radius", ok, EXACT_ZERO if ok else math.inf, **vars(radii))]
 
 
 def cmd_symbolic(names: list[str] | None = None) -> list[CheckReport]:

@@ -75,12 +75,17 @@ def _gauss_tensor(shape: ShapeData) -> np.ndarray:
     )
 
 
+class RicciMismatch(AssertionError):
+    """The closed-form Ricci tensor deviates from the direct contraction."""
+
+
 def ricci_matrix(shape: ShapeData, check_tol: float = 1e-12) -> np.ndarray:
     """The Ricci tensor in frame coordinates.
 
     Both the direct contraction of the curvature tensor and the closed
     bilinear form are evaluated; they must agree to ``check_tol`` (scaled by
-    the matrix magnitude), which guards the closed form on every run.
+    the matrix magnitude), which guards the closed form on every run, or
+    ``RicciMismatch`` is raised.
     """
     A, P = shape.A, shape.P
     closed = _TWO_EYE + 3.0 * (P.T @ P) + A.trace() * A - A @ A
@@ -89,7 +94,7 @@ def ricci_matrix(shape: ShapeData, check_tol: float = 1e-12) -> np.ndarray:
     scale = max(1.0, float(np.abs(direct).max()))
     gap = float(np.abs(direct - closed).max())
     if not gap <= check_tol * scale:
-        raise AssertionError(f"closed-form Ricci deviates from contraction by {gap:.3e}")
+        raise RicciMismatch(f"closed-form Ricci deviates from contraction by {gap:.3e}")
     return closed
 
 

@@ -82,7 +82,8 @@ def bareiss_det(matrix: list[list[MPoly]]) -> MPoly:
                 else:
                     continue  # both products vanish: the entry stays zero
                 q = exact_divide(num, prev)
-                assert q is not None, "Bareiss division must be exact"
+                if q is None:
+                    raise ArithmeticError(f"Bareiss division by {prev!r} is not exact")
                 m[i][j] = q
         prev = pivot
     det = m[n - 1][n - 1]

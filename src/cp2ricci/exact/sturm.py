@@ -76,7 +76,8 @@ def sturm_count(
         x = MPoly.var(name, p.vars)
         gcd = sum((ck * x**k for k, ck in enumerate(chain[-1])), MPoly.zero(p.vars))
         q = exact_divide(p, gcd)
-        assert q is not None, "gcd(p, p') divides p"
+        if q is None:
+            raise ArithmeticError("gcd(p, p') does not divide p")
         chain = _chain(q.coefficients(name))
     count = _variations(chain, a, False) - _variations(chain, b, True)
     # Sturm counts (a, b]; the interval here is open on the right as well.

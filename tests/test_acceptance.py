@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from cp2ricci import classify as cl
 from cp2ricci import cli
 from cp2ricci import curvature as cv
 from cp2ricci.charts import ruled_chart, sphere_chart
@@ -15,6 +16,7 @@ from cp2ricci.exact.checks import run_checks
 from cp2ricci.exact.mpoly import MPoly, variables
 from cp2ricci.exact.resultant import bareiss_det, cofactor_det
 from cp2ricci.exact.sturm import sturm_count
+from cp2ricci.report import EXACT_ZERO
 from cp2ricci.shape import shape_operator
 
 
@@ -69,20 +71,20 @@ def test_criterion_sphere_equality():
 
 
 def test_criterion_tube_radius():
-    """hopf_equality_radii returns 0.33311971 +- 1e-7 and matches the
-    arctangent closed form to 1e-12."""
+    """check tube certifies the Hopf equality radii exactly: r_sphere = pi/4
+    and r_tube = the arctangent closed form, 0.33311971 +- 1e-7."""
     reports = cli.cmd_check_tube()
     d = reports[0].details
-    ok = reports[0].status == "pass"
+    ok = reports[0].status == "pass" and reports[0].max_abs_residual == EXACT_ZERO
     _line(
         ok,
         "tube radius",
-        f"r_tube {d['r_tube']:.10f}, decimal gap {d['decimal_gap']:.2e}, "
-        f"closed-form gap {reports[0].max_abs_residual:.2e}",
+        f"r_tube {d['r_tube']:.10f}, {sum(d['facts'].values())}/{len(d['facts'])} exact facts",
     )
     assert ok
+    assert d["r_sphere"] == math.pi / 4
+    assert d["r_tube"] == cl.tube_radius_closed_form()
     assert abs(d["r_tube"] - 0.33311971) < 1e-7
-    assert reports[0].max_abs_residual < 1e-12
 
 
 def test_criterion_symbolic_suite_exact():

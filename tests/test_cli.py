@@ -69,6 +69,7 @@ def test_scan_rows_satisfy_definitional_identity():
         (["check", "sphere", "--grid", "4"], "check_sphere_g4.json"),
         (["symbolic"], "symbolic_report.json"),
         (["symbolic", "all"], "symbolic_report.json"),
+        (["check", "tube"], "check_tube.json"),
     ],
 )
 def test_outputs_match_the_golden_files_byte_for_byte(tmp_path, argv, golden):
@@ -535,3 +536,19 @@ def test_sphere_hopf_fails_below_the_grid_defect():
     reports = {r.name: r for r in cli.cmd_check_sphere(grid=2, hopf_tol=defect / 2)}
     assert reports["sphere_hopf"].status == "fail"
     assert reports["sphere_deficit"].status == "pass"
+
+
+def test_ricci_guard_failure_flags_the_point_and_the_run_goes_on(tmp_path, capsys):
+    # Near the cut locus (|A| ~ 1e3) the closed-form and contracted Ricci
+    # tensors differ by more than the guard allows at 26 of 27 points; each
+    # is flagged and counted, and neither command raises.
+    rows_out, report_out = tmp_path / "rows.csv", tmp_path / "report.json"
+    assert cli.main(["scan", "sphere:1.57", "--grid", "3", "--out", str(rows_out)]) == 1
+    flags = [r["flags"] for r in csv.DictReader(io.StringIO(rows_out.read_text()))]
+    assert flags.count("RicciMismatch") == 26 and flags.count("ok") == 1
+    argv = ["check", "sphere", "--radius", "1.57", "--grid", "3", "--out", str(report_out)]
+    assert cli.main(argv) == 1
+    report = json.loads(report_out.read_text())
+    assert report["summary"]["errors"] == 26
+    assert all(r["status"] == "fail" for r in report["reports"])
+    assert "Traceback" not in capsys.readouterr().err

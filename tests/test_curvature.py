@@ -173,8 +173,10 @@ def test_gauss_tensor_matches_riemann_gauss():
 
 def test_ricci_guard_rejects_non_finite_data():
     s = ShapeData.from_matrices(np.full((3, 3), np.nan), np.zeros((3, 3)), np.array([1.0, 0, 0]))
-    with pytest.raises(AssertionError):
+    with pytest.raises(cv.RicciMismatch):
         cv.ricci_matrix(s)
+    # main's self-check handler catches AssertionError
+    assert issubclass(cv.RicciMismatch, AssertionError)
 
 
 def test_delta2_equals_max_ricci_at_sampled_points():

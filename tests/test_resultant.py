@@ -212,3 +212,11 @@ def test_prs_inexact_division_raises(monkeypatch):
     monkeypatch.setattr(resultant, "exact_divide", lambda p, q: None)
     with pytest.raises(ArithmeticError):
         prs_resultant(X**4 + A * X + 1, A * X**3 + B, "x")
+
+
+def test_bareiss_inexact_division_raises(monkeypatch):
+    # Every Bareiss update divides exactly by the previous pivot; a failed
+    # division is a broken invariant, even under -O.
+    monkeypatch.setattr(resultant, "exact_divide", lambda p, q: None)
+    with pytest.raises(ArithmeticError):
+        bareiss_det(sylvester_matrix(X**2 + A, X**2 + B * X + 1, "x"))
