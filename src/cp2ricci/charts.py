@@ -61,7 +61,7 @@ class Box:
 
 @dataclass(frozen=True)
 class SurfaceChart:
-    """A hypersurface lift: evaluation map, exact partials, domain, flags.
+    """A hypersurface lift: evaluation map, exact partials, box, singular flag.
 
     ``evaluate(u, v, t)`` returns the unit point of C^3 as a fresh complex128
     array of shape (3,); ``partials(u, v, t)`` returns the exact first
@@ -71,7 +71,6 @@ class SurfaceChart:
     name: str
     evaluate: Callable[[float, float, float], np.ndarray]
     partials: Callable[[float, float, float], np.ndarray]
-    domain: Box
     sample_box: Box
     is_singular: Callable[[float, float, float], bool]
 
@@ -105,7 +104,6 @@ def ruled_chart() -> SurfaceChart:
         name="ruled",
         evaluate=_ruled_point,
         partials=_ruled_partials,
-        domain=Box((-math.pi / 2, 0.0, 0.0), (math.pi / 2, 2 * math.pi, 2 * math.pi)),
         sample_box=Box((0.3, 0.1, 0.1), (1.2, 6.1, 6.1)),
         is_singular=is_singular,
     )
@@ -143,7 +141,6 @@ def sphere_chart(r: float) -> SurfaceChart:
         name=f"sphere:{r:.12g}",
         evaluate=evaluate,
         partials=partials,
-        domain=Box((0.0, 0.0, 0.0), (2 * math.pi, math.pi / 2, 2 * math.pi)),
         sample_box=Box((0.1, 0.3, 0.1), (6.1, 1.2, 6.1)),
         is_singular=is_singular,
     )
@@ -164,11 +161,11 @@ class _TrigField:
         self.dweight = weight * freq.T[:, None, :]
 
     @classmethod
-    def seeded(cls, seed: int, modes_per_component: int = 3) -> "_TrigField":
+    def seeded(cls, seed: int) -> "_TrigField":
         """Three modes c sin/cos(m . q) per real component with integer m in
         [-2, 2]^3, drawn again while zero; the seed fixes the field."""
         rng = np.random.default_rng(seed)
-        n = 6 * modes_per_component
+        n = 18
         coef, freq, use_sin = np.empty(n), np.empty((n, 3)), np.empty(n, dtype=bool)
         for j in range(n):
             coef[j] = rng.uniform(-1.0, 1.0)
@@ -177,7 +174,7 @@ class _TrigField:
                 freq[j] = rng.integers(-2, 3, size=3)
             use_sin[j] = rng.integers(0, 2)
         weight = np.zeros((6, n))
-        weight[np.arange(n) // modes_per_component, np.arange(n)] = coef
+        weight[np.arange(n) // 3, np.arange(n)] = coef
         return cls(freq, np.where(use_sin, 0.0, math.pi / 2), weight)
 
     def value(self, q: ParamTriple) -> np.ndarray:
@@ -243,7 +240,6 @@ def perturbed_ruled_chart(epsilon: float, seed: int = 0) -> SurfaceChart:
         name=f"perturbed-ruled:{epsilon:.12g},{seed}",
         evaluate=evaluate,
         partials=partials,
-        domain=base.domain,
         sample_box=base.sample_box,
         is_singular=base.is_singular,
     )

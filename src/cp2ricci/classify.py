@@ -1,12 +1,12 @@
 """Pointwise classification residuals and the equality radii of Hopf models.
 
-At a non-Hopf point the equality-adapted basis is e1 = xi,
-e2 = (A xi - alpha xi) / beta, e3 = P e2.  Equality of the curvature bound at
+At a non-Hopf point the equality-adapted basis is (xi, U, W) with
+U = (A xi - alpha xi) / beta and W = P U.  Equality of the curvature bound at
 the point is certified when the shape operator in this basis has vanishing
-(1,3) and (2,3) entries and trace balance a11 + a22 = a33; those two residuals
-are what ``equality_basis`` reports.  ``ruled_check`` measures the distance of
-the shape operator from the ruled normal form A xi = alpha xi + beta U,
-A U = beta xi, A W = 0, with minimality (alpha = tr A = 0).
+(1,3) and (2,3) entries and trace balance a11 + a22 = a33.
+``equality_residuals`` builds the basis once and reports those two residuals
+together with the distance from the ruled form A U = beta xi, A W = 0;
+minimality (alpha = tr A = 0) is a separate residual of the caller.
 
 The equality radii of the Hopf models are closed forms, pi/4 for the
 geodesic sphere and ``tube_radius_closed_form`` for the tube over a complex
@@ -31,64 +31,28 @@ class HopfPoint(RuntimeError):
     non-Hopf basis construction does not apply."""
 
 
-@dataclass(frozen=True)
-class EqualityBasisReport:
-    """Shape operator entries in the equality-adapted basis, plus residuals."""
+def equality_residuals(shape: ShapeData, tol: float = 1e-6) -> tuple[float, float, float]:
+    """(block, trace_balance, ruled_form) in the adapted basis (xi, U, W).
 
-    entries: dict[str, float]
-    block_residual: float  # max(|a13|, |a23|)
-    trace_residual: float  # |a11 + a22 - a33|
-    basis: np.ndarray  # rows e1, e2, e3 in frame coordinates
-
-
-def _adapted_basis(shape: ShapeData, tol: float) -> np.ndarray:
+    With U = (A xi - alpha xi) / beta and W = P U, and a_ij the entries of
+    the shape operator in that basis, block = max(|a13|, |a23|),
+    trace_balance = |a11 + a22 - a33| and ruled_form =
+    max(|A U - beta xi|, |A W|).  Raises ``HopfPoint`` when the defect beta
+    is below ``tol``; Hopf points are handled by the closed-form radii
+    instead.
+    """
     beta = shape.hopf_defect
     if beta <= tol:
         raise HopfPoint(f"hopf defect {beta:.3e} <= tol {tol:.1e}")
-    e1 = shape.xi
-    e2 = (shape.A @ shape.xi - shape.alpha * shape.xi) / beta
-    e3 = shape.P @ e2
-    return np.vstack([e1, e2, e3])
-
-
-def equality_basis(shape: ShapeData, tol: float = 1e-6) -> EqualityBasisReport:
-    """Construct the equality-adapted basis and report the two residuals.
-
-    Raises ``HopfPoint`` when the defect is below ``tol``; Hopf points are
-    handled by the closed-form radii instead.
-    """
-    basis = _adapted_basis(shape, tol)
-    a = basis @ shape.A @ basis.T
-    entries = {
-        "a11": float(a[0, 0]),
-        "a12": float(a[0, 1]),
-        "a13": float(a[0, 2]),
-        "a22": float(a[1, 1]),
-        "a23": float(a[1, 2]),
-        "a33": float(a[2, 2]),
-    }
-    return EqualityBasisReport(
-        entries=entries,
-        block_residual=float(max(abs(a[0, 2]), abs(a[1, 2]))),
-        trace_residual=float(abs(a[0, 0] + a[1, 1] - a[2, 2])),
-        basis=basis,
-    )
-
-
-def ruled_check(shape: ShapeData, tol: float = 1e-6) -> float:
-    """Residual of the minimal ruled normal form at a non-Hopf point.
-
-    With U = (A xi - alpha xi)/beta and W = P U (a unit vector orthogonal to
-    xi and U), returns max(|A U - beta xi|, |A W|, |alpha|, |tr A|).
-    """
-    basis = _adapted_basis(shape, tol)
-    _, u, w = basis
-    beta = shape.hopf_defect
-    return max(
-        float(np.linalg.norm(shape.A @ u - beta * shape.xi)),
-        float(np.linalg.norm(shape.A @ w)),
-        abs(shape.alpha),
-        abs(float(np.trace(shape.A))),
+    A, xi = shape.A, shape.xi
+    u = (A @ xi - shape.alpha * xi) / beta
+    w = shape.P @ u
+    basis = np.vstack([xi, u, w])
+    a = basis @ A @ basis.T
+    return (
+        float(max(abs(a[0, 2]), abs(a[1, 2]))),
+        float(abs(a[0, 0] + a[1, 1] - a[2, 2])),
+        max(float(np.linalg.norm(A @ u - beta * xi)), float(np.linalg.norm(A @ w))),
     )
 
 

@@ -112,14 +112,15 @@ def cmd_check_ruled(grid: int = 16, step: float = 1e-5, tol: float = 1e-6) -> li
     chart = ruled_chart()
 
     def row(q: ParamTriple, s: ShapeData) -> list[float]:
-        # The last column is 1 where the classification residuals exist.
+        # The last column is 1 where the classification residuals exist; the
+        # ruled_form column adds minimality to the ruled form.
+        trace, alpha = abs(float(s.A.trace())), abs(s.alpha)
         try:
-            eq = cl.equality_basis(s, tol=tol)
-            residuals = [eq.block_residual, eq.trace_residual, cl.ruled_check(s, tol=tol), 1.0]
+            block, balance, form = cl.equality_residuals(s, tol=tol)
+            residuals = [block, balance, max(form, alpha, trace), 1.0]
         except cl.HopfPoint:
             residuals = [math.nan, math.nan, math.nan, 0.0]
-        trace = abs(float(s.A.trace()))
-        return [s.hopf_defect, abs(cv.deficit(s)), trace, abs(s.alpha), *residuals]
+        return [s.hopf_defect, abs(cv.deficit(s)), trace, alpha, *residuals]
 
     _, flags, t = _grid_table(chart, grid, step, row, 8)
     shaped, classified = t[flags == "ok"], t[t[:, 7] == 1.0]

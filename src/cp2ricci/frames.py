@@ -10,11 +10,12 @@ Cholesky factor of the Gram matrix W W^T, E1 = L1^-1 W, and with L2 that of
 E1 E1^T, E = L2^-1 E1.  This is Gram-Schmidt with a positive diagonal, so
 row i of ``coeffs`` = L2^-1 L1^-1 expresses e_i in the horizontalized
 partials.  Both 3x3 factors and their inverses are closed forms on Python
-floats.  The rank guard reads the Gram-Schmidt remainders as diag(W E^T),
-which stays accurate where the Gram matrix is ill-conditioned.  The frame
-is completed by the unique horizontal unit normal n, read off the kernel of
-the skew matrix <i e_j, e_k>; its sign follows a deterministic rule so that
-runs are reproducible.
+floats.  The rank guard compares the Gram-Schmidt remainders, read as
+diag(W E^T), with ``RANK_TOL``; that stays accurate where the Gram matrix is
+ill-conditioned.  The frame is completed by the unique horizontal unit
+normal n, read off the kernel of the skew matrix <i e_j, e_k>; its sign
+follows a deterministic rule (largest component >= 0) so that runs are
+reproducible.
 
 ``MovingFrame`` stores the point p as an ``AmbientVector`` and the real
 rows [i p, e_1, e_2, e_3, n] as one read-only (5, 6) array.
@@ -29,6 +30,9 @@ import numpy as np
 
 from .ambient import AmbientVector
 from .charts import ParamTriple, SurfaceChart
+
+
+RANK_TOL = 1e-8  # the smallest Gram-Schmidt remainder a frame accepts
 
 
 class RankDeficient(RuntimeError):
@@ -79,20 +83,13 @@ class MovingFrame:
     coeffs: np.ndarray
 
 
-def build_frame(
-    chart: SurfaceChart,
-    q: ParamTriple,
-    rank_tol: float = 1e-8,
-    orient: int = 1,
-) -> MovingFrame:
+def build_frame(chart: SurfaceChart, q: ParamTriple) -> MovingFrame:
     """Build the moving frame at a non-singular parameter point.
 
     Raises ``RankDeficient`` when the smallest Gram-Schmidt remainder norm,
-    min diag(W E^T), falls below ``rank_tol`` or is NaN (a Cholesky pivot
+    min diag(W E^T), falls below ``RANK_TOL`` or is NaN (a Cholesky pivot
     that is not positive makes it NaN), which signals a coordinate
     singularity, a fiber-tangent direction or a non-finite chart value.
-    ``orient`` (+1 or -1) multiplies the normal after the deterministic sign
-    rule, for sign-consistency experiments.
     """
     p = chart.evaluate(*q)
     W = _horizontal_rows(p, chart.partials(*q))
@@ -104,18 +101,18 @@ def build_frame(
     E = R[1:4]
     C2.dot(E1, out=E)
     norm = float((W * E).sum(axis=1).min())
-    if not norm >= rank_tol:
+    if not norm >= RANK_TOL:
         raise RankDeficient(
-            f"chart {chart.name!r} at {q}: Gram-Schmidt remainder {norm:.3e} < {rank_tol:.1e}"
+            f"chart {chart.name!r} at {q}: Gram-Schmidt remainder {norm:.3e} < {RANK_TOL:.1e}"
         )
 
     # i n is tangent, so xi_j = <-i n, e_j> spans the kernel of the skew
     # matrix <i e_j, e_k>; its axial vector gives n = i sum_j xi_j e_j up to
-    # sign.  Sign rule: largest component >= 0, then times orient.
+    # sign.  Sign rule: largest component >= 0.
     iE = (1j * E.view(np.complex128)).view(np.float64)
     (_, g01, g02), (g10, _, g12), (g20, g21, _) = iE.dot(E.T).tolist()
     n = np.dot((g12 - g21, g20 - g02, g01 - g10), iE)
     lead = int(abs(n).argmax())
-    R[4] = (float(orient) / math.copysign(math.sqrt(n.dot(n)), n[lead])) * n
+    R[4] = (1.0 / math.copysign(math.sqrt(n.dot(n)), n[lead])) * n
     R.setflags(write=False)
     return MovingFrame(p=AmbientVector(p), rows=R, coeffs=C2.dot(C1))

@@ -7,8 +7,9 @@ a vertical component, and the normal field rotates along the fiber (its
 derivative in the fiber direction is i times the normal), so the coordinate
 derivatives are corrected by the analytic fiber term before contraction into
 the frame.  The result is symmetrized; the pre-symmetrization asymmetry is
-recorded and guarded, since the true operator is symmetric and asymmetry
-measures numerical error.
+recorded and guarded by ``ASYM_TOL``, since the true operator is symmetric
+and asymmetry measures numerical error.  The normal and its sign are the
+frame's (see ``frames``); a flipped normal negates A and xi.
 
 The frame is read as its real rows ``frame.rows`` = [i p, e_1, e_2, e_3, n]
 and their images under i, one complex multiplication of the whole block; the
@@ -28,8 +29,11 @@ from .charts import ParamTriple, SurfaceChart
 from .frames import MovingFrame, build_frame
 
 
+ASYM_TOL = 1e-6  # the largest pre-symmetrization asymmetry a shape operator accepts
+
+
 class AsymmetryExceeded(RuntimeError):
-    """Pre-symmetrization asymmetry above the configured bound.
+    """Pre-symmetrization asymmetry above ``ASYM_TOL``.
 
     Signals a too-large finite-difference step or a near-singular point."""
 
@@ -77,16 +81,9 @@ class ShapeData:
         )
 
 
-def shape_operator(
-    chart: SurfaceChart,
-    q: ParamTriple,
-    h: float = 1e-5,
-    asym_tol: float = 1e-6,
-    rank_tol: float = 1e-8,
-    orient: int = 1,
-) -> ShapeData:
+def shape_operator(chart: SurfaceChart, q: ParamTriple, h: float = 1e-5) -> ShapeData:
     """Shape operator and companions at q by central differences of step h."""
-    frame = build_frame(chart, q, rank_tol=rank_tol, orient=orient)
+    frame = build_frame(chart, q)
     R = frame.rows  # [i p, e_1, e_2, e_3, n]
     iR = (1j * R.view(np.complex128)).view(np.float64)
     E, iE, n, i_n = R[1:4], iR[1:4], R[4], iR[4]
@@ -103,7 +100,7 @@ def shape_operator(
         for step in (h, -h):
             qs = list(q)
             qs[a] += step
-            m = build_frame(chart, tuple(qs), rank_tol=rank_tol).rows[4]
+            m = build_frame(chart, tuple(qs)).rows[4]
             ends.append(-m if m.dot(n) < 0.0 else m)
         FD[a] = (1.0 / (2.0 * h)) * (ends[0] - ends[1])
     # D_{W_a} n = FD_a - vert_a * i n, and A e_i = -H(D_{e_i} n).
@@ -112,9 +109,9 @@ def shape_operator(
 
     A_raw = frame.coeffs @ raw
     asym = float(np.abs(A_raw - A_raw.T).max())
-    if not asym <= asym_tol:
+    if not asym <= ASYM_TOL:
         raise AsymmetryExceeded(
-            f"chart {chart.name!r} at {q}: asymmetry {asym:.3e} > {asym_tol:.1e}"
+            f"chart {chart.name!r} at {q}: asymmetry {asym:.3e} > {ASYM_TOL:.1e}"
         )
     A = 0.5 * (A_raw + A_raw.T)
     P = E @ iE.T  # P[i, j] = <i e_j, e_i>

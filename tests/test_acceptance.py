@@ -6,8 +6,6 @@ import random
 import time
 from fractions import Fraction
 
-import numpy as np
-
 from cp2ricci import classify as cl
 from cp2ricci import cli
 from cp2ricci import curvature as cv
@@ -135,9 +133,9 @@ def test_criterion_oracle_equivalences():
         r.max_abs_residual for r in cross if isinstance(r.max_abs_residual, float)
     )
 
-    rng = np.random.default_rng(42)
+    shapes = random.Random(42)
     for _ in range(1000):
-        cv.ricci_matrix(cv.random_shape_data(rng), check_tol=1e-12)
+        cv.ricci_matrix(cv.random_shape_data(shapes))
 
     worst_delta2 = 0.0
     for chart in (ruled_chart(), sphere_chart(math.pi / 6)):

@@ -109,9 +109,16 @@ def test_singular_predicates():
 
 
 def test_sample_boxes_avoid_singular_loci():
-    for chart in (ruled_chart(), sphere_chart(0.9)):
+    # Each sample box lies inside its chart's parameter domain: u in
+    # [-pi/2, pi/2], v, t in [0, 2 pi] for the ruled chart; phi, t in
+    # [0, 2 pi], s in [0, pi/2] for the sphere.
+    tau = 2 * math.pi
+    for chart, lo, hi in (
+        (ruled_chart(), (-math.pi / 2, 0.0, 0.0), (math.pi / 2, tau, tau)),
+        (sphere_chart(0.9), (0.0, 0.0, 0.0), (tau, math.pi / 2, tau)),
+    ):
         for q in chart.sample_box.grid(4):
-            assert all(l <= x <= h for l, x, h in zip(chart.domain.lo, q, chart.domain.hi))
+            assert all(l <= x <= h for l, x, h in zip(lo, q, hi))
             assert not chart.is_singular(*q)
 
 
@@ -186,7 +193,6 @@ def test_custom_array_chart_gives_the_builtin_results_exactly():
                 [0.0, 0.0, 1j * sin(u) * complex(cos(t), sin(t))],
             ]
         ),
-        domain=base.domain,
         sample_box=base.sample_box,
         is_singular=base.is_singular,
     )
@@ -204,12 +210,12 @@ class _LoopField:
     """Reference for ``_TrigField``: the per-term loop it replaced, as six
     real components (Re c1, Im c1, Re c2, ...) of c * sin/cos(m . q)."""
 
-    def __init__(self, seed: int, modes_per_component: int = 3):
+    def __init__(self, seed: int):
         rng = np.random.default_rng(seed)
         self.terms = []
         for _ in range(6):
             comp = []
-            for _ in range(modes_per_component):
+            for _ in range(3):
                 coef = float(rng.uniform(-1.0, 1.0))
                 freq = tuple(int(k) for k in rng.integers(-2, 3, size=3))
                 while freq == (0, 0, 0):

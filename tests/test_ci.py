@@ -4,12 +4,19 @@ Every step of ``.github/workflows/tier1.yml`` that runs ``cp2ricci`` is
 replayed through ``cli.main``: each invocation must exit with 0, or N where a
 ``test "$status" -eq N`` line follows it (an argparse error exits through
 ``SystemExit``), and each ``cmp`` of two files must find them equal.
-``$RUNNER_TEMP`` is a fresh temporary directory and redirections are
-dropped.
+``$RUNNER_TEMP`` is a fresh temporary directory.  A ``2> FILE`` redirection
+writes the invocation's standard error to FILE, every warning included
+(shown each time it is raised), and the step's ``test ! -s FILE``,
+``grep -q Traceback FILE`` and ``head -c N FILE`` lines are checked on it;
+other redirections are dropped.
 """
 
+import contextlib
+import functools
+import io
 import re
 import shlex
+import warnings
 from pathlib import Path
 
 import pytest
@@ -19,11 +26,25 @@ from cp2ricci import cli
 ROOT = Path(__file__).resolve().parents[1]
 WORKFLOW = ROOT / ".github" / "workflows" / "tier1.yml"
 STATUS = re.compile(r'test "\$status" -eq (\d+)')
+# A check on a file the step wrote, as (pattern naming the file, predicate
+# of the match and the file's text).
+FILE_CHECKS = [
+    (re.compile(r'test ! -s "(?P<file>[^"]+)"'), lambda m, text: text == ""),
+    (
+        re.compile(r'if grep -q Traceback "(?P<file>[^"]+)"; then exit 1; fi'),
+        lambda m, text: "Traceback" not in text,
+    ),
+    (
+        re.compile(r'test "\$\(head -c (?P<n>\d+) "(?P<file>[^"]+)"\)" = "(?P<head>[^"]*)"'),
+        lambda m, text: text.encode()[: int(m["n"])] == m["head"].encode(),
+    ),
+]
 
 
 def _steps() -> dict[str, list[list]]:
-    """Step name -> its ``cp2ricci`` and ``cmp`` lines in order, each as
-    [words, expected status] (status None for ``cmp``)."""
+    """Step name -> its replayed lines in order: ["cp2ricci", words, expected
+    status, stderr file or None], ["cmp", words] and ["file", line, match,
+    predicate]."""
     steps: dict[str, list[list]] = {}
     name = None
     for raw in WORKFLOW.read_text().splitlines():
@@ -35,33 +56,80 @@ def _steps() -> dict[str, list[list]]:
         if line.startswith(("cp2ricci ", "cmp ")):
             words = shlex.split(line)
             cut = next((k for k, w in enumerate(words) if w == "||" or w.endswith(">")), None)
-            expected = 0 if words[0] == "cp2ricci" else None
-            steps.setdefault(name, []).append([words[:cut], expected])
+            err = words[cut + 1] if cut is not None and words[cut] == "2>" else None
+            if words[0] == "cmp":
+                steps.setdefault(name, []).append(["cmp", words[:cut]])
+            else:
+                steps.setdefault(name, []).append(["cp2ricci", words[:cut], 0, err])
         elif (m := STATUS.fullmatch(line)) and name in steps:
-            steps[name][-1][1] = int(m[1])
+            steps[name][-1][2] = int(m[1])
+        else:
+            for pattern, holds in FILE_CHECKS:
+                if m := pattern.fullmatch(line):
+                    steps.setdefault(name, []).append(["file", line, m, holds])
     return steps
 
 
 STEPS = _steps()
 
 
+def _main(args: list[str]) -> tuple[int, str]:
+    """``cli.main(args)``: its exit status and its standard error, warnings
+    included."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            status = cli.main(args)
+        except SystemExit as exc:
+            status = exc.code
+    shown = (warnings.formatwarning(w.message, w.category, w.filename, w.lineno) for w in caught)
+    return status, err.getvalue() + "".join(shown)
+
+
+def _replay(name: str, tmp: Path) -> None:
+    def path(word: str) -> Path:
+        p = Path(word.replace("$RUNNER_TEMP", str(tmp)))
+        return p if p.is_absolute() else ROOT / p
+
+    for kind, *line in STEPS[name]:
+        if kind == "cmp":
+            words = line[0]
+            a, b = (path(x) for x in words[1:])
+            assert a.read_bytes() == b.read_bytes(), f"{words}"
+        elif kind == "file":
+            text, match, holds = line
+            assert holds(match, path(match["file"]).read_text()), f"{name}: {text}"
+        else:
+            words, expected, err = line
+            status, stderr = _main([w.replace("$RUNNER_TEMP", str(tmp)) for w in words[1:]])
+            assert status == expected, f"{words}"
+            if err is not None:
+                path(err).write_text(stderr)
+
+
 def test_the_workflow_runs_the_cli():
     assert len(STEPS) >= 10
-    assert any(words[0] == "cmp" for lines in STEPS.values() for words, _ in lines)
+    assert any(kind == "cmp" for lines in STEPS.values() for kind, *_ in lines)
+    used = {line[3] for lines in STEPS.values() for line in lines if line[0] == "file"}
+    assert used == {holds for _, holds in FILE_CHECKS}  # every kind of file check is replayed
 
 
 @pytest.mark.parametrize(
     "name", list(STEPS), ids=lambda n: re.sub(r"\W+", "-", n).strip("-").lower()
 )
 def test_workflow_step_holds(name, tmp_path):
-    for words, expected in STEPS[name]:
-        args = [w.replace("$RUNNER_TEMP", str(tmp_path)) for w in words[1:]]
-        if words[0] == "cmp":
-            a, b = (Path(x) if Path(x).is_absolute() else ROOT / x for x in args)
-            assert a.read_bytes() == b.read_bytes(), f"{words}"
-        else:
-            try:
-                status = cli.main(args)
-            except SystemExit as exc:
-                status = exc.code
-            assert status == expected, f"{words}"
+    _replay(name, tmp_path)
+
+
+def test_a_warning_fails_a_step_that_expects_empty_stderr(monkeypatch, tmp_path):
+    parse = cli.parse_surface
+
+    @functools.wraps(parse)
+    def noisy(*args, **kwargs):
+        warnings.warn("injected", RuntimeWarning)
+        return parse(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "parse_surface", noisy)
+    with pytest.raises(AssertionError, match="test ! -s"):
+        _replay("Perturbed scan near the float maximum passes without warnings", tmp_path)

@@ -13,35 +13,39 @@ from cp2ricci.shape import ShapeData, shape_operator
 from helpers import flip_normal
 
 
+def _adapted_basis(s):
+    """Rows xi, U = (A xi - alpha xi) / beta, W = P U, built independently of
+    ``equality_residuals``."""
+    u = (s.A @ s.xi - s.alpha * s.xi) / s.hopf_defect
+    return np.array([s.xi, u, s.P @ u])
+
+
 def test_equality_basis_on_ruled_grid():
     chart = ruled_chart()
     for q in chart.sample_box.grid(3):
         s = shape_operator(chart, q)
-        rep = cl.equality_basis(s)
-        assert abs(rep.entries["a11"]) < 1e-6
-        assert abs(rep.entries["a22"]) < 1e-6
-        assert abs(rep.entries["a33"]) < 1e-6
-        assert abs(rep.entries["a12"] - s.hopf_defect) < 1e-8
-        assert rep.block_residual < 1e-6
-        assert rep.trace_residual < 1e-6
-        # constructed basis is orthonormal and e3 = P e2 kills <P e1, e2>
-        gram = rep.basis @ rep.basis.T
-        assert np.max(np.abs(gram - np.eye(3))) < 1e-10
-        assert abs((s.P @ rep.basis[0]) @ rep.basis[1]) < 1e-10
+        block, balance, form = cl.equality_residuals(s)
+        assert block < 1e-6 and balance < 1e-6 and form < 1e-6
+        basis = _adapted_basis(s)
+        a = basis @ s.A @ basis.T
+        assert np.max(np.abs(np.diag(a))) < 1e-6
+        assert abs(a[0, 1] - s.hopf_defect) < 1e-8
+        # the basis is orthonormal and W = P U kills <P xi, U>
+        assert np.max(np.abs(basis @ basis.T - np.eye(3))) < 1e-10
+        assert abs((s.P @ basis[0]) @ basis[1]) < 1e-10
 
 
 def test_equality_basis_rejects_hopf_points():
     s = shape_operator(sphere_chart(math.pi / 4), (0.3, 0.7, 0.4))
     with pytest.raises(cl.HopfPoint):
-        cl.equality_basis(s)
-    with pytest.raises(cl.HopfPoint):
-        cl.ruled_check(s)
+        cl.equality_residuals(s)
 
 
 def test_ruled_check_on_grid_minimal_mode():
     chart = ruled_chart()
     for q in chart.sample_box.grid(3):
-        assert cl.ruled_check(shape_operator(chart, q)) < 1e-6
+        s = shape_operator(chart, q)
+        assert max(cl.equality_residuals(s)[2], abs(s.alpha), abs(float(s.A.trace()))) < 1e-6
 
 
 def test_perturbed_points_break_equality_with_deficit_oracle():
@@ -56,11 +60,11 @@ def test_perturbed_points_break_equality_with_deficit_oracle():
         s = shape_operator(chart, q)
         d = cv.deficit(s)
         assert d >= -1e-6
-        rep = cl.equality_basis(s)
+        _, balance, _ = cl.equality_residuals(s)
         if d > 1e-3:
-            assert rep.trace_residual > 1e-6
+            assert balance > 1e-6
             broken += 1
-        if rep.trace_residual > 1e-3:
+        if balance > 1e-3:
             generic += 1
     assert broken > 50  # the perturbation genuinely leaves the equality set
     assert generic > 50  # and the trace residual is macroscopic generically
@@ -71,38 +75,36 @@ def test_perturbed_ruled_residual_matches_direct_aw_norm():
     generic = 0
     for q in [(0.4, 1.0, 2.0), (0.8, 4.0, 0.5), (1.1, 2.5, 5.0)]:
         s = shape_operator(chart, q)
-        res = cl.ruled_check(s)
-        rep = cl.equality_basis(s)
-        w = rep.basis[2]
+        _, u, w = _adapted_basis(s)
+        form = cl.equality_residuals(s)[2]
         direct = max(
-            float(np.linalg.norm(s.A @ rep.basis[1] - s.hopf_defect * s.xi)),
+            float(np.linalg.norm(s.A @ u - s.hopf_defect * s.xi)),
             float(np.linalg.norm(s.A @ w)),
-            abs(s.alpha),
-            abs(float(np.trace(s.A))),
         )
-        assert abs(res - direct) < 1e-12
-        if res > 1e-3:
+        assert abs(form - direct) < 1e-12
+        if form > 1e-3:
             generic += 1
     assert generic >= 2
 
 
 def test_residuals_invariant_under_normal_flip():
     s = shape_operator(ruled_chart(), (0.6, 1.0, 2.0))
-    f = flip_normal(s)
-    a, b = cl.equality_basis(s), cl.equality_basis(f)
-    assert abs(a.block_residual - b.block_residual) < 1e-12
-    assert abs(a.trace_residual - b.trace_residual) < 1e-12
-    assert abs(cl.ruled_check(s) - cl.ruled_check(f)) < 1e-12
+    a, b = cl.equality_residuals(s), cl.equality_residuals(flip_normal(s))
+    assert np.max(np.abs(np.subtract(a, b))) < 1e-12
 
 
-def test_ruled_check_reports_alpha_when_it_is_the_largest_term():
+def test_ruled_check_reports_alpha_when_it_is_the_largest_term(monkeypatch):
     # Basis (xi, U, W) = (e1, e2, e3) with P U = W: |A U - beta xi| = 0.1,
-    # |A W| = 0.3, |tr A| = 0.3 and |alpha| = 0.5, so only alpha gives 0.5.
+    # |A W| = 0.3, |tr A| = 0.3 and |alpha| = 0.5.  The ruled form leaves
+    # minimality out; the ruled_form check adds it, so only alpha gives 0.5.
     P = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, -1.0], [0.0, 1.0, 0.0]])
     A = np.array([[0.5, 0.8, 0.0], [0.8, 0.1, 0.0], [0.0, 0.0, -0.3]])
     s = ShapeData.from_matrices(A, P, np.array([1.0, 0.0, 0.0]))
     assert s.alpha == 0.5 and s.hopf_defect == 0.8
-    assert cl.ruled_check(s) == 0.5
+    assert cl.equality_residuals(s)[2] == 0.3
+    monkeypatch.setattr(cli, "shape_operator", lambda chart, q, h: s)
+    reports = {r.name: r for r in cli.cmd_check_ruled(grid=2)}
+    assert reports["ruled_form"].max_abs_residual == 0.5
 
 
 def test_hopf_equality_radii():

@@ -3,6 +3,9 @@ import dataclasses
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -10,6 +13,7 @@ import numpy as np
 import pytest
 
 from cp2ricci import cli
+from cp2ricci import curvature as cv
 from cp2ricci.charts import Box, perturbed_ruled_chart, ruled_chart, sphere_chart
 from cp2ricci.frames import build_frame
 from cp2ricci.report import (
@@ -70,6 +74,7 @@ def test_scan_rows_satisfy_definitional_identity():
         (["symbolic"], "symbolic_report.json"),
         (["symbolic", "all"], "symbolic_report.json"),
         (["check", "tube"], "check_tube.json"),
+        (["check", "ruled", "--grid", "4"], "check_ruled_g4.json"),
     ],
 )
 def test_outputs_match_the_golden_files_byte_for_byte(tmp_path, argv, golden):
@@ -538,17 +543,59 @@ def test_sphere_hopf_fails_below_the_grid_defect():
     assert reports["sphere_deficit"].status == "pass"
 
 
-def test_ricci_guard_failure_flags_the_point_and_the_run_goes_on(tmp_path, capsys):
-    # Near the cut locus (|A| ~ 1e3) the closed-form and contracted Ricci
-    # tensors differ by more than the guard allows at 26 of 27 points; each
-    # is flagged and counted, and neither command raises.
+def test_ricci_guard_failure_flags_the_point_and_the_run_goes_on(tmp_path, capsys, monkeypatch):
+    # A closed form off by 1e-3 trips the guard at every grid point; each
+    # point is flagged and counted, and neither command raises.  The start-up
+    # self-check would catch the error before any grid, so it is skipped.
+    monkeypatch.setattr(cv, "_TWO_EYE", 2.0 * np.eye(3) + 1e-3)
+    monkeypatch.setattr(cv, "ricci_selfcheck", lambda: None)
     rows_out, report_out = tmp_path / "rows.csv", tmp_path / "report.json"
     assert cli.main(["scan", "sphere:1.57", "--grid", "3", "--out", str(rows_out)]) == 1
     flags = [r["flags"] for r in csv.DictReader(io.StringIO(rows_out.read_text()))]
-    assert flags.count("RicciMismatch") == 26 and flags.count("ok") == 1
+    assert flags == ["RicciMismatch"] * 27
     argv = ["check", "sphere", "--radius", "1.57", "--grid", "3", "--out", str(report_out)]
     assert cli.main(argv) == 1
     report = json.loads(report_out.read_text())
-    assert report["summary"]["errors"] == 26
+    assert report["summary"]["errors"] == 27
     assert all(r["status"] == "fail" for r in report["reports"])
     assert "Traceback" not in capsys.readouterr().err
+
+
+def test_ricci_guard_scales_with_the_cancelling_summands_near_the_cut_locus(tmp_path):
+    # Near the cut locus |A| ~ 1e3, so the two Ricci routes cancel summands
+    # of size |A|^2 ~ 1e6 and differ by rounding far above 1e-12 * max|Ric|.
+    # The guard allows for that: every point computes, and the check then
+    # fails on its deficit alone, honestly.
+    rows_out, report_out = tmp_path / "rows.csv", tmp_path / "report.json"
+    assert cli.main(["scan", "sphere:1.57", "--grid", "3", "--out", str(rows_out)]) == 0
+    flags = [r["flags"] for r in csv.DictReader(io.StringIO(rows_out.read_text()))]
+    assert flags == ["ok"] * 27
+    argv = ["check", "sphere", "--radius", "1.57", "--grid", "3", "--out", str(report_out)]
+    assert cli.main(argv) == 1
+    report = json.loads(report_out.read_text())
+    assert report["summary"]["errors"] == 0
+    status = {r["checkName"]: r["status"] for r in report["reports"]}
+    assert status == {
+        "sphere_deficit": "fail",
+        "sphere_principal_curvatures": "pass",
+        "sphere_hopf": "pass",
+    }
+
+
+def test_a_non_perturbed_command_leaves_numpy_random_unimported():
+    # The start-up self-check draws from the standard library's generator.
+    code = (
+        "import sys\n"
+        "from cp2ricci import cli\n"
+        "assert cli.main(['check', 'tube']) == 0\n"
+        "print('numpy.random' in sys.modules)\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    ).stdout
+    assert out.splitlines()[-1] == "False"

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cp2ricci.charts import perturbed_ruled_chart, ruled_chart, sphere_chart
-from cp2ricci.frames import RankDeficient, _horizontal_rows, build_frame
+from cp2ricci.frames import RANK_TOL, RankDeficient, _horizontal_rows, build_frame
 from helpers import horizontalize
 
 
@@ -70,14 +70,6 @@ def test_frame_determinism():
     assert np.array_equal(a.coeffs, b.coeffs)
 
 
-def test_orient_flag_flips_normal_only():
-    a = build_frame(ruled_chart(), (0.6, 1.0, 2.0))
-    b = build_frame(ruled_chart(), (0.6, 1.0, 2.0), orient=-1)
-    assert np.array_equal(a.rows[4], -b.rows[4])
-    assert np.array_equal(a.rows[:4], b.rows[:4])
-    assert np.array_equal(a.coeffs, b.coeffs)
-
-
 def test_frame_invariants_on_grids_of_both_charts():
     for chart in (ruled_chart(), sphere_chart(math.pi / 6)):
         for q in chart.sample_box.grid(3):
@@ -113,11 +105,9 @@ def test_frame_invariants_and_bookkeeping_over_sample_boxes(chart, frac):
         assert np.max(np.abs(frame.coeffs[i] @ ws - e)) <= 1e-12
     n = frame.rows[4]
     assert n[np.argmax(np.abs(n))] >= 0.0
-    flipped = build_frame(chart, q, orient=-1)
-    assert np.array_equal(flipped.rows[4], -n)
 
 
-def _gram_schmidt_frame(chart, q, rank_tol=1e-8, orient=1):
+def _gram_schmidt_frame(chart, q):
     """Reference transcription of the per-vector Gram-Schmidt frame kernel:
     the rows [e_1, e_2, e_3], ``coeffs`` and the normal, all real."""
     p = chart.evaluate(*q)
@@ -136,8 +126,8 @@ def _gram_schmidt_frame(chart, q, rank_tol=1e-8, orient=1):
             y = y - s.dot(known)
             row -= s[2:].dot(coeffs[:a])
         norm = math.sqrt(y.dot(y))
-        if not norm >= rank_tol:
-            raise RankDeficient(f"Gram-Schmidt remainder {norm:.3e} < {rank_tol:.1e}")
+        if not norm >= RANK_TOL:
+            raise RankDeficient(f"Gram-Schmidt remainder {norm:.3e} < {RANK_TOL:.1e}")
         K[2 + a] = (1.0 / norm) * y
         coeffs[a] = row / norm
     best, best_norm2 = 0, -1.0
@@ -149,7 +139,7 @@ def _gram_schmidt_frame(chart, q, rank_tol=1e-8, orient=1):
     n -= K.dot(n).dot(K)
     n /= math.sqrt(n.dot(n))
     lead = int(abs(n).argmax())
-    n *= float(orient) * (1.0 if n[lead] >= 0 else -1.0)
+    n *= 1.0 if n[lead] >= 0 else -1.0
     return K[2:], coeffs, n
 
 

@@ -1,8 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from cp2ricci import shape
 from cp2ricci.charts import ruled_chart, sphere_chart
 from cp2ricci.shape import AsymmetryExceeded, ShapeData, shape_operator
 from helpers import flip_normal
@@ -60,10 +62,25 @@ def test_structural_invariants_on_grids():
             assert s.asymmetry < 1e-6
 
 
-def test_normal_sign_flip_negates_A_and_xi():
+def _flipped_shape_operator(monkeypatch, q):
+    """``shape_operator`` at q with every frame's normal negated."""
+    build = shape.build_frame
+
+    def flipped(chart, q):
+        frame = build(chart, q)
+        rows = frame.rows * np.array([[1.0], [1.0], [1.0], [1.0], [-1.0]])
+        rows.setflags(write=False)
+        return dataclasses.replace(frame, rows=rows)
+
+    with monkeypatch.context() as m:
+        m.setattr(shape, "build_frame", flipped)
+        return shape_operator(ruled_chart(), q)
+
+
+def test_normal_sign_flip_negates_A_and_xi(monkeypatch):
     q = (0.6, 1.0, 2.0)
     a = shape_operator(ruled_chart(), q)
-    b = shape_operator(ruled_chart(), q, orient=-1)
+    b = _flipped_shape_operator(monkeypatch, q)
     assert np.max(np.abs(a.A + b.A)) < 1e-12
     assert np.max(np.abs(a.xi + b.xi)) < 1e-12
     assert np.max(np.abs(a.P - b.P)) == 0.0
@@ -73,10 +90,10 @@ def test_normal_sign_flip_negates_A_and_xi():
     assert np.max(np.abs(eigs_a - eigs_b)) < 1e-12
 
 
-def test_flip_helper_matches_pipeline_flip():
+def test_flip_helper_matches_pipeline_flip(monkeypatch):
     q = (0.5, 2.5, 1.5)
     a = flip_normal(shape_operator(ruled_chart(), q))
-    b = shape_operator(ruled_chart(), q, orient=-1)
+    b = _flipped_shape_operator(monkeypatch, q)
     assert np.max(np.abs(a.A - b.A)) < 1e-12
     assert np.max(np.abs(a.xi - b.xi)) < 1e-12
 
@@ -121,15 +138,17 @@ def test_sphere_charts_are_hopf():
             assert shape_operator(chart, q).hopf_defect < 1e-8
 
 
-def test_asymmetry_guard_raises():
+def test_asymmetry_guard_raises(monkeypatch):
+    monkeypatch.setattr(shape, "ASYM_TOL", 0.0)
     with pytest.raises(AsymmetryExceeded):
-        shape_operator(ruled_chart(), (0.6, 1.0, 2.0), asym_tol=0.0)
+        shape_operator(ruled_chart(), (0.6, 1.0, 2.0))
 
 
-def test_asymmetry_guard_fails_on_nan():
+def test_asymmetry_guard_fails_on_nan(monkeypatch):
     # a comparison with NaN is false, so the guard must fail on it
+    monkeypatch.setattr(shape, "ASYM_TOL", float("nan"))
     with pytest.raises(AsymmetryExceeded):
-        shape_operator(ruled_chart(), (0.6, 1.0, 2.0), asym_tol=float("nan"))
+        shape_operator(ruled_chart(), (0.6, 1.0, 2.0))
 
 
 def test_from_matrices_derived_scalars():
