@@ -171,11 +171,13 @@ def cmd_check_sphere(
     eig_tol: float = 1e-7,
     hopf_tol: float = 1e-8,
 ) -> list[CheckReport]:
-    """Deficit against the closed-form sphere value, principal curvatures
-    against the classical model, and vanishing Hopf defect (below
-    ``hopf_tol``).  A flagged point (see ``_grid_table``) is an error."""
+    """Deficit against the closed-form sphere value, to ``tol`` times
+    max(1, |expected deficit|), principal curvatures against the classical
+    model, and vanishing Hopf defect (below ``hopf_tol``).  A flagged point
+    (see ``_grid_table``) is an error."""
     chart = sphere_chart(radius)
     expected = cv.geodesic_sphere_deficit(radius)
+    gap_tol = tol * max(1.0, abs(expected))  # relative where the deficit is large
     model = cv.geodesic_sphere_curvatures(radius)
 
     def row(q: ParamTriple, s: ShapeData) -> list[float]:
@@ -189,7 +191,7 @@ def cmd_check_sphere(
     errors = len(t) - len(shaped)
     common = {"radius": radius, "grid": grid, "errors": errors}
     return _on_grid(chart, [
-        _report("sphere_deficit", max_gap < tol, max_gap, expected_deficit=expected, **common),
+        _report("sphere_deficit", max_gap < gap_tol, max_gap, expected_deficit=expected, **common),
         _report(
             "sphere_principal_curvatures",
             max_eig_dev < eig_tol,

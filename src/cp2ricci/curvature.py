@@ -16,13 +16,12 @@ for every hypersurface point and zero exactly on the classified models.
 
 ``intrinsic_riemann`` recomputes the same tensor from the induced metric
 alone, giving an oracle that is independent of the shape-operator pipeline.
-The metric is evaluated exactly on a 25-point stencil q + h K of step h,
-held as one (25, 3, 3) array: the stacked points and partials are projected
+The metric is evaluated exactly on a 19-point stencil q + h K of step h,
+held as one (19, 3, 3) array: the stacked points and partials are projected
 off p and i p by one complex contraction and their Gram matrices formed by
-one batched matmul.  Christoffel symbols at the centre and its six
-neighbours come from central differences read through the index tables
-``PLUS`` and ``MINUS``, and the curvature from central differences of the
-Christoffel symbols, so its error is O(h^2).
+one batched matmul.  Its first and second central differences give dg and
+ddg at q, and the curvature follows from the textbook formula in g, dg and
+ddg at q alone, so its error is O(h^2).
 """
 
 from __future__ import annotations
@@ -173,7 +172,8 @@ def curvature_report(shape: ShapeData) -> CurvatureReport:
 
 
 class SingularMetric(RankDeficient):
-    """The induced metric at a stencil centre is singular or non-finite."""
+    """The induced metric on the stencil is singular or non-finite, or the
+    stencil meets the chart's declared singular locus."""
 
 
 def induced_metric(chart: SurfaceChart, q: ParamTriple) -> np.ndarray:
@@ -189,46 +189,42 @@ def christoffel(g: np.ndarray, dg: np.ndarray) -> np.ndarray:
     return 0.5 * np.einsum("...dc,...abc->...dab", np.linalg.inv(g), t)
 
 
-def riemann_lower(g: np.ndarray, gamma: np.ndarray, dgamma: np.ndarray) -> np.ndarray:
-    """R_{abcd} = g_ed R^e_{abc} from Gamma^d_{ab} and dgamma[a, d, b, c] =
-    d_a Gamma^d_{bc}, where R^d_{abc} = d_a Gamma^d_bc - d_b Gamma^d_ac
-    + Gamma^d_ae Gamma^e_bc - Gamma^d_be Gamma^e_ac."""
-    m = dgamma.transpose(1, 0, 2, 3) + np.einsum("dae,ebc->dabc", gamma, gamma)
-    return np.einsum("ed,eabc->abcd", g, m - m.transpose(0, 2, 1, 3))
-
-
 def _stencil() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The stencil offsets K (25, 3) and the index tables PLUS, MINUS (7, 3).
+    """The stencil offsets K (19, 3) and the difference weights D1 (3, 19)
+    and D2 (3, 3, 19).
 
-    Rows 0-6 of K are the Christoffel centres 0, +e_0, -e_0, +e_1, -e_1,
-    +e_2, -e_2; the other 18 rows are their remaining neighbours
-    +-e_a +- e_c (a < c) and +-2 e_a.  Row PLUS[c, a] (MINUS[c, a]) of K is
-    centre c plus (minus) e_a."""
+    K holds every k in {-1, 0, 1}^3 with |k|_1 <= 2: row 0 is the centre,
+    rows 1-6 its axis neighbours +e_0, -e_0, +e_1, -e_1, +e_2, -e_2, and
+    rows 7-18 the points +-e_a +- e_c (a < c).  For f sampled at q + h K,
+    D1 @ f / h is the central difference of d_c f, and D2 @ f / h^2 the
+    second difference of d_a d_c f over +-e_a and the centre, or for
+    a != c the four-point mixed difference; both are exact on quadratics."""
     E = np.eye(3, dtype=int)
-    centres = [np.zeros(3, dtype=int), *(s * e for e in E for s in (1, -1))]
-    index: dict[tuple[int, ...], int] = {}
-    for k in [*centres, *(c + s * e for c in centres for e in E for s in (1, -1))]:
-        index.setdefault(tuple(k.tolist()), len(index))
-    PLUS, MINUS = (
-        np.array([[index[tuple((c + s * e).tolist())] for e in E] for c in centres])
-        for s in (1, -1)
-    )
-    return np.array(list(index)), PLUS, MINUS
+    K = np.array([
+        0 * E[0],
+        *(s * e for e in E for s in (1, -1)),
+        *(s * E[a] + t * E[c] for a, c in ((0, 1), (0, 2), (1, 2)) for s in (1, -1) for t in (1, -1)),
+    ])
+    n = np.abs(K).sum(axis=1)
+    D1 = 0.5 * K.T * (n == 1)
+    D2 = 0.25 * K.T[:, None] * K.T[None] * (n == 2)
+    D2[[0, 1, 2], [0, 1, 2]] = K.T**2 * (n == 1) - 2.0 * (n == 0)
+    return K, D1, D2
 
 
-K, PLUS, MINUS = _stencil()
+K, D1, D2 = _stencil()
 
 
 def _stencil_metric(chart: SurfaceChart, q: ParamTriple, h: float) -> np.ndarray:
-    """The induced metric at the 25 stencil points q + h K, as one (25, 3, 3)
+    """The induced metric at the 19 stencil points q + h K, as one (19, 3, 3)
     array: the points and partials are stacked, projected off p and i p by one
     complex contraction, and their Gram matrices formed by one batched matmul.
-    Raises ``SingularMetric`` before evaluating anything when a centre lies in
-    the chart's declared singular locus."""
+    Raises ``SingularMetric`` before evaluating anything when the centre or
+    an axis neighbour lies in the chart's declared singular locus."""
     params = (np.asarray(q, dtype=np.float64) + h * K).tolist()
     if any(chart.is_singular(*x) for x in params[:7]):
         raise SingularMetric(
-            f"chart {chart.name!r} at {q}: stencil centre in the singular locus"
+            f"chart {chart.name!r} at {q}: stencil centre or axis neighbour in the singular locus"
         )
     p = np.array([chart.evaluate(*x) for x in params])
     D = np.array([chart.partials(*x) for x in params])
@@ -237,29 +233,32 @@ def _stencil_metric(chart: SurfaceChart, q: ParamTriple, h: float) -> np.ndarray
 
 
 def intrinsic_riemann(chart: SurfaceChart, q: ParamTriple, h: float = 1e-3) -> np.ndarray:
-    """All-lower coordinate curvature R_{abcd} = <R(d_a, d_b) d_c, d_d>.
+    """All-lower coordinate curvature R_{abcd} = <R(d_a, d_b) d_c, d_d>,
 
-    The metric G is evaluated exactly at the 25 points q + h K of a stencil,
-    K in {0, +-e_a, +-e_a +- e_c (a < c), +-2 e_a}, as one (25, 3, 3) array.
-    Its first 7 rows are g at the Christoffel centres q, q +- h e_a, and
-    dg = (G[PLUS] - G[MINUS]) / 2h gives their central differences, so
-    Gamma follows at all 7 centres at once; central differences of Gamma
-    give its derivatives at q.  Only derivatives are differenced, so the
-    total error is O(h^2).  Raises ``SingularMetric`` when a centre lies in
-    the chart's declared singular locus, a stencil value is non-finite or a
-    centre metric is singular.
+        R_abcd = (g_bd,ac + g_ac,bd - g_bc,ad - g_ad,bc) / 2
+                 + Gamma_{e,bd} Gamma^e_ac - Gamma_{e,ad} Gamma^e_bc,
+
+    from g = G[0], dg = D1 G / h and ddg = D2 G / h^2 on the metric G at the
+    19 points q + h K (see ``_stencil``), so the error is O(h^2); Gamma is
+    one ``christoffel`` call at q.  It is x - x^T over (a, b) for x_abcd =
+    (g_bd,ac - g_bc,ad) / 2 + Gamma_{e,bd} Gamma^e_ac, so its antisymmetry
+    in (a, b) is exact.  Raises ``SingularMetric`` when the centre or an
+    axis neighbour lies in the chart's declared singular locus, a stencil
+    value is non-finite or the metric at q is singular.
     """
     G = _stencil_metric(chart, q, h)
-    g = G[:7]
-    dg = (G[PLUS] - G[MINUS]) / (2.0 * h)  # dg[centre, a] = d_a g
-    if not (np.isfinite(G).all() and np.isfinite(dg).all()):
+    if not np.isfinite(G).all():
         raise SingularMetric(f"chart {chart.name!r} at {q}: non-finite metric on the stencil")
+    g = G[0]
+    dg = np.einsum("cn,nab->cab", D1, G) / h  # dg[c, a, b] = d_c g_ab
+    ddg = np.einsum("acn,nbd->acbd", D2, G) / (h * h)  # ddg[a, c, b, d] = d_a d_c g_bd
     try:
-        gamma = christoffel(g, dg)  # centres 0, +e_0, -e_0, +e_1, ...
+        gamma = christoffel(g, dg)
     except np.linalg.LinAlgError:
-        raise SingularMetric(f"chart {chart.name!r} at {q}: singular metric on the stencil") from None
-    dgamma = (gamma[1::2] - gamma[2::2]) / (2.0 * h)  # dgamma[a, d, b, c] = d_a Gamma^d_{bc}
-    return riemann_lower(g[0], gamma[0], dgamma)
+        raise SingularMetric(f"chart {chart.name!r} at {q}: singular metric at the centre") from None
+    x = 0.5 * (np.einsum("acbd->abcd", ddg) - np.einsum("adbc->abcd", ddg))
+    x += np.einsum("ef,fbd,eac->abcd", g, gamma, gamma)
+    return x - x.transpose(1, 0, 2, 3)
 
 
 def gauss_riemann_coords(shape: ShapeData) -> np.ndarray:

@@ -28,17 +28,23 @@ class CheckOutcome:
     detail: dict = field(default_factory=dict)
 
 
-def _peel_monomial_factor(q: MPoly) -> tuple[Fraction, int, int] | None:
-    """Decompose q as c * beta^m * D^k; None when q has a different shape."""
-    powers = []
+def _multiple(w: MPoly, target: MPoly) -> dict:
+    """How w is a multiple c * beta^m * D^k of ``target``: the detail
+    {c, beta_power, denominator_power}, or {divisible: False} when target
+    does not divide w, or {divisible: True, quotient} when the quotient has
+    another shape."""
+    quotient = exact_divide(w, target)
+    if quotient is None:
+        return {"divisible": False}
+    q, powers = quotient, []
     for factor in (ids.D_DENOM, ids.BETA):
         powers.append(0)
         while (nxt := exact_divide(q, factor)) is not None:
             q, powers[-1] = nxt, powers[-1] + 1
     if not q.is_constant():
-        return None
+        return {"divisible": True, "quotient": repr(quotient)}
     k, m = powers
-    return q.constant_value(), m, k
+    return {"c": str(q.constant_value()), "beta_power": m, "denominator_power": k}
 
 
 def _cleared(relation: MPoly, k1: MPoly, k3: MPoly) -> MPoly:
@@ -89,25 +95,10 @@ def cleared_gauss_numerator() -> MPoly:
 def check_f_emergence() -> CheckOutcome:
     """The cleared curvature relation equals c * D^k * (mu - gamma) * F_POLY."""
     w = cleared_gauss_numerator()
-    target = (ids.MU - ids.GAMMA) * ids.F_POLY
-    q = exact_divide(w, target)
-    if q is None:
-        return CheckOutcome("f_emergence", False, exact=False, detail={"divisible": False})
-    peel = _peel_monomial_factor(q)
-    if peel is None:
-        return CheckOutcome(
-            "f_emergence", False, exact=False,
-            detail={"divisible": True, "quotient": repr(q)},
-        )
-    c, m, k = peel
-    at_mu_eq_gamma = w.subs_poly("mu", ids.GAMMA)
-    detail = {
-        "c": str(c),
-        "beta_power": m,
-        "denominator_power": k,
-        "vanishes_at_mu_eq_gamma": at_mu_eq_gamma.is_zero(),
-    }
-    ok = at_mu_eq_gamma.is_zero()
+    detail = _multiple(w, (ids.MU - ids.GAMMA) * ids.F_POLY)
+    if "c" not in detail:
+        return CheckOutcome("f_emergence", False, exact=False, detail=detail)
+    ok = detail["vanishes_at_mu_eq_gamma"] = w.subs_poly("mu", ids.GAMMA).is_zero()
     return CheckOutcome("f_emergence", ok, exact=ok, detail=detail)
 
 
@@ -126,34 +117,19 @@ def check_f_derivative() -> CheckOutcome:
     coefficient in the transcribed companion polynomial.
     """
     w = derivative_along_e3_numerator()
-    q = exact_divide(w, ids.F_E3_DERIVED)
-    if q is not None:
-        peel = _peel_monomial_factor(q)
-        if peel is not None:
-            c, m, k = peel
-            detail = {"c": str(c), "beta_power": m, "denominator_power": k}
-            return CheckOutcome("f_derivative", True, exact=True, detail=detail)
-        return CheckOutcome(
-            "f_derivative", False, exact=False,
-            detail={"divisible": True, "quotient": repr(q)},
-        )
-    # Best-guess multiple from the leading terms, then report the difference.
-    (exp_w, c_w) = w.leading_term()
-    (exp_g, c_g) = ids.F_E3_DERIVED.leading_term()
-    delta = tuple(a - b for a, b in zip(exp_w, exp_g))
-    diff_terms: list[str]
-    if any(d < 0 for d in delta):
-        diff_terms = ["leading terms incompatible"]
-    else:
-        mono = MPoly(w.vars, {delta: Fraction(c_w, c_g)})
-        diff = w - mono * ids.F_E3_DERIVED
-        diff_terms = [
-            f"{coeff} * {exps}" for exps, coeff in diff.sorted_terms()
-        ]
-    return CheckOutcome(
-        "f_derivative", False, exact=False,
-        detail={"divisible": False, "difference_terms": diff_terms},
-    )
+    detail = _multiple(w, ids.F_E3_DERIVED)
+    if detail.get("divisible") is False:
+        # Best-guess multiple from the leading terms, then report the difference.
+        (exp_w, c_w) = w.leading_term()
+        (exp_g, c_g) = ids.F_E3_DERIVED.leading_term()
+        delta = tuple(a - b for a, b in zip(exp_w, exp_g))
+        if any(d < 0 for d in delta):
+            detail["difference_terms"] = ["leading terms incompatible"]
+        else:
+            diff = w - MPoly(w.vars, {delta: Fraction(c_w, c_g)}) * ids.F_E3_DERIVED
+            detail["difference_terms"] = [f"{coeff} * {exps}" for exps, coeff in diff.sorted_terms()]
+    ok = "c" in detail
+    return CheckOutcome("f_derivative", ok, exact=ok, detail=detail)
 
 
 def check_resultant() -> CheckOutcome:

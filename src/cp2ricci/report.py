@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, NamedTuple
 
 EXACT_ZERO = "exact-zero"
 
@@ -97,8 +97,7 @@ def report_to_json(report: dict[str, Any]) -> str:
     return json.dumps(_finite_or_none(report), indent=2, allow_nan=False)
 
 
-@dataclass
-class ScanRow:
+class ScanRow(NamedTuple):
     """One grid point of a scan; parameter names follow the chart order."""
 
     u: float
@@ -113,21 +112,10 @@ class ScanRow:
     flags: str = "ok"
 
     def values(self) -> list[Any]:
-        return [
-            self.u,
-            self.v,
-            self.theta,
-            self.max_ricci,
-            self.mean_curv_sq,
-            self.deficit,
-            self.alpha,
-            self.hopf_defect,
-            self.trace_a,
-            self.flags,
-        ]
+        return list(self)
 
     def to_dict(self) -> dict[str, Any]:
-        return dict(zip(SCAN_COLUMNS, self.values()))
+        return dict(zip(SCAN_COLUMNS, self))
 
 
 def _fmt(x: Any) -> str:
@@ -141,7 +129,7 @@ def _fmt(x: Any) -> str:
 def scan_to_csv(rows: list[ScanRow]) -> str:
     lines = [",".join(SCAN_COLUMNS)]
     for row in rows:
-        lines.append(",".join(_fmt(v) for v in row.values()))
+        lines.append(",".join(_fmt(v) for v in row))
     return "\n".join(lines) + "\n"
 
 

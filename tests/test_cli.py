@@ -75,6 +75,7 @@ def test_scan_rows_satisfy_definitional_identity():
         (["symbolic", "all"], "symbolic_report.json"),
         (["check", "tube"], "check_tube.json"),
         (["check", "ruled", "--grid", "4"], "check_ruled_g4.json"),
+        (["crosscheck", "--grid", "2"], "crosscheck_g2.json"),
     ],
 )
 def test_outputs_match_the_golden_files_byte_for_byte(tmp_path, argv, golden):
@@ -482,7 +483,7 @@ def test_nan_sphere_deficit_fails_the_check(monkeypatch):
 
 
 def test_singular_stencil_metric_is_a_flagged_point_not_a_usage_error(capsys):
-    # The ruled grid point u = 0.3 puts a Christoffel centre on u = 0.
+    # The ruled grid point u = 0.3 puts a stencil axis neighbour on u = 0.
     assert cli.main(["crosscheck", "--grid", "2", "--step", "0.3"]) == 1
     out = capsys.readouterr().out
     payload = json.loads(out[out.index("{") :])
@@ -491,8 +492,8 @@ def test_singular_stencil_metric_is_a_flagged_point_not_a_usage_error(capsys):
 
 
 def test_stencil_centre_in_the_singular_locus_is_a_flagged_point(capsys):
-    # The grid points u = 1.2 (ruled) and s = 1.2 (sphere) put a Christoffel
-    # centre at 1.57, inside both charts' singular margin about pi/2.
+    # The grid points u = 1.2 (ruled) and s = 1.2 (sphere) put a stencil
+    # axis neighbour at 1.57, inside both charts' singular margin about pi/2.
     assert cli.main(["crosscheck", "--grid", "2", "--step", "0.37"]) == 1
     out = capsys.readouterr().out
     payload = json.loads(out[out.index("{") :])
@@ -564,22 +565,38 @@ def test_ricci_guard_failure_flags_the_point_and_the_run_goes_on(tmp_path, capsy
 def test_ricci_guard_scales_with_the_cancelling_summands_near_the_cut_locus(tmp_path):
     # Near the cut locus |A| ~ 1e3, so the two Ricci routes cancel summands
     # of size |A|^2 ~ 1e6 and differ by rounding far above 1e-12 * max|Ric|.
-    # The guard allows for that: every point computes, and the check then
-    # fails on its deficit alone, honestly.
+    # The guard allows for that: every point computes.  The deficit, about
+    # 3.9e5 there, is compared relative to its size, so all three checks pass.
     rows_out, report_out = tmp_path / "rows.csv", tmp_path / "report.json"
     assert cli.main(["scan", "sphere:1.57", "--grid", "3", "--out", str(rows_out)]) == 0
     flags = [r["flags"] for r in csv.DictReader(io.StringIO(rows_out.read_text()))]
     assert flags == ["ok"] * 27
     argv = ["check", "sphere", "--radius", "1.57", "--grid", "3", "--out", str(report_out)]
-    assert cli.main(argv) == 1
+    assert cli.main(argv) == 0
     report = json.loads(report_out.read_text())
     assert report["summary"]["errors"] == 0
     status = {r["checkName"]: r["status"] for r in report["reports"]}
     assert status == {
-        "sphere_deficit": "fail",
+        "sphere_deficit": "pass",
         "sphere_principal_curvatures": "pass",
         "sphere_hopf": "pass",
     }
+
+
+@pytest.mark.parametrize(
+    "radius, error",
+    [(1.57, lambda d: d * (1.0 + 1e-5)), (math.pi / 4, lambda d: d + 2e-6)],
+    ids=["relative-1e-5-near-the-cut-locus", "offset-2e-6-at-quarter-pi"],
+)
+def test_sphere_deficit_tolerance_catches_an_error_in_the_deficit(monkeypatch, radius, error):
+    # The tolerance is tol * max(1, |expected deficit|): relative where the
+    # deficit is large, absolute where it is at most 1.
+    assert {r.name: r.status for r in cli.cmd_check_sphere(radius, grid=3)}["sphere_deficit"] == "pass"
+    deficit = cli.cv.deficit
+    monkeypatch.setattr(cli.cv, "deficit", lambda s: error(deficit(s)))
+    reports = {r.name: r for r in cli.cmd_check_sphere(radius, grid=3)}
+    assert reports["sphere_deficit"].status == "fail"
+    assert reports["sphere_deficit"].details["errors"] == 0
 
 
 def test_a_non_perturbed_command_leaves_numpy_random_unimported():

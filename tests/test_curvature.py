@@ -263,22 +263,6 @@ def _christoffel_loops(g, dg):
     return gamma
 
 
-def _riemann_lower_loops(g, gamma, dgamma):
-    """R_{abcd} = g_ed R^e_{abc}, R^d_{abc} = d_a G^d_bc - d_b G^d_ac
-    + G^d_ae G^e_bc - G^d_be G^e_ac, index by index."""
-    r = np.zeros((3, 3, 3, 3))
-    for a in range(3):
-        for b in range(3):
-            for c in range(3):
-                for d in range(3):
-                    for f in range(3):
-                        up = dgamma[a, f, b, c] - dgamma[b, f, a, c]
-                        for e in range(3):
-                            up += gamma[f, a, e] * gamma[e, b, c] - gamma[f, b, e] * gamma[e, a, c]
-                        r[a, b, c, d] += g[f, d] * up
-    return r
-
-
 def _random_metric_data(rng):
     m = rng.normal(size=(3, 3))
     g = m @ m.T + 3.0 * np.eye(3)
@@ -304,15 +288,16 @@ def test_christoffel_batches_over_leading_axes():
         assert np.max(np.abs(gamma - cv.christoffel(g, dg))) < 1e-15
 
 
-def test_riemann_lower_matches_index_loops():
+def test_difference_weights_are_exact_on_quadratics():
+    # f(q + h k) = f0 + h J.k + h^2 k.H.k / 2 on the stencil offsets k
     rng = np.random.default_rng(13)
-    for _ in range(20):
-        g, _ = _random_metric_data(rng)
-        gamma = rng.normal(size=(3, 3, 3))
-        dgamma = rng.normal(size=(3, 3, 3, 3))
-        r = cv.riemann_lower(g, gamma, dgamma)
-        expected = _riemann_lower_loops(g, gamma, dgamma)
-        assert np.max(np.abs(r - expected)) < 1e-13 * max(1.0, np.max(np.abs(expected)))
+    for h in (1e-3, 0.25, 1.0):
+        f0, J, M = rng.normal(), rng.normal(size=3), rng.normal(size=(3, 3))
+        H = M + M.T
+        f = f0 + h * cv.K @ J + 0.5 * h * h * np.einsum("na,ab,nb->n", cv.K, H, cv.K)
+        assert np.max(np.abs(cv.D1 @ f / h - J)) < 1e-12 * max(1.0, 1.0 / h)
+        assert np.max(np.abs(cv.D2 @ f / (h * h) - H)) < 1e-12 * max(1.0, 1.0 / h**2)
+        assert np.array_equal(cv.D2, cv.D2.transpose(1, 0, 2))
 
 
 @pytest.mark.parametrize(
@@ -329,11 +314,11 @@ def test_intrinsic_riemann_symmetries(chart):
         assert np.array_equal(r, -r.transpose(1, 0, 2, 3))
         bianchi = r + r.transpose(1, 2, 0, 3) + r.transpose(2, 0, 1, 3)  # R_abcd + R_bcad + R_cabd
         assert np.max(np.abs(bianchi)) < 1e-12 * scale
-        assert np.max(np.abs(r + r.transpose(0, 1, 3, 2))) < 1e-4 * scale
-        assert np.max(np.abs(r - r.transpose(2, 3, 0, 1))) < 1e-4 * scale
+        assert np.max(np.abs(r + r.transpose(0, 1, 3, 2))) < 1e-12 * scale
+        assert np.max(np.abs(r - r.transpose(2, 3, 0, 1))) < 1e-12 * scale
 
 
-def test_intrinsic_riemann_evaluates_the_metric_at_25_points():
+def test_intrinsic_riemann_evaluates_the_metric_at_19_points():
     chart = ruled_chart()
     points = []
 
@@ -343,36 +328,44 @@ def test_intrinsic_riemann_evaluates_the_metric_at_25_points():
 
     counted = dataclasses.replace(chart, evaluate=evaluate)
     r = cv.intrinsic_riemann(counted, (0.6, 1.0, 2.0))
-    assert len(points) == len(set(points)) == 25
+    assert len(points) == len(set(points)) == 19
     assert np.array_equal(r, cv.intrinsic_riemann(chart, (0.6, 1.0, 2.0)))
 
 
 def _per_point_intrinsic_riemann(chart, q, h=1e-3):
-    """The stencil as it was written per point: one ``induced_metric`` call
-    per stencil point, memoized by offset, and the Christoffel stencil built
-    from lookups; kept as the reference for the stacked stencil array."""
-    metric = {}
-
-    def at(k):
-        return tuple(x + h * i for x, i in zip(q, k.tolist()))
-
-    def g_at(k):
-        key = tuple(k.tolist())
-        if key not in metric:
-            metric[key] = cv.induced_metric(chart, at(k))
-        return metric[key]
-
+    """The curvature formula transcribed index by index on one
+    ``induced_metric`` call per stencil point q + h k:
+    R_abcd = (g_bd,ac + g_ac,bd - g_bc,ad - g_ad,bc) / 2
+             + Gamma_{e,bd} Gamma^e_ac - Gamma_{e,ad} Gamma^e_bc."""
     E = np.eye(3, dtype=int)
-    centres = np.vstack([np.zeros(3, dtype=int), *(s * e for e in E for s in (1, -1))])
-    if any(chart.is_singular(*at(k)) for k in centres):
-        raise cv.SingularMetric("stencil centre in the singular locus")
-    g = np.array([g_at(k) for k in centres])
-    dg = np.array([[(g_at(k + e) - g_at(k - e)) / (2.0 * h) for e in E] for k in centres])
-    if not (np.isfinite(g).all() and np.isfinite(dg).all()):
-        raise cv.SingularMetric("non-finite metric on the stencil")
-    gamma = cv.christoffel(g, dg)
-    dgamma = (gamma[1::2] - gamma[2::2]) / (2.0 * h)
-    return cv.riemann_lower(g[0], gamma[0], dgamma)
+
+    def g_at(*ks):
+        return cv.induced_metric(chart, tuple(x + h * i for x, i in zip(q, sum(ks, 0 * E[0]))))
+
+    g = g_at()
+    dg = np.zeros((3, 3, 3))  # dg[c, a, b] = d_c g_ab
+    ddg = np.zeros((3, 3, 3, 3))  # ddg[a, c, b, d] = d_a d_c g_bd
+    for a in range(3):
+        dg[a] = (g_at(E[a]) - g_at(-E[a])) / (2.0 * h)
+        for c in range(3):
+            if a == c:
+                ddg[a, a] = (g_at(E[a]) - 2.0 * g + g_at(-E[a])) / h**2
+            else:
+                ddg[a, c] = (
+                    g_at(E[a], E[c]) - g_at(E[a], -E[c]) - g_at(-E[a], E[c]) + g_at(-E[a], -E[c])
+                ) / (4.0 * h**2)
+    gamma = _christoffel_loops(g, dg)
+    r = np.zeros((3, 3, 3, 3))
+    for a in range(3):
+        for b in range(3):
+            for c in range(3):
+                for d in range(3):
+                    s = 0.5 * (ddg[a, c, b, d] + ddg[b, d, a, c] - ddg[a, d, b, c] - ddg[b, c, a, d])
+                    for e in range(3):
+                        for f in range(3):
+                            s += g[e, f] * (gamma[f, b, d] * gamma[e, a, c] - gamma[f, a, d] * gamma[e, b, c])
+                    r[a, b, c, d] = s
+    return r
 
 
 _STENCIL_CHARTS = [ruled_chart(), sphere_chart(math.pi / 6), perturbed_ruled_chart(0.05, 3)]
@@ -396,30 +389,46 @@ def test_stencil_array_matches_the_per_point_stencil(chart):
 def test_stacked_stencil_metrics_are_exactly_symmetric(chart):
     for q in _sample_points(chart, 10, 16):
         G = cv._stencil_metric(chart, q, 1e-3)
-        assert G.shape == (25, 3, 3)
+        assert G.shape == (19, 3, 3)
         assert np.array_equal(G, G.swapaxes(-1, -2))
 
 
 def test_stencil_tables():
-    E = np.eye(3, dtype=int)
-    assert cv.K.shape == (25, 3) and len({tuple(k) for k in cv.K.tolist()}) == 25
-    centres = cv.K[:7]
-    assert centres.tolist() == [
+    offsets = [k for k in np.ndindex(3, 3, 3) if sum(abs(i - 1) for i in k) <= 2]
+    assert cv.K.shape == (19, 3)
+    assert {tuple(k) for k in cv.K.tolist()} == {tuple(i - 1 for i in k) for k in offsets}
+    assert cv.K[:7].tolist() == [
         [0, 0, 0], [1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0], [0, 0, 1], [0, 0, -1]
     ]
-    assert np.array_equal(cv.K[cv.PLUS], centres[:, None, :] + E)
-    assert np.array_equal(cv.K[cv.MINUS], centres[:, None, :] - E)
-    assert set(cv.PLUS.ravel()) | set(cv.MINUS.ravel()) == set(range(25))
+    assert cv.D1.shape == (3, 19) and cv.D2.shape == (3, 3, 19)
+
+
+def test_intrinsic_riemann_converges_at_second_order():
+    # The error against the shape-based tensor falls 4x per halving of h.
+    for chart, q in ((ruled_chart(), (0.6, 1.0, 2.0)), (sphere_chart(math.pi / 4), (0.3, 0.7, 0.4))):
+        exact = cv.gauss_riemann_coords(shape_operator(chart, q))
+        errors = [np.max(np.abs(cv.intrinsic_riemann(chart, q, h) - exact)) for h in (4e-3, 2e-3, 1e-3)]
+        for coarse, fine in zip(errors, errors[1:]):
+            assert 3.9 < coarse / fine < 4.1
 
 
 def test_singular_stencil_metric_raises_singular_metric():
-    # u = 0.3 with h = 0.3 puts a stencil centre on u = 0, where the
+    # u = 0.3 with h = 0.3 puts an axis neighbour on u = 0, where the
     # t-partial vanishes and the metric is singular.
     with pytest.raises(cv.SingularMetric):
         cv.intrinsic_riemann(ruled_chart(), (0.3, 1.0, 2.0), h=0.3)
     with pytest.raises(cv.SingularMetric):
         cv.intrinsic_riemann(perturbed_ruled_chart(math.nan, 0), (0.6, 1.0, 2.0))
     assert issubclass(cv.SingularMetric, RankDeficient)
+
+
+def test_singular_metric_at_the_centre_raises_singular_metric():
+    # With no declared singular locus, the centre u = 0 is computed: its
+    # t-partial vanishes, so the metric there has a zero row.
+    chart = dataclasses.replace(ruled_chart(), is_singular=lambda *q: False)
+    assert np.linalg.matrix_rank(cv.induced_metric(chart, (0.0, 1.0, 2.0))) < 3
+    with pytest.raises(cv.SingularMetric, match="singular metric at the centre"):
+        cv.intrinsic_riemann(chart, (0.0, 1.0, 2.0))
 
 
 def test_stencil_centre_in_the_singular_locus_raises_singular_metric():

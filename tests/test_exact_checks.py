@@ -76,6 +76,17 @@ def test_derivative_mutation_reports_single_term_difference(monkeypatch):
     assert len(out.detail["difference_terms"]) == 1
 
 
+def test_multiple_reports_the_monomial_factor_or_why_there_is_none():
+    f = ids.F_POLY
+    assert checks._multiple(Fraction(-3, 2) * ids.BETA**2 * ids.D_DENOM * f, f) == {
+        "c": "-3/2", "beta_power": 2, "denominator_power": 1
+    }
+    assert checks._multiple(f * (ids.GAMMA + 1), f) == {
+        "divisible": True, "quotient": repr(ids.GAMMA + 1)
+    }
+    assert checks._multiple(f + 1, f) == {"divisible": False}
+
+
 def test_resultant_matches_factored_target_exactly():
     out = checks.check_resultant()
     assert out.ok and out.exact
