@@ -19,6 +19,8 @@ Builtin families:
   scaled by epsilon, so one ``jet`` call gives the point and its three
   partials from one sin and one cos of the mode arguments.
 
+Each factory's signature is also its ``cp2ricci scan`` surface syntax.
+
 User charts: construct a ``SurfaceChart`` directly with your own callables;
 the only contract is fresh complex128 arrays (see ``SurfaceChart``), unit
 norm, exact partials, and an honest singular flag.
@@ -196,7 +198,7 @@ _RULED_MODES = _TrigField(
 )
 
 
-def perturbed_ruled_chart(epsilon: float, seed: int = 0) -> SurfaceChart:
+def perturbed_ruled_chart(epsilon: float = 0.05, seed: int = 0) -> SurfaceChart:
     """The ruled chart displaced by epsilon times a seeded smooth field.
 
     The displaced point y is one 26-mode field: the ruled map's 8 modes and

@@ -13,6 +13,8 @@ A command takes the options its ``cmd_*`` function has parameters for, with
 the signature's defaults (scan's ``--tol t`` is ``bound = -t``), plus
 ``--out`` and, for ``scan``, ``--format``.  ``--strict`` halves every
 tolerance the command takes.  Any other explicit option is a usage error.
+Likewise a scan surface ``<name>[:<a>[,<b>]]`` is the chart factory
+``SURFACES[name]`` called with the arguments its signature declares.
 
 Exit codes: 0 all pass, 1 any fail, 2 usage or configuration error.
 """
@@ -71,10 +73,10 @@ def _grid_table(
     At each grid point ``row(q, shape)`` fills one row of the (N, width)
     float array ``values`` and the flag is ``ok``.  At a point in the chart's
     declared singular locus nothing is computed and the flag is
-    ``singular``; where ``shape_operator`` or ``row`` fails numerically it
-    is ``RankDeficient`` (a ``SingularMetric`` too) or ``AsymmetryExceeded``,
-    and where the Ricci guard trips it is ``RicciMismatch``.
-    A flagged row is NaN."""
+    ``singular``; where ``shape_operator`` or ``row`` fails numerically, or
+    the Ricci guard trips, it is the exception's class name:
+    ``RankDeficient``, ``SingularMetric``, ``AsymmetryExceeded`` or
+    ``RicciMismatch``.  A flagged row is NaN."""
     params = list(chart.sample_box.grid(grid))
     flags = np.full(len(params), "ok", dtype=object)
     values = np.full((len(params), width), math.nan)
@@ -84,12 +86,8 @@ def _grid_table(
             continue
         try:
             values[k] = row(q, shape_operator(chart, q, h=step))
-        except RankDeficient:
-            flags[k] = "RankDeficient"
-        except AsymmetryExceeded:
-            flags[k] = "AsymmetryExceeded"
-        except cv.RicciMismatch:
-            flags[k] = "RicciMismatch"
+        except (RankDeficient, AsymmetryExceeded, cv.RicciMismatch) as exc:
+            flags[k] = type(exc).__name__
     return params, flags, values
 
 
@@ -235,38 +233,28 @@ def cmd_symbolic(names: list[str] | None = None) -> list[CheckReport]:
     ]
 
 
-def _unused(target: str, **options: Any) -> None:
-    """Raise ``ValueError`` naming every option given (not None) that
-    ``target`` does not use, so that none is silently ignored."""
-    given = [f"--{name}" for name, value in options.items() if value is not None]
-    if given:
-        raise ValueError(f"{target} does not use {', '.join(given)}")
+SURFACES: dict[str, Callable[..., SurfaceChart]] = {
+    "ruled": ruled_chart,
+    "sphere": sphere_chart,
+    "perturbed-ruled": perturbed_ruled_chart,
+}
 
 
-def parse_surface(surface: str, epsilon: float | None = None, seed: int | None = None) -> SurfaceChart:
-    """The chart named by ``surface``.  ``epsilon`` and ``seed`` (None when
-    not given, defaults 0.05 and 0) are options of
-    ``perturbed-ruled[:<eps>[,<seed>]]`` only; one given for another surface,
-    or differing from its inline value, is a ValueError."""
+def parse_surface(surface: str) -> SurfaceChart:
+    """The chart named by ``surface``, ``<name>[:<a>[,<b>]]``: the factory
+    ``SURFACES[name]`` called with the arguments in order, each converted by
+    its parameter's annotation.  An unknown name, or a number of arguments
+    outside the factory's required-to-total parameter count, is a ValueError."""
     name, colon, inline = surface.partition(":")
-    if name == "perturbed-ruled":
-        args = inline.split(",") if colon else []
-        if len(args) > 2:
-            raise ValueError(f"perturbed-ruled takes <eps>,<seed>, got {inline!r}")
-        options = [epsilon, seed]
-        for k, text in enumerate(args):
-            value = (float, int)[k](text)
-            if options[k] not in (None, value):
-                raise ValueError(f"--{('epsilon', 'seed')[k]} {options[k]} conflicts with {surface!r}")
-            options[k] = value
-        epsilon, seed = options
-        return perturbed_ruled_chart(0.05 if epsilon is None else epsilon, 0 if seed is None else seed)
-    if surface != "ruled" and not (name == "sphere" and colon):
-        raise ValueError(
-            f"unknown surface {surface!r}; use ruled, sphere:<r>, perturbed-ruled:<eps,seed>"
-        )
-    _unused(f"surface {surface!r}", epsilon=epsilon, seed=seed)
-    return ruled_chart() if surface == "ruled" else sphere_chart(float(inline))
+    if name not in SURFACES:
+        raise ValueError(f"unknown surface {surface!r}; use {', '.join(SURFACES)}")
+    params = inspect.signature(SURFACES[name], eval_str=True).parameters.values()
+    args = inline.split(",") if colon else []
+    required = sum(p.default is p.empty for p in params)
+    if not required <= len(args) <= len(params):
+        names = ", ".join(p.name for p in params) or "none"
+        raise ValueError(f"surface {surface!r}: {name} takes {required} to {len(params)} arguments ({names})")
+    return SURFACES[name](*(p.annotation(text) for p, text in zip(params, args)))
 
 
 def _scan_row(q: ParamTriple, s: ShapeData) -> list[float]:
@@ -281,14 +269,12 @@ def cmd_scan(
     surface: str,
     grid: int = 12,
     step: float = 1e-5,
-    epsilon: float | None = None,
-    seed: int | None = None,
     bound: float = -1e-6,
 ) -> tuple[list[CheckReport], list[ScanRow]]:
     """Emit one row per grid point; every row must satisfy the deficit bound.
     A flagged point (see ``_grid_table``) is a row of NaN fields carrying
     its flag, and an error."""
-    chart = parse_surface(surface, epsilon, seed)
+    chart = parse_surface(surface)
     params, flags, values = _grid_table(chart, grid, step, _scan_row, 6)
     rows = [ScanRow(*q, *v, flags=f) for q, f, v in zip(params, flags.tolist(), values.tolist())]
     deficits = values[flags == "ok", 2]
@@ -388,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
         "names", nargs="*", help=f"subset to run (default all): {', '.join(ALL_CHECKS)}, or 'all'"
     )
     sub.add_parser("scan", help="per-point curvature rows over a surface grid").add_argument(
-        "surface", help="ruled | sphere:<r> | perturbed-ruled:<eps,seed>"
+        "surface", help="ruled | sphere:<r> | perturbed-ruled[:<epsilon>[,<seed>]]"
     )
     sub.add_parser("crosscheck", help="intrinsic vs shape-based curvature")
     for p in sub.choices.values():
@@ -397,8 +383,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--step", type=_finite(positive=True), help="finite-difference step")
         p.add_argument("--tol", type=_finite(positive=False), help="pass tolerance (scan: bound -tol)")
         p.add_argument("--strict", action="store_true", default=None, help="halve every tolerance")
-        p.add_argument("--epsilon", type=float, help="scan perturbed-ruled: displacement scale")
-        p.add_argument("--seed", type=int, help="scan perturbed-ruled: field seed")
         p.add_argument("--format", choices=["csv", "json"], help="scan: row format (csv)")
         p.add_argument("--out", help="write the JSON report (or scan rows) here")
     return parser
@@ -432,7 +416,8 @@ def _config(name: str, args: argparse.Namespace) -> dict[str, Any]:
         config.update((k, config[k] * 0.5) for k in tols if strict)
     if name == "scan":
         config["format"] = given.pop("format", "csv")
-    _unused(name, **given)
+    if given:
+        raise ValueError(f"{name} does not use {', '.join(f'--{k}' for k in given)}")
     return config
 
 

@@ -199,17 +199,25 @@ def _stencil() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     D1 @ f / h is the central difference of d_c f, and D2 @ f / h^2 the
     second difference of d_a d_c f over +-e_a and the centre, or for
     a != c the four-point mixed difference; both are exact on quadratics."""
-    E = np.eye(3, dtype=int)
-    K = np.array([
-        0 * E[0],
-        *(s * e for e in E for s in (1, -1)),
-        *(s * E[a] + t * E[c] for a, c in ((0, 1), (0, 2), (1, 2)) for s in (1, -1) for t in (1, -1)),
-    ])
-    n = np.abs(K).sum(axis=1)
-    D1 = 0.5 * K.T * (n == 1)
-    D2 = 0.25 * K.T[:, None] * K.T[None] * (n == 2)
-    D2[[0, 1, 2], [0, 1, 2]] = K.T**2 * (n == 1) - 2.0 * (n == 0)
-    return K, D1, D2
+    K = [[0, 0, 0]]
+    K += [[s * (b == a) for b in range(3)] for a in range(3) for s in (1, -1)]
+    K += [
+        [s * (b == a) + t * (b == c) for b in range(3)]
+        for a, c in ((0, 1), (0, 2), (1, 2)) for s in (1, -1) for t in (1, -1)
+    ]
+    n = [sum(map(abs, k)) for k in K]
+    D1 = [[0.5 * k[c] * (m == 1) for k, m in zip(K, n)] for c in range(3)]
+    D2 = [
+        [
+            [
+                k[a] ** 2 * (m == 1) - 2.0 * (m == 0) if a == c else 0.25 * k[a] * k[c] * (m == 2)
+                for k, m in zip(K, n)
+            ]
+            for c in range(3)
+        ]
+        for a in range(3)
+    ]
+    return np.array(K), np.array(D1), np.array(D2)
 
 
 K, D1, D2 = _stencil()

@@ -15,9 +15,8 @@ Reference route, which tests compare the production route against:
 ``sylvester_resultant``, the determinant of the Sylvester matrix built with
 the first polynomial's coefficient rows on top, by one-step Bareiss
 elimination (``bareiss_det``: every intermediate entry stays in the ring, all
-divisions are exact; a product with a zero factor is skipped, and the
-division when both products vanish), itself checked against Laplace
-expansion (``cofactor_det``).  Both routes use that sign convention.
+divisions are exact), itself checked against Laplace expansion
+(``cofactor_det``).  Both routes use that sign convention.
 """
 
 from __future__ import annotations
@@ -72,16 +71,8 @@ def bareiss_det(matrix: list[list[MPoly]]) -> MPoly:
             sign = -sign
         pivot = m[k][k]
         for i in range(k + 1, n):
-            a = m[i][k]
             for j in range(k + 1, n):
-                b, c = m[i][j], m[k][j]
-                if a.terms and c.terms:
-                    num = b * pivot - a * c if b.terms else -(a * c)
-                elif b.terms:
-                    num = b * pivot
-                else:
-                    continue  # both products vanish: the entry stays zero
-                q = exact_divide(num, prev)
+                q = exact_divide(m[i][j] * pivot - m[i][k] * m[k][j], prev)
                 if q is None:
                     raise ArithmeticError(f"Bareiss division by {prev!r} is not exact")
                 m[i][j] = q

@@ -120,6 +120,11 @@ def test_the_workflow_runs_the_cli():
     assert ["cp2ricci", ["cp2ricci", "check", "sphere", "--radius", "1.57", "--grid", "3"], 0, None] in (
         STEPS["Sphere check near the cut locus passes"]
     )
+    # epsilon and seed are given only inline, and only as many as the factory takes
+    argv = ["cp2ricci", "scan", "perturbed-ruled:0.05,3", "--epsilon", "0.3", "--grid", "2"]
+    assert STEPS["Perturbation option outside the surface is a usage error"] == [["cp2ricci", argv, 2, None]]
+    argv = ["cp2ricci", "scan", "perturbed-ruled:0.05,3,4", "--grid", "2"]
+    assert STEPS["Surface with too many arguments is a usage error"] == [["cp2ricci", argv, 2, None]]
 
 
 @pytest.mark.parametrize(

@@ -175,8 +175,7 @@ def test_non_finite_or_negative_tol_and_step_are_usage_errors(option, value, cap
 def test_config_is_the_signature_with_explicit_options():
     parse = cli.build_parser().parse_args
     assert cli._config("scan", parse(["scan", "ruled", "--tol", "2e-6", "--strict"])) == {
-        "surface": "ruled", "grid": 12, "step": 1e-5, "epsilon": None, "seed": None,
-        "bound": -1e-6, "strict": True, "format": "csv",
+        "surface": "ruled", "grid": 12, "step": 1e-5, "bound": -1e-6, "strict": True, "format": "csv",
     }
     assert cli._config("check tube", parse(["check", "tube"])) == {}
     assert cli._config("symbolic", parse(["symbolic", "mu0"])) == {"names": ["mu0"]}
@@ -232,36 +231,52 @@ def test_parse_surface_variants():
     assert cli.parse_surface("sphere:0.5").name.startswith("sphere:0.5")
     assert cli.parse_surface("perturbed-ruled").name == "perturbed-ruled:0.05,0"
     assert cli.parse_surface("perturbed-ruled:0.1,9").name == "perturbed-ruled:0.1,9"
-    assert cli.parse_surface("perturbed-ruled:0.1,9", 0.1, 9).name == "perturbed-ruled:0.1,9"
-    assert cli.parse_surface("perturbed-ruled:0.1", seed=9).name == "perturbed-ruled:0.1,9"
-    c2 = cli.parse_surface("perturbed-ruled", 0.07, 3)
-    assert c2.name == "perturbed-ruled:0.07,3"
-    with pytest.raises(ValueError):
-        cli.parse_surface("torus")
+    assert cli.parse_surface("perturbed-ruled:0.1").name == "perturbed-ruled:0.1,0"
+    assert list(cli.SURFACES) == ["ruled", "sphere", "perturbed-ruled"]
 
 
 @pytest.mark.parametrize(
-    "surface, epsilon, seed",
+    "surface",
     [
-        ("ruled", 0.05, None),
-        ("sphere:0.5", None, 0),
-        ("perturbed-ruled:0.05,3", 0.3, None),
-        ("perturbed-ruled:0.05,3", None, 9),
-        ("perturbed-ruled:0.05,3,4", None, None),
+        "torus",
+        "ruled:",
+        "ruled:1",
+        "sphere",
+        "sphere:",
+        "sphere:0.5,1",
+        "perturbed-ruled:0.05,3,4",
+        "perturbed-ruled:0.05,3.5",
+        "perturbed-ruled:,3",
     ],
 )
-def test_parse_surface_rejects_unused_or_conflicting_options(surface, epsilon, seed):
+def test_parse_surface_rejects_malformed_surfaces(surface, capsys):
+    # Too few or too many arguments for the chart factory, or an argument
+    # its annotation cannot convert, is a usage error.
     with pytest.raises(ValueError):
-        cli.parse_surface(surface, epsilon, seed)
+        cli.parse_surface(surface)
+    assert cli.main(["scan", surface, "--grid", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+
+
+@pytest.mark.parametrize("option, value", [("--epsilon", "0.3"), ("--seed", "9")])
+def test_perturbation_options_are_not_options(option, value, capsys):
+    # epsilon and seed are given inline, perturbed-ruled:<epsilon>,<seed>.
+    surfaces = ("perturbed-ruled:0.05,3", "ruled", "sphere:0.5")
+    for argv in [*(["scan", s] for s in surfaces), ["check", "sphere"], ["crosscheck"]]:
+        with pytest.raises(SystemExit) as exc:
+            cli.main([*argv, option, value, "--grid", "2"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
 
 
 @pytest.mark.parametrize(
     "argv",
     [
-        ["scan", "perturbed-ruled:0.05,3", "--epsilon", "0.3", "--seed", "9", "--grid", "2"],
-        ["scan", "perturbed-ruled:0.05,3", "--epsilon", "0.3", "--grid", "2"],
-        ["scan", "ruled", "--epsilon", "0.3", "--grid", "2"],
-        ["scan", "sphere:0.5", "--seed", "1", "--grid", "2"],
+        ["scan", "perturbed-ruled:0.05,3", "--radius", "0.3", "--grid", "2"],
+        ["scan", "ruled", "--radius", "0.3", "--grid", "2"],
+        ["check", "sphere", "--format", "csv"],
+        ["crosscheck", "--format", "json"],
         ["check", "tube", "--grid", "5", "--tol", "1e-30"],
         ["check", "tube", "--step", "1e-4"],
         ["check", "tube", "--radius", "0.5"],
@@ -271,7 +286,7 @@ def test_parse_surface_rejects_unused_or_conflicting_options(surface, epsilon, s
         ["crosscheck", "--radius", "1"],
         ["check", "ruled", "--format", "json"],
         ["symbolic", "--grid", "2"],
-        ["check", "sphere", "--seed", "1"],
+        ["symbolic", "--step", "1e-4"],
     ],
 )
 def test_explicit_options_the_command_does_not_use_are_usage_errors(argv, capsys):
@@ -280,13 +295,11 @@ def test_explicit_options_the_command_does_not_use_are_usage_errors(argv, capsys
     assert captured.out == "" and captured.err.startswith("error: ")
 
 
-def test_explicit_perturbation_options_match_the_inline_form(tmp_path):
+def test_omitted_perturbation_arguments_take_the_factory_defaults(tmp_path):
+    surfaces = ["perturbed-ruled:0.05,0", "perturbed-ruled:0.05", "perturbed-ruled"]
     outs = [tmp_path / f"{k}.csv" for k in range(3)]
-    assert cli.main(["scan", "perturbed-ruled:0.05,3", "--grid", "2", "--out", str(outs[0])]) == 0
-    argv = ["scan", "perturbed-ruled", "--epsilon", "0.05", "--seed", "3", "--grid", "2"]
-    assert cli.main([*argv, "--out", str(outs[1])]) == 0
-    argv = ["scan", "perturbed-ruled:0.05", "--seed", "3", "--grid", "2"]
-    assert cli.main([*argv, "--out", str(outs[2])]) == 0
+    for surface, out in zip(surfaces, outs):
+        assert cli.main(["scan", surface, "--grid", "2", "--out", str(out)]) == 0
     assert outs[0].read_bytes() == outs[1].read_bytes() == outs[2].read_bytes()
 
 
@@ -488,7 +501,15 @@ def test_singular_stencil_metric_is_a_flagged_point_not_a_usage_error(capsys):
     out = capsys.readouterr().out
     payload = json.loads(out[out.index("{") :])
     ruled = payload["reports"][0]
-    assert ruled["checkName"] == "crosscheck_ruled" and ruled["details"]["errors"] > 0
+    assert ruled["checkName"] == "crosscheck_ruled" and ruled["details"]["errors"] == 4
+    # The grid walk flags each such point with the exception's own class name.
+    chart = ruled_chart()
+
+    def row(q, s):
+        return [cv.crosscheck_point(chart, q, s, h_metric=0.3)]
+
+    _, flags, _ = cli._grid_table(chart, 2, 1e-5, row, 1)
+    assert flags.tolist() == ["SingularMetric"] * 4 + ["ok"] * 4
 
 
 def test_stencil_centre_in_the_singular_locus_is_a_flagged_point(capsys):

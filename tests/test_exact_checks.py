@@ -68,12 +68,27 @@ def test_derivative_factorization_and_constants():
 
 
 def test_derivative_mutation_reports_single_term_difference(monkeypatch):
-    mutated = ids.F_E3_DERIVED + ids.BETA**2 * ids.GAMMA**3
-    monkeypatch.setattr(ids, "F_E3_DERIVED", mutated)
+    # The derivative is beta times the companion, so the best-guess multiple
+    # is beta times the mutated companion and the difference is -beta times
+    # the mutation: an added term, or the coefficient 1 of mu^3 raised to 2.
+    cases = [
+        (ids.BETA**2 * ids.GAMMA**3, "-1 * (3, 3, 0, 0, 0)"),
+        (ids.MU**3, "-1 * (1, 0, 3, 0, 0)"),
+    ]
+    for mutation, term in cases:
+        with monkeypatch.context() as m:
+            m.setattr(ids, "F_E3_DERIVED", ids.F_E3_DERIVED + mutation)
+            out = checks.check_f_derivative()
+        assert not out.ok and not out.exact
+        assert out.detail == {"divisible": False, "difference_terms": [term]}
+
+
+def test_derivative_mutation_with_a_higher_leading_term_is_reported_incompatible(monkeypatch):
+    # kappa1^8 outranks every term of the derivative, which has no kappa1.
+    monkeypatch.setattr(ids, "F_E3_DERIVED", ids.F_E3_DERIVED + ids.KAPPA1**8)
     out = checks.check_f_derivative()
     assert not out.ok
-    assert out.detail["divisible"] is False
-    assert len(out.detail["difference_terms"]) == 1
+    assert out.detail == {"divisible": False, "difference_terms": ["leading terms incompatible"]}
 
 
 def test_multiple_reports_the_monomial_factor_or_why_there_is_none():

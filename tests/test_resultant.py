@@ -133,8 +133,8 @@ def test_resultant_commutes_with_evaluation():
 
 
 def test_bareiss_matches_cofactor_on_random_sparse_matrices():
-    # Half the entries are zero, so every zero-product skip in bareiss_det is
-    # taken; some matrices start on a zero pivot and some are singular.
+    # Half the entries are zero, so many products in bareiss_det vanish;
+    # some matrices start on a zero pivot and some are singular.
     rng = random.Random(11)
     zero = MPoly.zero(VARS)
     swaps = singular = 0
