@@ -259,6 +259,29 @@ def test_parse_surface_rejects_malformed_surfaces(surface, capsys):
     assert captured.out == "" and captured.err.startswith("error: ")
 
 
+@pytest.mark.parametrize(
+    "surface, epsilon, seed",
+    [
+        ("ruled", 0.05, None),
+        ("sphere:0.5", None, 0),
+        ("perturbed-ruled:0.05,3", 0.3, None),
+        ("perturbed-ruled:0.05,3", None, 9),
+    ],
+)
+def test_parse_surface_rejects_unused_or_conflicting_options(surface, epsilon, seed, capsys):
+    # An epsilon or seed beside the surface, unused by it or conflicting with
+    # its inline value, is refused: parse_surface takes the surface alone, and
+    # scan has no option to carry the value.
+    with pytest.raises(TypeError):
+        cli.parse_surface(surface, epsilon, seed)
+    options = [] if epsilon is None else ["--epsilon", str(epsilon)]
+    options += [] if seed is None else ["--seed", str(seed)]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["scan", surface, *options, "--grid", "2"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
 @pytest.mark.parametrize("option, value", [("--epsilon", "0.3"), ("--seed", "9")])
 def test_perturbation_options_are_not_options(option, value, capsys):
     # epsilon and seed are given inline, perturbed-ruled:<epsilon>,<seed>.
