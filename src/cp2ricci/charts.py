@@ -111,8 +111,8 @@ def ruled_chart() -> SurfaceChart:
     )
 
 
-def sphere_chart(r: float) -> SurfaceChart:
-    """Lift of the geodesic sphere of radius r, for r in (0, pi/2).
+def sphere_chart(radius: float) -> SurfaceChart:
+    """Lift of the geodesic sphere of radius r (``radius``), for r in (0, pi/2).
 
     Chart (phi, s, t) -> (cos r e^{i phi}, sin r cos s, sin r sin s e^{it});
     the first component has modulus cos r everywhere, so the image consists of
@@ -120,9 +120,9 @@ def sphere_chart(r: float) -> SurfaceChart:
     0 (the t-partial vanishes) and s near pi/2 (the horizontal parts of the
     phi- and t-partials become parallel).
     """
-    if not 0.0 < r < math.pi / 2:
-        raise ValueError(f"radius must lie in (0, pi/2), got {r}")
-    cr, sr = math.cos(r), math.sin(r)
+    if not 0.0 < radius < math.pi / 2:
+        raise ValueError(f"radius must lie in (0, pi/2), got {radius}")
+    cr, sr = math.cos(radius), math.sin(radius)
 
     def evaluate(phi: float, s: float, t: float) -> np.ndarray:
         eiphi, eit = complex(math.cos(phi), math.sin(phi)), complex(math.cos(t), math.sin(t))
@@ -140,7 +140,7 @@ def sphere_chart(r: float) -> SurfaceChart:
         return min(abs(math.sin(s)), abs(math.cos(s))) < SINGULAR_MARGIN
 
     return SurfaceChart(
-        name=f"sphere:{r:.12g}",
+        name=f"sphere:{radius:.12g}",
         evaluate=evaluate,
         partials=partials,
         sample_box=Box((0.1, 0.3, 0.1), (6.1, 1.2, 6.1)),

@@ -32,7 +32,7 @@ import numpy as np
 from . import classify as cl
 from . import curvature as cv
 from .charts import ParamTriple, SurfaceChart, perturbed_ruled_chart, ruled_chart, sphere_chart
-from .exact.checks import ALL_CHECKS, run_checks
+from .exact.checks import ALL_CHECKS
 from .frames import RankDeficient
 from .report import (
     EXACT_ZERO,
@@ -213,24 +213,24 @@ def cmd_check_tube() -> list[CheckReport]:
 
 def cmd_symbolic(names: list[str] | None = None) -> list[CheckReport]:
     """Run the exact polynomial suite: the checks ``names`` in the order
-    given, or every check when none or only 'all' is named.  A repeated
-    name, or 'all' beside another, is a ValueError.  Every verdict must be
-    exact."""
-    names = names or []
+    given, or every check in ``ALL_CHECKS`` order when none or only 'all' is
+    named.  An unknown or repeated name, or 'all' beside another, is a
+    ValueError.  A check passes only on an exact identity, so its residual
+    is exact-zero or else inf."""
+    names = names or ["all"]
+    unknown = [n for n in names if n not in ALL_CHECKS and n != "all"]
+    if unknown:
+        raise ValueError(f"unknown symbolic checks: {', '.join(unknown)}; use {', '.join(ALL_CHECKS)} or all")
     repeated = sorted({n for n in names if names.count(n) > 1})
     if repeated:
         raise ValueError(f"symbolic checks named more than once: {', '.join(repeated)}")
     if "all" in names and len(names) > 1:
         raise ValueError("'all' runs every symbolic check; give it alone")
-    return [
-        CheckReport(
-            f"symbolic_{out.name}",
-            "pass" if out.ok else "fail",
-            EXACT_ZERO if out.exact else math.inf,
-            out.detail,
-        )
-        for out in run_checks([n for n in names if n != "all"])
-    ]
+    reports = []
+    for name in ALL_CHECKS if names == ["all"] else names:
+        ok, detail = ALL_CHECKS[name]()
+        reports.append(_report(f"symbolic_{name}", ok, EXACT_ZERO if ok else math.inf, **detail))
+    return reports
 
 
 SURFACES: dict[str, Callable[..., SurfaceChart]] = {
@@ -244,7 +244,9 @@ def parse_surface(surface: str) -> SurfaceChart:
     """The chart named by ``surface``, ``<name>[:<a>[,<b>]]``: the factory
     ``SURFACES[name]`` called with the arguments in order, each converted by
     its parameter's annotation.  An unknown name, or a number of arguments
-    outside the factory's required-to-total parameter count, is a ValueError."""
+    outside the factory's required-to-total parameter count, is a ValueError;
+    so is an argument its annotation or the factory rejects, with a message
+    that names the surface and each argument given by its parameter."""
     name, colon, inline = surface.partition(":")
     if name not in SURFACES:
         raise ValueError(f"unknown surface {surface!r}; use {', '.join(SURFACES)}")
@@ -254,7 +256,11 @@ def parse_surface(surface: str) -> SurfaceChart:
     if not required <= len(args) <= len(params):
         names = ", ".join(p.name for p in params) or "none"
         raise ValueError(f"surface {surface!r}: {name} takes {required} to {len(params)} arguments ({names})")
-    return SURFACES[name](*(p.annotation(text) for p, text in zip(params, args)))
+    try:
+        return SURFACES[name](*(p.annotation(text) for p, text in zip(params, args)))
+    except ValueError as exc:
+        given = ", ".join(f"{p.name}={text}" for p, text in zip(params, args))
+        raise ValueError(f"surface {surface!r} ({given}): {exc}") from None
 
 
 def _scan_row(q: ParamTriple, s: ShapeData) -> list[float]:
@@ -374,7 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
         "names", nargs="*", help=f"subset to run (default all): {', '.join(ALL_CHECKS)}, or 'all'"
     )
     sub.add_parser("scan", help="per-point curvature rows over a surface grid").add_argument(
-        "surface", help="ruled | sphere:<r> | perturbed-ruled[:<epsilon>[,<seed>]]"
+        "surface", help="ruled | sphere:<radius> | perturbed-ruled[:<epsilon>[,<seed>]]"
     )
     sub.add_parser("crosscheck", help="intrinsic vs shape-based curvature")
     for p in sub.choices.values():
@@ -434,7 +440,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         config = _config(name, args)
         result = COMMANDS[name](**{k: v for k, v in config.items() if k not in ("strict", "format")})
-    except (ValueError, KeyError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     reports, rows = result if isinstance(result, tuple) else (result, None)

@@ -1,31 +1,21 @@
 """The symbolic verification suite over the equality-case identities.
 
-Every check here is exact: a pass means a polynomial identity holds with
-zero remainder over the rationals, never merely to numerical tolerance.
-Derived proportionality constants (the power of the common denominator and
-the rational factor relating cleared numerators to their factored forms) are
-computed by exact division and reported in the outcome payload.
+Each check returns ``(ok, detail)`` and is named only by its key in
+``ALL_CHECKS``.  Every check here is exact: a pass means a polynomial
+identity holds with zero remainder over the rationals, never merely to
+numerical tolerance.  Derived proportionality constants (the power of the
+common denominator and the rational factor relating cleared numerators to
+their factored forms) are computed by exact division and reported in
+``detail``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import identities as ids
 from .mpoly import MPoly, exact_divide
 from .resultant import prs_resultant
-from .sturm import sturm_count
-
-
-@dataclass
-class CheckOutcome:
-    """Result of one symbolic check; ``exact`` means zero-remainder equality."""
-
-    name: str
-    ok: bool
-    exact: bool
-    detail: dict = field(default_factory=dict)
 
 
 def _multiple(w: MPoly, target: MPoly) -> dict:
@@ -74,12 +64,12 @@ def _kappa_residuals(k1: MPoly, k3: MPoly) -> tuple[MPoly, MPoly]:
     )
 
 
-def check_kappa() -> CheckOutcome:
+def check_kappa() -> tuple[bool, dict]:
     """Closed forms for kappa1, kappa3 satisfy both linear relations exactly."""
     ra, rb = _kappa_residuals(ids.KAPPA1_CLOSED, ids.KAPPA3_CLOSED)
     ok = ra.is_zero() and rb.is_zero()
     detail = {"residual_a": repr(ra), "residual_b": repr(rb)}
-    return CheckOutcome("kappa", ok, exact=ok, detail=detail)
+    return ok, detail
 
 
 def cleared_gauss_numerator() -> MPoly:
@@ -92,14 +82,14 @@ def cleared_gauss_numerator() -> MPoly:
     )
 
 
-def check_f_emergence() -> CheckOutcome:
+def check_f_emergence() -> tuple[bool, dict]:
     """The cleared curvature relation equals c * D^k * (mu - gamma) * F_POLY."""
     w = cleared_gauss_numerator()
     detail = _multiple(w, (ids.MU - ids.GAMMA) * ids.F_POLY)
     if "c" not in detail:
-        return CheckOutcome("f_emergence", False, exact=False, detail=detail)
+        return False, detail
     ok = detail["vanishes_at_mu_eq_gamma"] = w.subs_poly("mu", ids.GAMMA).is_zero()
-    return CheckOutcome("f_emergence", ok, exact=ok, detail=detail)
+    return ok, detail
 
 
 def derivative_along_e3_numerator() -> MPoly:
@@ -109,7 +99,7 @@ def derivative_along_e3_numerator() -> MPoly:
     return fb * ids.E3_BETA + fg * ids.E3_GAMMA
 
 
-def check_f_derivative() -> CheckOutcome:
+def check_f_derivative() -> tuple[bool, dict]:
     """dF/de3, cleared, equals c * beta^m * D^k times the degree-six companion.
 
     On mismatch the leading-term ratio is used to form a best-guess multiple
@@ -129,10 +119,10 @@ def check_f_derivative() -> CheckOutcome:
             diff = w - MPoly(w.vars, {delta: Fraction(c_w, c_g)}) * ids.F_E3_DERIVED
             detail["difference_terms"] = [f"{coeff} * {exps}" for exps, coeff in diff.sorted_terms()]
     ok = "c" in detail
-    return CheckOutcome("f_derivative", ok, exact=ok, detail=detail)
+    return ok, detail
 
 
-def check_resultant() -> CheckOutcome:
+def check_resultant() -> tuple[bool, dict]:
     """Resultant of F_POLY and the companion w.r.t. gamma matches the target.
 
     The match is accepted up to overall sign (the determinant convention is
@@ -144,10 +134,7 @@ def check_resultant() -> CheckOutcome:
     elif res == -ids.RESULTANT_TARGET:
         sign = -1
     else:
-        return CheckOutcome(
-            "resultant", False, exact=False,
-            detail={"computed_terms": len(res.terms), "matches": False},
-        )
+        return False, {"computed_terms": len(res.terms), "matches": False}
     detail = {
         "sign": sign,
         "total_degree": res.total_degree(),
@@ -155,17 +142,19 @@ def check_resultant() -> CheckOutcome:
         "factored_form": "202500*(mu^2-1)^4*beta^4*mu^6*(4*mu^2*beta^2+(mu^2-1)^2)^2",
         "resultant": repr(res),
     }
-    return CheckOutcome("resultant", True, exact=True, detail=detail)
+    return True, detail
 
 
-def check_mu1() -> CheckOutcome:
+def check_mu1() -> tuple[bool, dict]:
     """The mu = 1 branch: factorizations, the common root, and uniqueness.
 
     Uniqueness of the real solution (beta, gamma) = (0, 1) of the quartic
     display follows from positivity: both gamma-quadratics have negative
     discriminant and positive leading coefficient, so every summand of the
     quartic is nonnegative and simultaneous vanishing forces beta = 0,
-    gamma = 1.
+    gamma = 1.  The companion is the quartic times its quotient, so the
+    claim also needs that quotient to be the denominator (gamma - 1)^2 +
+    beta^2, whose one real zero is the same point.
     """
     detail: dict = {}
     f1 = ids.F_POLY.subs_poly("mu", 1)
@@ -202,32 +191,23 @@ def check_mu1() -> CheckOutcome:
         + (ids.GAMMA - 1) ** 2 * ids.MU1_TAIL_QUAD
     )
     detail["quartic_structure_exact"] = structural
-    detail["unique_real_solution"] = positivity and structural and root_ok
-
-    ok = bool(
-        detail["f_factorization_exact"]
-        and detail["companion_divisible"]
-        and root_ok
-        and positivity
-        and structural
-    )
-    return CheckOutcome("mu1", ok, exact=ok, detail=detail)
+    unique = detail["unique_real_solution"] = positivity and structural and root_ok and q == d1
+    return detail["f_factorization_exact"] and unique, detail
 
 
-def check_mu0() -> CheckOutcome:
-    """The mu = 0 branch: F_POLY reduces to gamma * (beta^2 + gamma^2 + 1)."""
+def check_mu0() -> tuple[bool, dict]:
+    """The mu = 0 branch: F_POLY reduces to gamma * (1 + beta^2 + gamma^2).
+
+    The cofactor of gamma is at least 1 on the real plane, so gamma = 0 for
+    every real beta; both facts are exact identities over Q[beta, gamma]."""
     f0 = ids.F_POLY.subs_poly("mu", 0)
-    ok = f0 == ids.MU0_PRODUCT
-    detail = {"reduction_exact": ok}
-    # Root structure at sampled rational beta: the quadratic factor has no
-    # real zero, so gamma = 0 is the only real root line.
-    counts = []
-    for b in (Fraction(0), Fraction(1, 2), Fraction(3), Fraction(-7, 3)):
-        fb = f0.subs_poly("beta", b)
-        counts.append(sturm_count(fb, "gamma"))
-    detail["root_counts_at_samples"] = counts
-    ok = ok and all(c == 1 for c in counts)
-    return CheckOutcome("mu0", ok, exact=ok, detail=detail)
+    cofactor = exact_divide(f0, ids.GAMMA)
+    detail = {
+        "reduction_exact": f0 == ids.MU0_PRODUCT,
+        "cofactor_is_one_plus_squares": cofactor is not None
+        and cofactor - 1 == ids.BETA**2 + ids.GAMMA**2,
+    }
+    return all(detail.values()), detail
 
 
 ALL_CHECKS = {
@@ -238,11 +218,3 @@ ALL_CHECKS = {
     "mu1": check_mu1,
     "mu0": check_mu0,
 }
-
-
-def run_checks(names: list[str] | None = None) -> list[CheckOutcome]:
-    selected = list(ALL_CHECKS) if not names else names
-    unknown = [n for n in selected if n not in ALL_CHECKS]
-    if unknown:
-        raise KeyError(f"unknown symbolic checks: {unknown}; available: {list(ALL_CHECKS)}")
-    return [ALL_CHECKS[n]() for n in selected]

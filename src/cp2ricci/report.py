@@ -41,7 +41,7 @@ class CheckReport:
     ``run_report`` counts each flagged point of that grid once."""
 
     name: str
-    status: str  # "pass" | "fail" | "error"
+    status: str  # "pass" | "fail"
     max_abs_residual: float | str
     details: dict[str, Any] = field(default_factory=dict)
     grid_key: str | None = field(default=None, compare=False)

@@ -10,7 +10,6 @@ from cp2ricci import classify as cl
 from cp2ricci import cli
 from cp2ricci import curvature as cv
 from cp2ricci.charts import ruled_chart, sphere_chart
-from cp2ricci.exact.checks import run_checks
 from cp2ricci.exact.mpoly import MPoly, variables
 from cp2ricci.exact.resultant import bareiss_det, cofactor_det
 from cp2ricci.exact.sturm import sturm_count
@@ -89,14 +88,14 @@ def test_criterion_symbolic_suite_exact():
     """All six symbolic checks pass with exact equality, the resultant equals
     the factored target, total runtime under 5 minutes."""
     t0 = time.perf_counter()
-    outcomes = run_checks()
+    reports = cli.cmd_symbolic(None)
     elapsed = time.perf_counter() - t0
-    ok = all(o.ok and o.exact for o in outcomes) and elapsed < 300.0
-    resultant = next(o for o in outcomes if o.name == "resultant")
+    ok = all(r.status == "pass" and r.max_abs_residual == EXACT_ZERO for r in reports) and elapsed < 300.0
+    resultant = next(r for r in reports if r.name == "symbolic_resultant")
     _line(
         ok,
         "symbolic suite",
-        f"{len(outcomes)} checks exact, resultant sign {resultant.detail.get('sign')}, "
+        f"{len(reports)} checks exact, resultant sign {resultant.details.get('sign')}, "
         f"{elapsed:.1f}s",
     )
     assert ok

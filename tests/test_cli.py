@@ -247,16 +247,30 @@ def test_parse_surface_variants():
         "perturbed-ruled:0.05,3,4",
         "perturbed-ruled:0.05,3.5",
         "perturbed-ruled:,3",
+        "sphere:abc",
+        "perturbed-ruled:0.05,-1",
     ],
 )
 def test_parse_surface_rejects_malformed_surfaces(surface, capsys):
-    # Too few or too many arguments for the chart factory, or an argument
-    # its annotation cannot convert, is a usage error.
+    # Too few or too many arguments for the chart factory, an argument its
+    # annotation cannot convert, or one the factory rejects, is a usage
+    # error whose message names the surface.
     with pytest.raises(ValueError):
         cli.parse_surface(surface)
     assert cli.main(["scan", surface, "--grid", "2"]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith("error: ")
+    assert surface in captured.err
+
+
+@pytest.mark.parametrize(
+    "surface, parameter",
+    [("sphere:abc", "radius=abc"), ("sphere:2", "radius=2"), ("perturbed-ruled:0.05,-1", "seed=-1")],
+)
+def test_rejected_surface_argument_is_named_by_its_parameter(surface, parameter):
+    with pytest.raises(ValueError) as exc:
+        cli.parse_surface(surface)
+    assert str(exc.value).startswith(f"surface {surface!r} (") and parameter in str(exc.value)
 
 
 @pytest.mark.parametrize(
@@ -561,16 +575,18 @@ def test_singular_holomorphic_plane_stencil_fails_its_check(monkeypatch):
 
 @pytest.mark.parametrize(
     "names",
-    [["kappa", "kappa"], ["mu0", "mu1", "mu0"], ["all", "kappa"], ["kappa", "all"], ["all", "all"]],
+    [["kappa", "kappa"], ["mu0", "mu1", "mu0"], ["all", "kappa"], ["kappa", "all"], ["all", "all"], ["nope"]],
     ids="-".join,
 )
 def test_symbolic_names_are_never_rewritten(names, capsys):
     # Run as given, a repeated name would run its check twice and 'all'
-    # beside other names would be dropped; both are usage errors instead.
+    # beside other names would be dropped; both are usage errors instead,
+    # as is an unknown name.  The message is printed unquoted.
     assert cli.main(["symbolic", *names]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert '"' not in captured.err
 
 
 def test_strict_halves_the_sphere_hopf_tolerance(capsys):

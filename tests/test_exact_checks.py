@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 from pathlib import Path
 
@@ -8,15 +9,15 @@ from cp2ricci.exact import checks
 from cp2ricci.exact import identities as ids
 from cp2ricci.exact.mpoly import exact_divide
 from cp2ricci.exact.resultant import prs_resultant, sylvester_resultant
-from cp2ricci.report import report_to_json, run_report
+from cp2ricci.report import EXACT_ZERO, report_to_json, run_report
 
 GOLDEN_SYMBOLIC = Path(__file__).parent / "data" / "symbolic_report.json"
 
 
 def test_kappa_closed_forms_satisfy_both_relations():
-    out = checks.check_kappa()
-    assert out.ok and out.exact
-    assert out.detail == {"residual_a": "0", "residual_b": "0"}
+    ok, detail = checks.check_kappa()
+    assert ok
+    assert detail == {"residual_a": "0", "residual_b": "0"}
 
 
 def test_kappa_detects_mutated_numerator_sign():
@@ -44,13 +45,13 @@ def test_symbolic_report_matches_the_golden_file():
 
 
 def test_emergence_factorization_and_constants():
-    out = checks.check_f_emergence()
-    assert out.ok and out.exact
+    ok, detail = checks.check_f_emergence()
+    assert ok
     # regression: cleared relation = 2 * D * (mu - gamma) * F_POLY
-    assert out.detail["c"] == "2"
-    assert out.detail["denominator_power"] == 1
-    assert out.detail["beta_power"] == 0
-    assert out.detail["vanishes_at_mu_eq_gamma"] is True
+    assert detail["c"] == "2"
+    assert detail["denominator_power"] == 1
+    assert detail["beta_power"] == 0
+    assert detail["vanishes_at_mu_eq_gamma"] is True
 
 
 def test_emergence_cleared_numerator_vanishes_at_mu_eq_gamma():
@@ -59,12 +60,12 @@ def test_emergence_cleared_numerator_vanishes_at_mu_eq_gamma():
 
 
 def test_derivative_factorization_and_constants():
-    out = checks.check_f_derivative()
-    assert out.ok and out.exact
+    ok, detail = checks.check_f_derivative()
+    assert ok
     # regression: cleared derivative = beta * companion (no D power)
-    assert out.detail["c"] == "1"
-    assert out.detail["beta_power"] == 1
-    assert out.detail["denominator_power"] == 0
+    assert detail["c"] == "1"
+    assert detail["beta_power"] == 1
+    assert detail["denominator_power"] == 0
 
 
 def test_derivative_mutation_reports_single_term_difference(monkeypatch):
@@ -78,17 +79,17 @@ def test_derivative_mutation_reports_single_term_difference(monkeypatch):
     for mutation, term in cases:
         with monkeypatch.context() as m:
             m.setattr(ids, "F_E3_DERIVED", ids.F_E3_DERIVED + mutation)
-            out = checks.check_f_derivative()
-        assert not out.ok and not out.exact
-        assert out.detail == {"divisible": False, "difference_terms": [term]}
+            ok, detail = checks.check_f_derivative()
+        assert not ok
+        assert detail == {"divisible": False, "difference_terms": [term]}
 
 
 def test_derivative_mutation_with_a_higher_leading_term_is_reported_incompatible(monkeypatch):
     # kappa1^8 outranks every term of the derivative, which has no kappa1.
     monkeypatch.setattr(ids, "F_E3_DERIVED", ids.F_E3_DERIVED + ids.KAPPA1**8)
-    out = checks.check_f_derivative()
-    assert not out.ok
-    assert out.detail == {"divisible": False, "difference_terms": ["leading terms incompatible"]}
+    ok, detail = checks.check_f_derivative()
+    assert not ok
+    assert detail == {"divisible": False, "difference_terms": ["leading terms incompatible"]}
 
 
 def test_multiple_reports_the_monomial_factor_or_why_there_is_none():
@@ -103,11 +104,11 @@ def test_multiple_reports_the_monomial_factor_or_why_there_is_none():
 
 
 def test_resultant_matches_factored_target_exactly():
-    out = checks.check_resultant()
-    assert out.ok and out.exact
-    assert out.detail["sign"] == 1  # regression: our row order reproduces it
-    assert out.detail["total_degree"] == 26
-    assert out.detail["n_terms"] == 21
+    ok, detail = checks.check_resultant()
+    assert ok
+    assert detail["sign"] == 1  # regression: our row order reproduces it
+    assert detail["total_degree"] == 26
+    assert detail["n_terms"] == 21
 
 
 def test_resultant_direct_equality():
@@ -131,9 +132,8 @@ def test_resultant_specializes_consistently():
 
 
 def test_mu1_branch():
-    out = checks.check_mu1()
-    assert out.ok and out.exact
-    d = out.detail
+    ok, d = checks.check_mu1()
+    assert ok
     assert d["f_factorization_exact"] is True
     assert d["companion_divisible"] is True
     assert d["companion_quotient_is_denominator"] is True  # quotient (g-1)^2 + b^2
@@ -145,11 +145,11 @@ def test_mu1_branch():
 def test_mu1_discriminants_come_from_the_quadratics(monkeypatch):
     # 8 g^2 + 12 g - 15: discriminant 144 + 480, so the tail is no longer positive.
     monkeypatch.setattr(ids, "MU1_TAIL_QUAD", 8 * ids.GAMMA**2 + 12 * ids.GAMMA - 15)
-    out = checks.check_mu1()
-    assert out.detail["disc_middle"] == "-176"
-    assert out.detail["disc_tail"] == "624"
-    assert out.detail["unique_real_solution"] is False
-    assert not out.ok and not out.exact
+    ok, detail = checks.check_mu1()
+    assert detail["disc_middle"] == "-176"
+    assert detail["disc_tail"] == "624"
+    assert detail["unique_real_solution"] is False
+    assert not ok
 
 
 @pytest.mark.parametrize(
@@ -158,11 +158,11 @@ def test_mu1_discriminants_come_from_the_quadratics(monkeypatch):
 )
 def test_mu1_malformed_quadratic_is_a_failed_check(monkeypatch, tail):
     monkeypatch.setattr(ids, "MU1_TAIL_QUAD", tail)
-    out = checks.check_mu1()
-    assert out.detail["disc_middle"] == "-176"
-    assert out.detail["disc_tail"].startswith("not a quadratic in gamma with constant coefficients")
-    assert out.detail["unique_real_solution"] is False
-    assert not out.ok and not out.exact
+    ok, detail = checks.check_mu1()
+    assert detail["disc_middle"] == "-176"
+    assert detail["disc_tail"].startswith("not a quadratic in gamma with constant coefficients")
+    assert detail["unique_real_solution"] is False
+    assert not ok
 
 
 def test_mu1_factorization_spelled_out():
@@ -173,11 +173,35 @@ def test_mu1_factorization_spelled_out():
     assert q == (ids.GAMMA - 1) ** 2 + ids.BETA**2
 
 
+def test_mu1_fails_when_the_companion_quotient_has_other_real_zeros(monkeypatch):
+    # The quotient becomes (gamma - 1)^2 + beta^2 (1 + gamma), which also
+    # vanishes at (beta, gamma) = (3, -2), so (0, 1) is no longer the only
+    # real solution although the quartic itself is unchanged.
+    mutation = ids.MU1_QUARTIC * ids.GAMMA * ids.BETA**2
+    monkeypatch.setattr(ids, "F_E3_DERIVED", ids.F_E3_DERIVED + mutation)
+    (report,) = cli.cmd_symbolic(["mu1"])
+    assert report.status == "fail" and report.max_abs_residual == math.inf
+    assert report.details["companion_quotient_is_denominator"] is False
+    assert report.details["unique_real_solution"] is False
+
+
 def test_mu0_branch():
-    out = checks.check_mu0()
-    assert out.ok and out.exact
-    assert out.detail["reduction_exact"] is True
-    assert out.detail["root_counts_at_samples"] == [1, 1, 1, 1]
+    ok, detail = checks.check_mu0()
+    assert ok
+    assert detail == {"reduction_exact": True, "cofactor_is_one_plus_squares": True}
+
+
+def test_mu0_fails_when_the_gamma_cofactor_has_real_zeros(monkeypatch):
+    # The mu = 0 slice becomes gamma * ((beta - 5)^2 + gamma^2 - 1/100): the
+    # reduction still matches, but the cofactor vanishes on a small circle
+    # around (5, 0), so gamma = 0 no longer follows for every real beta.
+    shift = ids.GAMMA * (Fraction(2399, 100) - 10 * ids.BETA)
+    monkeypatch.setattr(ids, "F_POLY", ids.F_POLY + shift)
+    monkeypatch.setattr(ids, "MU0_PRODUCT", ids.MU0_PRODUCT + shift)
+    assert ids.MU0_PRODUCT == ids.GAMMA * ((ids.BETA - 5) ** 2 + ids.GAMMA**2 - Fraction(1, 100))
+    (report,) = cli.cmd_symbolic(["mu0"])
+    assert report.status == "fail" and report.max_abs_residual == math.inf
+    assert report.details["reduction_exact"] is True
 
 
 def test_mu0_reduction_spelled_out():
@@ -186,23 +210,16 @@ def test_mu0_reduction_spelled_out():
     assert f0 == ids.MU0_PRODUCT
 
 
-def test_run_checks_all_exact():
-    outs = checks.run_checks()
-    assert [o.name for o in outs] == [
-        "kappa",
-        "f_emergence",
-        "f_derivative",
-        "resultant",
-        "mu1",
-        "mu0",
-    ]
-    assert all(o.ok and o.exact for o in outs)
+def test_symbolic_runs_every_check_exactly_in_registry_order():
+    reports = cli.cmd_symbolic(None)
+    names = ["kappa", "f_emergence", "f_derivative", "resultant", "mu1", "mu0"]
+    assert [r.name for r in reports] == [f"symbolic_{n}" for n in names]
+    assert all(r.status == "pass" and r.max_abs_residual == EXACT_ZERO for r in reports)
+    assert [r.name for r in cli.cmd_symbolic(["all"])] == [r.name for r in reports]
 
 
-def test_run_checks_subset_and_unknown():
-    outs = checks.run_checks(["mu0"])
-    assert len(outs) == 1 and outs[0].name == "mu0"
-    import pytest
-
-    with pytest.raises(KeyError):
-        checks.run_checks(["nope"])
+def test_symbolic_subset_and_unknown_names():
+    (report,) = cli.cmd_symbolic(["mu0"])
+    assert report.name == "symbolic_mu0"
+    with pytest.raises(ValueError, match="unknown symbolic checks: nope;"):
+        cli.cmd_symbolic(["nope"])
