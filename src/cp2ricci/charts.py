@@ -88,7 +88,9 @@ def _ruled_partials(u: float, v: float, t: float) -> np.ndarray:
     cu, su = math.cos(u), math.sin(u)
     cv, sv = math.cos(v), math.sin(v)
     eit = complex(math.cos(t), math.sin(t))
-    return np.array([[-su * cv, -su * sv, cu * eit], [-cu * sv, cu * cv, 0.0], [0.0, 0.0, 1j * su * eit]])
+    return np.array(
+        [-su * cv, -su * sv, cu * eit, -cu * sv, cu * cv, 0.0, 0.0, 0.0, 1j * su * eit]
+    ).reshape(3, 3)
 
 
 def ruled_chart() -> SurfaceChart:
@@ -133,8 +135,8 @@ def sphere_chart(radius: float) -> SurfaceChart:
         eit = complex(math.cos(t), math.sin(t))
         cs, ss = math.cos(s), math.sin(s)
         return np.array(
-            [[1j * cr * eiphi, 0.0, 0.0], [0.0, -sr * ss, sr * cs * eit], [0.0, 0.0, 1j * sr * ss * eit]]
-        )
+            [1j * cr * eiphi, 0.0, 0.0, 0.0, -sr * ss, sr * cs * eit, 0.0, 0.0, 1j * sr * ss * eit]
+        ).reshape(3, 3)
 
     def is_singular(phi: float, s: float, t: float) -> bool:
         return min(abs(math.sin(s)), abs(math.cos(s))) < SINGULAR_MARGIN

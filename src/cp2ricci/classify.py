@@ -47,13 +47,11 @@ def equality_residuals(shape: ShapeData, tol: float = 1e-6) -> tuple[float, floa
     A, xi = shape.A, shape.xi
     u = (A @ xi - shape.alpha * xi) / beta
     w = shape.P @ u
-    basis = np.vstack([xi, u, w])
-    a = basis @ A @ basis.T
-    return (
-        float(max(abs(a[0, 2]), abs(a[1, 2]))),
-        float(abs(a[0, 0] + a[1, 1] - a[2, 2])),
-        max(float(np.linalg.norm(A @ u - beta * xi)), float(np.linalg.norm(A @ w))),
-    )
+    basis = np.array([xi, u, w])
+    (a00, _, a02), (_, a11, a12), (_, _, a22) = (basis @ A @ basis.T).tolist()
+    au, aw = A @ u - beta * xi, A @ w
+    ruled_form = math.sqrt(max(au.dot(au), aw.dot(aw)))  # max(|A U - beta xi|, |A W|)
+    return max(abs(a02), abs(a12)), abs(a00 + a11 - a22), ruled_form
 
 
 Ratio = tuple[MPoly, MPoly]  # (numerator, denominator)

@@ -454,8 +454,8 @@ def main(argv: list[str] | None = None) -> int:
         payload = (scan_to_csv if config["format"] == "csv" else scan_to_json)(rows)
         written = f"{len(rows)} rows"
     else:
-        if name == "symbolic":  # every check, sorted, when none or 'all' is named
-            config["names"] = [n for n in config["names"] if n != "all"] or sorted(ALL_CHECKS)
+        if name == "symbolic":  # every check, in run order, when none or 'all' is named
+            config["names"] = [n for n in config["names"] if n != "all"] or list(ALL_CHECKS)
         payload = report_to_json(run_report(args.command, config, reports)) + "\n"
         written = "report"
     try:

@@ -94,7 +94,10 @@ def ricci_matrix(shape: ShapeData) -> np.ndarray:
     """
     A, P = shape.A, shape.P
     closed = _TWO_EYE + 3.0 * (P.T @ P) + A.trace() * A - A @ A
-    direct = np.einsum("ijki->jk", _gauss_tensor(shape))
+    # ``_gauss_tensor`` up to rounding, its two wedges taken as one (``_wedge`` is linear)
+    PP = np.multiply.outer(P, P)
+    gauss = _WEDGE_EYE + _wedge(PP + np.multiply.outer(A, A)) - 2.0 * PP.transpose(1, 0, 3, 2)
+    direct = np.einsum("ijki->jk", gauss)
 
     scale = max(1.0, float(np.abs(direct).max()), float((A * A).sum()))
     gap = float(np.abs(direct - closed).max())

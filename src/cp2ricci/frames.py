@@ -10,12 +10,12 @@ Cholesky factor of the Gram matrix W W^T, E1 = L1^-1 W, and with L2 that of
 E1 E1^T, E = L2^-1 E1.  This is Gram-Schmidt with a positive diagonal, so
 row i of ``coeffs`` = L2^-1 L1^-1 expresses e_i in the horizontalized
 partials.  Both 3x3 factors and their inverses are closed forms on Python
-floats.  The rank guard compares the Gram-Schmidt remainders, read as
-diag(W E^T), with ``RANK_TOL``; that stays accurate where the Gram matrix is
-ill-conditioned.  The frame is completed by the unique horizontal unit
-normal n, read off the kernel of the skew matrix <i e_j, e_k>; its sign
-follows a deterministic rule (largest component >= 0) so that runs are
-reproducible.
+floats.  The rank guard compares each Gram-Schmidt remainder, read as
+diag(W E^T), with ``RANK_TOL`` (a NaN one fails); that stays accurate where
+the Gram matrix is ill-conditioned.  The frame is completed by the unique
+horizontal unit normal n, read off the kernel of the skew matrix
+<i e_j, e_k>; its sign follows a deterministic rule (the first component of
+largest modulus is >= 0) so that runs are reproducible.
 
 ``MovingFrame`` stores the point p as an ``AmbientVector`` and the real
 rows [i p, e_1, e_2, e_3, n] as one read-only (5, 6) array.
@@ -63,9 +63,8 @@ def _inverse_cholesky(X: np.ndarray) -> np.ndarray:
     l22 = math.sqrt(d) if d > 0.0 else math.nan
     m00, m11, m22 = 1.0 / l00, 1.0 / l11, 1.0 / l22
     m10 = -l10 * m00 * m11
-    return np.array(
-        [[m00, 0.0, 0.0], [m10, m11, 0.0], [-(l20 * m00 + l21 * m10) * m22, -l21 * m11 * m22, m22]]
-    )
+    m20, m21 = -(l20 * m00 + l21 * m10) * m22, -l21 * m11 * m22
+    return np.array([m00, 0.0, 0.0, m10, m11, 0.0, m20, m21, m22]).reshape(3, 3)
 
 
 @dataclass(frozen=True)
@@ -86,8 +85,8 @@ class MovingFrame:
 def build_frame(chart: SurfaceChart, q: ParamTriple) -> MovingFrame:
     """Build the moving frame at a non-singular parameter point.
 
-    Raises ``RankDeficient`` when the smallest Gram-Schmidt remainder norm,
-    min diag(W E^T), falls below ``RANK_TOL`` or is NaN (a Cholesky pivot
+    Raises ``RankDeficient`` when a Gram-Schmidt remainder norm, an entry
+    of diag(W E^T), falls below ``RANK_TOL`` or is NaN (a Cholesky pivot
     that is not positive makes it NaN), which signals a coordinate
     singularity, a fiber-tangent direction or a non-finite chart value.
     """
@@ -97,22 +96,23 @@ def build_frame(chart: SurfaceChart, q: ParamTriple) -> MovingFrame:
     E1 = C1.dot(W)
     C2 = _inverse_cholesky(E1)
     R = np.empty((5, 6))  # the rows [i p, e_1, e_2, e_3, n]
-    R[0] = (1j * p).view(np.float64)
+    np.multiply(1j, p, out=R[0].view(np.complex128))
     E = R[1:4]
     C2.dot(E1, out=E)
-    norm = float((W * E).sum(axis=1).min())
-    if not norm >= RANK_TOL:
+    r0, r1, r2 = (W * E).sum(axis=1).tolist()
+    if not (r0 >= RANK_TOL and r1 >= RANK_TOL and r2 >= RANK_TOL):
         raise RankDeficient(
-            f"chart {chart.name!r} at {q}: Gram-Schmidt remainder {norm:.3e} < {RANK_TOL:.1e}"
+            f"chart {chart.name!r} at {q}: Gram-Schmidt remainder"
+            f" {np.min((r0, r1, r2)):.3e} < {RANK_TOL:.1e}"
         )
 
     # i n is tangent, so xi_j = <-i n, e_j> spans the kernel of the skew
     # matrix <i e_j, e_k>; its axial vector gives n = i sum_j xi_j e_j up to
-    # sign.  Sign rule: largest component >= 0.
+    # sign.  Sign rule: the first component of largest modulus is >= 0.
     iE = (1j * E.view(np.complex128)).view(np.float64)
     (_, g01, g02), (g10, _, g12), (g20, g21, _) = iE.dot(E.T).tolist()
-    n = np.dot((g12 - g21, g20 - g02, g01 - g10), iE)
-    lead = int(abs(n).argmax())
-    R[4] = (1.0 / math.copysign(math.sqrt(n.dot(n)), n[lead])) * n
+    n = R[4]
+    np.array((g12 - g21, g20 - g02, g01 - g10)).dot(iE, out=n)
+    n *= 1.0 / math.copysign(math.sqrt(n.dot(n)), max(n.tolist(), key=abs))
     R.setflags(write=False)
     return MovingFrame(p=AmbientVector(p), rows=R, coeffs=C2.dot(C1))

@@ -12,10 +12,10 @@ and asymmetry measures numerical error.  The normal and its sign are the
 frame's (see ``frames``); a flipped normal negates A and xi.
 
 The frame is read as its real rows ``frame.rows`` = [i p, e_1, e_2, e_3, n]
-and their images under i, one complex multiplication of the whole block; the
-six stencil normals are the last row of each stencil frame and form one
-(3, 6) difference block, and every contraction with the frame is a small
-matrix product.
+and their images under i, one complex multiplication of the whole block.  The
+six stencil normals (the last stencil frame rows) fill one (6, 6) array; one
+masked negation flips those with a negative dot with the center normal (a
+zero or NaN dot keeps the sign) and one strided subtraction differences them.
 """
 
 from __future__ import annotations
@@ -94,18 +94,14 @@ def shape_operator(chart: SurfaceChart, q: ParamTriple, h: float = 1e-5) -> Shap
 
     # Centered normal derivatives along the coordinate axes, each stencil
     # normal sign-aligned to the center.
-    FD = np.empty((3, 6))
-    for a in range(3):
-        ends = []
-        for step in (h, -h):
-            qs = list(q)
-            qs[a] += step
-            m = build_frame(chart, tuple(qs)).rows[4]
-            ends.append(-m if m.dot(n) < 0.0 else m)
-        FD[a] = (1.0 / (2.0 * h)) * (ends[0] - ends[1])
+    u, v, t = q
+    stencil = (u + h, v, t), (u - h, v, t), (u, v + h, t), (u, v - h, t), (u, v, t + h), (u, v, t - h)
+    N = np.array([build_frame(chart, qs).rows[4] for qs in stencil])
+    np.negative(N, out=N, where=(N.dot(n) < 0.0)[:, None])
+    FD = (1.0 / (2.0 * h)) * (N[0::2] - N[1::2])
     # D_{W_a} n = FD_a - vert_a * i n, and A e_i = -H(D_{e_i} n).
     in_e = E.dot(i_n)  # <i n, e_j>
-    raw = -(FD.dot(E.T) - np.outer(vert, in_e))
+    raw = -(FD.dot(E.T) - vert[:, None] * in_e)
 
     A_raw = frame.coeffs @ raw
     asym = float(np.abs(A_raw - A_raw.T).max())

@@ -8,11 +8,14 @@ replayed through ``cli.main``: each invocation must exit with 0, or N where a
 writes the invocation's standard error to FILE, every warning included
 (shown each time it is raised), and the step's ``test ! -s FILE``,
 ``grep -q Traceback FILE`` and ``head -c N FILE`` lines are checked on it;
-other redirections are dropped.
+other redirections are dropped.  Each ``python3 benchmarks/run.py`` line is
+not run but checked: it names a workload of the benchmark runner, or all,
+and a trace mode of 0 or 1.
 """
 
 import contextlib
 import functools
+import importlib.util
 import io
 import re
 import shlex
@@ -117,14 +120,33 @@ def test_the_workflow_runs_the_cli():
     assert ["cmp", ["cmp", "$RUNNER_TEMP/crosscheck_g2.json", "tests/data/crosscheck_g2.json"]] in (
         STEPS["Crosscheck report matches the golden file"]
     )
-    assert ["cp2ricci", ["cp2ricci", "check", "sphere", "--radius", "1.57", "--grid", "3"], 0, None] in (
-        STEPS["Sphere check near the cut locus passes"]
+    argv = ["cp2ricci", "check", "sphere", "--radius", "1.57", "--grid", "3"]
+    assert STEPS["Sphere check near the cut locus passes"] == [
+        ["cp2ricci", [*argv, "--out", "$RUNNER_TEMP/check_sphere_r157_g3.json"], 0, None],
+        ["cmp", ["cmp", "$RUNNER_TEMP/check_sphere_r157_g3.json", "tests/data/check_sphere_r157_g3.json"]],
+    ]
+    # the golden perturbed scan
+    assert ["cmp", ["cmp", "$RUNNER_TEMP/scan.csv", "tests/data/scan_perturbed_g4.csv"]] in (
+        STEPS["Perturbed scan smoke"]
     )
     # epsilon and seed are given only inline, and only as many as the factory takes
     argv = ["cp2ricci", "scan", "perturbed-ruled:0.05,3", "--epsilon", "0.3", "--grid", "2"]
     assert STEPS["Perturbation option outside the surface is a usage error"] == [["cp2ricci", argv, 2, None]]
     argv = ["cp2ricci", "scan", "perturbed-ruled:0.05,3,4", "--grid", "2"]
     assert STEPS["Surface with too many arguments is a usage error"] == [["cp2ricci", argv, 2, None]]
+
+
+def test_the_workflow_benchmark_steps_name_a_workload_and_a_trace_mode():
+    spec = importlib.util.spec_from_file_location("benchmark_run", ROOT / "benchmarks" / "run.py")
+    run = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(run)
+    lines = [raw.strip().removeprefix("run:").strip() for raw in WORKFLOW.read_text().splitlines()]
+    runs = [shlex.split(line)[2:] for line in lines if line.startswith("python3 benchmarks/run.py ")]
+    assert runs
+    for args in runs:
+        opts = {w: args[k + 1] for k, w in enumerate(args[:-1]) if w.startswith("--")}
+        assert opts.get("--workload") in (*run.WORKLOAD_NAMES, "all"), args
+        assert opts.get("--trace", "0") in ("0", "1"), args
 
 
 @pytest.mark.parametrize(

@@ -76,6 +76,8 @@ def test_scan_rows_satisfy_definitional_identity():
         (["check", "tube"], "check_tube.json"),
         (["check", "ruled", "--grid", "4"], "check_ruled_g4.json"),
         (["crosscheck", "--grid", "2"], "crosscheck_g2.json"),
+        (["scan", "perturbed-ruled:0.05,0", "--grid", "4"], "scan_perturbed_g4.csv"),
+        (["check", "sphere", "--radius", "1.57", "--grid", "3"], "check_sphere_r157_g3.json"),
     ],
 )
 def test_outputs_match_the_golden_files_byte_for_byte(tmp_path, argv, golden):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cp2ricci import frames
 from cp2ricci.charts import perturbed_ruled_chart, ruled_chart, sphere_chart
 from cp2ricci.frames import RANK_TOL, RankDeficient, _horizontal_rows, build_frame
 from helpers import horizontalize
@@ -81,6 +82,23 @@ def test_frame_invariants_on_grids_of_both_charts():
 def test_non_finite_chart_is_rank_deficient():
     with pytest.raises(RankDeficient):
         build_frame(perturbed_ruled_chart(float("nan"), 0), (0.6, 1.0, 2.0))
+
+
+def test_one_nan_remainder_is_rank_deficient(monkeypatch):
+    # A NaN last row of the second factor leaves e_1 and e_2 finite, so only
+    # the third remainder is NaN; the guard must still fail.
+    inverse, calls = frames._inverse_cholesky, []
+
+    def nan_last_row_of_second(X):
+        C = inverse(X)
+        if calls:
+            C[2] = np.nan
+        calls.append(X)
+        return C
+
+    monkeypatch.setattr(frames, "_inverse_cholesky", nan_last_row_of_second)
+    with pytest.raises(RankDeficient, match="remainder nan < 1.0e-08"):
+        build_frame(ruled_chart(), (0.6, 1.0, 2.0))
 
 
 _CHARTS = st.one_of(

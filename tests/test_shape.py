@@ -98,6 +98,44 @@ def test_flip_helper_matches_pipeline_flip(monkeypatch):
     assert np.max(np.abs(a.xi - b.xi)) < 1e-12
 
 
+def _with_stencil_normals(monkeypatch, normals):
+    """``shape_operator`` on the ruled chart with the center normal set to
+    e_0 of R^6, the six stencil normals (at q + h e_0, q - h e_0, q + h e_1,
+    ...) set to ``normals``, and the asymmetry tolerance infinite."""
+    build = shape.build_frame
+    rows4 = iter([np.eye(6)[0], *normals])
+
+    def patched(chart, q):
+        frame = build(chart, q)
+        rows = frame.rows.copy()
+        rows[4] = next(rows4)
+        rows.setflags(write=False)
+        return dataclasses.replace(frame, rows=rows)
+
+    with monkeypatch.context() as m:
+        m.setattr(shape, "build_frame", patched)
+        m.setattr(shape, "ASYM_TOL", math.inf)
+        return shape_operator(ruled_chart(), (0.6, 1.0, 2.0))
+
+
+def test_stencil_normals_are_flipped_only_where_their_dot_is_negative(monkeypatch):
+    e = np.eye(6)  # the center normal is e[0]
+    normals = [e[1], e[0] + e[3], e[2] - e[0], e[0] + e[3], 2.0 * e[4], e[0]]  # dots 0, 1, -1, 1, 0, 1
+    aligned = [-m if m.dot(e[0]) < 0.0 else m for m in normals]
+    # Adding e[0] to every aligned normal makes each dot positive and keeps
+    # every difference exact, so no normal of the second call is flipped.
+    got = _with_stencil_normals(monkeypatch, normals)
+    want = _with_stencil_normals(monkeypatch, [m + e[0] for m in aligned])
+    assert np.array_equal(got.A, want.A)
+    assert not np.array_equal(got.A, _with_stencil_normals(monkeypatch, [m + e[0] for m in normals]).A)
+
+
+def test_a_nan_stencil_normal_is_an_asymmetry(monkeypatch):
+    e = np.eye(6)
+    with pytest.raises(AsymmetryExceeded):
+        _with_stencil_normals(monkeypatch, [e[1], np.full(6, np.nan), *e[2:6]])
+
+
 def test_richardson_second_order_error_estimate():
     # error of the h/2 operator is within 4x the extrapolated estimate
     q = (0.6, 1.0, 2.0)
