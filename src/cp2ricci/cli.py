@@ -337,18 +337,14 @@ def cmd_crosscheck(grid: int = 5, step: float = 1e-3, tol: float = 1e-4) -> list
 
 def _holomorphic_plane_curvature(step: float) -> float:
     """Intrinsic sectional curvature of the holomorphic plane at a fixed
-    point of the equality sphere (5 exactly)."""
+    point of the equality sphere (5 exactly): the coordinate tensor pushed
+    into the orthonormal frame, R_ijkl = C_ia C_jb C_kc C_ld R_abcd."""
     chart = sphere_chart(math.pi / 4)
     q = (0.3, 0.7, 0.4)
     s = shape_operator(chart, q)
-    r_coord = cv.intrinsic_riemann(chart, q, h=step)
-    g = cv.induced_metric(chart, q)
-    x, y = cv._plane_basis(s.xi)
-    xc = s.frame.coeffs.T @ x
-    yc = s.frame.coeffs.T @ y
-    num = float(np.einsum("abcd,a,b,c,d->", r_coord, xc, yc, yc, xc))
-    den = float((xc @ g @ xc) * (yc @ g @ yc) - (xc @ g @ yc) ** 2)
-    return num / den
+    C = s.frame.coeffs
+    R = np.einsum("ia,jb,kc,ld,abcd->ijkl", C, C, C, C, cv.intrinsic_riemann(chart, q, h=step))
+    return cv.plane_curvature(R, s.xi)
 
 
 def _finite(positive: bool) -> Callable[[str], float]:

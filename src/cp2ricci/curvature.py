@@ -1,10 +1,14 @@
 """Curvature from shape data, and the independent intrinsic cross-check.
 
 The curvature tensor of the hypersurface is evaluated from frame data
-(ambient holomorphic sectional curvature 4):
+(ambient holomorphic sectional curvature 4) by the Gauss equation
 
     R(X, Y)Z = <Y,Z>X - <X,Z>Y + <PY,Z>PX - <PX,Z>PY - 2<PX,Y>PZ
-               + <AY,Z>AX - <AX,Z>AY.
+               + <AY,Z>AX - <AX,Z>AY,
+
+written once, as the frame components R[x, y, z, w] = <R(e_x, e_y) e_z, e_w>
+of ``_gauss_tensor``; ``plane_curvature(R, n)`` reads sectional curvatures off
+them.  ``riemann_gauss`` and ``induced_metric`` are test references only.
 
 The Ricci tensor is produced both by direct double contraction and by the
 closed form S(X, X) = 2 + 3|PX|^2 + tr(A) <AX, X> - |AX|^2; the two routes
@@ -37,22 +41,6 @@ from .frames import RankDeficient, _horizontal_rows
 # ``curvature.shape_operator`` stays bound: the benchmark's tracer tests read it.
 from .shape import ShapeData, shape_operator  # noqa: F401
 
-def riemann_gauss(shape: ShapeData, x: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """R(X, Y)Z in frame coordinates."""
-    A, P = shape.A, shape.P
-    px, py, pz = P @ x, P @ y, P @ z
-    ax, ay = A @ x, A @ y
-    return (
-        (y @ z) * x
-        - (x @ z) * y
-        + (py @ z) * px
-        - (px @ z) * py
-        - 2.0 * (px @ y) * pz
-        + (ay @ z) * ax
-        - (ax @ z) * ay
-    )
-
-
 def _wedge(O: np.ndarray) -> np.ndarray:
     """[x, y, z, w] -> S[z, y] T[w, x] - S[z, x] T[w, y] from the outer
     product O[a, b, c, d] = S[a, b] T[c, d]."""
@@ -65,16 +53,12 @@ _TWO_EYE = 2.0 * np.eye(3)  # the constant term of the closed-form Ricci tensor
 
 
 def _gauss_tensor(shape: ShapeData) -> np.ndarray:
-    """R[x, y, z, w] = <R(e_x, e_y) e_z, e_w>, all 81 frame components; the
-    P terms read one outer product P (x) P, the last as P[y, x] P[w, z]."""
+    """R[x, y, z, w] = <R(e_x, e_y) e_z, e_w>, all 81 frame components, with the
+    P and A wedges taken as one (``_wedge`` is linear) and the last P term read
+    as P[y, x] P[w, z] off the same outer product P (x) P."""
     A, P = shape.A, shape.P
     PP = np.multiply.outer(P, P)
-    return (
-        _WEDGE_EYE
-        + _wedge(PP)
-        - 2.0 * PP.transpose(1, 0, 3, 2)
-        + _wedge(np.multiply.outer(A, A))
-    )
+    return _WEDGE_EYE + _wedge(PP + np.multiply.outer(A, A)) - 2.0 * PP.transpose(1, 0, 3, 2)
 
 
 class RicciMismatch(AssertionError):
@@ -94,10 +78,7 @@ def ricci_matrix(shape: ShapeData) -> np.ndarray:
     """
     A, P = shape.A, shape.P
     closed = _TWO_EYE + 3.0 * (P.T @ P) + A.trace() * A - A @ A
-    # ``_gauss_tensor`` up to rounding, its two wedges taken as one (``_wedge`` is linear)
-    PP = np.multiply.outer(P, P)
-    gauss = _WEDGE_EYE + _wedge(PP + np.multiply.outer(A, A)) - 2.0 * PP.transpose(1, 0, 3, 2)
-    direct = np.einsum("ijki->jk", gauss)
+    direct = np.einsum("ijki->jk", _gauss_tensor(shape))
 
     scale = max(1.0, float(np.abs(direct).max()), float((A * A).sum()))
     gap = float(np.abs(direct - closed).max())
@@ -125,10 +106,11 @@ def _plane_basis(n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return x, y
 
 
-def plane_curvature(shape: ShapeData, n: np.ndarray) -> float:
-    """Sectional curvature of the plane with unit normal n (via R directly)."""
+def plane_curvature(R: np.ndarray, n: np.ndarray) -> float:
+    """Sectional curvature R(x, y, y, x) of the plane with unit normal n, from
+    the frame components R[x, y, z, w] = <R(e_x, e_y) e_z, e_w>."""
     x, y = _plane_basis(n)
-    return float(riemann_gauss(shape, x, y, y) @ x)
+    return float(np.einsum("abcd,a,b,c,d->", R, x, y, y, x))
 
 
 @dataclass(frozen=True)
@@ -150,15 +132,15 @@ def curvature_report(shape: ShapeData) -> CurvatureReport:
 
     In dimension 3 the plane with unit normal n has K = tau/2 - Ric(n, n), so
     the least sectional curvature lies on the plane normal to the top Ricci
-    eigenvector and delta(2) equals maxRic.  That K is evaluated through the
-    direct contraction of R (``plane_curvature``), not read off the Ricci
-    spectrum, so delta2 - max_ricci tests the Ricci tensor.
+    eigenvector and delta(2) equals maxRic.  That K is read off the Gauss
+    tensor by ``plane_curvature``, not off the Ricci spectrum, so
+    delta2 - max_ricci tests the Ricci tensor.
     """
     eigs, vecs = np.linalg.eigh(ricci_matrix(shape))
     tau = float(np.sum(eigs))
     max_ric = float(eigs[-1])
     mean_sq = shape.mean_curvature**2
-    min_k = plane_curvature(shape, vecs[:, -1])
+    min_k = plane_curvature(_gauss_tensor(shape), vecs[:, -1])
     return CurvatureReport(
         ricci_eigenvalues=eigs,
         max_ricci=max_ric,
@@ -175,14 +157,8 @@ def curvature_report(shape: ShapeData) -> CurvatureReport:
 
 
 class SingularMetric(RankDeficient):
-    """The induced metric on the stencil is singular or non-finite, or the
-    stencil meets the chart's declared singular locus."""
-
-
-def induced_metric(chart: SurfaceChart, q: ParamTriple) -> np.ndarray:
-    """Induced metric g_ab = <H dz_a, H dz_b> from exact partials."""
-    W = _horizontal_rows(chart.evaluate(*q), chart.partials(*q))
-    return W.dot(W.T)
+    """The induced metric on the stencil is singular or non-finite, the stencil
+    meets the chart's declared singular locus, or its step is unresolved."""
 
 
 def christoffel(g: np.ndarray, dg: np.ndarray) -> np.ndarray:
@@ -230,9 +206,13 @@ def _stencil_metric(chart: SurfaceChart, q: ParamTriple, h: float) -> np.ndarray
     """The induced metric at the 19 stencil points q + h K, as one (19, 3, 3)
     array: the points and partials are stacked, projected off p and i p by one
     complex contraction, and their Gram matrices formed by one batched matmul.
-    Raises ``SingularMetric`` before evaluating anything when the centre or
-    an axis neighbour lies in the chart's declared singular locus."""
-    params = (np.asarray(q, dtype=np.float64) + h * K).tolist()
+    Raises ``SingularMetric`` before evaluating anything when h^2 underflows,
+    an axis neighbour q +- h e_a rounds to q (else all 19 points are distinct)
+    or the centre or an axis neighbour lies in the declared singular locus."""
+    X = np.asarray(q, dtype=np.float64) + h * K
+    if h * h < np.finfo(np.float64).tiny or (X[1:7] == X[0]).all(axis=1).any():
+        raise SingularMetric(f"chart {chart.name!r} at {q}: step {h!r} below the parameter resolution")
+    params = X.tolist()
     if any(chart.is_singular(*x) for x in params[:7]):
         raise SingularMetric(
             f"chart {chart.name!r} at {q}: stencil centre or axis neighbour in the singular locus"
@@ -253,9 +233,8 @@ def intrinsic_riemann(chart: SurfaceChart, q: ParamTriple, h: float = 1e-3) -> n
     19 points q + h K (see ``_stencil``), so the error is O(h^2); Gamma is
     one ``christoffel`` call at q.  It is x - x^T over (a, b) for x_abcd =
     (g_bd,ac - g_bc,ad) / 2 + Gamma_{e,bd} Gamma^e_ac, so its antisymmetry
-    in (a, b) is exact.  Raises ``SingularMetric`` when the centre or an
-    axis neighbour lies in the chart's declared singular locus, a stencil
-    value is non-finite or the metric at q is singular.
+    in (a, b) is exact.  Raises ``SingularMetric`` where ``_stencil_metric``
+    does, when a stencil value is non-finite or the metric at q is singular.
     """
     G = _stencil_metric(chart, q, h)
     if not np.isfinite(G).all():
@@ -311,14 +290,16 @@ def geodesic_sphere_deficit(r: float) -> float:
 
     In the principal frame (xi, X, PX) the Ricci form is diagonal with
     entries 2 + tr(A) a - a^2 on the structure direction (a = 2 cot 2r) and
-    5 + tr(A) c - c^2 on the holomorphic directions (c = cot r).
+    5 + tr(A) c - c^2 on the holomorphic directions (c = cot r).  Near r = 0
+    they overflow, without a warning, to a non-finite deficit.
     """
     a, c, _ = geodesic_sphere_curvatures(r)
-    tr = a + 2.0 * c
-    ric_xi = 2.0 + tr * a - a * a
-    ric_hol = 5.0 + tr * c - c * c
-    max_ric = max(ric_xi, ric_hol)
-    return 2.25 * (tr / 3.0) ** 2 + 5.0 - max_ric
+    with np.errstate(over="ignore", invalid="ignore"):
+        tr = a + 2.0 * c
+        ric_xi = 2.0 + tr * a - a * a
+        ric_hol = 5.0 + tr * c - c * c
+        max_ric = max(ric_xi, ric_hol)
+        return 2.25 * (tr / 3.0) ** 2 + 5.0 - max_ric
 
 
 def random_shape_data(rng: random.Random) -> ShapeData:

@@ -2,6 +2,7 @@
 
 import numpy as np
 
+from cp2ricci.charts import ParamTriple, SurfaceChart
 from cp2ricci.exact.mpoly import MPoly
 from cp2ricci.frames import _horizontal_rows
 from cp2ricci.shape import ShapeData
@@ -11,6 +12,30 @@ def horizontalize(w: np.ndarray, p: np.ndarray) -> np.ndarray:
     """The complex 3-vector w projected onto the horizontal space at the unit
     point p (orthogonal to p and i p), through ``frames._horizontal_rows``."""
     return _horizontal_rows(p, w[None])[0].view(np.complex128)
+
+
+def riemann_gauss(shape: ShapeData, x: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """R(X, Y)Z in frame coordinates, the Gauss equation written vector by
+    vector: a reference for ``curvature._gauss_tensor``."""
+    A, P = shape.A, shape.P
+    px, py, pz = P @ x, P @ y, P @ z
+    ax, ay = A @ x, A @ y
+    return (
+        (y @ z) * x
+        - (x @ z) * y
+        + (py @ z) * px
+        - (px @ z) * py
+        - 2.0 * (px @ y) * pz
+        + (ay @ z) * ax
+        - (ax @ z) * ay
+    )
+
+
+def induced_metric(chart: SurfaceChart, q: ParamTriple) -> np.ndarray:
+    """Induced metric g_ab = <H dz_a, H dz_b> from exact partials at one point:
+    a reference for ``curvature._stencil_metric``."""
+    W = _horizontal_rows(chart.evaluate(*q), chart.partials(*q))
+    return W.dot(W.T)
 
 
 def flip_normal(s: ShapeData) -> ShapeData:

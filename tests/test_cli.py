@@ -575,6 +575,22 @@ def test_singular_holomorphic_plane_stencil_fails_its_check(monkeypatch):
     assert hol.details["error"] == "SingularMetric: singular metric on the stencil"
 
 
+@pytest.mark.parametrize("step", ["1e-200", "1e-150"])
+def test_crosscheck_step_below_the_parameter_resolution_flags_every_point(step, capsys):
+    # Below the resolution the stencil collapses onto q: the residual would be
+    # NaN (h^2 = 0) or the bare Gauss tensor (intrinsic R = 0).
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["crosscheck", "--grid", "2", "--step", step]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    payload = json.loads(captured.out[captured.out.index("{") :])
+    ruled, sphere, hol = payload["reports"]
+    assert ruled["details"]["errors"] == sphere["details"]["errors"] == 8
+    assert hol["details"]["error"].startswith("SingularMetric: ")
+    assert payload["summary"]["errors"] == 16
+
+
 @pytest.mark.parametrize(
     "names",
     [["kappa", "kappa"], ["mu0", "mu1", "mu0"], ["all", "kappa"], ["kappa", "all"], ["all", "all"], ["nope"]],

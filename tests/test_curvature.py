@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from cp2ricci import curvature as cv
 from cp2ricci.charts import perturbed_ruled_chart, ruled_chart, sphere_chart
 from cp2ricci.frames import RankDeficient
 from cp2ricci.shape import ShapeData, shape_operator
-from helpers import flip_normal
+from helpers import flip_normal, induced_metric, riemann_gauss
 
 
 def _sphere_model_data(r):
@@ -30,40 +31,47 @@ def _flat_data():
     return ShapeData.from_matrices(np.zeros((3, 3)), np.zeros((3, 3)), np.array([1.0, 0, 0]))
 
 
-def test_riemann_gauss_constant_curvature_limit():
-    s = _flat_data()
+def _apply(R, x, y, z):
+    """R(X, Y)Z from the frame components R[x, y, z, w] = <R(e_x, e_y) e_z, e_w>."""
+    return np.einsum("xyzw,x,y,z->w", R, x, y, z)
+
+
+def test_gauss_tensor_constant_curvature_limit():
+    R = cv._gauss_tensor(_flat_data())
     rng = np.random.default_rng(0)
     for _ in range(20):
         x, y, z = rng.normal(size=(3, 3))
         expected = (y @ z) * x - (x @ z) * y
-        assert np.max(np.abs(cv.riemann_gauss(s, x, y, z) - expected)) < 1e-14
+        assert np.max(np.abs(_apply(R, x, y, z) - expected)) < 1e-14
 
 
-def test_riemann_gauss_vanishes_on_equal_arguments():
-    s = _sphere_model_data(math.pi / 4)
+def test_gauss_tensor_vanishes_on_equal_arguments():
+    R = cv._gauss_tensor(_sphere_model_data(math.pi / 4))
     rng = np.random.default_rng(1)
     for _ in range(20):
         x, z = rng.normal(size=(2, 3))
-        assert np.max(np.abs(cv.riemann_gauss(s, x, x, z))) < 1e-14
+        assert np.max(np.abs(_apply(R, x, x, z))) < 1e-14
 
 
 def test_holomorphic_plane_curvature_is_five_at_quarter_pi():
-    # term-by-term expansion 1 + 3 + 1 of the curvature formula
+    # term-by-term expansion 1 + 3 + 1 of the curvature formula, on the plane
+    # (e2, e3) normal to xi = e1
     s = _sphere_model_data(math.pi / 4)
-    e2, e3 = np.eye(3)[1], np.eye(3)[2]
-    assert abs(cv.riemann_gauss(s, e2, e3, e3) @ e2 - 5.0) < 1e-14
+    R = cv._gauss_tensor(s)
+    assert abs(R[1, 2, 2, 1] - 5.0) < 1e-14
+    assert abs(cv.plane_curvature(R, s.xi) - 5.0) < 1e-14
 
 
-def test_riemann_gauss_antisymmetries_random_inputs():
+def test_gauss_tensor_antisymmetries_random_inputs():
     rng, shapes = np.random.default_rng(2), random.Random(2)
     for _ in range(50):
-        s = cv.random_shape_data(shapes)
+        R = cv._gauss_tensor(cv.random_shape_data(shapes))
         x, y, z, w = rng.normal(size=(4, 3))
-        r1 = cv.riemann_gauss(s, x, y, z)
-        r2 = cv.riemann_gauss(s, y, x, z)
+        r1 = _apply(R, x, y, z)
+        r2 = _apply(R, y, x, z)
         assert np.max(np.abs(r1 + r2)) < 1e-12 * max(1, np.max(np.abs(r1)))
-        lhs = cv.riemann_gauss(s, x, y, z) @ w
-        rhs = cv.riemann_gauss(s, x, y, w) @ z
+        lhs = _apply(R, x, y, z) @ w
+        rhs = _apply(R, x, y, w) @ z
         assert abs(lhs + rhs) < 1e-12 * max(1, abs(lhs))
 
 
@@ -122,6 +130,11 @@ def test_geodesic_sphere_deficit_closed_form():
     assert abs(cv.geodesic_sphere_deficit(math.pi / 6) - 1.0 / 3.0) < 1e-12
     with pytest.raises(ValueError):
         cv.geodesic_sphere_deficit(2.0)
+    # near r = 0 the model overflows, silently
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert not math.isfinite(cv.geodesic_sphere_deficit(1e-300))
+        assert not math.isfinite(cv.geodesic_sphere_deficit(1e-310))
 
 
 def test_min_sectional_constant_curvature():
@@ -131,7 +144,8 @@ def test_min_sectional_constant_curvature():
     rng = np.random.default_rng(7)
     normals = rng.normal(size=(40, 3))
     normals /= np.linalg.norm(normals, axis=1)[:, None]
-    assert max(abs(cv.plane_curvature(s, n) - 1.0) for n in normals) < 1e-14
+    R = cv._gauss_tensor(s)
+    assert max(abs(cv.plane_curvature(R, n) - 1.0) for n in normals) < 1e-14
 
 
 def test_plane_curvature_matches_ricci_identity():
@@ -143,7 +157,8 @@ def test_plane_curvature_matches_ricci_identity():
         normals = rng.normal(size=(20, 3))
         normals /= np.linalg.norm(normals, axis=1)[:, None]
         identity = np.array([0.5 * np.trace(ric) - n @ ric @ n for n in normals])
-        direct = np.array([cv.plane_curvature(s, n) for n in normals])
+        R = cv._gauss_tensor(s)
+        direct = np.array([cv.plane_curvature(R, n) for n in normals])
         assert np.max(np.abs(identity - direct)) < 1e-12
 
 
@@ -154,10 +169,11 @@ def test_min_sectional_is_attained_and_minimal():
         rep = cv.curvature_report(s)
         k, n = rep.min_sectional, rep.min_plane_normal
         assert abs(np.linalg.norm(n) - 1.0) < 1e-14
-        assert k == cv.plane_curvature(s, n)
+        R = cv._gauss_tensor(s)
+        assert k == cv.plane_curvature(R, n)
         normals = rng.normal(size=(200, 3))
         normals /= np.linalg.norm(normals, axis=1)[:, None]
-        assert all(k <= cv.plane_curvature(s, m) + 1e-12 for m in normals)
+        assert all(k <= cv.plane_curvature(R, m) + 1e-12 for m in normals)
 
 
 def test_delta2_at_nearly_tied_top_ricci_eigenvalues():
@@ -166,7 +182,7 @@ def test_delta2_at_nearly_tied_top_ricci_eigenvalues():
     s = shape_operator(perturbed_ruled_chart(0.05, 1950078598), (0.3, 6.1, 4.1))
     rep = cv.curvature_report(s)
     assert abs(rep.delta2 - rep.max_ricci) < 1e-5
-    assert rep.min_sectional == cv.plane_curvature(s, rep.min_plane_normal)
+    assert rep.min_sectional == cv.plane_curvature(cv._gauss_tensor(s), rep.min_plane_normal)
 
 
 def test_gauss_tensor_matches_riemann_gauss():
@@ -178,7 +194,7 @@ def test_gauss_tensor_matches_riemann_gauss():
         for i in range(3):
             for j in range(3):
                 for k in range(3):
-                    direct = cv.riemann_gauss(s, basis[i], basis[j], basis[k])
+                    direct = riemann_gauss(s, basis[i], basis[j], basis[k])
                     assert np.max(np.abs(tensor[i, j, k] - direct)) < 1e-14
 
 
@@ -232,7 +248,7 @@ def test_curvature_quantities_invariant_under_normal_flip():
 
 
 def test_metric_is_exactly_symmetric():
-    g = cv.induced_metric(ruled_chart(), (0.6, 1.0, 2.0))
+    g = induced_metric(ruled_chart(), (0.6, 1.0, 2.0))
     assert np.array_equal(g, g.T)
 
 
@@ -340,7 +356,7 @@ def _per_point_intrinsic_riemann(chart, q, h=1e-3):
     E = np.eye(3, dtype=int)
 
     def g_at(*ks):
-        return cv.induced_metric(chart, tuple(x + h * i for x, i in zip(q, sum(ks, 0 * E[0]))))
+        return induced_metric(chart, tuple(x + h * i for x, i in zip(q, sum(ks, 0 * E[0]))))
 
     g = g_at()
     dg = np.zeros((3, 3, 3))  # dg[c, a, b] = d_c g_ab
@@ -375,6 +391,29 @@ def _sample_points(chart, n, seed):
     lo, hi = np.array(chart.sample_box.lo), np.array(chart.sample_box.hi)
     rng = np.random.default_rng(seed)
     return [tuple(float(x) for x in row) for row in lo + (hi - lo) * rng.random((n, 3))]
+
+
+@pytest.mark.parametrize(
+    "chart", [sphere_chart(math.pi / 4), sphere_chart(math.pi / 6), ruled_chart()], ids=lambda c: c.name
+)
+def test_frame_pushed_plane_curvature_matches_the_metric_formula(chart):
+    # plane_curvature of R_ijkl = C_ia C_jb C_kc C_ld R_abcd against the
+    # coordinate formula R(x, y, y, x) / (g(x, x) g(y, y) - g(x, y)^2) at
+    # xc = C^T x, yc = C^T y, on the holomorphic plane and a random plane
+    rng = np.random.default_rng(17)
+    for q in _sample_points(chart, 20, 17):
+        s = shape_operator(chart, q)
+        C = s.frame.coeffs
+        r = cv.intrinsic_riemann(chart, q)
+        R = np.einsum("ia,jb,kc,ld,abcd->ijkl", C, C, C, C, r)
+        g = induced_metric(chart, q)
+        m = rng.normal(size=3)
+        for n in (s.xi, m / np.linalg.norm(m)):
+            x, y = cv._plane_basis(n)
+            xc, yc = C.T @ x, C.T @ y
+            num = np.einsum("abcd,a,b,c,d->", r, xc, yc, yc, xc)
+            expected = num / ((xc @ g @ xc) * (yc @ g @ yc) - (xc @ g @ yc) ** 2)
+            assert abs(cv.plane_curvature(R, n) - expected) <= 1e-12 * abs(expected)
 
 
 @pytest.mark.parametrize("chart", _STENCIL_CHARTS, ids=lambda c: c.name)
@@ -422,11 +461,32 @@ def test_singular_stencil_metric_raises_singular_metric():
     assert issubclass(cv.SingularMetric, RankDeficient)
 
 
+@pytest.mark.parametrize("h", [1e-200, 1e-150, 1e-17])
+def test_step_below_the_parameter_resolution_raises_singular_metric(h):
+    # q +- h e_a rounds to q, so the differences would read 0 or 0/0.
+    with pytest.raises(cv.SingularMetric, match="below the parameter resolution"):
+        cv.intrinsic_riemann(ruled_chart(), (0.6, 1.0, 2.0), h=h)
+    with pytest.raises(cv.SingularMetric, match="below the parameter resolution"):
+        cv.intrinsic_riemann(sphere_chart(math.pi / 4), (0.3, 0.7, 0.4), h=h)
+
+
+def test_underflowing_step_squared_raises_singular_metric():
+    # At q = 0 every neighbour +-h e_a is distinct from q, but h^2 is
+    # subnormal; nothing is evaluated.
+    def evaluate(*q):
+        raise AssertionError("evaluated")
+
+    chart = dataclasses.replace(ruled_chart(), evaluate=evaluate, is_singular=lambda *q: False)
+    for h in (1e-160, 1e-155):
+        with pytest.raises(cv.SingularMetric, match="below the parameter resolution"):
+            cv.intrinsic_riemann(chart, (0.0, 0.0, 0.0), h=h)
+
+
 def test_singular_metric_at_the_centre_raises_singular_metric():
     # With no declared singular locus, the centre u = 0 is computed: its
     # t-partial vanishes, so the metric there has a zero row.
     chart = dataclasses.replace(ruled_chart(), is_singular=lambda *q: False)
-    assert np.linalg.matrix_rank(cv.induced_metric(chart, (0.0, 1.0, 2.0))) < 3
+    assert np.linalg.matrix_rank(induced_metric(chart, (0.0, 1.0, 2.0))) < 3
     with pytest.raises(cv.SingularMetric, match="singular metric at the centre"):
         cv.intrinsic_riemann(chart, (0.0, 1.0, 2.0))
 
