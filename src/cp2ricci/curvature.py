@@ -18,14 +18,12 @@ start-up self-check repeats that on seeded random data from the standard
 library's generator.  The deficit is (9/4) |H|^2 + 5 - maxRic, nonnegative
 for every hypersurface point and zero exactly on the classified models.
 
-``intrinsic_riemann`` recomputes the same tensor from the induced metric
-alone, giving an oracle that is independent of the shape-operator pipeline.
-The metric is evaluated exactly on a 19-point stencil q + h K of step h,
-held as one (19, 3, 3) array: the stacked points and partials are projected
-off p and i p by one complex contraction and their Gram matrices formed by
-one batched matmul.  Its first and second central differences give dg and
-ddg at q, and the curvature follows from the textbook formula in g, dg and
-ddg at q alone, so its error is O(h^2).
+``intrinsic_riemann_batch`` recomputes the same tensor from the induced
+metric alone, an oracle independent of the shape-operator pipeline, at all
+centres q of a grid in one pass: the metric on the 19-point stencil q + h K
+is one (N, 19, 3, 3) array, its central differences give dg and ddg at q,
+and the textbook formula in g, dg and ddg gives R with error O(h^2).
+``intrinsic_riemann`` is its one-centre call.
 """
 
 from __future__ import annotations
@@ -97,13 +95,13 @@ def deficit(shape: ShapeData) -> float:
 
 
 def _plane_basis(n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    k = int(np.argmin(np.abs(n)))
-    u = np.zeros(3)
-    u[k] = 1.0
-    x = u - (u @ n) * n
-    x /= np.linalg.norm(x)
-    y = np.cross(n, x)
-    return x, y
+    """(x, y = n cross x), x the axis of n's least |component| made normal to n."""
+    n0, n1, n2 = ns = n.tolist()
+    k = min(range(3), key=lambda j: abs(ns[j]))
+    x = np.array([float(j == k) - ns[k] * nj for j, nj in enumerate(ns)])
+    x /= math.sqrt(x.dot(x))
+    x0, x1, x2 = x.tolist()
+    return x, np.array([n1 * x2 - n2 * x1, n2 * x0 - n0 * x2, n0 * x1 - n1 * x0])
 
 
 def plane_curvature(R: np.ndarray, n: np.ndarray) -> float:
@@ -178,77 +176,90 @@ def _stencil() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     D1 @ f / h is the central difference of d_c f, and D2 @ f / h^2 the
     second difference of d_a d_c f over +-e_a and the centre, or for
     a != c the four-point mixed difference; both are exact on quadratics."""
-    K = [[0, 0, 0]]
-    K += [[s * (b == a) for b in range(3)] for a in range(3) for s in (1, -1)]
-    K += [
-        [s * (b == a) + t * (b == c) for b in range(3)]
-        for a, c in ((0, 1), (0, 2), (1, 2)) for s in (1, -1) for t in (1, -1)
-    ]
-    n = [sum(map(abs, k)) for k in K]
-    D1 = [[0.5 * k[c] * (m == 1) for k, m in zip(K, n)] for c in range(3)]
-    D2 = [
-        [
-            [
-                k[a] ** 2 * (m == 1) - 2.0 * (m == 0) if a == c else 0.25 * k[a] * k[c] * (m == 2)
-                for k, m in zip(K, n)
-            ]
-            for c in range(3)
-        ]
-        for a in range(3)
-    ]
-    return np.array(K), np.array(D1), np.array(D2)
+    E = np.eye(3, dtype=int)
+    K = np.array([0 * E[0]] + [s * E[a] for a in range(3) for s in (1, -1)] + [
+        s * E[a] + t * E[c] for a, c in ((0, 1), (0, 2), (1, 2)) for s in (1, -1) for t in (1, -1)
+    ])
+    k = np.ascontiguousarray(K.T, dtype=np.float64)  # k[a, n] = K[n, a]
+    m = abs(k).sum(axis=0)
+    kk = k[:, None] * k  # kk[a, c, n] = K[n, a] K[n, c]
+    diagonal = np.eye(3, dtype=bool)[..., None]
+    return K, 0.5 * k * (m == 1), np.where(diagonal, kk * (m == 1) - 2.0 * (m == 0), 0.25 * kk * (m == 2))
 
 
 K, D1, D2 = _stencil()
 
 
-def _stencil_metric(chart: SurfaceChart, q: ParamTriple, h: float) -> np.ndarray:
-    """The induced metric at the 19 stencil points q + h K, as one (19, 3, 3)
-    array: the points and partials are stacked, projected off p and i p by one
-    complex contraction, and their Gram matrices formed by one batched matmul.
-    Raises ``SingularMetric`` before evaluating anything when h^2 underflows,
-    an axis neighbour q +- h e_a rounds to q (else all 19 points are distinct)
-    or the centre or an axis neighbour lies in the declared singular locus."""
-    X = np.asarray(q, dtype=np.float64) + h * K
-    if h * h < np.finfo(np.float64).tiny or (X[1:7] == X[0]).all(axis=1).any():
-        raise SingularMetric(f"chart {chart.name!r} at {q}: step {h!r} below the parameter resolution")
-    params = X.tolist()
-    if any(chart.is_singular(*x) for x in params[:7]):
-        raise SingularMetric(
-            f"chart {chart.name!r} at {q}: stencil centre or axis neighbour in the singular locus"
-        )
-    p = np.array([chart.evaluate(*x) for x in params])
-    D = np.array([chart.partials(*x) for x in params])
-    W = _horizontal_rows(p, D)
-    return W @ W.swapaxes(-1, -2)
+def _stencil_metric(chart: SurfaceChart, qs: list[ParamTriple], h: float) -> tuple[np.ndarray, list]:
+    """The induced metric at q + h K for each centre q of ``qs``, one
+    (N, 19, 3, 3) array, and each centre's error or None.  A centre is
+    rejected (NaN rows) unevaluated when h^2 underflows, an axis neighbour
+    q +- h e_a rounds to q (else all 19 points are distinct) or q or an axis
+    neighbour is in the declared singular locus.  The 19 + 19 chart values
+    of the other centres, one (M, 3) and one (M, 3, 3) array, are projected
+    by one complex contraction and their Gram matrices formed by one matmul."""
+    X = np.asarray(qs, dtype=np.float64).reshape(-1, 1, 3) + h * K
+    coarse = (X[:, 1:7] == X[:, :1]).all(axis=2).any(axis=1) | (h * h < np.finfo(np.float64).tiny)
+    errors = [
+        f"step {h!r} below the parameter resolution" if c
+        else "stencil centre or axis neighbour in the singular locus"
+        if any(chart.is_singular(*y) for y in x[:7]) else None
+        for x, c in zip(X.tolist(), coarse.tolist())
+    ]
+    ok = np.array([e is None for e in errors], dtype=bool)
+    params = X[ok].reshape(-1, 3).tolist()
+    p, D = (np.array([f(*x) for x in params], dtype=np.complex128) for f in (chart.evaluate, chart.partials))
+    W = _horizontal_rows(p.reshape(-1, 19, 3), D.reshape(-1, 19, 3, 3))
+    G = np.full((len(X), 19, 3, 3), math.nan)
+    G[ok] = W @ W.swapaxes(-1, -2)
+    return G, errors
 
 
-def intrinsic_riemann(chart: SurfaceChart, q: ParamTriple, h: float = 1e-3) -> np.ndarray:
-    """All-lower coordinate curvature R_{abcd} = <R(d_a, d_b) d_c, d_d>,
+def intrinsic_riemann_batch(
+    chart: SurfaceChart, qs: list[ParamTriple], h: float = 1e-3
+) -> tuple[np.ndarray, list[str | None]]:
+    """R_{abcd} = <R(d_a, d_b) d_c, d_d> at each centre q of ``qs``, one
+    (N, 3, 3, 3, 3) array, and per centre its ``SingularMetric`` message
+    (R is NaN there) or None.  With g = G[0], dg = D1 G / h and ddg =
+    D2 G / h^2 on the stencil metric G (see ``_stencil``),
 
         R_abcd = (g_bd,ac + g_ac,bd - g_bc,ad - g_ad,bc) / 2
                  + Gamma_{e,bd} Gamma^e_ac - Gamma_{e,ad} Gamma^e_bc,
 
-    from g = G[0], dg = D1 G / h and ddg = D2 G / h^2 on the metric G at the
-    19 points q + h K (see ``_stencil``), so the error is O(h^2); Gamma is
-    one ``christoffel`` call at q.  It is x - x^T over (a, b) for x_abcd =
-    (g_bd,ac - g_bc,ad) / 2 + Gamma_{e,bd} Gamma^e_ac, so its antisymmetry
-    in (a, b) is exact.  Raises ``SingularMetric`` where ``_stencil_metric``
-    does, when a stencil value is non-finite or the metric at q is singular.
-    """
-    G = _stencil_metric(chart, q, h)
-    if not np.isfinite(G).all():
-        raise SingularMetric(f"chart {chart.name!r} at {q}: non-finite metric on the stencil")
-    g = G[0]
-    dg = np.einsum("cn,nab->cab", D1, G) / h  # dg[c, a, b] = d_c g_ab
-    ddg = np.einsum("acn,nbd->acbd", D2, G) / (h * h)  # ddg[a, c, b, d] = d_a d_c g_bd
+    with error O(h^2), taken as x - x^T over (a, b) for x_abcd = (g_bd,ac -
+    g_bc,ad) / 2 + Gamma_{e,bd} Gamma^e_ac, so exactly antisymmetric there.
+    q fails where ``_stencil_metric`` rejects it, its stencil metric is
+    non-finite or g is singular; every other R has its one-centre bits."""
+    G, errors = _stencil_metric(chart, qs, h)
+    for k in np.flatnonzero(~np.isfinite(G).all(axis=(1, 2, 3))).tolist():
+        errors[k] = errors[k] or "non-finite metric on the stencil"
+    good = [k for k, e in enumerate(errors) if e is None]
     try:
-        gamma = christoffel(g, dg)
-    except np.linalg.LinAlgError:
-        raise SingularMetric(f"chart {chart.name!r} at {q}: singular metric at the centre") from None
-    x = 0.5 * (np.einsum("acbd->abcd", ddg) - np.einsum("adbc->abcd", ddg))
-    x += np.einsum("ef,fbd,eac->abcd", g, gamma, gamma)
-    return x - x.transpose(1, 0, 2, 3)
+        np.linalg.inv(G[good, 0])
+    except np.linalg.LinAlgError:  # raised for the whole stack: find each singular g
+        for k in good:
+            try:
+                np.linalg.inv(G[k, 0])
+            except np.linalg.LinAlgError:
+                errors[k] = "singular metric at the centre"
+        good = [k for k in good if errors[k] is None]
+    g, G = G[good, 0], G[good]
+    dg = np.einsum("cn,xnab->xcab", D1, G) / h  # dg[x, c, a, b] = d_c g_ab
+    ddg = np.einsum("acn,xnbd->xacbd", D2, G) / (h * h)  # ddg[x, a, c, b, d] = d_a d_c g_bd
+    gamma = christoffel(g, dg)
+    x = 0.5 * (np.einsum("xacbd->xabcd", ddg) - np.einsum("xadbc->xabcd", ddg))
+    x += np.einsum("xef,xfbd,xeac->xabcd", g, gamma, gamma)
+    R = np.full((len(errors), 3, 3, 3, 3), math.nan)
+    R[good] = x - x.swapaxes(1, 2)
+    return R, [e and f"chart {chart.name!r} at {q}: {e}" for q, e in zip(qs, errors)]
+
+
+def intrinsic_riemann(chart: SurfaceChart, q: ParamTriple, h: float = 1e-3) -> np.ndarray:
+    """``intrinsic_riemann_batch`` at the one centre q; raises its ``SingularMetric``."""
+    (R,), (error,) = intrinsic_riemann_batch(chart, [q], h)
+    if error:
+        raise SingularMetric(error)
+    return R
 
 
 def gauss_riemann_coords(shape: ShapeData) -> np.ndarray:
@@ -265,14 +276,6 @@ def gauss_riemann_coords(shape: ShapeData) -> np.ndarray:
     B = np.linalg.inv(shape.frame.coeffs)
     BB = (B[:, None, :, None] * B[None, :, None, :]).reshape(9, 9)
     return (BB @ _gauss_tensor(shape).reshape(9, 9) @ BB.T).reshape(3, 3, 3, 3)
-
-
-def crosscheck_point(
-    chart: SurfaceChart, q: ParamTriple, shape: ShapeData, h_metric: float = 1e-3
-) -> float:
-    """Max componentwise gap between the intrinsic curvature at q and the
-    shape-based curvature of ``shape``, the shape data of ``chart`` at q."""
-    return float(np.max(np.abs(intrinsic_riemann(chart, q, h_metric) - gauss_riemann_coords(shape))))
 
 
 # -- closed-form oracles for geodesic spheres ---------------------------------

@@ -116,10 +116,11 @@ def test_the_workflow_runs_the_cli():
     assert any(kind == "cmp" for lines in STEPS.values() for kind, *_ in lines)
     used = {line[3] for lines in STEPS.values() for line in lines if line[0] == "file"}
     assert used == {holds for _, holds in FILE_CHECKS}  # every kind of file check is replayed
-    # the golden crosscheck report and the sphere check near the cut locus
-    assert ["cmp", ["cmp", "$RUNNER_TEMP/crosscheck_g2.json", "tests/data/crosscheck_g2.json"]] in (
-        STEPS["Crosscheck report matches the golden file"]
-    )
+    # the golden crosscheck reports and the sphere check near the cut locus
+    for name in ("crosscheck_g2.json", "crosscheck_g5.json"):
+        assert ["cmp", ["cmp", f"$RUNNER_TEMP/{name}", f"tests/data/{name}"]] in (
+            STEPS["Crosscheck report matches the golden file"]
+        )
     argv = ["cp2ricci", "check", "sphere", "--radius", "1.57", "--grid", "3"]
     assert STEPS["Sphere check near the cut locus passes"] == [
         ["cp2ricci", [*argv, "--out", "$RUNNER_TEMP/check_sphere_r157_g3.json"], 0, None],

@@ -78,6 +78,7 @@ def test_scan_rows_satisfy_definitional_identity():
         (["crosscheck", "--grid", "2"], "crosscheck_g2.json"),
         (["scan", "perturbed-ruled:0.05,0", "--grid", "4"], "scan_perturbed_g4.csv"),
         (["check", "sphere", "--radius", "1.57", "--grid", "3"], "check_sphere_r157_g3.json"),
+        (["crosscheck", "--grid", "5"], "crosscheck_g5.json"),
     ],
 )
 def test_outputs_match_the_golden_files_byte_for_byte(tmp_path, argv, golden):
@@ -431,7 +432,19 @@ def _nan_at_second_call(value):
 
 
 def test_nan_crosscheck_point_fails_its_grid(monkeypatch):
-    monkeypatch.setattr(cli.cv, "crosscheck_point", _nan_at_second_call(1e-9))
+    # The first batched stencil pass (the ruled grid) returns a NaN tensor at
+    # its second point.
+    batch = cli.cv.intrinsic_riemann_batch
+    calls = []
+
+    def nan_at_second_point(*args, **kwargs):
+        R, errors = batch(*args, **kwargs)
+        calls.append(None)
+        if len(calls) == 1:
+            R[1] = math.nan
+        return R, errors
+
+    monkeypatch.setattr(cli.cv, "intrinsic_riemann_batch", nan_at_second_point)
     reports = {r.name: r for r in cli.cmd_crosscheck(grid=2)}
     ruled = reports["crosscheck_ruled"]
     assert ruled.status == "fail" and ruled.details["errors"] == 0
@@ -541,13 +554,9 @@ def test_singular_stencil_metric_is_a_flagged_point_not_a_usage_error(capsys):
     payload = json.loads(out[out.index("{") :])
     ruled = payload["reports"][0]
     assert ruled["checkName"] == "crosscheck_ruled" and ruled["details"]["errors"] == 4
-    # The grid walk flags each such point with the exception's own class name.
-    chart = ruled_chart()
-
-    def row(q, s):
-        return [cv.crosscheck_point(chart, q, s, h_metric=0.3)]
-
-    _, flags, _ = cli._grid_table(chart, 2, 1e-5, row, 1)
+    # The batched stencil pass flags each such point with the exception's own
+    # class name.
+    flags, gaps = cli._crosscheck_grid(ruled_chart(), 2, 0.3)
     assert flags.tolist() == ["SingularMetric"] * 4 + ["ok"] * 4
 
 
@@ -564,11 +573,12 @@ def test_stencil_centre_in_the_singular_locus_is_a_flagged_point(capsys):
 
 
 def test_singular_holomorphic_plane_stencil_fails_its_check(monkeypatch):
-    def singular(*args, **kwargs):
-        raise cli.cv.SingularMetric("singular metric on the stencil")
+    # Every centre of every batched stencil pass fails, so the one-centre
+    # intrinsic_riemann of the holomorphic-plane check raises its message.
+    def singular(chart, qs, h=1e-3):
+        return np.full((len(qs), 3, 3, 3, 3), math.nan), ["singular metric on the stencil"] * len(qs)
 
-    monkeypatch.setattr(cli.cv, "intrinsic_riemann", singular)
-    monkeypatch.setattr(cli.cv, "crosscheck_point", lambda *args, **kwargs: 0.0)
+    monkeypatch.setattr(cli.cv, "intrinsic_riemann_batch", singular)
     hol = cli.cmd_crosscheck(grid=2)[-1]
     assert hol.name == "crosscheck_sphere_holomorphic_plane" and hol.status == "fail"
     assert math.isnan(hol.max_abs_residual)

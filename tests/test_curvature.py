@@ -252,8 +252,11 @@ def test_metric_is_exactly_symmetric():
     assert np.array_equal(g, g.T)
 
 
-def _crosscheck(chart, q, **kwargs):
-    return cv.crosscheck_point(chart, q, shape_operator(chart, q), **kwargs)
+def _crosscheck(chart, q, h=1e-3):
+    """Max componentwise gap between the intrinsic and the shape-based
+    curvature tensors at q."""
+    gauss = cv.gauss_riemann_coords(shape_operator(chart, q))
+    return float(np.max(np.abs(cv.intrinsic_riemann(chart, q, h) - gauss)))
 
 
 def test_intrinsic_matches_gauss_curvature():
@@ -262,7 +265,7 @@ def test_intrinsic_matches_gauss_curvature():
 
 
 def test_coarse_step_breaks_the_crosscheck():
-    assert _crosscheck(ruled_chart(), (0.6, 1.0, 2.0), h_metric=1e-1) > 1e-4
+    assert _crosscheck(ruled_chart(), (0.6, 1.0, 2.0), h=1e-1) > 1e-4
 
 
 def _christoffel_loops(g, dg):
@@ -426,10 +429,103 @@ def test_stencil_array_matches_the_per_point_stencil(chart):
 
 @pytest.mark.parametrize("chart", _STENCIL_CHARTS, ids=lambda c: c.name)
 def test_stacked_stencil_metrics_are_exactly_symmetric(chart):
-    for q in _sample_points(chart, 10, 16):
-        G = cv._stencil_metric(chart, q, 1e-3)
-        assert G.shape == (19, 3, 3)
-        assert np.array_equal(G, G.swapaxes(-1, -2))
+    G, errors = cv._stencil_metric(chart, _sample_points(chart, 10, 16), 1e-3)
+    assert G.shape == (10, 19, 3, 3) and errors == [None] * 10
+    assert np.array_equal(G, G.swapaxes(-1, -2))
+
+
+@pytest.mark.parametrize(
+    "chart", [ruled_chart(), sphere_chart(math.pi / 4), perturbed_ruled_chart(0.05, 3)], ids=lambda c: c.name
+)
+def test_batched_riemann_equals_each_centre_alone(chart):
+    qs = list(chart.sample_box.grid(3))
+    R, errors = cv.intrinsic_riemann_batch(chart, qs)
+    assert R.shape == (27, 3, 3, 3, 3) and errors == [None] * 27
+    for q, r in zip(qs, R):
+        assert np.array_equal(r, cv.intrinsic_riemann(chart, q))
+
+
+def _mixed_chart():
+    """The ruled chart with a declared singular locus at u = 1.2 only (so
+    u = 0, where the metric is singular, is computed) and a NaN point at
+    (0.6, 1.5, 2.0)."""
+    base = ruled_chart()
+
+    def evaluate(*q):
+        return np.full(3, complex(math.nan)) if q == (0.6, 1.5, 2.0) else base.evaluate(*q)
+
+    return dataclasses.replace(base, evaluate=evaluate, is_singular=lambda u, v, t: abs(u - 1.2) < 1e-3)
+
+
+def test_a_batch_flags_exactly_its_bad_centres():
+    chart = _mixed_chart()
+    good = [(0.6, 1.0, 2.0), (0.9, 0.4, 1.1), (0.3, 2.0, 0.5)]
+    bad = {
+        (1.2, 1.0, 2.0): "stencil centre or axis neighbour in the singular locus",
+        (0.6, 1.5, 2.0): "non-finite metric on the stencil",
+        (0.0, 1.0, 2.0): "singular metric at the centre",
+    }
+    qs = [good[0], *bad, good[1], good[2]]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        R, errors = cv.intrinsic_riemann_batch(chart, qs)
+    for q, r, error in zip(qs, R, errors):
+        if q in bad:
+            assert error == f"chart 'ruled' at {q}: {bad[q]}"
+            assert np.isnan(r).all()
+            with pytest.raises(cv.SingularMetric, match=bad[q]):
+                cv.intrinsic_riemann(chart, q)
+        else:
+            assert error is None
+            assert np.array_equal(r, cv.intrinsic_riemann(chart, q))
+
+
+def test_a_batch_calls_the_chart_19_times_per_evaluated_centre():
+    calls = {"evaluate": [], "partials": []}
+
+    def counted(name, f):
+        return lambda *q: calls[name].append(q) or f(*q)
+
+    base = _mixed_chart()
+    chart = dataclasses.replace(
+        base, evaluate=counted("evaluate", base.evaluate), partials=counted("partials", base.partials)
+    )
+    qs = [(0.6, 1.0, 2.0), (1.2, 1.0, 2.0), (0.9, 0.4, 1.1)]
+    _, errors = cv.intrinsic_riemann_batch(chart, qs)
+    assert [e is None for e in errors] == [True, False, True]
+    stencils = [tuple(x) for q in (qs[0], qs[2]) for x in (np.array(q) + 1e-3 * cv.K).tolist()]
+    assert calls["evaluate"] == calls["partials"] == stencils
+    # No call at all for a batch of rejected centres, or of none.
+    for h, rejected in ((1e-200, qs), (1e-3, [qs[1]]), (1e-3, [])):
+        for made in calls.values():
+            made.clear()
+        R, errors = cv.intrinsic_riemann_batch(chart, rejected, h)
+        assert R.shape == (len(rejected), 3, 3, 3, 3) and all(errors)
+        assert calls == {"evaluate": [], "partials": []}
+
+
+def _plane_basis_reference(n):
+    """The plane basis by numpy's argmin, norm and cross product."""
+    k = int(np.argmin(np.abs(n)))
+    u = np.zeros(3)
+    u[k] = 1.0
+    x = u - (u @ n) * n
+    x /= np.linalg.norm(x)
+    return x, np.cross(n, x)
+
+
+def test_plane_basis_is_bit_identical_to_the_numpy_reference():
+    rng = np.random.default_rng(18)
+    normals = list(rng.normal(size=(10_000, 3)))
+    for a, b in rng.normal(size=(500, 2)):  # tied smallest components, either sign
+        ties = [a, -a, 3.0 + abs(b)], [a, a, a], [b, 2.0 + abs(a), -b], [0.0, -0.0, b]
+        normals += [np.array(v) for v in ties]
+    normals += [np.eye(3)[k] * s for k in range(3) for s in (1.0, -1.0)]
+    for n in normals:
+        n = n / np.linalg.norm(n)
+        got, want = cv._plane_basis(n), _plane_basis_reference(n)
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w) and np.array_equal(np.signbit(g), np.signbit(w))
 
 
 def test_stencil_tables():
