@@ -20,6 +20,8 @@ Builtin families:
   partials from one sin and one cos of the mode arguments.
 
 Each factory's signature is also its ``cp2ricci scan`` surface syntax.
+``SurfaceChart.jet`` evaluates whole parameter arrays; the ruled and sphere
+charts do so in one numpy pass with the bits of their scalar callables.
 
 User charts: construct a ``SurfaceChart`` directly with your own callables;
 the only contract is fresh complex128 arrays (see ``SurfaceChart``), unit
@@ -76,6 +78,27 @@ class SurfaceChart:
     sample_box: Box
     is_singular: Callable[[float, float, float], bool]
 
+    def jet(self, Q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Points (N, 3) and partials (N, 3, 3) at the rows of Q (N, 3): by the array
+        map recorded on ``evaluate`` while both fields are the callables it names, else row by row."""
+        e, d, array_map = getattr(self.evaluate, "array_jet", (None, None, None))
+        if e is self.evaluate and d is self.partials:
+            return array_map(Q)
+        p, D = (np.array([f(*x) for x in Q.tolist()], np.complex128) for f in (self.evaluate, self.partials))
+        return p.reshape(-1, 3), D.reshape(-1, 3, 3)
+
+
+def _products(n: int, *entries: tuple) -> np.ndarray:
+    """Complex (n, len(entries)): column k multiplies the factors of ``entries[k]``, reals x as
+    (x, 0.0) or (re, im) pairs, left to right as Python does, signed zeros included."""
+    out = np.empty((n, 2 * len(entries)))
+    for k, factors in enumerate(entries):
+        (ar, ai), *rest = (f if isinstance(f, tuple) else (f, 0.0) for f in factors)
+        for br, bi in rest:
+            ar, ai = ar * br - ai * bi, ar * bi + ai * br
+        out[:, 2 * k], out[:, 2 * k + 1] = ar, ai
+    return out.view(np.complex128)
+
 
 def _ruled_point(u: float, v: float, t: float) -> np.ndarray:
     """(cos u cos v, cos u sin v, sin u e^{it}) as a complex 3-vector."""
@@ -91,6 +114,18 @@ def _ruled_partials(u: float, v: float, t: float) -> np.ndarray:
     return np.array(
         [-su * cv, -su * sv, cu * eit, -cu * sv, cu * cv, 0.0, 0.0, 0.0, 1j * su * eit]
     ).reshape(3, 3)
+
+
+def _ruled_jet(Q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``_ruled_point`` and ``_ruled_partials`` at the rows of Q, factor for factor."""
+    (cu, cv, ct), (su, sv, st), n = np.cos(Q.T), np.sin(Q.T), len(Q)
+    p = _products(n, (cu * cv,), (cu * sv,), (su, (ct, st)))
+    D = _products(n, (-su * cv,), (-su * sv,), (cu, (ct, st)), (-cu * sv,), (cu * cv,), *[(0.0,)] * 3,
+                  ((0.0, 1.0), su, (ct, st)))
+    return p, D.reshape(-1, 3, 3)
+
+
+_ruled_point.array_jet = (_ruled_point, _ruled_partials, _ruled_jet)  # see ``SurfaceChart.jet``
 
 
 def ruled_chart() -> SurfaceChart:
@@ -138,9 +173,17 @@ def sphere_chart(radius: float) -> SurfaceChart:
             [1j * cr * eiphi, 0.0, 0.0, 0.0, -sr * ss, sr * cs * eit, 0.0, 0.0, 1j * sr * ss * eit]
         ).reshape(3, 3)
 
+    def jet(Q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:  # the two above, factor for factor
+        (cphi, cs, ct), (sphi, ss, st), n = np.cos(Q.T), np.sin(Q.T), len(Q)
+        p = _products(n, (cr, (cphi, sphi)), (sr * cs,), (sr * ss, (ct, st)))
+        D = _products(n, ((0.0, 1.0), cr, (cphi, sphi)), *[(0.0,)] * 3, (-sr * ss,), (sr * cs, (ct, st)),
+                      (0.0,), (0.0,), ((0.0, 1.0), sr, ss, (ct, st)))
+        return p, D.reshape(-1, 3, 3)
+
     def is_singular(phi: float, s: float, t: float) -> bool:
         return min(abs(math.sin(s)), abs(math.cos(s))) < SINGULAR_MARGIN
 
+    evaluate.array_jet = (evaluate, partials, jet)  # see ``SurfaceChart.jet``
     return SurfaceChart(
         name=f"sphere:{radius:.12g}",
         evaluate=evaluate,

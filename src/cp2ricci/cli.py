@@ -301,14 +301,17 @@ def cmd_scan(
 
 
 def _crosscheck_grid(chart: SurfaceChart, grid: int, step: float) -> tuple[np.ndarray, np.ndarray]:
-    """(flags, gaps): at the ``ok`` points of the grid walk, max |R_intrinsic -
-    R_gauss| by one batched stencil pass, or the flag ``SingularMetric``."""
-    params, flags, gauss = _grid_table(chart, grid, 1e-5, lambda q, s: cv.gauss_riemann_coords(s).ravel(), 81)
+    """(flags, gaps): max |R_intrinsic - R_gauss| at the ``ok`` points of the grid walk
+    (NaN elsewhere) or the flag ``SingularMetric``, by one batched stencil pass and one
+    batched pullback of the frame ``coeffs`` and Gauss tensors that the walk keeps."""
+    row = lambda q, s: np.concatenate((s.frame.coeffs, cv._gauss_tensor(s)), axis=None)  # noqa: E731
+    params, flags, table = _grid_table(chart, grid, 1e-5, row, 90)
     ok = np.flatnonzero(flags == "ok")
     intrinsic, failed = cv.intrinsic_riemann_batch(chart, [params[k] for k in ok], step)
     flags[ok[[e is not None for e in failed]]] = "SingularMetric"
-    gauss[ok] -= intrinsic.reshape(-1, 81)
-    return flags, np.abs(gauss).max(axis=1)
+    gauss = cv.gauss_riemann_coords(table[ok, :9].reshape(-1, 3, 3), table[ok, 9:].reshape(-1, 3, 3, 3, 3))
+    table[ok, 9:] = (gauss - intrinsic).reshape(-1, 81)  # flagged rows stay NaN
+    return flags, np.abs(table[:, 9:]).max(axis=1)
 
 
 def cmd_crosscheck(grid: int = 5, step: float = 1e-3, tol: float = 1e-4) -> list[CheckReport]:

@@ -195,8 +195,8 @@ def _stencil_metric(chart: SurfaceChart, qs: list[ParamTriple], h: float) -> tup
     (N, 19, 3, 3) array, and each centre's error or None.  A centre is
     rejected (NaN rows) unevaluated when h^2 underflows, an axis neighbour
     q +- h e_a rounds to q (else all 19 points are distinct) or q or an axis
-    neighbour is in the declared singular locus.  The 19 + 19 chart values
-    of the other centres, one (M, 3) and one (M, 3, 3) array, are projected
+    neighbour is in the declared singular locus.  One ``chart.jet`` call maps
+    the stencils of the other centres; its points and partials are projected
     by one complex contraction and their Gram matrices formed by one matmul."""
     X = np.asarray(qs, dtype=np.float64).reshape(-1, 1, 3) + h * K
     coarse = (X[:, 1:7] == X[:, :1]).all(axis=2).any(axis=1) | (h * h < np.finfo(np.float64).tiny)
@@ -207,8 +207,7 @@ def _stencil_metric(chart: SurfaceChart, qs: list[ParamTriple], h: float) -> tup
         for x, c in zip(X.tolist(), coarse.tolist())
     ]
     ok = np.array([e is None for e in errors], dtype=bool)
-    params = X[ok].reshape(-1, 3).tolist()
-    p, D = (np.array([f(*x) for x in params], dtype=np.complex128) for f in (chart.evaluate, chart.partials))
+    p, D = chart.jet(X[ok].reshape(-1, 3))
     W = _horizontal_rows(p.reshape(-1, 19, 3), D.reshape(-1, 19, 3, 3))
     G = np.full((len(X), 19, 3, 3), math.nan)
     G[ok] = W @ W.swapaxes(-1, -2)
@@ -262,20 +261,15 @@ def intrinsic_riemann(chart: SurfaceChart, q: ParamTriple, h: float = 1e-3) -> n
     return R
 
 
-def gauss_riemann_coords(shape: ShapeData) -> np.ndarray:
-    """The frame curvature tensor pulled back to chart coordinates.
-
-    Uses the frame bookkeeping: with W_a the horizontalized partials and
-    B[a, i] = <W_a, e_i>, the coordinate components are the quadruple
-    contraction of the frame components with B, done one index pair at a
-    time: R[ab, cd] = (B x B)[ab, ij] T[ij, kl] (B x B)[cd, kl].
-    """
-    if shape.frame is None:
-        raise ValueError("shape data carries no frame; compute it via shape_operator")
-    # W_a = sum_i B[a, i] e_i inverts the frame bookkeeping e_i = sum_a C[i, a] W_a
-    B = np.linalg.inv(shape.frame.coeffs)
-    BB = (B[:, None, :, None] * B[None, :, None, :]).reshape(9, 9)
-    return (BB @ _gauss_tensor(shape).reshape(9, 9) @ BB.T).reshape(3, 3, 3, 3)
+def gauss_riemann_coords(coeffs: np.ndarray, T: np.ndarray) -> np.ndarray:
+    """The frame curvature tensors T (..., 3, 3, 3, 3) of ``_gauss_tensor``
+    pulled back to chart coordinates; leading axes batch.  With C the frame's
+    ``coeffs``, e_i = sum_a C[i, a] W_a over the horizontalized partials, so
+    W_a = sum_i B[a, i] e_i with B = C^-1 and R[ab, cd] = (B x B)[ab, ij]
+    T[ij, kl] (B x B)[cd, kl]: one stacked ``inv`` and one stacked matmul."""
+    B = np.linalg.inv(coeffs)
+    BB = (B[..., :, None, :, None] * B[..., None, :, None, :]).reshape(*B.shape[:-2], 9, 9)
+    return (BB @ T.reshape(BB.shape) @ BB.swapaxes(-1, -2)).reshape(T.shape)
 
 
 # -- closed-form oracles for geodesic spheres ---------------------------------

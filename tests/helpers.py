@@ -3,6 +3,7 @@
 import numpy as np
 
 from cp2ricci.charts import ParamTriple, SurfaceChart
+from cp2ricci.curvature import _gauss_tensor
 from cp2ricci.exact.mpoly import MPoly
 from cp2ricci.frames import _horizontal_rows
 from cp2ricci.shape import ShapeData
@@ -36,6 +37,16 @@ def induced_metric(chart: SurfaceChart, q: ParamTriple) -> np.ndarray:
     a reference for ``curvature._stencil_metric``."""
     W = _horizontal_rows(chart.evaluate(*q), chart.partials(*q))
     return W.dot(W.T)
+
+
+def gauss_riemann_per_shape(shape: ShapeData) -> np.ndarray:
+    """The frame Gauss tensor of one point pulled back to chart coordinates,
+    R[ab, cd] = (B x B)[ab, ij] T[ij, kl] (B x B)[cd, kl] with B the inverse
+    of the frame's ``coeffs``: a reference for the batched
+    ``curvature.gauss_riemann_coords``."""
+    B = np.linalg.inv(shape.frame.coeffs)
+    BB = (B[:, None, :, None] * B[None, :, None, :]).reshape(9, 9)
+    return (BB @ _gauss_tensor(shape).reshape(9, 9) @ BB.T).reshape(3, 3, 3, 3)
 
 
 def flip_normal(s: ShapeData) -> ShapeData:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cp2ricci import charts
 from cp2ricci.charts import (
     SurfaceChart,
     _ruled_partials,
@@ -204,6 +205,59 @@ def test_custom_array_chart_gives_the_builtin_results_exactly():
         assert np.array_equal(sa.A, sb.A) and np.array_equal(sa.P, sb.P)
         assert np.array_equal(sa.xi, sb.xi)
         assert np.array_equal(intrinsic_riemann(custom, q), intrinsic_riemann(base, q))
+
+
+def _jet_points():
+    """1000 seeded points of [-7, 7]^3, then every triple of -0.0, 0.0, pi/2
+    and 1.0, and rows with exact signed zeros beside random entries."""
+    rng = np.random.default_rng(25)
+    special = np.array([-0.0, 0.0, math.pi / 2, 1.0])
+    grid = np.stack(np.meshgrid(special, special, special, indexing="ij"), axis=-1).reshape(-1, 3)
+    mixed = rng.uniform(-7.0, 7.0, size=(60, 3))
+    mixed[np.arange(60), np.arange(60) % 3] = np.where(np.arange(60) % 2, -0.0, 0.0)
+    return np.vstack([rng.uniform(-7.0, 7.0, size=(1000, 3)), grid, mixed])
+
+
+@pytest.mark.parametrize(
+    "chart",
+    [ruled_chart(), *(sphere_chart(r) for r in (math.pi / 4, math.pi / 6, 1.57))],
+    ids=lambda c: c.name,
+)
+def test_builtin_jets_reproduce_the_scalar_callables_bytewise(chart, monkeypatch):
+    Q = _jet_points()
+    rows = Q.tolist()
+    p = np.array([chart.evaluate(*x) for x in rows])
+    D = np.array([chart.partials(*x) for x in rows])
+    assert np.signbit(p.imag).any() and np.signbit(D.real[D == 0]).any()  # signed zeros are exercised
+    monkeypatch.setattr(charts, "math", None)  # the array map calls no scalar callable
+    jp, jD = chart.jet(Q)
+    assert jp.shape == (len(Q), 3) and jD.shape == (len(Q), 3, 3)
+    assert jp.dtype == jD.dtype == np.complex128
+    assert jp.tobytes() == p.tobytes() and jD.tobytes() == D.tobytes()
+    empty = chart.jet(np.empty((0, 3)))
+    assert empty[0].shape == (0, 3) and empty[1].shape == (0, 3, 3)
+
+
+def test_a_user_chart_jet_stacks_its_own_calls():
+    base = ruled_chart()
+    calls = []
+
+    def evaluate(*q):
+        calls.append(("evaluate", q))
+        return base.evaluate(*q)
+
+    def partials(*q):
+        calls.append(("partials", q))
+        return base.partials(*q)
+
+    chart = SurfaceChart("user", evaluate, partials, base.sample_box, base.is_singular)
+    Q = _jet_points()[:5]
+    p, D = chart.jet(Q)
+    rows = [tuple(x) for x in Q.tolist()]
+    assert calls == [("evaluate", q) for q in rows] + [("partials", q) for q in rows]
+    assert p.tobytes() == base.jet(Q)[0].tobytes() and D.tobytes() == base.jet(Q)[1].tobytes()
+    empty = chart.jet(np.empty((0, 3)))
+    assert empty[0].shape == (0, 3) and empty[1].shape == (0, 3, 3) and len(calls) == 10
 
 
 class _LoopField:

@@ -126,6 +126,11 @@ def test_the_workflow_runs_the_cli():
         ["cp2ricci", [*argv, "--out", "$RUNNER_TEMP/check_sphere_r157_g3.json"], 0, None],
         ["cmp", ["cmp", "$RUNNER_TEMP/check_sphere_r157_g3.json", "tests/data/check_sphere_r157_g3.json"]],
     ]
+    # a stencil step far above the chart scale: the builtin chart jets stay quiet
+    argv = ["cp2ricci", "crosscheck", "--grid", "2", "--step", "1e300"]
+    steps = STEPS["Crosscheck with a step far above the chart scale fails without warnings"]
+    assert steps[0] == ["cp2ricci", argv, 1, "$RUNNER_TEMP/step300.err"]
+    assert steps[1][1] == 'test ! -s "$RUNNER_TEMP/step300.err"'
     # the golden perturbed scan
     assert ["cmp", ["cmp", "$RUNNER_TEMP/scan.csv", "tests/data/scan_perturbed_g4.csv"]] in (
         STEPS["Perturbed scan smoke"]

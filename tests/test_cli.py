@@ -560,6 +560,30 @@ def test_singular_stencil_metric_is_a_flagged_point_not_a_usage_error(capsys):
     assert flags.tolist() == ["SingularMetric"] * 4 + ["ok"] * 4
 
 
+def test_an_all_singular_chart_flags_every_crosscheck_point_quietly():
+    base = ruled_chart()
+    chart = dataclasses.replace(base, name="nowhere", is_singular=lambda *q: True)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        flags, gaps = cli._crosscheck_grid(chart, 2, 1e-3)
+    assert flags.tolist() == ["singular"] * 8 and np.isnan(gaps).all()
+
+
+@pytest.mark.parametrize("make", [ruled_chart, lambda: sphere_chart(math.pi / 4)], ids=["ruled", "sphere"])
+def test_only_ok_crosscheck_rows_enter_the_stacked_inverse(make, monkeypatch):
+    # Four grid points are in the singular locus, so their table rows are NaN;
+    # every matrix stack inverted in the pass is finite, and the ok gaps are
+    # those of the full pass.
+    chart = _near_singular_box(make())
+    inv, inverted = np.linalg.inv, []
+    monkeypatch.setattr(np.linalg, "inv", lambda a: inverted.append(np.asarray(a)) or inv(a))
+    flags, gaps = cli._crosscheck_grid(chart, 2, 1e-3)
+    assert flags.tolist().count("singular") == 4 and flags.tolist().count("ok") == 4
+    stacks = [a for a in inverted if a.ndim == 3]
+    assert stacks and all(len(a) == 4 and np.isfinite(a).all() for a in stacks)
+    assert np.isnan(gaps[flags == "singular"]).all() and (gaps[flags == "ok"] < 1e-4).all()
+
+
 def test_stencil_centre_in_the_singular_locus_is_a_flagged_point(capsys):
     # The grid points u = 1.2 (ruled) and s = 1.2 (sphere) put a stencil
     # axis neighbour at 1.57, inside both charts' singular margin about pi/2.

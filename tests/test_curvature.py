@@ -1,6 +1,8 @@
 import dataclasses
+import functools
 import math
 import random
+import sys
 import warnings
 
 import numpy as np
@@ -10,7 +12,7 @@ from cp2ricci import curvature as cv
 from cp2ricci.charts import perturbed_ruled_chart, ruled_chart, sphere_chart
 from cp2ricci.frames import RankDeficient
 from cp2ricci.shape import ShapeData, shape_operator
-from helpers import flip_normal, induced_metric, riemann_gauss
+from helpers import flip_normal, gauss_riemann_per_shape, induced_metric, riemann_gauss
 
 
 def _sphere_model_data(r):
@@ -252,10 +254,15 @@ def test_metric_is_exactly_symmetric():
     assert np.array_equal(g, g.T)
 
 
+def _gauss_coords(s):
+    """The shape-based curvature tensor of one point in chart coordinates."""
+    return cv.gauss_riemann_coords(s.frame.coeffs, cv._gauss_tensor(s))
+
+
 def _crosscheck(chart, q, h=1e-3):
     """Max componentwise gap between the intrinsic and the shape-based
     curvature tensors at q."""
-    gauss = cv.gauss_riemann_coords(shape_operator(chart, q))
+    gauss = _gauss_coords(shape_operator(chart, q))
     return float(np.max(np.abs(cv.intrinsic_riemann(chart, q, h) - gauss)))
 
 
@@ -504,6 +511,77 @@ def test_a_batch_calls_the_chart_19_times_per_evaluated_centre():
         assert calls == {"evaluate": [], "partials": []}
 
 
+def _calls_of(functions, run):
+    """``run()`` and the number of calls it made of each Python function in
+    ``functions``, counted by the profiler hook (the functions stay as they are)."""
+    counts = {f.__code__: 0 for f in functions}
+
+    def hook(frame, event, arg):
+        if event == "call" and frame.f_code in counts:
+            counts[frame.f_code] += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(hook)
+    try:
+        result = run()
+    finally:
+        sys.setprofile(previous)
+    return result, [counts[f.__code__] for f in functions]
+
+
+def _replaced_charts(base):
+    """``base`` with its evaluate replaced, with its partials replaced, and
+    with both wrapped by ``functools.wraps`` (which copies the array-map record)."""
+
+    def evaluate(*q):
+        return base.evaluate(*q)
+
+    def partials(*q):
+        return base.partials(*q)
+
+    @functools.wraps(base.evaluate)
+    def wrapped_evaluate(*q):
+        return base.evaluate(*q)
+
+    @functools.wraps(base.partials)
+    def wrapped_partials(*q):
+        return base.partials(*q)
+
+    assert wrapped_evaluate.array_jet == base.evaluate.array_jet
+    return {
+        "evaluate": dataclasses.replace(base, evaluate=evaluate),
+        "partials": dataclasses.replace(base, partials=partials),
+        "wrapped": dataclasses.replace(base, evaluate=wrapped_evaluate, partials=wrapped_partials),
+    }
+
+
+@pytest.mark.parametrize("base", [ruled_chart(), sphere_chart(math.pi / 4)], ids=lambda c: c.name)
+@pytest.mark.parametrize("replaced", ["evaluate", "partials", "wrapped"])
+def test_a_replaced_or_wrapped_builtin_chart_is_called_19_times_per_centre(base, replaced):
+    chart = _replaced_charts(base)[replaced]
+    lo, hi = np.array(base.sample_box.lo), np.array(base.sample_box.hi)
+    qs = [tuple(lo + f * (hi - lo)) for f in (0.2, 0.5, 0.7)]
+    (R, errors), calls = _calls_of(
+        [chart.evaluate, chart.partials], lambda: cv.intrinsic_riemann_batch(chart, qs)
+    )
+    assert errors == [None] * 3 and calls == [19 * 3, 19 * 3]
+    # Row by row, the same bits as the builtin array map.
+    (expected, _), calls = _calls_of([base.evaluate, base.partials], lambda: cv.intrinsic_riemann_batch(base, qs))
+    assert calls == [0, 0] and np.array_equal(R, expected)
+
+
+@pytest.mark.parametrize("chart", [ruled_chart(), sphere_chart(math.pi / 4)], ids=lambda c: c.name)
+def test_batched_gauss_pullback_equals_the_per_point_pullback_bitwise(chart):
+    shapes = [shape_operator(chart, q) for q in chart.sample_box.grid(5) if not chart.is_singular(*q)]
+    assert len(shapes) == 125
+    C = np.array([s.frame.coeffs for s in shapes])
+    T = np.array([cv._gauss_tensor(s) for s in shapes])
+    R = cv.gauss_riemann_coords(C, T)
+    assert R.shape == (125, 3, 3, 3, 3)
+    assert R.tobytes() == np.array([gauss_riemann_per_shape(s) for s in shapes]).tobytes()
+    assert cv.gauss_riemann_coords(C[7], T[7]).tobytes() == R[7].tobytes()
+
+
 def _plane_basis_reference(n):
     """The plane basis by numpy's argmin, norm and cross product."""
     k = int(np.argmin(np.abs(n)))
@@ -541,7 +619,7 @@ def test_stencil_tables():
 def test_intrinsic_riemann_converges_at_second_order():
     # The error against the shape-based tensor falls 4x per halving of h.
     for chart, q in ((ruled_chart(), (0.6, 1.0, 2.0)), (sphere_chart(math.pi / 4), (0.3, 0.7, 0.4))):
-        exact = cv.gauss_riemann_coords(shape_operator(chart, q))
+        exact = _gauss_coords(shape_operator(chart, q))
         errors = [np.max(np.abs(cv.intrinsic_riemann(chart, q, h) - exact)) for h in (4e-3, 2e-3, 1e-3)]
         for coarse, fine in zip(errors, errors[1:]):
             assert 3.9 < coarse / fine < 4.1
