@@ -17,7 +17,8 @@ Builtin families:
   inequality away from the classified cases.  The displaced map is one
   26-mode trigonometric field, the ruled map's 8 modes and 18 seeded ones
   scaled by epsilon, so one ``jet`` call gives the point and its three
-  partials from one sin and one cos of the mode arguments.
+  partials from one sin and one cos of the mode arguments; ``evaluate`` and
+  ``partials`` share that one field jet per q.
 
 Each factory's signature is also its ``cp2ricci scan`` surface syntax.
 ``SurfaceChart.jet`` evaluates whole parameter arrays; the ruled and sphere
@@ -25,12 +26,14 @@ charts do so in one numpy pass with the bits of their scalar callables.
 
 User charts: construct a ``SurfaceChart`` directly with your own callables;
 the only contract is fresh complex128 arrays (see ``SurfaceChart``), unit
-norm, exact partials, and an honest singular flag.
+norm, exact partials, and an honest singular flag.  ``jet`` calls ``evaluate``
+then ``partials`` at each row, so a chart may share work between the two at one q.
 """
 
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
@@ -84,7 +87,8 @@ class SurfaceChart:
         e, d, array_map = getattr(self.evaluate, "array_jet", (None, None, None))
         if e is self.evaluate and d is self.partials:
             return array_map(Q)
-        p, D = (np.array([f(*x) for x in Q.tolist()], np.complex128) for f in (self.evaluate, self.partials))
+        rows = [(self.evaluate(*x), self.partials(*x)) for x in Q.tolist()]
+        p, D = (np.array([row[k] for row in rows], np.complex128) for k in (0, 1))
         return p.reshape(-1, 3), D.reshape(-1, 3, 3)
 
 
@@ -199,8 +203,8 @@ class _TrigField:
     Mode k is ``weight[:, k] sin(freq[k] . q + phase[k])``, a cosine being a
     sine with phase pi/2.  The rows of ``weight`` (6, n) are the real
     components Re c1, Im c1, Re c2, ... and ``dweight[a] = weight * freq[:, a]``
-    (3, 6, n), so ``jet`` gets the value and its three partials as real
-    6-vectors from one sin and one cos of the mode arguments.
+    (3, 6, n), so ``jet``, its one evaluation, gets the value and its three
+    partials as real 6-vectors from one sin and one cos of the mode arguments.
     """
 
     def __init__(self, freq: np.ndarray, phase: np.ndarray, weight: np.ndarray):
@@ -223,9 +227,6 @@ class _TrigField:
         weight = np.zeros((6, n))
         weight[np.arange(n) // 3, np.arange(n)] = coef
         return cls(freq, np.where(use_sin, 0.0, math.pi / 2), weight)
-
-    def value(self, q: ParamTriple) -> np.ndarray:
-        return self.weight.dot(np.sin(self.freq.dot(q) + self.phase))
 
     def jet(self, q: ParamTriple) -> tuple[np.ndarray, np.ndarray]:
         x = self.freq.dot(q) + self.phase
@@ -257,7 +258,8 @@ def perturbed_ruled_chart(epsilon: float = 0.05, seed: int = 0) -> SurfaceChart:
     again an exact chart.  |y| is a scaled norm (``math.hypot``), never
     cubed, so any finite y is normalized; where |y| is not a positive finite
     number, point and partials are fresh NaN arrays, found by one scalar test
-    instead of a division.
+    instead of a division.  ``evaluate`` and ``partials`` share one field jet
+    per q: the point and partials of the last q, keyed by its bits, copied out.
     """
     base = ruled_chart()
     seeded = _TrigField.seeded(seed)
@@ -269,19 +271,27 @@ def perturbed_ruled_chart(epsilon: float = 0.05, seed: int = 0) -> SurfaceChart:
         np.hstack([_RULED_MODES.weight / scale, (eps / scale) * seeded.weight]),
     )
     nan = complex(math.nan, math.nan)
+    memo = (None, None, None)  # the bits of the last q, its point and partials: one tuple, rebound whole
+
+    def normalized_jet(u: float, v: float, t: float) -> tuple:
+        nonlocal memo
+        key, m = struct.pack("3d", u, v, t), memo
+        if m[0] != key:
+            y, dy = field.jet((u, v, t))
+            ny = math.hypot(*y.tolist())
+            if not 0.0 < ny < math.inf:
+                m = memo = key, np.full(3, nan), np.full((3, 3), nan)
+            else:
+                n = y / ny
+                d = (dy - dy.dot(n)[:, None] * n) / ny
+                m = memo = key, n.view(np.complex128), d.view(np.complex128)
+        return m
 
     def evaluate(u: float, v: float, t: float) -> np.ndarray:
-        y = field.value((u, v, t))
-        ny = math.hypot(*y.tolist())
-        return (y / ny).view(np.complex128) if 0.0 < ny < math.inf else np.full(3, nan)
+        return normalized_jet(u, v, t)[1].copy()
 
     def partials(u: float, v: float, t: float) -> np.ndarray:
-        y, dy = field.jet((u, v, t))
-        ny = math.hypot(*y.tolist())
-        if not 0.0 < ny < math.inf:
-            return np.full((3, 3), nan)
-        n = y / ny
-        return ((dy - dy.dot(n)[:, None] * n) / ny).view(np.complex128)
+        return normalized_jet(u, v, t)[2].copy()
 
     return SurfaceChart(
         name=f"perturbed-ruled:{epsilon:.12g},{seed}",

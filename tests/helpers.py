@@ -1,8 +1,10 @@
 """Helpers shared by several test modules."""
 
+import math
+
 import numpy as np
 
-from cp2ricci.charts import ParamTriple, SurfaceChart
+from cp2ricci.charts import ParamTriple, SurfaceChart, _RULED_MODES, _TrigField, ruled_chart
 from cp2ricci.curvature import _gauss_tensor
 from cp2ricci.exact.mpoly import MPoly
 from cp2ricci.frames import _horizontal_rows
@@ -47,6 +49,43 @@ def gauss_riemann_per_shape(shape: ShapeData) -> np.ndarray:
     B = np.linalg.inv(shape.frame.coeffs)
     BB = (B[:, None, :, None] * B[None, :, None, :]).reshape(9, 9)
     return (BB @ _gauss_tensor(shape).reshape(9, 9) @ BB.T).reshape(3, 3, 3, 3)
+
+
+def trig_field_value(field: _TrigField, q: ParamTriple) -> np.ndarray:
+    """The field's value alone, the sines of the mode arguments summed by
+    weight: the first half of ``_TrigField.jet`` computed without the cosines."""
+    return field.weight.dot(np.sin(field.freq.dot(q) + field.phase))
+
+
+def perturbed_reference(epsilon: float = 0.05, seed: int = 0) -> SurfaceChart:
+    """``charts.perturbed_ruled_chart`` without its per-q memo: ``evaluate``
+    renormalizes ``trig_field_value`` and ``partials`` takes the field's jet,
+    afresh at every call.  A byte reference for the memoized chart."""
+    seeded = _TrigField.seeded(seed)
+    eps = float(epsilon) if math.isfinite(epsilon) else math.nan
+    scale = max(1.0, abs(eps))
+    field = _TrigField(
+        np.vstack([_RULED_MODES.freq, seeded.freq]),
+        np.concatenate([_RULED_MODES.phase, seeded.phase]),
+        np.hstack([_RULED_MODES.weight / scale, (eps / scale) * seeded.weight]),
+    )
+    nan = complex(math.nan, math.nan)
+
+    def evaluate(u: float, v: float, t: float) -> np.ndarray:
+        y = trig_field_value(field, (u, v, t))
+        ny = math.hypot(*y.tolist())
+        return (y / ny).view(np.complex128) if 0.0 < ny < math.inf else np.full(3, nan)
+
+    def partials(u: float, v: float, t: float) -> np.ndarray:
+        y, dy = field.jet((u, v, t))
+        ny = math.hypot(*y.tolist())
+        if not 0.0 < ny < math.inf:
+            return np.full((3, 3), nan)
+        n = y / ny
+        return ((dy - dy.dot(n)[:, None] * n) / ny).view(np.complex128)
+
+    base = ruled_chart()
+    return SurfaceChart("perturbed-reference", evaluate, partials, base.sample_box, base.is_singular)
 
 
 def flip_normal(s: ShapeData) -> ShapeData:

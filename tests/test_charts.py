@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cp2ricci import charts
+from cp2ricci import charts, cli
 from cp2ricci.charts import (
     SurfaceChart,
     _ruled_partials,
@@ -20,6 +20,7 @@ from cp2ricci.charts import (
 from cp2ricci.curvature import intrinsic_riemann
 from cp2ricci.frames import build_frame
 from cp2ricci.shape import shape_operator
+from helpers import perturbed_reference, trig_field_value
 
 RULED_SAMPLES = [(0.6, 1.0, 2.0), (0.35, 5.9, 0.2), (1.1, 3.0, 4.5), (-0.8, 2.2, 1.3)]
 SPHERE_SAMPLES = [(0.3, 0.7, 0.4), (5.0, 1.1, 2.0), (2.0, 0.5, 5.5)]
@@ -254,7 +255,7 @@ def test_a_user_chart_jet_stacks_its_own_calls():
     Q = _jet_points()[:5]
     p, D = chart.jet(Q)
     rows = [tuple(x) for x in Q.tolist()]
-    assert calls == [("evaluate", q) for q in rows] + [("partials", q) for q in rows]
+    assert calls == [(name, q) for q in rows for name in ("evaluate", "partials")]
     assert p.tobytes() == base.jet(Q)[0].tobytes() and D.tobytes() == base.jet(Q)[1].tobytes()
     empty = chart.jet(np.empty((0, 3)))
     assert empty[0].shape == (0, 3) and empty[1].shape == (0, 3, 3) and len(calls) == 10
@@ -312,7 +313,7 @@ def test_trig_field_matches_the_per_term_loop(seed):
         tol = 1e-15 * (1.0 + np.max(np.abs(field.freq @ q)))
         value, jet = field.jet(q)
         assert np.max(np.abs(value.view(np.complex128) - loop.value(q))) <= tol
-        assert np.array_equal(field.value(q), value)
+        assert np.array_equal(trig_field_value(field, q), value)
         for a in range(3):
             assert np.max(np.abs(jet[a].view(np.complex128) - loop.partial(q, a))) <= tol
 
@@ -332,7 +333,7 @@ def test_perturbed_chart_is_one_field_over_the_ruled_modes():
     chart = perturbed_ruled_chart(0.05, seed=3)
     field = _TrigField.seeded(3)
     for q in RULED_SAMPLES:
-        y = _ruled_point(*q) + 0.05 * field.value(q).view(np.complex128)
+        y = _ruled_point(*q) + 0.05 * field.jet(q)[0].view(np.complex128)
         assert np.max(np.abs(chart.evaluate(*q) - y / np.linalg.norm(y))) < 1e-15
 
 
@@ -347,6 +348,57 @@ def test_perturbed_partials_are_exact_over_seeds(seed, frac):
 def test_huge_perturbation_partials_match_central_differences():
     # |y| ~ 1e120, so |y|^3 would overflow a float: the chain rule must not form it.
     _check_chart_basics(perturbed_ruled_chart(1e120, 0), RULED_SAMPLES)
+
+
+def _perturbed_call_orders():
+    """Sequences of (callable, q) that a per-q memo could answer wrongly."""
+    rows = [tuple(x) for x in _jet_points().tolist()]
+    q1, q2, nan_q = rows[0], rows[1], (math.nan, 0.7, 0.3)
+    both = ("evaluate", "partials")
+    return {
+        "evaluate only": [("evaluate", q) for q in rows],
+        "partials first": [(name, q) for q in rows for name in both[::-1]],
+        "repeated q": [(name, q1) for name in both * 3],
+        "alternating q1/q2": [(name, q) for q in (q1, q2) * 3 for name in both],
+        "+0.0 after -0.0": [(name, (z, 0.7, 0.3)) for z in (-0.0, 0.0, -0.0) for name in both],
+        "nan q": [(name, q) for q in (nan_q, nan_q, q1, nan_q) for name in both],
+    }
+
+
+@pytest.mark.parametrize("epsilon", [0.05, 1e308, math.nan, math.inf])
+@pytest.mark.parametrize("order", list(_perturbed_call_orders()))
+def test_perturbed_chart_answers_like_the_memo_free_reference_bytewise(epsilon, order):
+    chart, ref = perturbed_ruled_chart(epsilon, 3), perturbed_reference(epsilon, 3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for name, q in _perturbed_call_orders()[order]:
+            got, want = getattr(chart, name)(*q), getattr(ref, name)(*q)
+            assert got.dtype == np.complex128 and got.shape == want.shape
+            assert got.tobytes() == want.tobytes(), (name, q)
+
+
+@pytest.mark.parametrize("epsilon", [0.05, math.nan])
+def test_perturbed_chart_returns_fresh_arrays(epsilon):
+    chart, ref = perturbed_ruled_chart(epsilon, 0), perturbed_reference(epsilon, 0)
+    q = RULED_SAMPLES[0]
+    for name in ("evaluate", "partials", "evaluate"):
+        getattr(chart, name)(*q)[...] = 7.0
+        assert getattr(chart, name)(*q).tobytes() == getattr(ref, name)(*q).tobytes()
+
+
+def test_a_perturbed_scan_takes_one_field_jet_per_parameter_point(monkeypatch):
+    calls = []
+    jet = _TrigField.jet
+
+    def counted(self, q):
+        calls.append(q)
+        return jet(self, q)
+
+    monkeypatch.setattr(_TrigField, "jet", counted)
+    reports, rows = cli.cmd_scan("perturbed-ruled:0.05,0", grid=2)
+    assert reports[0].status == "pass" and len(rows) == 8
+    # The centre and its 6 stencil neighbours: 7 distinct triples per point, one jet each.
+    assert len(calls) == len(set(calls)) == 7 * len(rows)
 
 
 def test_grid_requires_two_points_per_axis():

@@ -79,6 +79,7 @@ def test_scan_rows_satisfy_definitional_identity():
         (["scan", "perturbed-ruled:0.05,0", "--grid", "4"], "scan_perturbed_g4.csv"),
         (["check", "sphere", "--radius", "1.57", "--grid", "3"], "check_sphere_r157_g3.json"),
         (["crosscheck", "--grid", "5"], "crosscheck_g5.json"),
+        (["scan", "perturbed-ruled:0.2,3", "--grid", "6"], "scan_perturbed_s3_g6.csv"),
     ],
 )
 def test_outputs_match_the_golden_files_byte_for_byte(tmp_path, argv, golden):
