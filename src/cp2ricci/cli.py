@@ -9,6 +9,10 @@ Commands, each run by its ``cmd_*`` function in ``COMMANDS``
 * ``scan``          -- per-point curvature rows to CSV/JSON
 * ``crosscheck``    -- intrinsic vs shape-based curvature tensors
 
+``check`` and ``scan`` walk their grid one point at a time (``_grid_table``);
+``crosscheck`` computes its grid on arrays (``_crosscheck_grid``), with the
+same flags and, at every ``ok`` point, the same bits.
+
 A command takes the options its ``cmd_*`` function has parameters for, with
 the signature's defaults (scan's ``--tol t`` is ``bound = -t``), plus
 ``--out`` and, for ``scan``, ``--format``.  ``--strict`` halves every
@@ -44,7 +48,7 @@ from .report import (
     scan_to_csv,
     scan_to_json,
 )
-from .shape import AsymmetryExceeded, ShapeData, shape_operator
+from .shape import AsymmetryExceeded, ShapeData, shape_operator, shape_operator_grid
 
 
 def _report(name: str, ok: bool, residual: float | str, **details: Any) -> CheckReport:
@@ -68,7 +72,8 @@ def _grid_table(
     row: Callable[[ParamTriple, ShapeData], list[float]],
     width: int,
 ) -> tuple[list[ParamTriple], np.ndarray, np.ndarray]:
-    """The one grid walk: (params, flags, values) over ``chart``'s sample box.
+    """The per-point grid walk of ``check`` and ``scan``: (params, flags,
+    values) over ``chart``'s sample box.
 
     At each grid point ``row(q, shape)`` fills one row of the (N, width)
     float array ``values`` and the flag is ``ok``.  At a point in the chart's
@@ -301,17 +306,24 @@ def cmd_scan(
 
 
 def _crosscheck_grid(chart: SurfaceChart, grid: int, step: float) -> tuple[np.ndarray, np.ndarray]:
-    """(flags, gaps): max |R_intrinsic - R_gauss| at the ``ok`` points of the grid walk
-    (NaN elsewhere) or the flag ``SingularMetric``, by one batched stencil pass and one
-    batched pullback of the frame ``coeffs`` and Gauss tensors that the walk keeps."""
-    row = lambda q, s: np.concatenate((s.frame.coeffs, cv._gauss_tensor(s)), axis=None)  # noqa: E731
-    params, flags, table = _grid_table(chart, grid, 1e-5, row, 90)
-    ok = np.flatnonzero(flags == "ok")
+    """(flags, gaps): max |R_intrinsic - R_gauss| at each ``ok`` grid point, NaN
+    at a flagged one.  A point in the chart's declared singular locus is not
+    computed and is flagged ``singular``; the others take one
+    ``shape_operator_grid`` call, whose flags they keep, and its ``ok`` points
+    one batched stencil pass, which flags a failed stencil ``SingularMetric``,
+    and one batched pullback of their frame ``coeffs`` and Gauss tensors."""
+    params = list(chart.sample_box.grid(grid))
+    singular = np.array([chart.is_singular(*q) for q in params], dtype=bool)
+    shapes = shape_operator_grid(chart, [q for q, s in zip(params, singular) if not s])
+    flags = np.full(len(params), "singular", dtype=object)
+    flags[~singular] = shapes.flags
+    ok, shaped = np.flatnonzero(flags == "ok"), shapes.flags == "ok"
     intrinsic, failed = cv.intrinsic_riemann_batch(chart, [params[k] for k in ok], step)
     flags[ok[[e is not None for e in failed]]] = "SingularMetric"
-    gauss = cv.gauss_riemann_coords(table[ok, :9].reshape(-1, 3, 3), table[ok, 9:].reshape(-1, 3, 3, 3, 3))
-    table[ok, 9:] = (gauss - intrinsic).reshape(-1, 81)  # flagged rows stay NaN
-    return flags, np.abs(table[:, 9:]).max(axis=1)
+    gauss = cv.gauss_riemann_coords(shapes.coeffs[shaped], cv._gauss_tensor(shapes)[shaped])
+    gaps = np.full(len(params), math.nan)
+    gaps[ok] = np.abs(gauss - intrinsic).reshape(len(ok), 81).max(axis=1)  # NaN where the stencil failed
+    return flags, gaps
 
 
 def cmd_crosscheck(grid: int = 5, step: float = 1e-3, tol: float = 1e-4) -> list[CheckReport]:
@@ -342,8 +354,11 @@ def _holomorphic_plane_curvature(step: float) -> float:
     chart = sphere_chart(math.pi / 4)
     q = (0.3, 0.7, 0.4)
     s = shape_operator(chart, q)
+    (intrinsic,), (error,) = cv.intrinsic_riemann_batch(chart, [q], h=step)
+    if error:
+        raise cv.SingularMetric(error)
     C = s.frame.coeffs
-    R = np.einsum("ia,jb,kc,ld,abcd->ijkl", C, C, C, C, cv.intrinsic_riemann(chart, q, h=step))
+    R = np.einsum("ia,jb,kc,ld,abcd->ijkl", C, C, C, C, intrinsic)
     return cv.plane_curvature(R, s.xi)
 
 

@@ -7,8 +7,10 @@ The curvature tensor of the hypersurface is evaluated from frame data
                + <AY,Z>AX - <AX,Z>AY,
 
 written once, as the frame components R[x, y, z, w] = <R(e_x, e_y) e_z, e_w>
-of ``_gauss_tensor``; ``plane_curvature(R, n)`` reads sectional curvatures off
-them.  ``riemann_gauss`` and ``induced_metric`` are test references only.
+of ``_gauss_tensor``, at one point or at a stack of points (the record of
+``shape.shape_operator_grid``); ``plane_curvature(R, n)`` reads sectional
+curvatures off them.  ``riemann_gauss`` and ``induced_metric`` are test
+references only.
 
 The Ricci tensor is produced both by direct double contraction and by the
 closed form S(X, X) = 2 + 3|PX|^2 + tr(A) <AX, X> - |AX|^2; the two routes
@@ -23,7 +25,7 @@ metric alone, an oracle independent of the shape-operator pipeline, at all
 centres q of a grid in one pass: the metric on the 19-point stencil q + h K
 is one (N, 19, 3, 3) array, its central differences give dg and ddg at q,
 and the textbook formula in g, dg and ddg gives R with error O(h^2).
-``intrinsic_riemann`` is its one-centre call.
+A single centre is a batch of one.
 """
 
 from __future__ import annotations
@@ -37,26 +39,34 @@ import numpy as np
 from .charts import ParamTriple, SurfaceChart
 from .frames import RankDeficient, _horizontal_rows
 # ``curvature.shape_operator`` stays bound: the benchmark's tracer tests read it.
-from .shape import ShapeData, shape_operator  # noqa: F401
+from .shape import ShapeData, ShapeGrid, shape_operator  # noqa: F401
+
+
+def _outer(S: np.ndarray) -> np.ndarray:
+    """O[..., a, b, c, d] = S[..., a, b] S[..., c, d]; leading axes batch."""
+    return S[..., None, None] * S[..., None, None, :, :]
+
 
 def _wedge(O: np.ndarray) -> np.ndarray:
-    """[x, y, z, w] -> S[z, y] T[w, x] - S[z, x] T[w, y] from the outer
-    product O[a, b, c, d] = S[a, b] T[c, d]."""
-    return O.transpose(3, 1, 0, 2) - O.transpose(1, 3, 0, 2)
+    """[..., x, y, z, w] -> S[z, y] T[w, x] - S[z, x] T[w, y] from the outer
+    product O[..., a, b, c, d] = S[a, b] T[c, d]: the first term with x and y
+    swapped is the second."""
+    first = O.swapaxes(-4, -1).swapaxes(-2, -1)
+    return first - first.swapaxes(-4, -3)
 
 
 # The constant-curvature term of the Gauss equation, <Y,Z>X - <X,Z>Y.
-_WEDGE_EYE = _wedge(np.multiply.outer(np.eye(3), np.eye(3)))
+_WEDGE_EYE = _wedge(_outer(np.eye(3)))
 _TWO_EYE = 2.0 * np.eye(3)  # the constant term of the closed-form Ricci tensor
 
 
-def _gauss_tensor(shape: ShapeData) -> np.ndarray:
-    """R[x, y, z, w] = <R(e_x, e_y) e_z, e_w>, all 81 frame components, with the
-    P and A wedges taken as one (``_wedge`` is linear) and the last P term read
+def _gauss_tensor(shape: ShapeData | ShapeGrid) -> np.ndarray:
+    """R[..., x, y, z, w] = <R(e_x, e_y) e_z, e_w>, all 81 frame components at
+    each point of ``shape`` (one, or stacked along leading axes), with the P
+    and A wedges taken as one (``_wedge`` is linear) and the last P term read
     as P[y, x] P[w, z] off the same outer product P (x) P."""
-    A, P = shape.A, shape.P
-    PP = np.multiply.outer(P, P)
-    return _WEDGE_EYE + _wedge(PP + np.multiply.outer(A, A)) - 2.0 * PP.transpose(1, 0, 3, 2)
+    PP = _outer(shape.P)
+    return _WEDGE_EYE + _wedge(PP + _outer(shape.A)) - 2.0 * PP.swapaxes(-4, -3).swapaxes(-2, -1)
 
 
 class RicciMismatch(AssertionError):
@@ -251,14 +261,6 @@ def intrinsic_riemann_batch(
     R = np.full((len(errors), 3, 3, 3, 3), math.nan)
     R[good] = x - x.swapaxes(1, 2)
     return R, [e and f"chart {chart.name!r} at {q}: {e}" for q, e in zip(qs, errors)]
-
-
-def intrinsic_riemann(chart: SurfaceChart, q: ParamTriple, h: float = 1e-3) -> np.ndarray:
-    """``intrinsic_riemann_batch`` at the one centre q; raises its ``SingularMetric``."""
-    (R,), (error,) = intrinsic_riemann_batch(chart, [q], h)
-    if error:
-        raise SingularMetric(error)
-    return R
 
 
 def gauss_riemann_coords(coeffs: np.ndarray, T: np.ndarray) -> np.ndarray:

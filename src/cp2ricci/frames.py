@@ -5,14 +5,15 @@ read as a (3, 3) complex array D, are projected onto the horizontal space
 (the orthogonal complement of p and i p) by one complex projection,
 D - (D conj(p)) p, and viewed as three real rows W of R^6; the same helper
 projects a whole stack of points at once for the intrinsic curvature
-stencil.  Those rows are orthonormalized by Cholesky-QR twice: with L1 the
+stencil and the batched shape operator.  Those rows are orthonormalized by Cholesky-QR twice: with L1 the
 Cholesky factor of the Gram matrix W W^T, E1 = L1^-1 W, and with L2 that of
 E1 E1^T, E = L2^-1 E1.  This is Gram-Schmidt with a positive diagonal, so
 row i of ``coeffs`` = L2^-1 L1^-1 expresses e_i in the horizontalized
 partials.  Both 3x3 factors and their inverses are closed forms on Python
-floats.  The rank guard compares each Gram-Schmidt remainder, read as
-diag(W E^T), with ``RANK_TOL`` (a NaN one fails); that stays accurate where
-the Gram matrix is ill-conditioned.  The frame is completed by the unique
+floats, or on arrays for a stack of frames (``_inverse_cholesky_stack``).
+The rank guard compares each Gram-Schmidt remainder, read as diag(W E^T),
+with ``RANK_TOL`` (a NaN one fails); that stays accurate where the Gram
+matrix is ill-conditioned.  The frame is completed by the unique
 horizontal unit normal n, read off the kernel of the skew matrix
 <i e_j, e_k>; its sign follows a deterministic rule (the first component of
 largest modulus is >= 0) so that runs are reproducible.
@@ -65,6 +66,24 @@ def _inverse_cholesky(X: np.ndarray) -> np.ndarray:
     m10 = -l10 * m00 * m11
     m20, m21 = -(l20 * m00 + l21 * m10) * m22, -l21 * m11 * m22
     return np.array([m00, 0.0, 0.0, m10, m11, 0.0, m20, m21, m22]).reshape(3, 3)
+
+
+def _inverse_cholesky_stack(X: np.ndarray) -> np.ndarray:
+    """``_inverse_cholesky`` of every stacked row triple X (..., 3, m): its
+    closed form entry by entry on arrays, with its bits.  The per-point form
+    stays on Python floats, which are faster for one frame."""
+    (g00, g01, g02), (_, g11, g12), (_, _, g22) = np.moveaxis(X @ X.swapaxes(-1, -2), (-2, -1), (0, 1))
+    root = lambda d: np.sqrt(np.where(d > 0.0, d, math.nan))  # noqa: E731
+    l00 = root(g00)
+    l10, l20 = g01 / l00, g02 / l00
+    l11 = root(g11 - l10 * l10)
+    l21 = (g12 - l20 * l10) / l11
+    l22 = root(g22 - l20 * l20 - l21 * l21)
+    m00, m11, m22 = 1.0 / l00, 1.0 / l11, 1.0 / l22
+    m10 = -l10 * m00 * m11
+    m20, m21 = -(l20 * m00 + l21 * m10) * m22, -l21 * m11 * m22
+    zero = np.zeros_like(m00)
+    return np.stack([m00, zero, zero, m10, m11, zero, m20, m21, m22], axis=-1).reshape(*m00.shape, 3, 3)
 
 
 @dataclass(frozen=True)

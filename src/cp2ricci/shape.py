@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .charts import ParamTriple, SurfaceChart
-from .frames import MovingFrame, build_frame
+from .frames import RANK_TOL, MovingFrame, _horizontal_rows, _inverse_cholesky_stack, build_frame
 
 
 ASYM_TOL = 1e-6  # the largest pre-symmetrization asymmetry a shape operator accepts
@@ -114,3 +114,63 @@ def shape_operator(chart: SurfaceChart, q: ParamTriple, h: float = 1e-5) -> Shap
     xi = -in_e  # components of -i n in the frame
 
     return ShapeData.from_matrices(A, P, xi, asymmetry=asym, frame=frame)
+
+
+@dataclass(frozen=True)
+class ShapeGrid:
+    """``shape_operator`` at N parameter points, stacked: per point its flag
+    (``ok``, ``RankDeficient`` or ``AsymmetryExceeded``), A and P (N, 3, 3),
+    xi (N, 3) and the frame ``coeffs`` (N, 3, 3), NaN at a flagged point."""
+
+    flags: np.ndarray
+    A: np.ndarray
+    P: np.ndarray
+    xi: np.ndarray
+    coeffs: np.ndarray
+
+
+def shape_operator_grid(chart: SurfaceChart, qs: list[ParamTriple], h: float = 1e-5) -> ShapeGrid:
+    """``shape_operator`` at every point of ``qs`` in one pass over arrays, with
+    its bits at every ``ok`` point.  One ``chart.jet`` call maps each centre
+    and its six stencil points; the 7 N frames are ``build_frame``'s, by
+    batched Cholesky-QR twice, each stacked ``@`` standing for a ``dot``.  A
+    point any of whose seven frames fails the rank guard is flagged
+    ``RankDeficient``; one whose asymmetry is not within ``ASYM_TOL``,
+    ``AsymmetryExceeded``; a flagged point's arrays are NaN."""
+    Q = np.repeat(np.asarray(qs, dtype=np.float64).reshape(-1, 1, 3), 7, axis=1)
+    for a in range(3):  # rows 2a + 1 and 2a + 2 step coordinate a alone, by +h and -h
+        Q[:, 2 * a + 1, a] += h
+        Q[:, 2 * a + 2, a] -= h
+    p, D = chart.jet(Q.reshape(-1, 3))
+    p, D = p.reshape(-1, 7, 3), D.reshape(-1, 7, 3, 3)
+    W = _horizontal_rows(p, D)
+    C1 = _inverse_cholesky_stack(W)
+    E1 = C1 @ W
+    C2 = _inverse_cholesky_stack(E1)
+    E = C2 @ E1
+    full_rank = ((W * E).sum(axis=-1) >= RANK_TOL).all(axis=(1, 2))
+    # The normal from the axial vector of <i e_j, e_k>, by build_frame's sign rule.
+    iE = (1j * E.view(np.complex128)).view(np.float64)
+    G = iE @ E.swapaxes(-1, -2)
+    axial = [G[..., 1, 2] - G[..., 2, 1], G[..., 2, 0] - G[..., 0, 2], G[..., 0, 1] - G[..., 1, 0]]
+    n = np.stack(axial, -1)[..., None, :] @ iE  # (N, 7, 1, 6)
+    first_largest = np.take_along_axis(n, np.abs(n).argmax(axis=-1)[..., None], axis=-1)
+    n *= 1.0 / np.copysign(np.sqrt(n @ n.swapaxes(-1, -2)), first_largest)
+
+    # shape_operator's steps on the centre frame (index 0) and its stencil normals.
+    n, N, E, iE = n[:, 0, 0], n[:, 1:, 0], E[:, 0], iE[:, 0]
+    i_n = (1j * n.view(np.complex128)).view(np.float64)
+    vert = (D[:, 0].view(np.float64) @ (1j * p[:, 0]).view(np.float64)[..., None])[..., 0]
+    np.negative(N, out=N, where=(N @ n[..., None] < 0.0))
+    FD = (1.0 / (2.0 * h)) * (N[:, 0::2] - N[:, 1::2])
+    in_e = (E @ i_n[..., None])[..., 0]
+    raw = -(FD @ E.swapaxes(-1, -2) - vert[..., None] * in_e[:, None, :])
+    coeffs = C2[:, 0] @ C1[:, 0]
+    A_raw = coeffs @ raw
+    asym = np.abs(A_raw - A_raw.swapaxes(-1, -2)).max(axis=(1, 2))
+    A, P, xi = 0.5 * (A_raw + A_raw.swapaxes(-1, -2)), E @ iE.swapaxes(-1, -2), -in_e
+    flags = np.where(full_rank, np.where(asym <= ASYM_TOL, "ok", "AsymmetryExceeded"), "RankDeficient")
+    bad = flags != "ok"
+    for x in (A, P, xi, coeffs):
+        x[bad] = math.nan
+    return ShapeGrid(flags.astype(object), A, P, xi, coeffs)

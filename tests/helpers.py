@@ -1,11 +1,12 @@
 """Helpers shared by several test modules."""
 
+import dataclasses
 import math
 
 import numpy as np
 
-from cp2ricci.charts import ParamTriple, SurfaceChart, _RULED_MODES, _TrigField, ruled_chart
-from cp2ricci.curvature import _gauss_tensor
+from cp2ricci.charts import Box, ParamTriple, SurfaceChart, _RULED_MODES, _TrigField, ruled_chart
+from cp2ricci.curvature import SingularMetric, _gauss_tensor, intrinsic_riemann_batch
 from cp2ricci.exact.mpoly import MPoly
 from cp2ricci.frames import _horizontal_rows
 from cp2ricci.shape import ShapeData
@@ -39,6 +40,15 @@ def induced_metric(chart: SurfaceChart, q: ParamTriple) -> np.ndarray:
     a reference for ``curvature._stencil_metric``."""
     W = _horizontal_rows(chart.evaluate(*q), chart.partials(*q))
     return W.dot(W.T)
+
+
+def intrinsic_riemann(chart: SurfaceChart, q: ParamTriple, h: float = 1e-3) -> np.ndarray:
+    """``curvature.intrinsic_riemann_batch`` at the one centre q; raises its
+    ``SingularMetric``."""
+    (R,), (error,) = intrinsic_riemann_batch(chart, [q], h)
+    if error:
+        raise SingularMetric(error)
+    return R
 
 
 def gauss_riemann_per_shape(shape: ShapeData) -> np.ndarray:
@@ -86,6 +96,17 @@ def perturbed_reference(epsilon: float = 0.05, seed: int = 0) -> SurfaceChart:
 
     base = ruled_chart()
     return SurfaceChart("perturbed-reference", evaluate, partials, base.sample_box, base.is_singular)
+
+
+def near_singular_box(chart: SurfaceChart) -> SurfaceChart:
+    """``chart`` sampled on a box whose lower edge in the second singular
+    coordinate (u of the ruled chart, s of the sphere) is 5e-4: inside
+    ``SINGULAR_MARGIN``, although the metric is invertible there."""
+    axis = 0 if chart.name == "ruled" else 1
+    lo = list(chart.sample_box.lo)
+    lo[axis] = 5e-4
+    assert chart.is_singular(*lo)
+    return dataclasses.replace(chart, sample_box=Box(tuple(lo), chart.sample_box.hi))
 
 
 def flip_normal(s: ShapeData) -> ShapeData:

@@ -17,10 +17,9 @@ from cp2ricci.charts import (
     ruled_chart,
     sphere_chart,
 )
-from cp2ricci.curvature import intrinsic_riemann
 from cp2ricci.frames import build_frame
 from cp2ricci.shape import shape_operator
-from helpers import perturbed_reference, trig_field_value
+from helpers import intrinsic_riemann, perturbed_reference, trig_field_value
 
 RULED_SAMPLES = [(0.6, 1.0, 2.0), (0.35, 5.9, 0.2), (1.1, 3.0, 4.5), (-0.8, 2.2, 1.3)]
 SPHERE_SAMPLES = [(0.3, 0.7, 0.4), (5.0, 1.1, 2.0), (2.0, 0.5, 5.5)]

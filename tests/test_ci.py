@@ -131,6 +131,13 @@ def test_the_workflow_runs_the_cli():
     steps = STEPS["Crosscheck with a step far above the chart scale fails without warnings"]
     assert steps[0] == ["cp2ricci", argv, 1, "$RUNNER_TEMP/step300.err"]
     assert steps[1][1] == 'test ! -s "$RUNNER_TEMP/step300.err"'
+    # a singular stencil metric (step 0.3) and a stencil neighbour in the singular
+    # locus (step 0.37): flagged rows pass through the batched kernels quietly
+    steps = STEPS["Crosscheck with a singular stencil metric or stencil neighbour fails without warnings"]
+    for line, step in zip(steps[0::2], ("0.3", "0.37")):
+        argv = ["cp2ricci", "crosscheck", "--grid", "2", "--step", step]
+        assert line == ["cp2ricci", argv, 1, f"$RUNNER_TEMP/step{step.replace('.', '')}.err"]
+    assert [line[0] for line in steps] == ["cp2ricci", "file"] * 2
     # the golden perturbed scan
     assert ["cmp", ["cmp", "$RUNNER_TEMP/scan.csv", "tests/data/scan_perturbed_g4.csv"]] in (
         STEPS["Perturbed scan smoke"]

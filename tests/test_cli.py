@@ -14,7 +14,7 @@ import pytest
 
 from cp2ricci import cli
 from cp2ricci import curvature as cv
-from cp2ricci.charts import Box, perturbed_ruled_chart, ruled_chart, sphere_chart
+from cp2ricci.charts import perturbed_ruled_chart, ruled_chart, sphere_chart
 from cp2ricci.frames import build_frame
 from cp2ricci.report import (
     EXACT_ZERO,
@@ -24,6 +24,7 @@ from cp2ricci.report import (
     run_report,
     scan_to_csv,
 )
+from helpers import near_singular_box
 
 DATA = Path(__file__).parent / "data"
 
@@ -481,19 +482,8 @@ def test_non_finite_scan_emits_no_warning():
     assert [r.flags for r in rows] == ["RankDeficient"] * 8
 
 
-def _near_singular_box(chart):
-    """``chart`` sampled on a box whose lower edge in the second singular
-    coordinate (u of the ruled chart, s of the sphere) is 5e-4: inside
-    ``SINGULAR_MARGIN``, although the metric is invertible there."""
-    axis = 0 if chart.name == "ruled" else 1
-    lo = list(chart.sample_box.lo)
-    lo[axis] = 5e-4
-    assert chart.is_singular(*lo)
-    return dataclasses.replace(chart, sample_box=Box(tuple(lo), chart.sample_box.hi))
-
-
 def test_ruled_check_counts_declared_singular_points_as_errors(monkeypatch):
-    chart = _near_singular_box(ruled_chart())
+    chart = near_singular_box(ruled_chart())
     build_frame(chart, chart.sample_box.lo)  # computable, but declared singular
     monkeypatch.setattr(cli, "ruled_chart", lambda: chart)
     reports = cli.cmd_check_ruled(grid=2)
@@ -503,7 +493,7 @@ def test_ruled_check_counts_declared_singular_points_as_errors(monkeypatch):
 
 
 def test_sphere_check_counts_declared_singular_points_as_errors(monkeypatch):
-    chart = _near_singular_box(sphere_chart(math.pi / 4))
+    chart = near_singular_box(sphere_chart(math.pi / 4))
     build_frame(chart, chart.sample_box.lo)
     monkeypatch.setattr(cli, "sphere_chart", lambda r: chart)
     for r in cli.cmd_check_sphere(grid=2):
@@ -511,7 +501,7 @@ def test_sphere_check_counts_declared_singular_points_as_errors(monkeypatch):
 
 
 def test_scan_flags_declared_singular_points(monkeypatch):
-    chart = _near_singular_box(ruled_chart())
+    chart = near_singular_box(ruled_chart())
     monkeypatch.setattr(cli, "parse_surface", lambda *args: chart)
     reports, rows = cli.cmd_scan("ruled", grid=2)
     assert reports[0].status == "fail" and reports[0].details["errors"] == 4
@@ -524,7 +514,7 @@ def test_scan_flags_declared_singular_points(monkeypatch):
 @pytest.mark.parametrize("flagged", ["ruled", "sphere"])
 def test_crosscheck_counts_declared_singular_grid_points_as_errors(flagged, monkeypatch):
     # Four of the eight grid points of one chart lie in its singular locus.
-    chart = _near_singular_box(ruled_chart() if flagged == "ruled" else sphere_chart(math.pi / 4))
+    chart = near_singular_box(ruled_chart() if flagged == "ruled" else sphere_chart(math.pi / 4))
     monkeypatch.setattr(cli, f"{flagged}_chart", lambda *args: chart)
     reports = cli.cmd_crosscheck(grid=2)
     errors = {r.name: r.details.get("errors", 0) for r in reports}
@@ -575,7 +565,7 @@ def test_only_ok_crosscheck_rows_enter_the_stacked_inverse(make, monkeypatch):
     # Four grid points are in the singular locus, so their table rows are NaN;
     # every matrix stack inverted in the pass is finite, and the ok gaps are
     # those of the full pass.
-    chart = _near_singular_box(make())
+    chart = near_singular_box(make())
     inv, inverted = np.linalg.inv, []
     monkeypatch.setattr(np.linalg, "inv", lambda a: inverted.append(np.asarray(a)) or inv(a))
     flags, gaps = cli._crosscheck_grid(chart, 2, 1e-3)
@@ -598,8 +588,8 @@ def test_stencil_centre_in_the_singular_locus_is_a_flagged_point(capsys):
 
 
 def test_singular_holomorphic_plane_stencil_fails_its_check(monkeypatch):
-    # Every centre of every batched stencil pass fails, so the one-centre
-    # intrinsic_riemann of the holomorphic-plane check raises its message.
+    # Every centre of every batched stencil pass fails, so the holomorphic-plane
+    # check's one-centre pass raises its message as a SingularMetric.
     def singular(chart, qs, h=1e-3):
         return np.full((len(qs), 3, 3, 3, 3), math.nan), ["singular metric on the stencil"] * len(qs)
 

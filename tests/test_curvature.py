@@ -3,6 +3,7 @@ import functools
 import math
 import random
 import sys
+import types
 import warnings
 
 import numpy as np
@@ -11,8 +12,8 @@ import pytest
 from cp2ricci import curvature as cv
 from cp2ricci.charts import perturbed_ruled_chart, ruled_chart, sphere_chart
 from cp2ricci.frames import RankDeficient
-from cp2ricci.shape import ShapeData, shape_operator
-from helpers import flip_normal, gauss_riemann_per_shape, induced_metric, riemann_gauss
+from cp2ricci.shape import ShapeData, shape_operator, shape_operator_grid
+from helpers import flip_normal, gauss_riemann_per_shape, induced_metric, intrinsic_riemann, riemann_gauss
 
 
 def _sphere_model_data(r):
@@ -187,6 +188,19 @@ def test_delta2_at_nearly_tied_top_ricci_eigenvalues():
     assert rep.min_sectional == cv.plane_curvature(cv._gauss_tensor(s), rep.min_plane_normal)
 
 
+def test_gauss_tensor_of_stacked_shapes_is_the_per_point_tensor_bitwise():
+    shapes = [cv.random_shape_data(random.Random(seed)) for seed in range(12)]
+    A, P = (np.array([getattr(s, k) for s in shapes]).reshape(3, 4, 3, 3) for k in "AP")
+    T = cv._gauss_tensor(types.SimpleNamespace(A=A, P=P))  # two leading axes
+    assert T.shape == (3, 4, 3, 3, 3, 3)
+    assert T.tobytes() == np.array([cv._gauss_tensor(s) for s in shapes]).tobytes()
+    # The kernel's record is read the same way.
+    chart = sphere_chart(math.pi / 6)
+    qs = list(chart.sample_box.grid(3))
+    per_point = np.array([cv._gauss_tensor(shape_operator(chart, q)) for q in qs])
+    assert cv._gauss_tensor(shape_operator_grid(chart, qs)).tobytes() == per_point.tobytes()
+
+
 def test_gauss_tensor_matches_riemann_gauss():
     shapes = random.Random(9)
     basis = np.eye(3)
@@ -263,7 +277,7 @@ def _crosscheck(chart, q, h=1e-3):
     """Max componentwise gap between the intrinsic and the shape-based
     curvature tensors at q."""
     gauss = _gauss_coords(shape_operator(chart, q))
-    return float(np.max(np.abs(cv.intrinsic_riemann(chart, q, h) - gauss)))
+    return float(np.max(np.abs(intrinsic_riemann(chart, q, h) - gauss)))
 
 
 def test_intrinsic_matches_gauss_curvature():
@@ -335,7 +349,7 @@ def test_intrinsic_riemann_symmetries(chart):
     lo, hi = np.array(chart.sample_box.lo), np.array(chart.sample_box.hi)
     for _ in range(5):
         q = tuple(float(x) for x in lo + (hi - lo) * rng.random(3))
-        r = cv.intrinsic_riemann(chart, q)
+        r = intrinsic_riemann(chart, q)
         scale = np.max(np.abs(r))
         assert np.array_equal(r, -r.transpose(1, 0, 2, 3))
         bianchi = r + r.transpose(1, 2, 0, 3) + r.transpose(2, 0, 1, 3)  # R_abcd + R_bcad + R_cabd
@@ -353,9 +367,9 @@ def test_intrinsic_riemann_evaluates_the_metric_at_19_points():
         return chart.evaluate(*q)
 
     counted = dataclasses.replace(chart, evaluate=evaluate)
-    r = cv.intrinsic_riemann(counted, (0.6, 1.0, 2.0))
+    r = intrinsic_riemann(counted, (0.6, 1.0, 2.0))
     assert len(points) == len(set(points)) == 19
-    assert np.array_equal(r, cv.intrinsic_riemann(chart, (0.6, 1.0, 2.0)))
+    assert np.array_equal(r, intrinsic_riemann(chart, (0.6, 1.0, 2.0)))
 
 
 def _per_point_intrinsic_riemann(chart, q, h=1e-3):
@@ -414,7 +428,7 @@ def test_frame_pushed_plane_curvature_matches_the_metric_formula(chart):
     for q in _sample_points(chart, 20, 17):
         s = shape_operator(chart, q)
         C = s.frame.coeffs
-        r = cv.intrinsic_riemann(chart, q)
+        r = intrinsic_riemann(chart, q)
         R = np.einsum("ia,jb,kc,ld,abcd->ijkl", C, C, C, C, r)
         g = induced_metric(chart, q)
         m = rng.normal(size=3)
@@ -429,7 +443,7 @@ def test_frame_pushed_plane_curvature_matches_the_metric_formula(chart):
 @pytest.mark.parametrize("chart", _STENCIL_CHARTS, ids=lambda c: c.name)
 def test_stencil_array_matches_the_per_point_stencil(chart):
     for q in _sample_points(chart, 100, 15):
-        r = cv.intrinsic_riemann(chart, q)
+        r = intrinsic_riemann(chart, q)
         expected = _per_point_intrinsic_riemann(chart, q)
         assert np.max(np.abs(r - expected)) <= 1e-9 * np.max(np.abs(expected))
 
@@ -449,7 +463,7 @@ def test_batched_riemann_equals_each_centre_alone(chart):
     R, errors = cv.intrinsic_riemann_batch(chart, qs)
     assert R.shape == (27, 3, 3, 3, 3) and errors == [None] * 27
     for q, r in zip(qs, R):
-        assert np.array_equal(r, cv.intrinsic_riemann(chart, q))
+        assert np.array_equal(r, intrinsic_riemann(chart, q))
 
 
 def _mixed_chart():
@@ -481,10 +495,10 @@ def test_a_batch_flags_exactly_its_bad_centres():
             assert error == f"chart 'ruled' at {q}: {bad[q]}"
             assert np.isnan(r).all()
             with pytest.raises(cv.SingularMetric, match=bad[q]):
-                cv.intrinsic_riemann(chart, q)
+                intrinsic_riemann(chart, q)
         else:
             assert error is None
-            assert np.array_equal(r, cv.intrinsic_riemann(chart, q))
+            assert np.array_equal(r, intrinsic_riemann(chart, q))
 
 
 def test_a_batch_calls_the_chart_19_times_per_evaluated_centre():
@@ -620,7 +634,7 @@ def test_intrinsic_riemann_converges_at_second_order():
     # The error against the shape-based tensor falls 4x per halving of h.
     for chart, q in ((ruled_chart(), (0.6, 1.0, 2.0)), (sphere_chart(math.pi / 4), (0.3, 0.7, 0.4))):
         exact = _gauss_coords(shape_operator(chart, q))
-        errors = [np.max(np.abs(cv.intrinsic_riemann(chart, q, h) - exact)) for h in (4e-3, 2e-3, 1e-3)]
+        errors = [np.max(np.abs(intrinsic_riemann(chart, q, h) - exact)) for h in (4e-3, 2e-3, 1e-3)]
         for coarse, fine in zip(errors, errors[1:]):
             assert 3.9 < coarse / fine < 4.1
 
@@ -629,9 +643,9 @@ def test_singular_stencil_metric_raises_singular_metric():
     # u = 0.3 with h = 0.3 puts an axis neighbour on u = 0, where the
     # t-partial vanishes and the metric is singular.
     with pytest.raises(cv.SingularMetric):
-        cv.intrinsic_riemann(ruled_chart(), (0.3, 1.0, 2.0), h=0.3)
+        intrinsic_riemann(ruled_chart(), (0.3, 1.0, 2.0), h=0.3)
     with pytest.raises(cv.SingularMetric):
-        cv.intrinsic_riemann(perturbed_ruled_chart(math.nan, 0), (0.6, 1.0, 2.0))
+        intrinsic_riemann(perturbed_ruled_chart(math.nan, 0), (0.6, 1.0, 2.0))
     assert issubclass(cv.SingularMetric, RankDeficient)
 
 
@@ -639,9 +653,9 @@ def test_singular_stencil_metric_raises_singular_metric():
 def test_step_below_the_parameter_resolution_raises_singular_metric(h):
     # q +- h e_a rounds to q, so the differences would read 0 or 0/0.
     with pytest.raises(cv.SingularMetric, match="below the parameter resolution"):
-        cv.intrinsic_riemann(ruled_chart(), (0.6, 1.0, 2.0), h=h)
+        intrinsic_riemann(ruled_chart(), (0.6, 1.0, 2.0), h=h)
     with pytest.raises(cv.SingularMetric, match="below the parameter resolution"):
-        cv.intrinsic_riemann(sphere_chart(math.pi / 4), (0.3, 0.7, 0.4), h=h)
+        intrinsic_riemann(sphere_chart(math.pi / 4), (0.3, 0.7, 0.4), h=h)
 
 
 def test_underflowing_step_squared_raises_singular_metric():
@@ -653,7 +667,7 @@ def test_underflowing_step_squared_raises_singular_metric():
     chart = dataclasses.replace(ruled_chart(), evaluate=evaluate, is_singular=lambda *q: False)
     for h in (1e-160, 1e-155):
         with pytest.raises(cv.SingularMetric, match="below the parameter resolution"):
-            cv.intrinsic_riemann(chart, (0.0, 0.0, 0.0), h=h)
+            intrinsic_riemann(chart, (0.0, 0.0, 0.0), h=h)
 
 
 def test_singular_metric_at_the_centre_raises_singular_metric():
@@ -662,7 +676,7 @@ def test_singular_metric_at_the_centre_raises_singular_metric():
     chart = dataclasses.replace(ruled_chart(), is_singular=lambda *q: False)
     assert np.linalg.matrix_rank(induced_metric(chart, (0.0, 1.0, 2.0))) < 3
     with pytest.raises(cv.SingularMetric, match="singular metric at the centre"):
-        cv.intrinsic_riemann(chart, (0.0, 1.0, 2.0))
+        intrinsic_riemann(chart, (0.0, 1.0, 2.0))
 
 
 def test_stencil_centre_in_the_singular_locus_raises_singular_metric():
@@ -671,7 +685,7 @@ def test_stencil_centre_in_the_singular_locus_raises_singular_metric():
     chart = ruled_chart()
     assert chart.is_singular(0.0005, 1.0, 2.0)
     with pytest.raises(cv.SingularMetric):
-        cv.intrinsic_riemann(chart, (0.3005, 1.0, 2.0), h=0.3)
+        intrinsic_riemann(chart, (0.3005, 1.0, 2.0), h=0.3)
 
 
 def test_ricci_selfcheck_runs():

@@ -64,6 +64,21 @@ def test_batched_horizontal_rows_equal_the_per_point_projection():
         assert np.max(np.abs(W[k] - np.array(ws).view(np.float64))) < 1e-15
 
 
+def test_stacked_inverse_cholesky_equals_the_per_point_closed_form_bitwise():
+    # Random row triples, then ones with a zero first or last row or a NaN entry,
+    # whose pivots are not positive: the NaN entries fall in the same places.
+    rng = np.random.default_rng(5)
+    X = rng.normal(size=(40, 3, 6))
+    X[30, 0] = 0.0
+    X[31, 2] = 0.0
+    X[32, 1, 3] = math.nan
+    C = frames._inverse_cholesky_stack(X.reshape(4, 10, 3, 6))
+    assert C.shape == (4, 10, 3, 3)
+    expected = np.array([frames._inverse_cholesky(x) for x in X])
+    assert np.array_equal(C.reshape(40, 3, 3), expected, equal_nan=True)
+    assert np.isnan(expected[30:33]).any(axis=(1, 2)).all()
+
+
 def test_frame_determinism():
     a = build_frame(ruled_chart(), (0.6, 1.0, 2.0))
     b = build_frame(ruled_chart(), (0.6, 1.0, 2.0))

@@ -1,13 +1,15 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from cp2ricci import shape
-from cp2ricci.charts import ruled_chart, sphere_chart
-from cp2ricci.shape import AsymmetryExceeded, ShapeData, shape_operator
-from helpers import flip_normal
+from cp2ricci.charts import perturbed_ruled_chart, ruled_chart, sphere_chart
+from cp2ricci.frames import RankDeficient, build_frame
+from cp2ricci.shape import AsymmetryExceeded, ShapeData, shape_operator, shape_operator_grid
+from helpers import flip_normal, near_singular_box
 
 # Regression baseline: grid minimum of the Hopf defect over the default
 # 16^3 ruled box, frozen after the first full run.
@@ -198,3 +200,85 @@ def test_from_matrices_derived_scalars():
     assert s.hopf_defect == 0.0
     assert abs(s.mean_curvature - 2.0 / 3.0) < 1e-15
     assert max(invariant_residuals(s).values()) < 1e-15
+
+
+# -- the batched kernel against the per-point shape operator ---------------------
+
+
+def _grid_against_per_point(chart, qs, h=1e-5):
+    """``shape_operator_grid`` at ``qs``, checked against ``shape_operator`` at
+    each q: the same flag (the class name of the exception it raises, or
+    ``ok``) and, where ``ok``, the same bits of A, P, xi and ``coeffs``;
+    NaN where flagged.  Returns the flags."""
+    g = shape_operator_grid(chart, qs, h)
+    assert g.flags.shape == (len(qs),)
+    for k, q in enumerate(qs):
+        try:
+            s = shape_operator(chart, q, h)
+        except (RankDeficient, AsymmetryExceeded) as exc:
+            assert g.flags[k] == type(exc).__name__, q
+            assert all(np.isnan(x[k]).all() for x in (g.A, g.P, g.xi, g.coeffs)), q
+            continue
+        assert g.flags[k] == "ok", q
+        assert np.array_equal(g.A[k], s.A) and np.array_equal(g.P[k], s.P), q
+        assert np.array_equal(g.xi[k], s.xi) and np.array_equal(g.coeffs[k], s.frame.coeffs), q
+    return g.flags.tolist()
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        ruled_chart,
+        lambda: sphere_chart(math.pi / 4),
+        lambda: sphere_chart(math.pi / 6),
+        lambda: perturbed_ruled_chart(0.05, 0),
+        lambda: perturbed_ruled_chart(0.2, 3),
+    ],
+    ids=["ruled", "sphere:pi/4", "sphere:pi/6", "perturbed-ruled:0.05,0", "perturbed-ruled:0.2,3"],
+)
+def test_shape_operator_grid_is_the_per_point_shape_operator_bitwise(make):
+    chart = make()
+    assert _grid_against_per_point(chart, list(chart.sample_box.grid(4))) == ["ok"] * 64
+
+
+def test_shape_operator_grid_aligns_a_stencil_normal_across_the_sign_rule():
+    # Between t - h and t the normal's first component of largest modulus
+    # changes, so the sign rule flips the stencil normal at t - h.
+    chart, q = sphere_chart(math.pi / 4), (1.1, 1.2, 0.297095)
+    n = build_frame(chart, q).rows[4]
+    assert n.dot(build_frame(chart, (1.1, 1.2, q[2] - 1e-5)).rows[4]) < 0.0
+    assert _grid_against_per_point(chart, [q, (1.1, 1.2, 0.3)]) == ["ok", "ok"]
+
+
+def test_shape_operator_grid_flags_a_non_finite_chart_quietly():
+    chart = perturbed_ruled_chart(math.nan, 0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        flags = _grid_against_per_point(chart, list(chart.sample_box.grid(2)))
+    assert flags == ["RankDeficient"] * 8
+
+
+@pytest.mark.parametrize("make", [ruled_chart, lambda: sphere_chart(math.pi / 4)], ids=["ruled", "sphere"])
+def test_shape_operator_grid_agrees_on_the_near_singular_box(make):
+    # The declared-singular edge is computable, so every point is ok.
+    chart = near_singular_box(make())
+    assert _grid_against_per_point(chart, list(chart.sample_box.grid(3))) == ["ok"] * 27
+
+
+def test_shape_operator_grid_flags_each_rank_deficient_frame():
+    # u = 0 fails at the centre; u = h only at the stencil point u - h = 0.
+    qs = [(0.0, 1.0, 2.0), (1e-5, 1.0, 2.0), (0.6, 1.0, 2.0), (math.pi / 2, 1.0, 2.0)]
+    flags = _grid_against_per_point(ruled_chart(), qs)
+    assert flags == ["RankDeficient", "RankDeficient", "ok", "RankDeficient"]
+
+
+def test_shape_operator_grid_flags_a_coarse_step_as_asymmetry():
+    chart = ruled_chart()
+    flags = _grid_against_per_point(chart, list(chart.sample_box.grid(4)), h=2e-3)
+    assert set(flags) == {"ok", "AsymmetryExceeded"}
+
+
+def test_shape_operator_grid_of_no_points_is_empty():
+    g = shape_operator_grid(ruled_chart(), [])
+    assert g.flags.shape == (0,) and g.xi.shape == (0, 3)
+    assert g.A.shape == g.P.shape == g.coeffs.shape == (0, 3, 3)
