@@ -243,19 +243,20 @@ def intrinsic_riemann_batch(
     for k in np.flatnonzero(~np.isfinite(G).all(axis=(1, 2, 3))).tolist():
         errors[k] = errors[k] or "non-finite metric on the stencil"
     good = [k for k, e in enumerate(errors) if e is None]
+    dg = np.einsum("cn,xnab->xcab", D1, G[good]) / h  # dg[x, c, a, b] = d_c g_ab
     try:
-        np.linalg.inv(G[good, 0])
+        gamma = christoffel(G[good, 0], dg)
     except np.linalg.LinAlgError:  # raised for the whole stack: find each singular g
         for k in good:
             try:
                 np.linalg.inv(G[k, 0])
             except np.linalg.LinAlgError:
                 errors[k] = "singular metric at the centre"
+        dg = dg[[errors[k] is None for k in good]]
         good = [k for k in good if errors[k] is None]
+        gamma = christoffel(G[good, 0], dg)
     g, G = G[good, 0], G[good]
-    dg = np.einsum("cn,xnab->xcab", D1, G) / h  # dg[x, c, a, b] = d_c g_ab
     ddg = np.einsum("acn,xnbd->xacbd", D2, G) / (h * h)  # ddg[x, a, c, b, d] = d_a d_c g_bd
-    gamma = christoffel(g, dg)
     x = 0.5 * (np.einsum("xacbd->xabcd", ddg) - np.einsum("xadbc->xabcd", ddg))
     x += np.einsum("xef,xfbd,xeac->xabcd", g, gamma, gamma)
     R = np.full((len(errors), 3, 3, 3, 3), math.nan)
@@ -285,20 +286,17 @@ def geodesic_sphere_curvatures(r: float) -> np.ndarray:
 
 
 def geodesic_sphere_deficit(r: float) -> float:
-    """Closed-form deficit of the radius-r geodesic sphere.
+    """Closed-form deficit a^2 / 4 = cot^2(2r) of the radius-r geodesic sphere.
 
     In the principal frame (xi, X, PX) the Ricci form is diagonal with
     entries 2 + tr(A) a - a^2 on the structure direction (a = 2 cot 2r) and
-    5 + tr(A) c - c^2 on the holomorphic directions (c = cot r).  Near r = 0
-    they overflow, without a warning, to a non-finite deficit.
+    5 + tr(A) c - c^2 on the holomorphic directions (c = cot r).  Since
+    a = c - 1/c, the second exceeds the first by 3 + c^2 - ac = 4, and
+    (9/4)(tr(A)/3)^2 + 5 minus it cancels to a^2 / 4.  On Python floats it
+    overflows to inf near r = 0, without a warning.
     """
-    a, c, _ = geodesic_sphere_curvatures(r)
-    with np.errstate(over="ignore", invalid="ignore"):
-        tr = a + 2.0 * c
-        ric_xi = 2.0 + tr * a - a * a
-        ric_hol = 5.0 + tr * c - c * c
-        max_ric = max(ric_xi, ric_hol)
-        return 2.25 * (tr / 3.0) ** 2 + 5.0 - max_ric
+    a = float(geodesic_sphere_curvatures(r)[0])
+    return 0.25 * a * a
 
 
 def random_shape_data(rng: random.Random) -> ShapeData:

@@ -11,11 +11,11 @@ recorded and guarded by ``ASYM_TOL``, since the true operator is symmetric
 and asymmetry measures numerical error.  The normal and its sign are the
 frame's (see ``frames``); a flipped normal negates A and xi.
 
-The frame is read as its real rows ``frame.rows`` = [i p, e_1, e_2, e_3, n]
-and their images under i, one complex multiplication of the whole block.  The
-six stencil normals (the last stencil frame rows) fill one (6, 6) array; one
-masked negation flips those with a negative dot with the center normal (a
-zero or NaN dot keeps the sign) and one strided subtraction differences them.
+The frames come from ``frames``: seven ``build_frame`` calls for
+``shape_operator`` at one point, one ``_frame_stack`` call for
+``shape_operator_grid`` at N points.  Both hand them to one finite-difference
+tail on arrays with leading axes, ``_shape_tail``, and differ only in their
+reaction to ``ASYM_TOL``: the first raises, the second flags the point.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .charts import ParamTriple, SurfaceChart
-from .frames import RANK_TOL, MovingFrame, _horizontal_rows, _inverse_cholesky_stack, build_frame
+from .frames import MovingFrame, _frame_stack, build_frame
 
 
 ASYM_TOL = 1e-6  # the largest pre-symmetrization asymmetry a shape operator accepts
@@ -81,38 +81,40 @@ class ShapeData:
         )
 
 
+def _shape_tail(R: np.ndarray, N: np.ndarray, D: np.ndarray, coeffs: np.ndarray, h: float) -> tuple:
+    """A, P, xi and A's asymmetry before symmetrization, from the centre
+    frame's rows R (..., 5, 6) and ``coeffs`` (..., 3, 3), the normals N
+    (..., 6, 6) of the frames at q + h e_0, q - h e_0, q + h e_1, ... (aligned
+    in place) and the centre partials D (..., 3, 6) as real rows; leading
+    axes batch."""
+    iR = (1j * R.view(np.complex128)).view(np.float64)
+    E, iE, n, i_n = R[..., 1:4, :], iR[..., 1:4, :], R[..., 4, :], iR[..., 4, :]
+    vert = (D @ R[..., 0, :, None])[..., 0]  # vertical components of the partials (exact)
+    # Centred normal derivatives along the coordinate axes, each stencil
+    # normal sign-aligned to the centre (a zero or NaN dot keeps its sign).
+    np.negative(N, out=N, where=N @ n[..., None] < 0.0)
+    FD = (1.0 / (2.0 * h)) * (N[..., 0::2, :] - N[..., 1::2, :])
+    # D_{W_a} n = FD_a - vert_a * i n, and A e_i = -H(D_{e_i} n).
+    in_e = (E @ i_n[..., None])[..., 0]  # <i n, e_j>
+    raw = -(FD @ E.swapaxes(-1, -2) - vert[..., None] * in_e[..., None, :])
+    A_raw = coeffs @ raw
+    asym = np.abs(A_raw - A_raw.swapaxes(-1, -2)).max(axis=(-2, -1))
+    # P[i, j] = <i e_j, e_i>; xi holds the components of -i n in the frame.
+    return 0.5 * (A_raw + A_raw.swapaxes(-1, -2)), E @ iE.swapaxes(-1, -2), -in_e, asym
+
+
 def shape_operator(chart: SurfaceChart, q: ParamTriple, h: float = 1e-5) -> ShapeData:
     """Shape operator and companions at q by central differences of step h."""
-    frame = build_frame(chart, q)
-    R = frame.rows  # [i p, e_1, e_2, e_3, n]
-    iR = (1j * R.view(np.complex128)).view(np.float64)
-    E, iE, n, i_n = R[1:4], iR[1:4], R[4], iR[4]
-
-    # Vertical components of the chart partials at the center (exact).
-    W = chart.partials(*q).view(np.float64)
-    vert = W.dot(R[0])
-
-    # Centered normal derivatives along the coordinate axes, each stencil
-    # normal sign-aligned to the center.
     u, v, t = q
     stencil = (u + h, v, t), (u - h, v, t), (u, v + h, t), (u, v - h, t), (u, v, t + h), (u, v, t - h)
-    N = np.array([build_frame(chart, qs).rows[4] for qs in stencil])
-    np.negative(N, out=N, where=(N.dot(n) < 0.0)[:, None])
-    FD = (1.0 / (2.0 * h)) * (N[0::2] - N[1::2])
-    # D_{W_a} n = FD_a - vert_a * i n, and A e_i = -H(D_{e_i} n).
-    in_e = E.dot(i_n)  # <i n, e_j>
-    raw = -(FD.dot(E.T) - vert[:, None] * in_e)
-
-    A_raw = frame.coeffs @ raw
-    asym = float(np.abs(A_raw - A_raw.T).max())
+    with np.errstate(over="ignore", invalid="ignore"):
+        frame = build_frame(chart, q)
+        D = chart.partials(*q).view(np.float64)  # before the stencil: a chart may memoize the last q
+        N = np.array([build_frame(chart, qs).rows[4] for qs in stencil])
+        A, P, xi, asym = _shape_tail(frame.rows, N, D, frame.coeffs, h)
+    asym = float(asym)
     if not asym <= ASYM_TOL:
-        raise AsymmetryExceeded(
-            f"chart {chart.name!r} at {q}: asymmetry {asym:.3e} > {ASYM_TOL:.1e}"
-        )
-    A = 0.5 * (A_raw + A_raw.T)
-    P = E @ iE.T  # P[i, j] = <i e_j, e_i>
-    xi = -in_e  # components of -i n in the frame
-
+        raise AsymmetryExceeded(f"chart {chart.name!r} at {q}: asymmetry {asym:.3e} > {ASYM_TOL:.1e}")
     return ShapeData.from_matrices(A, P, xi, asymmetry=asym, frame=frame)
 
 
@@ -131,45 +133,22 @@ class ShapeGrid:
 
 def shape_operator_grid(chart: SurfaceChart, qs: list[ParamTriple], h: float = 1e-5) -> ShapeGrid:
     """``shape_operator`` at every point of ``qs`` in one pass over arrays, with
-    its bits at every ``ok`` point.  One ``chart.jet`` call maps each centre
-    and its six stencil points; the 7 N frames are ``build_frame``'s, by
-    batched Cholesky-QR twice, each stacked ``@`` standing for a ``dot``.  A
-    point any of whose seven frames fails the rank guard is flagged
+    its bits at every ``ok`` point: one ``chart.jet`` call maps each centre and
+    its six stencil points, and one ``_frame_stack`` call builds their 7 N
+    frames.  A point any of whose seven frames fails the rank guard is flagged
     ``RankDeficient``; one whose asymmetry is not within ``ASYM_TOL``,
     ``AsymmetryExceeded``; a flagged point's arrays are NaN."""
     Q = np.repeat(np.asarray(qs, dtype=np.float64).reshape(-1, 1, 3), 7, axis=1)
     for a in range(3):  # rows 2a + 1 and 2a + 2 step coordinate a alone, by +h and -h
         Q[:, 2 * a + 1, a] += h
         Q[:, 2 * a + 2, a] -= h
-    p, D = chart.jet(Q.reshape(-1, 3))
-    p, D = p.reshape(-1, 7, 3), D.reshape(-1, 7, 3, 3)
-    W = _horizontal_rows(p, D)
-    C1 = _inverse_cholesky_stack(W)
-    E1 = C1 @ W
-    C2 = _inverse_cholesky_stack(E1)
-    E = C2 @ E1
-    full_rank = ((W * E).sum(axis=-1) >= RANK_TOL).all(axis=(1, 2))
-    # The normal from the axial vector of <i e_j, e_k>, by build_frame's sign rule.
-    iE = (1j * E.view(np.complex128)).view(np.float64)
-    G = iE @ E.swapaxes(-1, -2)
-    axial = [G[..., 1, 2] - G[..., 2, 1], G[..., 2, 0] - G[..., 0, 2], G[..., 0, 1] - G[..., 1, 0]]
-    n = np.stack(axial, -1)[..., None, :] @ iE  # (N, 7, 1, 6)
-    first_largest = np.take_along_axis(n, np.abs(n).argmax(axis=-1)[..., None], axis=-1)
-    n *= 1.0 / np.copysign(np.sqrt(n @ n.swapaxes(-1, -2)), first_largest)
-
-    # shape_operator's steps on the centre frame (index 0) and its stencil normals.
-    n, N, E, iE = n[:, 0, 0], n[:, 1:, 0], E[:, 0], iE[:, 0]
-    i_n = (1j * n.view(np.complex128)).view(np.float64)
-    vert = (D[:, 0].view(np.float64) @ (1j * p[:, 0]).view(np.float64)[..., None])[..., 0]
-    np.negative(N, out=N, where=(N @ n[..., None] < 0.0))
-    FD = (1.0 / (2.0 * h)) * (N[:, 0::2] - N[:, 1::2])
-    in_e = (E @ i_n[..., None])[..., 0]
-    raw = -(FD @ E.swapaxes(-1, -2) - vert[..., None] * in_e[:, None, :])
-    coeffs = C2[:, 0] @ C1[:, 0]
-    A_raw = coeffs @ raw
-    asym = np.abs(A_raw - A_raw.swapaxes(-1, -2)).max(axis=(1, 2))
-    A, P, xi = 0.5 * (A_raw + A_raw.swapaxes(-1, -2)), E @ iE.swapaxes(-1, -2), -in_e
-    flags = np.where(full_rank, np.where(asym <= ASYM_TOL, "ok", "AsymmetryExceeded"), "RankDeficient")
+    with np.errstate(over="ignore", invalid="ignore"):
+        p, D = chart.jet(Q.reshape(-1, 3))
+        D = D.reshape(-1, 7, 3, 3)
+        R, C, full_rank = _frame_stack(p.reshape(-1, 7, 3), D)
+        coeffs = C[:, 0]
+        A, P, xi, asym = _shape_tail(R[:, 0], R[:, 1:, 4], D[:, 0].view(np.float64), coeffs, h)
+    flags = np.where(full_rank.all(axis=1), np.where(asym <= ASYM_TOL, "ok", "AsymmetryExceeded"), "RankDeficient")
     bad = flags != "ok"
     for x in (A, P, xi, coeffs):
         x[bad] = math.nan

@@ -149,6 +149,12 @@ def test_the_workflow_runs_the_cli():
     assert STEPS["Surface with too many arguments is a usage error"] == [["cp2ricci", argv, 2, None]]
 
 
+def test_every_golden_file_is_compared_by_the_workflow():
+    compared = {line[0][2] for lines in STEPS.values() for kind, *line in lines if kind == "cmp"}
+    golden = {f"tests/data/{p.name}" for p in (ROOT / "tests" / "data").iterdir()}
+    assert golden and golden <= compared
+
+
 def test_the_workflow_benchmark_steps_name_a_workload_and_a_trace_mode():
     spec = importlib.util.spec_from_file_location("benchmark_run", ROOT / "benchmarks" / "run.py")
     run = importlib.util.module_from_spec(spec)

@@ -129,15 +129,18 @@ def test_deficit_values():
 
 
 def test_geodesic_sphere_deficit_closed_form():
-    assert abs(cv.geodesic_sphere_deficit(math.pi / 4)) < 1e-12
+    assert abs(cv.geodesic_sphere_deficit(math.pi / 4)) < 1e-30
     assert abs(cv.geodesic_sphere_deficit(math.pi / 6) - 1.0 / 3.0) < 1e-12
+    for r in (0.05, 0.3, math.pi / 5, 0.9, 1.2, 1.57):
+        cot = 1.0 / math.tan(2.0 * r)
+        assert abs(cv.geodesic_sphere_deficit(r) - cot**2) <= 1e-15 * cot**2
     with pytest.raises(ValueError):
         cv.geodesic_sphere_deficit(2.0)
-    # near r = 0 the model overflows, silently
+    # near r = 0 the model overflows to inf, silently
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert not math.isfinite(cv.geodesic_sphere_deficit(1e-300))
-        assert not math.isfinite(cv.geodesic_sphere_deficit(1e-310))
+        assert cv.geodesic_sphere_deficit(1e-300) == math.inf
+        assert cv.geodesic_sphere_deficit(1e-310) == math.inf
 
 
 def test_min_sectional_constant_curvature():

@@ -233,8 +233,9 @@ def _grid_against_per_point(chart, qs, h=1e-5):
         lambda: sphere_chart(math.pi / 6),
         lambda: perturbed_ruled_chart(0.05, 0),
         lambda: perturbed_ruled_chart(0.2, 3),
+        lambda: sphere_chart(1.57),
     ],
-    ids=["ruled", "sphere:pi/4", "sphere:pi/6", "perturbed-ruled:0.05,0", "perturbed-ruled:0.2,3"],
+    ids=["ruled", "sphere:pi/4", "sphere:pi/6", "perturbed-ruled:0.05,0", "perturbed-ruled:0.2,3", "sphere:1.57"],
 )
 def test_shape_operator_grid_is_the_per_point_shape_operator_bitwise(make):
     chart = make()
@@ -256,6 +257,15 @@ def test_shape_operator_grid_flags_a_non_finite_chart_quietly():
         warnings.simplefilter("error")
         flags = _grid_against_per_point(chart, list(chart.sample_box.grid(2)))
     assert flags == ["RankDeficient"] * 8
+
+
+def test_a_gram_overflow_is_flagged_quietly_by_both_kernels():
+    # Partials of order 1e160 overflow the Gram matrix W W^T of every frame.
+    base = ruled_chart()
+    chart = dataclasses.replace(base, partials=lambda *q: 1e160 * base.partials(*q))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _grid_against_per_point(chart, [(0.6, 1.0, 2.0)]) == ["RankDeficient"]
 
 
 @pytest.mark.parametrize("make", [ruled_chart, lambda: sphere_chart(math.pi / 4)], ids=["ruled", "sphere"])
