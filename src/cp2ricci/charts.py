@@ -22,7 +22,8 @@ Builtin families:
 
 Each factory's signature is also its ``cp2ricci scan`` surface syntax.
 ``SurfaceChart.jet`` evaluates whole parameter arrays; the ruled and sphere
-charts do so in one numpy pass with the bits of their scalar callables.
+charts do so in one numpy pass with the bits of their scalar callables, and
+``_builtin_chart`` records that map and their singular predicate for both.
 
 User charts: construct a ``SurfaceChart`` directly with your own callables;
 the only contract is fresh complex128 arrays (see ``SurfaceChart``), unit
@@ -129,7 +130,19 @@ def _ruled_jet(Q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return p, D.reshape(-1, 3, 3)
 
 
-_ruled_point.array_jet = (_ruled_point, _ruled_partials, _ruled_jet)  # see ``SurfaceChart.jet``
+def _builtin_chart(
+    name: str, evaluate: Callable, partials: Callable, jet: Callable, box: Box, axis: int
+) -> SurfaceChart:
+    """A builtin chart: ``jet``, the array map of ``evaluate`` and ``partials``
+    with their bits, recorded on ``evaluate`` (see ``SurfaceChart.jet``), and
+    singular where parameter ``axis`` is within ``SINGULAR_MARGIN`` (in
+    min |sin|, |cos|) of a multiple of pi/2."""
+
+    def is_singular(*q: float) -> bool:
+        return min(abs(math.sin(q[axis])), abs(math.cos(q[axis]))) < SINGULAR_MARGIN
+
+    evaluate.array_jet = (evaluate, partials, jet)
+    return SurfaceChart(name, evaluate, partials, box, is_singular)
 
 
 def ruled_chart() -> SurfaceChart:
@@ -139,17 +152,8 @@ def ruled_chart() -> SurfaceChart:
     (the v-partial vanishes).  The u and v partials are horizontal; the
     t-partial has vertical component sin^2 u.
     """
-
-    def is_singular(u: float, v: float, t: float) -> bool:
-        return min(abs(math.sin(u)), abs(math.cos(u))) < SINGULAR_MARGIN
-
-    return SurfaceChart(
-        name="ruled",
-        evaluate=_ruled_point,
-        partials=_ruled_partials,
-        sample_box=Box((0.3, 0.1, 0.1), (1.2, 6.1, 6.1)),
-        is_singular=is_singular,
-    )
+    box = Box((0.3, 0.1, 0.1), (1.2, 6.1, 6.1))
+    return _builtin_chart("ruled", _ruled_point, _ruled_partials, _ruled_jet, box, axis=0)
 
 
 def sphere_chart(radius: float) -> SurfaceChart:
@@ -184,17 +188,8 @@ def sphere_chart(radius: float) -> SurfaceChart:
                       (0.0,), (0.0,), ((0.0, 1.0), sr, ss, (ct, st)))
         return p, D.reshape(-1, 3, 3)
 
-    def is_singular(phi: float, s: float, t: float) -> bool:
-        return min(abs(math.sin(s)), abs(math.cos(s))) < SINGULAR_MARGIN
-
-    evaluate.array_jet = (evaluate, partials, jet)  # see ``SurfaceChart.jet``
-    return SurfaceChart(
-        name=f"sphere:{radius:.12g}",
-        evaluate=evaluate,
-        partials=partials,
-        sample_box=Box((0.1, 0.3, 0.1), (6.1, 1.2, 6.1)),
-        is_singular=is_singular,
-    )
+    box = Box((0.1, 0.3, 0.1), (6.1, 1.2, 6.1))
+    return _builtin_chart(f"sphere:{radius:.12g}", evaluate, partials, jet, box, axis=1)
 
 
 class _TrigField:

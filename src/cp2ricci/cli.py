@@ -9,9 +9,10 @@ Commands, each run by its ``cmd_*`` function in ``COMMANDS``
 * ``scan``          -- per-point curvature rows to CSV/JSON
 * ``crosscheck``    -- intrinsic vs shape-based curvature tensors
 
-``check`` and ``scan`` walk their grid one point at a time (``_grid_table``);
-``crosscheck`` computes its grid on arrays (``_crosscheck_grid``), with the
-same flags and, at every ``ok`` point, the same bits.
+Over the points and ``singular`` flags of ``_grid_points``, ``check`` and
+``scan`` walk their grid one point at a time (``_grid_table``); ``crosscheck``
+computes its grid and its holomorphic-plane point on arrays, with the same
+flags and, at every ``ok`` point, the same bits.
 
 A command takes the options its ``cmd_*`` function has parameters for, with
 the signature's defaults (scan's ``--tol t`` is ``bound = -t``), plus
@@ -65,6 +66,13 @@ def _worst(column: np.ndarray, reduce: Callable[[np.ndarray], Any] = np.max) -> 
     return float(reduce(column)) if column.size else math.inf
 
 
+def _grid_points(chart: SurfaceChart, grid: int) -> tuple[list[ParamTriple], np.ndarray]:
+    """The points of ``chart``'s sample box at ``grid`` per axis and their
+    flags: ``singular`` in the chart's declared singular locus, else ``ok``."""
+    params = list(chart.sample_box.grid(grid))
+    return params, np.array(["singular" if chart.is_singular(*q) else "ok" for q in params], dtype=object)
+
+
 def _grid_table(
     chart: SurfaceChart,
     grid: int,
@@ -75,21 +83,17 @@ def _grid_table(
     """The per-point grid walk of ``check`` and ``scan``: (params, flags,
     values) over ``chart``'s sample box.
 
-    At each grid point ``row(q, shape)`` fills one row of the (N, width)
-    float array ``values`` and the flag is ``ok``.  At a point in the chart's
-    declared singular locus nothing is computed and the flag is ``singular``;
-    where ``shape_operator`` or ``row`` fails numerically, or the Ricci guard
-    trips, it is the exception's class name: ``RankDeficient``,
-    ``AsymmetryExceeded`` or ``RicciMismatch``.  A flagged row is NaN."""
-    params = list(chart.sample_box.grid(grid))
-    flags = np.full(len(params), "ok", dtype=object)
+    At each ``ok`` point of ``_grid_points`` ``row(q, shape)`` fills one row
+    of the (N, width) float array ``values``; at a ``singular`` one nothing
+    is computed.  Where ``shape_operator`` or ``row`` fails numerically, or
+    the Ricci guard trips, the flag is the exception's class name:
+    ``RankDeficient``, ``AsymmetryExceeded`` or ``RicciMismatch``.  A flagged
+    row is NaN."""
+    params, flags = _grid_points(chart, grid)
     values = np.full((len(params), width), math.nan)
-    for k, q in enumerate(params):
-        if chart.is_singular(*q):
-            flags[k] = "singular"
-            continue
+    for k in np.flatnonzero(flags == "ok").tolist():
         try:
-            values[k] = row(q, shape_operator(chart, q, h=step))
+            values[k] = row(params[k], shape_operator(chart, params[k], h=step))
         except (RankDeficient, AsymmetryExceeded, cv.RicciMismatch) as exc:
             flags[k] = type(exc).__name__
     return params, flags, values
@@ -270,9 +274,8 @@ def parse_surface(surface: str) -> SurfaceChart:
 def _scan_row(q: ParamTriple, s: ShapeData) -> list[float]:
     """maxRicci, meanCurvSq, deficit, alpha, hopfDefect and traceA at q."""
     max_ric = cv.max_ricci(s)
-    mean_sq = s.mean_curvature**2
-    deficit = 2.25 * mean_sq + 5.0 - max_ric
-    return [max_ric, mean_sq, deficit, s.alpha, s.hopf_defect, float(s.A.trace())]
+    deficit = cv._ricci_bound(s) - max_ric
+    return [max_ric, s.mean_curvature**2, deficit, s.alpha, s.hopf_defect, float(s.A.trace())]
 
 
 def cmd_scan(
@@ -307,16 +310,13 @@ def cmd_scan(
 
 def _crosscheck_grid(chart: SurfaceChart, grid: int, step: float) -> tuple[np.ndarray, np.ndarray]:
     """(flags, gaps): max |R_intrinsic - R_gauss| at each ``ok`` grid point, NaN
-    at a flagged one.  A point in the chart's declared singular locus is not
-    computed and is flagged ``singular``; the others take one
+    at a flagged one.  The ``ok`` points of ``_grid_points`` take one
     ``shape_operator_grid`` call, whose flags they keep, and its ``ok`` points
     one batched stencil pass, which flags a failed stencil ``SingularMetric``,
     and one batched pullback of their frame ``coeffs`` and Gauss tensors."""
-    params = list(chart.sample_box.grid(grid))
-    singular = np.array([chart.is_singular(*q) for q in params], dtype=bool)
-    shapes = shape_operator_grid(chart, [q for q, s in zip(params, singular) if not s])
-    flags = np.full(len(params), "singular", dtype=object)
-    flags[~singular] = shapes.flags
+    params, flags = _grid_points(chart, grid)
+    shapes = shape_operator_grid(chart, [q for q, f in zip(params, flags) if f == "ok"])
+    flags[flags == "ok"] = shapes.flags
     ok, shaped = np.flatnonzero(flags == "ok"), shapes.flags == "ok"
     intrinsic, failed = cv.intrinsic_riemann_batch(chart, [params[k] for k in ok], step)
     flags[ok[[e is not None for e in failed]]] = "SingularMetric"
@@ -331,35 +331,33 @@ def cmd_crosscheck(grid: int = 5, step: float = 1e-3, tol: float = 1e-4) -> list
     builtin charts (see ``_crosscheck_grid``), plus the holomorphic-plane
     curvature of the sphere.  ``step`` is the metric stencil's; the shape
     operator keeps step 1e-5.  A flagged point is an error: it fails its check."""
-    reports = []
-    for chart in (ruled_chart(), sphere_chart(math.pi / 4)):
+    reports, charts = [], (ruled_chart(), sphere_chart(math.pi / 4))
+    for chart in charts:
         flags, gaps = _crosscheck_grid(chart, grid, step)
         worst, errors = _worst(gaps[flags == "ok"]), int(np.sum(flags != "ok"))
         name = f"crosscheck_{chart.name.split(':')[0]}"
         reports.append(_report(name, worst < tol, worst, grid=grid, step=step, errors=errors))
-    # Sectional curvature of the holomorphic plane on the equality sphere,
-    # evaluated from the intrinsic tensor alone.
-    try:
-        k_hol, error = _holomorphic_plane_curvature(step), {}
-    except (RankDeficient, AsymmetryExceeded) as exc:
-        k_hol, error = math.nan, {"error": f"{type(exc).__name__}: {exc}"}
+    k_hol, error = _holomorphic_plane_curvature(charts[1], step)
     name, gap = "crosscheck_sphere_holomorphic_plane", abs(k_hol - 5.0)
     return [*reports, _report(name, gap < tol, gap, value=k_hol, expected=5.0, **error)]
 
 
-def _holomorphic_plane_curvature(step: float) -> float:
-    """Intrinsic sectional curvature of the holomorphic plane at a fixed
-    point of the equality sphere (5 exactly): the coordinate tensor pushed
-    into the orthonormal frame, R_ijkl = C_ia C_jb C_kc C_ld R_abcd."""
-    chart = sphere_chart(math.pi / 4)
+def _holomorphic_plane_curvature(chart: SurfaceChart, step: float) -> tuple[float, dict[str, str]]:
+    """(value, details): the intrinsic sectional curvature of the holomorphic
+    plane at a fixed point of the equality sphere ``chart`` (5 exactly), the
+    coordinate tensor pushed into the frame of ``shape_operator_grid``,
+    R_ijkl = C_ia C_jb C_kc C_ld R_abcd; or NaN with the shape's flag, else
+    ``SingularMetric: <message>`` for a failed stencil, as ``error``."""
     q = (0.3, 0.7, 0.4)
-    s = shape_operator(chart, q)
+    shapes = shape_operator_grid(chart, [q])
+    if shapes.flags[0] != "ok":
+        return math.nan, {"error": shapes.flags[0]}
     (intrinsic,), (error,) = cv.intrinsic_riemann_batch(chart, [q], h=step)
     if error:
-        raise cv.SingularMetric(error)
-    C = s.frame.coeffs
+        return math.nan, {"error": f"SingularMetric: {error}"}
+    C = shapes.coeffs[0]
     R = np.einsum("ia,jb,kc,ld,abcd->ijkl", C, C, C, C, intrinsic)
-    return cv.plane_curvature(R, s.xi)
+    return cv.plane_curvature(R, shapes.xi[0]), {}
 
 
 def _finite(positive: bool) -> Callable[[str], float]:

@@ -99,9 +99,14 @@ def max_ricci(shape: ShapeData) -> float:
     return float(np.linalg.eigvalsh(ricci_matrix(shape))[-1])
 
 
+def _ricci_bound(shape: ShapeData) -> float:
+    """(9/4) |H|^2 + 5, the upper bound on maxRic that every deficit subtracts from."""
+    return 2.25 * shape.mean_curvature**2 + 5.0
+
+
 def deficit(shape: ShapeData) -> float:
     """(9/4) |H|^2 + 5 - maxRic; nonnegative up to numerical tolerance."""
-    return 2.25 * shape.mean_curvature**2 + 5.0 - max_ricci(shape)
+    return _ricci_bound(shape) - max_ricci(shape)
 
 
 def _plane_basis(n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -147,14 +152,13 @@ def curvature_report(shape: ShapeData) -> CurvatureReport:
     eigs, vecs = np.linalg.eigh(ricci_matrix(shape))
     tau = float(np.sum(eigs))
     max_ric = float(eigs[-1])
-    mean_sq = shape.mean_curvature**2
     min_k = plane_curvature(_gauss_tensor(shape), vecs[:, -1])
     return CurvatureReport(
         ricci_eigenvalues=eigs,
         max_ricci=max_ric,
         scalar_curvature=tau,
-        mean_curv_sq=mean_sq,
-        deficit=2.25 * mean_sq + 5.0 - max_ric,
+        mean_curv_sq=shape.mean_curvature**2,
+        deficit=_ricci_bound(shape) - max_ric,
         min_sectional=min_k,
         delta2=0.5 * tau - min_k,
         min_plane_normal=vecs[:, -1],

@@ -134,4 +134,4 @@ def scan_to_csv(rows: list[ScanRow]) -> str:
 
 
 def scan_to_json(rows: list[ScanRow]) -> str:
-    return json.dumps(_finite_or_none([r.to_dict() for r in rows]), indent=2, allow_nan=False)
+    return json.dumps(_finite_or_none([r.to_dict() for r in rows]), indent=2, allow_nan=False) + "\n"

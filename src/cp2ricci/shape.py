@@ -14,8 +14,9 @@ frame's (see ``frames``); a flipped normal negates A and xi.
 The frames come from ``frames``: seven ``build_frame`` calls for
 ``shape_operator`` at one point, one ``_frame_stack`` call for
 ``shape_operator_grid`` at N points.  Both hand them to one finite-difference
-tail on arrays with leading axes, ``_shape_tail``, and differ only in their
-reaction to ``ASYM_TOL``: the first raises, the second flags the point.
+tail on arrays with leading axes, ``_shape_tail``, and differ only in raising
+where the second flags the point (``RankDeficient``, ``AsymmetryExceeded``).
+Only ``ShapeGrid`` carries the frame ``coeffs``.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .charts import ParamTriple, SurfaceChart
-from .frames import MovingFrame, _frame_stack, build_frame
+from .frames import RankDeficient, _frame_stack, build_frame
 
 
 ASYM_TOL = 1e-6  # the largest pre-symmetrization asymmetry a shape operator accepts
@@ -54,7 +55,6 @@ class ShapeData:
     hopf_defect: float
     mean_curvature: float
     asymmetry: float = 0.0
-    frame: MovingFrame | None = None
 
     @staticmethod
     def from_matrices(
@@ -62,7 +62,6 @@ class ShapeData:
         P: np.ndarray,
         xi: np.ndarray,
         asymmetry: float = 0.0,
-        frame: MovingFrame | None = None,
     ) -> "ShapeData":
         A = np.asarray(A, dtype=float)
         P = np.asarray(P, dtype=float)
@@ -77,7 +76,6 @@ class ShapeData:
             hopf_defect=math.sqrt(r.dot(r)),
             mean_curvature=float(A.trace() / 3.0),
             asymmetry=asymmetry,
-            frame=frame,
         )
 
 
@@ -104,7 +102,10 @@ def _shape_tail(R: np.ndarray, N: np.ndarray, D: np.ndarray, coeffs: np.ndarray,
 
 
 def shape_operator(chart: SurfaceChart, q: ParamTriple, h: float = 1e-5) -> ShapeData:
-    """Shape operator and companions at q by central differences of step h."""
+    """Shape operator and companions at q by central differences of step h;
+    a non-finite q or h is ``RankDeficient`` before any chart call."""
+    if not all(map(math.isfinite, (*q, h))):
+        raise RankDeficient(f"chart {chart.name!r} at {q}: non-finite parameter or step {h!r}")
     u, v, t = q
     stencil = (u + h, v, t), (u - h, v, t), (u, v + h, t), (u, v - h, t), (u, v, t + h), (u, v, t - h)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -115,7 +116,7 @@ def shape_operator(chart: SurfaceChart, q: ParamTriple, h: float = 1e-5) -> Shap
     asym = float(asym)
     if not asym <= ASYM_TOL:
         raise AsymmetryExceeded(f"chart {chart.name!r} at {q}: asymmetry {asym:.3e} > {ASYM_TOL:.1e}")
-    return ShapeData.from_matrices(A, P, xi, asymmetry=asym, frame=frame)
+    return ShapeData.from_matrices(A, P, xi, asymmetry=asym)
 
 
 @dataclass(frozen=True)

@@ -51,12 +51,12 @@ def intrinsic_riemann(chart: SurfaceChart, q: ParamTriple, h: float = 1e-3) -> n
     return R
 
 
-def gauss_riemann_per_shape(shape: ShapeData) -> np.ndarray:
+def gauss_riemann_per_shape(shape: ShapeData, coeffs: np.ndarray) -> np.ndarray:
     """The frame Gauss tensor of one point pulled back to chart coordinates,
     R[ab, cd] = (B x B)[ab, ij] T[ij, kl] (B x B)[cd, kl] with B the inverse
     of the frame's ``coeffs``: a reference for the batched
     ``curvature.gauss_riemann_coords``."""
-    B = np.linalg.inv(shape.frame.coeffs)
+    B = np.linalg.inv(coeffs)
     BB = (B[:, None, :, None] * B[None, :, None, :]).reshape(9, 9)
     return (BB @ _gauss_tensor(shape).reshape(9, 9) @ BB.T).reshape(3, 3, 3, 3)
 
@@ -111,7 +111,7 @@ def near_singular_box(chart: SurfaceChart) -> SurfaceChart:
 
 def flip_normal(s: ShapeData) -> ShapeData:
     """The same point with the opposite normal orientation."""
-    return ShapeData.from_matrices(-s.A, s.P, -s.xi, s.asymmetry, s.frame)
+    return ShapeData.from_matrices(-s.A, s.P, -s.xi, s.asymmetry)
 
 
 def degree_in(p: MPoly, name: str) -> int:

@@ -107,6 +107,13 @@ def test_singular_predicates():
     assert sc.is_singular(1.0, 0.0, 2.0)
     assert sc.is_singular(1.0, math.pi / 2, 2.0)
     assert not sc.is_singular(1.0, 0.7, 2.0)
+    # Within the margin of 0 and pi/2 on its own axis only, and not at twice it.
+    m = charts.SINGULAR_MARGIN
+    for chart, q, axis in ((rc, (0.6, 1.0, 2.0), 0), (sc, (1.0, 0.7, 2.0), 1)):
+        for a in range(3):
+            for x in (m, -m, math.pi / 2 + m, math.pi / 2 - m):
+                assert chart.is_singular(*q[:a], x, *q[a + 1 :]) == (a == axis), (chart.name, a, x)
+        assert not chart.is_singular(*q[:axis], 2 * m, *q[axis + 1 :])
 
 
 def test_sample_boxes_avoid_singular_loci():

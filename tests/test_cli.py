@@ -81,6 +81,7 @@ def test_scan_rows_satisfy_definitional_identity():
         (["check", "sphere", "--radius", "1.57", "--grid", "3"], "check_sphere_r157_g3.json"),
         (["crosscheck", "--grid", "5"], "crosscheck_g5.json"),
         (["scan", "perturbed-ruled:0.2,3", "--grid", "6"], "scan_perturbed_s3_g6.csv"),
+        (["scan", "ruled", "--grid", "3", "--format", "json"], "scan_ruled_g3.json"),
     ],
 )
 def test_outputs_match_the_golden_files_byte_for_byte(tmp_path, argv, golden):
@@ -105,10 +106,15 @@ def test_scan_output_is_deterministic(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
-def test_scan_json_format(tmp_path):
+def test_scan_json_format(tmp_path, capsys):
     out = tmp_path / "rows.json"
     assert cli.main(["scan", "ruled", "--grid", "3", "--format", "json", "--out", str(out)]) == 0
+    assert out.read_text().endswith("]\n")
     rows = json.loads(out.read_text())
+    capsys.readouterr()
+    assert cli.main(["scan", "ruled", "--grid", "3", "--format", "json"]) == 0
+    stdout = capsys.readouterr().out
+    assert stdout.endswith("]\n") and json.loads(stdout[stdout.index("[") :]) == rows
     assert len(rows) == 27
     assert set(rows[0]) == {
         "u", "v", "theta", "maxRicci", "meanCurvSq", "deficit",
@@ -598,6 +604,39 @@ def test_singular_holomorphic_plane_stencil_fails_its_check(monkeypatch):
     assert hol.name == "crosscheck_sphere_holomorphic_plane" and hol.status == "fail"
     assert math.isnan(hol.max_abs_residual)
     assert hol.details["error"] == "SingularMetric: singular metric on the stencil"
+
+
+def test_crosscheck_never_calls_the_per_point_shape_operator(tmp_path, monkeypatch):
+    def per_point(*args, **kwargs):
+        raise AssertionError("crosscheck called the per-point shape operator")
+
+    monkeypatch.setattr(cli, "shape_operator", per_point)
+    out = tmp_path / "crosscheck_g2.json"
+    assert cli.main(["crosscheck", "--grid", "2", "--out", str(out)]) == 0
+    assert out.read_bytes() == (DATA / "crosscheck_g2.json").read_bytes()
+
+
+def test_a_flagged_holomorphic_plane_shape_fails_its_check(monkeypatch):
+    # The batched kernel flags the holomorphic-plane point, its one-point
+    # call; the two grids of 8 points keep their shapes.
+    kernel = cli.shape_operator_grid
+
+    def flag_single_point(chart, qs, h=1e-5):
+        g = kernel(chart, qs, h)
+        if len(qs) == 1:
+            g.flags[0] = "RankDeficient"
+            for x in (g.A, g.P, g.xi, g.coeffs):
+                x[0] = math.nan
+        return g
+
+    monkeypatch.setattr(cli, "shape_operator_grid", flag_single_point)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        *grids, hol = cli.cmd_crosscheck(grid=2)
+    assert [r.status for r in grids] == ["pass", "pass"]
+    assert hol.name == "crosscheck_sphere_holomorphic_plane" and hol.status == "fail"
+    assert math.isnan(hol.max_abs_residual) and math.isnan(hol.details["value"])
+    assert hol.details["error"] == "RankDeficient"
 
 
 @pytest.mark.parametrize("step", ["1e-200", "1e-150"])

@@ -221,7 +221,7 @@ def _grid_against_per_point(chart, qs, h=1e-5):
             continue
         assert g.flags[k] == "ok", q
         assert np.array_equal(g.A[k], s.A) and np.array_equal(g.P[k], s.P), q
-        assert np.array_equal(g.xi[k], s.xi) and np.array_equal(g.coeffs[k], s.frame.coeffs), q
+        assert np.array_equal(g.xi[k], s.xi) and np.array_equal(g.coeffs[k], build_frame(chart, q).coeffs), q
     return g.flags.tolist()
 
 
@@ -257,6 +257,16 @@ def test_shape_operator_grid_flags_a_non_finite_chart_quietly():
         warnings.simplefilter("error")
         flags = _grid_against_per_point(chart, list(chart.sample_box.grid(2)))
     assert flags == ["RankDeficient"] * 8
+
+
+@pytest.mark.parametrize("make", [ruled_chart, lambda: sphere_chart(math.pi / 4)], ids=["ruled", "sphere"])
+def test_a_non_finite_parameter_is_flagged_quietly_by_both_kernels(make):
+    # math.cos of an infinity raises, so the per-point kernel rejects the
+    # point before any chart call.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        flags = _grid_against_per_point(make(), [(math.inf, 1.0, 2.0), (0.6, -math.inf, 2.0)])
+    assert flags == ["RankDeficient"] * 2
 
 
 def test_a_gram_overflow_is_flagged_quietly_by_both_kernels():
