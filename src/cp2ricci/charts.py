@@ -21,9 +21,9 @@ Builtin families:
   ``partials`` share that one field jet per q.
 
 Each factory's signature is also its ``cp2ricci scan`` surface syntax.
-``SurfaceChart.jet`` evaluates whole parameter arrays; the ruled and sphere
-charts do so in one numpy pass with the bits of their scalar callables, and
-``_builtin_chart`` records that map and their singular predicate for both.
+``SurfaceChart.jet`` maps and ``SurfaceChart.singular`` masks whole parameter
+arrays; the ruled and sphere charts do both in one numpy pass with the bits of
+their scalar callables, recorded on them by ``_builtin_chart``.
 
 User charts: construct a ``SurfaceChart`` directly with your own callables;
 the only contract is fresh complex128 arrays (see ``SurfaceChart``), unit
@@ -36,7 +36,7 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable
 
 import numpy as np
 
@@ -58,13 +58,6 @@ class Box:
         if n < 2:
             raise ValueError("grid size must be at least 2 per axis")
         return tuple(np.linspace(l, h, n) for l, h in zip(self.lo, self.hi))
-
-    def grid(self, n: int) -> Iterator[ParamTriple]:
-        a0, a1, a2 = self.axes(n)
-        for x in a0:
-            for y in a1:
-                for z in a2:
-                    yield (float(x), float(y), float(z))
 
 
 @dataclass(frozen=True)
@@ -91,6 +84,14 @@ class SurfaceChart:
         rows = [(self.evaluate(*x), self.partials(*x)) for x in Q.tolist()]
         p, D = (np.array([row[k] for row in rows], np.complex128) for k in (0, 1))
         return p.reshape(-1, 3), D.reshape(-1, 3, 3)
+
+    def singular(self, Q: np.ndarray) -> np.ndarray:
+        """The bool mask (...) of the rows of Q (..., 3) in the singular locus: by the array
+        mask recorded on ``is_singular`` while it is the callable it names, else row by row."""
+        f, array_mask = getattr(self.is_singular, "array_mask", (None, None))
+        if f is self.is_singular:
+            return array_mask(Q)
+        return np.array([self.is_singular(*x) for x in Q.reshape(-1, 3).tolist()], bool).reshape(Q.shape[:-1])
 
 
 def _products(n: int, *entries: tuple) -> np.ndarray:
@@ -135,13 +136,19 @@ def _builtin_chart(
 ) -> SurfaceChart:
     """A builtin chart: ``jet``, the array map of ``evaluate`` and ``partials``
     with their bits, recorded on ``evaluate`` (see ``SurfaceChart.jet``), and
-    singular where parameter ``axis`` is within ``SINGULAR_MARGIN`` (in
-    min |sin|, |cos|) of a multiple of pi/2."""
+    singular where parameter ``axis`` is not finite or within ``SINGULAR_MARGIN``
+    (in min |sin|, |cos|) of a multiple of pi/2, its array mask recorded on
+    ``is_singular`` (see ``SurfaceChart.singular``)."""
 
     def is_singular(*q: float) -> bool:
-        return min(abs(math.sin(q[axis])), abs(math.cos(q[axis]))) < SINGULAR_MARGIN
+        return not math.isfinite(x := q[axis]) or min(abs(math.sin(x)), abs(math.cos(x))) < SINGULAR_MARGIN
 
-    evaluate.array_jet = (evaluate, partials, jet)
+    def singular(Q: np.ndarray) -> np.ndarray:
+        x = Q[..., axis]
+        with np.errstate(invalid="ignore"):  # sin and cos of inf are NaN
+            return ~np.isfinite(x) | (np.minimum(np.abs(np.sin(x)), np.abs(np.cos(x))) < SINGULAR_MARGIN)
+
+    evaluate.array_jet, is_singular.array_mask = (evaluate, partials, jet), (is_singular, singular)
     return SurfaceChart(name, evaluate, partials, box, is_singular)
 
 

@@ -11,8 +11,8 @@ Commands, each run by its ``cmd_*`` function in ``COMMANDS``
 
 Over the points and ``singular`` flags of ``_grid_points``, ``check`` and
 ``scan`` walk their grid one point at a time (``_grid_table``); ``crosscheck``
-computes its grid and its holomorphic-plane point on arrays, with the same
-flags and, at every ``ok`` point, the same bits.
+runs a chart's grid, with the sphere's holomorphic-plane point, through one
+kernel call and one stencil pass: the same flags, at ``ok`` points the same bits.
 
 A command takes the options its ``cmd_*`` function has parameters for, with
 the signature's defaults (scan's ``--tol t`` is ``bound = -t``), plus
@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import inspect
+import itertools
 import math
 import sys
 from typing import Any, Callable
@@ -51,6 +52,8 @@ from .report import (
 )
 from .shape import AsymmetryExceeded, ShapeData, shape_operator, shape_operator_grid
 
+HOLOMORPHIC_POINT: ParamTriple = (0.3, 0.7, 0.4)  # the sphere point of crosscheck's holomorphic plane
+
 
 def _report(name: str, ok: bool, residual: float | str, **details: Any) -> CheckReport:
     """A report that passes when ``ok`` and no grid point was flagged
@@ -67,10 +70,10 @@ def _worst(column: np.ndarray, reduce: Callable[[np.ndarray], Any] = np.max) -> 
 
 
 def _grid_points(chart: SurfaceChart, grid: int) -> tuple[list[ParamTriple], np.ndarray]:
-    """The points of ``chart``'s sample box at ``grid`` per axis and their
-    flags: ``singular`` in the chart's declared singular locus, else ``ok``."""
-    params = list(chart.sample_box.grid(grid))
-    return params, np.array(["singular" if chart.is_singular(*q) else "ok" for q in params], dtype=object)
+    """The points of ``chart``'s sample box at ``grid`` per axis, float triples of
+    ``Box.axes``, and their flags by one (N, 3) array mask: ``singular``, else ``ok``."""
+    params = list(itertools.product(*(a.tolist() for a in chart.sample_box.axes(grid))))
+    return params, np.where(chart.singular(np.array(params)), "singular", "ok").astype(object)
 
 
 def _grid_table(
@@ -308,13 +311,16 @@ def cmd_scan(
     return [report], rows
 
 
-def _crosscheck_grid(chart: SurfaceChart, grid: int, step: float) -> tuple[np.ndarray, np.ndarray]:
-    """(flags, gaps): max |R_intrinsic - R_gauss| at each ``ok`` grid point, NaN
-    at a flagged one.  The ``ok`` points of ``_grid_points`` take one
-    ``shape_operator_grid`` call, whose flags they keep, and its ``ok`` points
-    one batched stencil pass, which flags a failed stencil ``SingularMetric``,
-    and one batched pullback of their frame ``coeffs`` and Gauss tensors."""
+def _crosscheck_grid(
+    chart: SurfaceChart, grid: int, step: float, extra: list[ParamTriple]
+) -> tuple[np.ndarray, np.ndarray, list[tuple[float, dict[str, str]]]]:
+    """(flags, gaps, planes): max |R_intrinsic - R_gauss| at each ``ok`` grid point,
+    NaN at a flagged one, and the holomorphic-plane curvature and details at each
+    point of ``extra``.  The ``ok`` grid points, then ``extra`` (unmasked), take one
+    ``shape_operator_grid`` call, whose flags they keep, its ``ok`` points one stencil
+    pass, which flags a failed stencil ``SingularMetric``, and one Gauss pullback."""
     params, flags = _grid_points(chart, grid)
+    n, params, flags = len(params), [*params, *extra], np.append(flags, ["ok"] * len(extra))
     shapes = shape_operator_grid(chart, [q for q, f in zip(params, flags) if f == "ok"])
     flags[flags == "ok"] = shapes.flags
     ok, shaped = np.flatnonzero(flags == "ok"), shapes.flags == "ok"
@@ -323,41 +329,33 @@ def _crosscheck_grid(chart: SurfaceChart, grid: int, step: float) -> tuple[np.nd
     gauss = cv.gauss_riemann_coords(shapes.coeffs[shaped], cv._gauss_tensor(shapes)[shaped])
     gaps = np.full(len(params), math.nan)
     gaps[ok] = np.abs(gauss - intrinsic).reshape(len(ok), 81).max(axis=1)  # NaN where the stencil failed
-    return flags, gaps
+    planes = []
+    for k in range(n, len(params)):
+        i = np.searchsorted(ok, k)  # k's row of intrinsic and of the ok shapes, where its shape is ok
+        if flags[k] == "ok":  # R_ijkl = C_ia C_jb C_kc C_ld R_abcd, the intrinsic tensor in the frame
+            C = shapes.coeffs[shaped][i]
+            R = np.einsum("ia,jb,kc,ld,abcd->ijkl", C, C, C, C, intrinsic[i])
+            planes.append((cv.plane_curvature(R, shapes.xi[shaped][i]), {}))
+        else:  # NaN, with the shape's flag or the stencil's message as its error
+            error = f"SingularMetric: {failed[i]}" if flags[k] == "SingularMetric" else flags[k]
+            planes.append((math.nan, {"error": error}))
+    return flags[:n], gaps[:n], planes
 
 
 def cmd_crosscheck(grid: int = 5, step: float = 1e-3, tol: float = 1e-4) -> list[CheckReport]:
     """Intrinsic against shape-based curvature tensors on coarse grids of both
     builtin charts (see ``_crosscheck_grid``), plus the holomorphic-plane
-    curvature of the sphere.  ``step`` is the metric stencil's; the shape
-    operator keeps step 1e-5.  A flagged point is an error: it fails its check."""
-    reports, charts = [], (ruled_chart(), sphere_chart(math.pi / 4))
-    for chart in charts:
-        flags, gaps = _crosscheck_grid(chart, grid, step)
+    curvature at the sphere's ``HOLOMORPHIC_POINT``.  ``step`` is the stencil's;
+    the shape operator keeps 1e-5.  A flagged grid point fails its check."""
+    reports = []
+    for chart, extra in ((ruled_chart(), []), (sphere_chart(math.pi / 4), [HOLOMORPHIC_POINT])):
+        flags, gaps, planes = _crosscheck_grid(chart, grid, step, extra)
         worst, errors = _worst(gaps[flags == "ok"]), int(np.sum(flags != "ok"))
         name = f"crosscheck_{chart.name.split(':')[0]}"
         reports.append(_report(name, worst < tol, worst, grid=grid, step=step, errors=errors))
-    k_hol, error = _holomorphic_plane_curvature(charts[1], step)
+    ((k_hol, error),) = planes
     name, gap = "crosscheck_sphere_holomorphic_plane", abs(k_hol - 5.0)
     return [*reports, _report(name, gap < tol, gap, value=k_hol, expected=5.0, **error)]
-
-
-def _holomorphic_plane_curvature(chart: SurfaceChart, step: float) -> tuple[float, dict[str, str]]:
-    """(value, details): the intrinsic sectional curvature of the holomorphic
-    plane at a fixed point of the equality sphere ``chart`` (5 exactly), the
-    coordinate tensor pushed into the frame of ``shape_operator_grid``,
-    R_ijkl = C_ia C_jb C_kc C_ld R_abcd; or NaN with the shape's flag, else
-    ``SingularMetric: <message>`` for a failed stencil, as ``error``."""
-    q = (0.3, 0.7, 0.4)
-    shapes = shape_operator_grid(chart, [q])
-    if shapes.flags[0] != "ok":
-        return math.nan, {"error": shapes.flags[0]}
-    (intrinsic,), (error,) = cv.intrinsic_riemann_batch(chart, [q], h=step)
-    if error:
-        return math.nan, {"error": f"SingularMetric: {error}"}
-    C = shapes.coeffs[0]
-    R = np.einsum("ia,jb,kc,ld,abcd->ijkl", C, C, C, C, intrinsic)
-    return cv.plane_curvature(R, shapes.xi[0]), {}
 
 
 def _finite(positive: bool) -> Callable[[str], float]:

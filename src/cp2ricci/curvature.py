@@ -207,20 +207,25 @@ K, D1, D2 = _stencil()
 def _stencil_metric(chart: SurfaceChart, qs: list[ParamTriple], h: float) -> tuple[np.ndarray, list]:
     """The induced metric at q + h K for each centre q of ``qs``, one
     (N, 19, 3, 3) array, and each centre's error or None.  A centre is
-    rejected (NaN rows) unevaluated when h^2 underflows, an axis neighbour
-    q +- h e_a rounds to q (else all 19 points are distinct) or q or an axis
-    neighbour is in the declared singular locus.  One ``chart.jet`` call maps
-    the stencils of the other centres; its points and partials are projected
-    by one complex contraction and their Gram matrices formed by one matmul."""
-    X = np.asarray(qs, dtype=np.float64).reshape(-1, 1, 3) + h * K
+    rejected (NaN rows) unevaluated where its stencil is not finite, else where
+    h^2 underflows or an axis neighbour q +- h e_a rounds to q (else all 19
+    points are distinct), else where one ``chart.singular`` mask puts q or an
+    axis neighbour in the declared singular locus.  One ``chart.jet`` call maps
+    the other stencils; its points and partials are projected by one complex
+    contraction and their Gram matrices formed by one matmul."""
+    with np.errstate(invalid="ignore", over="ignore"):  # 0 * inf in h K, or q + h K beyond the float range
+        X = np.asarray(qs, dtype=np.float64).reshape(-1, 1, 3) + h * K
+    finite = np.isfinite(X).all(axis=(1, 2))
     coarse = (X[:, 1:7] == X[:, :1]).all(axis=2).any(axis=1) | (h * h < np.finfo(np.float64).tiny)
+    singular, tested = np.zeros(len(X), dtype=bool), finite & ~coarse
+    singular[tested] = chart.singular(X[tested, :7]).any(axis=1)
     errors = [
-        f"step {h!r} below the parameter resolution" if c
-        else "stencil centre or axis neighbour in the singular locus"
-        if any(chart.is_singular(*y) for y in x[:7]) else None
-        for x, c in zip(X.tolist(), coarse.tolist())
+        "non-finite stencil centre, step or neighbour" if not f
+        else f"step {h!r} below the parameter resolution" if c
+        else "stencil centre or axis neighbour in the singular locus" if s else None
+        for f, c, s in zip(finite.tolist(), coarse.tolist(), singular.tolist())
     ]
-    ok = np.array([e is None for e in errors], dtype=bool)
+    ok = tested & ~singular
     p, D = chart.jet(X[ok].reshape(-1, 3))
     W = _horizontal_rows(p.reshape(-1, 19, 3), D.reshape(-1, 19, 3, 3))
     G = np.full((len(X), 19, 3, 3), math.nan)

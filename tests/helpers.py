@@ -1,7 +1,10 @@
 """Helpers shared by several test modules."""
 
+import contextlib
 import dataclasses
 import math
+import sys
+from typing import Iterator
 
 import numpy as np
 
@@ -10,6 +13,34 @@ from cp2ricci.curvature import SingularMetric, _gauss_tensor, intrinsic_riemann_
 from cp2ricci.exact.mpoly import MPoly
 from cp2ricci.frames import _horizontal_rows
 from cp2ricci.shape import ShapeData
+
+
+def box_grid(box: Box, n: int) -> Iterator[ParamTriple]:
+    """The points of ``box`` at ``n`` per axis as float triples, the last axis
+    fastest: the rows of ``cli._grid_points``, one at a time."""
+    a0, a1, a2 = box.axes(n)
+    for x in a0:
+        for y in a1:
+            for z in a2:
+                yield (float(x), float(y), float(z))
+
+
+@contextlib.contextmanager
+def builtin_predicate_calls() -> Iterator[list[tuple]]:
+    """The parameters of every call, while the block runs, of a builtin
+    chart's scalar ``is_singular`` (the one closure of
+    ``charts._builtin_chart``), collected by a profile hook."""
+    code, calls, previous = ruled_chart().is_singular.__code__, [], sys.getprofile()
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is code:
+            calls.append(frame.f_locals["q"])
+
+    sys.setprofile(profile)
+    try:
+        yield calls
+    finally:
+        sys.setprofile(previous)
 
 
 def horizontalize(w: np.ndarray, p: np.ndarray) -> np.ndarray:

@@ -1,3 +1,5 @@
+import dataclasses
+import functools
 import math
 import warnings
 
@@ -7,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cp2ricci import charts, cli
+from cp2ricci import curvature as cv
 from cp2ricci.charts import (
     SurfaceChart,
     _ruled_partials,
@@ -19,7 +22,7 @@ from cp2ricci.charts import (
 )
 from cp2ricci.frames import build_frame
 from cp2ricci.shape import shape_operator
-from helpers import intrinsic_riemann, perturbed_reference, trig_field_value
+from helpers import box_grid, builtin_predicate_calls, intrinsic_riemann, perturbed_reference, trig_field_value
 
 RULED_SAMPLES = [(0.6, 1.0, 2.0), (0.35, 5.9, 0.2), (1.1, 3.0, 4.5), (-0.8, 2.2, 1.3)]
 SPHERE_SAMPLES = [(0.3, 0.7, 0.4), (5.0, 1.1, 2.0), (2.0, 0.5, 5.5)]
@@ -116,6 +119,87 @@ def test_singular_predicates():
         assert not chart.is_singular(*q[:axis], 2 * m, *q[axis + 1 :])
 
 
+BUILTIN_CHARTS = [ruled_chart(), sphere_chart(math.pi / 4), sphere_chart(math.pi / 6), perturbed_ruled_chart(0.05, 0)]
+
+
+def _scalar_mask(chart, Q):
+    """``chart.is_singular`` at each row of Q (..., 3): the mask's reference."""
+    return np.array([chart.is_singular(*q) for q in Q.reshape(-1, 3).tolist()], bool).reshape(Q.shape[:-1])
+
+
+@pytest.mark.parametrize("chart", BUILTIN_CHARTS, ids=lambda c: c.name)
+def test_singular_mask_is_the_scalar_predicate_on_the_acceptance_grids(chart):
+    # The grids of check ruled (16), scan (12) and crosscheck (5), and their
+    # 19-point stencils at the crosscheck step and at the two coarse steps
+    # of the tests that put a stencil neighbour in the singular locus.
+    for grid in (16, 12, 5):
+        Q = np.array(cli._grid_points(chart, grid)[0])
+        assert chart.singular(Q).tolist() == _scalar_mask(chart, Q).tolist()
+        for h in (1e-3, 0.3, 0.37):
+            X = Q[:, None] + h * cv.K
+            assert chart.singular(X).tolist() == _scalar_mask(chart, X).tolist(), (grid, h)
+
+
+def _float_run(x: float, n: int = 100) -> np.ndarray:
+    """The 2 n + 1 consecutive floats about x, by ``np.nextafter``."""
+    below, above = [x], [x]
+    for _ in range(n):
+        below.append(np.nextafter(below[-1], -np.inf))
+        above.append(np.nextafter(above[-1], np.inf))
+    return np.array(below[::-1] + above[1:])
+
+
+@pytest.mark.parametrize("chart", BUILTIN_CHARTS, ids=lambda c: c.name)
+def test_singular_mask_is_the_scalar_predicate_across_the_margin(chart):
+    # Runs of consecutive floats across asin(SINGULAR_MARGIN), pi/2 less it
+    # and their mirrors, on the chart's singular axis and off it, each
+    # straddling the margin on that axis.
+    edge, axis = math.asin(charts.SINGULAR_MARGIN), 1 if chart.name.startswith("sphere") else 0
+    for x in (edge, -edge, math.pi / 2 - edge, math.pi / 2 + edge):
+        for a in range(3):
+            Q = np.tile([0.6, 0.7, 2.0], (201, 1))
+            Q[:, a] = _float_run(x)
+            mask = chart.singular(Q)
+            assert mask.tolist() == _scalar_mask(chart, Q).tolist(), (x, a)
+            assert (0 < mask.sum() < len(mask)) == (a == axis), (x, a)
+
+
+@pytest.mark.parametrize("chart", BUILTIN_CHARTS, ids=lambda c: c.name)
+def test_non_finite_parameters_are_singular_quietly(chart):
+    # On the singular axis a non-finite parameter is singular to both the
+    # scalar predicate and the mask; off it, to neither.  No call warns.
+    axis = 1 if chart.name.startswith("sphere") else 0
+    Q = np.array([[0.6, 0.7, 2.0]] * 9)
+    for k, x in enumerate((math.inf, -math.inf, math.nan)):
+        for a in range(3):
+            Q[3 * k + a, a] = x
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        mask, scalar = chart.singular(Q), _scalar_mask(chart, Q)
+    assert mask.tolist() == scalar.tolist() == [a == axis for _ in range(3) for a in range(3)]
+
+
+def test_a_replaced_or_wrapped_predicate_is_called_row_by_row():
+    # A dataclasses.replace'd predicate, and a functools.wraps wrapper (which
+    # copies the mask's record), both fall back to one call per row.
+    base, Q = ruled_chart(), np.array([[0.0, 1.0, 2.0], [0.6, 1.0, 2.0], [math.pi / 2, 1.0, 2.0]])
+    calls = []
+    replaced = dataclasses.replace(base, is_singular=lambda *q: calls.append(q) or q[0] > 0.5)
+    assert replaced.singular(Q[None]).tolist() == [[False, True, True]] and calls == list(map(tuple, Q.tolist()))
+
+    @functools.wraps(base.is_singular)
+    def wrapped(*q):
+        return base.is_singular(*q)
+
+    assert wrapped.array_mask[0] is base.is_singular
+    with builtin_predicate_calls() as scalar:
+        mask = dataclasses.replace(base, is_singular=wrapped).singular(Q)
+        assert base.singular(Q).tolist() == mask.tolist() == [True, False, True]
+    assert scalar == list(map(tuple, Q.tolist()))
+    empty = dataclasses.replace(base, is_singular=wrapped).singular(np.empty((0, 7, 3)))
+    assert empty.shape == (0, 7) and empty.dtype == bool
+
+
 def test_sample_boxes_avoid_singular_loci():
     # Each sample box lies inside its chart's parameter domain: u in
     # [-pi/2, pi/2], v, t in [0, 2 pi] for the ruled chart; phi, t in
@@ -125,7 +209,7 @@ def test_sample_boxes_avoid_singular_loci():
         (ruled_chart(), (-math.pi / 2, 0.0, 0.0), (math.pi / 2, tau, tau)),
         (sphere_chart(0.9), (0.0, 0.0, 0.0), (tau, math.pi / 2, tau)),
     ):
-        for q in chart.sample_box.grid(4):
+        for q in box_grid(chart.sample_box, 4):
             assert all(l <= x <= h for l, x, h in zip(lo, q, hi))
             assert not chart.is_singular(*q)
 
@@ -409,4 +493,6 @@ def test_a_perturbed_scan_takes_one_field_jet_per_parameter_point(monkeypatch):
 
 def test_grid_requires_two_points_per_axis():
     with pytest.raises(ValueError):
-        list(ruled_chart().sample_box.grid(1))
+        ruled_chart().sample_box.axes(1)
+    with pytest.raises(ValueError):
+        cli._grid_points(ruled_chart(), 1)

@@ -131,6 +131,11 @@ def test_the_workflow_runs_the_cli():
     steps = STEPS["Crosscheck with a step far above the chart scale fails without warnings"]
     assert steps[0] == ["cp2ricci", argv, 1, "$RUNNER_TEMP/step300.err"]
     assert steps[1][1] == 'test ! -s "$RUNNER_TEMP/step300.err"'
+    # crosscheck at its default, acceptance, size: the array masks run sin and
+    # cos over whole stencils and stay quiet
+    steps = STEPS["Crosscheck at its acceptance size passes without warnings"]
+    assert steps[0] == ["cp2ricci", ["cp2ricci", "crosscheck"], 0, "$RUNNER_TEMP/cc.err"]
+    assert steps[1][1] == 'test ! -s "$RUNNER_TEMP/cc.err"'
     # a singular stencil metric (step 0.3) and a stencil neighbour in the singular
     # locus (step 0.37): flagged rows pass through the batched kernels quietly
     steps = STEPS["Crosscheck with a singular stencil metric or stencil neighbour fails without warnings"]

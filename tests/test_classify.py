@@ -10,7 +10,7 @@ from cp2ricci.charts import perturbed_ruled_chart, ruled_chart, sphere_chart
 from cp2ricci.exact.mpoly import variables
 from cp2ricci.exact.sturm import sturm_count
 from cp2ricci.shape import ShapeData, shape_operator
-from helpers import flip_normal
+from helpers import box_grid, flip_normal
 
 
 def _adapted_basis(s):
@@ -22,7 +22,7 @@ def _adapted_basis(s):
 
 def test_equality_basis_on_ruled_grid():
     chart = ruled_chart()
-    for q in chart.sample_box.grid(3):
+    for q in box_grid(chart.sample_box, 3):
         s = shape_operator(chart, q)
         block, balance, form = cl.equality_residuals(s)
         assert block < 1e-6 and balance < 1e-6 and form < 1e-6
@@ -43,7 +43,7 @@ def test_equality_basis_rejects_hopf_points():
 
 def test_ruled_check_on_grid_minimal_mode():
     chart = ruled_chart()
-    for q in chart.sample_box.grid(3):
+    for q in box_grid(chart.sample_box, 3):
         s = shape_operator(chart, q)
         assert max(cl.equality_residuals(s)[2], abs(s.alpha), abs(float(s.A.trace()))) < 1e-6
 

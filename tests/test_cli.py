@@ -14,7 +14,7 @@ import pytest
 
 from cp2ricci import cli
 from cp2ricci import curvature as cv
-from cp2ricci.charts import perturbed_ruled_chart, ruled_chart, sphere_chart
+from cp2ricci.charts import Box, perturbed_ruled_chart, ruled_chart, sphere_chart
 from cp2ricci.frames import build_frame
 from cp2ricci.report import (
     EXACT_ZERO,
@@ -24,7 +24,7 @@ from cp2ricci.report import (
     run_report,
     scan_to_csv,
 )
-from helpers import near_singular_box
+from helpers import builtin_predicate_calls, near_singular_box
 
 DATA = Path(__file__).parent / "data"
 
@@ -529,6 +529,18 @@ def test_crosscheck_counts_declared_singular_grid_points_as_errors(flagged, monk
     assert run_report("crosscheck", {}, reports)["summary"]["errors"] == 4
 
 
+def test_an_infinite_sample_box_edge_flags_its_points_not_a_usage_error(monkeypatch, capsys):
+    # np.linspace gives the u axis NaN and inf values (its warning silenced
+    # here); the singular mask flags those points, where the scalar predicate
+    # raised ValueError, which main reported as a usage error (exit 2).
+    chart = dataclasses.replace(ruled_chart(), sample_box=Box((0.3, 0.1, 0.1), (math.inf, 6.1, 6.1)))
+    monkeypatch.setattr(cli, "ruled_chart", lambda: chart)
+    with np.errstate(invalid="ignore"):
+        assert cli.main(["check", "ruled", "--grid", "2"]) == 1
+    out = capsys.readouterr().out
+    assert json.loads(out[out.index("{") :])["summary"]["errors"] == 8
+
+
 def test_all_error_sphere_grid_reports_infinite_residuals(monkeypatch):
     monkeypatch.setattr(cli, "sphere_chart", lambda r: perturbed_ruled_chart(math.nan, 0))
     for r in cli.cmd_check_sphere(grid=2):
@@ -553,32 +565,45 @@ def test_singular_stencil_metric_is_a_flagged_point_not_a_usage_error(capsys):
     assert ruled["checkName"] == "crosscheck_ruled" and ruled["details"]["errors"] == 4
     # The batched stencil pass flags each such point with the exception's own
     # class name.
-    flags, gaps = cli._crosscheck_grid(ruled_chart(), 2, 0.3)
-    assert flags.tolist() == ["SingularMetric"] * 4 + ["ok"] * 4
+    flags, gaps, planes = cli._crosscheck_grid(ruled_chart(), 2, 0.3, [])
+    assert flags.tolist() == ["SingularMetric"] * 4 + ["ok"] * 4 and planes == []
 
 
 def test_an_all_singular_chart_flags_every_crosscheck_point_quietly():
+    # The holomorphic-plane point skips the grid's mask, so it reaches the
+    # stencil pass, which rejects it for the same singular locus.
     base = ruled_chart()
     chart = dataclasses.replace(base, name="nowhere", is_singular=lambda *q: True)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        flags, gaps = cli._crosscheck_grid(chart, 2, 1e-3)
+        flags, gaps, planes = cli._crosscheck_grid(chart, 2, 1e-3, [cli.HOLOMORPHIC_POINT])
     assert flags.tolist() == ["singular"] * 8 and np.isnan(gaps).all()
+    ((value, details),) = planes
+    assert math.isnan(value)
+    assert details["error"] == (
+        "SingularMetric: chart 'nowhere' at (0.3, 0.7, 0.4): stencil centre or axis neighbour in the singular locus"
+    )
 
 
-@pytest.mark.parametrize("make", [ruled_chart, lambda: sphere_chart(math.pi / 4)], ids=["ruled", "sphere"])
-def test_only_ok_crosscheck_rows_enter_the_stacked_inverse(make, monkeypatch):
+@pytest.mark.parametrize(
+    "make, extra",
+    [(ruled_chart, []), (lambda: sphere_chart(math.pi / 4), [cli.HOLOMORPHIC_POINT])],
+    ids=["ruled", "sphere"],
+)
+def test_only_ok_crosscheck_rows_enter_the_stacked_inverse(make, extra, monkeypatch):
     # Four grid points are in the singular locus, so their table rows are NaN;
-    # every matrix stack inverted in the pass is finite, and the ok gaps are
+    # every matrix stack inverted in the pass is finite and holds the 4 ok
+    # grid rows plus the sphere's holomorphic-plane row, and the ok gaps are
     # those of the full pass.
     chart = near_singular_box(make())
     inv, inverted = np.linalg.inv, []
     monkeypatch.setattr(np.linalg, "inv", lambda a: inverted.append(np.asarray(a)) or inv(a))
-    flags, gaps = cli._crosscheck_grid(chart, 2, 1e-3)
+    flags, gaps, planes = cli._crosscheck_grid(chart, 2, 1e-3, extra)
     assert flags.tolist().count("singular") == 4 and flags.tolist().count("ok") == 4
     stacks = [a for a in inverted if a.ndim == 3]
-    assert stacks and all(len(a) == 4 and np.isfinite(a).all() for a in stacks)
+    assert stacks and all(len(a) == 4 + len(extra) and np.isfinite(a).all() for a in stacks)
     assert np.isnan(gaps[flags == "singular"]).all() and (gaps[flags == "ok"] < 1e-4).all()
+    assert len(planes) == len(extra) and all(abs(v - 5.0) < 1e-4 and d == {} for v, d in planes)
 
 
 def test_stencil_centre_in_the_singular_locus_is_a_flagged_point(capsys):
@@ -595,7 +620,7 @@ def test_stencil_centre_in_the_singular_locus_is_a_flagged_point(capsys):
 
 def test_singular_holomorphic_plane_stencil_fails_its_check(monkeypatch):
     # Every centre of every batched stencil pass fails, so the holomorphic-plane
-    # check's one-centre pass raises its message as a SingularMetric.
+    # row of the sphere's pass carries its message as a SingularMetric.
     def singular(chart, qs, h=1e-3):
         return np.full((len(qs), 3, 3, 3, 3), math.nan), ["singular metric on the stencil"] * len(qs)
 
@@ -617,26 +642,60 @@ def test_crosscheck_never_calls_the_per_point_shape_operator(tmp_path, monkeypat
 
 
 def test_a_flagged_holomorphic_plane_shape_fails_its_check(monkeypatch):
-    # The batched kernel flags the holomorphic-plane point, its one-point
-    # call; the two grids of 8 points keep their shapes.
-    kernel = cli.shape_operator_grid
+    # The batched kernel flags the row whose q is the holomorphic-plane point,
+    # the last of the sphere's call; the two grids of 8 points keep their
+    # shapes, and the flagged row counts as no grid error.
+    kernel, flagged = cli.shape_operator_grid, []
 
-    def flag_single_point(chart, qs, h=1e-5):
+    def flag_holomorphic_point(chart, qs, h=1e-5):
         g = kernel(chart, qs, h)
-        if len(qs) == 1:
-            g.flags[0] = "RankDeficient"
+        for k in [k for k, q in enumerate(qs) if q == cli.HOLOMORPHIC_POINT]:
+            flagged.append((chart.name, k, len(qs)))
+            g.flags[k] = "RankDeficient"
             for x in (g.A, g.P, g.xi, g.coeffs):
-                x[0] = math.nan
+                x[k] = math.nan
         return g
 
-    monkeypatch.setattr(cli, "shape_operator_grid", flag_single_point)
+    monkeypatch.setattr(cli, "shape_operator_grid", flag_holomorphic_point)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         *grids, hol = cli.cmd_crosscheck(grid=2)
+    assert flagged == [(sphere_chart(math.pi / 4).name, 8, 9)]
     assert [r.status for r in grids] == ["pass", "pass"]
+    assert [r.details["errors"] for r in grids] == [0, 0]
     assert hol.name == "crosscheck_sphere_holomorphic_plane" and hol.status == "fail"
     assert math.isnan(hol.max_abs_residual) and math.isnan(hol.details["value"])
     assert hol.details["error"] == "RankDeficient"
+
+
+def test_crosscheck_calls_each_kernel_once_per_chart(monkeypatch):
+    # One shape_operator_grid call and one stencil pass per chart, the
+    # holomorphic-plane point the last row of both of the sphere's; the
+    # singular locus is the array mask alone, no builtin scalar predicate.
+    calls = []
+
+    def counted(owner, name):
+        kernel = getattr(owner, name)
+
+        def call(chart, qs, *args, **kwargs):
+            calls.append((name, chart.name, len(qs), qs[-1] == cli.HOLOMORPHIC_POINT))
+            return kernel(chart, qs, *args, **kwargs)
+
+        monkeypatch.setattr(owner, name, call)
+
+    counted(cli, "shape_operator_grid")
+    counted(cli.cv, "intrinsic_riemann_batch")
+    with builtin_predicate_calls() as scalar:
+        reports = cli.cmd_crosscheck(grid=2)
+    assert [r.status for r in reports] == ["pass"] * 3
+    sphere = sphere_chart(math.pi / 4).name
+    assert calls == [
+        ("shape_operator_grid", "ruled", 8, False),
+        ("intrinsic_riemann_batch", "ruled", 8, False),
+        ("shape_operator_grid", sphere, 9, True),
+        ("intrinsic_riemann_batch", sphere, 9, True),
+    ]
+    assert scalar == []
 
 
 @pytest.mark.parametrize("step", ["1e-200", "1e-150"])

@@ -13,7 +13,7 @@ from cp2ricci import curvature as cv
 from cp2ricci.charts import perturbed_ruled_chart, ruled_chart, sphere_chart
 from cp2ricci.frames import RankDeficient, build_frame
 from cp2ricci.shape import ShapeData, shape_operator, shape_operator_grid
-from helpers import flip_normal, gauss_riemann_per_shape, induced_metric, intrinsic_riemann, riemann_gauss
+from helpers import box_grid, flip_normal, gauss_riemann_per_shape, induced_metric, intrinsic_riemann, riemann_gauss
 
 
 def _sphere_model_data(r):
@@ -199,7 +199,7 @@ def test_gauss_tensor_of_stacked_shapes_is_the_per_point_tensor_bitwise():
     assert T.tobytes() == np.array([cv._gauss_tensor(s) for s in shapes]).tobytes()
     # The kernel's record is read the same way.
     chart = sphere_chart(math.pi / 6)
-    qs = list(chart.sample_box.grid(3))
+    qs = list(box_grid(chart.sample_box, 3))
     per_point = np.array([cv._gauss_tensor(shape_operator(chart, q)) for q in qs])
     assert cv._gauss_tensor(shape_operator_grid(chart, qs)).tobytes() == per_point.tobytes()
 
@@ -228,7 +228,7 @@ def test_ricci_guard_rejects_non_finite_data():
 def test_delta2_equals_max_ricci_at_sampled_points():
     # the dimension-3 identity
     for chart in (ruled_chart(), sphere_chart(math.pi / 6)):
-        for q in chart.sample_box.grid(2):
+        for q in box_grid(chart.sample_box, 2):
             rep = cv.curvature_report(shape_operator(chart, q))
             assert abs(rep.delta2 - rep.max_ricci) < 1e-5
             assert abs(rep.scalar_curvature - np.sum(rep.ricci_eigenvalues)) < 1e-12
@@ -244,7 +244,7 @@ def test_delta2_detects_an_error_in_the_ricci_tensor(monkeypatch):
     ricci = cv.ricci_matrix
     monkeypatch.setattr(cv, "ricci_matrix", lambda s: ricci(s) + 1e-3 * np.eye(3))
     for chart in (ruled_chart(), sphere_chart(math.pi / 6)):
-        for q in chart.sample_box.grid(2):
+        for q in box_grid(chart.sample_box, 2):
             rep = cv.curvature_report(shape_operator(chart, q))
             assert abs(rep.delta2 - rep.max_ricci) > 1e-5
 
@@ -462,7 +462,7 @@ def test_stacked_stencil_metrics_are_exactly_symmetric(chart):
     "chart", [ruled_chart(), sphere_chart(math.pi / 4), perturbed_ruled_chart(0.05, 3)], ids=lambda c: c.name
 )
 def test_batched_riemann_equals_each_centre_alone(chart):
-    qs = list(chart.sample_box.grid(3))
+    qs = list(box_grid(chart.sample_box, 3))
     R, errors = cv.intrinsic_riemann_batch(chart, qs)
     assert R.shape == (27, 3, 3, 3, 3) and errors == [None] * 27
     for q, r in zip(qs, R):
@@ -589,7 +589,7 @@ def test_a_replaced_or_wrapped_builtin_chart_is_called_19_times_per_centre(base,
 
 @pytest.mark.parametrize("chart", [ruled_chart(), sphere_chart(math.pi / 4)], ids=lambda c: c.name)
 def test_batched_gauss_pullback_equals_the_per_point_pullback_bitwise(chart):
-    qs = [q for q in chart.sample_box.grid(5) if not chart.is_singular(*q)]
+    qs = [q for q in box_grid(chart.sample_box, 5) if not chart.is_singular(*q)]
     shapes = [shape_operator(chart, q) for q in qs]
     assert len(shapes) == 125
     C = np.array([build_frame(chart, q).coeffs for q in qs])
@@ -660,6 +660,27 @@ def test_step_below_the_parameter_resolution_raises_singular_metric(h):
         intrinsic_riemann(ruled_chart(), (0.6, 1.0, 2.0), h=h)
     with pytest.raises(cv.SingularMetric, match="below the parameter resolution"):
         intrinsic_riemann(sphere_chart(math.pi / 4), (0.3, 0.7, 0.4), h=h)
+
+
+@pytest.mark.parametrize(
+    "chart", [ruled_chart(), sphere_chart(math.pi / 4), perturbed_ruled_chart(0.05, 0)], ids=lambda c: c.name
+)
+def test_a_non_finite_stencil_centre_or_step_is_flagged_quietly(chart):
+    # A non-finite step fails every centre, a non-finite coordinate (on the
+    # singular axis or off it) its own centre alone, before the step's
+    # resolution or the singular locus is looked at: no warning, no exception,
+    # and a finite centre of the same batch keeps its one-centre bits.
+    message = "non-finite stencil centre, step or neighbour"
+    good = (0.3, 0.7, 0.4) if chart.name.startswith("sphere") else (0.6, 1.0, 2.0)
+    bad = [(*good[:a], x, *good[a + 1 :]) for x in (math.inf, -math.inf, math.nan) for a in range(3)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for h in (math.inf, -math.inf, math.nan):
+            R, errors = cv.intrinsic_riemann_batch(chart, [good], h)
+            assert errors == [f"chart {chart.name!r} at {good}: {message}"] and np.isnan(R).all()
+        R, errors = cv.intrinsic_riemann_batch(chart, [*bad, good])
+    assert errors == [f"chart {chart.name!r} at {q}: {message}" for q in bad] + [None]
+    assert np.isnan(R[:-1]).all() and np.array_equal(R[-1], intrinsic_riemann(chart, good))
 
 
 def test_underflowing_step_squared_raises_singular_metric():

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from cp2ricci import frames
 from cp2ricci.charts import perturbed_ruled_chart, ruled_chart, sphere_chart
 from cp2ricci.frames import RANK_TOL, RankDeficient, _horizontal_rows, build_frame
-from helpers import horizontalize
+from helpers import box_grid, horizontalize
 
 
 def frame_residuals(frame):
@@ -88,7 +88,7 @@ def test_frame_determinism():
 
 def test_frame_invariants_on_grids_of_both_charts():
     for chart in (ruled_chart(), sphere_chart(math.pi / 6)):
-        for q in chart.sample_box.grid(3):
+        for q in box_grid(chart.sample_box, 3):
             res = frame_residuals(build_frame(chart, q))
             assert res["orthonormality"] < 1e-12
             assert res["normal_horizontality"] < 1e-12

@@ -9,7 +9,7 @@ from cp2ricci import shape
 from cp2ricci.charts import perturbed_ruled_chart, ruled_chart, sphere_chart
 from cp2ricci.frames import RankDeficient, build_frame
 from cp2ricci.shape import AsymmetryExceeded, ShapeData, shape_operator, shape_operator_grid
-from helpers import flip_normal, near_singular_box
+from helpers import box_grid, flip_normal, near_singular_box
 
 # Regression baseline: grid minimum of the Hopf defect over the default
 # 16^3 ruled box, frozen after the first full run.
@@ -53,7 +53,7 @@ def test_sphere_principal_curvatures_sixth_pi():
 
 def test_structural_invariants_on_grids():
     for chart in (ruled_chart(), sphere_chart(math.pi / 4)):
-        for q in chart.sample_box.grid(3):
+        for q in box_grid(chart.sample_box, 3):
             s = shape_operator(chart, q)
             res = invariant_residuals(s)
             assert res["P_skew"] < 1e-10
@@ -162,7 +162,7 @@ def test_ruled_defect_positive_with_frozen_grid_minimum():
     # the u = 0.3 face and is the frozen regression value.
     chart = ruled_chart()
     min_defect = math.inf
-    for q in chart.sample_box.grid(5):
+    for q in box_grid(chart.sample_box, 5):
         s = shape_operator(chart, q)
         assert abs(s.hopf_defect - math.tan(q[0])) < 1e-8
         min_defect = min(min_defect, s.hopf_defect)
@@ -174,7 +174,7 @@ def test_ruled_defect_positive_with_frozen_grid_minimum():
 def test_sphere_charts_are_hopf():
     for r in (math.pi / 4, math.pi / 6):
         chart = sphere_chart(r)
-        for q in chart.sample_box.grid(3):
+        for q in box_grid(chart.sample_box, 3):
             assert shape_operator(chart, q).hopf_defect < 1e-8
 
 
@@ -239,7 +239,7 @@ def _grid_against_per_point(chart, qs, h=1e-5):
 )
 def test_shape_operator_grid_is_the_per_point_shape_operator_bitwise(make):
     chart = make()
-    assert _grid_against_per_point(chart, list(chart.sample_box.grid(4))) == ["ok"] * 64
+    assert _grid_against_per_point(chart, list(box_grid(chart.sample_box, 4))) == ["ok"] * 64
 
 
 def test_shape_operator_grid_aligns_a_stencil_normal_across_the_sign_rule():
@@ -255,7 +255,7 @@ def test_shape_operator_grid_flags_a_non_finite_chart_quietly():
     chart = perturbed_ruled_chart(math.nan, 0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        flags = _grid_against_per_point(chart, list(chart.sample_box.grid(2)))
+        flags = _grid_against_per_point(chart, list(box_grid(chart.sample_box, 2)))
     assert flags == ["RankDeficient"] * 8
 
 
@@ -282,7 +282,7 @@ def test_a_gram_overflow_is_flagged_quietly_by_both_kernels():
 def test_shape_operator_grid_agrees_on_the_near_singular_box(make):
     # The declared-singular edge is computable, so every point is ok.
     chart = near_singular_box(make())
-    assert _grid_against_per_point(chart, list(chart.sample_box.grid(3))) == ["ok"] * 27
+    assert _grid_against_per_point(chart, list(box_grid(chart.sample_box, 3))) == ["ok"] * 27
 
 
 def test_shape_operator_grid_flags_each_rank_deficient_frame():
@@ -294,7 +294,7 @@ def test_shape_operator_grid_flags_each_rank_deficient_frame():
 
 def test_shape_operator_grid_flags_a_coarse_step_as_asymmetry():
     chart = ruled_chart()
-    flags = _grid_against_per_point(chart, list(chart.sample_box.grid(4)), h=2e-3)
+    flags = _grid_against_per_point(chart, list(box_grid(chart.sample_box, 4)), h=2e-3)
     assert set(flags) == {"ok", "AsymmetryExceeded"}
 
 
