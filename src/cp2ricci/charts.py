@@ -49,10 +49,15 @@ ParamTriple = tuple[float, float, float]
 
 @dataclass(frozen=True)
 class Box:
-    """A closed box in 3-parameter space."""
+    """A closed box in 3-parameter space; a non-finite edge is a ValueError."""
 
     lo: tuple[float, float, float]
     hi: tuple[float, float, float]
+
+    def __post_init__(self) -> None:
+        for edge, corner in (("lo", self.lo), ("hi", self.hi)):
+            if not all(map(math.isfinite, corner)):
+                raise ValueError(f"box edge {edge} = {corner} is not finite")
 
     def axes(self, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         if n < 2:

@@ -11,8 +11,8 @@ Commands, each run by its ``cmd_*`` function in ``COMMANDS``
 
 Over the points and ``singular`` flags of ``_grid_points``, ``check`` and
 ``scan`` walk their grid one point at a time (``_grid_table``); ``crosscheck``
-runs a chart's grid, with the sphere's holomorphic-plane point, through one
-kernel call and one stencil pass: the same flags, at ``ok`` points the same bits.
+makes one ``chart.jet`` call per chart, then one pass of each kernel for both
+charts (``_crosscheck_rows``): per chart the flags and bits of its kernels alone.
 
 A command takes the options its ``cmd_*`` function has parameters for, with
 the signature's defaults (scan's ``--tol t`` is ``bound = -t``), plus
@@ -50,7 +50,7 @@ from .report import (
     scan_to_csv,
     scan_to_json,
 )
-from .shape import AsymmetryExceeded, ShapeData, shape_operator, shape_operator_grid
+from .shape import AsymmetryExceeded, ShapeData, _shape_grid, _shape_stencil, shape_operator
 
 HOLOMORPHIC_POINT: ParamTriple = (0.3, 0.7, 0.4)  # the sphere point of crosscheck's holomorphic plane
 
@@ -311,45 +311,58 @@ def cmd_scan(
     return [report], rows
 
 
-def _crosscheck_grid(
-    chart: SurfaceChart, grid: int, step: float, extra: list[ParamTriple]
-) -> tuple[np.ndarray, np.ndarray, list[tuple[float, dict[str, str]]]]:
-    """(flags, gaps, planes): max |R_intrinsic - R_gauss| at each ``ok`` grid point,
-    NaN at a flagged one, and the holomorphic-plane curvature and details at each
-    point of ``extra``.  The ``ok`` grid points, then ``extra`` (unmasked), take one
-    ``shape_operator_grid`` call, whose flags they keep, its ``ok`` points one stencil
-    pass, which flags a failed stencil ``SingularMetric``, and one Gauss pullback."""
-    params, flags = _grid_points(chart, grid)
-    n, params, flags = len(params), [*params, *extra], np.append(flags, ["ok"] * len(extra))
-    shapes = shape_operator_grid(chart, [q for q, f in zip(params, flags) if f == "ok"])
-    flags[flags == "ok"] = shapes.flags
-    ok, shaped = np.flatnonzero(flags == "ok"), shapes.flags == "ok"
-    intrinsic, failed = cv.intrinsic_riemann_batch(chart, [params[k] for k in ok], step)
-    flags[ok[[e is not None for e in failed]]] = "SingularMetric"
+def _crosscheck_rows(
+    charts: list[tuple[SurfaceChart, list[ParamTriple]]], grid: int, step: float
+) -> list[tuple[np.ndarray, np.ndarray, list[tuple[float, dict[str, str]]]]]:
+    """Per (chart, extra) of ``charts``, (flags, gaps, planes): max |R_intrinsic - R_gauss| at
+    each ``ok`` grid point, NaN at a flagged one, and the holomorphic-plane curvature and details
+    at each point of ``extra``.  A chart's ``ok`` grid points, then ``extra`` (unmasked), take one
+    ``chart.jet`` call at their shape and accepted metric stencils; then all charts' rows take one
+    shape pass, whose flags precede one Gram and Riemann pass's ``SingularMetric``, and one pullback."""
+    runs, jets, failed = [], [], []
+    for chart, extra in charts:
+        params, flags = _grid_points(chart, grid)
+        params, flags = [*params, *extra], np.append(flags, ["ok"] * len(extra))
+        qs = [q for q, f in zip(params, flags) if f == "ok"]
+        Q, (X, errors) = _shape_stencil(qs), cv._stencil_points(chart, qs, step)
+        with np.errstate(over="ignore", invalid="ignore"):
+            p, D = chart.jet(np.concatenate([Q, X]))
+        jets.append((p[: len(Q)], D[: len(Q)], p[len(Q) :], D[len(Q) :]))
+        runs.append((chart, params, flags, len(params) - len(extra)))
+        failed += errors
+    p, D, pm, Dm = (np.concatenate(x) for x in zip(*jets))
+    shapes = _shape_grid(p, D)
+    intrinsic, failed = cv._riemann(cv._stencil_gram(pm, Dm, failed), failed, step)
+    shaped = shapes.flags == "ok"
     gauss = cv.gauss_riemann_coords(shapes.coeffs[shaped], cv._gauss_tensor(shapes)[shaped])
-    gaps = np.full(len(params), math.nan)
-    gaps[ok] = np.abs(gauss - intrinsic).reshape(len(ok), 81).max(axis=1)  # NaN where the stencil failed
-    planes = []
-    for k in range(n, len(params)):
-        i = np.searchsorted(ok, k)  # k's row of intrinsic and of the ok shapes, where its shape is ok
-        if flags[k] == "ok":  # R_ijkl = C_ia C_jb C_kc C_ld R_abcd, the intrinsic tensor in the frame
-            C = shapes.coeffs[shaped][i]
-            R = np.einsum("ia,jb,kc,ld,abcd->ijkl", C, C, C, C, intrinsic[i])
-            planes.append((cv.plane_curvature(R, shapes.xi[shaped][i]), {}))
-        else:  # NaN, with the shape's flag or the stencil's message as its error
-            error = f"SingularMetric: {failed[i]}" if flags[k] == "SingularMetric" else flags[k]
-            planes.append((math.nan, {"error": error}))
-    return flags[:n], gaps[:n], planes
+    live = np.where(shaped & np.not_equal(failed, None), "SingularMetric", shapes.flags)
+    gaps = np.full(len(live), math.nan)
+    gaps[shaped] = np.abs(gauss - intrinsic[shaped]).reshape(-1, 81).max(axis=1)  # NaN where the stencil failed
+    out, end = [], 0
+    for chart, params, flags, n in runs:
+        ok = flags == "ok"
+        rows = slice(end, end := end + int(ok.sum()))
+        flags[ok], chart_gaps = live[rows], np.full(len(flags), math.nan)
+        chart_gaps[ok], planes = gaps[rows], []
+        for q, i in zip(params[n:], range(end - len(params) + n, end)):  # the extra points, last of the rows
+            if live[i] == "ok":  # R_ijkl = C_ia C_jb C_kc C_ld R_abcd, the intrinsic tensor in the frame
+                R = np.einsum("ia,jb,kc,ld,abcd->ijkl", *[shapes.coeffs[i]] * 4, intrinsic[i])
+                planes.append((cv.plane_curvature(R, shapes.xi[i]), {}))
+            else:  # NaN, with the shape's flag or the stencil's message as its error
+                error = f"SingularMetric: chart {chart.name!r} at {q}: {failed[i]}"
+                planes.append((math.nan, {"error": error if live[i] == "SingularMetric" else live[i]}))
+        out.append((flags[:n], chart_gaps[:n], planes))
+    return out
 
 
 def cmd_crosscheck(grid: int = 5, step: float = 1e-3, tol: float = 1e-4) -> list[CheckReport]:
     """Intrinsic against shape-based curvature tensors on coarse grids of both
-    builtin charts (see ``_crosscheck_grid``), plus the holomorphic-plane
+    builtin charts, in one pass (see ``_crosscheck_rows``), plus the holomorphic-plane
     curvature at the sphere's ``HOLOMORPHIC_POINT``.  ``step`` is the stencil's;
     the shape operator keeps 1e-5.  A flagged grid point fails its check."""
+    charts = [(ruled_chart(), []), (sphere_chart(math.pi / 4), [HOLOMORPHIC_POINT])]
     reports = []
-    for chart, extra in ((ruled_chart(), []), (sphere_chart(math.pi / 4), [HOLOMORPHIC_POINT])):
-        flags, gaps, planes = _crosscheck_grid(chart, grid, step, extra)
+    for (chart, _), (flags, gaps, planes) in zip(charts, _crosscheck_rows(charts, grid, step)):
         worst, errors = _worst(gaps[flags == "ok"]), int(np.sum(flags != "ok"))
         name = f"crosscheck_{chart.name.split(':')[0]}"
         reports.append(_report(name, worst < tol, worst, grid=grid, step=step, errors=errors))

@@ -7,10 +7,9 @@ The curvature tensor of the hypersurface is evaluated from frame data
                + <AY,Z>AX - <AX,Z>AY,
 
 written once, as the frame components R[x, y, z, w] = <R(e_x, e_y) e_z, e_w>
-of ``_gauss_tensor``, at one point or at a stack of points (the record of
-``shape.shape_operator_grid``); ``plane_curvature(R, n)`` reads sectional
-curvatures off them.  ``riemann_gauss`` and ``induced_metric`` are test
-references only.
+of ``_gauss_tensor``, at one point or at a stack of points (a
+``shape.ShapeGrid``); ``plane_curvature(R, n)`` reads sectional curvatures
+off them.
 
 The Ricci tensor is produced both by direct double contraction and by the
 closed form S(X, X) = 2 + 3|PX|^2 + tr(A) <AX, X> - |AX|^2; the two routes
@@ -24,8 +23,10 @@ for every hypersurface point and zero exactly on the classified models.
 metric alone, an oracle independent of the shape-operator pipeline, at all
 centres q of a grid in one pass: the metric on the 19-point stencil q + h K
 is one (N, 19, 3, 3) array, its central differences give dg and ddg at q,
-and the textbook formula in g, dg and ddg gives R with error O(h^2).
-A single centre is a batch of one.
+and the textbook formula in g, dg and ddg gives R with error O(h^2).  Only
+the stencil mask (``_stencil_points``) and one ``chart.jet`` call see the
+chart; the Gram pass (``_stencil_gram``) and the Riemann pass (``_riemann``)
+are chart-free, so ``crosscheck`` runs each once on the rows of both charts.
 """
 
 from __future__ import annotations
@@ -204,15 +205,12 @@ def _stencil() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 K, D1, D2 = _stencil()
 
 
-def _stencil_metric(chart: SurfaceChart, qs: list[ParamTriple], h: float) -> tuple[np.ndarray, list]:
-    """The induced metric at q + h K for each centre q of ``qs``, one
-    (N, 19, 3, 3) array, and each centre's error or None.  A centre is
-    rejected (NaN rows) unevaluated where its stencil is not finite, else where
-    h^2 underflows or an axis neighbour q +- h e_a rounds to q (else all 19
-    points are distinct), else where one ``chart.singular`` mask puts q or an
-    axis neighbour in the declared singular locus.  One ``chart.jet`` call maps
-    the other stencils; its points and partials are projected by one complex
-    contraction and their Gram matrices formed by one matmul."""
+def _stencil_points(chart: SurfaceChart, qs: list[ParamTriple], h: float) -> tuple[np.ndarray, list]:
+    """The points q + h K (19 M, 3) of the M accepted centres q of ``qs`` and
+    each centre's error or None.  A centre is rejected where its stencil is not
+    finite, else where h^2 underflows or an axis neighbour q +- h e_a rounds to
+    q (else all 19 points are distinct), else where one ``chart.singular`` mask
+    puts q or an axis neighbour in the declared singular locus."""
     with np.errstate(invalid="ignore", over="ignore"):  # 0 * inf in h K, or q + h K beyond the float range
         X = np.asarray(qs, dtype=np.float64).reshape(-1, 1, 3) + h * K
     finite = np.isfinite(X).all(axis=(1, 2))
@@ -225,32 +223,40 @@ def _stencil_metric(chart: SurfaceChart, qs: list[ParamTriple], h: float) -> tup
         else "stencil centre or axis neighbour in the singular locus" if s else None
         for f, c, s in zip(finite.tolist(), coarse.tolist(), singular.tolist())
     ]
-    ok = tested & ~singular
-    p, D = chart.jet(X[ok].reshape(-1, 3))
+    return X[tested & ~singular].reshape(-1, 3), errors
+
+
+def _stencil_gram(p: np.ndarray, D: np.ndarray, errors: list) -> np.ndarray:
+    """The stencil metric G (N, 19, 3, 3) of the N centres of ``errors`` from
+    the chart's points p and partials D at ``_stencil_points``, chart-free:
+    NaN where a centre has an error, else one projection and one matmul."""
     W = _horizontal_rows(p.reshape(-1, 19, 3), D.reshape(-1, 19, 3, 3))
-    G = np.full((len(X), 19, 3, 3), math.nan)
-    G[ok] = W @ W.swapaxes(-1, -2)
-    return G, errors
+    G = np.full((len(errors), 19, 3, 3), math.nan)
+    G[[e is None for e in errors]] = W @ W.swapaxes(-1, -2)
+    return G
 
 
-def intrinsic_riemann_batch(
-    chart: SurfaceChart, qs: list[ParamTriple], h: float = 1e-3
-) -> tuple[np.ndarray, list[str | None]]:
-    """R_{abcd} = <R(d_a, d_b) d_c, d_d> at each centre q of ``qs``, one
-    (N, 3, 3, 3, 3) array, and per centre its ``SingularMetric`` message
-    (R is NaN there) or None.  With g = G[0], dg = D1 G / h and ddg =
-    D2 G / h^2 on the stencil metric G (see ``_stencil``),
+def _stencil_metric(chart: SurfaceChart, qs: list[ParamTriple], h: float) -> tuple[np.ndarray, list]:
+    """``_stencil_points``, one ``chart.jet`` call, ``_stencil_gram``: (G, errors)."""
+    X, errors = _stencil_points(chart, qs, h)
+    return _stencil_gram(*chart.jet(X), errors), errors
+
+
+def _riemann(G: np.ndarray, errors: list, h: float) -> tuple[np.ndarray, list]:
+    """R_{abcd} = <R(d_a, d_b) d_c, d_d> (N, 3, 3, 3, 3) and each centre's
+    error, chart-free, from the stencil metric G and errors of
+    ``_stencil_metric``.  With g = G[0], dg = D1 G / h and ddg = D2 G / h^2
+    (see ``_stencil``),
 
         R_abcd = (g_bd,ac + g_ac,bd - g_bc,ad - g_ad,bc) / 2
                  + Gamma_{e,bd} Gamma^e_ac - Gamma_{e,ad} Gamma^e_bc,
 
     with error O(h^2), taken as x - x^T over (a, b) for x_abcd = (g_bd,ac -
     g_bc,ad) / 2 + Gamma_{e,bd} Gamma^e_ac, so exactly antisymmetric there.
-    q fails where ``_stencil_metric`` rejects it, its stencil metric is
-    non-finite or g is singular; every other R has its one-centre bits."""
-    G, errors = _stencil_metric(chart, qs, h)
-    for k in np.flatnonzero(~np.isfinite(G).all(axis=(1, 2, 3))).tolist():
-        errors[k] = errors[k] or "non-finite metric on the stencil"
+    A centre also fails where G is non-finite or g singular (R is NaN there);
+    rows are independent, so every other R has its one-centre bits."""
+    finite = np.isfinite(G).all(axis=(1, 2, 3)).tolist()
+    errors = [e or (None if f else "non-finite metric on the stencil") for e, f in zip(errors, finite)]
     good = [k for k, e in enumerate(errors) if e is None]
     dg = np.einsum("cn,xnab->xcab", D1, G[good]) / h  # dg[x, c, a, b] = d_c g_ab
     try:
@@ -270,6 +276,16 @@ def intrinsic_riemann_batch(
     x += np.einsum("xef,xfbd,xeac->xabcd", g, gamma, gamma)
     R = np.full((len(errors), 3, 3, 3, 3), math.nan)
     R[good] = x - x.swapaxes(1, 2)
+    return R, errors
+
+
+def intrinsic_riemann_batch(
+    chart: SurfaceChart, qs: list[ParamTriple], h: float = 1e-3
+) -> tuple[np.ndarray, list[str | None]]:
+    """``_riemann`` at the centres q of ``qs`` on ``_stencil_metric``: R and per
+    centre its ``SingularMetric`` message, prefixed "chart '<name>' at <q>: ",
+    or None."""
+    R, errors = _riemann(*_stencil_metric(chart, qs, h), h)
     return R, [e and f"chart {chart.name!r} at {q}: {e}" for q, e in zip(qs, errors)]
 
 

@@ -16,7 +16,8 @@ The frames come from ``frames``: seven ``build_frame`` calls for
 ``shape_operator_grid`` at N points.  Both hand them to one finite-difference
 tail on arrays with leading axes, ``_shape_tail``, and differ only in raising
 where the second flags the point (``RankDeficient``, ``AsymmetryExceeded``).
-Only ``ShapeGrid`` carries the frame ``coeffs``.
+Only ``ShapeGrid`` carries the frame ``coeffs``; its chart-free part,
+``_shape_grid``, may take the stencil rows of several charts at once.
 """
 
 from __future__ import annotations
@@ -132,19 +133,22 @@ class ShapeGrid:
     coeffs: np.ndarray
 
 
-def shape_operator_grid(chart: SurfaceChart, qs: list[ParamTriple], h: float = 1e-5) -> ShapeGrid:
-    """``shape_operator`` at every point of ``qs`` in one pass over arrays, with
-    its bits at every ``ok`` point: one ``chart.jet`` call maps each centre and
-    its six stencil points, and one ``_frame_stack`` call builds their 7 N
-    frames.  A point any of whose seven frames fails the rank guard is flagged
-    ``RankDeficient``; one whose asymmetry is not within ``ASYM_TOL``,
-    ``AsymmetryExceeded``; a flagged point's arrays are NaN."""
+def _shape_stencil(qs: list[ParamTriple], h: float = 1e-5) -> np.ndarray:
+    """The rows (7 N, 3) q, q + h e_0, q - h e_0, q + h e_1, ... per q of ``qs``."""
     Q = np.repeat(np.asarray(qs, dtype=np.float64).reshape(-1, 1, 3), 7, axis=1)
     for a in range(3):  # rows 2a + 1 and 2a + 2 step coordinate a alone, by +h and -h
         Q[:, 2 * a + 1, a] += h
         Q[:, 2 * a + 2, a] -= h
+    return Q.reshape(-1, 3)
+
+
+def _shape_grid(p: np.ndarray, D: np.ndarray, h: float = 1e-5) -> ShapeGrid:
+    """The ``ShapeGrid`` of N points from the chart's points p and partials D at
+    their ``_shape_stencil`` rows, chart-free: one ``_frame_stack`` call builds
+    the 7 N frames.  A point any of whose seven frames fails the rank guard is
+    flagged ``RankDeficient``; one whose asymmetry is not within ``ASYM_TOL``,
+    ``AsymmetryExceeded``; a flagged point's arrays are NaN."""
     with np.errstate(over="ignore", invalid="ignore"):
-        p, D = chart.jet(Q.reshape(-1, 3))
         D = D.reshape(-1, 7, 3, 3)
         R, C, full_rank = _frame_stack(p.reshape(-1, 7, 3), D)
         coeffs = C[:, 0]
@@ -154,3 +158,10 @@ def shape_operator_grid(chart: SurfaceChart, qs: list[ParamTriple], h: float = 1
     for x in (A, P, xi, coeffs):
         x[bad] = math.nan
     return ShapeGrid(flags.astype(object), A, P, xi, coeffs)
+
+
+def shape_operator_grid(chart: SurfaceChart, qs: list[ParamTriple], h: float = 1e-5) -> ShapeGrid:
+    """``shape_operator`` at every point of ``qs``, with its bits at every ``ok``
+    point: ``_shape_stencil``, one ``chart.jet`` call, then ``_shape_grid``."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _shape_grid(*chart.jet(_shape_stencil(qs, h)), h)

@@ -496,3 +496,18 @@ def test_grid_requires_two_points_per_axis():
         ruled_chart().sample_box.axes(1)
     with pytest.raises(ValueError):
         cli._grid_points(ruled_chart(), 1)
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("edge", ["lo", "hi"])
+def test_a_non_finite_sample_box_edge_is_rejected_when_the_box_is_built(edge, value):
+    # Box.axes would hand the edge to np.linspace, which warns and gives NaN
+    # even at the finite edge; the box names the edge instead, quietly.
+    corners = {"lo": (0.3, 0.1, 0.1), "hi": (1.2, 6.1, 6.1)}
+    corners[edge] = (corners[edge][0], value, corners[edge][2])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"^box edge {edge} = .* is not finite$"):
+            charts.Box(**corners)
+        with pytest.raises(ValueError, match=f"^box edge {edge} "):
+            dataclasses.replace(ruled_chart().sample_box, **{edge: corners[edge]})

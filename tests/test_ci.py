@@ -121,6 +121,16 @@ def test_the_workflow_runs_the_cli():
         assert ["cmp", ["cmp", f"$RUNNER_TEMP/{name}", f"tests/data/{name}"]] in (
             STEPS["Crosscheck report matches the golden file"]
         )
+    # the flag-heavy crosscheck reports, which exit 1, against their golden files
+    steps = STEPS["Crosscheck reports with flagged stencils match the golden files"]
+    for k, step in enumerate(("037", "1e-200")):
+        name = f"crosscheck_g2_step{step}.json"
+        argv = ["cp2ricci", "crosscheck", "--grid", "2", "--step", "0.37" if step == "037" else step]
+        assert steps[2 * k : 2 * k + 2] == [
+            ["cp2ricci", [*argv, "--out", f"$RUNNER_TEMP/{name}"], 1, None],
+            ["cmp", ["cmp", f"$RUNNER_TEMP/{name}", f"tests/data/{name}"]],
+        ]
+    assert len(steps) == 4
     argv = ["cp2ricci", "check", "sphere", "--radius", "1.57", "--grid", "3"]
     assert STEPS["Sphere check near the cut locus passes"] == [
         ["cp2ricci", [*argv, "--out", "$RUNNER_TEMP/check_sphere_r157_g3.json"], 0, None],

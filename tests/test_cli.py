@@ -14,8 +14,9 @@ import pytest
 
 from cp2ricci import cli
 from cp2ricci import curvature as cv
-from cp2ricci.charts import Box, perturbed_ruled_chart, ruled_chart, sphere_chart
+from cp2ricci.charts import SurfaceChart, perturbed_ruled_chart, ruled_chart, sphere_chart
 from cp2ricci.frames import build_frame
+from cp2ricci.shape import shape_operator_grid
 from cp2ricci.report import (
     EXACT_ZERO,
     CheckReport,
@@ -440,19 +441,16 @@ def _nan_at_second_call(value):
 
 
 def test_nan_crosscheck_point_fails_its_grid(monkeypatch):
-    # The first batched stencil pass (the ruled grid) returns a NaN tensor at
-    # its second point.
-    batch = cli.cv.intrinsic_riemann_batch
-    calls = []
+    # The one Riemann pass returns a NaN tensor at its second row, the ruled
+    # grid's second point (the ruled grid's rows come first).
+    riemann = cli.cv._riemann
 
     def nan_at_second_point(*args, **kwargs):
-        R, errors = batch(*args, **kwargs)
-        calls.append(None)
-        if len(calls) == 1:
-            R[1] = math.nan
+        R, errors = riemann(*args, **kwargs)
+        R[1] = math.nan
         return R, errors
 
-    monkeypatch.setattr(cli.cv, "intrinsic_riemann_batch", nan_at_second_point)
+    monkeypatch.setattr(cli.cv, "_riemann", nan_at_second_point)
     reports = {r.name: r for r in cli.cmd_crosscheck(grid=2)}
     ruled = reports["crosscheck_ruled"]
     assert ruled.status == "fail" and ruled.details["errors"] == 0
@@ -529,18 +527,6 @@ def test_crosscheck_counts_declared_singular_grid_points_as_errors(flagged, monk
     assert run_report("crosscheck", {}, reports)["summary"]["errors"] == 4
 
 
-def test_an_infinite_sample_box_edge_flags_its_points_not_a_usage_error(monkeypatch, capsys):
-    # np.linspace gives the u axis NaN and inf values (its warning silenced
-    # here); the singular mask flags those points, where the scalar predicate
-    # raised ValueError, which main reported as a usage error (exit 2).
-    chart = dataclasses.replace(ruled_chart(), sample_box=Box((0.3, 0.1, 0.1), (math.inf, 6.1, 6.1)))
-    monkeypatch.setattr(cli, "ruled_chart", lambda: chart)
-    with np.errstate(invalid="ignore"):
-        assert cli.main(["check", "ruled", "--grid", "2"]) == 1
-    out = capsys.readouterr().out
-    assert json.loads(out[out.index("{") :])["summary"]["errors"] == 8
-
-
 def test_all_error_sphere_grid_reports_infinite_residuals(monkeypatch):
     monkeypatch.setattr(cli, "sphere_chart", lambda r: perturbed_ruled_chart(math.nan, 0))
     for r in cli.cmd_check_sphere(grid=2):
@@ -563,20 +549,20 @@ def test_singular_stencil_metric_is_a_flagged_point_not_a_usage_error(capsys):
     payload = json.loads(out[out.index("{") :])
     ruled = payload["reports"][0]
     assert ruled["checkName"] == "crosscheck_ruled" and ruled["details"]["errors"] == 4
-    # The batched stencil pass flags each such point with the exception's own
-    # class name.
-    flags, gaps, planes = cli._crosscheck_grid(ruled_chart(), 2, 0.3, [])
+    # The one-pass rows flag each such point with the exception's own class
+    # name.
+    ((flags, gaps, planes),) = cli._crosscheck_rows([(ruled_chart(), [])], 2, 0.3)
     assert flags.tolist() == ["SingularMetric"] * 4 + ["ok"] * 4 and planes == []
 
 
 def test_an_all_singular_chart_flags_every_crosscheck_point_quietly():
     # The holomorphic-plane point skips the grid's mask, so it reaches the
-    # stencil pass, which rejects it for the same singular locus.
+    # stencil mask, which rejects it for the same singular locus.
     base = ruled_chart()
     chart = dataclasses.replace(base, name="nowhere", is_singular=lambda *q: True)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        flags, gaps, planes = cli._crosscheck_grid(chart, 2, 1e-3, [cli.HOLOMORPHIC_POINT])
+        ((flags, gaps, planes),) = cli._crosscheck_rows([(chart, [cli.HOLOMORPHIC_POINT])], 2, 1e-3)
     assert flags.tolist() == ["singular"] * 8 and np.isnan(gaps).all()
     ((value, details),) = planes
     assert math.isnan(value)
@@ -585,25 +571,94 @@ def test_an_all_singular_chart_flags_every_crosscheck_point_quietly():
     )
 
 
-@pytest.mark.parametrize(
-    "make, extra",
-    [(ruled_chart, []), (lambda: sphere_chart(math.pi / 4), [cli.HOLOMORPHIC_POINT])],
-    ids=["ruled", "sphere"],
-)
-def test_only_ok_crosscheck_rows_enter_the_stacked_inverse(make, extra, monkeypatch):
-    # Four grid points are in the singular locus, so their table rows are NaN;
-    # every matrix stack inverted in the pass is finite and holds the 4 ok
-    # grid rows plus the sphere's holomorphic-plane row, and the ok gaps are
-    # those of the full pass.
-    chart = near_singular_box(make())
+def _builtin_crosscheck_charts(*near_singular: str) -> list:
+    """``cmd_crosscheck``'s (chart, extra) pairs, each chart whose family is
+    named in ``near_singular`` sampled on its ``near_singular_box``."""
+    pairs = [(ruled_chart(), []), (sphere_chart(math.pi / 4), [cli.HOLOMORPHIC_POINT])]
+    return [(near_singular_box(c) if c.name.split(":")[0] in near_singular else c, e) for c, e in pairs]
+
+
+def _live_points(chart, extra, grid=2) -> list:
+    """The points of one chart that reach the crosscheck kernels: its grid
+    points outside the singular locus, then ``extra``."""
+    params, flags = cli._grid_points(chart, grid)
+    return [q for q, f in zip(params, flags) if f == "ok"] + extra
+
+
+@pytest.mark.parametrize("flagged", ["ruled", "sphere"])
+def test_only_ok_crosscheck_rows_enter_the_stacked_inverse(flagged, monkeypatch):
+    # Four grid points of one chart are in the singular locus, so their table
+    # rows are NaN.  The pass inverts two matrix stacks, the centre metrics and
+    # the frame coeffs; each is finite and holds exactly the rows of the 4 ok
+    # grid points, the other chart's 8 and the holomorphic-plane point, in
+    # order.  The ok gaps are those of the full pass.
+    charts = _builtin_crosscheck_charts(flagged)
+    live = [(c, _live_points(c, e)) for c, e in charts]
+    metrics = np.concatenate([cv._stencil_metric(c, qs, 1e-3)[0][:, 0] for c, qs in live])
+    coeffs = np.concatenate([shape_operator_grid(c, qs).coeffs for c, qs in live])
     inv, inverted = np.linalg.inv, []
     monkeypatch.setattr(np.linalg, "inv", lambda a: inverted.append(np.asarray(a)) or inv(a))
-    flags, gaps, planes = cli._crosscheck_grid(chart, 2, 1e-3, extra)
-    assert flags.tolist().count("singular") == 4 and flags.tolist().count("ok") == 4
+    rows = cli._crosscheck_rows(charts, 2, 1e-3)
     stacks = [a for a in inverted if a.ndim == 3]
-    assert stacks and all(len(a) == 4 + len(extra) and np.isfinite(a).all() for a in stacks)
-    assert np.isnan(gaps[flags == "singular"]).all() and (gaps[flags == "ok"] < 1e-4).all()
-    assert len(planes) == len(extra) and all(abs(v - 5.0) < 1e-4 and d == {} for v, d in planes)
+    assert [len(a) for a in stacks] == [4 + 8 + 1] * 2 and all(np.isfinite(a).all() for a in stacks)
+    assert [a.tobytes() for a in stacks] == [metrics.tobytes(), coeffs.tobytes()]
+    for (chart, _), (flags, gaps, planes) in zip(charts, rows):
+        assert flags.tolist().count("ok") == (4 if chart.name.startswith(flagged) else 8)
+        assert flags.tolist().count("singular") == 8 - flags.tolist().count("ok")
+        assert np.isnan(gaps[flags == "singular"]).all() and (gaps[flags == "ok"] < 1e-4).all()
+    ((value, details),) = rows[1][2]
+    assert rows[0][2] == [] and abs(value - 5.0) < 1e-4 and details == {}
+
+
+def _row_by_row(chart):
+    """``chart`` with wrapped callables, so its ``jet`` and ``singular`` fall
+    back to row-by-row calls."""
+    return dataclasses.replace(
+        chart,
+        evaluate=lambda *q: chart.evaluate(*q),
+        partials=lambda *q: chart.partials(*q),
+        is_singular=lambda *q: chart.is_singular(*q),
+    )
+
+
+@pytest.mark.parametrize(
+    "charts, step",
+    [
+        (lambda: _builtin_crosscheck_charts("ruled", "sphere"), 1e-3),
+        (_builtin_crosscheck_charts, 0.37),
+        (lambda: [(_row_by_row(c), e) for c, e in _builtin_crosscheck_charts()], 1e-3),
+    ],
+    ids=["near-singular-boxes", "step-0.37", "row-by-row-jets"],
+)
+def test_each_charts_rows_of_the_one_pass_are_its_single_chart_kernels_bitwise(charts, step, monkeypatch):
+    # Masked grid rows, stencil neighbours in the singular locus (four flagged
+    # SingularMetric per chart at step 0.37) and charts without an array jet:
+    # each chart's index range of the one shape pass and the one Riemann pass
+    # is shape_operator_grid and intrinsic_riemann_batch on that chart alone.
+    charts, seen = charts(), {}
+
+    def record(owner, name):
+        kernel = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *args: seen.setdefault(name, kernel(*args)))
+
+    record(cli, "_shape_grid")
+    record(cli.cv, "_riemann")
+    cli._crosscheck_rows(charts, 2, step)
+    monkeypatch.undo()  # the single-chart references run the kernels unrecorded
+    shapes, (R, errors) = seen["_shape_grid"], seen["_riemann"]
+    end, failed = 0, 0
+    for chart, extra in charts:
+        qs = _live_points(chart, extra)
+        rows, end = slice(end, end + len(qs)), end + len(qs)
+        ref = shape_operator_grid(chart, qs)
+        assert shapes.flags[rows].tolist() == ref.flags.tolist()
+        for got, want in zip((shapes.A, shapes.P, shapes.xi, shapes.coeffs), (ref.A, ref.P, ref.xi, ref.coeffs)):
+            assert got[rows].tobytes() == want.tobytes()
+        ref_R, ref_errors = cv.intrinsic_riemann_batch(chart, qs, step)
+        assert R[rows].tobytes() == ref_R.tobytes()
+        assert [e and f"chart {chart.name!r} at {q}: {e}" for q, e in zip(qs, errors[rows])] == ref_errors
+        failed += sum(e is not None for e in ref_errors)
+    assert end == len(shapes.flags) == len(R) and failed == (8 if step == 0.37 else 0)
 
 
 def test_stencil_centre_in_the_singular_locus_is_a_flagged_point(capsys):
@@ -619,16 +674,17 @@ def test_stencil_centre_in_the_singular_locus_is_a_flagged_point(capsys):
 
 
 def test_singular_holomorphic_plane_stencil_fails_its_check(monkeypatch):
-    # Every centre of every batched stencil pass fails, so the holomorphic-plane
-    # row of the sphere's pass carries its message as a SingularMetric.
-    def singular(chart, qs, h=1e-3):
-        return np.full((len(qs), 3, 3, 3, 3), math.nan), ["singular metric on the stencil"] * len(qs)
+    # Every centre of the one Riemann pass fails, so the holomorphic-plane row
+    # carries its message, under the sphere chart's prefix, as a SingularMetric.
+    def singular(G, errors, h):
+        return np.full((len(errors), 3, 3, 3, 3), math.nan), ["singular metric on the stencil"] * len(errors)
 
-    monkeypatch.setattr(cli.cv, "intrinsic_riemann_batch", singular)
+    monkeypatch.setattr(cli.cv, "_riemann", singular)
     hol = cli.cmd_crosscheck(grid=2)[-1]
     assert hol.name == "crosscheck_sphere_holomorphic_plane" and hol.status == "fail"
     assert math.isnan(hol.max_abs_residual)
-    assert hol.details["error"] == "SingularMetric: singular metric on the stencil"
+    where = f"chart {sphere_chart(math.pi / 4).name!r} at {cli.HOLOMORPHIC_POINT}"
+    assert hol.details["error"] == f"SingularMetric: {where}: singular metric on the stencil"
 
 
 def test_crosscheck_never_calls_the_per_point_shape_operator(tmp_path, monkeypatch):
@@ -642,25 +698,28 @@ def test_crosscheck_never_calls_the_per_point_shape_operator(tmp_path, monkeypat
 
 
 def test_a_flagged_holomorphic_plane_shape_fails_its_check(monkeypatch):
-    # The batched kernel flags the row whose q is the holomorphic-plane point,
-    # the last of the sphere's call; the two grids of 8 points keep their
-    # shapes, and the flagged row counts as no grid error.
-    kernel, flagged = cli.shape_operator_grid, []
+    # The chart-free shape pass flags the row whose q is the holomorphic-plane
+    # point, found by its centre's point on the sphere chart: the last of the
+    # 17 rows.  The two grids of 8 points keep their shapes, and the flagged
+    # row counts as no grid error.
+    kernel, flagged = cli._shape_grid, []
+    (hol_point,), _ = sphere_chart(math.pi / 4).jet(np.array([cli.HOLOMORPHIC_POINT]))
 
-    def flag_holomorphic_point(chart, qs, h=1e-5):
-        g = kernel(chart, qs, h)
-        for k in [k for k, q in enumerate(qs) if q == cli.HOLOMORPHIC_POINT]:
-            flagged.append((chart.name, k, len(qs)))
+    def flag_holomorphic_point(p, D, *args):
+        g = kernel(p, D, *args)
+        centres = p.reshape(-1, 7, 3)[:, 0]
+        for k in np.flatnonzero((centres == hol_point).all(axis=1)).tolist():
+            flagged.append((k, len(centres)))
             g.flags[k] = "RankDeficient"
             for x in (g.A, g.P, g.xi, g.coeffs):
                 x[k] = math.nan
         return g
 
-    monkeypatch.setattr(cli, "shape_operator_grid", flag_holomorphic_point)
+    monkeypatch.setattr(cli, "_shape_grid", flag_holomorphic_point)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         *grids, hol = cli.cmd_crosscheck(grid=2)
-    assert flagged == [(sphere_chart(math.pi / 4).name, 8, 9)]
+    assert flagged == [(16, 17)]
     assert [r.status for r in grids] == ["pass", "pass"]
     assert [r.details["errors"] for r in grids] == [0, 0]
     assert hol.name == "crosscheck_sphere_holomorphic_plane" and hol.status == "fail"
@@ -668,34 +727,76 @@ def test_a_flagged_holomorphic_plane_shape_fails_its_check(monkeypatch):
     assert hol.details["error"] == "RankDeficient"
 
 
-def test_crosscheck_calls_each_kernel_once_per_chart(monkeypatch):
-    # One shape_operator_grid call and one stencil pass per chart, the
-    # holomorphic-plane point the last row of both of the sphere's; the
-    # singular locus is the array mask alone, no builtin scalar predicate.
-    calls = []
+def test_a_shape_flag_precedes_a_failed_stencil(monkeypatch):
+    # The shape pass flags every row and every stencil fails: each point, the
+    # holomorphic-plane one included, keeps its shape's flag.
+    shape_grid = cli._shape_grid
 
-    def counted(owner, name):
+    def flag_every_row(p, D, *args):
+        g = shape_grid(p, D, *args)
+        g.flags[:] = "AsymmetryExceeded"
+        for x in (g.A, g.P, g.xi, g.coeffs):
+            x[:] = math.nan
+        return g
+
+    def fail_every_stencil(G, errors, h):
+        return np.full((len(errors), 3, 3, 3, 3), math.nan), ["singular metric at the centre"] * len(errors)
+
+    monkeypatch.setattr(cli, "_shape_grid", flag_every_row)
+    monkeypatch.setattr(cli.cv, "_riemann", fail_every_stencil)
+    (ruled, _, none), (sphere, _, planes) = cli._crosscheck_rows(_builtin_crosscheck_charts(), 2, 1e-3)
+    assert ruled.tolist() == sphere.tolist() == ["AsymmetryExceeded"] * 8 and none == []
+    ((value, details),) = planes
+    assert math.isnan(value) and details == {"error": "AsymmetryExceeded"}
+
+
+def test_crosscheck_maps_each_chart_once_and_runs_each_kernel_once(monkeypatch):
+    # One chart.jet call per chart, at its 7 shape-stencil rows and 19
+    # metric-stencil rows per point (the sphere's 9th point is the
+    # holomorphic-plane point, whose centre is row 7 * 8 of its jet); then one
+    # chart-free shape pass, Gram pass, Riemann pass and Gauss pullback on the
+    # 17 rows of both charts.  The singular locus is the array mask alone, no
+    # builtin scalar predicate.
+    calls, jet = [], SurfaceChart.jet
+
+    def mapped(chart, Q):
+        calls.append(("jet", chart.name, len(Q), tuple(Q[7 * 8].tolist()) == cli.HOLOMORPHIC_POINT))
+        return jet(chart, Q)
+
+    def counted(owner, name, rows):
         kernel = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *args: calls.append((name, rows(*args))) or kernel(*args))
 
-        def call(chart, qs, *args, **kwargs):
-            calls.append((name, chart.name, len(qs), qs[-1] == cli.HOLOMORPHIC_POINT))
-            return kernel(chart, qs, *args, **kwargs)
-
-        monkeypatch.setattr(owner, name, call)
-
-    counted(cli, "shape_operator_grid")
-    counted(cli.cv, "intrinsic_riemann_batch")
+    monkeypatch.setattr(SurfaceChart, "jet", mapped)
+    counted(cli, "_shape_grid", lambda p, D, *h: len(p) // 7)
+    counted(cli.cv, "_stencil_gram", lambda p, D, errors: len(errors))
+    counted(cli.cv, "_riemann", lambda G, errors, h: len(G))
+    counted(cli.cv, "gauss_riemann_coords", lambda coeffs, T: len(coeffs))
     with builtin_predicate_calls() as scalar:
         reports = cli.cmd_crosscheck(grid=2)
     assert [r.status for r in reports] == ["pass"] * 3
     sphere = sphere_chart(math.pi / 4).name
     assert calls == [
-        ("shape_operator_grid", "ruled", 8, False),
-        ("intrinsic_riemann_batch", "ruled", 8, False),
-        ("shape_operator_grid", sphere, 9, True),
-        ("intrinsic_riemann_batch", sphere, 9, True),
+        ("jet", "ruled", 8 * (7 + 19), False),
+        ("jet", sphere, 9 * (7 + 19), True),
+        ("_shape_grid", 17),
+        ("_stencil_gram", 17),
+        ("_riemann", 17),
+        ("gauss_riemann_coords", 17),
     ]
     assert scalar == []
+
+
+@pytest.mark.parametrize(
+    "step, golden", [("0.37", "crosscheck_g2_step037.json"), ("1e-200", "crosscheck_g2_step1e-200.json")]
+)
+def test_flagged_crosscheck_reports_match_the_golden_files_byte_for_byte(tmp_path, step, golden):
+    # Stencil neighbours in the singular locus (0.37) and a step below the
+    # parameter resolution (1e-200): each chart's flags, gaps and the
+    # holomorphic-plane message read off its own rows of the one pass.
+    out = tmp_path / golden
+    assert cli.main(["crosscheck", "--grid", "2", "--step", step, "--out", str(out)]) == 1
+    assert out.read_bytes() == (DATA / golden).read_bytes()
 
 
 @pytest.mark.parametrize("step", ["1e-200", "1e-150"])
