@@ -1,7 +1,7 @@
 """Parametrized hypersurface lifts of the projective plane in the 5-sphere.
 
 A chart is a map from a 3-parameter box into the unit sphere of C^3 together
-with exact analytic first partials and a singular-locus predicate.  Charts fix
+with exact analytic first partials and a singular-locus mask.  Charts fix
 the fiber phase; the fiber direction is reconstructed analytically as i p, so
 all downstream quantities are independent of the phase choice.
 
@@ -21,13 +21,12 @@ Builtin families:
   ``partials`` share that one field jet per q.
 
 Each factory's signature is also its ``cp2ricci scan`` surface syntax.
-``SurfaceChart.jet`` maps and ``SurfaceChart.singular`` masks whole parameter
-arrays; the ruled and sphere charts do both in one numpy pass with the bits of
-their scalar callables, recorded on them by ``_builtin_chart``.
+``SurfaceChart.jet`` maps and ``SurfaceChart.is_singular`` masks whole parameter
+arrays; the ruled and sphere array maps have the bits of their scalar callables.
 
 User charts: construct a ``SurfaceChart`` directly with your own callables;
 the only contract is fresh complex128 arrays (see ``SurfaceChart``), unit
-norm, exact partials, and an honest singular flag.  ``jet`` calls ``evaluate``
+norm, exact partials, and an honest singular mask.  ``jet`` calls ``evaluate``
 then ``partials`` at each row, so a chart may share work between the two at one q.
 """
 
@@ -67,18 +66,19 @@ class Box:
 
 @dataclass(frozen=True)
 class SurfaceChart:
-    """A hypersurface lift: evaluation map, exact partials, box, singular flag.
+    """A hypersurface lift: evaluation map, exact partials, box, singular mask.
 
     ``evaluate(u, v, t)`` returns the unit point of C^3 as a fresh complex128
     array of shape (3,); ``partials(u, v, t)`` returns the exact first
     partials as a fresh complex128 array of shape (3, 3), row a being the
-    derivative along parameter a."""
+    derivative along parameter a.  ``is_singular(Q)`` maps a parameter
+    array Q (..., 3) to the bool mask (...) of its rows in the singular locus."""
 
     name: str
     evaluate: Callable[[float, float, float], np.ndarray]
     partials: Callable[[float, float, float], np.ndarray]
     sample_box: Box
-    is_singular: Callable[[float, float, float], bool]
+    is_singular: Callable[[np.ndarray], np.ndarray]
 
     def jet(self, Q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Points (N, 3) and partials (N, 3, 3) at the rows of Q (N, 3): by the array
@@ -91,24 +91,15 @@ class SurfaceChart:
         return p.reshape(-1, 3), D.reshape(-1, 3, 3)
 
     def singular(self, Q: np.ndarray) -> np.ndarray:
-        """The bool mask (...) of the rows of Q (..., 3) in the singular locus: by the array
-        mask recorded on ``is_singular`` while it is the callable it names, else row by row."""
-        f, array_mask = getattr(self.is_singular, "array_mask", (None, None))
-        if f is self.is_singular:
-            return array_mask(Q)
-        return np.array([self.is_singular(*x) for x in Q.reshape(-1, 3).tolist()], bool).reshape(Q.shape[:-1])
-
-
-def _products(n: int, *entries: tuple) -> np.ndarray:
-    """Complex (n, len(entries)): column k multiplies the factors of ``entries[k]``, reals x as
-    (x, 0.0) or (re, im) pairs, left to right as Python does, signed zeros included."""
-    out = np.empty((n, 2 * len(entries)))
-    for k, factors in enumerate(entries):
-        (ar, ai), *rest = (f if isinstance(f, tuple) else (f, 0.0) for f in factors)
-        for br, bi in rest:
-            ar, ai = ar * br - ai * bi, ar * bi + ai * br
-        out[:, 2 * k], out[:, 2 * k + 1] = ar, ai
-    return out.view(np.complex128)
+        """``is_singular(Q)``, the bool mask of the rows of Q (..., 3) in the singular locus: a
+        user chart is outside input, so anything but a bool (...) mask is a ValueError naming it."""
+        try:
+            mask = np.asarray(self.is_singular(Q))
+        except TypeError as exc:  # a predicate of three floats, say
+            raise ValueError(f"chart {self.name!r}: is_singular cannot take a {Q.shape} parameter array") from exc
+        if mask.dtype != bool or mask.shape != Q.shape[:-1]:
+            raise ValueError(f"chart {self.name!r}: is_singular gave a {mask.dtype} {mask.shape} mask for {Q.shape}")
+        return mask
 
 
 def _ruled_point(u: float, v: float, t: float) -> np.ndarray:
@@ -129,31 +120,27 @@ def _ruled_partials(u: float, v: float, t: float) -> np.ndarray:
 
 def _ruled_jet(Q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``_ruled_point`` and ``_ruled_partials`` at the rows of Q, factor for factor."""
-    (cu, cv, ct), (su, sv, st), n = np.cos(Q.T), np.sin(Q.T), len(Q)
-    p = _products(n, (cu * cv,), (cu * sv,), (su, (ct, st)))
-    D = _products(n, (-su * cv,), (-su * sv,), (cu, (ct, st)), (-cu * sv,), (cu * cv,), *[(0.0,)] * 3,
-                  ((0.0, 1.0), su, (ct, st)))
+    E = np.cos(Q.T).astype(np.complex128)  # complex(cos q, sin q) per parameter: + 0j would unsign a zero
+    E.imag, zero = np.sin(Q.T), np.zeros(len(Q))
+    (cu, cv, _), (su, sv, _), eit = E.real, E.imag, E[2]
+    p = np.stack([cu * cv, cu * sv, su * eit], axis=-1)
+    D = np.stack([-su * cv, -su * sv, cu * eit, -cu * sv, cu * cv, zero, zero, zero, 1j * su * eit], axis=-1)
     return p, D.reshape(-1, 3, 3)
 
 
 def _builtin_chart(
     name: str, evaluate: Callable, partials: Callable, jet: Callable, box: Box, axis: int
 ) -> SurfaceChart:
-    """A builtin chart: ``jet``, the array map of ``evaluate`` and ``partials``
-    with their bits, recorded on ``evaluate`` (see ``SurfaceChart.jet``), and
-    singular where parameter ``axis`` is not finite or within ``SINGULAR_MARGIN``
-    (in min |sin|, |cos|) of a multiple of pi/2, its array mask recorded on
-    ``is_singular`` (see ``SurfaceChart.singular``)."""
+    """A builtin chart: ``jet``, the array map of ``evaluate`` and ``partials`` with their bits,
+    recorded on ``evaluate`` (see ``SurfaceChart.jet``), and singular where parameter ``axis``
+    is not finite or within ``SINGULAR_MARGIN`` (in min |sin|, |cos|) of a multiple of pi/2."""
 
-    def is_singular(*q: float) -> bool:
-        return not math.isfinite(x := q[axis]) or min(abs(math.sin(x)), abs(math.cos(x))) < SINGULAR_MARGIN
-
-    def singular(Q: np.ndarray) -> np.ndarray:
+    def is_singular(Q: np.ndarray) -> np.ndarray:
         x = Q[..., axis]
         with np.errstate(invalid="ignore"):  # sin and cos of inf are NaN
             return ~np.isfinite(x) | (np.minimum(np.abs(np.sin(x)), np.abs(np.cos(x))) < SINGULAR_MARGIN)
 
-    evaluate.array_jet, is_singular.array_mask = (evaluate, partials, jet), (is_singular, singular)
+    evaluate.array_jet = (evaluate, partials, jet)
     return SurfaceChart(name, evaluate, partials, box, is_singular)
 
 
@@ -194,10 +181,11 @@ def sphere_chart(radius: float) -> SurfaceChart:
         ).reshape(3, 3)
 
     def jet(Q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:  # the two above, factor for factor
-        (cphi, cs, ct), (sphi, ss, st), n = np.cos(Q.T), np.sin(Q.T), len(Q)
-        p = _products(n, (cr, (cphi, sphi)), (sr * cs,), (sr * ss, (ct, st)))
-        D = _products(n, ((0.0, 1.0), cr, (cphi, sphi)), *[(0.0,)] * 3, (-sr * ss,), (sr * cs, (ct, st)),
-                      (0.0,), (0.0,), ((0.0, 1.0), sr, ss, (ct, st)))
+        E = np.cos(Q.T).astype(np.complex128)  # as in ``_ruled_jet``
+        E.imag, zero = np.sin(Q.T), np.zeros(len(Q))
+        (_, cs, _), (_, ss, _), (eiphi, _, eit) = E.real, E.imag, E
+        p = np.stack([cr * eiphi, sr * cs, sr * ss * eit], axis=-1)
+        D = np.stack([1j * cr * eiphi, zero, zero, zero, -sr * ss, sr * cs * eit, zero, zero, 1j * sr * ss * eit], -1)
         return p, D.reshape(-1, 3, 3)
 
     box = Box((0.1, 0.3, 0.1), (6.1, 1.2, 6.1))

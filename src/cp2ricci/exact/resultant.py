@@ -9,14 +9,9 @@ with ``MPoly`` coefficients.  Each step takes one pseudo-remainder and divides
 it by g * h^delta; by the subresultant theorem the quotients are the
 subresultants, so that division, and the ones updating h and forming the
 final value, are exact in the polynomial ring.  An inexact division would
-mean a broken invariant and raises ``ArithmeticError``.
-
-Reference route, which tests compare the production route against:
-``sylvester_resultant``, the determinant of the Sylvester matrix built with
-the first polynomial's coefficient rows on top, by one-step Bareiss
-elimination (``bareiss_det``: every intermediate entry stays in the ring, all
-divisions are exact), itself checked against Laplace expansion
-(``cofactor_det``).  Both routes use that sign convention.
+mean a broken invariant and raises ``ArithmeticError``.  The sign
+convention is that of the Sylvester determinant with the first polynomial's
+coefficient rows on top, the tests' reference route.
 """
 
 from __future__ import annotations
@@ -35,71 +30,6 @@ def _coefficients(p: MPoly, q: MPoly, name: str) -> tuple[list[MPoly], list[MPol
     if len(pc) < 2 or len(qc) < 2:
         raise DegenerateResultant(f"inputs must have positive degree in {name}")
     return pc, qc
-
-
-def sylvester_matrix(p: MPoly, q: MPoly, name: str) -> list[list[MPoly]]:
-    """Sylvester matrix of p and q with respect to ``name``, p-rows first.
-
-    Row i < deg(q) holds the coefficients of p (descending powers) shifted i
-    columns; the following deg(p) rows hold the coefficients of q likewise.
-    """
-    pc, qc = (c[::-1] for c in _coefficients(p, q, name))
-    dp, dq = len(pc) - 1, len(qc) - 1
-    zero = MPoly.zero(p.vars)
-    return [[zero] * i + pc + [zero] * (dq - 1 - i) for i in range(dq)] + [
-        [zero] * i + qc + [zero] * (dp - 1 - i) for i in range(dp)
-    ]
-
-
-def bareiss_det(matrix: list[list[MPoly]]) -> MPoly:
-    """Determinant of a square polynomial matrix by fraction-free Bareiss."""
-    n = len(matrix)
-    if n == 0:
-        raise ValueError("empty matrix")
-    vars_ = matrix[0][0].vars
-    if any(len(row) != n for row in matrix):
-        raise ValueError("matrix is not square")
-    m = [row[:] for row in matrix]
-    prev = MPoly.const(1, vars_)
-    sign = 1
-    for k in range(n - 1):
-        if m[k][k].is_zero():
-            pivot_row = next((i for i in range(k + 1, n) if not m[i][k].is_zero()), None)
-            if pivot_row is None:
-                return MPoly.zero(vars_)
-            m[k], m[pivot_row] = m[pivot_row], m[k]
-            sign = -sign
-        pivot = m[k][k]
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                q = exact_divide(m[i][j] * pivot - m[i][k] * m[k][j], prev)
-                if q is None:
-                    raise ArithmeticError(f"Bareiss division by {prev!r} is not exact")
-                m[i][j] = q
-        prev = pivot
-    det = m[n - 1][n - 1]
-    return det if sign == 1 else -det
-
-
-def cofactor_det(matrix: list[list[MPoly]]) -> MPoly:
-    """Determinant by Laplace expansion; the independent cross-check route."""
-    n = len(matrix)
-    vars_ = matrix[0][0].vars
-    if n == 1:
-        return matrix[0][0]
-    det = MPoly.zero(vars_)
-    for j in range(n):
-        if matrix[0][j].is_zero():
-            continue
-        minor = [[row[c] for c in range(n) if c != j] for row in matrix[1:]]
-        term = matrix[0][j] * cofactor_det(minor)
-        det = det + term if j % 2 == 0 else det - term
-    return det
-
-
-def sylvester_resultant(p: MPoly, q: MPoly, name: str) -> MPoly:
-    """Resultant of p and q with respect to ``name``."""
-    return bareiss_det(sylvester_matrix(p, q, name))
 
 
 def _exact(num: MPoly, den: MPoly) -> MPoly:
@@ -133,8 +63,8 @@ def _pseudo_remainder(a: list[MPoly], b: list[MPoly]) -> list[MPoly]:
 
 
 def prs_resultant(p: MPoly, q: MPoly, name: str) -> MPoly:
-    """Resultant of p and q with respect to ``name`` by the subresultant PRS;
-    equal to ``sylvester_resultant(p, q, name)``, sign included."""
+    """Resultant of p and q with respect to ``name`` by the subresultant PRS,
+    with the sign of the Sylvester determinant, p-rows first."""
     a, b = _coefficients(p, q, name)
     sign = 1
     if len(a) < len(b):

@@ -1,14 +1,12 @@
 """Helpers shared by several test modules."""
 
-import contextlib
 import dataclasses
 import math
-import sys
 from typing import Iterator
 
 import numpy as np
 
-from cp2ricci.charts import Box, ParamTriple, SurfaceChart, _RULED_MODES, _TrigField, ruled_chart
+from cp2ricci.charts import SINGULAR_MARGIN, Box, ParamTriple, SurfaceChart, _RULED_MODES, _TrigField, ruled_chart
 from cp2ricci.curvature import SingularMetric, _gauss_tensor, intrinsic_riemann_batch
 from cp2ricci.exact.mpoly import MPoly
 from cp2ricci.frames import _horizontal_rows
@@ -25,22 +23,17 @@ def box_grid(box: Box, n: int) -> Iterator[ParamTriple]:
                 yield (float(x), float(y), float(z))
 
 
-@contextlib.contextmanager
-def builtin_predicate_calls() -> Iterator[list[tuple]]:
-    """The parameters of every call, while the block runs, of a builtin
-    chart's scalar ``is_singular`` (the one closure of
-    ``charts._builtin_chart``), collected by a profile hook."""
-    code, calls, previous = ruled_chart().is_singular.__code__, [], sys.getprofile()
+def scalar_singular(chart: SurfaceChart, Q: np.ndarray) -> np.ndarray:
+    """The singular locus of a builtin chart at each row of Q (..., 3), one
+    row at a time by ``math``: min(|sin|, |cos|) of its singular parameter (s
+    of the sphere, else u) below ``SINGULAR_MARGIN``, or that parameter not
+    finite.  The reference of the array predicate of ``charts._builtin_chart``."""
+    axis = 1 if chart.name.startswith("sphere") else 0
 
-    def profile(frame, event, arg):
-        if event == "call" and frame.f_code is code:
-            calls.append(frame.f_locals["q"])
+    def one(x: float) -> bool:
+        return not math.isfinite(x) or min(abs(math.sin(x)), abs(math.cos(x))) < SINGULAR_MARGIN
 
-    sys.setprofile(profile)
-    try:
-        yield calls
-    finally:
-        sys.setprofile(previous)
+    return np.array([one(q[axis]) for q in Q.reshape(-1, 3).tolist()], bool).reshape(Q.shape[:-1])
 
 
 def horizontalize(w: np.ndarray, p: np.ndarray) -> np.ndarray:
@@ -136,7 +129,7 @@ def near_singular_box(chart: SurfaceChart) -> SurfaceChart:
     axis = 0 if chart.name == "ruled" else 1
     lo = list(chart.sample_box.lo)
     lo[axis] = 5e-4
-    assert chart.is_singular(*lo)
+    assert chart.singular(np.array(lo))
     return dataclasses.replace(chart, sample_box=Box(tuple(lo), chart.sample_box.hi))
 
 

@@ -11,11 +11,11 @@ from cp2ricci import cli
 from cp2ricci import curvature as cv
 from cp2ricci.charts import ruled_chart, sphere_chart
 from cp2ricci.exact.mpoly import MPoly, variables
-from cp2ricci.exact.resultant import bareiss_det, cofactor_det
 from cp2ricci.exact.sturm import sturm_count
 from cp2ricci.report import EXACT_ZERO
 from cp2ricci.shape import shape_operator
 from helpers import box_grid
+from sylvester import bareiss_det, cofactor_det
 
 
 def _line(ok: bool, name: str, detail: str) -> None:

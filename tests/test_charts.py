@@ -22,7 +22,7 @@ from cp2ricci.charts import (
 )
 from cp2ricci.frames import build_frame
 from cp2ricci.shape import shape_operator
-from helpers import box_grid, builtin_predicate_calls, intrinsic_riemann, perturbed_reference, trig_field_value
+from helpers import box_grid, intrinsic_riemann, perturbed_reference, scalar_singular, trig_field_value
 
 RULED_SAMPLES = [(0.6, 1.0, 2.0), (0.35, 5.9, 0.2), (1.1, 3.0, 4.5), (-0.8, 2.2, 1.3)]
 SPHERE_SAMPLES = [(0.3, 0.7, 0.4), (5.0, 1.1, 2.0), (2.0, 0.5, 5.5)]
@@ -102,42 +102,40 @@ def test_sphere_radius_domain():
 
 
 def test_singular_predicates():
+    def is_singular(chart, *q):
+        return chart.singular(np.array(q)).item()
+
     rc = ruled_chart()
-    assert rc.is_singular(0.0, 1.0, 2.0)
-    assert rc.is_singular(math.pi / 2, 1.0, 2.0)
-    assert not rc.is_singular(0.6, 1.0, 2.0)
+    assert is_singular(rc, 0.0, 1.0, 2.0)
+    assert is_singular(rc, math.pi / 2, 1.0, 2.0)
+    assert not is_singular(rc, 0.6, 1.0, 2.0)
     sc = sphere_chart(0.7)
-    assert sc.is_singular(1.0, 0.0, 2.0)
-    assert sc.is_singular(1.0, math.pi / 2, 2.0)
-    assert not sc.is_singular(1.0, 0.7, 2.0)
+    assert is_singular(sc, 1.0, 0.0, 2.0)
+    assert is_singular(sc, 1.0, math.pi / 2, 2.0)
+    assert not is_singular(sc, 1.0, 0.7, 2.0)
     # Within the margin of 0 and pi/2 on its own axis only, and not at twice it.
     m = charts.SINGULAR_MARGIN
     for chart, q, axis in ((rc, (0.6, 1.0, 2.0), 0), (sc, (1.0, 0.7, 2.0), 1)):
         for a in range(3):
             for x in (m, -m, math.pi / 2 + m, math.pi / 2 - m):
-                assert chart.is_singular(*q[:a], x, *q[a + 1 :]) == (a == axis), (chart.name, a, x)
-        assert not chart.is_singular(*q[:axis], 2 * m, *q[axis + 1 :])
+                assert is_singular(chart, *q[:a], x, *q[a + 1 :]) == (a == axis), (chart.name, a, x)
+        assert not is_singular(chart, *q[:axis], 2 * m, *q[axis + 1 :])
 
 
 BUILTIN_CHARTS = [ruled_chart(), sphere_chart(math.pi / 4), sphere_chart(math.pi / 6), perturbed_ruled_chart(0.05, 0)]
 
 
-def _scalar_mask(chart, Q):
-    """``chart.is_singular`` at each row of Q (..., 3): the mask's reference."""
-    return np.array([chart.is_singular(*q) for q in Q.reshape(-1, 3).tolist()], bool).reshape(Q.shape[:-1])
-
-
 @pytest.mark.parametrize("chart", BUILTIN_CHARTS, ids=lambda c: c.name)
-def test_singular_mask_is_the_scalar_predicate_on_the_acceptance_grids(chart):
+def test_singular_mask_is_the_scalar_reference_on_the_acceptance_grids(chart):
     # The grids of check ruled (16), scan (12) and crosscheck (5), and their
     # 19-point stencils at the crosscheck step and at the two coarse steps
     # of the tests that put a stencil neighbour in the singular locus.
     for grid in (16, 12, 5):
         Q = np.array(cli._grid_points(chart, grid)[0])
-        assert chart.singular(Q).tolist() == _scalar_mask(chart, Q).tolist()
+        assert chart.singular(Q).tolist() == scalar_singular(chart, Q).tolist()
         for h in (1e-3, 0.3, 0.37):
             X = Q[:, None] + h * cv.K
-            assert chart.singular(X).tolist() == _scalar_mask(chart, X).tolist(), (grid, h)
+            assert chart.singular(X).tolist() == scalar_singular(chart, X).tolist(), (grid, h)
 
 
 def _float_run(x: float, n: int = 100) -> np.ndarray:
@@ -150,7 +148,7 @@ def _float_run(x: float, n: int = 100) -> np.ndarray:
 
 
 @pytest.mark.parametrize("chart", BUILTIN_CHARTS, ids=lambda c: c.name)
-def test_singular_mask_is_the_scalar_predicate_across_the_margin(chart):
+def test_singular_mask_is_the_scalar_reference_across_the_margin(chart):
     # Runs of consecutive floats across asin(SINGULAR_MARGIN), pi/2 less it
     # and their mirrors, on the chart's singular axis and off it, each
     # straddling the margin on that axis.
@@ -160,14 +158,14 @@ def test_singular_mask_is_the_scalar_predicate_across_the_margin(chart):
             Q = np.tile([0.6, 0.7, 2.0], (201, 1))
             Q[:, a] = _float_run(x)
             mask = chart.singular(Q)
-            assert mask.tolist() == _scalar_mask(chart, Q).tolist(), (x, a)
+            assert mask.tolist() == scalar_singular(chart, Q).tolist(), (x, a)
             assert (0 < mask.sum() < len(mask)) == (a == axis), (x, a)
 
 
 @pytest.mark.parametrize("chart", BUILTIN_CHARTS, ids=lambda c: c.name)
 def test_non_finite_parameters_are_singular_quietly(chart):
     # On the singular axis a non-finite parameter is singular to both the
-    # scalar predicate and the mask; off it, to neither.  No call warns.
+    # scalar reference and the mask; off it, to neither.  No call warns.
     axis = 1 if chart.name.startswith("sphere") else 0
     Q = np.array([[0.6, 0.7, 2.0]] * 9)
     for k, x in enumerate((math.inf, -math.inf, math.nan)):
@@ -175,29 +173,53 @@ def test_non_finite_parameters_are_singular_quietly(chart):
             Q[3 * k + a, a] = x
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        mask, scalar = chart.singular(Q), _scalar_mask(chart, Q)
+        mask, scalar = chart.singular(Q), scalar_singular(chart, Q)
     assert mask.tolist() == scalar.tolist() == [a == axis for _ in range(3) for a in range(3)]
 
 
-def test_a_replaced_or_wrapped_predicate_is_called_row_by_row():
-    # A dataclasses.replace'd predicate, and a functools.wraps wrapper (which
-    # copies the mask's record), both fall back to one call per row.
-    base, Q = ruled_chart(), np.array([[0.0, 1.0, 2.0], [0.6, 1.0, 2.0], [math.pi / 2, 1.0, 2.0]])
+@pytest.mark.parametrize("how", ["replaced", "wrapped"])
+def test_a_replaced_or_wrapped_predicate_takes_each_mask_sites_whole_array_once(how):
+    # As the benchmark tracer's wrapper does: a dataclasses.replace'd predicate
+    # and a functools.wraps wrapper are each called once on the (N, 3) grid of
+    # _grid_points, and crosscheck adds one call per chart on the (M, 7, 3)
+    # stencil centres and axis neighbours of _stencil_points; no verdict moves.
     calls = []
-    replaced = dataclasses.replace(base, is_singular=lambda *q: calls.append(q) or q[0] > 0.5)
-    assert replaced.singular(Q[None]).tolist() == [[False, True, True]] and calls == list(map(tuple, Q.tolist()))
 
-    @functools.wraps(base.is_singular)
-    def wrapped(*q):
-        return base.is_singular(*q)
+    def traced(chart):
+        if how == "replaced":
+            return dataclasses.replace(chart, is_singular=lambda Q: calls.append(Q.shape) or chart.is_singular(Q))
 
-    assert wrapped.array_mask[0] is base.is_singular
-    with builtin_predicate_calls() as scalar:
-        mask = dataclasses.replace(base, is_singular=wrapped).singular(Q)
-        assert base.singular(Q).tolist() == mask.tolist() == [True, False, True]
-    assert scalar == list(map(tuple, Q.tolist()))
-    empty = dataclasses.replace(base, is_singular=wrapped).singular(np.empty((0, 7, 3)))
-    assert empty.shape == (0, 7) and empty.dtype == bool
+        @functools.wraps(chart.is_singular)
+        def predicate(Q):
+            calls.append(Q.shape)
+            return chart.is_singular(Q)
+
+        return dataclasses.replace(chart, is_singular=predicate)
+
+    ruled, sphere = ruled_chart(), sphere_chart(math.pi / 4)
+    flags = cli._grid_points(traced(ruled), 16)[1]
+    assert calls == [(16**3, 3)] and flags.tolist() == cli._grid_points(ruled, 16)[1].tolist()
+    calls.clear()
+    pairs = [(ruled, []), (sphere, [cli.HOLOMORPHIC_POINT])]
+    rows = cli._crosscheck_rows([(traced(c), e) for c, e in pairs], 2, 1e-3)
+    assert calls == [(8, 3), (8, 7, 3), (8, 3), (9, 7, 3)]
+    assert [(f.tolist(), g.tobytes(), planes) for f, g, planes in rows] == [
+        (f.tolist(), g.tobytes(), planes) for f, g, planes in cli._crosscheck_rows(pairs, 2, 1e-3)
+    ]
+
+
+@pytest.mark.parametrize(
+    "predicate", [lambda *q: False, lambda u, v, t: u > 1, lambda Q: Q[..., 0]], ids=["false", "floats", "float-mask"]
+)
+def test_a_predicate_that_is_not_an_array_mask_is_a_value_error_naming_the_chart(predicate):
+    # A user chart is outside input: a predicate of three floats, or one
+    # giving anything but a bool mask of the rows' shape, is rejected where
+    # it is called, before any grid row is flagged.
+    chart = dataclasses.replace(ruled_chart(), name="scalar-style", is_singular=predicate)
+    with pytest.raises(ValueError, match="^chart 'scalar-style': is_singular "):
+        chart.singular(np.array(list(box_grid(chart.sample_box, 2))))
+    with pytest.raises(ValueError, match="^chart 'scalar-style': is_singular "):
+        cli._grid_points(chart, 2)
 
 
 def test_sample_boxes_avoid_singular_loci():
@@ -209,9 +231,9 @@ def test_sample_boxes_avoid_singular_loci():
         (ruled_chart(), (-math.pi / 2, 0.0, 0.0), (math.pi / 2, tau, tau)),
         (sphere_chart(0.9), (0.0, 0.0, 0.0), (tau, math.pi / 2, tau)),
     ):
-        for q in box_grid(chart.sample_box, 4):
-            assert all(l <= x <= h for l, x, h in zip(lo, q, hi))
-            assert not chart.is_singular(*q)
+        qs = list(box_grid(chart.sample_box, 4))
+        assert all(l <= x <= h for q in qs for l, x, h in zip(lo, q, hi))
+        assert not chart.singular(np.array(qs)).any()
 
 
 def test_perturbed_chart_is_exact_and_seeded():

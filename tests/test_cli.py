@@ -25,7 +25,7 @@ from cp2ricci.report import (
     run_report,
     scan_to_csv,
 )
-from helpers import builtin_predicate_calls, near_singular_box
+from helpers import near_singular_box
 
 DATA = Path(__file__).parent / "data"
 
@@ -559,7 +559,7 @@ def test_an_all_singular_chart_flags_every_crosscheck_point_quietly():
     # The holomorphic-plane point skips the grid's mask, so it reaches the
     # stencil mask, which rejects it for the same singular locus.
     base = ruled_chart()
-    chart = dataclasses.replace(base, name="nowhere", is_singular=lambda *q: True)
+    chart = dataclasses.replace(base, name="nowhere", is_singular=lambda Q: np.ones(Q.shape[:-1], bool))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         ((flags, gaps, planes),) = cli._crosscheck_rows([(chart, [cli.HOLOMORPHIC_POINT])], 2, 1e-3)
@@ -611,14 +611,8 @@ def test_only_ok_crosscheck_rows_enter_the_stacked_inverse(flagged, monkeypatch)
 
 
 def _row_by_row(chart):
-    """``chart`` with wrapped callables, so its ``jet`` and ``singular`` fall
-    back to row-by-row calls."""
-    return dataclasses.replace(
-        chart,
-        evaluate=lambda *q: chart.evaluate(*q),
-        partials=lambda *q: chart.partials(*q),
-        is_singular=lambda *q: chart.is_singular(*q),
-    )
+    """``chart`` with wrapped callables, so its ``jet`` falls back to row-by-row calls."""
+    return dataclasses.replace(chart, evaluate=lambda *q: chart.evaluate(*q), partials=lambda *q: chart.partials(*q))
 
 
 @pytest.mark.parametrize(
@@ -755,8 +749,7 @@ def test_crosscheck_maps_each_chart_once_and_runs_each_kernel_once(monkeypatch):
     # metric-stencil rows per point (the sphere's 9th point is the
     # holomorphic-plane point, whose centre is row 7 * 8 of its jet); then one
     # chart-free shape pass, Gram pass, Riemann pass and Gauss pullback on the
-    # 17 rows of both charts.  The singular locus is the array mask alone, no
-    # builtin scalar predicate.
+    # 17 rows of both charts.
     calls, jet = [], SurfaceChart.jet
 
     def mapped(chart, Q):
@@ -772,8 +765,7 @@ def test_crosscheck_maps_each_chart_once_and_runs_each_kernel_once(monkeypatch):
     counted(cli.cv, "_stencil_gram", lambda p, D, errors: len(errors))
     counted(cli.cv, "_riemann", lambda G, errors, h: len(G))
     counted(cli.cv, "gauss_riemann_coords", lambda coeffs, T: len(coeffs))
-    with builtin_predicate_calls() as scalar:
-        reports = cli.cmd_crosscheck(grid=2)
+    reports = cli.cmd_crosscheck(grid=2)
     assert [r.status for r in reports] == ["pass"] * 3
     sphere = sphere_chart(math.pi / 4).name
     assert calls == [
@@ -784,7 +776,6 @@ def test_crosscheck_maps_each_chart_once_and_runs_each_kernel_once(monkeypatch):
         ("_riemann", 17),
         ("gauss_riemann_coords", 17),
     ]
-    assert scalar == []
 
 
 @pytest.mark.parametrize(

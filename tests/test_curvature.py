@@ -478,7 +478,7 @@ def _mixed_chart():
     def evaluate(*q):
         return np.full(3, complex(math.nan)) if q == (0.6, 1.5, 2.0) else base.evaluate(*q)
 
-    return dataclasses.replace(base, evaluate=evaluate, is_singular=lambda u, v, t: abs(u - 1.2) < 1e-3)
+    return dataclasses.replace(base, evaluate=evaluate, is_singular=lambda Q: abs(Q[..., 0] - 1.2) < 1e-3)
 
 
 def test_a_batch_flags_exactly_its_bad_centres():
@@ -589,7 +589,8 @@ def test_a_replaced_or_wrapped_builtin_chart_is_called_19_times_per_centre(base,
 
 @pytest.mark.parametrize("chart", [ruled_chart(), sphere_chart(math.pi / 4)], ids=lambda c: c.name)
 def test_batched_gauss_pullback_equals_the_per_point_pullback_bitwise(chart):
-    qs = [q for q in box_grid(chart.sample_box, 5) if not chart.is_singular(*q)]
+    qs = list(box_grid(chart.sample_box, 5))
+    assert not chart.singular(np.array(qs)).any()
     shapes = [shape_operator(chart, q) for q in qs]
     assert len(shapes) == 125
     C = np.array([build_frame(chart, q).coeffs for q in qs])
@@ -689,7 +690,7 @@ def test_underflowing_step_squared_raises_singular_metric():
     def evaluate(*q):
         raise AssertionError("evaluated")
 
-    chart = dataclasses.replace(ruled_chart(), evaluate=evaluate, is_singular=lambda *q: False)
+    chart = dataclasses.replace(ruled_chart(), evaluate=evaluate, is_singular=lambda Q: np.zeros(Q.shape[:-1], bool))
     for h in (1e-160, 1e-155):
         with pytest.raises(cv.SingularMetric, match="below the parameter resolution"):
             intrinsic_riemann(chart, (0.0, 0.0, 0.0), h=h)
@@ -698,7 +699,7 @@ def test_underflowing_step_squared_raises_singular_metric():
 def test_singular_metric_at_the_centre_raises_singular_metric():
     # With no declared singular locus, the centre u = 0 is computed: its
     # t-partial vanishes, so the metric there has a zero row.
-    chart = dataclasses.replace(ruled_chart(), is_singular=lambda *q: False)
+    chart = dataclasses.replace(ruled_chart(), is_singular=lambda Q: np.zeros(Q.shape[:-1], bool))
     assert np.linalg.matrix_rank(induced_metric(chart, (0.0, 1.0, 2.0))) < 3
     with pytest.raises(cv.SingularMetric, match="singular metric at the centre"):
         intrinsic_riemann(chart, (0.0, 1.0, 2.0))
@@ -708,7 +709,7 @@ def test_stencil_centre_in_the_singular_locus_raises_singular_metric():
     # The centre (0.0005, 1, 2) is inside the ruled chart's declared singular
     # margin although its metric is invertible.
     chart = ruled_chart()
-    assert chart.is_singular(0.0005, 1.0, 2.0)
+    assert chart.singular(np.array([0.0005, 1.0, 2.0]))
     with pytest.raises(cv.SingularMetric):
         intrinsic_riemann(chart, (0.3005, 1.0, 2.0), h=0.3)
 

@@ -8,8 +8,9 @@ from cp2ricci import cli
 from cp2ricci.exact import checks
 from cp2ricci.exact import identities as ids
 from cp2ricci.exact.mpoly import exact_divide
-from cp2ricci.exact.resultant import prs_resultant, sylvester_resultant
+from cp2ricci.exact.resultant import prs_resultant
 from cp2ricci.report import EXACT_ZERO, report_to_json, run_report
+from sylvester import sylvester_resultant
 
 GOLDEN_SYMBOLIC = Path(__file__).parent / "data" / "symbolic_report.json"
 

@@ -6,16 +6,11 @@ import pytest
 
 from cp2ricci.exact import resultant
 from cp2ricci.exact.mpoly import MPoly, variables
-from cp2ricci.exact.resultant import (
-    DegenerateResultant,
-    bareiss_det,
-    cofactor_det,
-    prs_resultant,
-    sylvester_matrix,
-    sylvester_resultant,
-)
+from cp2ricci.exact.resultant import DegenerateResultant, prs_resultant
 
+import sylvester
 from helpers import coeff_of, degree_in
+from sylvester import bareiss_det, cofactor_det, sylvester_matrix, sylvester_resultant
 
 VARS = ("x", "a", "b")
 X, A, B = variables(VARS)
@@ -217,6 +212,6 @@ def test_prs_inexact_division_raises(monkeypatch):
 def test_bareiss_inexact_division_raises(monkeypatch):
     # Every Bareiss update divides exactly by the previous pivot; a failed
     # division is a broken invariant, even under -O.
-    monkeypatch.setattr(resultant, "exact_divide", lambda p, q: None)
+    monkeypatch.setattr(sylvester, "exact_divide", lambda p, q: None)
     with pytest.raises(ArithmeticError):
         bareiss_det(sylvester_matrix(X**2 + A, X**2 + B * X + 1, "x"))
