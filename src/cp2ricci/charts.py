@@ -2,8 +2,8 @@
 
 A chart is a map from a 3-parameter box into the unit sphere of C^3 together
 with exact analytic first partials and a singular-locus mask.  Charts fix
-the fiber phase; the fiber direction is reconstructed analytically as i p, so
-all downstream quantities are independent of the phase choice.
+the fiber phase; the fiber direction is i p, analytically, so downstream
+quantities are invariant under a phase change (to O(h^2) on the FD route).
 
 Builtin families:
 

@@ -38,7 +38,7 @@ import numpy as np
 from . import classify as cl
 from . import curvature as cv
 from .charts import ParamTriple, SurfaceChart, perturbed_ruled_chart, ruled_chart, sphere_chart
-from .exact.checks import ALL_CHECKS
+from .exact.checks import ALL_CHECKS, check_hopf
 from .frames import RankDeficient
 from .report import (
     EXACT_ZERO,
@@ -60,6 +60,13 @@ def _report(name: str, ok: bool, residual: float | str, **details: Any) -> Check
     (``details["errors"]``, 0 where absent)."""
     ok = ok and not details.get("errors")
     return CheckReport(name, "pass" if ok else "fail", residual, details)
+
+
+def _exact_report(name: str, check: tuple[bool, dict]) -> CheckReport:
+    """The report of an exact check's ``(ok, detail)``: residual exact-zero
+    if it holds, else inf."""
+    ok, detail = check
+    return _report(name, ok, EXACT_ZERO if ok else math.inf, **detail)
 
 
 def _worst(column: np.ndarray, reduce: Callable[[np.ndarray], Any] = np.max) -> float:
@@ -215,19 +222,16 @@ def cmd_check_sphere(
 
 def cmd_check_tube() -> list[CheckReport]:
     """Equality radii of the Hopf models, pi/4 for the geodesic sphere and
-    the arctangent closed form for the tube: exact-zero when every fact of
-    ``classify.hopf_equality_radii`` holds."""
-    radii = cl.hopf_equality_radii()
-    ok = all(radii.facts.values())
-    return [_report("tube_radius", ok, EXACT_ZERO if ok else math.inf, **vars(radii))]
+    the arctangent closed form for the tube, as the exact report of
+    ``exact.checks.check_hopf``."""
+    return [_exact_report("tube_radius", check_hopf())]
 
 
 def cmd_symbolic(names: list[str] | None = None) -> list[CheckReport]:
     """Run the exact polynomial suite: the checks ``names`` in the order
     given, or every check in ``ALL_CHECKS`` order when none or only 'all' is
     named.  An unknown or repeated name, or 'all' beside another, is a
-    ValueError.  A check passes only on an exact identity, so its residual
-    is exact-zero or else inf."""
+    ValueError.  Each check's report is its ``_exact_report``: exact-zero or inf."""
     names = names or ["all"]
     unknown = [n for n in names if n not in ALL_CHECKS and n != "all"]
     if unknown:
@@ -237,11 +241,8 @@ def cmd_symbolic(names: list[str] | None = None) -> list[CheckReport]:
         raise ValueError(f"symbolic checks named more than once: {', '.join(repeated)}")
     if "all" in names and len(names) > 1:
         raise ValueError("'all' runs every symbolic check; give it alone")
-    reports = []
-    for name in ALL_CHECKS if names == ["all"] else names:
-        ok, detail = ALL_CHECKS[name]()
-        reports.append(_report(f"symbolic_{name}", ok, EXACT_ZERO if ok else math.inf, **detail))
-    return reports
+    run = ALL_CHECKS if names == ["all"] else names
+    return [_exact_report(f"symbolic_{n}", ALL_CHECKS[n]()) for n in run]
 
 
 SURFACES: dict[str, Callable[..., SurfaceChart]] = {

@@ -1,2 +1,2 @@
 """Exact-rational polynomial engine: arithmetic, resultants, root counts,
-and the symbolic verification suite."""
+and the exact checks (the symbolic suite and the Hopf radii certificate)."""

@@ -1,21 +1,24 @@
-"""The symbolic verification suite over the equality-case identities.
+"""The exact verification suite: the equality-case identities and the
+equality radii of the Hopf models.
 
-Each check returns ``(ok, detail)`` and is named only by its key in
-``ALL_CHECKS``.  Every check here is exact: a pass means a polynomial
-identity holds with zero remainder over the rationals, never merely to
-numerical tolerance.  Derived proportionality constants (the power of the
-common denominator and the rational factor relating cleared numerators to
-their factored forms) are computed by exact division and reported in
-``detail``.
+Each check returns ``(ok, detail)``.  The symbolic checks are named only by
+their key in ``ALL_CHECKS``; ``check_hopf``, the certificate that ``check
+tube`` reports, stands beside them.  Every check here is exact: a pass means
+a polynomial identity holds with zero remainder over the rationals, or a
+Sturm count is exact, never merely to numerical tolerance.  Derived
+proportionality constants (the power of the common denominator and the
+rational factor relating cleared numerators to their factored forms) are
+computed by exact division and reported in ``detail``.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from . import identities as ids
-from .mpoly import MPoly, exact_divide
-from .resultant import prs_resultant
+from .mpoly import MPoly, exact_divide, variables
+from .resultant import prs_resultant, sturm_count
 
 
 def _multiple(w: MPoly, target: MPoly) -> dict:
@@ -145,6 +148,11 @@ def check_resultant() -> tuple[bool, dict]:
     return True, detail
 
 
+def _discriminant(c, b, a):
+    """Discriminant of a x^2 + b x + c, on Fractions or on ``MPoly``."""
+    return b * b - 4 * a * c
+
+
 def check_mu1() -> tuple[bool, dict]:
     """The mu = 1 branch: factorizations, the common root, and uniqueness.
 
@@ -182,7 +190,7 @@ def check_mu1() -> tuple[bool, dict]:
             positivity = False
             continue
         c, b, a = (k.constant_value() for k in coeffs)
-        disc = b * b - 4 * a * c
+        disc = _discriminant(c, b, a)
         detail[key] = str(disc)
         positivity = positivity and disc < 0 < a
     structural = ids.MU1_QUARTIC == (
@@ -208,6 +216,79 @@ def check_mu0() -> tuple[bool, dict]:
         and cofactor - 1 == ids.BETA**2 + ids.GAMMA**2,
     }
     return all(detail.values()), detail
+
+
+Ratio = tuple[MPoly, MPoly]  # (numerator, denominator)
+
+
+def sphere_model(t: MPoly) -> tuple[Ratio, Ratio, Ratio]:
+    """(alpha, lambda, mu) = (2 cot 2r, cot r, cot r) of the geodesic sphere
+    of radius r, in t = tan r."""
+    return (1 - t**2, t), (t**0, t), (t**0, t)
+
+
+def tube_model(t: MPoly) -> tuple[Ratio, Ratio, Ratio]:
+    """(alpha, lambda, mu) = (2 cot 2r, cot(r - pi/4), cot(r + pi/4)) of the
+    tube of radius r over a complex quadric curve, in t = tan r."""
+    return (1 - t**2, t), (1 + t, t - 1), (1 - t, 1 + t)
+
+
+def _balance(x: Ratio, y: Ratio, z: Ratio) -> MPoly:
+    """x - y - z cleared by the product of their distinct denominators."""
+    clear = math.prod({repr(d): d for _, d in (x, y, z)}.values())
+    return sum(k * n * exact_divide(clear, d) for k, (n, d) in zip((1, -1, -1), (x, y, z)))
+
+
+def _hopf_lemma(alpha: Ratio, lam: Ratio, mu: Ratio) -> bool:
+    """lambda mu = (lambda + mu) alpha / 2 + 1, cleared of denominators."""
+    (an, ad), (ln, ld), (mn, md) = alpha, lam, mu
+    return 2 * ln * mn * ad == (ln * md + mn * ld) * an + 2 * ld * md * ad
+
+
+def tube_radius_closed_form() -> float:
+    """arctan((1 + sqrt 5 - sqrt(2 + 2 sqrt 5)) / 2), the root in (0, pi/4) of
+    the tube balance, a palindromic quartic in t = tan r."""
+    s5 = math.sqrt(5.0)
+    return math.atan((1.0 + s5 - math.sqrt(2.0 + 2.0 * s5)) / 2.0)
+
+
+def check_hopf() -> tuple[bool, dict]:
+    """Radii at which the two Hopf models attain equality, certified exactly.
+
+    Equality needs mu = alpha + lambda or lambda = alpha + mu.  Cleared in
+    t = tan r, the tube's first balance Q has one root in (0, 1), i.e. r in
+    (0, pi/4), and the second none; the sphere's has its one root in
+    (0, inf) at t = 1, r = pi/4.  Modulo s^2 - 5, Q is (t^2 - (1+s)t + 1)
+    (t^2 - (1-s)t + 1), the discriminants 2 + 2s and 2 - 2s < 0 (s = sqrt 5
+    > 1), so the real roots of Q are (1 + s -+ sqrt(2 + 2s)) / 2, of product
+    1, and the one in (0, 1) is tan of the closed form.  Both models satisfy
+    the Hopf lemma.  The detail: both radii, the balances, each fact's truth.
+    """
+    s, t = variables("s t")
+    alpha, lam, mu = tube_model(t)
+    sphere_alpha, sphere_lam, sphere_mu = sphere_model(t)
+    tube, other = _balance(mu, alpha, lam), _balance(lam, alpha, mu)
+    sphere = _balance(sphere_mu, sphere_alpha, sphere_lam)
+    near, far = t**2 - (1 + s) * t + 1, t**2 - (1 - s) * t + 1
+
+    def congruent(x: MPoly, y: MPoly) -> bool:  # modulo s^2 - 5
+        return exact_divide(x - y, s**2 - 5) is not None
+
+    facts = {
+        "tube_quartic_one_root_in_(0,1)": sturm_count(tube, "t", 0, 1) == 1,
+        "other_tube_quartic_no_root_in_(0,1)": sturm_count(other, "t", 0, 1) == 0,
+        "sphere_root_in_(0,inf)_only_at_1": sturm_count(sphere, "t", 0) == 1
+        and sphere.evaluate({"s": 0, "t": 1}) == 0,
+        "tube_root_is_the_closed_form": congruent(tube, near * far)
+        and congruent(_discriminant(*near.coefficients("t")), 2 + 2 * s)
+        and congruent(_discriminant(*far.coefficients("t")), 2 - 2 * s)
+        and sturm_count(s**2 - 5, "s", 1) == 1,
+        "hopf_lemma": _hopf_lemma(alpha, lam, mu)
+        and _hopf_lemma(sphere_alpha, sphere_lam, sphere_mu),
+    }
+    balances = {"tube": repr(tube), "other_tube": repr(other), "sphere": repr(sphere)}
+    radii = {"r_sphere": math.pi / 4, "r_tube": tube_radius_closed_form()}
+    return all(facts.values()), {**radii, "balances": balances, "facts": facts}
 
 
 ALL_CHECKS = {

@@ -2,7 +2,7 @@
 
 import dataclasses
 import math
-from typing import Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -120,6 +120,24 @@ def perturbed_reference(epsilon: float = 0.05, seed: int = 0) -> SurfaceChart:
 
     base = ruled_chart()
     return SurfaceChart("perturbed-reference", evaluate, partials, base.sample_box, base.is_singular)
+
+
+def rephased(
+    chart: SurfaceChart, theta: Callable[[ParamTriple], float], dtheta: Callable[[ParamTriple], np.ndarray]
+) -> SurfaceChart:
+    """``chart`` moved along its fibres by the gauge e^{i theta(q)}: p -> e^{i theta} p and
+    D -> e^{i theta} (D + i dtheta (x) p), so that row a of the partials gains i d_a theta p.
+    The hypersurface in CP^2 is the same, so every invariant of its shape operator is too."""
+
+    def evaluate(u: float, v: float, t: float) -> np.ndarray:
+        return np.exp(1j * theta((u, v, t))) * chart.evaluate(u, v, t)
+
+    def partials(u: float, v: float, t: float) -> np.ndarray:
+        q = (u, v, t)
+        D = chart.partials(*q) + 1j * np.outer(dtheta(q), chart.evaluate(*q))
+        return np.exp(1j * theta(q)) * D
+
+    return dataclasses.replace(chart, name=f"{chart.name}-rephased", evaluate=evaluate, partials=partials)
 
 
 def near_singular_box(chart: SurfaceChart) -> SurfaceChart:

@@ -6,12 +6,12 @@ import random
 import time
 from fractions import Fraction
 
-from cp2ricci import classify as cl
 from cp2ricci import cli
 from cp2ricci import curvature as cv
 from cp2ricci.charts import ruled_chart, sphere_chart
+from cp2ricci.exact.checks import tube_radius_closed_form
 from cp2ricci.exact.mpoly import MPoly, variables
-from cp2ricci.exact.sturm import sturm_count
+from cp2ricci.exact.resultant import sturm_count
 from cp2ricci.report import EXACT_ZERO
 from cp2ricci.shape import shape_operator
 from helpers import box_grid
@@ -81,7 +81,7 @@ def test_criterion_tube_radius():
     )
     assert ok
     assert d["r_sphere"] == math.pi / 4
-    assert d["r_tube"] == cl.tube_radius_closed_form()
+    assert d["r_tube"] == tube_radius_closed_form()
     assert abs(d["r_tube"] - 0.33311971) < 1e-7
 
 

@@ -7,8 +7,6 @@ from cp2ricci import classify as cl
 from cp2ricci import cli
 from cp2ricci import curvature as cv
 from cp2ricci.charts import perturbed_ruled_chart, ruled_chart, sphere_chart
-from cp2ricci.exact.mpoly import variables
-from cp2ricci.exact.sturm import sturm_count
 from cp2ricci.shape import ShapeData, shape_operator
 from helpers import box_grid, flip_normal
 
@@ -106,55 +104,3 @@ def test_ruled_check_reports_alpha_when_it_is_the_largest_term(monkeypatch):
     reports = {r.name: r for r in cli.cmd_check_ruled(grid=2)}
     assert reports["ruled_form"].max_abs_residual == 0.5
 
-
-def test_hopf_equality_radii():
-    radii = cl.hopf_equality_radii()
-    assert all(radii.facts.values()) and len(radii.facts) == 5
-    assert radii.r_sphere == math.pi / 4
-    assert radii.r_tube == cl.tube_radius_closed_form()
-    assert abs(radii.r_tube - 0.33311971) < 1e-7  # regression value
-    s5 = math.sqrt(5.0)
-    assert radii.r_tube == math.atan((1 + s5 - math.sqrt(2 + 2 * s5)) / 2)
-
-
-def test_tube_balance_has_exactly_one_root_in_the_unit_interval():
-    # mu = alpha + lambda cleared by t (t^2 - 1) is the quartic Q, whose one
-    # root in (0, 1) lies in the sign change that a float scan sees; the
-    # other balance keeps one sign on (0, 1).
-    (t,) = variables("t")
-    alpha, lam, mu = cl.tube_model(t)
-    quartic = t**4 - 2 * t**3 - 2 * t**2 - 2 * t + 1
-    assert cl._balance(mu, alpha, lam) == quartic
-    assert sturm_count(quartic, "t", 0, 1) == 1
-    assert cl._balance(lam, alpha, mu) == t**4 + 2 * t**3 - 2 * t**2 + 2 * t + 1
-    assert cl.hopf_equality_radii().balances == {
-        "tube": "t^4 - 2*t^3 - 2*t^2 - 2*t + 1",
-        "other_tube": "t^4 + 2*t^3 - 2*t^2 + 2*t + 1",
-        "sphere": "t^2 - 1",
-    }
-    ts = np.tan(np.linspace(0.01, math.pi / 4 - 0.01, 1000))
-    signs = np.sign(ts**4 - 2 * ts**3 - 2 * ts**2 - 2 * ts + 1)
-    assert int(np.sum(signs[:-1] * signs[1:] < 0)) == 1
-
-
-def test_closed_form_radius_solves_quartic():
-    # tan r satisfies t^4 - 2 t^3 - 2 t^2 - 2 t + 1 = 0
-    t = math.tan(cl.tube_radius_closed_form())
-    assert abs(t**4 - 2 * t**3 - 2 * t**2 - 2 * t + 1) < 1e-14
-
-
-def test_check_tube_fails_on_a_wrong_tube_model(monkeypatch):
-    # lambda = cot(r - pi/4) with its sign flipped breaks the Hopf lemma and
-    # the balances, so the certificate must reject the model.
-    model = cl.tube_model
-
-    def flipped(t):
-        alpha, (n, d), mu = model(t)
-        return alpha, (-n, d), mu
-
-    monkeypatch.setattr(cl, "tube_model", flipped)
-    facts = cl.hopf_equality_radii().facts
-    assert not facts["hopf_lemma"] and not facts["tube_root_is_the_closed_form"]
-    [report] = cli.cmd_check_tube()
-    assert report.status == "fail" and report.max_abs_residual == math.inf
-    assert cli.main(["check", "tube"]) == 1

@@ -1,18 +1,31 @@
+import json
 import math
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from cp2ricci import cli
 from cp2ricci.exact import checks
 from cp2ricci.exact import identities as ids
-from cp2ricci.exact.mpoly import exact_divide
-from cp2ricci.exact.resultant import prs_resultant
+from cp2ricci.exact.mpoly import exact_divide, variables
+from cp2ricci.exact.resultant import prs_resultant, sturm_count
 from cp2ricci.report import EXACT_ZERO, report_to_json, run_report
 from sylvester import sylvester_resultant
 
 GOLDEN_SYMBOLIC = Path(__file__).parent / "data" / "symbolic_report.json"
+EXACT_CHECKS = {**checks.ALL_CHECKS, "hopf": checks.check_hopf}
+
+
+@pytest.mark.parametrize("name", EXACT_CHECKS)
+def test_every_exact_check_holds_and_reports_exact_zero_in_standard_json(name):
+    result = EXACT_CHECKS[name]()
+    assert result[0] is True and isinstance(result[1], dict)
+    report = cli._exact_report(name, result)
+    assert report.status == "pass" and report.max_abs_residual == EXACT_ZERO
+    text = report_to_json(run_report(name, {}, [report]))  # allow_nan=False
+    assert json.loads(text)["reports"][0]["maxAbsResidual"] == EXACT_ZERO
 
 
 def test_kappa_closed_forms_satisfy_both_relations():
@@ -224,3 +237,59 @@ def test_symbolic_subset_and_unknown_names():
     assert report.name == "symbolic_mu0"
     with pytest.raises(ValueError, match="unknown symbolic checks: nope;"):
         cli.cmd_symbolic(["nope"])
+
+
+def test_check_hopf_certifies_the_equality_radii():
+    ok, detail = checks.check_hopf()
+    assert ok and all(detail["facts"].values()) and len(detail["facts"]) == 5
+    assert list(detail) == ["r_sphere", "r_tube", "balances", "facts"]
+    assert detail["r_sphere"] == math.pi / 4
+    assert detail["r_tube"] == checks.tube_radius_closed_form()
+    assert abs(detail["r_tube"] - 0.33311971) < 1e-7  # regression value
+    s5 = math.sqrt(5.0)
+    assert detail["r_tube"] == math.atan((1 + s5 - math.sqrt(2 + 2 * s5)) / 2)
+    assert checks.check_hopf not in checks.ALL_CHECKS.values()
+
+
+def test_tube_balance_has_exactly_one_root_in_the_unit_interval():
+    # mu = alpha + lambda cleared by t (t^2 - 1) is the quartic Q, whose one
+    # root in (0, 1) lies in the sign change that a float scan sees; the
+    # other balance keeps one sign on (0, 1).
+    (t,) = variables("t")
+    alpha, lam, mu = checks.tube_model(t)
+    quartic = t**4 - 2 * t**3 - 2 * t**2 - 2 * t + 1
+    assert checks._balance(mu, alpha, lam) == quartic
+    assert sturm_count(quartic, "t", 0, 1) == 1
+    assert checks._balance(lam, alpha, mu) == t**4 + 2 * t**3 - 2 * t**2 + 2 * t + 1
+    assert checks.check_hopf()[1]["balances"] == {
+        "tube": "t^4 - 2*t^3 - 2*t^2 - 2*t + 1",
+        "other_tube": "t^4 + 2*t^3 - 2*t^2 + 2*t + 1",
+        "sphere": "t^2 - 1",
+    }
+    ts = np.tan(np.linspace(0.01, math.pi / 4 - 0.01, 1000))
+    signs = np.sign(ts**4 - 2 * ts**3 - 2 * ts**2 - 2 * ts + 1)
+    assert int(np.sum(signs[:-1] * signs[1:] < 0)) == 1
+
+
+def test_closed_form_radius_solves_quartic():
+    # tan r satisfies t^4 - 2 t^3 - 2 t^2 - 2 t + 1 = 0
+    t = math.tan(checks.tube_radius_closed_form())
+    assert abs(t**4 - 2 * t**3 - 2 * t**2 - 2 * t + 1) < 1e-14
+
+
+def test_check_tube_fails_on_a_wrong_tube_model(monkeypatch):
+    # lambda = cot(r - pi/4) with its sign flipped breaks the Hopf lemma and
+    # the balances, so the certificate must reject the model.
+    model = checks.tube_model
+
+    def flipped(t):
+        alpha, (n, d), mu = model(t)
+        return alpha, (-n, d), mu
+
+    monkeypatch.setattr(checks, "tube_model", flipped)
+    ok, detail = checks.check_hopf()
+    assert not ok
+    assert not detail["facts"]["hopf_lemma"] and not detail["facts"]["tube_root_is_the_closed_form"]
+    [report] = cli.cmd_check_tube()
+    assert report.status == "fail" and report.max_abs_residual == math.inf
+    assert cli.main(["check", "tube"]) == 1

@@ -5,11 +5,12 @@ import warnings
 import numpy as np
 import pytest
 
-from cp2ricci import shape
+from cp2ricci import cli, shape
+from cp2ricci import curvature as cv
 from cp2ricci.charts import perturbed_ruled_chart, ruled_chart, sphere_chart
 from cp2ricci.frames import RankDeficient, build_frame
 from cp2ricci.shape import AsymmetryExceeded, ShapeData, shape_operator, shape_operator_grid
-from helpers import box_grid, flip_normal, near_singular_box
+from helpers import box_grid, flip_normal, near_singular_box, rephased
 
 # Regression baseline: grid minimum of the Hopf defect over the default
 # 16^3 ruled box, frozen after the first full run.
@@ -302,3 +303,58 @@ def test_shape_operator_grid_of_no_points_is_empty():
     g = shape_operator_grid(ruled_chart(), [])
     assert g.flags.shape == (0,) and g.xi.shape == (0, 3)
     assert g.A.shape == g.P.shape == g.coeffs.shape == (0, 3, 3)
+
+
+# The fibre gauge theta = 2 sin(u + 2 v) + t.  Per chart, the largest gaps
+# that test_shape_operator_is_gauge_invariant_to_the_fd_floor measured on its
+# 100 seeded points at the default step, both relative: the best-sign
+# eigenvalue gap over max(1, max |eig|) and the deficit gap over
+# max(1, |deficit|).  Each bound is GAUGE_FACTOR times its measured maximum.
+GAUGE_FACTOR = 10.0
+GAUGE_MEASURED = {
+    "ruled": (1.44e-9, 4.44e-15),
+    "sphere": (8.66e-10, 1.02e-9),
+    "perturbed": (2.38e-9, 3.25e-9),
+}
+
+
+def _theta(q):
+    u, v, t = q
+    return 2.0 * math.sin(u + 2.0 * v) + t
+
+
+def _dtheta(q):
+    c = math.cos(q[0] + 2.0 * q[1])
+    return np.array([2.0 * c, 4.0 * c, 1.0])
+
+
+@pytest.mark.parametrize("name", GAUGE_MEASURED)
+def test_shape_operator_is_gauge_invariant_to_the_fd_floor(name):
+    # The rephased chart lifts the same hypersurface, so its principal
+    # curvatures (up to sign) and deficit are those of the chart.  The FD
+    # route meets that only to O(h^2), with a constant set by dtheta: about
+    # 1e-9 at the default step, except the ruled deficit, at rounding.  So
+    # is the asymmetry guard's verdict: a point flagged for either chart is
+    # not compared (one point of the perturbed chart passes unrephased only).
+    makers = {
+        "ruled": ruled_chart,
+        "sphere": lambda: sphere_chart(math.pi / 6),
+        "perturbed": lambda: perturbed_ruled_chart(0.2, 3),
+    }
+    chart = makers[name]()
+    moved = rephased(chart, _theta, _dtheta)
+    lo, hi = np.array(chart.sample_box.lo), np.array(chart.sample_box.hi)
+    points = (lo + (hi - lo) * np.random.default_rng(0).uniform(size=(100, 3))).tolist()
+    eig_gaps, deficit_gaps = [], []
+    for q in points:
+        try:
+            a, b = shape_operator(chart, tuple(q)), shape_operator(moved, tuple(q))
+        except AsymmetryExceeded:
+            continue
+        eigs = np.linalg.eigvalsh(a.A)
+        gap, _ = cli._principal_deviation(np.linalg.eigvalsh(b.A), eigs)
+        eig_gaps.append(gap / max(1.0, float(np.max(np.abs(eigs)))))
+        deficit_gaps.append(abs(cv.deficit(a) - cv.deficit(b)) / max(1.0, abs(cv.deficit(a))))
+    assert len(eig_gaps) >= 95
+    eig_bound, deficit_bound = (GAUGE_FACTOR * m for m in GAUGE_MEASURED[name])
+    assert max(eig_gaps) < eig_bound and max(deficit_gaps) < deficit_bound, (max(eig_gaps), max(deficit_gaps))

@@ -4,8 +4,8 @@ from fractions import Fraction
 import pytest
 
 from cp2ricci.exact.mpoly import MPoly, variables
-from cp2ricci.exact import sturm
-from cp2ricci.exact.sturm import sturm_count
+from cp2ricci.exact import resultant
+from cp2ricci.exact.resultant import sturm_count
 
 X, Y = variables("x y")
 
@@ -91,6 +91,6 @@ def test_counts_match_factoring_oracle_on_random_products():
 def test_gcd_that_does_not_divide_raises(monkeypatch):
     # (x - 1)^2 has a non-constant gcd with its derivative, so the count
     # divides by it; a failed division is a broken invariant, even under -O.
-    monkeypatch.setattr(sturm, "exact_divide", lambda p, q: None)
+    monkeypatch.setattr(resultant, "exact_divide", lambda p, q: None)
     with pytest.raises(ArithmeticError):
         sturm_count((X - 1) ** 2, "x")
