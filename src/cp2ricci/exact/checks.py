@@ -25,16 +25,16 @@ def _multiple(w: MPoly, target: MPoly) -> dict:
     """How w is a multiple c * beta^m * D^k of ``target``: the detail
     {c, beta_power, denominator_power}, or {divisible: False} when target
     does not divide w, or {divisible: True, quotient} when the quotient has
-    another shape."""
+    another shape, zero included."""
     quotient = exact_divide(w, target)
     if quotient is None:
         return {"divisible": False}
     q, powers = quotient, []
     for factor in (ids.D_DENOM, ids.BETA):
         powers.append(0)
-        while (nxt := exact_divide(q, factor)) is not None:
+        while q.terms and (nxt := exact_divide(q, factor)) is not None:
             q, powers[-1] = nxt, powers[-1] + 1
-    if not q.is_constant():
+    if q.is_zero() or not q.is_constant():
         return {"divisible": True, "quotient": repr(quotient)}
     k, m = powers
     return {"c": str(q.constant_value()), "beta_power": m, "denominator_power": k}
@@ -178,9 +178,9 @@ def check_mu1() -> tuple[bool, dict]:
         detail["companion_quotient_is_denominator"] = q == d1
 
     point = {"beta": 0, "gamma": 1, "mu": 1, "kappa1": 0, "kappa3": 0}
-    detail["quadratic_at_root"] = str(ids.MU1_QUADRATIC.evaluate(point))
-    detail["quartic_at_root"] = str(ids.MU1_QUARTIC.evaluate(point))
-    root_ok = ids.MU1_QUADRATIC.evaluate(point) == 0 and ids.MU1_QUARTIC.evaluate(point) == 0
+    at_root = [ids.MU1_QUADRATIC.evaluate(point), ids.MU1_QUARTIC.evaluate(point)]
+    detail["quadratic_at_root"], detail["quartic_at_root"] = map(str, at_root)
+    root_ok = at_root == [0, 0]
 
     positivity = True
     for key, quad in (("disc_middle", ids.MU1_MIDDLE_QUAD), ("disc_tail", ids.MU1_TAIL_QUAD)):

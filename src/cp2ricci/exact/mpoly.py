@@ -11,9 +11,13 @@ test on the guard bits decides divisibility.  ``terms`` is keyed by packed
 monomials; the constructor takes, and every query returns, exponent tuples.
 Every stored coefficient is an ``int`` when integral and a reduced ``Fraction``
 with denominator > 1 otherwise (``_coeff`` is applied wherever a coefficient
-is created), so integer polynomials never pay for Fraction arithmetic, and
-since ``Fraction(3) == 3`` structural equality is unaffected.
-``constant_value`` still returns a ``Fraction``.
+is created, and skipped for a product sum that is already an ``int``), so
+integer polynomials never pay for Fraction arithmetic, and since
+``Fraction(3) == 3`` structural equality is unaffected.  Every product, ``*``
+and the fused ``a*b - c*d`` of a pseudo-remainder step, runs through one
+accumulation loop, ``_products``.  A number is substituted by scalar products
+and evaluated on ``int`` when every value is one; ``constant_value`` and
+``evaluate`` still return a ``Fraction``.
 """
 
 from __future__ import annotations
@@ -192,6 +196,25 @@ class MPoly:
             return NotImplemented
         return o - self
 
+    def _products(self, pairs) -> "MPoly":
+        """sum(sign * a * b) over the (a, b, sign) in ``pairs``, on term maps."""
+        top = _WIDTH * len(self.vars)
+        out: dict[int, Coeff] = {}
+        get = out.get
+        for a, b, sign in pairs:
+            # No field carries in m1 + m2, so this is the product's top degree.
+            if (max(a, default=0) + max(b, default=0)) >> top > MAX_DEGREE:
+                raise OverflowError(f"product degree exceeds {MAX_DEGREE}")
+            if len(a) > len(b):
+                a, b = b, a
+            for m1, c1 in a.items():
+                c1 = c1 if sign > 0 else -c1
+                for m2, c2 in b.items():
+                    m = m1 + m2
+                    out[m] = get(m, 0) + c1 * c2
+        terms = {m: c if type(c) is int else _coeff(c) for m, c in out.items() if c}
+        return MPoly._new(self.vars, terms)
+
     def __mul__(self, other) -> "MPoly":
         if isinstance(other, (int, Fraction)):
             if other == 0:
@@ -200,35 +223,34 @@ class MPoly:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if self.total_degree() + o.total_degree() > MAX_DEGREE:
-            raise OverflowError(f"product degree exceeds {MAX_DEGREE}")
-        out: dict[int, Coeff] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in o.terms.items():
-                m = m1 + m2
-                out[m] = out.get(m, 0) + c1 * c2
-        return MPoly._new(self.vars, {m: _coeff(c) for m, c in out.items() if c})
+        return self._products(((self.terms, o.terms, 1),))
 
     __rmul__ = __mul__
+
+    def _mul_sub(self, b: "MPoly", c: "MPoly", d: "MPoly") -> "MPoly":
+        """self * b - c * d, accumulated into one term map."""
+        for o in (b, c, d):
+            self._check_ring(o)
+        return self._products(((self.terms, b.terms, 1), (c.terms, d.terms, -1)))
 
     def __pow__(self, n: int) -> "MPoly":
         if not isinstance(n, int) or n < 0:
             raise ValueError("exponent must be a nonnegative integer")
         if self.total_degree() * n > MAX_DEGREE:
             raise OverflowError(f"power degree exceeds {MAX_DEGREE}")
-        result = MPoly.const(1, self.vars)
+        result = None
         base = self
         while n:
             if n & 1:
-                result = result * base
+                result = base if result is None else result * base
             n >>= 1
             if n:
                 base = base * base
-        return result
+        return MPoly.const(1, self.vars) if result is None else result
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
-            other = MPoly.const(other, self.vars)
+            return self.terms == ({0: other} if other else {})  # a constant packs to 0
         if not isinstance(other, MPoly):
             return NotImplemented
         return self.vars == other.vars and self.terms == other.terms
@@ -248,29 +270,26 @@ class MPoly:
         return MPoly._new(self.vars, out)
 
     def subs_poly(self, name: str, value: "MPoly | Coeff") -> "MPoly":
-        """Substitute a polynomial (or constant) for a variable."""
-        if isinstance(value, (int, Fraction)):
-            value = MPoly.const(value, self.vars)
-        self._check_ring(value)
-        result = MPoly.zero(self.vars)
-        for k, ck in enumerate(self.coefficients(name)):
-            if ck.terms:
-                result = result + ck * value**k
-        return result
+        """Substitute a polynomial or a number for a variable; a number enters
+        by scalar products."""
+        if isinstance(value, MPoly):
+            self._check_ring(value)
+        parts = (ck * value**k for k, ck in enumerate(self.coefficients(name)) if ck.terms)
+        return sum(parts, MPoly.zero(self.vars))
 
     def evaluate(self, point: Mapping[str, Coeff]) -> Fraction:
         missing = [v for v in self.vars if v not in point]
         if missing:
             raise ValueError(f"no value for variables {missing}")
-        vals = [Fraction(point[v]) for v in self.vars]
-        total = Fraction(0)
+        vals = [x if type(x) is int else Fraction(x) for x in (point[v] for v in self.vars)]
+        total: Coeff = 0
         for m, c in self.terms.items():
             t = c
             for x, k in zip(vals, _unpack(m, len(vals))):
                 if k:
                     t *= x**k
             total += t
-        return total
+        return Fraction(total)
 
     # -- display ---------------------------------------------------------------
 

@@ -1,8 +1,9 @@
 """Resultants and real-root counts by polynomial remainder sequences.
 
 Both routes take coefficient lists in one variable, with ``MPoly``
-coefficients, and share one step, ``_pseudo_remainder``.  An inexact division
-in either would mean a broken invariant and raises ``ArithmeticError``.
+coefficients, and share one step, ``_pseudo_remainder``, whose updates
+lead * c - top * b are fused products.  An inexact division in either would
+mean a broken invariant and raises ``ArithmeticError``.
 
 ``prs_resultant`` is the subresultant polynomial remainder sequence (G. E.
 Collins, "Subresultants and reduced polynomial remainder sequences", J. ACM
@@ -65,7 +66,7 @@ def _pseudo_remainder(a: list[MPoly], b: list[MPoly]) -> list[MPoly]:
     while len(r) >= len(b):
         # lead * r - lc(r) * x^k * b: the top coefficient cancels.
         k, top = len(r) - len(b), r[-1]
-        r = [lead * c - top * b[i - k] if i >= k else lead * c for i, c in enumerate(r[:-1])]
+        r = [lead._mul_sub(c, top, b[i - k]) if i >= k else lead * c for i, c in enumerate(r[:-1])]
         while r and r[-1].is_zero():
             r.pop()
         e -= 1

@@ -9,7 +9,7 @@ import pytest
 from cp2ricci import cli
 from cp2ricci.exact import checks
 from cp2ricci.exact import identities as ids
-from cp2ricci.exact.mpoly import exact_divide, variables
+from cp2ricci.exact.mpoly import MPoly, exact_divide, variables
 from cp2ricci.exact.resultant import prs_resultant, sturm_count
 from cp2ricci.report import EXACT_ZERO, report_to_json, run_report
 from sylvester import sylvester_resultant
@@ -66,6 +66,32 @@ def test_emergence_factorization_and_constants():
     assert detail["denominator_power"] == 1
     assert detail["beta_power"] == 0
     assert detail["vanishes_at_mu_eq_gamma"] is True
+
+
+@pytest.mark.parametrize(
+    "check, numerator",
+    [
+        (checks.check_f_emergence, "cleared_gauss_numerator"),
+        (checks.check_f_derivative, "derivative_along_e3_numerator"),
+    ],
+    ids=["f_emergence", "f_derivative"],
+)
+def test_a_vanishing_numerator_fails_its_check(monkeypatch, check, numerator):
+    # Zero is a multiple of anything; peeling factors off a zero quotient
+    # must stop, so the cap turns an endless loop into a failure.
+    monkeypatch.setattr(checks, numerator, lambda: MPoly.zero(ids.RING_VARS))
+    calls = []
+
+    def capped(p, q):
+        calls.append(q)
+        if len(calls) > 20:
+            raise RuntimeError("exact_divide called without bound")
+        return exact_divide(p, q)
+
+    monkeypatch.setattr(checks, "exact_divide", capped)
+    ok, detail = check()
+    assert ok is False and "c" not in detail
+    assert detail == {"divisible": True, "quotient": "0"}
 
 
 def test_emergence_cleared_numerator_vanishes_at_mu_eq_gamma():

@@ -59,7 +59,14 @@ def test_no_zero_coefficients_stored(p):
 @given(mpolys())
 def test_pow_matches_repeated_multiplication(p):
     assert p**3 == p * p * p
+    assert p**1 == p and p**2 == p * p
     assert p**0 == MPoly.const(1, VARS)
+
+
+@pytest.mark.parametrize("c", [0, 3, -2, Fraction(5, 3), Fraction(4, 2)])
+def test_equality_with_a_number_is_equality_with_the_constant(c):
+    assert MPoly.const(c, VARS) == c
+    assert MPoly.const(c + 1, VARS) != c and X + c != c and X * 0 == 0
 
 
 @settings(max_examples=40, deadline=None)
@@ -82,6 +89,8 @@ def _stored_form(p):
 def test_coefficients_are_int_when_integral(p, q, n, k):
     results = [p + q, p - q, p * q, p * n, n * n, p**k, n**k]
     results += [p.subs_poly("x", q), n.subs_poly("y", n), p.derivative("x"), n.derivative("z")]
+    results += [p._mul_sub(q, n, q), n._mul_sub(n, k * n, n), n._mul_sub(n, p, q)]
+    results += [p.subs_poly("x", k), n.subs_poly("y", -k), n.subs_poly("z", Fraction(k, 2))]
     for divisor in (q, n):
         if not divisor.is_zero():
             results += [exact_divide(p * divisor, divisor), exact_divide(n * divisor, divisor)]
@@ -147,6 +156,24 @@ def test_subs_poly():
     p = X**2 - Y
     assert p.subs_poly("x", Y) == Y**2 - Y
     assert p.subs_poly("x", 3) == 9 - Y
+
+
+@pytest.mark.parametrize("x", [3, -2, 0, Fraction(-5, 3)])
+@settings(max_examples=40, deadline=None)
+@given(p=mpolys(), name=st.sampled_from(VARS))
+def test_subs_poly_of_a_number_matches_the_polynomial_route(x, p, name):
+    # A constant polynomial takes the polynomial route: powers times coefficients.
+    assert p.subs_poly(name, x) == p.subs_poly(name, MPoly.const(x, VARS))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.booleans(), st.data())
+def test_evaluate_at_int_points_matches_fraction_points(integral, data):
+    p = data.draw(mpolys(integral))
+    point = {v: data.draw(st.integers(-5, 5)) for v in VARS}
+    got = p.evaluate(point)
+    assert type(got) is Fraction
+    assert got == p.evaluate({v: Fraction(x) for v, x in point.items()})
 
 
 def test_evaluate_matches_substitution():
@@ -238,3 +265,30 @@ def test_degrees_beyond_the_field_overflow_instead_of_wrapping():
             base**n
     assert (X * Y) ** (MAX_DEGREE // 2) == MPoly(VARS, {(MAX_DEGREE // 2,) * 2 + (0,): 1})
     assert MPoly.zero(VARS) ** (MAX_DEGREE + 1) == MPoly.zero(VARS)
+
+
+def _schoolbook(p, q):
+    """p * q term by term on exponent tuples, through the constructor, which
+    raises OverflowError at the same total degrees as ``*``."""
+    out = MPoly.zero(VARS)
+    for e1, c1 in p.sorted_terms():
+        for e2, c2 in q.sorted_terms():
+            out = out + MPoly(VARS, {tuple(x + y for x, y in zip(e1, e2)): c1 * c2})
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_fused_mul_sub_is_the_difference_of_products(data):
+    caps = st.sampled_from([3, MAX_DEGREE // 2, MAX_DEGREE])
+    a, b, c, d = (MPoly(VARS, data.draw(term_maps(data.draw(caps)))) for _ in range(4))
+    try:
+        expected = _schoolbook(a, b) - _schoolbook(c, d)
+    except OverflowError:
+        # Either product overflowing makes the fused form overflow.
+        with pytest.raises(OverflowError):
+            a._mul_sub(b, c, d)
+        return
+    assert a._mul_sub(b, c, d) == expected == a * b - c * d
+    cancelled = a._mul_sub(b, b, a)
+    assert cancelled.is_zero() and not cancelled.terms
