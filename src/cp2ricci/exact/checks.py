@@ -13,11 +13,12 @@ computed by exact division and reported in ``detail``.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 
 from . import identities as ids
-from .mpoly import MPoly, exact_divide, variables
+from .mpoly import MPoly, exact_divide, sum_of_products, variables
 from .resultant import prs_resultant, sturm_count
 
 
@@ -53,10 +54,12 @@ def _cleared(relation: MPoly, k1: MPoly, k3: MPoly) -> MPoly:
         if c.terms
     ]
     d = max((a + b for _, a, b in terms), default=0)
-    cleared = MPoly.zero(relation.vars)
+    power = functools.cache(lambda i, n: (k1, k3, ids.D_DENOM)[i] ** n)  # each power once per call
+    pairs = []
     for c, a, b in terms:
-        cleared = cleared + c * k1**a * k3**b * ids.D_DENOM ** (d - a - b)
-    return cleared
+        rest = [power(i, n) for i, n in enumerate((a, b, d - a - b)) if n] or [c**0]
+        pairs.append((c, math.prod(rest[1:], start=rest[0]), 1))
+    return sum_of_products(relation.vars, pairs)
 
 
 def _kappa_residuals(k1: MPoly, k3: MPoly) -> tuple[MPoly, MPoly]:
@@ -78,11 +81,12 @@ def check_kappa() -> tuple[bool, dict]:
 def cleared_gauss_numerator() -> MPoly:
     """Numerator of the combined curvature relation after inserting the
     derivative rules (one power of the common denominator cleared)."""
-    return (
-        ids.GAUSS_COEFF_DBETA * ids.E3_BETA
-        + ids.GAUSS_COEFF_DGAMMA * ids.E3_GAMMA
-        + ids.GAUSS_TAIL * ids.D_DENOM
+    pairs = (
+        (ids.GAUSS_COEFF_DBETA, ids.E3_BETA, 1),
+        (ids.GAUSS_COEFF_DGAMMA, ids.E3_GAMMA, 1),
+        (ids.GAUSS_TAIL, ids.D_DENOM, 1),
     )
+    return sum_of_products(ids.RING_VARS, pairs)
 
 
 def check_f_emergence() -> tuple[bool, dict]:
@@ -99,7 +103,7 @@ def derivative_along_e3_numerator() -> MPoly:
     """Cleared numerator of dF/de3 = F_beta * e3(beta) + F_gamma * e3(gamma)."""
     fb = ids.F_POLY.derivative("beta")
     fg = ids.F_POLY.derivative("gamma")
-    return fb * ids.E3_BETA + fg * ids.E3_GAMMA
+    return sum_of_products(ids.RING_VARS, ((fb, ids.E3_BETA, 1), (fg, ids.E3_GAMMA, 1)))
 
 
 def check_f_derivative() -> tuple[bool, dict]:
@@ -236,7 +240,8 @@ def tube_model(t: MPoly) -> tuple[Ratio, Ratio, Ratio]:
 def _balance(x: Ratio, y: Ratio, z: Ratio) -> MPoly:
     """x - y - z cleared by the product of their distinct denominators."""
     clear = math.prod({repr(d): d for _, d in (x, y, z)}.values())
-    return sum(k * n * exact_divide(clear, d) for k, (n, d) in zip((1, -1, -1), (x, y, z)))
+    pairs = [(n, exact_divide(clear, d), k) for k, (n, d) in zip((1, -1, -1), (x, y, z))]
+    return sum_of_products(clear.vars, pairs)
 
 
 def _hopf_lemma(alpha: Ratio, lam: Ratio, mu: Ratio) -> bool:

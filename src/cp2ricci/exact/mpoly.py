@@ -13,17 +13,17 @@ Every stored coefficient is an ``int`` when integral and a reduced ``Fraction``
 with denominator > 1 otherwise (``_coeff`` is applied wherever a coefficient
 is created, and skipped for a product sum that is already an ``int``), so
 integer polynomials never pay for Fraction arithmetic, and since
-``Fraction(3) == 3`` structural equality is unaffected.  Every product, ``*``
-and the fused ``a*b - c*d`` of a pseudo-remainder step, runs through one
-accumulation loop, ``_products``.  A number is substituted by scalar products
-and evaluated on ``int`` when every value is one; ``constant_value`` and
+``Fraction(3) == 3`` structural equality is unaffected.  Every product, sum of
+products and substitution takes one accumulation: ``sum_of_products``, or for
+a monomial (a number included) one pass that moves exponents.  A polynomial is
+evaluated on ``int`` when every value is one; ``constant_value`` and
 ``evaluate`` still return a ``Fraction``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 Exponents = tuple[int, ...]
 Coeff = Fraction | int
@@ -196,25 +196,6 @@ class MPoly:
             return NotImplemented
         return o - self
 
-    def _products(self, pairs) -> "MPoly":
-        """sum(sign * a * b) over the (a, b, sign) in ``pairs``, on term maps."""
-        top = _WIDTH * len(self.vars)
-        out: dict[int, Coeff] = {}
-        get = out.get
-        for a, b, sign in pairs:
-            # No field carries in m1 + m2, so this is the product's top degree.
-            if (max(a, default=0) + max(b, default=0)) >> top > MAX_DEGREE:
-                raise OverflowError(f"product degree exceeds {MAX_DEGREE}")
-            if len(a) > len(b):
-                a, b = b, a
-            for m1, c1 in a.items():
-                c1 = c1 if sign > 0 else -c1
-                for m2, c2 in b.items():
-                    m = m1 + m2
-                    out[m] = get(m, 0) + c1 * c2
-        terms = {m: c if type(c) is int else _coeff(c) for m, c in out.items() if c}
-        return MPoly._new(self.vars, terms)
-
     def __mul__(self, other) -> "MPoly":
         if isinstance(other, (int, Fraction)):
             if other == 0:
@@ -223,15 +204,13 @@ class MPoly:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self._products(((self.terms, o.terms, 1),))
+        return sum_of_products(self.vars, ((self, o, 1),))
 
     __rmul__ = __mul__
 
     def _mul_sub(self, b: "MPoly", c: "MPoly", d: "MPoly") -> "MPoly":
         """self * b - c * d, accumulated into one term map."""
-        for o in (b, c, d):
-            self._check_ring(o)
-        return self._products(((self.terms, b.terms, 1), (c.terms, d.terms, -1)))
+        return sum_of_products(self.vars, ((self, b, 1), (c, d, -1)))
 
     def __pow__(self, n: int) -> "MPoly":
         if not isinstance(n, int) or n < 0:
@@ -270,12 +249,31 @@ class MPoly:
         return MPoly._new(self.vars, out)
 
     def subs_poly(self, name: str, value: "MPoly | Coeff") -> "MPoly":
-        """Substitute a polynomial or a number for a variable; a number enters
-        by scalar products."""
-        if isinstance(value, MPoly):
-            self._check_ring(value)
-        parts = (ck * value**k for k, ck in enumerate(self.coefficients(name)) if ck.terms)
-        return sum(parts, MPoly.zero(self.vars))
+        """Substitute a polynomial or a number for a variable.  For a monomial
+        c * x^e (a number: e = 0) each term's exponent k of ``name`` moves onto
+        e, k times, and its coefficient is scaled by c^k; else sum(ck * value^k)."""
+        v = self._coerce(value)
+        if v is None:
+            raise TypeError(f"cannot substitute {value!r}: not a polynomial or a rational")
+        if len(v.terms) > 1:
+            pairs = [(c, v**k, 1) for k, c in enumerate(self.coefficients(name)) if c.terms]
+            return sum_of_products(self.vars, pairs)
+        ((mv, cv),) = (v.terms or {0: 0}).items()  # zero is the monomial 0 * 1
+        s = self._shift(name)
+        top = _WIDTH * len(self.vars)
+        step = mv - (1 << s) - (1 << top)  # one factor of name traded for the monomial
+        out: dict[int, Coeff] = {}
+        get = out.get
+        for m, c in self.terms.items():
+            k = (m >> s) & _FIELD
+            if k:
+                m += k * step
+                if m >> top > MAX_DEGREE:  # no field carries below a total that fits
+                    raise OverflowError(f"substituted degree exceeds {MAX_DEGREE}")
+                c *= cv**k
+            out[m] = get(m, 0) + c
+        terms = {m: c if type(c) is int else _coeff(c) for m, c in out.items() if c}
+        return MPoly._new(self.vars, terms)
 
     def evaluate(self, point: Mapping[str, Coeff]) -> Fraction:
         missing = [v for v in self.vars if v not in point]
@@ -317,6 +315,28 @@ class MPoly:
         return out.replace("+ -", "- ")
 
 
+def sum_of_products(vars: tuple[str, ...], pairs: Iterable[tuple[MPoly, MPoly, int]]) -> MPoly:
+    """sum(sign * a * b) over the (a, b, sign) in ``pairs``, in one term map."""
+    top = _WIDTH * len(vars)
+    out: dict[int, Coeff] = {}
+    get = out.get
+    for a, b, sign in pairs:
+        if a.vars != vars or b.vars != vars:
+            raise ValueError(f"mixed rings: {vars} vs {a.vars}, {b.vars}")
+        a, b = a.terms, b.terms
+        # No field carries in m1 + m2, so this is the product's top degree.
+        if (max(a, default=0) + max(b, default=0)) >> top > MAX_DEGREE:
+            raise OverflowError(f"product degree exceeds {MAX_DEGREE}")
+        if len(a) > len(b):
+            a, b = b, a
+        for m1, c1 in a.items():
+            c1 = c1 if sign > 0 else -c1
+            for m2, c2 in b.items():
+                m = m1 + m2
+                out[m] = get(m, 0) + c1 * c2
+    return MPoly._new(vars, {m: c if type(c) is int else _coeff(c) for m, c in out.items() if c})
+
+
 def variables(names: str | Sequence[str]) -> tuple[MPoly, ...]:
     """Generators of the polynomial ring with the given ordered variables."""
     vs = tuple(names.split()) if isinstance(names, str) else tuple(names)
@@ -341,6 +361,7 @@ def exact_divide(p: MPoly, q: MPoly) -> MPoly | None:
     guards = ((1 << _WIDTH * (len(p.vars) + 1)) - 1) // _FIELD << (_WIDTH - 1)
     tail = [(m, c) for m, c in q.terms.items() if m != lead_q]
     r = dict(p.terms)
+    get = r.get
     quotient: dict[int, Coeff] = {}
     while r:
         lead = max(r)
@@ -352,9 +373,9 @@ def exact_divide(p: MPoly, q: MPoly) -> MPoly | None:
         t = quotient[shift] = _quo(r.pop(lead), c_q)
         for m, c in tail:
             m += shift
-            s = r.get(m, 0) - t * c
+            s = get(m, 0) - t * c
             if s:
-                r[m] = _coeff(s)
-            else:
-                r.pop(m, None)
+                r[m] = s if type(s) is int else _coeff(s)
+            else:  # t * c != 0, so m was a key of r
+                del r[m]
     return MPoly._new(p.vars, quotient)

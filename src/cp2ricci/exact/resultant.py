@@ -23,14 +23,15 @@ then minus the pseudo-remainder of the two members before times the sign of
 lc^(deg a - deg b + 1), so that each member is a positive multiple of minus
 the Euclidean remainder.  The last member is then a constant multiple of
 gcd(p, p'); when it is not constant, p is replaced by its square-free part
-p / gcd and the chain is built again.
+p / gcd and the chain is built again.  A member's value at an endpoint is
+computed on ints when the endpoint is integral.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .mpoly import MPoly, exact_divide
+from .mpoly import MPoly, exact_divide, sum_of_products
 
 
 class DegenerateResultant(ValueError):
@@ -119,11 +120,13 @@ def _chain(c: list[MPoly]) -> list[list[MPoly]]:
 
 
 def _value(c: list[MPoly], x: Fraction) -> Fraction:
-    """Value at x by Horner's rule."""
-    v = Fraction(0)
+    """Value at x by Horner's rule on the stored coefficients, on ints when
+    x and the coefficients are integral (a constant packs to monomial 0)."""
+    t = x.numerator if x.denominator == 1 else x
+    v: Fraction | int = 0
     for ck in reversed(c):
-        v = v * x + ck.constant_value()
-    return v
+        v = v * t + ck.terms.get(0, 0)
+    return Fraction(v)
 
 
 def _variations(chain: list[list[MPoly]], x: Fraction | None, plus_inf: bool) -> int:
@@ -157,7 +160,7 @@ def sturm_count(
     chain = _chain(c)
     if len(chain[-1]) > 1:
         x = MPoly.var(name, p.vars)
-        gcd = sum((ck * x**k for k, ck in enumerate(chain[-1])), MPoly.zero(p.vars))
+        gcd = sum_of_products(p.vars, [(ck, x**k, 1) for k, ck in enumerate(chain[-1])])
         chain = _chain(_exact(p, gcd).coefficients(name))
     count = _variations(chain, a, False) - _variations(chain, b, True)
     # Sturm counts (a, b]; the interval here is open on the right as well.

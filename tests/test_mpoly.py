@@ -8,6 +8,7 @@ from cp2ricci.exact.mpoly import (
     MAX_DEGREE,
     MPoly,
     exact_divide,
+    sum_of_products,
     variables,
 )
 
@@ -91,6 +92,10 @@ def test_coefficients_are_int_when_integral(p, q, n, k):
     results += [p.subs_poly("x", q), n.subs_poly("y", n), p.derivative("x"), n.derivative("z")]
     results += [p._mul_sub(q, n, q), n._mul_sub(n, k * n, n), n._mul_sub(n, p, q)]
     results += [p.subs_poly("x", k), n.subs_poly("y", -k), n.subs_poly("z", Fraction(k, 2))]
+    results += [p.subs_poly("y", 3 * Z**2), n.subs_poly("x", -2 * Y), n.subs_poly("z", Fraction(1, 2) * X)]
+    results += [p.subs_poly("x", MPoly.const(k, VARS)), n.subs_poly("y", Fraction(k, 2) * X * Z)]
+    results += [sum_of_products(VARS, [(p, q, 1), (n, n, -1), (q, p, -1)])]
+    results += [sum_of_products(VARS, [(n, q, 1), (p, n, -1)]), sum_of_products(VARS, [])]
     for divisor in (q, n):
         if not divisor.is_zero():
             results += [exact_divide(p * divisor, divisor), exact_divide(n * divisor, divisor)]
@@ -156,14 +161,18 @@ def test_subs_poly():
     p = X**2 - Y
     assert p.subs_poly("x", Y) == Y**2 - Y
     assert p.subs_poly("x", 3) == 9 - Y
+    assert p.subs_poly("x", MPoly.zero(VARS)) == -Y == p.subs_poly("x", 0)
+    with pytest.raises(TypeError):
+        p.subs_poly("x", 2.5)
 
 
 @pytest.mark.parametrize("x", [3, -2, 0, Fraction(-5, 3)])
 @settings(max_examples=40, deadline=None)
 @given(p=mpolys(), name=st.sampled_from(VARS))
 def test_subs_poly_of_a_number_matches_the_polynomial_route(x, p, name):
-    # A constant polynomial takes the polynomial route: powers times coefficients.
-    assert p.subs_poly(name, x) == p.subs_poly(name, MPoly.const(x, VARS))
+    # A number is the constant monomial; both equal powers times coefficients.
+    c = MPoly.const(x, VARS)
+    assert p.subs_poly(name, x) == p.subs_poly(name, c) == _subs_reference(p, name, c)
 
 
 @settings(max_examples=60, deadline=None)
@@ -292,3 +301,104 @@ def test_fused_mul_sub_is_the_difference_of_products(data):
     assert a._mul_sub(b, c, d) == expected == a * b - c * d
     cancelled = a._mul_sub(b, b, a)
     assert cancelled.is_zero() and not cancelled.terms
+
+
+def _subs_reference(p, name, value):
+    """The polynomial route: powers of the value times the coefficients.  A
+    zero coefficient is skipped: the top power, whose coefficient is nonzero,
+    overflows whenever a lower one does."""
+    parts = (ck * value**k for k, ck in enumerate(p.coefficients(name)) if ck.terms)
+    return sum(parts, MPoly.zero(VARS))
+
+
+@st.composite
+def monomials(draw, cap=3):
+    """c * x^a y^b z^c of total degree at most ``cap``, c a nonzero int or Fraction."""
+    c = draw(st.one_of(st.integers(-9, 9), st.fractions(-9, 9, max_denominator=9)).filter(bool))
+    return MPoly(VARS, {draw(exponents(cap)): c})
+
+
+@pytest.mark.parametrize(
+    "value",
+    [X, -3 * Y, Fraction(2, 3) * Z, MPoly.const(Fraction(-5, 7), VARS), Fraction(-1, 2) * X**2 * Y],
+    ids=["variable", "negative-int", "fraction", "constant", "degree-3"],
+)
+@settings(max_examples=40, deadline=None)
+@given(p=mpolys(), name=st.sampled_from(VARS))
+def test_monomial_substitution_matches_the_polynomial_route(value, p, name):
+    assert len(value.terms) == 1
+    assert p.subs_poly(name, value) == _subs_reference(p, name, value)
+
+
+def test_monomial_substitution_drops_cancelled_collisions():
+    cases = [
+        (X * Y - Y**2, "x", Y),
+        (2 * X**2 - 8 * Y**2 * Z**2, "x", 2 * Y * Z),
+        (X**2 - Fraction(1, 4) * Y**2 + Z, "x", Fraction(1, 2) * Y),
+        (X**3 * Y + Fraction(27, 8) * Y, "x", MPoly.const(Fraction(-3, 2), VARS)),
+    ]
+    for p, name, value in cases:
+        got = p.subs_poly(name, value)
+        assert got == _subs_reference(p, name, value)
+        assert 0 not in got.terms.values()
+    assert not (X * Y - Y**2).subs_poly("x", Y).terms
+    assert (X**2 - Fraction(1, 4) * Y**2 + Z).subs_poly("x", Fraction(1, 2) * Y) == Z
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_monomial_substitution_overflows_where_the_polynomial_route_does(data):
+    p = MPoly(VARS, data.draw(term_maps(data.draw(st.sampled_from([3, MAX_DEGREE // 2, MAX_DEGREE])))))
+    value = data.draw(monomials(data.draw(st.integers(0, 3))))
+    name = data.draw(st.sampled_from(VARS))
+    try:
+        expected = _subs_reference(p, name, value)
+    except OverflowError:
+        with pytest.raises(OverflowError):
+            p.subs_poly(name, value)
+        return
+    assert p.subs_poly(name, value) == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_sum_of_products_is_the_chained_sum(data):
+    caps = st.sampled_from([3, MAX_DEGREE // 2, MAX_DEGREE])
+    pairs = [
+        (
+            MPoly(VARS, data.draw(term_maps(data.draw(caps)))),
+            MPoly(VARS, data.draw(term_maps(data.draw(caps)))),
+            data.draw(st.sampled_from([1, -1])),
+        )
+        for _ in range(data.draw(st.integers(0, 4)))
+    ]
+    try:
+        expected = sum((sign * _schoolbook(a, b) for a, b, sign in pairs), MPoly.zero(VARS))
+    except OverflowError:
+        # Any product overflowing makes the sum overflow.
+        with pytest.raises(OverflowError):
+            sum_of_products(VARS, pairs)
+        return
+    assert sum_of_products(VARS, pairs) == expected
+    assert expected == sum((sign * (a * b) for a, b, sign in pairs), MPoly.zero(VARS))
+    cancelled = sum_of_products(VARS, pairs + [(b, a, -sign) for a, b, sign in pairs])
+    assert cancelled.is_zero() and not cancelled.terms
+
+
+def test_sum_of_products_rejects_mixed_rings():
+    (a,) = variables("a")
+    for pairs in ([(X, a, 1)], [(a, X, -1)], [(X, Y, 1), (X, a, 1)]):
+        with pytest.raises(ValueError):
+            sum_of_products(VARS, pairs)
+    with pytest.raises(ValueError):
+        sum_of_products(("a",), [(X, Y, 1)])
+
+
+def test_exact_divide_when_a_remainder_term_cancels_mid_division():
+    # x^2 - y^2 by x + y: the first step leaves -x*y - y^2, and the second
+    # step's y^2 term cancels the remainder's.
+    assert exact_divide(X**2 - Y**2, X + Y) == X - Y
+    half = Fraction(1, 2)
+    assert exact_divide(half * X**2 - half * Y**2, 2 * X + 2 * Y) == Fraction(1, 4) * (X - Y)
+    # After the same cancellation the remainder z is not divisible by x.
+    assert exact_divide(X**2 - Y**2 + Z, X + Y) is None

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cp2ricci.exact.mpoly import MPoly, variables
 from cp2ricci.exact import resultant
@@ -94,3 +96,46 @@ def test_gcd_that_does_not_divide_raises(monkeypatch):
     monkeypatch.setattr(resultant, "exact_divide", lambda p, q: None)
     with pytest.raises(ArithmeticError):
         sturm_count((X - 1) ** 2, "x")
+
+
+def _horner_on_fractions(c, x):
+    v = Fraction(0)
+    for ck in reversed(c):
+        v = v * Fraction(x) + ck.constant_value()
+    return v
+
+
+numbers = st.one_of(st.integers(-30, 30), st.fractions(-30, 30, max_denominator=7))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(numbers, max_size=7), numbers)
+def test_value_at_int_and_fraction_points_is_horner_on_fractions(coeffs, x):
+    c = [MPoly.const(k, ("x", "y")) for k in coeffs]
+    for point in (Fraction(x), x):
+        got = resultant._value(c, point)
+        assert type(got) is Fraction
+        assert got == _horner_on_fractions(c, x)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.fractions(-6, 6, max_denominator=3), min_size=1, max_size=4, unique=True),
+    st.fractions(-5, 5, max_denominator=4).filter(bool),
+    st.lists(
+        st.one_of(st.integers(-7, 7), st.fractions(-7, 7, max_denominator=4)),
+        min_size=2,
+        max_size=2,
+        unique=True,
+    ),
+)
+def test_counts_at_integer_and_fraction_endpoints(roots, lead, ends):
+    # Roots and endpoints both include integers, so endpoints land on roots.
+    p = MPoly.const(lead, ("x", "y"))
+    for r in roots:
+        p = p * (X - r)
+    lo, hi = sorted(ends)
+    expected = sum(1 for r in roots if lo < r < hi)
+    assert sturm_count(p, "x", lo, hi) == expected
+    assert sturm_count(p, "x", Fraction(lo), Fraction(hi)) == expected
+    assert sturm_count(p, "x", lo, None) == sum(1 for r in roots if r > lo)
