@@ -13,7 +13,6 @@ computed by exact division and reported in ``detail``.
 
 from __future__ import annotations
 
-import functools
 import math
 from fractions import Fraction
 
@@ -54,10 +53,9 @@ def _cleared(relation: MPoly, k1: MPoly, k3: MPoly) -> MPoly:
         if c.terms
     ]
     d = max((a + b for _, a, b in terms), default=0)
-    power = functools.cache(lambda i, n: (k1, k3, ids.D_DENOM)[i] ** n)  # each power once per call
     pairs = []
     for c, a, b in terms:
-        rest = [power(i, n) for i, n in enumerate((a, b, d - a - b)) if n] or [c**0]
+        rest = [x**n for x, n in zip((k1, k3, ids.D_DENOM), (a, b, d - a - b)) if n] or [c**0]
         pairs.append((c, math.prod(rest[1:], start=rest[0]), 1))
     return sum_of_products(relation.vars, pairs)
 

@@ -16,8 +16,8 @@ integer polynomials never pay for Fraction arithmetic, and since
 ``Fraction(3) == 3`` structural equality is unaffected.  Every product, sum of
 products and substitution takes one accumulation: ``sum_of_products``, or for
 a monomial (a number included) one pass that moves exponents.  A polynomial is
-evaluated on ``int`` when every value is one; ``constant_value`` and
-``evaluate`` still return a ``Fraction``.
+evaluated on ``int`` when every value is one; ``constant_coeff`` returns a
+constant as stored, ``constant_value`` and ``evaluate`` a ``Fraction``.
 """
 
 from __future__ import annotations
@@ -121,10 +121,14 @@ class MPoly:
     def is_constant(self) -> bool:
         return not any(self.terms)
 
-    def constant_value(self) -> Fraction:
+    def constant_coeff(self) -> Coeff:
+        """The constant as stored: an ``int`` when integral, else a Fraction."""
         if not self.is_constant():
             raise ValueError("polynomial is not constant")
-        return Fraction(next(iter(self.terms.values()), 0))
+        return self.terms.get(0, 0)  # a constant packs to monomial 0
+
+    def constant_value(self) -> Fraction:
+        return Fraction(self.constant_coeff())
 
     def total_degree(self) -> int:
         return max(self.terms) >> (_WIDTH * len(self.vars)) if self.terms else -1
@@ -207,10 +211,6 @@ class MPoly:
         return sum_of_products(self.vars, ((self, o, 1),))
 
     __rmul__ = __mul__
-
-    def _mul_sub(self, b: "MPoly", c: "MPoly", d: "MPoly") -> "MPoly":
-        """self * b - c * d, accumulated into one term map."""
-        return sum_of_products(self.vars, ((self, b, 1), (c, d, -1)))
 
     def __pow__(self, n: int) -> "MPoly":
         if not isinstance(n, int) or n < 0:

@@ -67,7 +67,10 @@ def _pseudo_remainder(a: list[MPoly], b: list[MPoly]) -> list[MPoly]:
     while len(r) >= len(b):
         # lead * r - lc(r) * x^k * b: the top coefficient cancels.
         k, top = len(r) - len(b), r[-1]
-        r = [lead._mul_sub(c, top, b[i - k]) if i >= k else lead * c for i, c in enumerate(r[:-1])]
+        r = [
+            sum_of_products(lead.vars, ((lead, c, 1), (top, b[i - k], -1))) if i >= k else lead * c
+            for i, c in enumerate(r[:-1])
+        ]
         while r and r[-1].is_zero():
             r.pop()
         e -= 1
@@ -121,11 +124,11 @@ def _chain(c: list[MPoly]) -> list[list[MPoly]]:
 
 def _value(c: list[MPoly], x: Fraction) -> Fraction:
     """Value at x by Horner's rule on the stored coefficients, on ints when
-    x and the coefficients are integral (a constant packs to monomial 0)."""
+    x and the coefficients are integral."""
     t = x.numerator if x.denominator == 1 else x
     v: Fraction | int = 0
     for ck in reversed(c):
-        v = v * t + ck.terms.get(0, 0)
+        v = v * t + ck.constant_coeff()
     return Fraction(v)
 
 
@@ -160,7 +163,7 @@ def sturm_count(
     chain = _chain(c)
     if len(chain[-1]) > 1:
         x = MPoly.var(name, p.vars)
-        gcd = sum_of_products(p.vars, [(ck, x**k, 1) for k, ck in enumerate(chain[-1])])
+        gcd = sum((ck * x**k for k, ck in enumerate(chain[-1])), MPoly.zero(p.vars))
         chain = _chain(_exact(p, gcd).coefficients(name))
     count = _variations(chain, a, False) - _variations(chain, b, True)
     # Sturm counts (a, b]; the interval here is open on the right as well.

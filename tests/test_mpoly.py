@@ -90,7 +90,7 @@ def _stored_form(p):
 def test_coefficients_are_int_when_integral(p, q, n, k):
     results = [p + q, p - q, p * q, p * n, n * n, p**k, n**k]
     results += [p.subs_poly("x", q), n.subs_poly("y", n), p.derivative("x"), n.derivative("z")]
-    results += [p._mul_sub(q, n, q), n._mul_sub(n, k * n, n), n._mul_sub(n, p, q)]
+    results += [sum_of_products(VARS, [(p, q, 1), (n, q, -1)]), sum_of_products(VARS, [(n, n, 1), (k * n, n, -1)])]
     results += [p.subs_poly("x", k), n.subs_poly("y", -k), n.subs_poly("z", Fraction(k, 2))]
     results += [p.subs_poly("y", 3 * Z**2), n.subs_poly("x", -2 * Y), n.subs_poly("z", Fraction(1, 2) * X)]
     results += [p.subs_poly("x", MPoly.const(k, VARS)), n.subs_poly("y", Fraction(k, 2) * X * Z)]
@@ -121,6 +121,11 @@ def test_constant_value_stays_a_fraction():
     assert all(type(c) is int for c in p.terms.values())
     for value in (MPoly.const(3, VARS).constant_value(), MPoly.zero(VARS).constant_value()):
         assert type(value) is Fraction
+    # constant_coeff is the stored form: int when integral, else a Fraction.
+    assert [type(MPoly.const(c, VARS).constant_coeff()) for c in (3, 0, Fraction(6, 2))] == [int] * 3
+    assert MPoly.const(Fraction(-1, 3), VARS).constant_coeff() == Fraction(-1, 3)
+    with pytest.raises(ValueError):
+        (X + 1).constant_coeff()
     half = exact_divide(X + 1, MPoly.const(2, VARS))
     assert half == Fraction(1, 2) * X + Fraction(1, 2)
     assert all(type(c) is Fraction and c == Fraction(1, 2) for c in half.terms.values())
@@ -296,10 +301,10 @@ def test_fused_mul_sub_is_the_difference_of_products(data):
     except OverflowError:
         # Either product overflowing makes the fused form overflow.
         with pytest.raises(OverflowError):
-            a._mul_sub(b, c, d)
+            sum_of_products(VARS, ((a, b, 1), (c, d, -1)))
         return
-    assert a._mul_sub(b, c, d) == expected == a * b - c * d
-    cancelled = a._mul_sub(b, b, a)
+    assert sum_of_products(VARS, ((a, b, 1), (c, d, -1))) == expected == a * b - c * d
+    cancelled = sum_of_products(VARS, ((a, b, 1), (b, a, -1)))
     assert cancelled.is_zero() and not cancelled.terms
 
 
