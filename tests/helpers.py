@@ -140,6 +140,21 @@ def rephased(
     return dataclasses.replace(chart, name=f"{chart.name}-rephased", evaluate=evaluate, partials=partials)
 
 
+def moved(chart: SurfaceChart, U: np.ndarray) -> SurfaceChart:
+    """``chart`` moved by the unitary U of C^3: p -> U p and D -> D U^T, so that
+    row a of the partials is U times the chart's.  U is an isometry of S^5 that
+    commutes with i, so it is one of CP^2 too: every invariant of the shape
+    operator is the chart's.  The box and singular locus are the chart's."""
+
+    def evaluate(u: float, v: float, t: float) -> np.ndarray:
+        return U @ chart.evaluate(u, v, t)
+
+    def partials(u: float, v: float, t: float) -> np.ndarray:
+        return chart.partials(u, v, t) @ U.T
+
+    return dataclasses.replace(chart, name=f"{chart.name}-moved", evaluate=evaluate, partials=partials)
+
+
 def near_singular_box(chart: SurfaceChart) -> SurfaceChart:
     """``chart`` sampled on a box whose lower edge in the second singular
     coordinate (u of the ruled chart, s of the sphere) is 5e-4: inside

@@ -1,5 +1,7 @@
+import contextlib
 import csv
 import dataclasses
+import functools
 import io
 import json
 import math
@@ -68,27 +70,138 @@ def test_scan_rows_satisfy_definitional_identity():
         assert abs(row.deficit - (2.25 * row.mean_curv_sq + 5.0 - row.max_ricci)) < 1e-12
 
 
-@pytest.mark.parametrize(
-    "argv, golden",
-    [
-        (["scan", "ruled", "--grid", "4"], "scan_ruled_g4.csv"),
-        (["check", "sphere", "--grid", "4"], "check_sphere_g4.json"),
-        (["symbolic"], "symbolic_report.json"),
-        (["symbolic", "all"], "symbolic_report.json"),
-        (["check", "tube"], "check_tube.json"),
-        (["check", "ruled", "--grid", "4"], "check_ruled_g4.json"),
-        (["crosscheck", "--grid", "2"], "crosscheck_g2.json"),
-        (["scan", "perturbed-ruled:0.05,0", "--grid", "4"], "scan_perturbed_g4.csv"),
-        (["check", "sphere", "--radius", "1.57", "--grid", "3"], "check_sphere_r157_g3.json"),
-        (["crosscheck", "--grid", "5"], "crosscheck_g5.json"),
-        (["scan", "perturbed-ruled:0.2,3", "--grid", "6"], "scan_perturbed_s3_g6.csv"),
-        (["scan", "ruled", "--grid", "3", "--format", "json"], "scan_ruled_g3.json"),
-    ],
-)
-def test_outputs_match_the_golden_files_byte_for_byte(tmp_path, argv, golden):
-    out = tmp_path / golden
-    assert cli.main([*argv, "--out", str(out)]) == 0
-    assert out.read_bytes() == (DATA / golden).read_bytes()
+# Every CLI invocation the project states an outcome for, once: its argv, its
+# exit status and the golden file under tests/data that its --out must match
+# byte for byte, or None.  The status fixes the rest (see run_case).
+CLI_CASES = [
+    (["check", "ruled", "--grid", "4"], 0, "check_ruled_g4.json"),
+    (["check", "ruled", "--grid", "1"], 2, None),
+    (["check", "ruled", "--grid", "0"], 2, None),
+    (["check", "ruled", "--step", "0"], 2, None),
+    (["check", "sphere", "--grid", "4"], 0, "check_sphere_g4.json"),
+    (["check", "sphere", "--radius", "1.57", "--grid", "3"], 0, "check_sphere_r157_g3.json"),
+    (["check", "sphere", "--radius", "1e-300", "--grid", "2"], 1, None),
+    (["check", "sphere", "--radius", "3.0"], 2, None),
+    (["check", "tube"], 0, "check_tube.json"),
+    (["check", "tube", "--strict"], 2, None),
+    (["check", "bogus"], 2, None),
+    (["symbolic"], 0, "symbolic_report.json"),
+    (["symbolic", "all"], 0, "symbolic_report.json"),
+    (["symbolic", "mu0"], 0, None),
+    (["symbolic", "mu0", "mu1"], 0, None),
+    (["symbolic", "kappa", "kappa"], 2, None),
+    (["symbolic", "nope"], 2, None),
+    (["symbolic", "not-a-check"], 2, None),
+    (["symbolic", "--strict"], 2, None),
+    (["scan", "ruled", "--grid", "4"], 0, "scan_ruled_g4.csv"),
+    (["scan", "ruled", "--grid", "3", "--format", "json"], 0, "scan_ruled_g3.json"),
+    (["scan", "sphere:1.57", "--grid", "3"], 0, None),
+    (["scan", "perturbed-ruled:0.05,0", "--grid", "4"], 0, "scan_perturbed_g4.csv"),
+    (["scan", "perturbed-ruled:0.2,3", "--grid", "6"], 0, "scan_perturbed_s3_g6.csv"),
+    (["scan", "perturbed-ruled:1e200,0", "--grid", "2"], 0, None),
+    (["scan", "perturbed-ruled:1e308,0", "--grid", "2"], 0, None),
+    (["scan", "perturbed-ruled:nan,0", "--grid", "2"], 1, None),
+    (["scan", "perturbed-ruled:inf,0", "--grid", "2"], 1, None),
+    (["scan", "perturbed-ruled:0.05,3", "--epsilon", "0.3", "--grid", "2"], 2, None),
+    (["scan", "perturbed-ruled:0.05,3,4", "--grid", "2"], 2, None),
+    (["scan", "perturbed-ruled:0.05,-1", "--grid", "2"], 2, None),
+    (["scan", "nonsense-surface"], 2, None),
+    (["crosscheck"], 0, None),
+    (["crosscheck", "--grid", "2"], 0, "crosscheck_g2.json"),
+    (["crosscheck", "--grid", "3"], 0, None),
+    (["crosscheck", "--grid", "5"], 0, "crosscheck_g5.json"),
+    (["crosscheck", "--grid", "2", "--step", "0.1"], 1, None),  # too coarse a step for the tolerance
+    (["crosscheck", "--grid", "2", "--step", "0.3"], 1, None),
+    # The grid points u = 1.2 (ruled) and s = 1.2 (sphere) put a stencil axis
+    # neighbour at 1.57, inside both charts' singular margin about pi/2: four
+    # flagged points per chart.
+    (["crosscheck", "--grid", "2", "--step", "0.37"], 1, "crosscheck_g2_step037.json"),
+    (["crosscheck", "--grid", "2", "--step", "1e-200"], 1, "crosscheck_g2_step1e-200.json"),
+    (["crosscheck", "--grid", "2", "--step", "1e-150"], 1, None),
+    (["crosscheck", "--grid", "2", "--step", "1e300"], 1, None),
+    (["crosscheck", "--radius", "1"], 2, None),
+    # Taken as given, a NaN tolerance would fail every check and an infinite
+    # one pass every check whatever the geometry; an infinite step fails
+    # inside a chart.
+    *(
+        ([*command, "--grid", "2", option, value], 2, None)
+        for command in (["check", "ruled"], ["crosscheck"], ["scan", "ruled"])
+        for option, value in (
+            ("--tol", "nan"), ("--tol", "inf"), ("--tol", "-0.5"), ("--step", "inf"), ("--step", "nan")
+        )
+    ),
+]
+
+
+def _main(args: list[str]) -> tuple[int, str, str]:
+    """``cli.main(args)``: its exit status, its standard output and its
+    standard error, every warning included (shown each time it is raised)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                status = cli.main(args)
+            except SystemExit as exc:  # an argparse error
+                status = exc.code
+    shown = (warnings.formatwarning(w.message, w.category, w.filename, w.lineno) for w in caught)
+    return status, out.getvalue(), err.getvalue() + "".join(shown)
+
+
+def run_case(argv: list[str], status: int, golden: str | None, tmp: Path) -> None:
+    """Run one ``CLI_CASES`` row in-process, with ``--out`` into ``tmp`` when it
+    has a golden file.  A run that exits 0 or 1 writes nothing to stderr, not
+    even a warning; one that exits 2 (a usage error) writes only to stderr, a
+    message starting ``error: `` or argparse's ``usage: ``."""
+    out = [] if golden is None else ["--out", str(tmp / golden)]
+    got, stdout, stderr = _main([*argv, *out])
+    assert got == status, (argv, got, stderr)
+    if status == 2:
+        assert stdout == "" and stderr.startswith(("error: ", "usage: ")), (argv, stdout, stderr)
+    else:
+        assert stderr == "", (argv, stderr)
+    if golden is not None:
+        assert (tmp / golden).read_bytes() == (DATA / golden).read_bytes(), (argv, golden)
+
+
+@pytest.mark.parametrize("argv, status, golden", CLI_CASES, ids=[" ".join(argv) for argv, _, _ in CLI_CASES])
+def test_cli_case(argv, status, golden, tmp_path):
+    run_case(argv, status, golden, tmp_path)
+
+
+def test_every_golden_file_is_the_golden_of_a_cli_case():
+    # ... and only there: no other test reads a golden file.
+    goldens = {golden for _, _, golden in CLI_CASES if golden}
+    assert goldens == {p.name for p in DATA.iterdir()}
+    here = Path(__file__)
+    for path in [*here.parent.glob("*.py"), *here.parents[1].glob("benchmarks/tests/*.py")]:
+        if path != here:
+            assert not any(golden in path.read_text() for golden in goldens), path
+
+
+def test_a_warning_fails_a_case_that_exits_0(monkeypatch, tmp_path):
+    parse = cli.parse_surface
+
+    @functools.wraps(parse)
+    def noisy(*args, **kwargs):
+        warnings.warn("injected", RuntimeWarning)
+        return parse(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "parse_surface", noisy)
+    with pytest.raises(AssertionError, match="RuntimeWarning: injected"):
+        run_case(["scan", "perturbed-ruled:1e308,0", "--grid", "2"], 0, None, tmp_path)
+
+
+def test_one_changed_golden_byte_fails_its_case(monkeypatch, tmp_path):
+    golden = "check_tube.json"
+    text = bytearray((DATA / golden).read_bytes())
+    text[len(text) // 2] ^= 1
+    altered = tmp_path / "data"
+    altered.mkdir()
+    (altered / golden).write_bytes(bytes(text))
+    monkeypatch.setattr(sys.modules[__name__], "DATA", altered)
+    with pytest.raises(AssertionError, match=golden):
+        run_case(["check", "tube"], 0, golden, tmp_path)
 
 
 def test_scan_zero_perturbation_coincides_with_ruled():
@@ -131,57 +244,12 @@ def test_perturbed_scan_bound_and_strictness():
     assert max(deficits) > 1e-3
 
 
-def test_cli_exit_codes(tmp_path):
-    assert cli.main(["check", "tube"]) == 0
-    assert cli.main(["symbolic", "mu0"]) == 0
-    # usage / config errors
-    assert cli.main(["check", "ruled", "--grid", "1"]) == 2
-    assert cli.main(["scan", "nonsense-surface"]) == 2
-    assert cli.main(["check", "sphere", "--radius", "3.0"]) == 2
-    assert cli.main(["symbolic", "not-a-check"]) == 2
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["check", "bogus"])
-    assert exc.value.code == 2
-    # a failing diagnostic: coarse step breaks the crosscheck tolerance
-    assert cli.main(["crosscheck", "--grid", "2", "--step", "0.1"]) == 1
-
-
-def test_non_finite_scan_flags_every_row_and_fails(tmp_path):
-    out = tmp_path / "rows.csv"
-    assert cli.main(["scan", "perturbed-ruled:nan,0", "--grid", "2", "--out", str(out)]) == 1
-    rows = list(csv.DictReader(io.StringIO(out.read_text())))
-    assert len(rows) == 8
-    assert all(r["flags"] == "RankDeficient" for r in rows)
-
-
 def test_huge_perturbation_scans_without_overflow(tmp_path):
     out = tmp_path / "rows.csv"
     assert cli.main(["scan", "perturbed-ruled:1e120,0", "--grid", "2", "--out", str(out)]) == 0
     rows = list(csv.DictReader(io.StringIO(out.read_text())))
     assert len(rows) == 8
     assert all(r["flags"] == "ok" for r in rows)
-
-
-def test_explicit_grid_zero_is_a_usage_error():
-    assert cli.main(["check", "ruled", "--grid", "0"]) == 2
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["check", "ruled", "--step", "0"])
-    assert exc.value.code == 2
-
-
-@pytest.mark.parametrize(
-    "option, value",
-    [("--tol", "nan"), ("--tol", "inf"), ("--tol", "-0.5"), ("--step", "inf"), ("--step", "nan")],
-)
-def test_non_finite_or_negative_tol_and_step_are_usage_errors(option, value, capsys):
-    # Taken as given, a NaN tolerance fails every check and an infinite one
-    # passes every check whatever the geometry; an infinite step fails
-    # inside a chart.
-    for argv in (["check", "ruled"], ["crosscheck"], ["scan", "ruled"]):
-        with pytest.raises(SystemExit) as exc:
-            cli.main([*argv, "--grid", "2", option, value])
-        assert exc.value.code == 2
-        assert capsys.readouterr().out == ""
 
 
 def test_config_is_the_signature_with_explicit_options():
@@ -279,10 +347,12 @@ def test_parse_surface_rejects_malformed_surfaces(surface, capsys):
     "surface, parameter",
     [("sphere:abc", "radius=abc"), ("sphere:2", "radius=2"), ("perturbed-ruled:0.05,-1", "seed=-1")],
 )
-def test_rejected_surface_argument_is_named_by_its_parameter(surface, parameter):
+def test_rejected_surface_argument_is_named_by_its_parameter(surface, parameter, capsys):
     with pytest.raises(ValueError) as exc:
         cli.parse_surface(surface)
     assert str(exc.value).startswith(f"surface {surface!r} (") and parameter in str(exc.value)
+    assert cli.main(["scan", surface, "--grid", "2"]) == 2
+    assert capsys.readouterr().err == f"error: {exc.value}\n"
 
 
 @pytest.mark.parametrize(
@@ -371,7 +441,8 @@ def _standard_json(text):
 def test_scan_without_ok_rows_fails_with_infinite_residual():
     reports, rows = cli.cmd_scan("perturbed-ruled:nan,0", grid=2)
     (r,) = reports
-    assert r.status == "fail"
+    assert r.status == "fail" and r.details["errors"] == 8
+    assert [row.flags for row in rows] == ["RankDeficient"] * 8
     assert r.max_abs_residual == math.inf
     assert r.details["min_deficit"] is None and r.details["max_deficit"] is None
     doc = _standard_json(report_to_json(run_report("scan", {}, reports)))
@@ -476,14 +547,6 @@ def test_summary_counts_each_failed_grid_point_once(monkeypatch):
     for reports in (cli.cmd_check_ruled(grid=2), cli.cmd_check_sphere(grid=2)):
         assert all(r.details["errors"] == 8 for r in reports)
         assert run_report("check", {}, reports)["summary"]["errors"] == 8
-
-
-def test_non_finite_scan_emits_no_warning():
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        reports, rows = cli.cmd_scan("perturbed-ruled:nan,0", grid=2)
-    assert reports[0].status == "fail" and reports[0].details["errors"] == 8
-    assert [r.flags for r in rows] == ["RankDeficient"] * 8
 
 
 def test_ruled_check_counts_declared_singular_points_as_errors(monkeypatch):
@@ -655,18 +718,6 @@ def test_each_charts_rows_of_the_one_pass_are_its_single_chart_kernels_bitwise(c
     assert end == len(shapes.flags) == len(R) and failed == (8 if step == 0.37 else 0)
 
 
-def test_stencil_centre_in_the_singular_locus_is_a_flagged_point(capsys):
-    # The grid points u = 1.2 (ruled) and s = 1.2 (sphere) put a stencil
-    # axis neighbour at 1.57, inside both charts' singular margin about pi/2.
-    assert cli.main(["crosscheck", "--grid", "2", "--step", "0.37"]) == 1
-    out = capsys.readouterr().out
-    payload = json.loads(out[out.index("{") :])
-    ruled, sphere, _ = payload["reports"]
-    assert ruled["checkName"] == "crosscheck_ruled" and ruled["details"]["errors"] == 4
-    assert sphere["checkName"] == "crosscheck_sphere" and sphere["details"]["errors"] == 4
-    assert payload["summary"]["errors"] == 8
-
-
 def test_singular_holomorphic_plane_stencil_fails_its_check(monkeypatch):
     # Every centre of the one Riemann pass fails, so the holomorphic-plane row
     # carries its message, under the sphere chart's prefix, as a SingularMetric.
@@ -686,9 +737,7 @@ def test_crosscheck_never_calls_the_per_point_shape_operator(tmp_path, monkeypat
         raise AssertionError("crosscheck called the per-point shape operator")
 
     monkeypatch.setattr(cli, "shape_operator", per_point)
-    out = tmp_path / "crosscheck_g2.json"
-    assert cli.main(["crosscheck", "--grid", "2", "--out", str(out)]) == 0
-    assert out.read_bytes() == (DATA / "crosscheck_g2.json").read_bytes()
+    run_case(["crosscheck", "--grid", "2"], 0, "crosscheck_g2.json", tmp_path)
 
 
 def test_a_flagged_holomorphic_plane_shape_fails_its_check(monkeypatch):
@@ -778,28 +827,13 @@ def test_crosscheck_maps_each_chart_once_and_runs_each_kernel_once(monkeypatch):
     ]
 
 
-@pytest.mark.parametrize(
-    "step, golden", [("0.37", "crosscheck_g2_step037.json"), ("1e-200", "crosscheck_g2_step1e-200.json")]
-)
-def test_flagged_crosscheck_reports_match_the_golden_files_byte_for_byte(tmp_path, step, golden):
-    # Stencil neighbours in the singular locus (0.37) and a step below the
-    # parameter resolution (1e-200): each chart's flags, gaps and the
-    # holomorphic-plane message read off its own rows of the one pass.
-    out = tmp_path / golden
-    assert cli.main(["crosscheck", "--grid", "2", "--step", step, "--out", str(out)]) == 1
-    assert out.read_bytes() == (DATA / golden).read_bytes()
-
-
-@pytest.mark.parametrize("step", ["1e-200", "1e-150"])
-def test_crosscheck_step_below_the_parameter_resolution_flags_every_point(step, capsys):
+def test_crosscheck_step_below_the_parameter_resolution_flags_every_point(capsys):
     # Below the resolution the stencil collapses onto q: the residual would be
-    # NaN (h^2 = 0) or the bare Gauss tensor (intrinsic R = 0).
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert cli.main(["crosscheck", "--grid", "2", "--step", step]) == 1
-    captured = capsys.readouterr()
-    assert captured.err == ""
-    payload = json.loads(captured.out[captured.out.index("{") :])
+    # NaN (h^2 = 0) or the bare Gauss tensor (intrinsic R = 0).  The golden
+    # report of step 1e-200 holds the same counts.
+    assert cli.main(["crosscheck", "--grid", "2", "--step", "1e-150"]) == 1
+    out = capsys.readouterr().out
+    payload = json.loads(out[out.index("{") :])
     ruled, sphere, hol = payload["reports"]
     assert ruled["details"]["errors"] == sphere["details"]["errors"] == 8
     assert hol["details"]["error"].startswith("SingularMetric: ")
@@ -818,7 +852,8 @@ def test_symbolic_names_are_never_rewritten(names, capsys):
     assert cli.main(["symbolic", *names]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    unknown = "error: unknown symbolic checks: nope;" if "nope" in names else "error: "
+    assert captured.err.startswith(unknown) and captured.err.count("\n") == 1
     assert '"' not in captured.err
 
 
@@ -858,22 +893,13 @@ def test_ricci_guard_failure_flags_the_point_and_the_run_goes_on(tmp_path, capsy
 def test_ricci_guard_scales_with_the_cancelling_summands_near_the_cut_locus(tmp_path):
     # Near the cut locus |A| ~ 1e3, so the two Ricci routes cancel summands
     # of size |A|^2 ~ 1e6 and differ by rounding far above 1e-12 * max|Ric|.
-    # The guard allows for that: every point computes.  The deficit, about
-    # 3.9e5 there, is compared relative to its size, so all three checks pass.
-    rows_out, report_out = tmp_path / "rows.csv", tmp_path / "report.json"
+    # The guard allows for that: every point computes.  (The deficit, about
+    # 3.9e5 there, is compared relative to its size, so all three checks of
+    # the golden check_sphere_r157_g3 report pass.)
+    rows_out = tmp_path / "rows.csv"
     assert cli.main(["scan", "sphere:1.57", "--grid", "3", "--out", str(rows_out)]) == 0
     flags = [r["flags"] for r in csv.DictReader(io.StringIO(rows_out.read_text()))]
     assert flags == ["ok"] * 27
-    argv = ["check", "sphere", "--radius", "1.57", "--grid", "3", "--out", str(report_out)]
-    assert cli.main(argv) == 0
-    report = json.loads(report_out.read_text())
-    assert report["summary"]["errors"] == 0
-    status = {r["checkName"]: r["status"] for r in report["reports"]}
-    assert status == {
-        "sphere_deficit": "pass",
-        "sphere_principal_curvatures": "pass",
-        "sphere_hopf": "pass",
-    }
 
 
 @pytest.mark.parametrize(

@@ -10,7 +10,7 @@ from cp2ricci import curvature as cv
 from cp2ricci.charts import perturbed_ruled_chart, ruled_chart, sphere_chart
 from cp2ricci.frames import RankDeficient, build_frame
 from cp2ricci.shape import AsymmetryExceeded, ShapeData, shape_operator, shape_operator_grid
-from helpers import box_grid, flip_normal, near_singular_box, rephased
+from helpers import box_grid, flip_normal, moved, near_singular_box, rephased
 
 # Regression baseline: grid minimum of the Hopf defect over the default
 # 16^3 ruled box, frozen after the first full run.
@@ -358,3 +358,49 @@ def test_shape_operator_is_gauge_invariant_to_the_fd_floor(name):
     assert len(eig_gaps) >= 95
     eig_bound, deficit_bound = (GAUGE_FACTOR * m for m in GAUGE_MEASURED[name])
     assert max(eig_gaps) < eig_bound and max(deficit_gaps) < deficit_bound, (max(eig_gaps), max(deficit_gaps))
+
+
+# Per chart, the largest relative gaps that
+# test_shape_operator_grid_is_invariant_under_a_unitary_move measured on its 50
+# seeded points: the best-sign eigenvalue gap over max(1, max |eig|), the
+# deficit gap over max(1, |deficit|) and the Hopf defect gap over
+# max(1, hopf defect).  Each bound is UNITARY_FACTOR times its measured maximum.
+UNITARY_FACTOR = 10.0
+UNITARY_MEASURED = {
+    "ruled": (1.31e-11, 2.66e-15, 8.42e-12),
+    "sphere": (8.66e-11, 9.12e-11, 6.69e-11),
+    "perturbed": (1.52e-11, 7.01e-11, 1.99e-11),
+}
+
+
+@pytest.mark.parametrize("name", UNITARY_MEASURED)
+def test_shape_operator_grid_is_invariant_under_a_unitary_move(name):
+    # A seeded random unitary moves the lift, not the hypersurface's geometry:
+    # the grid flags the same points, and at each ok point the principal
+    # curvatures (up to sign), the deficit and the Hopf defect agree to the
+    # FD route's rounding floor, about 1e-16 / h = 1e-11 relative.
+    makers = {
+        "ruled": ruled_chart,
+        "sphere": lambda: sphere_chart(math.pi / 6),
+        "perturbed": lambda: perturbed_ruled_chart(0.2, 3),
+    }
+    chart, rng = makers[name](), np.random.default_rng(0)
+    U, r = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
+    U = U * (r.diagonal() / np.abs(r.diagonal()))  # Haar-distributed
+    lo, hi = np.array(chart.sample_box.lo), np.array(chart.sample_box.hi)
+    points = [tuple(q) for q in (lo + (hi - lo) * rng.uniform(size=(50, 3))).tolist()]
+    a, b = shape_operator_grid(chart, points), shape_operator_grid(moved(chart, U), points)
+    assert a.flags.tolist() == b.flags.tolist()
+    gaps = []
+    for k in np.flatnonzero(a.flags == "ok").tolist():
+        s, m = (ShapeData.from_matrices(g.A[k], g.P[k], g.xi[k]) for g in (a, b))
+        eigs = np.linalg.eigvalsh(s.A)
+        gap, _ = cli._principal_deviation(np.linalg.eigvalsh(m.A), eigs)
+        gaps.append((
+            gap / max(1.0, float(np.max(np.abs(eigs)))),
+            abs(cv.deficit(s) - cv.deficit(m)) / max(1.0, abs(cv.deficit(s))),
+            abs(s.hopf_defect - m.hopf_defect) / max(1.0, s.hopf_defect),
+        ))
+    assert len(gaps) >= 45
+    worst = np.max(gaps, axis=0)
+    assert (worst < UNITARY_FACTOR * np.array(UNITARY_MEASURED[name])).all(), worst
