@@ -5,29 +5,19 @@ with exact analytic first partials and a singular-locus mask.  Charts fix
 the fiber phase; the fiber direction is i p, analytically, so downstream
 quantities are invariant under a phase change (to O(h^2) on the FD route).
 
-Builtin families:
+Builtin families, each factory's signature also its ``cp2ricci scan`` surface
+syntax: ``ruled_chart``, a minimal ruled hypersurface; ``sphere_chart``, the
+geodesic sphere of radius r about the image of (1, 0, 0); and
+``perturbed_ruled_chart``, the ruled chart displaced by a seeded smooth
+trigonometric field and renormalized, for probing strict inequality away from
+the classified cases.  The ruled and sphere maps are each written once, on the
+cosines and sines of the parameters, for ``evaluate``, ``partials`` and
+``SurfaceChart.jet`` alike; the perturbed chart is one 26-mode field.
 
-* ``ruled_chart``:    (u, v, t) -> (cos u cos v, cos u sin v, sin u e^{it}),
-  whose fibration image is a minimal ruled hypersurface;
-* ``sphere_chart``:   (phi, s, t) -> (cos r e^{i phi}, sin r cos s,
-  sin r sin s e^{it}), whose image is the geodesic sphere of radius r about
-  the image of (1, 0, 0);
-* ``perturbed_ruled_chart``: the ruled chart displaced by a seeded smooth
-  trigonometric field and renormalized to the sphere, for probing strict
-  inequality away from the classified cases.  The displaced map is one
-  26-mode trigonometric field, the ruled map's 8 modes and 18 seeded ones
-  scaled by epsilon, so one ``jet`` call gives the point and its three
-  partials from one sin and one cos of the mode arguments; ``evaluate`` and
-  ``partials`` share that one field jet per q.
-
-Each factory's signature is also its ``cp2ricci scan`` surface syntax.
-``SurfaceChart.jet`` maps and ``SurfaceChart.is_singular`` masks whole parameter
-arrays; the ruled and sphere array maps have the bits of their scalar callables.
-
-User charts: construct a ``SurfaceChart`` directly with your own callables;
-the only contract is fresh complex128 arrays (see ``SurfaceChart``), unit
-norm, exact partials, and an honest singular mask.  ``jet`` calls ``evaluate``
-then ``partials`` at each row, so a chart may share work between the two at one q.
+User charts: construct a ``SurfaceChart`` directly with your own callables
+(see ``SurfaceChart``): unit norm, exact partials, an honest singular mask.
+``jet`` calls ``evaluate`` then ``partials`` at each row, so a chart may share
+work between the two at one q.
 """
 
 from __future__ import annotations
@@ -81,14 +71,18 @@ class SurfaceChart:
     is_singular: Callable[[np.ndarray], np.ndarray]
 
     def jet(self, Q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Points (N, 3) and partials (N, 3, 3) at the rows of Q (N, 3): by the array
-        map recorded on ``evaluate`` while both fields are the callables it names, else row by row."""
+        """Points (N, 3) and partials (N, 3, 3) at the rows of Q (N, 3): by the array map recorded on
+        ``evaluate`` while both fields are the callables it names, else row by row, shapes checked."""
         e, d, array_map = getattr(self.evaluate, "array_jet", (None, None, None))
         if e is self.evaluate and d is self.partials:
             return array_map(Q)
-        rows = [(self.evaluate(*x), self.partials(*x)) for x in Q.tolist()]
-        p, D = (np.array([row[k] for row in rows], np.complex128) for k in (0, 1))
-        return p.reshape(-1, 3), D.reshape(-1, 3, 3)
+        p, D = np.empty((len(Q), 3), np.complex128), np.empty((len(Q), 3, 3), np.complex128)
+        for k, x in enumerate(Q.tolist()):
+            a, b = self.evaluate(*x), self.partials(*x)
+            if np.shape(a) != (3,) or np.shape(b) != (3, 3):  # a user chart is outside input
+                raise ValueError(f"chart {self.name!r}: a {np.shape(a)} point and {np.shape(b)} partials at {x}")
+            p[k], D[k] = a, b
+        return p, D
 
     def singular(self, Q: np.ndarray) -> np.ndarray:
         """``is_singular(Q)``, the bool mask of the rows of Q (..., 3) in the singular locus: a
@@ -102,46 +96,41 @@ class SurfaceChart:
         return mask
 
 
-def _ruled_point(u: float, v: float, t: float) -> np.ndarray:
-    """(cos u cos v, cos u sin v, sin u e^{it}) as a complex 3-vector."""
-    cu, su = math.cos(u), math.sin(u)
-    return np.array([cu * math.cos(v), cu * math.sin(v), su * complex(math.cos(t), math.sin(t))])
+def _cis(c: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """complex(c, s) at each entry of the (N,) arrays c and s, signed zeros kept (c + 1j * s drops them)."""
+    z = np.empty((len(c), 2))
+    z[:, 0], z[:, 1] = c, s
+    return z.view(np.complex128)[:, 0]
 
 
-def _ruled_partials(u: float, v: float, t: float) -> np.ndarray:
-    """The (u, v, t) partials of ``_ruled_point``, one row per parameter."""
-    cu, su = math.cos(u), math.sin(u)
-    cv, sv = math.cos(v), math.sin(v)
-    eit = complex(math.cos(t), math.sin(t))
-    return np.array(
-        [-su * cv, -su * sv, cu * eit, -cu * sv, cu * cv, 0.0, 0.0, 0.0, 1j * su * eit]
-    ).reshape(3, 3)
+def _builtin_chart(name: str, point: Callable, partials: Callable, box: Box, axis: int) -> SurfaceChart:
+    """A builtin chart from its map written once: ``point(c0, c1, c2, s0, s1, s2, cis)`` and
+    ``partials(..., cis, zero)`` give the 3 point and 9 partial entries from the parameters' cosines
+    and sines, a constructor cis(cos, sin) of e^{ix} and a zero.  On floats (``complex``, 0.0) they
+    are ``evaluate`` and ``partials``; on the rows of Q (``_cis``, zeros), the array map recorded on
+    ``evaluate`` (see ``SurfaceChart.jet``).  Singular where parameter ``axis`` is not finite or
+    min(|sin|, |cos|) of it is below ``SINGULAR_MARGIN``."""
 
+    def evaluate(a: float, b: float, c: float) -> np.ndarray:
+        cos, sin = math.cos, math.sin
+        return np.array(point(cos(a), cos(b), cos(c), sin(a), sin(b), sin(c), complex))
 
-def _ruled_jet(Q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``_ruled_point`` and ``_ruled_partials`` at the rows of Q, factor for factor."""
-    E = np.cos(Q.T).astype(np.complex128)  # complex(cos q, sin q) per parameter: + 0j would unsign a zero
-    E.imag, zero = np.sin(Q.T), np.zeros(len(Q))
-    (cu, cv, _), (su, sv, _), eit = E.real, E.imag, E[2]
-    p = np.stack([cu * cv, cu * sv, su * eit], axis=-1)
-    D = np.stack([-su * cv, -su * sv, cu * eit, -cu * sv, cu * cv, zero, zero, zero, 1j * su * eit], axis=-1)
-    return p, D.reshape(-1, 3, 3)
+    def partials_at(a: float, b: float, c: float) -> np.ndarray:
+        cos, sin = math.cos, math.sin
+        return np.array(partials(cos(a), cos(b), cos(c), sin(a), sin(b), sin(c), complex, 0.0)).reshape(3, 3)
 
-
-def _builtin_chart(
-    name: str, evaluate: Callable, partials: Callable, jet: Callable, box: Box, axis: int
-) -> SurfaceChart:
-    """A builtin chart: ``jet``, the array map of ``evaluate`` and ``partials`` with their bits,
-    recorded on ``evaluate`` (see ``SurfaceChart.jet``), and singular where parameter ``axis``
-    is not finite or within ``SINGULAR_MARGIN`` (in min |sin|, |cos|) of a multiple of pi/2."""
+    def jet(Q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        trig, zero = (*np.cos(Q.T), *np.sin(Q.T)), np.zeros(len(Q))
+        p, D = np.stack(point(*trig, _cis), axis=-1), np.stack(partials(*trig, _cis, zero), axis=-1)
+        return p, D.reshape(-1, 3, 3)
 
     def is_singular(Q: np.ndarray) -> np.ndarray:
         x = Q[..., axis]
         with np.errstate(invalid="ignore"):  # sin and cos of inf are NaN
             return ~np.isfinite(x) | (np.minimum(np.abs(np.sin(x)), np.abs(np.cos(x))) < SINGULAR_MARGIN)
 
-    evaluate.array_jet = (evaluate, partials, jet)
-    return SurfaceChart(name, evaluate, partials, box, is_singular)
+    evaluate.array_jet = (evaluate, partials_at, jet)
+    return SurfaceChart(name, evaluate, partials_at, box, is_singular)
 
 
 def ruled_chart() -> SurfaceChart:
@@ -151,8 +140,16 @@ def ruled_chart() -> SurfaceChart:
     (the v-partial vanishes).  The u and v partials are horizontal; the
     t-partial has vertical component sin^2 u.
     """
+
+    def point(cu, cv, ct, su, sv, st, cis):
+        return cu * cv, cu * sv, su * cis(ct, st)
+
+    def partials(cu, cv, ct, su, sv, st, cis, zero):
+        eit = cis(ct, st)
+        return -su * cv, -su * sv, cu * eit, -cu * sv, cu * cv, zero, zero, zero, 1j * su * eit
+
     box = Box((0.3, 0.1, 0.1), (1.2, 6.1, 6.1))
-    return _builtin_chart("ruled", _ruled_point, _ruled_partials, _ruled_jet, box, axis=0)
+    return _builtin_chart("ruled", point, partials, box, axis=0)
 
 
 def sphere_chart(radius: float) -> SurfaceChart:
@@ -168,28 +165,15 @@ def sphere_chart(radius: float) -> SurfaceChart:
         raise ValueError(f"radius must lie in (0, pi/2), got {radius}")
     cr, sr = math.cos(radius), math.sin(radius)
 
-    def evaluate(phi: float, s: float, t: float) -> np.ndarray:
-        eiphi, eit = complex(math.cos(phi), math.sin(phi)), complex(math.cos(t), math.sin(t))
-        return np.array([cr * eiphi, sr * math.cos(s), sr * math.sin(s) * eit])
+    def point(cphi, cs, ct, sphi, ss, st, cis):
+        return cr * cis(cphi, sphi), sr * cs, sr * ss * cis(ct, st)
 
-    def partials(phi: float, s: float, t: float) -> np.ndarray:
-        eiphi = complex(math.cos(phi), math.sin(phi))
-        eit = complex(math.cos(t), math.sin(t))
-        cs, ss = math.cos(s), math.sin(s)
-        return np.array(
-            [1j * cr * eiphi, 0.0, 0.0, 0.0, -sr * ss, sr * cs * eit, 0.0, 0.0, 1j * sr * ss * eit]
-        ).reshape(3, 3)
-
-    def jet(Q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:  # the two above, factor for factor
-        E = np.cos(Q.T).astype(np.complex128)  # as in ``_ruled_jet``
-        E.imag, zero = np.sin(Q.T), np.zeros(len(Q))
-        (_, cs, _), (_, ss, _), (eiphi, _, eit) = E.real, E.imag, E
-        p = np.stack([cr * eiphi, sr * cs, sr * ss * eit], axis=-1)
-        D = np.stack([1j * cr * eiphi, zero, zero, zero, -sr * ss, sr * cs * eit, zero, zero, 1j * sr * ss * eit], -1)
-        return p, D.reshape(-1, 3, 3)
+    def partials(cphi, cs, ct, sphi, ss, st, cis, zero):
+        eiphi, eit = cis(cphi, sphi), cis(ct, st)
+        return 1j * cr * eiphi, zero, zero, zero, -sr * ss, sr * cs * eit, zero, zero, 1j * sr * ss * eit
 
     box = Box((0.1, 0.3, 0.1), (6.1, 1.2, 6.1))
-    return _builtin_chart(f"sphere:{radius:.12g}", evaluate, partials, jet, box, axis=1)
+    return _builtin_chart(f"sphere:{radius:.12g}", point, partials, box, axis=1)
 
 
 class _TrigField:
@@ -228,7 +212,7 @@ class _TrigField:
         return self.weight.dot(np.sin(x)), self.dweight.dot(np.cos(x))
 
 
-# ``_ruled_point`` as 8 modes, of u - v, u + v twice and u - t, u + t twice:
+# The ruled map as 8 modes, of u - v, u + v twice and u - t, u + t twice:
 # cos u cos v = (cos(u - v) + cos(u + v)) / 2, cos u sin v = (sin(u + v) - sin(u - v)) / 2,
 # sin u cos t = (sin(u - t) + sin(u + t)) / 2, sin u sin t = (cos(u - t) - cos(u + t)) / 2.
 _RULED_MODES = _TrigField(

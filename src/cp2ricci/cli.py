@@ -275,6 +275,17 @@ def parse_surface(surface: str) -> SurfaceChart:
         raise ValueError(f"surface {surface!r} ({given}): {exc}") from None
 
 
+def _surface_syntax(name: str) -> str:
+    """The scan syntax of surface ``name``, read off its factory's signature as ``parse_surface``
+    reads it: ``sphere:<radius>``, ``perturbed-ruled[:<epsilon>[,<seed>]]``."""
+    text, brackets = name, ""
+    for k, p in enumerate(inspect.signature(SURFACES[name]).parameters.values()):
+        optional = p.default is not p.empty
+        text += "[" * optional + f"{',' if k else ':'}<{p.name}>"
+        brackets += "]" * optional
+    return text + brackets
+
+
 def _scan_row(q: ParamTriple, s: ShapeData) -> list[float]:
     """maxRicci, meanCurvSq, deficit, alpha, hopfDefect and traceA at q."""
     max_ric = cv.max_ricci(s)
@@ -401,7 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
         "names", nargs="*", help=f"subset to run (default all): {', '.join(ALL_CHECKS)}, or 'all'"
     )
     sub.add_parser("scan", help="per-point curvature rows over a surface grid").add_argument(
-        "surface", help="ruled | sphere:<radius> | perturbed-ruled[:<epsilon>[,<seed>]]"
+        "surface", help=" | ".join(map(_surface_syntax, SURFACES))
     )
     sub.add_parser("crosscheck", help="intrinsic vs shape-based curvature")
     for p in sub.choices.values():

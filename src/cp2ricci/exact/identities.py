@@ -95,7 +95,10 @@ RESULTANT_TARGET = (
 MU1_QUADRATIC = 2 * BETA**2 + 2 * GAMMA**2 + GAMMA - 3
 MU1_MIDDLE_QUAD = 16 * GAMMA**2 - 4 * GAMMA + 3
 MU1_TAIL_QUAD = 8 * GAMMA**2 + 12 * GAMMA + 15
-MU1_QUARTIC = 8 * BETA**4 + MU1_MIDDLE_QUAD * BETA**2 + (GAMMA - 1) ** 2 * MU1_TAIL_QUAD
+MU1_QUARTIC = (
+    8 * BETA**4 + 16 * BETA**2 * GAMMA**2 + 8 * GAMMA**4 - 4 * BETA**2 * GAMMA - 4 * GAMMA**3
+    + 3 * BETA**2 - GAMMA**2 - 18 * GAMMA + 15
+)
 
 # Reduction on the mu = 0 branch.
 MU0_PRODUCT = GAMMA * (BETA**2 + GAMMA**2 + 1)

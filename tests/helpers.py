@@ -155,6 +155,30 @@ def moved(chart: SurfaceChart, U: np.ndarray) -> SurfaceChart:
     return dataclasses.replace(chart, name=f"{chart.name}-moved", evaluate=evaluate, partials=partials)
 
 
+def reparametrized(
+    chart: SurfaceChart, f: Callable[[np.ndarray], np.ndarray], jac: Callable[[np.ndarray], np.ndarray]
+) -> SurfaceChart:
+    """``chart`` composed with a map f of parameter space, jac(q)[i, a] = d f_i / d q_a: p -> p o f
+    and D -> Jf^T (D o f), so that row a of the partials is the chain rule's d p(f(q)) / d q_a.
+    Where f is a local diffeomorphism the hypersurface is the same, so every invariant of its
+    shape operator is too.  f takes (..., 3) arrays, and the chart is singular where f(q) is."""
+
+    def evaluate(u: float, v: float, t: float) -> np.ndarray:
+        return chart.evaluate(*f(np.array([u, v, t])).tolist())
+
+    def partials(u: float, v: float, t: float) -> np.ndarray:
+        q = np.array([u, v, t])
+        return jac(q).T @ chart.partials(*f(q).tolist())
+
+    return dataclasses.replace(
+        chart,
+        name=f"{chart.name}-reparametrized",
+        evaluate=evaluate,
+        partials=partials,
+        is_singular=lambda Q: chart.is_singular(f(Q)),
+    )
+
+
 def near_singular_box(chart: SurfaceChart) -> SurfaceChart:
     """``chart`` sampled on a box whose lower edge in the second singular
     coordinate (u of the ruled chart, s of the sphere) is 5e-4: inside

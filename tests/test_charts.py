@@ -12,8 +12,6 @@ from cp2ricci import charts, cli
 from cp2ricci import curvature as cv
 from cp2ricci.charts import (
     SurfaceChart,
-    _ruled_partials,
-    _ruled_point,
     _RULED_MODES,
     _TrigField,
     perturbed_ruled_chart,
@@ -21,7 +19,7 @@ from cp2ricci.charts import (
     sphere_chart,
 )
 from cp2ricci.frames import build_frame
-from cp2ricci.shape import shape_operator
+from cp2ricci.shape import shape_operator, shape_operator_grid
 from helpers import box_grid, intrinsic_riemann, perturbed_reference, scalar_singular, trig_field_value
 
 RULED_SAMPLES = [(0.6, 1.0, 2.0), (0.35, 5.9, 0.2), (1.1, 3.0, 4.5), (-0.8, 2.2, 1.3)]
@@ -284,10 +282,8 @@ def test_zero_perturbation_is_the_ruled_chart():
     base = ruled_chart()
     chart = perturbed_ruled_chart(0.0, seed=5)
     for q in RULED_SAMPLES:
-        assert np.array_equal(base.evaluate(*q), _ruled_point(*q))
-        assert np.array_equal(base.partials(*q), _ruled_partials(*q))
-        assert np.max(np.abs(chart.evaluate(*q) - _ruled_point(*q))) < 1e-15
-        for w, wb in zip(chart.partials(*q), _ruled_partials(*q)):
+        assert np.max(np.abs(chart.evaluate(*q) - base.evaluate(*q))) < 1e-15
+        for w, wb in zip(chart.partials(*q), base.partials(*q)):
             assert np.max(np.abs(w - wb)) < 1e-14
 
 
@@ -373,6 +369,25 @@ def test_a_user_chart_jet_stacks_its_own_calls():
     assert empty[0].shape == (0, 3) and empty[1].shape == (0, 3, 3) and len(calls) == 10
 
 
+@pytest.mark.parametrize(
+    "field, wrong",
+    [
+        ("evaluate", lambda *q: ruled_chart().evaluate(*q)[:2]),  # 2 components
+        ("evaluate", lambda *q: 1.0),  # would broadcast over a row
+        ("partials", lambda *q: ruled_chart().partials(*q).ravel()),  # 9 entries, not (3, 3)
+        ("partials", lambda *q: ruled_chart().partials(*q)[:2]),
+    ],
+)
+def test_a_user_chart_jet_rejects_returns_of_the_wrong_shape(field, wrong):
+    # The row path names the chart at the first return of a wrong shape, before
+    # any kernel broadcasts it (a 2-component point, stacked, reshapes silently).
+    chart = dataclasses.replace(ruled_chart(), name="user", **{field: wrong})
+    with pytest.raises(ValueError, match=r"chart 'user': a \(.*\) point and \(.*\) partials at \["):
+        chart.jet(_jet_points()[:3])
+    with pytest.raises(ValueError, match=r"chart 'user'"):
+        shape_operator_grid(chart, RULED_SAMPLES)
+
+
 class _LoopField:
     """Reference for ``_TrigField``: the per-term loop it replaced, as six
     real components (Re c1, Im c1, Re c2, ...) of c * sin/cos(m . q)."""
@@ -431,21 +446,21 @@ def test_trig_field_matches_the_per_term_loop(seed):
 
 
 def test_ruled_modes_reproduce_the_ruled_map():
-    rng = np.random.default_rng(0)
+    base, rng = ruled_chart(), np.random.default_rng(0)
     for q in map(tuple, rng.uniform(-7.0, 7.0, size=(200, 3))):
         # The same argument rounding as in the seeded field.
         tol = 1e-15 * (1.0 + np.max(np.abs(_RULED_MODES.freq @ q)))
         value, jet = _RULED_MODES.jet(q)
-        assert np.max(np.abs(value.view(np.complex128) - _ruled_point(*q))) <= tol
-        assert np.max(np.abs(jet.view(np.complex128) - _ruled_partials(*q))) <= tol
+        assert np.max(np.abs(value.view(np.complex128) - base.evaluate(*q))) <= tol
+        assert np.max(np.abs(jet.view(np.complex128) - base.partials(*q))) <= tol
 
 
 def test_perturbed_chart_is_one_field_over_the_ruled_modes():
     # epsilon scales the seeded weights only; the first 8 modes are the ruled map's.
     chart = perturbed_ruled_chart(0.05, seed=3)
-    field = _TrigField.seeded(3)
+    base, field = ruled_chart(), _TrigField.seeded(3)
     for q in RULED_SAMPLES:
-        y = _ruled_point(*q) + 0.05 * field.jet(q)[0].view(np.complex128)
+        y = base.evaluate(*q) + 0.05 * field.jet(q)[0].view(np.complex128)
         assert np.max(np.abs(chart.evaluate(*q) - y / np.linalg.norm(y))) < 1e-15
 
 

@@ -1,3 +1,4 @@
+import inspect
 import json
 import math
 from fractions import Fraction
@@ -180,6 +181,24 @@ def test_mu1_discriminants_come_from_the_quadratics(monkeypatch):
     ok, detail = checks.check_mu1()
     assert detail["disc_middle"] == "-176"
     assert detail["disc_tail"] == "624"
+    assert detail["unique_real_solution"] is False
+    assert not ok
+
+
+def test_mu1_quartic_structure_catches_a_slip_in_a_quadratic(monkeypatch):
+    # The quartic is written out term by term, not built from the quadratics
+    # it is compared with, so a slip in the source of one of them is caught
+    # although 16 g^2 - 4 g + 4 is still positive (discriminant -240).
+    right = "MU1_MIDDLE_QUAD = 16 * GAMMA**2 - 4 * GAMMA + 3"
+    source = inspect.getsource(ids)
+    assert checks.check_mu1()[1]["quartic_structure_exact"] is True and right in source
+    slipped = {"__name__": "slipped_identities", "__package__": "cp2ricci.exact"}
+    exec(compile(source.replace(right, right[:-1] + "4"), ids.__file__, "exec"), slipped)
+    for name in ("MU1_MIDDLE_QUAD", "MU1_QUARTIC"):
+        monkeypatch.setattr(ids, name, slipped[name])
+    ok, detail = checks.check_mu1()
+    assert detail["disc_middle"] == "-240" and detail["disc_tail"] == "-336"
+    assert detail["quartic_structure_exact"] is False
     assert detail["unique_real_solution"] is False
     assert not ok
 

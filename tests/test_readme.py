@@ -1,4 +1,5 @@
-"""The README's custom-chart example runs as written."""
+"""The README agrees with the package: its custom-chart example runs as written, and its CLI
+synopsis and module map name what the parser, the surface and check tables and ``src`` hold."""
 
 import os
 import re
@@ -8,8 +9,40 @@ from pathlib import Path
 
 import numpy as np
 
+from cp2ricci import cli
+from cp2ricci.exact.checks import ALL_CHECKS
+
 README = Path(__file__).resolve().parents[1] / "README.md"
 NUMBER = r"-?(?:nan|inf|\d+\.?\d*(?:e[-+]?\d+)?)"
+
+
+def _section(title: str) -> str:
+    """The README text under the heading ``## title``, up to the next such heading."""
+    return README.read_text().split(f"\n## {title}\n", 1)[1].split("\n## ", 1)[0]
+
+
+def test_cli_synopsis_names_every_symbolic_check_and_surface_as_the_parser_help_does():
+    synopsis = re.search(r"```sh\n(.*?)```", _section("Command-line interface"), re.S).group(1)
+    checks = re.search(r"^cp2ricci symbolic +\[(.*) \| all\]$", synopsis, re.M).group(1).split()
+    surfaces = re.search(r"^cp2ricci scan +\((.*)\)$", synopsis, re.M).group(1)
+    assert checks == list(ALL_CHECKS)
+    assert [s.split(":")[0].split("[")[0] for s in surfaces.split(" | ")] == list(cli.SURFACES)
+    (sub,) = (a for a in cli.build_parser()._actions if a.dest == "command")
+    assert set(re.findall(r"^cp2ricci (\w+)", synopsis, re.M)) == set(sub.choices)
+
+    def help_of(command: str, dest: str) -> str:
+        return next(a.help for a in sub.choices[command]._actions if a.dest == dest)
+
+    assert help_of("scan", "surface") == surfaces
+    assert help_of("symbolic", "names") == f"subset to run (default all): {', '.join(checks)}, or 'all'"
+
+
+def test_module_map_has_one_row_per_module():
+    package = README.parent / "src" / "cp2ricci"
+    modules = [p.stem for p in package.glob("*.py") if p.stem != "__init__"]
+    modules += [p.name for p in package.iterdir() if (p / "__init__.py").is_file()]
+    rows = re.findall(r"^\| `cp2ricci\.(\w+)` \|", _section("Module map"), re.M)
+    assert sorted(rows) == sorted(modules)
 
 
 def test_custom_chart_example_prints_a_finite_shape_operator_and_flags_no_grid_point():

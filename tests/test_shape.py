@@ -10,7 +10,7 @@ from cp2ricci import curvature as cv
 from cp2ricci.charts import perturbed_ruled_chart, ruled_chart, sphere_chart
 from cp2ricci.frames import RankDeficient, build_frame
 from cp2ricci.shape import AsymmetryExceeded, ShapeData, shape_operator, shape_operator_grid
-from helpers import box_grid, flip_normal, moved, near_singular_box, rephased
+from helpers import box_grid, flip_normal, moved, near_singular_box, rephased, reparametrized
 
 # Regression baseline: grid minimum of the Hopf defect over the default
 # 16^3 ruled box, frozen after the first full run.
@@ -305,6 +305,14 @@ def test_shape_operator_grid_of_no_points_is_empty():
     assert g.A.shape == g.P.shape == g.coeffs.shape == (0, 3, 3)
 
 
+# The charts of the invariance tests, by the name their measured gaps are keyed by.
+INVARIANCE_CHARTS = {
+    "ruled": ruled_chart,
+    "sphere": lambda: sphere_chart(math.pi / 6),
+    "perturbed": lambda: perturbed_ruled_chart(0.2, 3),
+}
+
+
 # The fibre gauge theta = 2 sin(u + 2 v) + t.  Per chart, the largest gaps
 # that test_shape_operator_is_gauge_invariant_to_the_fd_floor measured on its
 # 100 seeded points at the default step, both relative: the best-sign
@@ -336,12 +344,7 @@ def test_shape_operator_is_gauge_invariant_to_the_fd_floor(name):
     # 1e-9 at the default step, except the ruled deficit, at rounding.  So
     # is the asymmetry guard's verdict: a point flagged for either chart is
     # not compared (one point of the perturbed chart passes unrephased only).
-    makers = {
-        "ruled": ruled_chart,
-        "sphere": lambda: sphere_chart(math.pi / 6),
-        "perturbed": lambda: perturbed_ruled_chart(0.2, 3),
-    }
-    chart = makers[name]()
+    chart = INVARIANCE_CHARTS[name]()
     moved = rephased(chart, _theta, _dtheta)
     lo, hi = np.array(chart.sample_box.lo), np.array(chart.sample_box.hi)
     points = (lo + (hi - lo) * np.random.default_rng(0).uniform(size=(100, 3))).tolist()
@@ -360,16 +363,32 @@ def test_shape_operator_is_gauge_invariant_to_the_fd_floor(name):
     assert max(eig_gaps) < eig_bound and max(deficit_gaps) < deficit_bound, (max(eig_gaps), max(deficit_gaps))
 
 
-# Per chart, the largest relative gaps that
+def _grid_invariant_gaps(a: shape.ShapeGrid, b: shape.ShapeGrid) -> np.ndarray:
+    """At each point both grids flag ``ok``, the relative gaps of the invariants: the best-sign
+    principal curvature gap over max(1, max |eig|), the deficit gap over max(1, |deficit|), the
+    Hopf defect gap over max(1, hopf defect) and the Ricci eigenvalue gap over max(1, max |eig|)."""
+    gaps = []
+    for k in np.flatnonzero((a.flags == "ok") & (b.flags == "ok")).tolist():
+        s, m = (ShapeData.from_matrices(g.A[k], g.P[k], g.xi[k]) for g in (a, b))
+        eigs, ricci = np.linalg.eigvalsh(s.A), np.linalg.eigvalsh(cv.ricci_matrix(s))
+        gap, _ = cli._principal_deviation(np.linalg.eigvalsh(m.A), eigs)
+        gaps.append((
+            gap / max(1.0, float(np.max(np.abs(eigs)))),
+            abs(cv.deficit(s) - cv.deficit(m)) / max(1.0, abs(cv.deficit(s))),
+            abs(s.hopf_defect - m.hopf_defect) / max(1.0, s.hopf_defect),
+            np.max(np.abs(np.linalg.eigvalsh(cv.ricci_matrix(m)) - ricci)) / max(1.0, float(np.max(np.abs(ricci)))),
+        ))
+    return np.array(gaps).reshape(-1, 4)
+
+
+# Per chart, the largest of each gap of _grid_invariant_gaps that
 # test_shape_operator_grid_is_invariant_under_a_unitary_move measured on its 50
-# seeded points: the best-sign eigenvalue gap over max(1, max |eig|), the
-# deficit gap over max(1, |deficit|) and the Hopf defect gap over
-# max(1, hopf defect).  Each bound is UNITARY_FACTOR times its measured maximum.
+# seeded points.  Each bound is UNITARY_FACTOR times its measured maximum.
 UNITARY_FACTOR = 10.0
 UNITARY_MEASURED = {
-    "ruled": (1.31e-11, 2.66e-15, 8.42e-12),
-    "sphere": (8.66e-11, 9.12e-11, 6.69e-11),
-    "perturbed": (1.52e-11, 7.01e-11, 1.99e-11),
+    "ruled": (1.31e-11, 2.66e-15, 8.42e-12, 8.31e-12),
+    "sphere": (8.66e-11, 9.12e-11, 6.69e-11, 5.46e-11),
+    "perturbed": (1.52e-11, 7.01e-11, 1.99e-11, 4.56e-11),
 }
 
 
@@ -377,30 +396,59 @@ UNITARY_MEASURED = {
 def test_shape_operator_grid_is_invariant_under_a_unitary_move(name):
     # A seeded random unitary moves the lift, not the hypersurface's geometry:
     # the grid flags the same points, and at each ok point the principal
-    # curvatures (up to sign), the deficit and the Hopf defect agree to the
-    # FD route's rounding floor, about 1e-16 / h = 1e-11 relative.
-    makers = {
-        "ruled": ruled_chart,
-        "sphere": lambda: sphere_chart(math.pi / 6),
-        "perturbed": lambda: perturbed_ruled_chart(0.2, 3),
-    }
-    chart, rng = makers[name](), np.random.default_rng(0)
+    # curvatures (up to sign), the deficit, the Hopf defect and the Ricci
+    # eigenvalues agree to the FD route's rounding floor, about 1e-16 / h =
+    # 1e-11 relative.
+    chart, rng = INVARIANCE_CHARTS[name](), np.random.default_rng(0)
     U, r = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
     U = U * (r.diagonal() / np.abs(r.diagonal()))  # Haar-distributed
     lo, hi = np.array(chart.sample_box.lo), np.array(chart.sample_box.hi)
     points = [tuple(q) for q in (lo + (hi - lo) * rng.uniform(size=(50, 3))).tolist()]
     a, b = shape_operator_grid(chart, points), shape_operator_grid(moved(chart, U), points)
     assert a.flags.tolist() == b.flags.tolist()
-    gaps = []
-    for k in np.flatnonzero(a.flags == "ok").tolist():
-        s, m = (ShapeData.from_matrices(g.A[k], g.P[k], g.xi[k]) for g in (a, b))
-        eigs = np.linalg.eigvalsh(s.A)
-        gap, _ = cli._principal_deviation(np.linalg.eigvalsh(m.A), eigs)
-        gaps.append((
-            gap / max(1.0, float(np.max(np.abs(eigs)))),
-            abs(cv.deficit(s) - cv.deficit(m)) / max(1.0, abs(cv.deficit(s))),
-            abs(s.hopf_defect - m.hopf_defect) / max(1.0, s.hopf_defect),
-        ))
+    gaps = _grid_invariant_gaps(a, b)
     assert len(gaps) >= 45
-    worst = np.max(gaps, axis=0)
+    worst = gaps.max(axis=0)
     assert (worst < UNITARY_FACTOR * np.array(UNITARY_MEASURED[name])).all(), worst
+
+
+def _f(Q: np.ndarray) -> np.ndarray:
+    """The reparametrisation f(q) = (q0, q1 + 0.3 sin q0, q2 + 0.3 cos q1) of (..., 3) arrays."""
+    q0, q1, q2 = np.moveaxis(Q, -1, 0)
+    return np.stack([q0, q1 + 0.3 * np.sin(q0), q2 + 0.3 * np.cos(q1)], axis=-1)
+
+
+def _jac(q: np.ndarray) -> np.ndarray:
+    """The Jacobian of ``_f`` at q, row i the gradient of f_i."""
+    return np.array([[1.0, 0.0, 0.0], [0.3 * math.cos(q[0]), 1.0, 0.0], [0.0, -0.3 * math.sin(q[1]), 1.0]])
+
+
+# Per chart, the largest of each gap of _grid_invariant_gaps that
+# test_shape_operator_grid_is_invariant_under_a_reparametrisation measured on
+# its 50 seeded points.  Each bound is REPARAM_FACTOR times its measured maximum.
+# The perturbed chart's maxima come from one point where |A| is about 142 and
+# the FD operator itself moves by about 3e-7 relative from h = 1e-5 to 1e-6;
+# the median gap there is 2.9e-11.
+REPARAM_FACTOR = 10.0
+REPARAM_MEASURED = {
+    "ruled": (2.37e-11, 3.56e-15, 1.75e-11, 1.71e-11),
+    "sphere": (8.14e-11, 8.69e-11, 1.10e-10, 4.60e-11),
+    "perturbed": (1.26e-7, 2.74e-7, 3.24e-7, 4.57e-8),
+}
+
+
+@pytest.mark.parametrize("name", REPARAM_MEASURED)
+def test_shape_operator_grid_is_invariant_under_a_reparametrisation(name):
+    # The chart composed with f, at q, lifts the hypersurface's point at f(q):
+    # the grid flags the same points, and at each ok point the invariants agree
+    # to the FD floor, though the stencils now step along other directions.
+    chart = INVARIANCE_CHARTS[name]()
+    lo, hi = np.array(chart.sample_box.lo), np.array(chart.sample_box.hi)
+    Q = lo + (hi - lo) * np.random.default_rng(0).uniform(size=(50, 3))
+    a = shape_operator_grid(chart, [tuple(q) for q in _f(Q).tolist()])
+    b = shape_operator_grid(reparametrized(chart, _f, _jac), [tuple(q) for q in Q.tolist()])
+    assert a.flags.tolist() == b.flags.tolist()
+    gaps = _grid_invariant_gaps(a, b)
+    assert len(gaps) >= 45
+    worst = gaps.max(axis=0)
+    assert (worst < REPARAM_FACTOR * np.array(REPARAM_MEASURED[name])).all(), worst
