@@ -12,7 +12,10 @@ geodesic sphere of radius r about the image of (1, 0, 0); and
 trigonometric field and renormalized, for probing strict inequality away from
 the classified cases.  The ruled and sphere maps are each written once, on the
 cosines and sines of the parameters, for ``evaluate``, ``partials`` and
-``SurfaceChart.jet`` alike; the perturbed chart is one 26-mode field.
+``SurfaceChart.jet`` alike, with the same bits except the sign of a zero entry
+where a product underflows (rows with a nonzero parameter below about 1e-154,
+where numpy's complex multiply rounds like a fused multiply-add and CPython's
+does not); the perturbed chart is one 26-mode field.
 
 User charts: construct a ``SurfaceChart`` directly with your own callables
 (see ``SurfaceChart``): unit norm, exact partials, an honest singular mask.
@@ -108,8 +111,10 @@ def _builtin_chart(name: str, point: Callable, partials: Callable, box: Box, axi
     ``partials(..., cis, zero)`` give the 3 point and 9 partial entries from the parameters' cosines
     and sines, a constructor cis(cos, sin) of e^{ix} and a zero.  On floats (``complex``, 0.0) they
     are ``evaluate`` and ``partials``; on the rows of Q (``_cis``, zeros), the array map recorded on
-    ``evaluate`` (see ``SurfaceChart.jet``).  Singular where parameter ``axis`` is not finite or
-    min(|sin|, |cos|) of it is below ``SINGULAR_MARGIN``."""
+    ``evaluate`` (see ``SurfaceChart.jet``).  The two agree bit for bit, except that a zero entry
+    can differ in sign where a product underflows, on rows with a nonzero parameter below about
+    1e-154.  Singular where parameter ``axis`` is not finite or min(|sin|, |cos|) of it is below
+    ``SINGULAR_MARGIN``."""
 
     def evaluate(a: float, b: float, c: float) -> np.ndarray:
         cos, sin = math.cos, math.sin

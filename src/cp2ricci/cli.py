@@ -2,22 +2,24 @@
 
 Commands, each run by its ``cmd_*`` function in ``COMMANDS``
 
-* ``check ruled``   -- equality, minimality, and ruled-form residuals on a grid
-* ``check sphere``  -- deficit against the closed-form model at a given radius
+* ``check ruled``   -- the minimal ruled hypersurface's facts on a grid
+* ``check sphere``  -- the geodesic sphere's facts at a given radius
 * ``check tube``    -- exact certificate of the Hopf models' equality radii
 * ``symbolic``      -- the exact polynomial suite (all checks or a subset)
 * ``scan``          -- per-point curvature rows to CSV/JSON
 * ``crosscheck``    -- intrinsic vs shape-based curvature tensors
 
 Over the points and ``singular`` flags of ``_grid_points``, ``check`` and
-``scan`` walk their grid one point at a time (``_grid_table``); ``crosscheck``
+``scan`` walk their grid one point at a time (``_grid_table``), and a grid
+``check`` reports its list of declared facts by ``_grid_reports``; ``crosscheck``
 makes one ``chart.jet`` call per chart, then one pass of each kernel for both
 charts (``_crosscheck_rows``): per chart the flags and bits of its kernels alone.
 
 A command takes the options its ``cmd_*`` function has parameters for, with
 the signature's defaults (scan's ``--tol t`` is ``bound = -t``), plus
 ``--out`` and, for ``scan``, ``--format``.  ``--strict`` halves every
-tolerance the command takes.  Any other explicit option is a usage error.
+tolerance the command takes, the only way to move ``check sphere``'s
+``eig_tol`` and ``hopf_tol``.  Any other explicit option is a usage error.
 Likewise a scan surface ``<name>[:<a>[,<b>]]`` is the chart factory
 ``SURFACES[name]`` called with the arguments its signature declares.
 
@@ -53,6 +55,7 @@ from .report import (
 from .shape import AsymmetryExceeded, ShapeData, _shape_grid, _shape_stencil, shape_operator
 
 HOLOMORPHIC_POINT: ParamTriple = (0.3, 0.7, 0.4)  # the sphere point of crosscheck's holomorphic plane
+Fact = tuple[str, np.ndarray, float, dict[str, Any], str | None]  # a grid check's fact (_grid_reports)
 
 
 def _report(name: str, ok: bool, residual: float | str, **details: Any) -> CheckReport:
@@ -109,21 +112,32 @@ def _grid_table(
     return params, flags, values
 
 
-def _on_grid(chart: SurfaceChart, reports: list[CheckReport]) -> list[CheckReport]:
-    """``reports`` marked as computed on one grid of ``chart``, so that
-    ``run_report`` counts its flagged points once."""
-    for r in reports:
-        r.grid_key = chart.name
+def _grid_reports(chart: SurfaceChart, common: dict[str, Any], facts: list[Fact]) -> list[CheckReport]:
+    """The reports of ``facts`` over one grid of ``chart``, marked so that ``run_report`` counts its
+    flagged points once.  A fact (name, column, tol, details, min_key) is an upper bound when
+    ``min_key`` is None: the column's grid maximum w (``_worst``) passes below ``tol``, residual w.
+    Else the grid minimum m, reported as ``min_key``, passes above ``tol``, residual the shortfall
+    max(0, tol - m) (m where not finite).  Each report's details end with ``common``."""
+    reports = []
+    for name, column, tol, details, min_key in facts:
+        if min_key is None:
+            w = _worst(column)
+            ok, residual = w < tol, w
+        else:
+            m = _worst(column, np.min)
+            ok, details = m > tol, {min_key: m, **details}
+            residual = max(0.0, tol - m) if math.isfinite(m) else m
+        reports.append(_report(name, ok, residual, **details, **common))
+        reports[-1].grid_key = chart.name
     return reports
 
 
 def cmd_check_ruled(grid: int = 16, step: float = 1e-5, tol: float = 1e-6) -> list[CheckReport]:
-    """Grid maxima of deficit, trace, alpha, and the classification residuals
-    over the default ruled box, plus the grid minimum of the Hopf defect over
-    every point with a shape operator (Hopf points included; ``inf`` when
-    there is none, which makes that residual ``inf`` too).  A Hopf point has
-    no classification residuals.  Every grid maximum is ``inf`` over no
-    computed point and NaN if any point is NaN.  A flagged point (see
+    """The facts of the minimal ruled hypersurface over the default ruled
+    box: grid maxima of deficit, trace, alpha, and the classification
+    residuals below ``tol``, and the grid minimum of the Hopf defect above it
+    over every point with a shape operator (Hopf points included).  A Hopf
+    point has no classification residuals.  A flagged point (see
     ``_grid_table``) or a Hopf point is an error."""
     chart = ruled_chart()
 
@@ -140,32 +154,14 @@ def cmd_check_ruled(grid: int = 16, step: float = 1e-5, tol: float = 1e-6) -> li
 
     _, flags, t = _grid_table(chart, grid, step, row, 8)
     shaped, classified = t[flags == "ok"], t[t[:, 7] == 1.0]
-    min_defect = _worst(shaped[:, 0], np.min)
-    max_deficit, max_trace, max_alpha = (_worst(shaped[:, k]) for k in (1, 2, 3))
-    max_block, max_trace_res, max_ruled = (_worst(classified[:, k]) for k in (4, 5, 6))
-    max_basis = _worst(classified[:, 4:6])
-    errors = len(t) - len(classified)
-    common = {"grid": grid, "points": len(t), "errors": errors}
-    return _on_grid(chart, [
-        _report("ruled_deficit", max_deficit < tol, max_deficit, **common),
-        _report("ruled_minimality", max_trace < tol, max_trace, **common),
-        _report("ruled_alpha", max_alpha < tol, max_alpha, **common),
-        _report(
-            "ruled_equality_basis",
-            max_basis < tol,
-            max_basis,
-            block_residual=max_block,
-            trace_residual=max_trace_res,
-            **common,
-        ),
-        _report("ruled_form", max_ruled < tol, max_ruled, **common),
-        _report(
-            "ruled_hopf_defect_positive",
-            min_defect > tol,
-            max(0.0, tol - min_defect) if math.isfinite(min_defect) else min_defect,
-            grid_min_hopf_defect=min_defect,
-            **common,
-        ),
+    basis = {"block_residual": _worst(classified[:, 4]), "trace_residual": _worst(classified[:, 5])}
+    return _grid_reports(chart, {"grid": grid, "points": len(t), "errors": len(t) - len(classified)}, [
+        ("ruled_deficit", shaped[:, 1], tol, {}, None),
+        ("ruled_minimality", shaped[:, 2], tol, {}, None),
+        ("ruled_alpha", shaped[:, 3], tol, {}, None),
+        ("ruled_equality_basis", classified[:, 4:6], tol, basis, None),
+        ("ruled_form", classified[:, 6], tol, {}, None),
+        ("ruled_hopf_defect_positive", shaped[:, 0], tol, {}, "grid_min_hopf_defect"),
     ])
 
 
@@ -187,10 +183,11 @@ def cmd_check_sphere(
     eig_tol: float = 1e-7,
     hopf_tol: float = 1e-8,
 ) -> list[CheckReport]:
-    """Deficit against the closed-form sphere value, to ``tol`` times
-    max(1, |expected deficit|), principal curvatures against the classical
-    model, and vanishing Hopf defect (below ``hopf_tol``).  A flagged point
-    (see ``_grid_table``) is an error."""
+    """The facts of the geodesic sphere of ``radius``: the deficit is the
+    closed-form value, to ``tol`` times max(1, |expected deficit|), the
+    principal curvatures are the classical model (best sign, below
+    ``eig_tol``), and the Hopf defect vanishes (below ``hopf_tol``).  A
+    flagged point (see ``_grid_table``) is an error."""
     chart = sphere_chart(radius)
     expected = cv.geodesic_sphere_deficit(radius)
     gap_tol = tol * max(1.0, abs(expected))  # relative where the deficit is large
@@ -202,21 +199,11 @@ def cmd_check_sphere(
 
     _, flags, t = _grid_table(chart, grid, step, row, 4)
     shaped = t[flags == "ok"]
-    max_gap, max_eig_dev, max_defect = (_worst(shaped[:, k]) for k in range(3))
-    signs = np.unique(shaped[:, 3]).astype(int).tolist()
-    errors = len(t) - len(shaped)
-    common = {"radius": radius, "grid": grid, "errors": errors}
-    return _on_grid(chart, [
-        _report("sphere_deficit", max_gap < gap_tol, max_gap, expected_deficit=expected, **common),
-        _report(
-            "sphere_principal_curvatures",
-            max_eig_dev < eig_tol,
-            max_eig_dev,
-            model=[float(x) for x in model],
-            normal_signs=signs,
-            **common,
-        ),
-        _report("sphere_hopf", max_defect < hopf_tol, max_defect, **common),
+    curvatures = {"model": model.tolist(), "normal_signs": np.unique(shaped[:, 3]).astype(int).tolist()}
+    return _grid_reports(chart, {"radius": radius, "grid": grid, "errors": len(t) - len(shaped)}, [
+        ("sphere_deficit", shaped[:, 0], gap_tol, {"expected_deficit": expected}, None),
+        ("sphere_principal_curvatures", shaped[:, 1], eig_tol, curvatures, None),
+        ("sphere_hopf", shaped[:, 2], hopf_tol, {}, None),
     ])
 
 
@@ -406,7 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("check", help="run a named verification suite").add_argument(
-        "target", choices=["ruled", "sphere", "tube"]
+        "target", choices=[name.split()[1] for name in COMMANDS if name.startswith("check ")]
     )
     sub.add_parser("symbolic", help="run exact polynomial checks").add_argument(
         "names", nargs="*", help=f"subset to run (default all): {', '.join(ALL_CHECKS)}, or 'all'"
@@ -477,11 +464,6 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     reports, rows = result if isinstance(result, tuple) else (result, None)
 
-    for r in reports:
-        residual = r.max_abs_residual
-        shown = residual if isinstance(residual, str) else f"{residual:.3e}"
-        print(f"{r.status.upper():4s} {r.name} (max residual {shown})")
-
     if rows is not None:
         payload = (scan_to_csv if config["format"] == "csv" else scan_to_json)(rows)
         written = f"{len(rows)} rows"
@@ -490,13 +472,16 @@ def main(argv: list[str] | None = None) -> int:
             config["names"] = [n for n in config["names"] if n != "all"] or list(ALL_CHECKS)
         payload = report_to_json(run_report(args.command, config, reports)) + "\n"
         written = "report"
-    try:
+    try:  # the file first, so that a failed write (exit 2) prints nothing on stdout
         if args.out:
             with open(args.out, "w") as fh:
                 fh.write(payload)
-            print(f"wrote {written} to {args.out}")
-        else:
-            print(payload, end="")
+            payload = f"wrote {written} to {args.out}\n"  # printed in place of the payload
+        for r in reports:
+            residual = r.max_abs_residual
+            shown = residual if isinstance(residual, str) else f"{residual:.3e}"
+            print(f"{r.status.upper():4s} {r.name} (max residual {shown})")
+        print(payload, end="")
     except OSError as exc:
         print(f"error: cannot write output: {exc}", file=sys.stderr)
         return 2

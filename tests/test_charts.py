@@ -347,6 +347,26 @@ def test_builtin_jets_reproduce_the_scalar_callables_bytewise(chart, monkeypatch
     assert empty[0].shape == (0, 3) and empty[1].shape == (0, 3, 3)
 
 
+@pytest.mark.parametrize(
+    "chart",
+    [ruled_chart(), *(sphere_chart(r) for r in (math.pi / 4, math.pi / 6, 1.57))],
+    ids=lambda c: c.name,
+)
+def test_builtin_jets_equal_the_scalar_callables_where_products_underflow(chart):
+    # Every triple of ±1e-300, 5e-324, -0.0 and 1.0, then seeded rows with one
+    # such tiny entry.  Here a zero entry may differ in sign (see charts), so
+    # the two agree in value, not bytewise.
+    tiny = np.array([-1e-300, 1e-300, 5e-324, -0.0, 1.0])
+    grid = np.stack(np.meshgrid(tiny, tiny, tiny, indexing="ij"), axis=-1).reshape(-1, 3)
+    rng = np.random.default_rng(42)
+    mixed = rng.uniform(-7.0, 7.0, size=(300, 3))
+    mixed[np.arange(300), np.arange(300) % 3] = rng.choice([-1e-300, 1e-300, 5e-324, -5e-324], 300)
+    Q = np.vstack([grid, mixed])
+    p, D = chart.jet(Q)
+    assert np.array_equal(p, [chart.evaluate(*x) for x in Q.tolist()])
+    assert np.array_equal(D, [chart.partials(*x) for x in Q.tolist()])
+
+
 def test_a_user_chart_jet_stacks_its_own_calls():
     base = ruled_chart()
     calls = []

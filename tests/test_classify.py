@@ -91,13 +91,47 @@ def test_residuals_invariant_under_normal_flip():
     assert np.max(np.abs(np.subtract(a, b))) < 1e-12
 
 
+def _in_adapted_basis(M, R):
+    """Shape data whose adapted basis (xi, U, W) is the rows of the rotation R and whose shape
+    operator has the entries M there: A = Rᵀ M R, P U = W, P W = -U, P xi = 0.  M[2, 0] must be 0,
+    so that A xi - alpha xi is along U with beta = M[1, 0] > 0."""
+    xi, u, w = R
+    return ShapeData.from_matrices(R.T @ M @ R, np.outer(w, u) - np.outer(u, w), xi)
+
+
+@pytest.mark.parametrize("a02", [0.0, 0.4], ids=["symmetric", "asymmetric"])
+def test_equality_residuals_are_the_adapted_entries(a02):
+    # a02 = <xi, A W> vanishes for a symmetric A; an asymmetric one sets it.
+    # The trace balance |a00 + a11 - a22| is 0.625, against 0.125 for
+    # a00 - a11 - a22 and 0.875 for a00 + a11 + a22.
+    a00, beta, a11, a12, a22 = 0.5, 0.8, 0.25, 0.3, 0.125
+    M = np.array([[a00, beta, a02], [beta, a11, a12], [0.0, a12, a22]])
+    R, _ = np.linalg.qr(np.random.default_rng(5).normal(size=(3, 3)))
+    s = _in_adapted_basis(M, R)
+    assert abs(s.alpha - a00) < 1e-15 and abs(s.hopf_defect - beta) < 1e-15
+    block, balance, form = cl.equality_residuals(s)
+    assert abs(block - max(a02, a12)) < 1e-12
+    assert abs(balance - 0.625) < 1e-12
+    assert abs(form - max(math.hypot(a11, a12), math.hypot(a02, a12, a22))) < 1e-12  # |A U - beta xi|, |A W|
+
+
+def test_ruled_check_reports_the_block_residual_when_it_is_the_largest_basis_term(monkeypatch):
+    # In the basis (e1, e2, e3) the block residual |a12| = 0.375 exceeds the
+    # trace balance |a00 + a11 - a22| = 0.125, so it sets ruled_equality_basis.
+    M = np.array([[0.5, 0.8, 0.0], [0.8, 0.25, 0.375], [0.0, 0.375, 0.625]])
+    s = _in_adapted_basis(M, np.eye(3))
+    assert cl.equality_residuals(s)[:2] == (0.375, 0.125)
+    monkeypatch.setattr(cli, "shape_operator", lambda chart, q, h: s)
+    basis = {r.name: r for r in cli.cmd_check_ruled(grid=2)}["ruled_equality_basis"]
+    assert basis.max_abs_residual == basis.details["block_residual"] == 0.375
+    assert basis.details["trace_residual"] == 0.125 and basis.status == "fail"
+
+
 def test_ruled_check_reports_alpha_when_it_is_the_largest_term(monkeypatch):
     # Basis (xi, U, W) = (e1, e2, e3) with P U = W: |A U - beta xi| = 0.1,
     # |A W| = 0.3, |tr A| = 0.3 and |alpha| = 0.5.  The ruled form leaves
     # minimality out; the ruled_form check adds it, so only alpha gives 0.5.
-    P = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, -1.0], [0.0, 1.0, 0.0]])
-    A = np.array([[0.5, 0.8, 0.0], [0.8, 0.1, 0.0], [0.0, 0.0, -0.3]])
-    s = ShapeData.from_matrices(A, P, np.array([1.0, 0.0, 0.0]))
+    s = _in_adapted_basis(np.array([[0.5, 0.8, 0.0], [0.8, 0.1, 0.0], [0.0, 0.0, -0.3]]), np.eye(3))
     assert s.alpha == 0.5 and s.hopf_defect == 0.8
     assert cl.equality_residuals(s)[2] == 0.3
     monkeypatch.setattr(cli, "shape_operator", lambda chart, q, h: s)

@@ -84,6 +84,7 @@ CLI_CASES = [
     (["check", "sphere", "--radius", "3.0"], 2, None),
     (["check", "tube"], 0, "check_tube.json"),
     (["check", "tube", "--strict"], 2, None),
+    (["check", "tube", "--out", "no-such-dir/x.json"], 2, None),  # an unwritable --out prints no PASS line
     (["check", "bogus"], 2, None),
     (["symbolic"], 0, "symbolic_report.json"),
     (["symbolic", "all"], 0, "symbolic_report.json"),
@@ -106,7 +107,7 @@ CLI_CASES = [
     (["scan", "perturbed-ruled:0.05,3,4", "--grid", "2"], 2, None),
     (["scan", "perturbed-ruled:0.05,-1", "--grid", "2"], 2, None),
     (["scan", "nonsense-surface"], 2, None),
-    (["crosscheck"], 0, None),
+    (["crosscheck"], 0, "crosscheck_g5.json"),  # the default grid is 5
     (["crosscheck", "--grid", "2"], 0, "crosscheck_g2.json"),
     (["crosscheck", "--grid", "3"], 0, None),
     (["crosscheck", "--grid", "5"], 0, "crosscheck_g5.json"),

@@ -22,6 +22,7 @@ def _section(title: str) -> str:
 
 
 def test_cli_synopsis_names_every_symbolic_check_and_surface_as_the_parser_help_does():
+    # ... and every check target as the parser's choices, in their order.
     synopsis = re.search(r"```sh\n(.*?)```", _section("Command-line interface"), re.S).group(1)
     checks = re.search(r"^cp2ricci symbolic +\[(.*) \| all\]$", synopsis, re.M).group(1).split()
     surfaces = re.search(r"^cp2ricci scan +\((.*)\)$", synopsis, re.M).group(1)
@@ -30,11 +31,12 @@ def test_cli_synopsis_names_every_symbolic_check_and_surface_as_the_parser_help_
     (sub,) = (a for a in cli.build_parser()._actions if a.dest == "command")
     assert set(re.findall(r"^cp2ricci (\w+)", synopsis, re.M)) == set(sub.choices)
 
-    def help_of(command: str, dest: str) -> str:
-        return next(a.help for a in sub.choices[command]._actions if a.dest == dest)
+    def action(command: str, dest: str):
+        return next(a for a in sub.choices[command]._actions if a.dest == dest)
 
-    assert help_of("scan", "surface") == surfaces
-    assert help_of("symbolic", "names") == f"subset to run (default all): {', '.join(checks)}, or 'all'"
+    assert re.findall(r"^cp2ricci check (\w+)", synopsis, re.M) == action("check", "target").choices
+    assert action("scan", "surface").help == surfaces
+    assert action("symbolic", "names").help == f"subset to run (default all): {', '.join(checks)}, or 'all'"
 
 
 def test_module_map_has_one_row_per_module():
