@@ -4,12 +4,16 @@ A monomial is one packed ``int``: ``_WIDTH``-bit fields hold, most significant
 first, the total degree and the exponents of ``vars[0]``, ``vars[1]``, ...
 Each field's top bit is a guard bit, zero in a stored monomial, so an exponent
 or total degree is at most ``MAX_DEGREE = 2**(_WIDTH-1) - 1``; beyond it the
-constructor, ``*`` and ``**`` raise ``OverflowError`` instead of wrapping into
-the next field, and a negative exponent is a ``ValueError``.  Integer order is
-graded lexicographic order, a product of monomials is a sum, and one borrow
-test on the guard bits decides divisibility.  ``terms`` is keyed by packed
-monomials; the constructor takes, and every query returns, exponent tuples.
-Every stored coefficient is an ``int`` when integral and a reduced ``Fraction``
+constructor, ``*``, ``**`` and ``subs_poly`` raise ``OverflowError`` instead of
+wrapping into the next field, and a negative exponent is a ``ValueError``.  A
+product or substitution checks its degree once, on its finished term map
+before zero terms are dropped: no exponent field exceeds the total degree, so
+while the total fits no field carries, and the largest key's top field is the
+largest total degree made (and exceeds ``MAX_DEGREE`` whenever any does), even
+if that term cancels.  Integer order is graded lexicographic order, a product
+of monomials is a sum, and one borrow test on the guard bits decides
+divisibility.  ``terms`` is keyed by packed monomials; the constructor takes,
+and every query returns, exponent tuples.  Every stored coefficient is an ``int`` when integral and a reduced ``Fraction``
 with denominator > 1 otherwise (``_coeff`` is applied wherever a coefficient
 is created, and skipped for a product sum that is already an ``int``), so
 integer polynomials never pay for Fraction arithmetic, and since
@@ -215,6 +219,8 @@ class MPoly:
     def __pow__(self, n: int) -> "MPoly":
         if not isinstance(n, int) or n < 0:
             raise ValueError("exponent must be a nonnegative integer")
+        # Checked before any product: binary powering would otherwise build
+        # every intermediate power, however large, before the first one fails.
         if self.total_degree() * n > MAX_DEGREE:
             raise OverflowError(f"power degree exceeds {MAX_DEGREE}")
         result = None
@@ -268,10 +274,11 @@ class MPoly:
             k = (m >> s) & _FIELD
             if k:
                 m += k * step
-                if m >> top > MAX_DEGREE:  # no field carries below a total that fits
-                    raise OverflowError(f"substituted degree exceeds {MAX_DEGREE}")
                 c *= cv**k
             out[m] = get(m, 0) + c
+        # One degree check on every moved key, cancelled ones included (module docstring).
+        if max(out, default=0) >> top > MAX_DEGREE:
+            raise OverflowError(f"substituted degree exceeds {MAX_DEGREE}")
         terms = {m: c if type(c) is int else _coeff(c) for m, c in out.items() if c}
         return MPoly._new(self.vars, terms)
 
@@ -324,9 +331,6 @@ def sum_of_products(vars: tuple[str, ...], pairs: Iterable[tuple[MPoly, MPoly, i
         if a.vars != vars or b.vars != vars:
             raise ValueError(f"mixed rings: {vars} vs {a.vars}, {b.vars}")
         a, b = a.terms, b.terms
-        # No field carries in m1 + m2, so this is the product's top degree.
-        if (max(a, default=0) + max(b, default=0)) >> top > MAX_DEGREE:
-            raise OverflowError(f"product degree exceeds {MAX_DEGREE}")
         if len(a) > len(b):
             a, b = b, a
         for m1, c1 in a.items():
@@ -334,6 +338,9 @@ def sum_of_products(vars: tuple[str, ...], pairs: Iterable[tuple[MPoly, MPoly, i
             for m2, c2 in b.items():
                 m = m1 + m2
                 out[m] = get(m, 0) + c1 * c2
+    # One degree check on every product key, cancelled ones included (module docstring).
+    if max(out, default=0) >> top > MAX_DEGREE:
+        raise OverflowError(f"product degree exceeds {MAX_DEGREE}")
     return MPoly._new(vars, {m: c if type(c) is int else _coeff(c) for m, c in out.items() if c})
 
 
@@ -360,9 +367,15 @@ def exact_divide(p: MPoly, q: MPoly) -> MPoly | None:
     c_q = q.terms[lead_q]
     guards = ((1 << _WIDTH * (len(p.vars) + 1)) - 1) // _FIELD << (_WIDTH - 1)
     tail = [(m, c) for m, c in q.terms.items() if m != lead_q]
+    quotient: dict[int, Coeff] = {}
+    if not tail:  # a monomial adds no terms, so p's may be divided in any order
+        for m, c in p.terms.items():
+            if ((m | guards) - lead_q) & guards != guards:
+                return None
+            quotient[m - lead_q] = _quo(c, c_q)
+        return MPoly._new(p.vars, quotient)
     r = dict(p.terms)
     get = r.get
-    quotient: dict[int, Coeff] = {}
     while r:
         lead = max(r)
         # Every field of lead_q fits under the matching field of lead exactly

@@ -5,9 +5,11 @@ symbolic results are reported with the distinct marker ``"exact-zero"``,
 never as the float 0.0, so regression diffs preserve the exact/approximate
 distinction.  Non-finite floats, such as the infinite residual of a check
 with no usable point, are written as ``null``, so every JSON file is standard
-JSON.  Scan rows serialize to CSV with a fixed documented header; all
-floats are written with shortest round-trip formatting, so output is
-reproducible bit-for-bit for fixed inputs on one platform.
+JSON; the copy that nulls them is made only when a first strict dump meets
+one, so a finite report is dumped once and never copied.  Scan rows serialize
+to CSV with a fixed documented header; all floats are written with shortest
+round-trip formatting, so output is reproducible bit-for-bit for fixed inputs
+on one platform.
 """
 
 from __future__ import annotations
@@ -92,9 +94,19 @@ def _finite_or_none(v: Any) -> Any:
     return v
 
 
+def _json(obj: Any) -> str:
+    """``obj`` as indented standard JSON, every non-finite float written as null.
+    A strict dump of a report raises ``ValueError`` only on such a float; only
+    then is the ``_finite_or_none`` copy made and dumped."""
+    try:
+        return json.dumps(obj, indent=2, allow_nan=False)
+    except ValueError:
+        return json.dumps(_finite_or_none(obj), indent=2, allow_nan=False)
+
+
 def report_to_json(report: dict[str, Any]) -> str:
     """Standard JSON: non-finite residuals and details are written as null."""
-    return json.dumps(_finite_or_none(report), indent=2, allow_nan=False)
+    return _json(report)
 
 
 class ScanRow(NamedTuple):
@@ -134,4 +146,4 @@ def scan_to_csv(rows: list[ScanRow]) -> str:
 
 
 def scan_to_json(rows: list[ScanRow]) -> str:
-    return json.dumps(_finite_or_none([r.to_dict() for r in rows]), indent=2, allow_nan=False) + "\n"
+    return _json([r.to_dict() for r in rows]) + "\n"

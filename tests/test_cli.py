@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cp2ricci import cli
+from cp2ricci import cli, report
 from cp2ricci import curvature as cv
 from cp2ricci.charts import SurfaceChart, perturbed_ruled_chart, ruled_chart, sphere_chart
 from cp2ricci.frames import build_frame
@@ -51,6 +51,30 @@ def test_run_report_json_round_trip():
     rep = run_report("check", {"grid": 4, "strict": False}, reports)
     assert json.loads(report_to_json(rep)) == rep
     assert rep["summary"] == {"total": 2, "passed": 1, "failed": 1, "errors": 0}
+
+
+def test_non_finite_floats_are_written_as_the_null_copy_bytewise():
+    # NaN and +-inf nested at several depths of details, in a run report and a scan.
+    nested = {"worst": math.nan, "points": [(1.0, -math.inf), {"at": [math.inf, 0.5]}], "n": 3}
+    rep = run_report("check", {"tol": math.inf}, [CheckReport("a", "fail", math.inf, nested)])
+    assert report_to_json(rep) == json.dumps(report._finite_or_none(rep), indent=2, allow_nan=False)
+    rows = [ScanRow(0.1, 0.2, 0.3, math.nan, math.inf, -math.inf, 0.0, 0.5, 0.0, "nonfinite")]
+    expected = json.dumps(report._finite_or_none([r.to_dict() for r in rows]), indent=2, allow_nan=False)
+    assert report.scan_to_json(rows) == expected + "\n"
+    assert "null" in expected and "NaN" not in expected and "Infinity" not in expected
+
+
+def test_a_finite_report_is_dumped_without_the_null_copy(monkeypatch):
+    rep = run_report("check", {"grid": 4}, [CheckReport("a", "pass", 1e-9, {"worst": [0.5, {"at": 1.0}]})])
+    rows = [ScanRow(0.1, 0.2, 0.3, 5.0, 0.0, 0.0, 0.0, 0.5, 0.0)]
+    expected = report_to_json(rep), report.scan_to_json(rows)
+
+    def no_copy(v):
+        raise AssertionError("a finite report was copied")
+
+    monkeypatch.setattr(report, "_finite_or_none", no_copy)
+    assert (report_to_json(rep), report.scan_to_json(rows)) == expected
+    assert expected[0] == json.dumps(rep, indent=2)
 
 
 def test_csv_header_exact_order():

@@ -1,6 +1,8 @@
+import ast
 import inspect
 import json
 import math
+import operator
 from fractions import Fraction
 
 import numpy as np
@@ -142,6 +144,30 @@ def test_resultant_matches_factored_target_exactly():
     assert detail["sign"] == 1  # regression: our row order reproduces it
     assert detail["total_degree"] == 26
     assert detail["n_terms"] == 21
+
+
+def _arithmetic(text: str, names: dict):
+    """Value of a string of names, integers, parentheses, +, -, * and ^ (power)."""
+    ops = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul, ast.Pow: operator.pow}
+
+    def value(node):
+        if isinstance(node, ast.BinOp) and type(node.op) in ops:
+            return ops[type(node.op)](value(node.left), value(node.right))
+        if isinstance(node, ast.Name):
+            return names[node.id]
+        if isinstance(node, ast.Constant) and type(node.value) is int:
+            return node.value
+        raise ValueError(f"not arithmetic: {ast.dump(node)}")
+
+    return value(ast.parse(text.replace("^", "**"), mode="eval").body)
+
+
+def test_resultant_factored_form_is_the_target():
+    # The report states the factorisation as text; read back, it is the target.
+    _, detail = checks.check_resultant()
+    read = _arithmetic(detail["factored_form"], {"mu": ids.MU, "beta": ids.BETA})
+    assert read == ids.RESULTANT_TARGET
+    assert _arithmetic("(mu^2-1)^2", {"mu": ids.MU}) == ids.MU**4 - 2 * ids.MU**2 + 1
 
 
 def test_resultant_direct_equality():

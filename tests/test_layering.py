@@ -3,10 +3,15 @@
 The exact engine (``cp2ricci.exact``) and the numerical engine meet only in
 ``cli``: no other module imports ``exact``, and nothing under ``exact``
 imports a numerical module or numpy, whose fixed-width integers would wrap
-where exact arithmetic must not.
+where exact arithmetic must not.  What ``import cp2ricci.cli`` alone makes
+reachable is a contract too: the benchmark's set-up child and workloads read
+it, in a fresh interpreter with only ``src`` on the path.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -65,3 +70,24 @@ def test_only_cli_and_the_exact_engine_import_it(path):
 def test_the_exact_engine_imports_no_numerical_module(path):
     forbidden = [f"cp2ricci.{m}" for m in NUMERICAL] + ["numpy"]
     assert not [n for n in imports(path) if any(_within(n, m) for m in forbidden)]
+
+
+# After ``import cp2ricci.cli`` and nothing else: the benchmark's set-up child
+# calls cp2ricci.curvature.ricci_selfcheck(), and its workloads and tracer
+# read these names of cli.
+IMPORT_CONTRACT = """\
+import cp2ricci.cli
+cp2ricci.curvature.ricci_selfcheck()
+cli = cp2ricci.cli
+names = ["ALL_CHECKS", "cmd_check_ruled", "cmd_scan", "cmd_crosscheck", "cmd_symbolic", "shape_operator"]
+print([n for n in names if not hasattr(cli, n)])
+"""
+
+
+def test_importing_cli_alone_gives_what_the_benchmark_reads(tmp_path):
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    proc = subprocess.run(
+        [sys.executable, "-c", IMPORT_CONTRACT], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

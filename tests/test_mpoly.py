@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cp2ricci.exact import mpoly
 from cp2ricci.exact.mpoly import (
     MAX_DEGREE,
     MPoly,
@@ -407,3 +408,67 @@ def test_exact_divide_when_a_remainder_term_cancels_mid_division():
     assert exact_divide(half * X**2 - half * Y**2, 2 * X + 2 * Y) == Fraction(1, 4) * (X - Y)
     # After the same cancellation the remainder z is not divisible by x.
     assert exact_divide(X**2 - Y**2 + Z, X + Y) is None
+
+
+# Each product and substitution checks its degree once, on its finished term
+# map before zero terms are dropped (module docstring): a result past
+# MAX_DEGREE raises even when its overflowing terms cancel.
+
+
+def test_a_product_past_the_field_overflows_even_when_its_top_terms_cancel():
+    top = MPoly(VARS, {(MAX_DEGREE, 0, 0): 1})
+    for pairs in [
+        ((top + 1, X, 1), (top, X, -1)),  # x^(MAX+1) cancels, x is left
+        ((top, Y, 1), (Y, top, -1)),  # everything cancels
+    ]:
+        with pytest.raises(OverflowError):
+            sum_of_products(VARS, pairs)
+    near = X ** (MAX_DEGREE - 1)
+    assert sum_of_products(VARS, ((near + 1, X, 1), (near, X, -1))) == X
+
+
+def test_a_substitution_past_the_field_overflows_even_when_it_cancels():
+    near = X * Y ** (MAX_DEGREE - 1)
+    assert near.subs_poly("x", Y) == Y**MAX_DEGREE
+    with pytest.raises(OverflowError):
+        near.subs_poly("x", Y**2)
+    # x^2 z^a and x y^2 z^a both move onto y^4 z^a, of degree MAX + 1, and cancel.
+    a = MAX_DEGREE - 3
+    p = X**2 * Z**a - X * Y**2 * Z**a
+    assert p.subs_poly("x", Y) == Y**2 * Z**a - Y**3 * Z**a
+    with pytest.raises(OverflowError):
+        p.subs_poly("x", Y**2)
+
+
+def test_an_overflowing_power_is_rejected_before_any_product(monkeypatch):
+    # Without the check, binary powering would first build each power
+    # base^(2^k) that fits, and those products would run for hours.
+    def no_product(*args):
+        raise AssertionError("a product was formed")
+
+    cases = [(X + Y + 1, MAX_DEGREE + 1), (X**2 + Y + 1, MAX_DEGREE), (X * Y - Z, MAX_DEGREE // 2 + 1)]
+    monkeypatch.setattr(mpoly, "sum_of_products", no_product)
+    for base, n in cases:
+        with pytest.raises(OverflowError):
+            base**n
+
+
+def test_exact_divide_by_a_monomial_rejects_a_lower_term_it_does_not_divide():
+    q = Fraction(2, 3) * X * Y
+    t = Fraction(1, 2) * X**2 - 4 * Y * Z**3 + 7
+    assert exact_divide(q * t, q) == t
+    assert exact_divide(q * t, MPoly.const(-3, VARS)) == Fraction(-1, 3) * (q * t)
+    # q * t leads with x y^2 z^3; each added term is lower and not a multiple of x y.
+    for extra in [X**2, Z, MPoly.const(1, VARS)]:
+        assert exact_divide(q * t + extra, q) is None
+
+
+@settings(max_examples=100, deadline=None)
+@given(monomials(), mpolys(), exponents(cap=3))
+def test_exact_divide_by_a_monomial_is_the_termwise_quotient(q, t, e):
+    ((d, c),) = q.sorted_terms()
+    got = exact_divide(q * t + MPoly(VARS, {e: 5}), q)
+    if all(x >= y for x, y in zip(e, d)):
+        assert got == t + MPoly(VARS, {tuple(x - y for x, y in zip(e, d)): Fraction(5) / c})
+    else:
+        assert got is None
