@@ -130,19 +130,9 @@ class ScanRow(NamedTuple):
         return dict(zip(SCAN_COLUMNS, self))
 
 
-def _fmt(x: Any) -> str:
-    if isinstance(x, float):
-        if math.isnan(x):
-            return "nan"
-        return repr(x)
-    return str(x)
-
-
 def scan_to_csv(rows: list[ScanRow]) -> str:
-    lines = [",".join(SCAN_COLUMNS)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    return "\n".join(lines) + "\n"
+    """The header, then one line per row, each float as its ``str`` (``nan`` for NaN)."""
+    return "\n".join([",".join(SCAN_COLUMNS), *(",".join(map(str, row)) for row in rows)]) + "\n"
 
 
 def scan_to_json(rows: list[ScanRow]) -> str:

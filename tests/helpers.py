@@ -9,7 +9,7 @@ import numpy as np
 from cp2ricci.charts import SINGULAR_MARGIN, Box, ParamTriple, SurfaceChart, _RULED_MODES, _TrigField, ruled_chart
 from cp2ricci.curvature import SingularMetric, _gauss_tensor, intrinsic_riemann_batch
 from cp2ricci.exact.mpoly import MPoly
-from cp2ricci.frames import _horizontal_rows
+from cp2ricci.frames import _horizontal_rows, build_frame
 from cp2ricci.shape import ShapeData
 
 
@@ -182,11 +182,12 @@ def reparametrized(
 def near_singular_box(chart: SurfaceChart) -> SurfaceChart:
     """``chart`` sampled on a box whose lower edge in the second singular
     coordinate (u of the ruled chart, s of the sphere) is 5e-4: inside
-    ``SINGULAR_MARGIN``, although the metric is invertible there."""
+    ``SINGULAR_MARGIN``, although the frame is computable there."""
     axis = 0 if chart.name == "ruled" else 1
     lo = list(chart.sample_box.lo)
     lo[axis] = 5e-4
     assert chart.singular(np.array(lo))
+    build_frame(chart, tuple(lo))  # declared singular, but computable
     return dataclasses.replace(chart, sample_box=Box(tuple(lo), chart.sample_box.hi))
 
 

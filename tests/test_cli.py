@@ -17,7 +17,6 @@ import pytest
 from cp2ricci import cli, report
 from cp2ricci import curvature as cv
 from cp2ricci.charts import SurfaceChart, perturbed_ruled_chart, ruled_chart, sphere_chart
-from cp2ricci.frames import build_frame
 from cp2ricci.shape import shape_operator_grid
 from cp2ricci.report import (
     EXACT_ZERO,
@@ -32,24 +31,14 @@ from helpers import near_singular_box
 DATA = Path(__file__).parent / "data"
 
 
-def test_check_report_round_trip():
-    r = CheckReport("demo", "pass", 1.5e-9, {"grid": 4, "note": "x"})
-    exact = CheckReport("sym", "pass", EXACT_ZERO, {"c": "2"})
-    rep = json.loads(report_to_json(run_report("check", {}, [r, exact])))
-    assert rep["reports"] == [r.to_dict(), exact.to_dict()]
-    assert rep["reports"][0] == {
-        "checkName": "demo", "status": "pass", "maxAbsResidual": 1.5e-9,
-        "details": {"grid": 4, "note": "x"},
-    }
-
-
 def test_run_report_json_round_trip():
-    reports = [
-        CheckReport("a", "pass", 0.5, {"k": 1}),
-        CheckReport("b", "fail", EXACT_ZERO, {}),
-    ]
+    demo = CheckReport("demo", "pass", 1.5e-9, {"grid": 4, "note": "x"})
+    reports = [demo, CheckReport("sym", "fail", EXACT_ZERO, {})]
     rep = run_report("check", {"grid": 4, "strict": False}, reports)
-    assert json.loads(report_to_json(rep)) == rep
+    assert json.loads(report_to_json(rep)) == rep and rep["reports"] == [r.to_dict() for r in reports]
+    assert rep["reports"][0] == {
+        "checkName": "demo", "status": "pass", "maxAbsResidual": 1.5e-9, "details": {"grid": 4, "note": "x"}
+    }
     assert rep["summary"] == {"total": 2, "passed": 1, "failed": 1, "errors": 0}
 
 
@@ -94,6 +83,13 @@ def test_scan_rows_satisfy_definitional_identity():
         assert abs(row.deficit - (2.25 * row.mean_curv_sq + 5.0 - row.max_ricci)) < 1e-12
 
 
+# Surfaces that parse_surface rejects: too few or too many arguments for the
+# chart factory, an argument its annotation cannot convert, or one the factory
+# rejects.
+MALFORMED_SURFACES = ["torus", "ruled:", "ruled:1", "sphere", "sphere:", "sphere:0.5,1", "sphere:abc"]
+MALFORMED_SURFACES += ["perturbed-ruled:0.05,3,4", "perturbed-ruled:0.05,3.5"]
+MALFORMED_SURFACES += ["perturbed-ruled:,3", "perturbed-ruled:0.05,-1"]
+
 # Every CLI invocation the project states an outcome for, once: its argv, its
 # exit status and the golden file under tests/data that its --out must match
 # byte for byte, or None.  The status fixes the rest (see run_case).
@@ -102,14 +98,30 @@ CLI_CASES = [
     (["check", "ruled", "--grid", "1"], 2, None),
     (["check", "ruled", "--grid", "0"], 2, None),
     (["check", "ruled", "--step", "0"], 2, None),
+    (["check", "sphere", "--grid", "3"], 0, None),
+    (["check", "sphere", "--grid", "3", "--radius", str(math.pi / 6)], 0, None),
     (["check", "sphere", "--grid", "4"], 0, "check_sphere_g4.json"),
     (["check", "sphere", "--radius", "1.57", "--grid", "3"], 0, "check_sphere_r157_g3.json"),
     (["check", "sphere", "--radius", "1e-300", "--grid", "2"], 1, None),
     (["check", "sphere", "--radius", "3.0"], 2, None),
     (["check", "tube"], 0, "check_tube.json"),
-    (["check", "tube", "--strict"], 2, None),
     (["check", "tube", "--out", "no-such-dir/x.json"], 2, None),  # an unwritable --out prints no PASS line
     (["check", "bogus"], 2, None),
+    # An explicit option the command has no parameter for.
+    (["check", "ruled", "--radius", "0.3"], 2, None),
+    (["check", "ruled", "--format", "json"], 2, None),
+    (["check", "sphere", "--format", "csv"], 2, None),
+    (["check", "tube", "--grid", "5", "--tol", "1e-30"], 2, None),
+    (["check", "tube", "--step", "1e-4"], 2, None),
+    (["check", "tube", "--radius", "0.5"], 2, None),
+    (["check", "tube", "--strict"], 2, None),
+    (["symbolic", "--grid", "2"], 2, None),
+    (["symbolic", "--step", "1e-4"], 2, None),
+    (["symbolic", "--strict"], 2, None),
+    (["scan", "perturbed-ruled:0.05,3", "--radius", "0.3", "--grid", "2"], 2, None),
+    (["scan", "ruled", "--radius", "0.3", "--grid", "2"], 2, None),
+    (["crosscheck", "--format", "json"], 2, None),
+    (["crosscheck", "--radius", "1"], 2, None),
     (["symbolic"], 0, "symbolic_report.json"),
     (["symbolic", "all"], 0, "symbolic_report.json"),
     (["symbolic", "mu0"], 0, None),
@@ -117,7 +129,6 @@ CLI_CASES = [
     (["symbolic", "kappa", "kappa"], 2, None),
     (["symbolic", "nope"], 2, None),
     (["symbolic", "not-a-check"], 2, None),
-    (["symbolic", "--strict"], 2, None),
     (["scan", "ruled", "--grid", "4"], 0, "scan_ruled_g4.csv"),
     (["scan", "ruled", "--grid", "3", "--format", "json"], 0, "scan_ruled_g3.json"),
     (["scan", "sphere:1.57", "--grid", "3"], 0, None),
@@ -127,10 +138,23 @@ CLI_CASES = [
     (["scan", "perturbed-ruled:1e308,0", "--grid", "2"], 0, None),
     (["scan", "perturbed-ruled:nan,0", "--grid", "2"], 1, None),
     (["scan", "perturbed-ruled:inf,0", "--grid", "2"], 1, None),
-    (["scan", "perturbed-ruled:0.05,3", "--epsilon", "0.3", "--grid", "2"], 2, None),
-    (["scan", "perturbed-ruled:0.05,3,4", "--grid", "2"], 2, None),
-    (["scan", "perturbed-ruled:0.05,-1", "--grid", "2"], 2, None),
     (["scan", "nonsense-surface"], 2, None),
+    *((["scan", surface, "--grid", "2"], 2, None) for surface in MALFORMED_SURFACES),
+    # epsilon and seed are given inline, perturbed-ruled:<epsilon>,<seed>: as
+    # options they are usage errors, whether the surface uses them or not.
+    (["scan", "ruled", "--epsilon", "0.05", "--grid", "2"], 2, None),
+    (["scan", "sphere:0.5", "--seed", "0", "--grid", "2"], 2, None),
+    *(
+        ([*command, option, value, "--grid", "2"], 2, None)
+        for command in (
+            ["scan", "perturbed-ruled:0.05,3"],
+            ["scan", "ruled"],
+            ["scan", "sphere:0.5"],
+            ["check", "sphere"],
+            ["crosscheck"],
+        )
+        for option, value in (("--epsilon", "0.3"), ("--seed", "9"))
+    ),
     (["crosscheck"], 0, "crosscheck_g5.json"),  # the default grid is 5
     (["crosscheck", "--grid", "2"], 0, "crosscheck_g2.json"),
     (["crosscheck", "--grid", "3"], 0, None),
@@ -144,7 +168,6 @@ CLI_CASES = [
     (["crosscheck", "--grid", "2", "--step", "1e-200"], 1, "crosscheck_g2_step1e-200.json"),
     (["crosscheck", "--grid", "2", "--step", "1e-150"], 1, None),
     (["crosscheck", "--grid", "2", "--step", "1e300"], 1, None),
-    (["crosscheck", "--radius", "1"], 2, None),
     # Taken as given, a NaN tolerance would fail every check and an infinite
     # one pass every check whatever the geometry; an infinite step fails
     # inside a chart.
@@ -173,16 +196,36 @@ def _main(args: list[str]) -> tuple[int, str, str]:
     return status, out.getvalue(), err.getvalue() + "".join(shown)
 
 
+def _printed(argv: list[str], status: int) -> tuple[str, dict]:
+    """The standard output of ``cli.main(argv)``, which must exit ``status``
+    with nothing on stderr, and the JSON report it ends with."""
+    got, stdout, stderr = _main(argv)
+    assert (got, stderr) == (status, ""), argv
+    return stdout, json.loads(stdout[stdout.index("{") :])
+
+
+def _parses(argv: list[str]) -> bool:
+    """Whether ``cli.build_parser()`` accepts ``argv``, its usage message hidden."""
+    try:
+        with contextlib.redirect_stderr(io.StringIO()):
+            cli.build_parser().parse_args(argv)
+    except SystemExit:
+        return False
+    return True
+
+
 def run_case(argv: list[str], status: int, golden: str | None, tmp: Path) -> None:
     """Run one ``CLI_CASES`` row in-process, with ``--out`` into ``tmp`` when it
     has a golden file.  A run that exits 0 or 1 writes nothing to stderr, not
-    even a warning; one that exits 2 (a usage error) writes only to stderr, a
-    message starting ``error: `` or argparse's ``usage: ``."""
-    out = [] if golden is None else ["--out", str(tmp / golden)]
-    got, stdout, stderr = _main([*argv, *out])
+    even a warning; one that exits 2 (a usage error) writes only to stderr:
+    argparse's ``usage: `` where the parser rejects the argv, else a message
+    starting ``error: ``."""
+    argv = [*argv, *([] if golden is None else ["--out", str(tmp / golden)])]
+    got, stdout, stderr = _main(argv)
     assert got == status, (argv, got, stderr)
     if status == 2:
-        assert stdout == "" and stderr.startswith(("error: ", "usage: ")), (argv, stdout, stderr)
+        prefix = "error: " if _parses(argv) else "usage: "
+        assert stdout == "" and stderr.startswith(prefix), (argv, stdout, stderr)
     else:
         assert stderr == "", (argv, stderr)
     if golden is not None:
@@ -237,28 +280,19 @@ def test_scan_zero_perturbation_coincides_with_ruled():
         assert abs(a.hopf_defect - b.hopf_defect) < 1e-9
 
 
-def test_scan_output_is_deterministic(tmp_path):
-    out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
-    code1 = cli.main(["scan", "perturbed-ruled:0.05,3", "--grid", "3", "--out", str(out1)])
-    code2 = cli.main(["scan", "perturbed-ruled:0.05,3", "--grid", "3", "--out", str(out2)])
-    assert code1 == 0 and code2 == 0
-    assert out1.read_bytes() == out2.read_bytes()
+def test_scan_output_is_deterministic():
+    first = _main(["scan", "perturbed-ruled:0.05,3", "--grid", "3"])
+    assert first[0] == 0 and _main(["scan", "perturbed-ruled:0.05,3", "--grid", "3"]) == first
 
 
-def test_scan_json_format(tmp_path, capsys):
+def test_scan_json_format(tmp_path):
     out = tmp_path / "rows.json"
     assert cli.main(["scan", "ruled", "--grid", "3", "--format", "json", "--out", str(out)]) == 0
-    assert out.read_text().endswith("]\n")
+    status, stdout, _ = _main(["scan", "ruled", "--grid", "3", "--format", "json"])
+    assert status == 0 and out.read_text().endswith("]\n") and stdout.endswith("]\n")
     rows = json.loads(out.read_text())
-    capsys.readouterr()
-    assert cli.main(["scan", "ruled", "--grid", "3", "--format", "json"]) == 0
-    stdout = capsys.readouterr().out
-    assert stdout.endswith("]\n") and json.loads(stdout[stdout.index("[") :]) == rows
-    assert len(rows) == 27
-    assert set(rows[0]) == {
-        "u", "v", "theta", "maxRicci", "meanCurvSq", "deficit",
-        "alpha", "hopfDefect", "traceA", "flags",
-    }
+    assert json.loads(stdout[stdout.index("[") :]) == rows and len(rows) == 27
+    assert list(rows[0]) == "u,v,theta,maxRicci,meanCurvSq,deficit,alpha,hopfDefect,traceA,flags".split(",")
 
 
 def test_perturbed_scan_bound_and_strictness():
@@ -267,14 +301,6 @@ def test_perturbed_scan_bound_and_strictness():
     deficits = [r.deficit for r in rows if r.flags == "ok"]
     assert min(deficits) >= -1e-6
     assert max(deficits) > 1e-3
-
-
-def test_huge_perturbation_scans_without_overflow(tmp_path):
-    out = tmp_path / "rows.csv"
-    assert cli.main(["scan", "perturbed-ruled:1e120,0", "--grid", "2", "--out", str(out)]) == 0
-    rows = list(csv.DictReader(io.StringIO(out.read_text())))
-    assert len(rows) == 8
-    assert all(r["flags"] == "ok" for r in rows)
 
 
 def test_config_is_the_signature_with_explicit_options():
@@ -289,46 +315,30 @@ def test_config_is_the_signature_with_explicit_options():
     assert config["grid"] == 0 and config["tol"] == 0.0 and config["strict"] is False
 
 
-def test_explicit_tol_zero_is_honoured(capsys):
-    assert cli.main(["check", "sphere", "--grid", "3", "--tol", "0"]) == 1
-    out = capsys.readouterr().out
-    payload = json.loads(out[out.index("{") :])
-    assert payload["config"]["tol"] == 0.0
-    assert "FAIL sphere_deficit" in out
+def test_explicit_tol_zero_is_honoured():
+    out, payload = _printed(["check", "sphere", "--grid", "3", "--tol", "0"], 1)
+    assert payload["config"]["tol"] == 0.0 and "FAIL sphere_deficit" in out
 
 
-def test_cli_check_commands_pass_small_grids(tmp_path, capsys):
-    assert cli.main(["check", "ruled", "--grid", "3"]) == 0
-    out = capsys.readouterr().out
-    assert "PASS ruled_deficit" in out
-    assert cli.main(["check", "sphere", "--grid", "3"]) == 0
-    assert cli.main(["check", "sphere", "--grid", "3", "--radius", str(math.pi / 6)]) == 0
+def test_cli_check_ruled_passes_a_small_grid(tmp_path):
+    assert "PASS ruled_deficit" in _printed(["check", "ruled", "--grid", "3"], 0)[0]
     report_path = tmp_path / "run.json"
     assert cli.main(["check", "ruled", "--grid", "3", "--out", str(report_path)]) == 0
     data = json.loads(report_path.read_text())
-    assert data["command"] == "check"
-    assert data["summary"]["failed"] == 0
+    assert data["command"] == "check" and data["summary"]["failed"] == 0
 
 
-def test_cli_symbolic_subset_and_marker(capsys):
-    assert cli.main(["symbolic", "mu0", "mu1"]) == 0
-    out = capsys.readouterr().out
-    payload = json.loads(out[out.index("{") :])
-    names = [r["checkName"] for r in payload["reports"]]
-    assert names == ["symbolic_mu0", "symbolic_mu1"]
-    for r in payload["reports"]:
-        assert r["maxAbsResidual"] == EXACT_ZERO
+def test_cli_symbolic_subset_and_marker():
+    reports = _printed(["symbolic", "mu0", "mu1"], 0)[1]["reports"]
+    assert [r["checkName"] for r in reports] == ["symbolic_mu0", "symbolic_mu1"]
+    assert all(r["maxAbsResidual"] == EXACT_ZERO for r in reports)
 
 
-def test_cli_strict_halves_tolerances(capsys):
-    assert cli.main(["check", "ruled", "--grid", "3", "--strict"]) == 0
-    out = capsys.readouterr().out
-    payload = json.loads(out[out.index("{") :])
-    assert payload["config"]["tol"] == 5e-7
-    assert cli.main(["crosscheck", "--grid", "2", "--strict"]) == 0
-    out = capsys.readouterr().out
-    payload = json.loads(out[out.index("{") :])
-    assert payload["config"] == {"grid": 2, "step": 1e-3, "tol": 5e-5, "strict": True}
+def test_cli_strict_halves_tolerances():
+    assert _printed(["check", "ruled", "--grid", "3", "--strict"], 0)[1]["config"]["tol"] == 5e-7
+    assert _printed(["check", "sphere", "--grid", "2", "--strict"], 0)[1]["config"]["hopf_tol"] == 5e-9
+    config = _printed(["crosscheck", "--grid", "2", "--strict"], 0)[1]["config"]
+    assert config == {"grid": 2, "step": 1e-3, "tol": 5e-5, "strict": True}
 
 
 def test_parse_surface_variants():
@@ -340,44 +350,23 @@ def test_parse_surface_variants():
     assert list(cli.SURFACES) == ["ruled", "sphere", "perturbed-ruled"]
 
 
-@pytest.mark.parametrize(
-    "surface",
-    [
-        "torus",
-        "ruled:",
-        "ruled:1",
-        "sphere",
-        "sphere:",
-        "sphere:0.5,1",
-        "perturbed-ruled:0.05,3,4",
-        "perturbed-ruled:0.05,3.5",
-        "perturbed-ruled:,3",
-        "sphere:abc",
-        "perturbed-ruled:0.05,-1",
-    ],
-)
-def test_parse_surface_rejects_malformed_surfaces(surface, capsys):
-    # Too few or too many arguments for the chart factory, an argument its
-    # annotation cannot convert, or one the factory rejects, is a usage
-    # error whose message names the surface.
-    with pytest.raises(ValueError):
+@pytest.mark.parametrize("surface", MALFORMED_SURFACES)
+def test_parse_surface_rejects_malformed_surfaces(surface):
+    # A usage error of scan (a CLI_CASES row) whose message names the surface.
+    with pytest.raises(ValueError) as exc:
         cli.parse_surface(surface)
-    assert cli.main(["scan", surface, "--grid", "2"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == "" and captured.err.startswith("error: ")
-    assert surface in captured.err
+    assert repr(surface) in str(exc.value)
 
 
 @pytest.mark.parametrize(
     "surface, parameter",
     [("sphere:abc", "radius=abc"), ("sphere:2", "radius=2"), ("perturbed-ruled:0.05,-1", "seed=-1")],
 )
-def test_rejected_surface_argument_is_named_by_its_parameter(surface, parameter, capsys):
+def test_rejected_surface_argument_is_named_by_its_parameter(surface, parameter):
     with pytest.raises(ValueError) as exc:
         cli.parse_surface(surface)
     assert str(exc.value).startswith(f"surface {surface!r} (") and parameter in str(exc.value)
-    assert cli.main(["scan", surface, "--grid", "2"]) == 2
-    assert capsys.readouterr().err == f"error: {exc.value}\n"
+    assert _main(["scan", surface, "--grid", "2"]) == (2, "", f"error: {exc.value}\n")
 
 
 @pytest.mark.parametrize(
@@ -389,62 +378,18 @@ def test_rejected_surface_argument_is_named_by_its_parameter(surface, parameter,
         ("perturbed-ruled:0.05,3", None, 9),
     ],
 )
-def test_parse_surface_rejects_unused_or_conflicting_options(surface, epsilon, seed, capsys):
+def test_parse_surface_rejects_unused_or_conflicting_options(surface, epsilon, seed):
     # An epsilon or seed beside the surface, unused by it or conflicting with
     # its inline value, is refused: parse_surface takes the surface alone, and
-    # scan has no option to carry the value.
+    # scan has no option to carry the value (CLI_CASES rows).
     with pytest.raises(TypeError):
         cli.parse_surface(surface, epsilon, seed)
-    options = [] if epsilon is None else ["--epsilon", str(epsilon)]
-    options += [] if seed is None else ["--seed", str(seed)]
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["scan", surface, *options, "--grid", "2"])
-    assert exc.value.code == 2
-    assert capsys.readouterr().out == ""
 
 
-@pytest.mark.parametrize("option, value", [("--epsilon", "0.3"), ("--seed", "9")])
-def test_perturbation_options_are_not_options(option, value, capsys):
-    # epsilon and seed are given inline, perturbed-ruled:<epsilon>,<seed>.
-    surfaces = ("perturbed-ruled:0.05,3", "ruled", "sphere:0.5")
-    for argv in [*(["scan", s] for s in surfaces), ["check", "sphere"], ["crosscheck"]]:
-        with pytest.raises(SystemExit) as exc:
-            cli.main([*argv, option, value, "--grid", "2"])
-        assert exc.value.code == 2
-        assert capsys.readouterr().out == ""
-
-
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["scan", "perturbed-ruled:0.05,3", "--radius", "0.3", "--grid", "2"],
-        ["scan", "ruled", "--radius", "0.3", "--grid", "2"],
-        ["check", "sphere", "--format", "csv"],
-        ["crosscheck", "--format", "json"],
-        ["check", "tube", "--grid", "5", "--tol", "1e-30"],
-        ["check", "tube", "--step", "1e-4"],
-        ["check", "tube", "--radius", "0.5"],
-        ["check", "ruled", "--radius", "0.3"],
-        ["check", "tube", "--strict"],
-        ["symbolic", "--strict"],
-        ["crosscheck", "--radius", "1"],
-        ["check", "ruled", "--format", "json"],
-        ["symbolic", "--grid", "2"],
-        ["symbolic", "--step", "1e-4"],
-    ],
-)
-def test_explicit_options_the_command_does_not_use_are_usage_errors(argv, capsys):
-    assert cli.main(argv) == 2
-    captured = capsys.readouterr()
-    assert captured.out == "" and captured.err.startswith("error: ")
-
-
-def test_omitted_perturbation_arguments_take_the_factory_defaults(tmp_path):
+def test_omitted_perturbation_arguments_take_the_factory_defaults():
     surfaces = ["perturbed-ruled:0.05,0", "perturbed-ruled:0.05", "perturbed-ruled"]
-    outs = [tmp_path / f"{k}.csv" for k in range(3)]
-    for surface, out in zip(surfaces, outs):
-        assert cli.main(["scan", surface, "--grid", "2", "--out", str(out)]) == 0
-    assert outs[0].read_bytes() == outs[1].read_bytes() == outs[2].read_bytes()
+    runs = [_main(["scan", surface, "--grid", "2"]) for surface in surfaces]
+    assert runs[0][0] == 0 and runs[0] == runs[1] == runs[2]
 
 
 def test_principal_deviation_sign_reporting():
@@ -463,28 +408,16 @@ def _standard_json(text):
     return json.loads(text, parse_constant=reject)
 
 
-def test_scan_without_ok_rows_fails_with_infinite_residual():
-    reports, rows = cli.cmd_scan("perturbed-ruled:nan,0", grid=2)
-    (r,) = reports
-    assert r.status == "fail" and r.details["errors"] == 8
-    assert [row.flags for row in rows] == ["RankDeficient"] * 8
-    assert r.max_abs_residual == math.inf
-    assert r.details["min_deficit"] is None and r.details["max_deficit"] is None
-    doc = _standard_json(report_to_json(run_report("scan", {}, reports)))
-    assert doc["reports"][0]["maxAbsResidual"] is None
-
-
 @pytest.mark.parametrize(
     "epsilon, code",
-    [("1e200", 0), ("1e300", 0), ("nan", 1), ("1e308", 0), ("-1e308", 0), ("1.7976931348623157e308", 0)],
+    [("1e120", 0), ("1e200", 0), ("1e300", 0), ("nan", 1), ("1e308", 0), ("-1e308", 0), ("1.7976931348623157e308", 0)],
 )
-def test_scan_normalizes_every_finite_displacement(epsilon, code, capsys):
+def test_scan_normalizes_every_finite_displacement(epsilon, code):
     # |y| above about 1e154 overflows an unscaled sum of squares, and epsilon
-    # near the float maximum overflows unscaled weight tables.
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert cli.main(["scan", f"perturbed-ruled:{epsilon},0", "--grid", "2"]) == code
-    out = capsys.readouterr().out
+    # near the float maximum overflows unscaled weight tables.  A warning
+    # would show on stderr.
+    status, out, err = _main(["scan", f"perturbed-ruled:{epsilon},0", "--grid", "2"])
+    assert (status, err) == (code, "")
     flags = [row["flags"] for row in csv.DictReader(io.StringIO(out[out.index("u,v,") :]))]
     assert flags == ["ok" if code == 0 else "RankDeficient"] * 8
 
@@ -495,20 +428,6 @@ def test_ruled_hopf_check_residual_is_the_shortfall_below_tol():
     assert hopf.status == "fail"
     assert math.isfinite(hopf.details["grid_min_hopf_defect"])
     assert hopf.max_abs_residual == tol - hopf.details["grid_min_hopf_defect"] > 0.0
-
-
-def test_ruled_hopf_check_without_any_shape_operator_is_infinite(monkeypatch):
-    from cp2ricci.charts import perturbed_ruled_chart
-
-    monkeypatch.setattr(cli, "ruled_chart", lambda: perturbed_ruled_chart(float("nan"), 0))
-    reports = cli.cmd_check_ruled(grid=2)
-    hopf = {r.name: r for r in reports}["ruled_hopf_defect_positive"]
-    assert hopf.status == "fail"
-    assert hopf.max_abs_residual == math.inf
-    doc = _standard_json(report_to_json(run_report("check", {}, reports)))
-    by_name = {r["checkName"]: r for r in doc["reports"]}
-    assert by_name["ruled_hopf_defect_positive"]["maxAbsResidual"] is None
-    assert by_name["ruled_hopf_defect_positive"]["details"]["grid_min_hopf_defect"] is None
 
 
 def test_ruled_check_counts_hopf_points_as_errors_without_classification(monkeypatch):
@@ -554,71 +473,63 @@ def test_nan_crosscheck_point_fails_its_grid(monkeypatch):
     assert reports["crosscheck_sphere"].status == "pass"
 
 
-def test_all_error_ruled_grid_reports_infinite_residuals(monkeypatch):
-    monkeypatch.setattr(cli, "ruled_chart", lambda: perturbed_ruled_chart(math.nan, 0))
-    reports = cli.cmd_check_ruled(grid=2)
-    assert len(reports) == 6
+RULED_CHECKS = ["ruled_deficit", "ruled_minimality", "ruled_alpha", "ruled_equality_basis", "ruled_form"]
+RULED_CHECKS += ["ruled_hopf_defect_positive"]
+SPHERE_CHECKS = ["sphere_deficit", "sphere_principal_curvatures", "sphere_hopf"]
+
+
+# The faulty charts of FAULT_CASES: a NaN chart computes no point, and a
+# near_singular_box puts 4 of its 8 grid points on its declared-singular edge,
+# the first 4 rows, where the frame is computable.
+FAULTY_CHARTS = {
+    "nan": lambda: perturbed_ruled_chart(math.nan, 0),
+    "ruled-edge": lambda: near_singular_box(ruled_chart()),
+    "sphere-edge": lambda: near_singular_box(sphere_chart(math.pi / 4)),
+}
+
+# Each grid command on a faulty chart, once: the command of cli.COMMANDS (run at
+# grid 2, scan on "ruled"), the chart factory of cli that it patches, the faulty
+# chart, the reports that fail, each with k of its grid's 8 points flagged, and
+# scan's row flags.
+FAULT_CASES = [
+    ("scan", "parse_surface", "nan", ["scan_deficit_bound"], 8, ["RankDeficient"] * 8),
+    ("check ruled", "ruled_chart", "nan", RULED_CHECKS, 8, None),
+    ("check sphere", "sphere_chart", "nan", SPHERE_CHECKS, 8, None),
+    ("scan", "parse_surface", "ruled-edge", ["scan_deficit_bound"], 4, ["singular"] * 4 + ["ok"] * 4),
+    ("check ruled", "ruled_chart", "ruled-edge", RULED_CHECKS, 4, None),
+    ("check sphere", "sphere_chart", "sphere-edge", SPHERE_CHECKS, 4, None),
+    ("crosscheck", "ruled_chart", "ruled-edge", ["crosscheck_ruled"], 4, None),
+    ("crosscheck", "sphere_chart", "sphere-edge", ["crosscheck_sphere"], 4, None),
+]
+
+
+@pytest.mark.parametrize(
+    "command, factory, faulty, failing, k, flags", FAULT_CASES, ids=[f"{c[0]} {c[2]}" for c in FAULT_CASES]
+)
+def test_a_faulty_chart_fails_exactly_its_reports(command, factory, faulty, failing, k, flags, monkeypatch):
+    # Each failing report counts its k flagged points, and its residual is
+    # infinite exactly when no point was computed; every other report passes
+    # without errors.  run_report counts k once per grid, and standard JSON
+    # writes each infinite residual or detail as null.
+    chart = FAULTY_CHARTS[faulty]()
+    monkeypatch.setattr(cli, factory, lambda *args: chart)
+    result = cli.COMMANDS[command](*(["ruled"] if command == "scan" else []), grid=2)
+    reports, rows = result if command == "scan" else (result, None)
+    assert [r.name for r in reports if r.status == "fail"] == failing
     for r in reports:
-        assert r.status == "fail" and r.details["errors"] == 8
-        assert r.max_abs_residual == math.inf
-    doc = _standard_json(report_to_json(run_report("check", {}, reports)))
-    assert all(r["maxAbsResidual"] is None for r in doc["reports"])
-
-
-def test_summary_counts_each_failed_grid_point_once(monkeypatch):
-    # Six ruled reports and three sphere reports each share one grid of 8.
-    monkeypatch.setattr(cli, "ruled_chart", lambda: perturbed_ruled_chart(math.nan, 0))
-    monkeypatch.setattr(cli, "sphere_chart", lambda r: perturbed_ruled_chart(math.nan, 0))
-    for reports in (cli.cmd_check_ruled(grid=2), cli.cmd_check_sphere(grid=2)):
-        assert all(r.details["errors"] == 8 for r in reports)
-        assert run_report("check", {}, reports)["summary"]["errors"] == 8
-
-
-def test_ruled_check_counts_declared_singular_points_as_errors(monkeypatch):
-    chart = near_singular_box(ruled_chart())
-    build_frame(chart, chart.sample_box.lo)  # computable, but declared singular
-    monkeypatch.setattr(cli, "ruled_chart", lambda: chart)
-    reports = cli.cmd_check_ruled(grid=2)
-    for r in reports:
-        assert r.status == "fail" and r.details["errors"] == 4
-    assert run_report("check", {}, reports)["summary"]["errors"] == 4
-
-
-def test_sphere_check_counts_declared_singular_points_as_errors(monkeypatch):
-    chart = near_singular_box(sphere_chart(math.pi / 4))
-    build_frame(chart, chart.sample_box.lo)
-    monkeypatch.setattr(cli, "sphere_chart", lambda r: chart)
-    for r in cli.cmd_check_sphere(grid=2):
-        assert r.status == "fail" and r.details["errors"] == 4
-
-
-def test_scan_flags_declared_singular_points(monkeypatch):
-    chart = near_singular_box(ruled_chart())
-    monkeypatch.setattr(cli, "parse_surface", lambda *args: chart)
-    reports, rows = cli.cmd_scan("ruled", grid=2)
-    assert reports[0].status == "fail" and reports[0].details["errors"] == 4
-    for row in rows:
-        singular = row.u == 5e-4
-        assert row.flags == ("singular" if singular else "ok")
-        assert all(math.isnan(x) for x in row.values()[3:-1]) == singular
-
-
-@pytest.mark.parametrize("flagged", ["ruled", "sphere"])
-def test_crosscheck_counts_declared_singular_grid_points_as_errors(flagged, monkeypatch):
-    # Four of the eight grid points of one chart lie in its singular locus.
-    chart = near_singular_box(ruled_chart() if flagged == "ruled" else sphere_chart(math.pi / 4))
-    monkeypatch.setattr(cli, f"{flagged}_chart", lambda *args: chart)
-    reports = cli.cmd_crosscheck(grid=2)
-    errors = {r.name: r.details.get("errors", 0) for r in reports}
-    assert errors.pop(f"crosscheck_{flagged}") == 4 and not any(errors.values())
-    assert [r.name for r in reports if r.status == "fail"] == [f"crosscheck_{flagged}"]
-    assert run_report("crosscheck", {}, reports)["summary"]["errors"] == 4
-
-
-def test_all_error_sphere_grid_reports_infinite_residuals(monkeypatch):
-    monkeypatch.setattr(cli, "sphere_chart", lambda r: perturbed_ruled_chart(math.nan, 0))
-    for r in cli.cmd_check_sphere(grid=2):
-        assert r.status == "fail" and r.max_abs_residual == math.inf
+        errors = r.details.get("errors", 0)
+        assert (errors, math.isinf(r.max_abs_residual)) == ((k, k == 8) if r.name in failing else (0, False)), r
+    rep = run_report(command.split()[0], {}, reports)
+    assert rep["summary"]["errors"] == k
+    for r, written in zip(reports, _standard_json(report_to_json(rep))["reports"]):
+        fields = [(r.max_abs_residual, written["maxAbsResidual"])]
+        fields += [(v, written["details"][n]) for n, v in r.details.items()]
+        assert all(w is None for v, w in fields if isinstance(v, float) and math.isinf(v)), written
+    if rows is not None:
+        assert [row.flags for row in rows] == flags
+        assert [all(math.isnan(x) for x in row.values()[3:-1]) for row in rows] == [f != "ok" for f in flags]
+        unbounded = reports[0].details["min_deficit"] is None and reports[0].details["max_deficit"] is None
+        assert unbounded == ("ok" not in flags)
 
 
 def test_nan_sphere_deficit_fails_the_check(monkeypatch):
@@ -630,12 +541,9 @@ def test_nan_sphere_deficit_fails_the_check(monkeypatch):
     assert reports["sphere_hopf"].status == "pass"
 
 
-def test_singular_stencil_metric_is_a_flagged_point_not_a_usage_error(capsys):
+def test_singular_stencil_metric_is_a_flagged_point_not_a_usage_error():
     # The ruled grid point u = 0.3 puts a stencil axis neighbour on u = 0.
-    assert cli.main(["crosscheck", "--grid", "2", "--step", "0.3"]) == 1
-    out = capsys.readouterr().out
-    payload = json.loads(out[out.index("{") :])
-    ruled = payload["reports"][0]
+    ruled = _printed(["crosscheck", "--grid", "2", "--step", "0.3"], 1)[1]["reports"][0]
     assert ruled["checkName"] == "crosscheck_ruled" and ruled["details"]["errors"] == 4
     # The one-pass rows flag each such point with the exception's own class
     # name.
@@ -852,13 +760,11 @@ def test_crosscheck_maps_each_chart_once_and_runs_each_kernel_once(monkeypatch):
     ]
 
 
-def test_crosscheck_step_below_the_parameter_resolution_flags_every_point(capsys):
+def test_crosscheck_step_below_the_parameter_resolution_flags_every_point():
     # Below the resolution the stencil collapses onto q: the residual would be
     # NaN (h^2 = 0) or the bare Gauss tensor (intrinsic R = 0).  The golden
     # report of step 1e-200 holds the same counts.
-    assert cli.main(["crosscheck", "--grid", "2", "--step", "1e-150"]) == 1
-    out = capsys.readouterr().out
-    payload = json.loads(out[out.index("{") :])
+    payload = _printed(["crosscheck", "--grid", "2", "--step", "1e-150"], 1)[1]
     ruled, sphere, hol = payload["reports"]
     assert ruled["details"]["errors"] == sphere["details"]["errors"] == 8
     assert hol["details"]["error"].startswith("SingularMetric: ")
@@ -870,23 +776,13 @@ def test_crosscheck_step_below_the_parameter_resolution_flags_every_point(capsys
     [["kappa", "kappa"], ["mu0", "mu1", "mu0"], ["all", "kappa"], ["kappa", "all"], ["all", "all"], ["nope"]],
     ids="-".join,
 )
-def test_symbolic_names_are_never_rewritten(names, capsys):
+def test_symbolic_names_are_never_rewritten(names):
     # Run as given, a repeated name would run its check twice and 'all'
     # beside other names would be dropped; both are usage errors instead,
     # as is an unknown name.  The message is printed unquoted.
-    assert cli.main(["symbolic", *names]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
+    status, out, err = _main(["symbolic", *names])
     unknown = "error: unknown symbolic checks: nope;" if "nope" in names else "error: "
-    assert captured.err.startswith(unknown) and captured.err.count("\n") == 1
-    assert '"' not in captured.err
-
-
-def test_strict_halves_the_sphere_hopf_tolerance(capsys):
-    assert cli.main(["check", "sphere", "--grid", "2", "--strict"]) == 0
-    out = capsys.readouterr().out
-    payload = json.loads(out[out.index("{") :])
-    assert payload["config"]["hopf_tol"] == 5e-9
+    assert (status, out) == (2, "") and err.startswith(unknown) and err.count("\n") == 1 and '"' not in err
 
 
 def test_sphere_hopf_fails_below_the_grid_defect():

@@ -51,6 +51,31 @@ def test_coeffs_express_frame_in_horizontalized_partials():
         assert np.max(np.abs(rebuilt - e)) < 1e-12
 
 
+def _random_unit(rng):
+    z = rng.normal(size=3) + 1j * rng.normal(size=3)
+    return z / np.linalg.norm(z)
+
+
+def test_horizontalize_kills_vertical_direction():
+    rng = np.random.default_rng(2)
+    for _ in range(20):
+        p = _random_unit(rng)
+        assert np.linalg.norm(horizontalize(1j * p, p)) < 1e-14
+        assert np.linalg.norm(horizontalize(p, p)) < 1e-14
+
+
+def test_horizontalize_fixes_horizontal_vectors_and_is_idempotent():
+    rng = np.random.default_rng(3)
+    for _ in range(20):
+        p = _random_unit(rng)
+        w = rng.normal(size=3) + 1j * rng.normal(size=3)
+        hw = horizontalize(w, p)
+        assert abs(np.vdot(p, hw).real) < 1e-14
+        assert abs(np.vdot(1j * p, hw).real) < 1e-14
+        again = horizontalize(hw, p)
+        assert np.max(np.abs(again - hw)) < 1e-14
+
+
 def test_batched_horizontal_rows_equal_the_per_point_projection():
     rng = np.random.default_rng(21)
     p = rng.normal(size=(25, 3)) + 1j * rng.normal(size=(25, 3))

@@ -35,19 +35,16 @@ def test_ruled_point_is_minimal_with_principal_direction_defect():
     assert s.hopf_defect > 0.1
 
 
-def test_sphere_principal_curvatures_quarter_pi():
-    s = shape_operator(sphere_chart(math.pi / 4), (0.3, 0.7, 0.4))
-    eigs = np.sort(np.linalg.eigvalsh(s.A))
-    model = np.sort([0.0, 1.0, 1.0])
-    dev = min(np.max(np.abs(eigs - model)), np.max(np.abs(np.sort(-eigs) - model)))
-    assert dev < 1e-7
-
-
-def test_sphere_principal_curvatures_sixth_pi():
+@pytest.mark.parametrize(
+    "r, model",
+    [(math.pi / 4, [0.0, 1.0, 1.0]), (math.pi / 6, [2.0 / math.sqrt(3.0), math.sqrt(3.0), math.sqrt(3.0)])],
+    ids=["quarter_pi", "sixth_pi"],
+)
+def test_sphere_principal_curvatures(r, model):
     # classical oracle: 2 cot(2r) and cot(r) twice
-    s = shape_operator(sphere_chart(math.pi / 6), (0.3, 0.7, 0.4))
+    s = shape_operator(sphere_chart(r), (0.3, 0.7, 0.4))
     eigs = np.sort(np.linalg.eigvalsh(s.A))
-    model = np.sort([2.0 / math.sqrt(3.0), math.sqrt(3.0), math.sqrt(3.0)])
+    model = np.sort(model)
     dev = min(np.max(np.abs(eigs - model)), np.max(np.abs(np.sort(-eigs) - model)))
     assert dev < 1e-7
 
@@ -179,15 +176,10 @@ def test_sphere_charts_are_hopf():
             assert shape_operator(chart, q).hopf_defect < 1e-8
 
 
-def test_asymmetry_guard_raises(monkeypatch):
-    monkeypatch.setattr(shape, "ASYM_TOL", 0.0)
-    with pytest.raises(AsymmetryExceeded):
-        shape_operator(ruled_chart(), (0.6, 1.0, 2.0))
-
-
-def test_asymmetry_guard_fails_on_nan(monkeypatch):
-    # a comparison with NaN is false, so the guard must fail on it
-    monkeypatch.setattr(shape, "ASYM_TOL", float("nan"))
+@pytest.mark.parametrize("tol", [0.0, math.nan], ids=["zero", "nan"])
+def test_asymmetry_guard_raises(tol, monkeypatch):
+    # a comparison with NaN is false, so the guard must fail on it too
+    monkeypatch.setattr(shape, "ASYM_TOL", tol)
     with pytest.raises(AsymmetryExceeded):
         shape_operator(ruled_chart(), (0.6, 1.0, 2.0))
 
@@ -305,7 +297,9 @@ def test_shape_operator_grid_of_no_points_is_empty():
     assert g.A.shape == g.P.shape == g.coeffs.shape == (0, 3, 3)
 
 
-# The charts of the invariance tests, by the name their measured gaps are keyed by.
+# -- each route's invariants under three moves of the chart ----------------------
+
+# The charts of INVARIANCE_CASES, by the name their measured gaps are keyed by.
 INVARIANCE_CHARTS = {
     "ruled": ruled_chart,
     "sphere": lambda: sphere_chart(math.pi / 6),
@@ -313,20 +307,8 @@ INVARIANCE_CHARTS = {
 }
 
 
-# The fibre gauge theta = 2 sin(u + 2 v) + t.  Per chart, the largest gaps
-# that test_shape_operator_is_gauge_invariant_to_the_fd_floor measured on its
-# 100 seeded points at the default step, both relative: the best-sign
-# eigenvalue gap over max(1, max |eig|) and the deficit gap over
-# max(1, |deficit|).  Each bound is GAUGE_FACTOR times its measured maximum.
-GAUGE_FACTOR = 10.0
-GAUGE_MEASURED = {
-    "ruled": (1.44e-9, 4.44e-15),
-    "sphere": (8.66e-10, 1.02e-9),
-    "perturbed": (2.38e-9, 3.25e-9),
-}
-
-
 def _theta(q):
+    """The fibre gauge theta = 2 sin(u + 2 v) + t."""
     u, v, t = q
     return 2.0 * math.sin(u + 2.0 * v) + t
 
@@ -334,111 +316,6 @@ def _theta(q):
 def _dtheta(q):
     c = math.cos(q[0] + 2.0 * q[1])
     return np.array([2.0 * c, 4.0 * c, 1.0])
-
-
-@pytest.mark.parametrize("name", GAUGE_MEASURED)
-def test_shape_operator_is_gauge_invariant_to_the_fd_floor(name):
-    # The rephased chart lifts the same hypersurface, so its principal
-    # curvatures (up to sign) and deficit are those of the chart.  The FD
-    # route meets that only to O(h^2), with a constant set by dtheta: about
-    # 1e-9 at the default step, except the ruled deficit, at rounding.  So
-    # is the asymmetry guard's verdict: a point flagged for either chart is
-    # not compared (one point of the perturbed chart passes unrephased only).
-    chart = INVARIANCE_CHARTS[name]()
-    moved = rephased(chart, _theta, _dtheta)
-    lo, hi = np.array(chart.sample_box.lo), np.array(chart.sample_box.hi)
-    points = (lo + (hi - lo) * np.random.default_rng(0).uniform(size=(100, 3))).tolist()
-    eig_gaps, deficit_gaps = [], []
-    for q in points:
-        try:
-            a, b = shape_operator(chart, tuple(q)), shape_operator(moved, tuple(q))
-        except AsymmetryExceeded:
-            continue
-        eigs = np.linalg.eigvalsh(a.A)
-        gap, _ = cli._principal_deviation(np.linalg.eigvalsh(b.A), eigs)
-        eig_gaps.append(gap / max(1.0, float(np.max(np.abs(eigs)))))
-        deficit_gaps.append(abs(cv.deficit(a) - cv.deficit(b)) / max(1.0, abs(cv.deficit(a))))
-    assert len(eig_gaps) >= 95
-    eig_bound, deficit_bound = (GAUGE_FACTOR * m for m in GAUGE_MEASURED[name])
-    assert max(eig_gaps) < eig_bound and max(deficit_gaps) < deficit_bound, (max(eig_gaps), max(deficit_gaps))
-
-
-def _grid_invariant_gaps(a: shape.ShapeGrid, b: shape.ShapeGrid) -> np.ndarray:
-    """At each point both grids flag ``ok``, the relative gaps of the invariants: the best-sign
-    principal curvature gap over max(1, max |eig|), the deficit gap over max(1, |deficit|), the
-    Hopf defect gap over max(1, hopf defect) and the Ricci eigenvalue gap over max(1, max |eig|)."""
-    gaps = []
-    for k in np.flatnonzero((a.flags == "ok") & (b.flags == "ok")).tolist():
-        s, m = (ShapeData.from_matrices(g.A[k], g.P[k], g.xi[k]) for g in (a, b))
-        eigs, ricci = np.linalg.eigvalsh(s.A), np.linalg.eigvalsh(cv.ricci_matrix(s))
-        gap, _ = cli._principal_deviation(np.linalg.eigvalsh(m.A), eigs)
-        gaps.append((
-            gap / max(1.0, float(np.max(np.abs(eigs)))),
-            abs(cv.deficit(s) - cv.deficit(m)) / max(1.0, abs(cv.deficit(s))),
-            abs(s.hopf_defect - m.hopf_defect) / max(1.0, s.hopf_defect),
-            np.max(np.abs(np.linalg.eigvalsh(cv.ricci_matrix(m)) - ricci)) / max(1.0, float(np.max(np.abs(ricci)))),
-        ))
-    return np.array(gaps).reshape(-1, 4)
-
-
-# Per chart, the largest of each gap of _grid_invariant_gaps that
-# test_shape_operator_grid_is_invariant_under_a_unitary_move measured on its 50
-# seeded points.  Each bound is UNITARY_FACTOR times its measured maximum.
-UNITARY_FACTOR = 10.0
-UNITARY_MEASURED = {
-    "ruled": (1.31e-11, 2.66e-15, 8.42e-12, 8.31e-12),
-    "sphere": (8.66e-11, 9.12e-11, 6.69e-11, 5.46e-11),
-    "perturbed": (1.52e-11, 7.01e-11, 1.99e-11, 4.56e-11),
-}
-
-
-@pytest.mark.parametrize("name", UNITARY_MEASURED)
-def test_shape_operator_grid_is_invariant_under_a_unitary_move(name):
-    # A seeded random unitary moves the lift, not the hypersurface's geometry:
-    # the grid flags the same points, and at each ok point the principal
-    # curvatures (up to sign), the deficit, the Hopf defect and the Ricci
-    # eigenvalues agree to the FD route's rounding floor, about 1e-16 / h =
-    # 1e-11 relative.
-    chart, rng = INVARIANCE_CHARTS[name](), np.random.default_rng(0)
-    U, r = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
-    U = U * (r.diagonal() / np.abs(r.diagonal()))  # Haar-distributed
-    lo, hi = np.array(chart.sample_box.lo), np.array(chart.sample_box.hi)
-    points = [tuple(q) for q in (lo + (hi - lo) * rng.uniform(size=(50, 3))).tolist()]
-    a, b = shape_operator_grid(chart, points), shape_operator_grid(moved(chart, U), points)
-    assert a.flags.tolist() == b.flags.tolist()
-    gaps = _grid_invariant_gaps(a, b)
-    assert len(gaps) >= 45
-    worst = gaps.max(axis=0)
-    assert (worst < UNITARY_FACTOR * np.array(UNITARY_MEASURED[name])).all(), worst
-
-
-# Per chart, the largest of each gap of _grid_invariant_gaps that
-# test_shape_operator_grid_is_invariant_under_the_fibre_gauge measured on its
-# 50 seeded points.  Each bound is GAUGE_FACTOR times its measured maximum.
-# The perturbed chart's Ricci maximum comes from one high-curvature point; its
-# median there is 4.8e-10.
-GAUGE_GRID_MEASURED = {
-    "ruled": (1.41e-9, 4.44e-15, 3.66e-10, 8.54e-10),
-    "sphere": (8.07e-10, 1.02e-9, 1.52e-9, 4.76e-10),
-    "perturbed": (2.38e-9, 2.60e-9, 6.87e-9, 5.29e-8),
-}
-
-
-@pytest.mark.parametrize("name", GAUGE_GRID_MEASURED)
-def test_shape_operator_grid_is_invariant_under_the_fibre_gauge(name):
-    # The gauge theta = 2 sin(u + 2 v) + t rephases the lift along its fibres:
-    # at each point both grids flag ok, the invariants agree to the FD route's
-    # O(h^2) gauge floor, about 1e-9 relative.  The asymmetry guard is not
-    # gauge-invariant, so the flags are not compared.
-    chart = INVARIANCE_CHARTS[name]()
-    lo, hi = np.array(chart.sample_box.lo), np.array(chart.sample_box.hi)
-    points = [tuple(q) for q in (lo + (hi - lo) * np.random.default_rng(0).uniform(size=(50, 3))).tolist()]
-    a = shape_operator_grid(chart, points)
-    b = shape_operator_grid(rephased(chart, _theta, _dtheta), points)
-    gaps = _grid_invariant_gaps(a, b)
-    assert len(gaps) >= 45
-    worst = gaps.max(axis=0)
-    assert (worst < GAUGE_FACTOR * np.array(GAUGE_GRID_MEASURED[name])).all(), worst
 
 
 def _f(Q: np.ndarray) -> np.ndarray:
@@ -452,32 +329,131 @@ def _jac(q: np.ndarray) -> np.ndarray:
     return np.array([[1.0, 0.0, 0.0], [0.3 * math.cos(q[0]), 1.0, 0.0], [0.0, -0.3 * math.sin(q[1]), 1.0]])
 
 
-# Per chart, the largest of each gap of _grid_invariant_gaps that
-# test_shape_operator_grid_is_invariant_under_a_reparametrisation measured on
-# its 50 seeded points.  Each bound is REPARAM_FACTOR times its measured maximum.
-# The perturbed chart's maxima come from one point where |A| is about 142 and
-# the FD operator itself moves by about 3e-7 relative from h = 1e-5 to 1e-6;
-# the median gap there is 2.9e-11.
-REPARAM_FACTOR = 10.0
-REPARAM_MEASURED = {
-    "ruled": (2.37e-11, 3.56e-15, 1.75e-11, 1.71e-11),
-    "sphere": (8.14e-11, 8.69e-11, 1.10e-10, 4.60e-11),
-    "perturbed": (1.26e-7, 2.74e-7, 3.24e-7, 4.57e-8),
+def _haar_unitary(rng: np.random.Generator) -> np.ndarray:
+    U, r = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
+    return U * (r.diagonal() / np.abs(r.diagonal()))  # Haar-distributed
+
+
+# Each move, from the chart and the test's generator (the unitary draws its U
+# before the points): the moved chart and the map f such that the moved chart
+# at q lifts the chart's point at f(q), or None for f = identity.  The lift
+# moves along its fibres (gauge), by an isometry of CP^2 (unitary) or under a
+# change of parameters (reparam); the hypersurface and its geometry stay.
+MOVES = {
+    "gauge": lambda chart, rng: (rephased(chart, _theta, _dtheta), None),
+    "unitary": lambda chart, rng: (moved(chart, _haar_unitary(rng)), None),
+    "reparam": lambda chart, rng: (reparametrized(chart, _f, _jac), _f),
 }
 
 
-@pytest.mark.parametrize("name", REPARAM_MEASURED)
-def test_shape_operator_grid_is_invariant_under_a_reparametrisation(name):
-    # The chart composed with f, at q, lifts the hypersurface's point at f(q):
-    # the grid flags the same points, and at each ok point the invariants agree
-    # to the FD floor, though the stencils now step along other directions.
-    chart = INVARIANCE_CHARTS[name]()
+def _per_point_shapes(chart, qs):
+    """``shape_operator`` at each q: flag ``ok`` and its ShapeData, or ``AsymmetryExceeded`` and None."""
+    shapes = []
+    for q in qs:
+        try:
+            shapes.append(shape_operator(chart, q))
+        except AsymmetryExceeded:
+            shapes.append(None)
+    return ["AsymmetryExceeded" if s is None else "ok" for s in shapes], shapes
+
+
+def _grid_shapes(chart, qs):
+    """``shape_operator_grid`` at qs: its flags, and a ShapeData at each ``ok`` point, else None."""
+    g = shape_operator_grid(chart, qs)
+    flags = g.flags.tolist()
+    return flags, [ShapeData.from_matrices(g.A[k], g.P[k], g.xi[k]) if f == "ok" else None for k, f in enumerate(flags)]
+
+
+def _intrinsic_tensors(chart, qs):
+    """``intrinsic_riemann_batch`` at qs and h = 1e-3: ``ok`` and R_abcd, or ``SingularMetric`` and None."""
+    R, errors = cv.intrinsic_riemann_batch(chart, qs, 1e-3)
+    return ["SingularMetric" if e else "ok" for e in errors], [None if e else r for r, e in zip(R, errors)]
+
+
+# Each route: its values at points, the number of seeded points it is compared
+# at and the least number of them where both charts must flag ok.
+ROUTES = {
+    "point": (_per_point_shapes, 100, 95),
+    "grid": (_grid_shapes, 50, 45),
+    "intrinsic": (_intrinsic_tensors, 50, 45),
+}
+
+
+def _invariant_gaps(a, b, J: np.ndarray) -> tuple[float, ...]:
+    """The relative gaps between a route's value a on the chart and b on the moved chart at one
+    point.  Of two shapes: the best-sign principal curvature gap over max(1, max |eig|), the deficit
+    gap over max(1, |deficit|), the Hopf defect gap over max(1, hopf defect) and the Ricci eigenvalue
+    gap over max(1, max |eig|).  Of two Riemann tensors: max |b - R| over max(1, max |R|), with R the
+    tensor a pulled back by J = Jf (R_abcd = J_ia J_jb J_kc J_ld a_ijkl)."""
+    if isinstance(a, ShapeData):
+        eigs, ricci = np.linalg.eigvalsh(a.A), np.linalg.eigvalsh(cv.ricci_matrix(a))
+        gap, _ = cli._principal_deviation(np.linalg.eigvalsh(b.A), eigs)
+        return (
+            gap / max(1.0, float(np.max(np.abs(eigs)))),
+            abs(cv.deficit(a) - cv.deficit(b)) / max(1.0, abs(cv.deficit(a))),
+            abs(a.hopf_defect - b.hopf_defect) / max(1.0, a.hopf_defect),
+            np.max(np.abs(np.linalg.eigvalsh(cv.ricci_matrix(b)) - ricci)) / max(1.0, float(np.max(np.abs(ricci)))),
+        )
+    R = np.einsum("ia,jb,kc,ld,ijkl->abcd", J, J, J, J, a)
+    return (float(np.max(np.abs(b - R))) / max(1.0, float(np.max(np.abs(R)))),)
+
+
+# Per (route, move, chart), the largest of each gap of _invariant_gaps measured
+# on its seeded points.  Each bound is FACTOR times its measured maximum.
+# - The perturbed chart's grid Ricci maximum under the gauge comes from one
+#   high-curvature point; its median there is 4.8e-10.
+# - Its reparametrisation maxima come from one point where |A| is about 142
+#   and the FD operator itself moves by about 3e-7 relative from h = 1e-5 to
+#   1e-6; the median gap there is 2.9e-11.
+# - The intrinsic route's reparametrisation gaps are the O(h^2) FD error of
+#   its metric stencil at h = 1e-3 along the new directions (medians 6.9e-9,
+#   2.8e-8 and 1.9e-6).
+FACTOR = 10.0
+INVARIANCE_CASES = {
+    ("point", "gauge", "ruled"): (1.44e-9, 4.44e-15, 3.80e-10, 8.54e-10),
+    ("point", "gauge", "sphere"): (8.66e-10, 1.02e-9, 1.62e-9, 4.76e-10),
+    ("point", "gauge", "perturbed"): (2.38e-9, 3.25e-9, 6.87e-9, 5.29e-8),
+    ("grid", "gauge", "ruled"): (1.41e-9, 4.44e-15, 3.66e-10, 8.54e-10),
+    ("grid", "gauge", "sphere"): (8.07e-10, 1.02e-9, 1.52e-9, 4.76e-10),
+    ("grid", "gauge", "perturbed"): (2.38e-9, 2.60e-9, 6.87e-9, 5.29e-8),
+    ("grid", "unitary", "ruled"): (1.31e-11, 2.66e-15, 8.42e-12, 8.31e-12),
+    ("grid", "unitary", "sphere"): (8.66e-11, 9.12e-11, 6.69e-11, 5.46e-11),
+    ("grid", "unitary", "perturbed"): (1.52e-11, 7.01e-11, 1.99e-11, 4.56e-11),
+    ("grid", "reparam", "ruled"): (2.37e-11, 3.56e-15, 1.75e-11, 1.71e-11),
+    ("grid", "reparam", "sphere"): (8.14e-11, 8.69e-11, 1.10e-10, 4.60e-11),
+    ("grid", "reparam", "perturbed"): (1.26e-7, 2.74e-7, 3.24e-7, 4.57e-8),
+    ("intrinsic", "gauge", "ruled"): (7.24e-10,),
+    ("intrinsic", "gauge", "sphere"): (3.23e-10,),
+    ("intrinsic", "gauge", "perturbed"): (1.17e-9,),
+    ("intrinsic", "unitary", "ruled"): (5.43e-10,),
+    ("intrinsic", "unitary", "sphere"): (9.71e-11,),
+    ("intrinsic", "unitary", "perturbed"): (7.20e-10,),
+    ("intrinsic", "reparam", "ruled"): (1.41e-8,),
+    ("intrinsic", "reparam", "sphere"): (2.34e-7,),
+    ("intrinsic", "reparam", "perturbed"): (1.63e-5,),
+}
+
+
+@pytest.mark.parametrize("route, move, name", INVARIANCE_CASES)
+def test_invariants_agree_under_a_move_of_the_chart(route, move, name):
+    # The moved chart lifts the same hypersurface, so each route's invariants
+    # are the chart's, to its FD floor: about 1e-16 / h = 1e-11 relative for
+    # the shape routes under a unitary move or reparametrisation, though the
+    # stencils then step along other directions; O(h^2) under the gauge, with
+    # a constant set by dtheta, about 1e-9 (the ruled deficit at rounding).
+    # The asymmetry guard is not gauge-invariant, so under the gauge the flags
+    # are not compared: a point flagged for either chart is not compared (one
+    # point of the perturbed chart passes unrephased only).
+    chart, rng = INVARIANCE_CHARTS[name](), np.random.default_rng(0)
+    other, f = MOVES[move](chart, rng)
+    values, n, least = ROUTES[route]
     lo, hi = np.array(chart.sample_box.lo), np.array(chart.sample_box.hi)
-    Q = lo + (hi - lo) * np.random.default_rng(0).uniform(size=(50, 3))
-    a = shape_operator_grid(chart, [tuple(q) for q in _f(Q).tolist()])
-    b = shape_operator_grid(reparametrized(chart, _f, _jac), [tuple(q) for q in Q.tolist()])
-    assert a.flags.tolist() == b.flags.tolist()
-    gaps = _grid_invariant_gaps(a, b)
-    assert len(gaps) >= 45
-    worst = gaps.max(axis=0)
-    assert (worst < REPARAM_FACTOR * np.array(REPARAM_MEASURED[name])).all(), worst
+    Q = lo + (hi - lo) * rng.uniform(size=(n, 3))
+    flags_a, a = values(chart, [tuple(q) for q in (Q if f is None else f(Q)).tolist()])
+    flags_b, b = values(other, [tuple(q) for q in Q.tolist()])
+    if move != "gauge":
+        assert flags_a == flags_b
+    ok = [k for k in range(n) if flags_a[k] == flags_b[k] == "ok"]
+    assert len(ok) >= least
+    worst = np.max([_invariant_gaps(a[k], b[k], np.eye(3) if f is None else _jac(Q[k])) for k in ok], axis=0)
+    assert (worst < FACTOR * np.array(INVARIANCE_CASES[route, move, name])).all(), worst
