@@ -1,12 +1,17 @@
 """Helpers shared by several test modules."""
 
 import dataclasses
+import functools
+import inspect
 import math
-from typing import Callable, Iterator
+import sys
+from typing import Any, Callable, Iterator
 
 import numpy as np
 
-from cp2ricci.charts import SINGULAR_MARGIN, Box, ParamTriple, SurfaceChart, _RULED_MODES, _TrigField, ruled_chart
+from cp2ricci.charts import SINGULAR_MARGIN, Box, ParamTriple, SurfaceChart, _RULED_MODES, _TrigField
+from cp2ricci.charts import ruled_chart, sphere_chart
+from cp2ricci.cli import HOLOMORPHIC_POINT
 from cp2ricci.curvature import SingularMetric, _gauss_tensor, intrinsic_riemann_batch
 from cp2ricci.exact.mpoly import MPoly
 from cp2ricci.frames import _horizontal_rows, build_frame
@@ -189,6 +194,64 @@ def near_singular_box(chart: SurfaceChart) -> SurfaceChart:
     assert chart.singular(np.array(lo))
     build_frame(chart, tuple(lo))  # declared singular, but computable
     return dataclasses.replace(chart, sample_box=Box(tuple(lo), chart.sample_box.hi))
+
+
+def mixed_chart() -> SurfaceChart:
+    """The ruled chart with a declared singular locus at u = 1.2 only (so
+    u = 0, where the metric is singular, is computed) and a NaN point at
+    (0.6, 1.5, 2.0)."""
+    base = ruled_chart()
+
+    def evaluate(*q):
+        return np.full(3, complex(math.nan)) if q == (0.6, 1.5, 2.0) else base.evaluate(*q)
+
+    return dataclasses.replace(base, evaluate=evaluate, is_singular=lambda Q: abs(Q[..., 0] - 1.2) < 1e-3)
+
+
+def crosscheck_pairs(*near_singular: str) -> list:
+    """``cmd_crosscheck``'s (chart, extra) pairs, each chart whose family is
+    named in ``near_singular`` sampled on its ``near_singular_box``."""
+    pairs = [(ruled_chart(), []), (sphere_chart(math.pi / 4), [HOLOMORPHIC_POINT])]
+    return [(near_singular_box(c) if c.name.split(":")[0] in near_singular else c, e) for c, e in pairs]
+
+
+def passthrough(chart: SurfaceChart, *fields: str, wraps: bool = False) -> SurfaceChart:
+    """``chart`` with each named field (``evaluate``, ``partials``, ``is_singular``) replaced by a
+    function that calls the chart's own, as a user chart or the benchmark tracer does; under
+    ``wraps``, ``functools.wraps`` copies the original's attributes, the array-map record too."""
+    new = {
+        "evaluate": lambda *q: chart.evaluate(*q),
+        "partials": lambda *q: chart.partials(*q),
+        "is_singular": lambda Q: chart.is_singular(Q),
+    }
+    new = {f: functools.wraps(getattr(chart, f))(new[f]) if wraps else new[f] for f in fields}
+    assert not wraps or all(vars(getattr(chart, n)).items() <= vars(f).items() for n, f in new.items())
+    return dataclasses.replace(chart, **new)
+
+
+def calls_of(run: Callable[[], Any], functions: dict[str, Callable | tuple[Callable, Callable]]) -> tuple[Any, list]:
+    """``run()`` and, in order, each call it made of the Python ``functions``: (name, the call's
+    arguments), or (name, summary(*arguments)) for a function given as (function, summary).  The
+    profiler hook records them, so no function is replaced (a builtin chart keeps its array map)
+    and every closure of a recorded function's definition is recorded under its name."""
+    named, calls = {}, []
+    for name, f in functions.items():
+        f, summary = f if isinstance(f, tuple) else (f, None)
+        named[f.__code__] = name, summary
+
+    def hook(frame, event, arg):
+        if event == "call" and frame.f_code in named:
+            name, summary = named[frame.f_code]
+            names, varargs, _, values = inspect.getargvalues(frame)
+            args = (*(values[n] for n in names), *(values[varargs] if varargs else ()))
+            calls.append((name, summary(*args) if summary else args))
+
+    previous = sys.getprofile()
+    sys.setprofile(hook)
+    try:
+        return run(), calls
+    finally:
+        sys.setprofile(previous)
 
 
 def flip_normal(s: ShapeData) -> ShapeData:

@@ -1,5 +1,4 @@
 import dataclasses
-import functools
 import math
 import warnings
 
@@ -19,8 +18,9 @@ from cp2ricci.charts import (
     sphere_chart,
 )
 from cp2ricci.frames import build_frame
-from cp2ricci.shape import shape_operator, shape_operator_grid
-from helpers import box_grid, intrinsic_riemann, perturbed_reference, scalar_singular, trig_field_value
+from cp2ricci.shape import _shape_stencil, shape_operator, shape_operator_grid
+from helpers import box_grid, calls_of, crosscheck_pairs, intrinsic_riemann, mixed_chart, passthrough
+from helpers import perturbed_reference, scalar_singular, trig_field_value
 
 RULED_SAMPLES = [(0.6, 1.0, 2.0), (0.35, 5.9, 0.2), (1.1, 3.0, 4.5), (-0.8, 2.2, 1.3)]
 SPHERE_SAMPLES = [(0.3, 0.7, 0.4), (5.0, 1.1, 2.0), (2.0, 0.5, 5.5)]
@@ -173,37 +173,6 @@ def test_non_finite_parameters_are_singular_quietly(chart):
         warnings.simplefilter("error")
         mask, scalar = chart.singular(Q), scalar_singular(chart, Q)
     assert mask.tolist() == scalar.tolist() == [a == axis for _ in range(3) for a in range(3)]
-
-
-@pytest.mark.parametrize("how", ["replaced", "wrapped"])
-def test_a_replaced_or_wrapped_predicate_takes_each_mask_sites_whole_array_once(how):
-    # As the benchmark tracer's wrapper does: a dataclasses.replace'd predicate
-    # and a functools.wraps wrapper are each called once on the (N, 3) grid of
-    # _grid_points, and crosscheck adds one call per chart on the (M, 7, 3)
-    # stencil centres and axis neighbours of _stencil_points; no verdict moves.
-    calls = []
-
-    def traced(chart):
-        if how == "replaced":
-            return dataclasses.replace(chart, is_singular=lambda Q: calls.append(Q.shape) or chart.is_singular(Q))
-
-        @functools.wraps(chart.is_singular)
-        def predicate(Q):
-            calls.append(Q.shape)
-            return chart.is_singular(Q)
-
-        return dataclasses.replace(chart, is_singular=predicate)
-
-    ruled, sphere = ruled_chart(), sphere_chart(math.pi / 4)
-    flags = cli._grid_points(traced(ruled), 16)[1]
-    assert calls == [(16**3, 3)] and flags.tolist() == cli._grid_points(ruled, 16)[1].tolist()
-    calls.clear()
-    pairs = [(ruled, []), (sphere, [cli.HOLOMORPHIC_POINT])]
-    rows = cli._crosscheck_rows([(traced(c), e) for c, e in pairs], 2, 1e-3)
-    assert calls == [(8, 3), (8, 7, 3), (8, 3), (9, 7, 3)]
-    assert [(f.tolist(), g.tobytes(), planes) for f, g, planes in rows] == [
-        (f.tolist(), g.tobytes(), planes) for f, g, planes in cli._crosscheck_rows(pairs, 2, 1e-3)
-    ]
 
 
 @pytest.mark.parametrize(
@@ -367,28 +336,6 @@ def test_builtin_jets_equal_the_scalar_callables_where_products_underflow(chart)
     assert np.array_equal(D, [chart.partials(*x) for x in Q.tolist()])
 
 
-def test_a_user_chart_jet_stacks_its_own_calls():
-    base = ruled_chart()
-    calls = []
-
-    def evaluate(*q):
-        calls.append(("evaluate", q))
-        return base.evaluate(*q)
-
-    def partials(*q):
-        calls.append(("partials", q))
-        return base.partials(*q)
-
-    chart = SurfaceChart("user", evaluate, partials, base.sample_box, base.is_singular)
-    Q = _jet_points()[:5]
-    p, D = chart.jet(Q)
-    rows = [tuple(x) for x in Q.tolist()]
-    assert calls == [(name, q) for q in rows for name in ("evaluate", "partials")]
-    assert p.tobytes() == base.jet(Q)[0].tobytes() and D.tobytes() == base.jet(Q)[1].tobytes()
-    empty = chart.jet(np.empty((0, 3)))
-    assert empty[0].shape == (0, 3) and empty[1].shape == (0, 3, 3) and len(calls) == 10
-
-
 @pytest.mark.parametrize(
     "field, wrong",
     [
@@ -533,21 +480,6 @@ def test_perturbed_chart_returns_fresh_arrays(epsilon):
         assert getattr(chart, name)(*q).tobytes() == getattr(ref, name)(*q).tobytes()
 
 
-def test_a_perturbed_scan_takes_one_field_jet_per_parameter_point(monkeypatch):
-    calls = []
-    jet = _TrigField.jet
-
-    def counted(self, q):
-        calls.append(q)
-        return jet(self, q)
-
-    monkeypatch.setattr(_TrigField, "jet", counted)
-    reports, rows = cli.cmd_scan("perturbed-ruled:0.05,0", grid=2)
-    assert reports[0].status == "pass" and len(rows) == 8
-    # The centre and its 6 stencil neighbours: 7 distinct triples per point, one jet each.
-    assert len(calls) == len(set(calls)) == 7 * len(rows)
-
-
 def test_grid_requires_two_points_per_axis():
     with pytest.raises(ValueError):
         ruled_chart().sample_box.axes(1)
@@ -568,3 +500,145 @@ def test_a_non_finite_sample_box_edge_is_rejected_when_the_box_is_built(edge, va
             charts.Box(**corners)
         with pytest.raises(ValueError, match=f"^box edge {edge} "):
             dataclasses.replace(ruled_chart().sample_box, **{edge: corners[edge]})
+
+
+# -- the calls each run makes -----------------------------------------------------
+
+
+def _row_calls(X):
+    """The calls of a row-by-row ``jet`` at the rows of X (..., 3): evaluate, then partials, per row."""
+    return [(name, tuple(x)) for x in np.reshape(X, (-1, 3)).tolist() for name in ("evaluate", "partials")]
+
+
+def _chart_calls(chart):
+    """The recorded functions of ``chart``: its point and its partials."""
+    return {"evaluate": chart.evaluate, "partials": chart.partials}
+
+
+def _stencil_calls(qs):
+    """A row-by-row jet's calls at the 19 metric-stencil points q + h K of each centre, h = 1e-3."""
+    return _row_calls(np.reshape(qs, (-1, 1, 3)) + 1e-3 * cv.K)
+
+
+def _batch(chart, base, qs):
+    """A CALL_CASES row: ``intrinsic_riemann_batch`` of ``chart`` at ``qs``, with the builtin
+    ``base``'s bits and no error; a chart without the array map is called at each stencil."""
+    return (
+        _chart_calls(chart),
+        lambda: cv.intrinsic_riemann_batch(chart, qs),
+        [] if chart is base else _stencil_calls(qs),
+        lambda: (cv.intrinsic_riemann_batch(base, qs)[0], [None] * len(qs)),
+    )
+
+
+def _mixed_batch(qs, h, calls, ok):
+    """A CALL_CASES row: ``intrinsic_riemann_batch`` of ``MIXED`` at ``qs``, its shape and each centre's ok."""
+
+    def run():
+        R, errors = cv.intrinsic_riemann_batch(MIXED, qs, h)
+        return R.shape, [e is None for e in errors]
+
+    return _chart_calls(MIXED), run, calls, ((len(qs), 3, 3, 3, 3), ok)
+
+
+def _box_points(chart):
+    """Three points of the chart's sample box, at 0.2, 0.5 and 0.7 of its diagonal."""
+    lo, hi = np.array(chart.sample_box.lo), np.array(chart.sample_box.hi)
+    return [tuple((lo + f * (hi - lo)).tolist()) for f in (0.2, 0.5, 0.7)]
+
+
+def _bits(x):
+    """x with each array as its dtype, shape and bytes and each float as its hex, for a bitwise ==."""
+    if isinstance(x, np.ndarray):
+        return x.dtype.str, x.shape, x.tolist() if x.dtype == object else x.tobytes()
+    if isinstance(x, (list, tuple)):
+        return [type(x).__name__, *map(_bits, x)]
+    return x.hex() if isinstance(x, float) else x
+
+
+def _masks(how):
+    """CALL_CASES rows of crosscheck's charts with a predicate ``replaced`` or ``wrapped``, as the
+    benchmark tracer's wrapper is: it is called once on the (N, 3) grid of _grid_points, and
+    crosscheck adds one call per chart on the (M, 7, 3) stencil centres and axis neighbours of
+    _stencil_points; no verdict moves.  The two charts' predicates share one code, so both count."""
+    pairs = [(passthrough(c, "is_singular", wraps=how == "wrapped"), e) for c, e in crosscheck_pairs()]
+    predicate = {"is_singular": (pairs[0][0].is_singular, np.shape)}
+    return {
+        f"{how} predicate, grid": (
+            predicate, lambda: cli._grid_points(pairs[0][0], 16)[1], [("is_singular", (16**3, 3))],
+            lambda: cli._grid_points(RULED, 16)[1],
+        ),
+        f"{how} predicate, crosscheck": (
+            predicate, lambda: cli._crosscheck_rows(pairs, 2, 1e-3),
+            [("is_singular", shape) for shape in ((8, 3), (8, 7, 3), (8, 3), (9, 7, 3))],
+            lambda: cli._crosscheck_rows(PAIRS, 2, 1e-3),
+        ),
+    }
+
+
+RULED, SPHERE, MIXED, PAIRS = ruled_chart(), sphere_chart(math.pi / 4), mixed_chart(), crosscheck_pairs()
+MIXED_QS = [(0.6, 1.0, 2.0), (1.2, 1.0, 2.0), (0.9, 0.4, 1.1)]  # the second is in its singular locus
+USER, FEW, NONE = passthrough(RULED, "evaluate", "partials"), _jet_points()[:5], np.empty((0, 3))
+WAYS = {  # a user chart replaces its point or its partials; the benchmark tracer wraps both
+    "evaluate": (["evaluate"], False),
+    "partials": (["partials"], False),
+    "wrapped": (["evaluate", "partials"], True),
+}
+CROSSCHECK = {  # each chart's one jet (name, rows, whether row 7 * 8 is the plane point), each kernel's rows
+    "jet": (SurfaceChart.jet, lambda chart, Q: (chart.name, len(Q), tuple(Q[7 * 8].tolist()) == cli.HOLOMORPHIC_POINT)),
+    "_shape_grid": (cli._shape_grid, lambda p, D, h: len(p) // 7),
+    "_stencil_gram": (cv._stencil_gram, lambda p, D, errors: len(errors)),
+    "_riemann": (cv._riemann, lambda G, errors, h: len(G)),
+    "gauss_riemann_coords": (cv.gauss_riemann_coords, lambda coeffs, T: len(coeffs)),
+    "shape_operator": shape_operator,
+    "build_frame": build_frame,
+}
+
+# Each run whose calls are stated, once: the Python functions recorded (by name, each
+# with what is kept of a call's arguments, else the arguments), the run, its calls in
+# order, and its result, or a reference run giving it, bit for bit.
+CALL_CASES = {
+    "one centre, evaluate replaced": _batch(passthrough(RULED, "evaluate"), RULED, [(0.6, 1.0, 2.0)]),
+    **{
+        f"{base.name} batch, {how}": _batch(passthrough(base, *fields, wraps=wraps), base, _box_points(base))
+        for base in (RULED, SPHERE)
+        for how, (fields, wraps) in WAYS.items()
+    },
+    # The array map calls no scalar callable.
+    **{f"{base.name} batch, builtin": _batch(base, base, _box_points(base)) for base in (RULED, SPHERE)},
+    # Calls at the accepted centres' stencils only: none for a batch of rejected centres, or of none.
+    "mixed batch": _mixed_batch(MIXED_QS, 1e-3, _stencil_calls(MIXED_QS[::2]), [True, False, True]),
+    "mixed batch, step 1e-200": _mixed_batch(MIXED_QS, 1e-200, [], [False] * 3),
+    "mixed batch, singular centre": _mixed_batch(MIXED_QS[1:2], 1e-3, [], [False]),
+    "mixed batch, no centre": _mixed_batch([], 1e-3, [], []),
+    **_masks("replaced"),
+    **_masks("wrapped"),
+    "user jet": (_chart_calls(USER), lambda: USER.jet(FEW), _row_calls(FEW), lambda: RULED.jet(FEW)),
+    "user jet, no rows": (_chart_calls(USER), lambda: USER.jet(NONE), [], lambda: RULED.jet(NONE)),
+    # A perturbed scan's centre and its 6 stencil neighbours: 7 distinct triples per point, one field jet each.
+    "perturbed scan": (
+        {"jet": (_TrigField.jet, lambda field, q: q)},
+        lambda: [r.status for r in cli.cmd_scan("perturbed-ruled:0.05,0", grid=2)[0]],
+        [("jet", tuple(x)) for x in _shape_stencil(cli._grid_points(RULED, 2)[0]).tolist()],
+        ["pass"],
+    ),
+    # One chart.jet call per chart, at its 7 shape-stencil and 19 metric-stencil rows per point
+    # (the sphere's 9th point is the holomorphic-plane point), then one chart-free shape, Gram and
+    # Riemann pass and Gauss pullback on the 17 rows of both charts; no per-point shape operator.
+    "crosscheck": (
+        CROSSCHECK,
+        lambda: [r.status for r in cli.cmd_crosscheck(grid=2)],
+        [("jet", ("ruled", 8 * 26, False)), ("jet", (SPHERE.name, 9 * 26, True))]
+        + [(kernel, 17) for kernel in ("_shape_grid", "_stencil_gram", "_riemann", "gauss_riemann_coords")],
+        ["pass"] * 3,
+    ),
+}
+
+
+@pytest.mark.parametrize("functions, run, calls, result", CALL_CASES.values(), ids=list(CALL_CASES))
+def test_a_run_makes_exactly_its_calls(functions, run, calls, result):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got, made = calls_of(run, functions)
+        assert made == calls
+        assert _bits(got) == _bits(result() if callable(result) else result)

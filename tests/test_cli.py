@@ -16,8 +16,7 @@ import pytest
 
 from cp2ricci import cli, report
 from cp2ricci import curvature as cv
-from cp2ricci.charts import SurfaceChart, perturbed_ruled_chart, ruled_chart, sphere_chart
-from cp2ricci.shape import shape_operator_grid
+from cp2ricci.charts import perturbed_ruled_chart, ruled_chart, sphere_chart
 from cp2ricci.report import (
     EXACT_ZERO,
     CheckReport,
@@ -272,6 +271,16 @@ def test_one_changed_golden_byte_fails_its_case(monkeypatch, tmp_path):
         run_case(["check", "tube"], 0, golden, tmp_path)
 
 
+def test_a_failed_start_up_self_check_exits_1_with_its_message_alone(monkeypatch):
+    # The one run exiting 1 that writes to stderr and no report: main runs
+    # the Ricci self-check before any command.
+    def fail():
+        raise cv.RicciMismatch("injected")
+
+    monkeypatch.setattr(cv, "ricci_selfcheck", fail)
+    assert _main(["check", "tube"]) == (1, "", "self-check failed: injected\n")
+
+
 def test_scan_zero_perturbation_coincides_with_ruled():
     _, ruled_rows = cli.cmd_scan("ruled", grid=3)
     _, zero_rows = cli.cmd_scan("perturbed-ruled:0.0,7", grid=3)
@@ -455,24 +464,6 @@ def _nan_at_second_call(value):
     return fake
 
 
-def test_nan_crosscheck_point_fails_its_grid(monkeypatch):
-    # The one Riemann pass returns a NaN tensor at its second row, the ruled
-    # grid's second point (the ruled grid's rows come first).
-    riemann = cli.cv._riemann
-
-    def nan_at_second_point(*args, **kwargs):
-        R, errors = riemann(*args, **kwargs)
-        R[1] = math.nan
-        return R, errors
-
-    monkeypatch.setattr(cli.cv, "_riemann", nan_at_second_point)
-    reports = {r.name: r for r in cli.cmd_crosscheck(grid=2)}
-    ruled = reports["crosscheck_ruled"]
-    assert ruled.status == "fail" and ruled.details["errors"] == 0
-    assert math.isnan(ruled.max_abs_residual)
-    assert reports["crosscheck_sphere"].status == "pass"
-
-
 RULED_CHECKS = ["ruled_deficit", "ruled_minimality", "ruled_alpha", "ruled_equality_basis", "ruled_form"]
 RULED_CHECKS += ["ruled_hopf_defect_positive"]
 SPHERE_CHECKS = ["sphere_deficit", "sphere_principal_curvatures", "sphere_hopf"]
@@ -480,7 +471,7 @@ SPHERE_CHECKS = ["sphere_deficit", "sphere_principal_curvatures", "sphere_hopf"]
 
 # The faulty charts of FAULT_CASES: a NaN chart computes no point, and a
 # near_singular_box puts 4 of its 8 grid points on its declared-singular edge,
-# the first 4 rows, where the frame is computable.
+# where the frame is computable.
 FAULTY_CHARTS = {
     "nan": lambda: perturbed_ruled_chart(math.nan, 0),
     "ruled-edge": lambda: near_singular_box(ruled_chart()),
@@ -541,234 +532,112 @@ def test_nan_sphere_deficit_fails_the_check(monkeypatch):
     assert reports["sphere_hopf"].status == "pass"
 
 
-def test_singular_stencil_metric_is_a_flagged_point_not_a_usage_error():
-    # The ruled grid point u = 0.3 puts a stencil axis neighbour on u = 0.
-    ruled = _printed(["crosscheck", "--grid", "2", "--step", "0.3"], 1)[1]["reports"][0]
-    assert ruled["checkName"] == "crosscheck_ruled" and ruled["details"]["errors"] == 4
-    # The one-pass rows flag each such point with the exception's own class
-    # name.
-    ((flags, gaps, planes),) = cli._crosscheck_rows([(ruled_chart(), [])], 2, 0.3)
-    assert flags.tolist() == ["SingularMetric"] * 4 + ["ok"] * 4 and planes == []
+def _nan_at_second_point(*args, riemann=cv._riemann):
+    """The one Riemann pass with a NaN tensor at its second row, the ruled grid's second point."""
+    R, errors = riemann(*args)
+    R[1] = math.nan
+    return R, errors
 
 
-def test_an_all_singular_chart_flags_every_crosscheck_point_quietly():
-    # The holomorphic-plane point skips the grid's mask, so it reaches the
-    # stencil mask, which rejects it for the same singular locus.
-    base = ruled_chart()
-    chart = dataclasses.replace(base, name="nowhere", is_singular=lambda Q: np.ones(Q.shape[:-1], bool))
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        ((flags, gaps, planes),) = cli._crosscheck_rows([(chart, [cli.HOLOMORPHIC_POINT])], 2, 1e-3)
-    assert flags.tolist() == ["singular"] * 8 and np.isnan(gaps).all()
-    ((value, details),) = planes
-    assert math.isnan(value)
-    assert details["error"] == (
-        "SingularMetric: chart 'nowhere' at (0.3, 0.7, 0.4): stencil centre or axis neighbour in the singular locus"
-    )
+def _failed_stencils(message):
+    """Every centre of the one Riemann pass fails with ``message``."""
+
+    def failed(G, errors, h):
+        return np.full((len(errors), 3, 3, 3, 3), math.nan), [message] * len(errors)
+
+    return cv, "_riemann", failed
 
 
-def _builtin_crosscheck_charts(*near_singular: str) -> list:
-    """``cmd_crosscheck``'s (chart, extra) pairs, each chart whose family is
-    named in ``near_singular`` sampled on its ``near_singular_box``."""
-    pairs = [(ruled_chart(), []), (sphere_chart(math.pi / 4), [cli.HOLOMORPHIC_POINT])]
-    return [(near_singular_box(c) if c.name.split(":")[0] in near_singular else c, e) for c, e in pairs]
+def _flagged_shapes(flag, rows):
+    """The one shape pass flags its rows ``rows(centres)`` with ``flag``, NaN in their arrays."""
 
-
-def _live_points(chart, extra, grid=2) -> list:
-    """The points of one chart that reach the crosscheck kernels: its grid
-    points outside the singular locus, then ``extra``."""
-    params, flags = cli._grid_points(chart, grid)
-    return [q for q, f in zip(params, flags) if f == "ok"] + extra
-
-
-@pytest.mark.parametrize("flagged", ["ruled", "sphere"])
-def test_only_ok_crosscheck_rows_enter_the_stacked_inverse(flagged, monkeypatch):
-    # Four grid points of one chart are in the singular locus, so their table
-    # rows are NaN.  The pass inverts two matrix stacks, the centre metrics and
-    # the frame coeffs; each is finite and holds exactly the rows of the 4 ok
-    # grid points, the other chart's 8 and the holomorphic-plane point, in
-    # order.  The ok gaps are those of the full pass.
-    charts = _builtin_crosscheck_charts(flagged)
-    live = [(c, _live_points(c, e)) for c, e in charts]
-    metrics = np.concatenate([cv._stencil_metric(c, qs, 1e-3)[0][:, 0] for c, qs in live])
-    coeffs = np.concatenate([shape_operator_grid(c, qs).coeffs for c, qs in live])
-    inv, inverted = np.linalg.inv, []
-    monkeypatch.setattr(np.linalg, "inv", lambda a: inverted.append(np.asarray(a)) or inv(a))
-    rows = cli._crosscheck_rows(charts, 2, 1e-3)
-    stacks = [a for a in inverted if a.ndim == 3]
-    assert [len(a) for a in stacks] == [4 + 8 + 1] * 2 and all(np.isfinite(a).all() for a in stacks)
-    assert [a.tobytes() for a in stacks] == [metrics.tobytes(), coeffs.tobytes()]
-    for (chart, _), (flags, gaps, planes) in zip(charts, rows):
-        assert flags.tolist().count("ok") == (4 if chart.name.startswith(flagged) else 8)
-        assert flags.tolist().count("singular") == 8 - flags.tolist().count("ok")
-        assert np.isnan(gaps[flags == "singular"]).all() and (gaps[flags == "ok"] < 1e-4).all()
-    ((value, details),) = rows[1][2]
-    assert rows[0][2] == [] and abs(value - 5.0) < 1e-4 and details == {}
-
-
-def _row_by_row(chart):
-    """``chart`` with wrapped callables, so its ``jet`` falls back to row-by-row calls."""
-    return dataclasses.replace(chart, evaluate=lambda *q: chart.evaluate(*q), partials=lambda *q: chart.partials(*q))
-
-
-@pytest.mark.parametrize(
-    "charts, step",
-    [
-        (lambda: _builtin_crosscheck_charts("ruled", "sphere"), 1e-3),
-        (_builtin_crosscheck_charts, 0.37),
-        (lambda: [(_row_by_row(c), e) for c, e in _builtin_crosscheck_charts()], 1e-3),
-    ],
-    ids=["near-singular-boxes", "step-0.37", "row-by-row-jets"],
-)
-def test_each_charts_rows_of_the_one_pass_are_its_single_chart_kernels_bitwise(charts, step, monkeypatch):
-    # Masked grid rows, stencil neighbours in the singular locus (four flagged
-    # SingularMetric per chart at step 0.37) and charts without an array jet:
-    # each chart's index range of the one shape pass and the one Riemann pass
-    # is shape_operator_grid and intrinsic_riemann_batch on that chart alone.
-    charts, seen = charts(), {}
-
-    def record(owner, name):
-        kernel = getattr(owner, name)
-        monkeypatch.setattr(owner, name, lambda *args: seen.setdefault(name, kernel(*args)))
-
-    record(cli, "_shape_grid")
-    record(cli.cv, "_riemann")
-    cli._crosscheck_rows(charts, 2, step)
-    monkeypatch.undo()  # the single-chart references run the kernels unrecorded
-    shapes, (R, errors) = seen["_shape_grid"], seen["_riemann"]
-    end, failed = 0, 0
-    for chart, extra in charts:
-        qs = _live_points(chart, extra)
-        rows, end = slice(end, end + len(qs)), end + len(qs)
-        ref = shape_operator_grid(chart, qs)
-        assert shapes.flags[rows].tolist() == ref.flags.tolist()
-        for got, want in zip((shapes.A, shapes.P, shapes.xi, shapes.coeffs), (ref.A, ref.P, ref.xi, ref.coeffs)):
-            assert got[rows].tobytes() == want.tobytes()
-        ref_R, ref_errors = cv.intrinsic_riemann_batch(chart, qs, step)
-        assert R[rows].tobytes() == ref_R.tobytes()
-        assert [e and f"chart {chart.name!r} at {q}: {e}" for q, e in zip(qs, errors[rows])] == ref_errors
-        failed += sum(e is not None for e in ref_errors)
-    assert end == len(shapes.flags) == len(R) and failed == (8 if step == 0.37 else 0)
-
-
-def test_singular_holomorphic_plane_stencil_fails_its_check(monkeypatch):
-    # Every centre of the one Riemann pass fails, so the holomorphic-plane row
-    # carries its message, under the sphere chart's prefix, as a SingularMetric.
-    def singular(G, errors, h):
-        return np.full((len(errors), 3, 3, 3, 3), math.nan), ["singular metric on the stencil"] * len(errors)
-
-    monkeypatch.setattr(cli.cv, "_riemann", singular)
-    hol = cli.cmd_crosscheck(grid=2)[-1]
-    assert hol.name == "crosscheck_sphere_holomorphic_plane" and hol.status == "fail"
-    assert math.isnan(hol.max_abs_residual)
-    where = f"chart {sphere_chart(math.pi / 4).name!r} at {cli.HOLOMORPHIC_POINT}"
-    assert hol.details["error"] == f"SingularMetric: {where}: singular metric on the stencil"
-
-
-def test_crosscheck_never_calls_the_per_point_shape_operator(tmp_path, monkeypatch):
-    def per_point(*args, **kwargs):
-        raise AssertionError("crosscheck called the per-point shape operator")
-
-    monkeypatch.setattr(cli, "shape_operator", per_point)
-    run_case(["crosscheck", "--grid", "2"], 0, "crosscheck_g2.json", tmp_path)
-
-
-def test_a_flagged_holomorphic_plane_shape_fails_its_check(monkeypatch):
-    # The chart-free shape pass flags the row whose q is the holomorphic-plane
-    # point, found by its centre's point on the sphere chart: the last of the
-    # 17 rows.  The two grids of 8 points keep their shapes, and the flagged
-    # row counts as no grid error.
-    kernel, flagged = cli._shape_grid, []
-    (hol_point,), _ = sphere_chart(math.pi / 4).jet(np.array([cli.HOLOMORPHIC_POINT]))
-
-    def flag_holomorphic_point(p, D, *args):
-        g = kernel(p, D, *args)
-        centres = p.reshape(-1, 7, 3)[:, 0]
-        for k in np.flatnonzero((centres == hol_point).all(axis=1)).tolist():
-            flagged.append((k, len(centres)))
-            g.flags[k] = "RankDeficient"
-            for x in (g.A, g.P, g.xi, g.coeffs):
-                x[k] = math.nan
-        return g
-
-    monkeypatch.setattr(cli, "_shape_grid", flag_holomorphic_point)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        *grids, hol = cli.cmd_crosscheck(grid=2)
-    assert flagged == [(16, 17)]
-    assert [r.status for r in grids] == ["pass", "pass"]
-    assert [r.details["errors"] for r in grids] == [0, 0]
-    assert hol.name == "crosscheck_sphere_holomorphic_plane" and hol.status == "fail"
-    assert math.isnan(hol.max_abs_residual) and math.isnan(hol.details["value"])
-    assert hol.details["error"] == "RankDeficient"
-
-
-def test_a_shape_flag_precedes_a_failed_stencil(monkeypatch):
-    # The shape pass flags every row and every stencil fails: each point, the
-    # holomorphic-plane one included, keeps its shape's flag.
-    shape_grid = cli._shape_grid
-
-    def flag_every_row(p, D, *args):
-        g = shape_grid(p, D, *args)
-        g.flags[:] = "AsymmetryExceeded"
+    def flagged(p, D, *h, kernel=cli._shape_grid):
+        g, k = kernel(p, D, *h), rows(p.reshape(-1, 7, 3)[:, 0])
+        g.flags[k] = flag
         for x in (g.A, g.P, g.xi, g.coeffs):
-            x[:] = math.nan
+            x[k] = math.nan
         return g
 
-    def fail_every_stencil(G, errors, h):
-        return np.full((len(errors), 3, 3, 3, 3), math.nan), ["singular metric at the centre"] * len(errors)
-
-    monkeypatch.setattr(cli, "_shape_grid", flag_every_row)
-    monkeypatch.setattr(cli.cv, "_riemann", fail_every_stencil)
-    (ruled, _, none), (sphere, _, planes) = cli._crosscheck_rows(_builtin_crosscheck_charts(), 2, 1e-3)
-    assert ruled.tolist() == sphere.tolist() == ["AsymmetryExceeded"] * 8 and none == []
-    ((value, details),) = planes
-    assert math.isnan(value) and details == {"error": "AsymmetryExceeded"}
+    return cli, "_shape_grid", flagged
 
 
-def test_crosscheck_maps_each_chart_once_and_runs_each_kernel_once(monkeypatch):
-    # One chart.jet call per chart, at its 7 shape-stencil rows and 19
-    # metric-stencil rows per point (the sphere's 9th point is the
-    # holomorphic-plane point, whose centre is row 7 * 8 of its jet); then one
-    # chart-free shape pass, Gram pass, Riemann pass and Gauss pullback on the
-    # 17 rows of both charts.
-    calls, jet = [], SurfaceChart.jet
-
-    def mapped(chart, Q):
-        calls.append(("jet", chart.name, len(Q), tuple(Q[7 * 8].tolist()) == cli.HOLOMORPHIC_POINT))
-        return jet(chart, Q)
-
-    def counted(owner, name, rows):
-        kernel = getattr(owner, name)
-        monkeypatch.setattr(owner, name, lambda *args: calls.append((name, rows(*args))) or kernel(*args))
-
-    monkeypatch.setattr(SurfaceChart, "jet", mapped)
-    counted(cli, "_shape_grid", lambda p, D, *h: len(p) // 7)
-    counted(cli.cv, "_stencil_gram", lambda p, D, errors: len(errors))
-    counted(cli.cv, "_riemann", lambda G, errors, h: len(G))
-    counted(cli.cv, "gauss_riemann_coords", lambda coeffs, T: len(coeffs))
-    reports = cli.cmd_crosscheck(grid=2)
-    assert [r.status for r in reports] == ["pass"] * 3
-    sphere = sphere_chart(math.pi / 4).name
-    assert calls == [
-        ("jet", "ruled", 8 * (7 + 19), False),
-        ("jet", sphere, 9 * (7 + 19), True),
-        ("_shape_grid", 17),
-        ("_stencil_gram", 17),
-        ("_riemann", 17),
-        ("gauss_riemann_coords", 17),
-    ]
+def _holomorphic_row(centres):
+    """The row of the 17 whose centre is the sphere chart's point at the plane point: the last."""
+    (point,), _ = sphere_chart(math.pi / 4).jet(np.array([cli.HOLOMORPHIC_POINT]))
+    rows = np.flatnonzero((centres == point).all(axis=1)).tolist()
+    assert (rows, len(centres)) == ([16], 17)
+    return rows
 
 
-def test_crosscheck_step_below_the_parameter_resolution_flags_every_point():
+def _nowhere(radius):
+    """In the sphere chart's place the ruled chart, named 'nowhere' and singular everywhere:
+    the plane point skips the grid's mask, so the stencil mask rejects it for that locus."""
+    return dataclasses.replace(ruled_chart(), name="nowhere", is_singular=lambda Q: np.ones(Q.shape[:-1], bool))
+
+
+OK4, OK8, SM4, SM8 = ["ok"] * 4, ["ok"] * 8, ["SingularMetric"] * 4, ["SingularMetric"] * 8
+PASSED, PLANE_PASSED, PLANE_FAILED = ("pass", 0, "finite"), ("pass", None, "finite"), ("fail", None, "nan")
+FAILED4 = ("fail", 4, "finite")
+FAILED = [("fail", 8, "inf"), ("fail", 8, "inf"), PLANE_FAILED]
+SPHERE = f"SingularMetric: chart {sphere_chart(math.pi / 4).name!r} at {cli.HOLOMORPHIC_POINT}"
+
+# Each crosscheck run with flagged points, once: its patches (owner, name and
+# replacement: kernel faults or a chart factory; none for a step alone), the
+# step, each grid's flags, the status, errors and residual (finite, nan or inf)
+# of each report (ruled grid, sphere grid, holomorphic plane) and the plane's
+# error.
+CROSSCHECK_CASES = {
+    "nan-riemann-row": (
+        [(cv, "_riemann", _nan_at_second_point)], 1e-3, [OK8, OK8], [("fail", 0, "nan"), PASSED, PLANE_PASSED], None
+    ),
+    # The ruled grid point u = 0.3 puts a stencil axis neighbour on u = 0.
+    "step-0.3": ([], 0.3, [SM4 + OK4, (SM4[:2] + OK4[:2]) * 2], [FAILED4, FAILED4, ("fail", None, "finite")], None),
+    "nowhere-sphere": (
+        [(cli, "sphere_chart", _nowhere)], 1e-3, [OK8, ["singular"] * 8], [PASSED, ("fail", 8, "inf"), PLANE_FAILED],
+        "SingularMetric: chart 'nowhere' at (0.3, 0.7, 0.4): stencil centre or axis neighbour in the singular locus",
+    ),
+    # The plane row carries the stencil's message under the sphere chart's prefix.
+    "failed-stencils": (
+        [_failed_stencils("singular metric on the stencil")], 1e-3, [SM8, SM8], FAILED,
+        f"{SPHERE}: singular metric on the stencil",
+    ),
+    # The flagged plane row counts as no grid error.
+    "flagged-plane-shape": (
+        [_flagged_shapes("RankDeficient", _holomorphic_row)], 1e-3, [OK8, OK8], [PASSED, PASSED, PLANE_FAILED],
+        "RankDeficient",
+    ),
+    # Each point, the plane's included, keeps its shape's flag.
+    "shape-flag-before-failed-stencil": (
+        [_flagged_shapes("AsymmetryExceeded", lambda c: ...), _failed_stencils("singular metric at the centre")], 1e-3,
+        [["AsymmetryExceeded"] * 8] * 2, FAILED, "AsymmetryExceeded",
+    ),
     # Below the resolution the stencil collapses onto q: the residual would be
-    # NaN (h^2 = 0) or the bare Gauss tensor (intrinsic R = 0).  The golden
-    # report of step 1e-200 holds the same counts.
-    payload = _printed(["crosscheck", "--grid", "2", "--step", "1e-150"], 1)[1]
-    ruled, sphere, hol = payload["reports"]
-    assert ruled["details"]["errors"] == sphere["details"]["errors"] == 8
-    assert hol["details"]["error"].startswith("SingularMetric: ")
-    assert payload["summary"]["errors"] == 16
+    # NaN (h^2 = 0) or the bare Gauss tensor (intrinsic R = 0).
+    "step-1e-150": ([], 1e-150, [SM8, SM8], FAILED, f"{SPHERE}: step 1e-150 below the parameter resolution"),
+}
+
+
+@pytest.mark.parametrize("patches, step, flags, reports, error", CROSSCHECK_CASES.values(), ids=list(CROSSCHECK_CASES))
+def test_crosscheck_reports_exactly_its_flagged_points(patches, step, flags, reports, error, monkeypatch):
+    # Each grid report counts its flagged points, whose gaps are NaN; the
+    # plane report's value is NaN exactly when it has an error; run_report
+    # counts each grid's errors once.
+    for owner, name, replacement in patches:
+        monkeypatch.setattr(owner, name, replacement)
+    rows, crosscheck_rows = [], cli._crosscheck_rows
+    monkeypatch.setattr(cli, "_crosscheck_rows", lambda *args: rows.extend(crosscheck_rows(*args)) or rows)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = cli.cmd_crosscheck(grid=2, step=step)
+    residuals = [r.max_abs_residual for r in got]
+    kinds = ["nan" if math.isnan(x) else "inf" if math.isinf(x) else "finite" for x in residuals]
+    assert [(r.status, r.details.get("errors"), kind) for r, kind in zip(got, kinds)] == reports
+    assert got[-1].name == "crosscheck_sphere_holomorphic_plane" and rows[0][2] == []
+    assert [f.tolist() for f, _, _ in rows] == flags
+    for r, (f, gaps, _) in zip(got, rows):
+        assert r.details["errors"] == np.sum(f != "ok") and np.isnan(gaps[f != "ok"]).all()
+    assert (got[-1].details.get("error"), math.isnan(got[-1].details["value"])) == (error, error is not None)
+    assert run_report("crosscheck", {}, got)["summary"]["errors"] == sum(r.details.get("errors", 0) for r in got)
 
 
 @pytest.mark.parametrize(

@@ -1,8 +1,5 @@
-import dataclasses
-import functools
 import math
 import random
-import sys
 import types
 import warnings
 
@@ -11,7 +8,7 @@ import pytest
 
 from cp2ricci import curvature as cv
 from cp2ricci.charts import perturbed_ruled_chart, ruled_chart, sphere_chart
-from cp2ricci.frames import RankDeficient, build_frame
+from cp2ricci.frames import build_frame
 from cp2ricci.shape import ShapeData, shape_operator, shape_operator_grid
 from helpers import box_grid, flip_normal, gauss_riemann_per_shape, induced_metric, intrinsic_riemann, riemann_gauss
 
@@ -361,20 +358,6 @@ def test_intrinsic_riemann_symmetries(chart):
         assert np.max(np.abs(r - r.transpose(2, 3, 0, 1))) < 1e-12 * scale
 
 
-def test_intrinsic_riemann_evaluates_the_metric_at_19_points():
-    chart = ruled_chart()
-    points = []
-
-    def evaluate(*q):
-        points.append(q)
-        return chart.evaluate(*q)
-
-    counted = dataclasses.replace(chart, evaluate=evaluate)
-    r = intrinsic_riemann(counted, (0.6, 1.0, 2.0))
-    assert len(points) == len(set(points)) == 19
-    assert np.array_equal(r, intrinsic_riemann(chart, (0.6, 1.0, 2.0)))
-
-
 def _per_point_intrinsic_riemann(chart, q, h=1e-3):
     """The curvature formula transcribed index by index on one
     ``induced_metric`` call per stencil point q + h k:
@@ -458,135 +441,6 @@ def test_stacked_stencil_metrics_are_exactly_symmetric(chart):
     assert np.array_equal(G, G.swapaxes(-1, -2))
 
 
-@pytest.mark.parametrize(
-    "chart", [ruled_chart(), sphere_chart(math.pi / 4), perturbed_ruled_chart(0.05, 3)], ids=lambda c: c.name
-)
-def test_batched_riemann_equals_each_centre_alone(chart):
-    qs = list(box_grid(chart.sample_box, 3))
-    R, errors = cv.intrinsic_riemann_batch(chart, qs)
-    assert R.shape == (27, 3, 3, 3, 3) and errors == [None] * 27
-    for q, r in zip(qs, R):
-        assert np.array_equal(r, intrinsic_riemann(chart, q))
-
-
-def _mixed_chart():
-    """The ruled chart with a declared singular locus at u = 1.2 only (so
-    u = 0, where the metric is singular, is computed) and a NaN point at
-    (0.6, 1.5, 2.0)."""
-    base = ruled_chart()
-
-    def evaluate(*q):
-        return np.full(3, complex(math.nan)) if q == (0.6, 1.5, 2.0) else base.evaluate(*q)
-
-    return dataclasses.replace(base, evaluate=evaluate, is_singular=lambda Q: abs(Q[..., 0] - 1.2) < 1e-3)
-
-
-def test_a_batch_flags_exactly_its_bad_centres():
-    chart = _mixed_chart()
-    good = [(0.6, 1.0, 2.0), (0.9, 0.4, 1.1), (0.3, 2.0, 0.5)]
-    bad = {
-        (1.2, 1.0, 2.0): "stencil centre or axis neighbour in the singular locus",
-        (0.6, 1.5, 2.0): "non-finite metric on the stencil",
-        (0.0, 1.0, 2.0): "singular metric at the centre",
-    }
-    qs = [good[0], *bad, good[1], good[2]]
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        R, errors = cv.intrinsic_riemann_batch(chart, qs)
-    for q, r, error in zip(qs, R, errors):
-        if q in bad:
-            assert error == f"chart 'ruled' at {q}: {bad[q]}"
-            assert np.isnan(r).all()
-            with pytest.raises(cv.SingularMetric, match=bad[q]):
-                intrinsic_riemann(chart, q)
-        else:
-            assert error is None
-            assert np.array_equal(r, intrinsic_riemann(chart, q))
-
-
-def test_a_batch_calls_the_chart_19_times_per_evaluated_centre():
-    calls = {"evaluate": [], "partials": []}
-
-    def counted(name, f):
-        return lambda *q: calls[name].append(q) or f(*q)
-
-    base = _mixed_chart()
-    chart = dataclasses.replace(
-        base, evaluate=counted("evaluate", base.evaluate), partials=counted("partials", base.partials)
-    )
-    qs = [(0.6, 1.0, 2.0), (1.2, 1.0, 2.0), (0.9, 0.4, 1.1)]
-    _, errors = cv.intrinsic_riemann_batch(chart, qs)
-    assert [e is None for e in errors] == [True, False, True]
-    stencils = [tuple(x) for q in (qs[0], qs[2]) for x in (np.array(q) + 1e-3 * cv.K).tolist()]
-    assert calls["evaluate"] == calls["partials"] == stencils
-    # No call at all for a batch of rejected centres, or of none.
-    for h, rejected in ((1e-200, qs), (1e-3, [qs[1]]), (1e-3, [])):
-        for made in calls.values():
-            made.clear()
-        R, errors = cv.intrinsic_riemann_batch(chart, rejected, h)
-        assert R.shape == (len(rejected), 3, 3, 3, 3) and all(errors)
-        assert calls == {"evaluate": [], "partials": []}
-
-
-def _calls_of(functions, run):
-    """``run()`` and the number of calls it made of each Python function in
-    ``functions``, counted by the profiler hook (the functions stay as they are)."""
-    counts = {f.__code__: 0 for f in functions}
-
-    def hook(frame, event, arg):
-        if event == "call" and frame.f_code in counts:
-            counts[frame.f_code] += 1
-
-    previous = sys.getprofile()
-    sys.setprofile(hook)
-    try:
-        result = run()
-    finally:
-        sys.setprofile(previous)
-    return result, [counts[f.__code__] for f in functions]
-
-
-def _replaced_charts(base):
-    """``base`` with its evaluate replaced, with its partials replaced, and
-    with both wrapped by ``functools.wraps`` (which copies the array-map record)."""
-
-    def evaluate(*q):
-        return base.evaluate(*q)
-
-    def partials(*q):
-        return base.partials(*q)
-
-    @functools.wraps(base.evaluate)
-    def wrapped_evaluate(*q):
-        return base.evaluate(*q)
-
-    @functools.wraps(base.partials)
-    def wrapped_partials(*q):
-        return base.partials(*q)
-
-    assert wrapped_evaluate.array_jet == base.evaluate.array_jet
-    return {
-        "evaluate": dataclasses.replace(base, evaluate=evaluate),
-        "partials": dataclasses.replace(base, partials=partials),
-        "wrapped": dataclasses.replace(base, evaluate=wrapped_evaluate, partials=wrapped_partials),
-    }
-
-
-@pytest.mark.parametrize("base", [ruled_chart(), sphere_chart(math.pi / 4)], ids=lambda c: c.name)
-@pytest.mark.parametrize("replaced", ["evaluate", "partials", "wrapped"])
-def test_a_replaced_or_wrapped_builtin_chart_is_called_19_times_per_centre(base, replaced):
-    chart = _replaced_charts(base)[replaced]
-    lo, hi = np.array(base.sample_box.lo), np.array(base.sample_box.hi)
-    qs = [tuple(lo + f * (hi - lo)) for f in (0.2, 0.5, 0.7)]
-    (R, errors), calls = _calls_of(
-        [chart.evaluate, chart.partials], lambda: cv.intrinsic_riemann_batch(chart, qs)
-    )
-    assert errors == [None] * 3 and calls == [19 * 3, 19 * 3]
-    # Row by row, the same bits as the builtin array map.
-    (expected, _), calls = _calls_of([base.evaluate, base.partials], lambda: cv.intrinsic_riemann_batch(base, qs))
-    assert calls == [0, 0] and np.array_equal(R, expected)
-
-
 @pytest.mark.parametrize("chart", [ruled_chart(), sphere_chart(math.pi / 4)], ids=lambda c: c.name)
 def test_batched_gauss_pullback_equals_the_per_point_pullback_bitwise(chart):
     qs = list(box_grid(chart.sample_box, 5))
@@ -642,76 +496,6 @@ def test_intrinsic_riemann_converges_at_second_order():
         errors = [np.max(np.abs(intrinsic_riemann(chart, q, h) - exact)) for h in (4e-3, 2e-3, 1e-3)]
         for coarse, fine in zip(errors, errors[1:]):
             assert 3.9 < coarse / fine < 4.1
-
-
-def test_singular_stencil_metric_raises_singular_metric():
-    # u = 0.3 with h = 0.3 puts an axis neighbour on u = 0, where the
-    # t-partial vanishes and the metric is singular.
-    with pytest.raises(cv.SingularMetric):
-        intrinsic_riemann(ruled_chart(), (0.3, 1.0, 2.0), h=0.3)
-    with pytest.raises(cv.SingularMetric):
-        intrinsic_riemann(perturbed_ruled_chart(math.nan, 0), (0.6, 1.0, 2.0))
-    assert issubclass(cv.SingularMetric, RankDeficient)
-
-
-@pytest.mark.parametrize("h", [1e-200, 1e-150, 1e-17])
-def test_step_below_the_parameter_resolution_raises_singular_metric(h):
-    # q +- h e_a rounds to q, so the differences would read 0 or 0/0.
-    with pytest.raises(cv.SingularMetric, match="below the parameter resolution"):
-        intrinsic_riemann(ruled_chart(), (0.6, 1.0, 2.0), h=h)
-    with pytest.raises(cv.SingularMetric, match="below the parameter resolution"):
-        intrinsic_riemann(sphere_chart(math.pi / 4), (0.3, 0.7, 0.4), h=h)
-
-
-@pytest.mark.parametrize(
-    "chart", [ruled_chart(), sphere_chart(math.pi / 4), perturbed_ruled_chart(0.05, 0)], ids=lambda c: c.name
-)
-def test_a_non_finite_stencil_centre_or_step_is_flagged_quietly(chart):
-    # A non-finite step fails every centre, a non-finite coordinate (on the
-    # singular axis or off it) its own centre alone, before the step's
-    # resolution or the singular locus is looked at: no warning, no exception,
-    # and a finite centre of the same batch keeps its one-centre bits.
-    message = "non-finite stencil centre, step or neighbour"
-    good = (0.3, 0.7, 0.4) if chart.name.startswith("sphere") else (0.6, 1.0, 2.0)
-    bad = [(*good[:a], x, *good[a + 1 :]) for x in (math.inf, -math.inf, math.nan) for a in range(3)]
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        for h in (math.inf, -math.inf, math.nan):
-            R, errors = cv.intrinsic_riemann_batch(chart, [good], h)
-            assert errors == [f"chart {chart.name!r} at {good}: {message}"] and np.isnan(R).all()
-        R, errors = cv.intrinsic_riemann_batch(chart, [*bad, good])
-    assert errors == [f"chart {chart.name!r} at {q}: {message}" for q in bad] + [None]
-    assert np.isnan(R[:-1]).all() and np.array_equal(R[-1], intrinsic_riemann(chart, good))
-
-
-def test_underflowing_step_squared_raises_singular_metric():
-    # At q = 0 every neighbour +-h e_a is distinct from q, but h^2 is
-    # subnormal; nothing is evaluated.
-    def evaluate(*q):
-        raise AssertionError("evaluated")
-
-    chart = dataclasses.replace(ruled_chart(), evaluate=evaluate, is_singular=lambda Q: np.zeros(Q.shape[:-1], bool))
-    for h in (1e-160, 1e-155):
-        with pytest.raises(cv.SingularMetric, match="below the parameter resolution"):
-            intrinsic_riemann(chart, (0.0, 0.0, 0.0), h=h)
-
-
-def test_singular_metric_at_the_centre_raises_singular_metric():
-    # With no declared singular locus, the centre u = 0 is computed: its
-    # t-partial vanishes, so the metric there has a zero row.
-    chart = dataclasses.replace(ruled_chart(), is_singular=lambda Q: np.zeros(Q.shape[:-1], bool))
-    assert np.linalg.matrix_rank(induced_metric(chart, (0.0, 1.0, 2.0))) < 3
-    with pytest.raises(cv.SingularMetric, match="singular metric at the centre"):
-        intrinsic_riemann(chart, (0.0, 1.0, 2.0))
-
-
-def test_stencil_centre_in_the_singular_locus_raises_singular_metric():
-    # The centre (0.0005, 1, 2) is inside the ruled chart's declared singular
-    # margin although its metric is invertible.
-    chart = ruled_chart()
-    assert chart.singular(np.array([0.0005, 1.0, 2.0]))
-    with pytest.raises(cv.SingularMetric):
-        intrinsic_riemann(chart, (0.3005, 1.0, 2.0), h=0.3)
 
 
 def test_ricci_selfcheck_runs():

@@ -138,12 +138,21 @@ def test_multiple_reports_the_monomial_factor_or_why_there_is_none():
     assert checks._multiple(f + 1, f) == {"divisible": False}
 
 
-def test_resultant_matches_factored_target_exactly():
-    ok, detail = checks.check_resultant()
-    assert ok
-    assert detail["sign"] == 1  # regression: our row order reproduces it
-    assert detail["total_degree"] == 26
-    assert detail["n_terms"] == 21
+@pytest.mark.parametrize(
+    "target, ok, detail",
+    [
+        (lambda t: t, True, {"sign": 1, "total_degree": 26, "n_terms": 21}),  # our row order reproduces the sign
+        (lambda t: -t, True, {"sign": -1, "total_degree": 26, "n_terms": 21}),
+        (lambda t: t + 1, False, {"computed_terms": 21, "matches": False}),
+    ],
+    ids=["target", "negated-target", "target-plus-1"],
+)
+def test_resultant_matches_its_target_up_to_sign(target, ok, detail, monkeypatch):
+    monkeypatch.setattr(ids, "RESULTANT_TARGET", target(ids.RESULTANT_TARGET))
+    got_ok, got = checks.check_resultant()
+    assert got_ok is ok and {k: got[k] for k in detail} == detail and (ok or got == detail)
+    (report,) = cli.cmd_symbolic(["resultant"])
+    assert (report.status, report.max_abs_residual) == (("pass", EXACT_ZERO) if ok else ("fail", math.inf))
 
 
 def _arithmetic(text: str, names: dict):

@@ -132,11 +132,6 @@ def test_constant_value_stays_a_fraction():
     assert all(type(c) is Fraction and c == Fraction(1, 2) for c in half.terms.values())
 
 
-def test_exact_divide_rejects_nondivisible():
-    assert exact_divide(X**2 + 1, X + 1) is None
-    assert exact_divide(X * Y + 1, X) is None
-
-
 def test_exact_divide_by_constant():
     assert exact_divide(2 * X + 4, MPoly.const(2, VARS)) == X + 2
 
@@ -168,8 +163,6 @@ def test_subs_poly():
     assert p.subs_poly("x", Y) == Y**2 - Y
     assert p.subs_poly("x", 3) == 9 - Y
     assert p.subs_poly("x", MPoly.zero(VARS)) == -Y == p.subs_poly("x", 0)
-    with pytest.raises(TypeError):
-        p.subs_poly("x", 2.5)
 
 
 @pytest.mark.parametrize("x", [3, -2, 0, Fraction(-5, 3)])
@@ -195,12 +188,6 @@ def test_evaluate_matches_substitution():
     p = X**2 * Y - Z + Fraction(1, 2)
     val = p.evaluate({"x": 2, "y": Fraction(1, 3), "z": -1})
     assert val == Fraction(4, 3) + 1 + Fraction(1, 2)
-
-
-def test_mixed_ring_rejected():
-    a, = variables("a")
-    with pytest.raises(ValueError):
-        _ = X + a
 
 
 @st.composite
@@ -256,13 +243,6 @@ def test_monomial_divisibility_is_fieldwise(a, b):
         assert got == MPoly(VARS, {tuple(x - y for x, y in zip(a, b)): Fraction(3, 2)})
     else:
         assert got is None
-
-
-def test_negative_exponent_is_rejected():
-    with pytest.raises(ValueError):
-        MPoly(("x", "y"), {(-1, 2): 3})
-    with pytest.raises(ValueError):
-        MPoly(VARS, {(2, 0, -1): 0})
 
 
 def test_degrees_beyond_the_field_overflow_instead_of_wrapping():
@@ -391,15 +371,6 @@ def test_sum_of_products_is_the_chained_sum(data):
     assert cancelled.is_zero() and not cancelled.terms
 
 
-def test_sum_of_products_rejects_mixed_rings():
-    (a,) = variables("a")
-    for pairs in ([(X, a, 1)], [(a, X, -1)], [(X, Y, 1), (X, a, 1)]):
-        with pytest.raises(ValueError):
-            sum_of_products(VARS, pairs)
-    with pytest.raises(ValueError):
-        sum_of_products(("a",), [(X, Y, 1)])
-
-
 def test_exact_divide_when_a_remainder_term_cancels_mid_division():
     # x^2 - y^2 by x + y: the first step leaves -x*y - y^2, and the second
     # step's y^2 term cancels the remainder's.
@@ -472,3 +443,41 @@ def test_exact_divide_by_a_monomial_is_the_termwise_quotient(q, t, e):
         assert got == t + MPoly(VARS, {tuple(x - y for x, y in zip(e, d)): Fraction(5) / c})
     else:
         assert got is None
+
+
+(A,) = variables("a")
+
+# Each input MPoly checks and each display it writes, once: an expression and the
+# exception it raises, or its value.
+MPOLY_INPUT_CASES = {
+    "exponents of the wrong length": (lambda: MPoly(VARS, {(1, 2): 3}), ValueError),
+    "a negative exponent": (lambda: MPoly(("x", "y"), {(-1, 2): 3}), ValueError),
+    "a negative exponent of a zero coefficient": (lambda: MPoly(VARS, {(2, 0, -1): 0}), ValueError),
+    "leading term of zero": (lambda: MPoly.zero(VARS).leading_term(), ValueError),
+    "a negative power": (lambda: X**-1, ValueError),
+    "a fractional power": (lambda: X**1.5, ValueError),
+    "evaluate without y": (lambda: (X + Y).evaluate({"x": 1, "z": 2}), ValueError),
+    "a sum across rings": (lambda: X + A, ValueError),
+    **{f"sum_of_products across rings {k}": (lambda pairs=pairs: sum_of_products(VARS, pairs), ValueError)
+       for k, pairs in enumerate(([(X, A, 1)], [(A, X, -1)], [(X, Y, 1), (X, A, 1)]))},
+    "sum_of_products in another ring": (lambda: sum_of_products(("a",), [(X, Y, 1)]), ValueError),
+    "exact_divide by zero": (lambda: exact_divide(X, MPoly.zero(VARS)), ZeroDivisionError),
+    "exact_divide, not a factor": (lambda: exact_divide(X**2 + 1, X + 1), None),
+    "exact_divide, not a factor of the constant": (lambda: exact_divide(X * Y + 1, X), None),
+    "p + str": (lambda: X + "a", TypeError),
+    "str - p": (lambda: "a" - X, TypeError),
+    "p * str": (lambda: X * "a", TypeError),
+    "subs_poly of a float": (lambda: (X**2 - Y).subs_poly("x", 2.5), TypeError),
+    "p == str": (lambda: X == "a", False),
+    "repr of x - y": (lambda: repr(X - Y), "x - y"),
+    "repr of -x": (lambda: repr(-X), "-x"),
+}
+
+
+@pytest.mark.parametrize("expression, outcome", MPOLY_INPUT_CASES.values(), ids=list(MPOLY_INPUT_CASES))
+def test_mpoly_input_checks_and_display(expression, outcome):
+    if isinstance(outcome, type):
+        with pytest.raises(outcome):
+            expression()
+    else:
+        assert expression() == outcome and type(expression()) is type(outcome)

@@ -1,6 +1,8 @@
 """The README agrees with the package: its custom-chart example runs as written, and its CLI
-synopsis and module map name what the parser, the surface and check tables and ``src`` hold."""
+synopsis and module map name what the parser, the surface and check tables and ``src`` hold, and its
+test section names every table of test cases."""
 
+import ast
 import os
 import re
 import subprocess
@@ -37,6 +39,14 @@ def test_cli_synopsis_names_every_symbolic_check_and_surface_as_the_parser_help_
     assert re.findall(r"^cp2ricci check (\w+)", synopsis, re.M) == action("check", "target").choices
     assert action("scan", "surface").help == surfaces
     assert action("symbolic", "names").help == f"subset to run (default all): {', '.join(checks)}, or 'all'"
+
+
+def test_install_and_test_names_every_case_table():
+    # Every module-level *_CASES table under tests/ is named where the README counts the tables.
+    modules = [ast.parse(p.read_text()).body for p in (README.parent / "tests").glob("*.py")]
+    targets = [t for body in modules for node in body if isinstance(node, ast.Assign) for t in node.targets]
+    tables = sorted({n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name) and n.id.endswith("_CASES")})
+    assert "CLI_CASES" in tables and [t for t in tables if f"`{t}`" not in _section("Install and test")] == []
 
 
 def test_module_map_has_one_row_per_module():

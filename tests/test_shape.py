@@ -10,7 +10,8 @@ from cp2ricci import curvature as cv
 from cp2ricci.charts import perturbed_ruled_chart, ruled_chart, sphere_chart
 from cp2ricci.frames import RankDeficient, build_frame
 from cp2ricci.shape import AsymmetryExceeded, ShapeData, shape_operator, shape_operator_grid
-from helpers import box_grid, flip_normal, moved, near_singular_box, rephased, reparametrized
+from helpers import box_grid, calls_of, crosscheck_pairs, flip_normal, induced_metric, intrinsic_riemann, mixed_chart
+from helpers import moved, near_singular_box, passthrough, rephased, reparametrized
 
 # Regression baseline: grid minimum of the Hopf defect over the default
 # 16^3 ruled box, frozen after the first full run.
@@ -195,7 +196,7 @@ def test_from_matrices_derived_scalars():
     assert max(invariant_residuals(s).values()) < 1e-15
 
 
-# -- the batched kernel against the per-point shape operator ---------------------
+# -- each batched kernel against its per-point reference ------------------------
 
 
 def _grid_against_per_point(chart, qs, h=1e-5):
@@ -218,77 +219,209 @@ def _grid_against_per_point(chart, qs, h=1e-5):
     return g.flags.tolist()
 
 
-@pytest.mark.parametrize(
-    "make",
-    [
-        ruled_chart,
-        lambda: sphere_chart(math.pi / 4),
-        lambda: sphere_chart(math.pi / 6),
-        lambda: perturbed_ruled_chart(0.05, 0),
-        lambda: perturbed_ruled_chart(0.2, 3),
-        lambda: sphere_chart(1.57),
-    ],
-    ids=["ruled", "sphere:pi/4", "sphere:pi/6", "perturbed-ruled:0.05,0", "perturbed-ruled:0.2,3", "sphere:1.57"],
-)
-def test_shape_operator_grid_is_the_per_point_shape_operator_bitwise(make):
-    chart = make()
-    assert _grid_against_per_point(chart, list(box_grid(chart.sample_box, 4))) == ["ok"] * 64
+def _batch_against_each_centre(chart, qs, h):
+    """``intrinsic_riemann_batch`` at ``qs``, checked against each centre alone
+    (``helpers.intrinsic_riemann``): the same bits, or NaN and the error that
+    the centre alone raises as a ``SingularMetric`` (a ``RankDeficient``),
+    prefixed "chart '<name>' at <q>: ".  Returns ``ok`` or each error's suffix."""
+    R, errors = cv.intrinsic_riemann_batch(chart, qs, h)
+    assert R.shape == (len(qs), 3, 3, 3, 3) and len(errors) == len(qs)
+    for q, r, error in zip(qs, R, errors):
+        if error is None:
+            assert intrinsic_riemann(chart, q, h).tobytes() == r.tobytes(), q
+            continue
+        assert error.startswith(f"chart {chart.name!r} at {q}: ") and np.isnan(r).all(), q
+        with pytest.raises(RankDeficient) as exc:
+            intrinsic_riemann(chart, q, h)
+        assert (type(exc.value), str(exc.value)) == (cv.SingularMetric, error), q
+    return [error.split(": ", 1)[1] if error else "ok" for error in errors]
 
 
-def test_shape_operator_grid_aligns_a_stencil_normal_across_the_sign_rule():
-    # Between t - h and t the normal's first component of largest modulus
-    # changes, so the sign rule flips the stencil normal at t - h.
-    chart, q = sphere_chart(math.pi / 4), (1.1, 1.2, 0.297095)
-    n = build_frame(chart, q).rows[4]
-    assert n.dot(build_frame(chart, (1.1, 1.2, q[2] - 1e-5)).rows[4]) < 0.0
-    assert _grid_against_per_point(chart, [q, (1.1, 1.2, 0.3)]) == ["ok", "ok"]
+def _one_pass_against_each_chart(pairs, grid, step):
+    """``cli._crosscheck_rows`` on the (chart, extra) ``pairs``: each chart's index range of
+    its one shape pass and one Riemann pass is, bitwise, ``shape_operator_grid`` and
+    ``intrinsic_riemann_batch`` on that chart alone, at its ok grid points and ``extra``.
+    The pass inverts two finite matrix stacks, the metrics of the accepted stencil centres and
+    the frame coeffs of the shaped rows, in that order.  A flagged point's gap is NaN; an ok
+    gap and an ok plane's |curvature - 5| are below 1e-4 (h / 1e-3)^2, the crosscheck tolerance
+    at its default step.  Returns each chart's grid flags, then each plane's error or ``ok``."""
+    rows, calls = calls_of(
+        lambda: cli._crosscheck_rows(pairs, grid, step),
+        {"shape": cli._shape_grid, "riemann": cv._riemann, "inv": np.linalg.inv.__wrapped__},
+    )
+    (shape_args,), (riemann_args,) = ([a for name, a in calls if name == kernel] for kernel in ("shape", "riemann"))
+    shapes, (R, errors) = cli._shape_grid(*shape_args), cv._riemann(*riemann_args)
+    end, metrics, coeffs, flags, bound = 0, [], [], [], 1e-4 * (step / 1e-3) ** 2
+    for (chart, extra), (chart_flags, gaps, planes) in zip(pairs, rows):
+        params, grid_flags = cli._grid_points(chart, grid)
+        qs = [q for q, f in zip(params, grid_flags) if f == "ok"] + extra  # the points that reach the kernels
+        at, end = slice(end, end + len(qs)), end + len(qs)
+        ref = shape_operator_grid(chart, qs)
+        assert shapes.flags[at].tolist() == ref.flags.tolist()
+        for got, want in zip((shapes.A, shapes.P, shapes.xi, shapes.coeffs), (ref.A, ref.P, ref.xi, ref.coeffs)):
+            assert got[at].tobytes() == want.tobytes()
+        ref_R, ref_errors = cv.intrinsic_riemann_batch(chart, qs, step)
+        assert R[at].tobytes() == ref_R.tobytes()
+        assert [e and f"chart {chart.name!r} at {q}: {e}" for q, e in zip(qs, errors[at])] == ref_errors
+        metrics.append(cv._stencil_metric(chart, qs, step)[0][[e is None for e in ref_errors], 0])
+        coeffs.append(ref.coeffs[ref.flags == "ok"])
+        assert np.isnan(gaps[chart_flags != "ok"]).all() and (gaps[chart_flags == "ok"] < bound).all()
+        assert all(abs(v - 5.0) < bound if d == {} else math.isnan(v) for v, d in planes)
+        flags += [*chart_flags.tolist(), *(d.get("error", "ok") for _, d in planes)]
+    stacks = [args[0] for name, args in calls if name == "inv" and args[0].ndim == 3]
+    assert end == len(shapes.flags) == len(R) and all(np.isfinite(a).all() for a in stacks)
+    assert [a.tobytes() for a in stacks] == [np.concatenate(metrics).tobytes(), np.concatenate(coeffs).tobytes()]
+    return flags
 
 
-def test_shape_operator_grid_flags_a_non_finite_chart_quietly():
-    chart = perturbed_ruled_chart(math.nan, 0)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        flags = _grid_against_per_point(chart, list(box_grid(chart.sample_box, 2)))
-    assert flags == ["RankDeficient"] * 8
+def _box(n):
+    """The points of a chart's sample box at n per axis."""
+    return lambda chart: list(box_grid(chart.sample_box, n))
 
 
-@pytest.mark.parametrize("make", [ruled_chart, lambda: sphere_chart(math.pi / 4)], ids=["ruled", "sphere"])
-def test_a_non_finite_parameter_is_flagged_quietly_by_both_kernels(make):
-    # math.cos of an infinity raises, so the per-point kernel rejects the
-    # point before any chart call.
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        flags = _grid_against_per_point(make(), [(math.inf, 1.0, 2.0), (0.6, -math.inf, 2.0)])
-    assert flags == ["RankDeficient"] * 2
+def _across_the_sign_rule(chart):
+    """Two points of the sphere pi/4: between t - h and t the normal's first component of largest
+    modulus changes at the first, so the sign rule flips its stencil normal at t - h."""
+    q = (1.1, 1.2, 0.297095)
+    assert build_frame(chart, q).rows[4].dot(build_frame(chart, (1.1, 1.2, q[2] - 1e-5)).rows[4]) < 0.0
+    return [q, (1.1, 1.2, 0.3)]
 
 
-def test_a_gram_overflow_is_flagged_quietly_by_both_kernels():
-    # Partials of order 1e160 overflow the Gram matrix W W^T of every frame.
-    base = ruled_chart()
-    chart = dataclasses.replace(base, partials=lambda *q: 1e160 * base.partials(*q))
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert _grid_against_per_point(chart, [(0.6, 1.0, 2.0)]) == ["RankDeficient"]
+def _beside_the_margin(chart):
+    """The centre (0.3005, 1, 2), whose axis neighbour (0.0005, 1, 2) at h = 0.3 is inside the
+    ruled chart's declared singular margin although its metric is invertible."""
+    assert chart.singular(np.array([0.0005, 1.0, 2.0]))
+    return [(0.3005, 1.0, 2.0)]
 
 
-@pytest.mark.parametrize("make", [ruled_chart, lambda: sphere_chart(math.pi / 4)], ids=["ruled", "sphere"])
-def test_shape_operator_grid_agrees_on_the_near_singular_box(make):
-    # The declared-singular edge is computable, so every point is ok.
-    chart = near_singular_box(make())
-    assert _grid_against_per_point(chart, list(box_grid(chart.sample_box, 3))) == ["ok"] * 27
+def _singular_centre(chart):
+    """The centre (0, 1, 2), where the ruled chart's t-partial vanishes, so its metric has a zero row."""
+    assert np.linalg.matrix_rank(induced_metric(chart, (0.0, 1.0, 2.0))) < 3
+    return [(0.0, 1.0, 2.0)]
 
 
-def test_shape_operator_grid_flags_each_rank_deficient_frame():
+def _replaced(**fields):
+    """A factory of the ruled chart with ``fields`` replaced."""
+    return lambda: dataclasses.replace(ruled_chart(), **fields)
+
+
+def _unevaluable(*q):
+    """A chart point that fails the test wherever it is evaluated."""
+    raise AssertionError("evaluated")
+
+
+# The charts of KERNEL_CASES that no surface of ``cli.parse_surface`` names; a crosscheck
+# chart is a list of cmd_crosscheck's (chart, extra) pairs.
+KERNEL_CHARTS = {
+    "sphere:pi/4": lambda: sphere_chart(math.pi / 4),
+    "sphere:pi/6": lambda: sphere_chart(math.pi / 6),
+    "gram-overflow": _replaced(partials=lambda *q: 1e160 * ruled_chart().partials(*q)),  # overflows every W W^T
+    "no-locus": _replaced(is_singular=lambda Q: np.zeros(Q.shape[:-1], bool)),
+    "unevaluable": _replaced(evaluate=_unevaluable, is_singular=lambda Q: np.zeros(Q.shape[:-1], bool)),
+    "ruled-edge": lambda: near_singular_box(ruled_chart()),  # the edge is computable, so every point is ok
+    "sphere-edge": lambda: near_singular_box(sphere_chart(math.pi / 4)),
+    "mixed": mixed_chart,
+    "pairs": crosscheck_pairs,
+    "pairs, ruled-edge": lambda: crosscheck_pairs("ruled"),
+    "pairs, sphere-edge": lambda: crosscheck_pairs("sphere"),
+    "pairs, both edges": lambda: crosscheck_pairs("ruled", "sphere"),
+    "pairs, row by row": lambda: [(passthrough(c, "evaluate", "partials"), e) for c, e in crosscheck_pairs()],
+    "ruled alone": lambda: [(ruled_chart(), [])],
+}
+KERNELS = {"shape": _grid_against_per_point, "intrinsic": _batch_against_each_centre}
+KERNELS["crosscheck"] = _one_pass_against_each_chart
+RD, SM, OK = "RankDeficient", "SingularMetric", "ok"
+LOCUS, NAN_METRIC = "stencil centre or axis neighbour in the singular locus", "non-finite metric on the stencil"
+NON_FINITE_STENCIL = "non-finite stencil centre, step or neighbour"
+RULED_Q, SPHERE_Q = (0.6, 1.0, 2.0), (0.3, 0.7, 0.4)
+NON_FINITE = [(math.inf, 1.0, 2.0), (0.6, -math.inf, 2.0)]  # math.cos of inf raises before any chart call
+# The grid rows of a near_singular_box on its edge: u (ruled) or s (sphere) at its lower end.
+RULED_EDGE, SPHERE_EDGE = ["singular"] * 4 + [OK] * 4, (["singular"] * 2 + [OK] * 2) * 2
+MIXED = {  # the mixed chart's centres, each with its error or ok
+    RULED_Q: OK,
+    (1.2, 1.0, 2.0): LOCUS,
+    (0.6, 1.5, 2.0): NAN_METRIC,
+    (0.0, 1.0, 2.0): "singular metric at the centre",
+    (0.9, 0.4, 1.1): OK,
+    (0.3, 2.0, 0.5): OK,
+}
+
+
+def _bad(q):
+    """q with each coordinate in turn set to inf, -inf and nan."""
+    return [(*q[:a], x, *q[a + 1 :]) for x in (math.inf, -math.inf, math.nan) for a in range(3)]
+
+
+# Each batched kernel run, once: the kernel of KERNELS (its comparator), the chart of
+# KERNEL_CHARTS, the points (a list, or a function of the chart; crosscheck: the grid),
+# the step, and the batch's flags or errors.
+KERNEL_CASES = {
+    **{
+        f"shape {name}": ("shape", name, _box(4), 1e-5, [OK] * 64)
+        for name in ["ruled", "sphere:pi/4", "sphere:pi/6", "perturbed-ruled:0.05,0", "perturbed-ruled:0.2,3"]
+        + ["sphere:1.57"]
+    },
+    "shape across the sign rule": ("shape", "sphere:pi/4", _across_the_sign_rule, 1e-5, [OK] * 2),
+    "shape nan chart": ("shape", "perturbed-ruled:nan,0", _box(2), 1e-5, [RD] * 8),
+    "shape ruled non-finite q": ("shape", "ruled", NON_FINITE, 1e-5, [RD] * 2),
+    "shape sphere non-finite q": ("shape", "sphere:pi/4", NON_FINITE, 1e-5, [RD] * 2),
+    "shape gram overflow": ("shape", "gram-overflow", [RULED_Q], 1e-5, [RD]),
+    "shape ruled edge": ("shape", "ruled-edge", _box(3), 1e-5, [OK] * 27),
+    "shape sphere edge": ("shape", "sphere-edge", _box(3), 1e-5, [OK] * 27),
     # u = 0 fails at the centre; u = h only at the stencil point u - h = 0.
-    qs = [(0.0, 1.0, 2.0), (1e-5, 1.0, 2.0), (0.6, 1.0, 2.0), (math.pi / 2, 1.0, 2.0)]
-    flags = _grid_against_per_point(ruled_chart(), qs)
-    assert flags == ["RankDeficient", "RankDeficient", "ok", "RankDeficient"]
+    "shape rank-deficient frames": (
+        "shape", "ruled", [(0.0, 1.0, 2.0), (1e-5, 1.0, 2.0), RULED_Q, (math.pi / 2, 1.0, 2.0)], 1e-5, [RD, RD, OK, RD]
+    ),
+    "shape coarse step": ("shape", "ruled", _box(4), 2e-3, [OK] * 48 + ["AsymmetryExceeded"] * 16),
+    **{
+        f"intrinsic {name}": ("intrinsic", name, _box(3), 1e-3, [OK] * 27)
+        for name in ("ruled", "sphere:pi/4", "perturbed-ruled:0.05,3")
+    },
+    "intrinsic mixed": ("intrinsic", "mixed", list(MIXED), 1e-3, list(MIXED.values())),
+    "intrinsic no locus": ("intrinsic", "no-locus", _singular_centre, 1e-3, ["singular metric at the centre"]),
+    # u = 0.3 with h = 0.3 puts an axis neighbour on u = 0, where the metric is singular.
+    "intrinsic coarse step": ("intrinsic", "ruled", [(0.3, 1.0, 2.0)], 0.3, [LOCUS]),
+    "intrinsic beside the margin": ("intrinsic", "ruled", _beside_the_margin, 0.3, [LOCUS]),
+    "intrinsic nan chart": ("intrinsic", "perturbed-ruled:nan,0", [RULED_Q], 1e-3, [NAN_METRIC]),
+    # q +- h e_a rounds to q, or h^2 is subnormal (at q = 0, before any evaluation).
+    **{
+        f"intrinsic {name} step {h}": ("intrinsic", name, [q], h, [f"step {h!r} below the parameter resolution"])
+        for name, q, steps in (
+            ("ruled", RULED_Q, (1e-200, 1e-150, 1e-17)),
+            ("sphere:pi/4", SPHERE_Q, (1e-200, 1e-150, 1e-17)),
+            ("unevaluable", (0.0, 0.0, 0.0), (1e-160, 1e-155)),
+        )
+        for h in steps
+    },
+    # A non-finite step fails every centre, a non-finite coordinate (on the singular
+    # axis or off it) its own centre alone, before the step's resolution or the
+    # singular locus is looked at; a finite centre of the same batch keeps its bits.
+    **{
+        f"intrinsic {name} step {h}": ("intrinsic", name, [q], h, [NON_FINITE_STENCIL])
+        for name, q in (("ruled", RULED_Q), ("sphere:pi/4", SPHERE_Q), ("perturbed-ruled:0.05,0", RULED_Q))
+        for h in (math.inf, -math.inf, math.nan)
+    },
+    **{
+        f"intrinsic {name} non-finite q": ("intrinsic", name, [*_bad(q), q], 1e-3, [NON_FINITE_STENCIL] * 9 + [OK])
+        for name, q in (("ruled", RULED_Q), ("sphere:pi/4", SPHERE_Q), ("perturbed-ruled:0.05,0", RULED_Q))
+    },
+    "crosscheck ruled edge": ("crosscheck", "pairs, ruled-edge", 2, 1e-3, RULED_EDGE + [OK] * 9),
+    "crosscheck sphere edge": ("crosscheck", "pairs, sphere-edge", 2, 1e-3, [OK] * 8 + SPHERE_EDGE + [OK]),
+    "crosscheck both edges": ("crosscheck", "pairs, both edges", 2, 1e-3, RULED_EDGE + SPHERE_EDGE + [OK]),
+    # A stencil axis neighbour at u = 1.57 (ruled) or s = 1.57 (sphere), in the singular margin about pi/2.
+    "crosscheck step 0.37": ("crosscheck", "pairs", 2, 0.37, [OK] * 4 + [SM] * 4 + [OK, OK, SM, SM] * 2 + [OK]),
+    "crosscheck row by row": ("crosscheck", "pairs, row by row", 2, 1e-3, [OK] * 17),
+    # The ruled grid point u = 0.3 puts a stencil axis neighbour on u = 0.
+    "crosscheck ruled alone step 0.3": ("crosscheck", "ruled alone", 2, 0.3, [SM] * 4 + [OK] * 4),
+}
 
 
-def test_shape_operator_grid_flags_a_coarse_step_as_asymmetry():
-    chart = ruled_chart()
-    flags = _grid_against_per_point(chart, list(box_grid(chart.sample_box, 4)), h=2e-3)
-    assert set(flags) == {"ok", "AsymmetryExceeded"}
+@pytest.mark.parametrize("kernel, chart, points, step, flags", KERNEL_CASES.values(), ids=list(KERNEL_CASES))
+def test_a_batched_kernel_agrees_with_its_reference(kernel, chart, points, step, flags):
+    chart = KERNEL_CHARTS[chart]() if chart in KERNEL_CHARTS else cli.parse_surface(chart)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert KERNELS[kernel](chart, points(chart) if callable(points) else points, step) == flags
 
 
 def test_shape_operator_grid_of_no_points_is_empty():
